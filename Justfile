@@ -8,11 +8,17 @@ test:
     cargo build --release
     cargo test -q
 
-# Clippy + rustfmt + rustdoc, exactly as the lint job runs them.
+# Clippy + rustfmt + edge check + rustdoc, exactly as the lint job runs them.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --check
+    bash ci/check_one_edge.sh
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+# Sockets, accept loops and hand-written codecs stay inside crates/net/src
+# (DESIGN.md §6, "The network edge").
+one-edge:
+    bash ci/check_one_edge.sh
 
 # Assert BENCH_selection.json carries a group's keys (selection, serve,
 # router or cluster) — the same script the CI jobs call.

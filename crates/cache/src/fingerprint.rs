@@ -83,6 +83,7 @@ impl std::fmt::Display for Fingerprint {
     }
 }
 
+// hand-written Wire: a u128 travels as its high then its low u64, which no field list says.
 impl Wire for Fingerprint {
     fn encode(&self, out: &mut Vec<u8>) {
         ((self.0 >> 64) as u64).encode(out);
@@ -154,44 +155,19 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    fn encode_keyed(&self, include_party_set: bool, out: &mut Vec<u8>) {
-        self.tenant.encode(out);
-        self.dataset.encode(out);
-        self.partition.encode(out);
-        self.db.encode(out);
-        self.queries.encode(out);
-        if include_party_set {
-            self.party_set.encode(out);
-        } else {
-            // Party sets are never empty, so the empty vector unambiguously
-            // marks "membership excluded" in the base fingerprint.
-            Vec::<usize>::new().encode(out);
-        }
-        self.k.encode(out);
-        self.batch.encode(out);
-        self.mode.encode(out);
-        self.maximizer.encode(out);
-        self.maximizer_epsilon_bits.encode(out);
-        self.cost_scale_bits.encode(out);
-        self.cost_model.encode(out);
-        self.seed.encode(out);
-    }
-
     /// The exact-match fingerprint (includes the party set).
     #[must_use]
     pub fn fingerprint(&self) -> Fingerprint {
-        let mut bytes = Vec::new();
-        self.encode_keyed(true, &mut bytes);
-        Fnv128::of(&bytes)
+        Fnv128::of(&self.to_bytes())
     }
 
     /// The membership-blind fingerprint (party set excluded) shared by all
     /// entries that differ only in consortium composition.
     #[must_use]
     pub fn base_fingerprint(&self) -> Fingerprint {
-        let mut bytes = Vec::new();
-        self.encode_keyed(false, &mut bytes);
-        Fnv128::of(&bytes)
+        // Party sets are never empty, so the empty vector unambiguously
+        // marks "membership excluded".
+        Fnv128::of(&CacheKey { party_set: Vec::new(), ..self.clone() }.to_bytes())
     }
 
     /// `{base}-{full}` — the cache filename stem.
@@ -208,47 +184,22 @@ impl CacheKey {
     }
 }
 
-impl Wire for CacheKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.encode_keyed(true, out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(CacheKey {
-            tenant: Fingerprint::decode(input)?,
-            dataset: Fingerprint::decode(input)?,
-            partition: Fingerprint::decode(input)?,
-            db: Fingerprint::decode(input)?,
-            queries: Vec::<usize>::decode(input)?,
-            party_set: Vec::<usize>::decode(input)?,
-            k: usize::decode(input)?,
-            batch: usize::decode(input)?,
-            mode: u8::decode(input)?,
-            maximizer: u8::decode(input)?,
-            maximizer_epsilon_bits: u64::decode(input)?,
-            cost_scale_bits: u64::decode(input)?,
-            cost_model: Fingerprint::decode(input)?,
-            seed: u64::decode(input)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.tenant.encoded_len()
-            + self.dataset.encoded_len()
-            + self.partition.encoded_len()
-            + self.db.encoded_len()
-            + self.queries.encoded_len()
-            + self.party_set.encoded_len()
-            + self.k.encoded_len()
-            + self.batch.encoded_len()
-            + self.mode.encoded_len()
-            + self.maximizer.encoded_len()
-            + self.maximizer_epsilon_bits.encoded_len()
-            + self.cost_scale_bits.encoded_len()
-            + self.cost_model.encoded_len()
-            + self.seed.encoded_len()
-    }
-}
+vfps_net::wire_struct!(CacheKey {
+    tenant,
+    dataset,
+    partition,
+    db,
+    queries,
+    party_set,
+    k,
+    batch,
+    mode,
+    maximizer,
+    maximizer_epsilon_bits,
+    cost_scale_bits,
+    cost_model,
+    seed,
+});
 
 #[cfg(test)]
 mod tests {

@@ -103,39 +103,15 @@ pub struct CacheEntry {
     pub ledger: OpLedger,
 }
 
-impl Wire for CacheEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.key.encode(out);
-        self.outcomes.encode(out);
-        self.similarity.encode(out);
-        self.chosen.encode(out);
-        self.scores.encode(out);
-        self.candidates_per_query.encode(out);
-        self.ledger.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(CacheEntry {
-            key: CacheKey::decode(input)?,
-            outcomes: Vec::<QueryOutcome>::decode(input)?,
-            similarity: Vec::<Vec<f64>>::decode(input)?,
-            chosen: Vec::<usize>::decode(input)?,
-            scores: Vec::<f64>::decode(input)?,
-            candidates_per_query: f64::decode(input)?,
-            ledger: OpLedger::decode(input)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.key.encoded_len()
-            + self.outcomes.encoded_len()
-            + self.similarity.encoded_len()
-            + self.chosen.encoded_len()
-            + self.scores.encoded_len()
-            + 8
-            + self.ledger.encoded_len()
-    }
-}
+vfps_net::wire_struct!(CacheEntry {
+    key,
+    outcomes,
+    similarity,
+    chosen,
+    scores,
+    candidates_per_query,
+    ledger
+});
 
 /// How a churned request relates to a cached neighbor entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -80,8 +80,12 @@ fn entry_from(key: CacheKey, raw: &[f64], chosen: Vec<usize>) -> CacheEntry {
 }
 
 fn scratch_dir(tag: &str, case: u64) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("vfps_cache_prop_{tag}_{}_{case}", std::process::id()));
+    // Unique per call: the harness may run one property on two threads at
+    // once (same seeded cases), and they must not share a directory.
+    static CALL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let call = CALL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir()
+        .join(format!("vfps_cache_prop_{tag}_{}_{case}_{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -20,7 +20,6 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -30,8 +29,8 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use vfps_net::channel::Channel;
 use vfps_net::cluster::Envelope;
-use vfps_net::wire::{read_frame, write_frame, FrameError, Wire};
-use vfps_net::{Error, NodeId, TransportFailure};
+use vfps_net::wire::{FrameError, Wire};
+use vfps_net::{Conn, Error, NodeId, TransportFailure};
 use vfps_vfl::fed_knn::QueryOutcome;
 use vfps_vfl::{KnnSession, ProtoMsg};
 
@@ -125,7 +124,7 @@ type SlotResult = Result<(Vec<QueryOutcome>, Vec<usize>), Error>;
 
 /// State shared between the hub and its reader threads.
 struct HubShared {
-    writers: Vec<Mutex<TcpStream>>,
+    writers: Vec<Mutex<Conn>>,
     /// Authoritative departure record (`Some(clean)`), used to fire each
     /// departure's broadcast exactly once.
     departed: Mutex<Vec<Option<bool>>>,
@@ -145,8 +144,7 @@ enum HubEvent {
 
 impl HubShared {
     fn write_to(&self, slot: usize, frame: &ClusterMsg) -> std::io::Result<()> {
-        let mut stream = self.writers[slot].lock();
-        write_frame(&mut *stream, frame)
+        self.writers[slot].lock().send(frame)
     }
 
     /// Records a departure exactly once: event to node 0, broadcast to the
@@ -229,42 +227,28 @@ impl StatsProbe {
     }
 }
 
-/// Resolves `addr` and dials it, retrying within the budget. Returns the
-/// stream and how many retries were consumed.
-fn connect_with_budget(addr: &str, opts: &HubOptions) -> std::io::Result<(TcpStream, u64)> {
+/// Dials `addr`, retrying within the budget. Returns the connection, its
+/// read deadline armed for the setup phase, and how many retries were
+/// consumed.
+fn connect_with_budget(addr: &str, opts: &HubOptions) -> std::io::Result<(Conn, u64)> {
     let mut retries = 0u64;
-    let mut last_err: Option<std::io::Error> = None;
+    let mut last_err = None;
     for attempt in 0..opts.connect_budget.max(1) {
         if attempt > 0 {
             retries += 1;
             vfps_obs::counter_add("cluster.reconnects", 1);
             std::thread::sleep(opts.connect_backoff);
         }
-        let resolved: Vec<SocketAddr> = match addr.to_socket_addrs() {
-            Ok(it) => it.collect(),
-            Err(e) => {
-                last_err = Some(e);
-                continue;
-            }
-        };
-        let Some(sa) = resolved.first() else {
-            last_err = Some(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("{addr}: no usable address"),
-            ));
-            continue;
-        };
-        match TcpStream::connect_timeout(sa, opts.connect_timeout) {
-            Ok(stream) => {
+        match Conn::connect_timeout(addr, opts.connect_timeout) {
+            Ok(conn) => {
                 vfps_obs::counter_add("cluster.connects", 1);
-                return Ok((stream, retries));
+                conn.set_read_timeout(Some(opts.io_timeout))?;
+                return Ok((conn, retries));
             }
             Err(e) => last_err = Some(e),
         }
     }
-    Err(last_err.unwrap_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::TimedOut, format!("{addr}: connect budget spent"))
-    }))
+    Err(last_err.expect("the budget allows at least one attempt"))
 }
 
 /// Idempotent health probe: dials `addr` within the reconnect budget,
@@ -275,19 +259,16 @@ fn connect_with_budget(addr: &str, opts: &HubOptions) -> std::io::Result<(TcpStr
 /// I/O error when the budget is spent or the daemon answers with anything
 /// but the matching pong within the deadline.
 pub fn ping_party(addr: &str, opts: &HubOptions) -> std::io::Result<Duration> {
-    let (stream, _) = connect_with_budget(addr, opts)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(opts.io_timeout))?;
+    let (conn, _) = connect_with_budget(addr, opts)?;
     let nonce = 0x7666_7073_7069_6e67; // arbitrary, echoed back verbatim
     let started = Instant::now();
-    write_frame(&mut &stream, &ClusterMsg::Ping { nonce })?;
-    match read_frame::<_, ClusterMsg>(&mut &stream) {
-        Ok(Some(ClusterMsg::Pong { nonce: n })) if n == nonce => Ok(started.elapsed()),
+    match conn.call(&ClusterMsg::Ping { nonce }) {
+        Ok(ClusterMsg::Pong { nonce: n }) if n == nonce => Ok(started.elapsed()),
         Ok(other) => Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("{addr}: expected Pong, got {other:?}"),
         )),
-        Err(e) => Err(std::io::Error::other(format!("{addr}: {e}"))),
+        Err(failure) => Err(std::io::Error::other(format!("{addr}: {failure}"))),
     }
 }
 
@@ -327,16 +308,14 @@ impl Hub {
     ) -> std::io::Result<Hub> {
         let p = session.parties.len();
         assert_eq!(addrs.len(), p, "one daemon address per consortium slot");
-        let mut streams = Vec::with_capacity(p);
+        let mut conns = Vec::with_capacity(p);
         let mut reconnects = 0u64;
         for (slot, addr) in addrs.iter().enumerate() {
-            let (stream, retries) = connect_with_budget(addr, opts)?;
+            let (conn, retries) = connect_with_budget(addr, opts)?;
             reconnects += retries;
-            stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(opts.io_timeout))?;
             let setup = SetupFrame::for_slot(session, shuffle_seed, slot, scheme);
-            write_frame(&mut &stream, &ClusterMsg::Setup(setup))?;
-            match read_frame::<_, ClusterMsg>(&mut &stream) {
+            conn.send(&ClusterMsg::Setup(setup))?;
+            match conn.recv::<ClusterMsg>() {
                 Ok(Some(ClusterMsg::Ready { party_id })) if party_id == session.parties[slot] => {}
                 Ok(Some(ClusterMsg::Failed(ef))) => {
                     return Err(std::io::Error::new(
@@ -359,15 +338,15 @@ impl Hub {
                     )));
                 }
             }
-            streams.push(stream);
+            conns.push(conn);
         }
 
         let (tx, rx) = unbounded();
         let shared = Arc::new(HubShared {
-            writers: streams
+            writers: conns
                 .iter()
-                .map(|s| Mutex::new(s.try_clone().expect("clone hub socket for writing")))
-                .collect(),
+                .map(|c| c.try_clone().map(Mutex::new))
+                .collect::<std::io::Result<_>>()?,
             departed: Mutex::new(vec![None; p]),
             results: Mutex::new((0..p).map(|_| None).collect()),
             tx,
@@ -375,14 +354,14 @@ impl Hub {
             kills_observed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
-        let readers = streams
+        let readers = conns
             .into_iter()
             .enumerate()
-            .map(|(slot, stream)| {
+            .map(|(slot, conn)| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("hub-reader-{slot}"))
-                    .spawn(move || reader_loop(&shared, slot, &stream))
+                    .spawn(move || reader_loop(&shared, slot, &conn))
                     .expect("spawn hub reader")
             })
             .collect();
@@ -437,7 +416,7 @@ impl Hub {
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         for w in &self.shared.writers {
-            let _ = w.lock().shutdown(Shutdown::Both);
+            w.lock().shutdown();
         }
         for h in self.readers.drain(..) {
             let _ = h.join();
@@ -453,11 +432,11 @@ impl Drop for Hub {
 
 /// One daemon socket's read loop: routes protocol frames, records
 /// terminal results, classifies socket death onto the taxonomy.
-fn reader_loop(shared: &HubShared, slot: usize, stream: &TcpStream) {
+fn reader_loop(shared: &HubShared, slot: usize, conn: &Conn) {
     let p = shared.writers.len();
     let me = 1 + slot;
     // Short slices so shutdown is prompt; WouldBlock just re-arms.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = conn.set_read_timeout(Some(Duration::from_millis(100)));
     let violation = |detail: String| {
         shared.set_result(slot, Err(Error::violation(detail)));
         shared.depart(slot, false, false);
@@ -466,7 +445,7 @@ fn reader_loop(shared: &HubShared, slot: usize, stream: &TcpStream) {
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        match read_frame::<_, ClusterMsg>(&mut &*stream) {
+        match conn.recv::<ClusterMsg>() {
             Ok(Some(ClusterMsg::Routed { from, to, payload })) => {
                 vfps_obs::counter_add("cluster.frames", 1);
                 if from != me {

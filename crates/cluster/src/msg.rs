@@ -12,8 +12,7 @@
 //! [`ProtoMsg`](vfps_vfl::ProtoMsg) — so the hub can relay participant ⇄ participant traffic
 //! without decoding it.
 
-use vfps_net::wire::{take, Wire, WireError};
-use vfps_net::{Error, NodeId};
+use vfps_net::{wire_enum, wire_struct, Error, NodeId};
 use vfps_vfl::fed_knn::{FedKnnConfig, KnnMode, QueryOutcome};
 use vfps_vfl::KnnSession;
 
@@ -60,36 +59,8 @@ impl SchemeSpec {
     }
 }
 
-impl Wire for SchemeSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let kind: u8 = match self.kind {
-            SchemeKind::Plain => 0,
-            SchemeKind::Paillier => 1,
-        };
-        kind.encode(out);
-        self.key_bits.encode(out);
-        self.batch.encode(out);
-        self.seed.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let kind = match u8::decode(input)? {
-            0 => SchemeKind::Plain,
-            1 => SchemeKind::Paillier,
-            t => return Err(WireError::BadTag(t)),
-        };
-        Ok(SchemeSpec {
-            kind,
-            key_bits: usize::decode(input)?,
-            batch: usize::decode(input)?,
-            seed: u64::decode(input)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + 8 + 8 + 8
-    }
-}
+wire_enum!(SchemeKind { 0 => Plain, 1 => Paillier });
+wire_struct!(SchemeSpec { kind, key_bits, batch, seed });
 
 /// The byte for a [`KnnMode`] on the wire (only the modes the threaded
 /// protocol implements are routable; Threshold/NRA are logical-engine
@@ -196,47 +167,18 @@ impl SetupFrame {
     }
 }
 
-impl Wire for SetupFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.slot.encode(out);
-        self.parties.encode(out);
-        self.db_rows.encode(out);
-        self.queries.encode(out);
-        self.k.encode(out);
-        self.mode.encode(out);
-        self.batch.encode(out);
-        self.cost_scale_bits.encode(out);
-        self.shuffle_seed.encode(out);
-        self.scheme.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(SetupFrame {
-            slot: usize::decode(input)?,
-            parties: Vec::decode(input)?,
-            db_rows: Vec::decode(input)?,
-            queries: Vec::decode(input)?,
-            k: usize::decode(input)?,
-            mode: u8::decode(input)?,
-            batch: usize::decode(input)?,
-            cost_scale_bits: u64::decode(input)?,
-            shuffle_seed: u64::decode(input)?,
-            scheme: SchemeSpec::decode(input)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + self.parties.encoded_len()
-            + self.db_rows.encoded_len()
-            + self.queries.encoded_len()
-            + 8
-            + 1
-            + 8
-            + 8
-            + 8
-            + self.scheme.encoded_len()
-    }
-}
+wire_struct!(SetupFrame {
+    slot,
+    parties,
+    db_rows,
+    queries,
+    k,
+    mode,
+    batch,
+    cost_scale_bits,
+    shuffle_seed,
+    scheme
+});
 
 /// A [`vfps_net::Error`] flattened for the wire, so a daemon's terminal
 /// failure arrives at the coordinator with its type intact and the
@@ -305,29 +247,7 @@ impl ErrorFrame {
     }
 }
 
-impl Wire for ErrorFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.kind.encode(out);
-        self.peer.encode(out);
-        self.waited_nanos.encode(out);
-        self.detail.encode(out);
-        self.op.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ErrorFrame {
-            kind: u8::decode(input)?,
-            peer: Option::decode(input)?,
-            waited_nanos: u64::decode(input)?,
-            detail: String::decode(input)?,
-            op: u64::decode(input)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + self.peer.encoded_len() + 8 + self.detail.encoded_len() + 8
-    }
-}
+wire_struct!(ErrorFrame { kind, peer, waited_nanos, detail, op });
 
 /// One frame of the coordinator ⇄ daemon control protocol.
 #[derive(Clone, Debug, PartialEq)]
@@ -378,129 +298,22 @@ pub enum ClusterMsg {
     },
 }
 
-impl Wire for ClusterMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ClusterMsg::Setup(f) => {
-                out.push(0);
-                f.encode(out);
-            }
-            ClusterMsg::Ready { party_id } => {
-                out.push(1);
-                party_id.encode(out);
-            }
-            ClusterMsg::Routed { from, to, payload } => {
-                out.push(2);
-                from.encode(out);
-                to.encode(out);
-                payload.encode(out);
-            }
-            ClusterMsg::Departed { node, clean } => {
-                out.push(3);
-                node.encode(out);
-                clean.encode(out);
-            }
-            ClusterMsg::Finished { outcomes, dead_slots } => {
-                out.push(4);
-                outcomes.encode(out);
-                dead_slots.encode(out);
-            }
-            ClusterMsg::Failed(e) => {
-                out.push(5);
-                e.encode(out);
-            }
-            ClusterMsg::Ping { nonce } => {
-                out.push(6);
-                nonce.encode(out);
-            }
-            ClusterMsg::Pong { nonce } => {
-                out.push(7);
-                nonce.encode(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let tag = take(input, 1)?[0];
-        Ok(match tag {
-            0 => ClusterMsg::Setup(SetupFrame::decode(input)?),
-            1 => ClusterMsg::Ready { party_id: usize::decode(input)? },
-            2 => ClusterMsg::Routed {
-                from: NodeId::decode(input)?,
-                to: NodeId::decode(input)?,
-                payload: Vec::decode(input)?,
-            },
-            3 => ClusterMsg::Departed { node: NodeId::decode(input)?, clean: bool::decode(input)? },
-            4 => ClusterMsg::Finished {
-                outcomes: Vec::decode(input)?,
-                dead_slots: Vec::decode(input)?,
-            },
-            5 => ClusterMsg::Failed(ErrorFrame::decode(input)?),
-            6 => ClusterMsg::Ping { nonce: u64::decode(input)? },
-            7 => ClusterMsg::Pong { nonce: u64::decode(input)? },
-            t => return Err(WireError::BadTag(t)),
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ClusterMsg::Setup(f) => f.encoded_len(),
-            ClusterMsg::Ready { party_id } => party_id.encoded_len(),
-            ClusterMsg::Routed { from, to, payload } => {
-                from.encoded_len() + to.encoded_len() + payload.encoded_len()
-            }
-            ClusterMsg::Departed { node, clean } => node.encoded_len() + clean.encoded_len(),
-            ClusterMsg::Finished { outcomes, dead_slots } => {
-                outcomes.encoded_len() + dead_slots.encoded_len()
-            }
-            ClusterMsg::Failed(e) => e.encoded_len(),
-            ClusterMsg::Ping { nonce } | ClusterMsg::Pong { nonce } => nonce.encoded_len(),
-        }
-    }
-}
+wire_enum!(ClusterMsg {
+    0 => Setup(f),
+    1 => Ready { party_id },
+    2 => Routed { from, to, payload },
+    3 => Departed { node, clean },
+    4 => Finished { outcomes, dead_slots },
+    5 => Failed(e),
+    6 => Ping { nonce },
+    7 => Pong { nonce },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;
-
-    fn roundtrip(m: ClusterMsg) {
-        let bytes = m.to_bytes();
-        assert_eq!(bytes.len(), m.encoded_len(), "{m:?}");
-        assert_eq!(ClusterMsg::from_bytes(&bytes).unwrap(), m);
-    }
-
-    #[test]
-    fn cluster_frames_roundtrip() {
-        let session = KnnSession::new(
-            &[0, 2, 3],
-            &[0, 1, 2, 3, 4],
-            &[1, 4],
-            FedKnnConfig { k: 2, mode: KnnMode::Fagin, batch: 3, cost_scale: 1.5 },
-            42,
-        );
-        roundtrip(ClusterMsg::Setup(SetupFrame::for_slot(
-            &session,
-            42,
-            1,
-            SchemeSpec::paillier(128, 8, 5),
-        )));
-        roundtrip(ClusterMsg::Ready { party_id: 7 });
-        roundtrip(ClusterMsg::Routed { from: 0, to: 3, payload: vec![1, 2, 3] });
-        roundtrip(ClusterMsg::Departed { node: 2, clean: false });
-        roundtrip(ClusterMsg::Finished {
-            outcomes: vec![QueryOutcome {
-                topk_rows: vec![4, 1],
-                d_t: vec![0.5, 0.25],
-                d_t_total: 0.75,
-                candidates: 3,
-            }],
-            dead_slots: vec![1],
-        });
-        roundtrip(ClusterMsg::Failed(ErrorFrame::from_error(&Error::Hangup { peer: 1 })));
-        roundtrip(ClusterMsg::Ping { nonce: 0xdead_beef });
-        roundtrip(ClusterMsg::Pong { nonce: 0xdead_beef });
-    }
+    use vfps_net::wire::Wire;
 
     #[test]
     fn error_frames_preserve_the_taxonomy() {

@@ -12,7 +12,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,8 +21,8 @@ use vfps_he::scheme::{AdditiveHe, PaillierHe, PlainHe};
 use vfps_ml::linalg::Matrix;
 use vfps_net::channel::Channel;
 use vfps_net::cluster::Envelope;
-use vfps_net::wire::{read_frame, write_frame, Wire};
-use vfps_net::{Error, NodeId, TransportFailure};
+use vfps_net::wire::Wire;
+use vfps_net::{Conn, Error, NodeId, TransportFailure};
 use vfps_vfl::{knn_participant_node, KnnSession, ProtoMsg};
 
 use crate::msg::{ClusterMsg, ErrorFrame, SchemeKind, SetupFrame};
@@ -86,7 +86,7 @@ pub fn serve_party(
         }
         let (stream, _peer) = listener.accept()?;
         vfps_obs::counter_add("cluster.party.connections", 1);
-        match handle_conn(&stream, x, partition, cfg) {
+        match handle_conn(&Conn::adopt(stream), x, partition, cfg) {
             ConnOutcome::Probe => {}
             ConnOutcome::Session { killed } => {
                 report.sessions += 1;
@@ -106,32 +106,26 @@ enum ConnOutcome {
 /// Serves one coordinator connection: answers pings until a `Setup`
 /// arrives, then runs the protocol session and closes.
 fn handle_conn(
-    stream: &TcpStream,
+    conn: &Conn,
     x: &Matrix,
     partition: &VerticalPartition,
     cfg: &PartyConfig,
 ) -> ConnOutcome {
-    let _ = stream.set_nodelay(true);
     loop {
-        if stream.set_read_timeout(Some(SETUP_TIMEOUT)).is_err() {
+        if conn.set_read_timeout(Some(SETUP_TIMEOUT)).is_err() {
             return ConnOutcome::Probe;
         }
-        match read_frame::<_, ClusterMsg>(&mut &*stream) {
+        match conn.recv::<ClusterMsg>() {
             Ok(Some(ClusterMsg::Ping { nonce })) => {
-                if write_frame(&mut &*stream, &ClusterMsg::Pong { nonce }).is_err() {
+                if conn.send(&ClusterMsg::Pong { nonce }).is_err() {
                     return ConnOutcome::Probe;
                 }
             }
             Ok(Some(ClusterMsg::Setup(frame))) => {
-                return match run_setup(stream, x, partition, cfg, &frame) {
-                    // A refused setup never entered the protocol: the
-                    // connection is spent, the session budget is not.
-                    SetupOutcome::Refused => ConnOutcome::Probe,
-                    SetupOutcome::Ran { killed } => ConnOutcome::Session { killed },
-                };
+                return run_setup(conn, x, partition, cfg, &frame);
             }
             Ok(Some(other)) => {
-                refuse(stream, Error::violation(format!("expected Setup or Ping, got {other:?}")));
+                refuse(conn, Error::violation(format!("expected Setup or Ping, got {other:?}")));
                 return ConnOutcome::Probe;
             }
             // Peer closed between frames (health probe done), or sent
@@ -140,7 +134,7 @@ fn handle_conn(
             Err(e) => {
                 let failure = TransportFailure::classify_frame(&e, SETUP_TIMEOUT);
                 if let TransportFailure::Protocol { detail } = failure {
-                    refuse(stream, Error::violation(detail));
+                    refuse(conn, Error::violation(detail));
                 }
                 return ConnOutcome::Probe;
             }
@@ -149,49 +143,43 @@ fn handle_conn(
 }
 
 /// Best-effort typed refusal; the peer may already be gone.
-fn refuse(stream: &TcpStream, e: Error) {
-    let _ = write_frame(&mut &*stream, &ClusterMsg::Failed(ErrorFrame::from_error(&e)));
-}
-
-/// What a `Setup` frame led to.
-enum SetupOutcome {
-    /// Invalid setup: typed refusal sent, protocol never entered.
-    Refused,
-    /// The protocol body ran (possibly dying via the kill knob).
-    Ran { killed: bool },
+fn refuse(conn: &Conn, e: Error) {
+    let _ = conn.send(&ClusterMsg::Failed(ErrorFrame::from_error(&e)));
 }
 
 /// Validates a setup and dispatches to the scheme-monomorphized session
-/// runner.
+/// runner. A refused setup (typed refusal sent) never entered the
+/// protocol, so it counts as a [`ConnOutcome::Probe`]: the connection is
+/// spent, the session budget is not.
 fn run_setup(
-    stream: &TcpStream,
+    conn: &Conn,
     x: &Matrix,
     partition: &VerticalPartition,
     cfg: &PartyConfig,
     frame: &SetupFrame,
-) -> SetupOutcome {
+) -> ConnOutcome {
     let session = match frame.session() {
         Ok(s) => s,
         Err(e) => {
-            refuse(stream, e);
-            return SetupOutcome::Refused;
+            refuse(conn, e);
+            return ConnOutcome::Probe;
         }
     };
     if session.parties[frame.slot] != cfg.party_id {
         refuse(
-            stream,
+            conn,
             Error::violation(format!(
                 "slot {} names party {}, daemon holds party {}",
                 frame.slot, session.parties[frame.slot], cfg.party_id
             )),
         );
-        return SetupOutcome::Refused;
+        return ConnOutcome::Probe;
     }
     match frame.scheme.kind {
         SchemeKind::Plain => {
             let he = Arc::new(PlainHe::new(frame.scheme.batch.max(1)));
-            SetupOutcome::Ran {
-                killed: run_session(stream, &he, &session, frame.slot, x, partition, cfg),
+            ConnOutcome::Session {
+                killed: run_session(conn, &he, &session, frame.slot, x, partition, cfg),
             }
         }
         SchemeKind::Paillier => {
@@ -199,13 +187,13 @@ fn run_setup(
             {
                 Ok(he) => {
                     let he = Arc::new(he);
-                    SetupOutcome::Ran {
-                        killed: run_session(stream, &he, &session, frame.slot, x, partition, cfg),
+                    ConnOutcome::Session {
+                        killed: run_session(conn, &he, &session, frame.slot, x, partition, cfg),
                     }
                 }
                 Err(e) => {
-                    refuse(stream, Error::violation(format!("scheme generation failed: {e}")));
-                    SetupOutcome::Refused
+                    refuse(conn, Error::violation(format!("scheme generation failed: {e}")));
+                    ConnOutcome::Probe
                 }
             }
         }
@@ -217,7 +205,7 @@ fn run_setup(
 /// no terminal frame — the coordinator observes an abrupt death, exactly
 /// as it would a `SIGKILL`ed process).
 fn run_session<H: AdditiveHe>(
-    stream: &TcpStream,
+    conn: &Conn,
     he: &Arc<H>,
     session: &KnnSession,
     slot: usize,
@@ -226,20 +214,20 @@ fn run_session<H: AdditiveHe>(
     cfg: &PartyConfig,
 ) -> bool {
     let (view, qfeats) = session.local_inputs(x, partition, slot);
-    if write_frame(&mut &*stream, &ClusterMsg::Ready { party_id: cfg.party_id }).is_err() {
+    if conn.send(&ClusterMsg::Ready { party_id: cfg.party_id }).is_err() {
         return false;
     }
-    let ch = PartyChannel::new(stream, 1 + slot, session.parties.len() + 1, cfg.kill_after_ops);
+    let ch = PartyChannel::new(conn, 1 + slot, session.parties.len() + 1, cfg.kill_after_ops);
     vfps_obs::counter_add("cluster.party.sessions", 1);
     match knn_participant_node(&ch, he, session, slot, &view, &qfeats) {
         Ok((outcomes, dead_slots)) => {
-            let _ = write_frame(&mut &*stream, &ClusterMsg::Finished { outcomes, dead_slots });
+            let _ = conn.send(&ClusterMsg::Finished { outcomes, dead_slots });
             false
         }
         // The kill knob: drop the socket without a word.
         Err(Error::Killed { .. }) => true,
         Err(e) => {
-            refuse(stream, e);
+            refuse(conn, e);
             false
         }
     }
@@ -261,7 +249,7 @@ fn run_session<H: AdditiveHe>(
 /// already lost at that point — matching a real mesh, where a deadline on
 /// a stalled stream tears the stream down.
 pub struct PartyChannel<'a> {
-    stream: &'a TcpStream,
+    conn: &'a Conn,
     me: NodeId,
     nodes: usize,
     state: RefCell<PartyChanState>,
@@ -282,16 +270,16 @@ enum Polled {
 }
 
 impl<'a> PartyChannel<'a> {
-    /// Wraps `stream` as node `me` of a `nodes`-node session.
+    /// Wraps `conn` as node `me` of a `nodes`-node session.
     #[must_use]
     pub fn new(
-        stream: &'a TcpStream,
+        conn: &'a Conn,
         me: NodeId,
         nodes: usize,
         kill_after: Option<u64>,
     ) -> PartyChannel<'a> {
         PartyChannel {
-            stream,
+            conn,
             me,
             nodes,
             state: RefCell::new(PartyChanState {
@@ -325,10 +313,10 @@ impl<'a> PartyChannel<'a> {
     fn poll(&self, remaining: Duration, total: Duration) -> Result<Polled, Error> {
         // A zero read timeout means "no timeout" to the OS; clamp up.
         let slice = remaining.max(Duration::from_millis(1));
-        if self.stream.set_read_timeout(Some(slice)).is_err() {
+        if self.conn.set_read_timeout(Some(slice)).is_err() {
             return Err(Error::Hangup { peer: 0 });
         }
-        match read_frame::<_, ClusterMsg>(&mut &*self.stream) {
+        match self.conn.recv::<ClusterMsg>() {
             Ok(Some(ClusterMsg::Routed { from, to, payload })) => {
                 if to != self.me {
                     return Err(Error::violation(format!(
@@ -368,7 +356,7 @@ impl Channel<ProtoMsg> for PartyChannel<'_> {
             return Err(Error::Hangup { peer: to });
         }
         let frame = ClusterMsg::Routed { from: self.me, to, payload: msg.to_bytes() };
-        write_frame(&mut &*self.stream, &frame).map_err(|_| Error::Hangup { peer: to })
+        self.conn.send(&frame).map_err(|_| Error::Hangup { peer: to })
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<ProtoMsg>, Error> {

@@ -327,92 +327,33 @@ impl CostBreakdown {
     }
 }
 
-impl crate::wire::Wire for OpCount {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.path.encode(out);
-        self.work.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, crate::wire::WireError> {
-        Ok(OpCount { path: u64::decode(input)?, work: u64::decode(input)? })
-    }
-
-    fn encoded_len(&self) -> usize {
-        16
-    }
-}
-
-impl crate::wire::Wire for OpLedger {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.enc.encode(out);
-        self.dec.encode(out);
-        self.he_add.encode(out);
-        self.plain.encode(out);
-        self.dist.encode(out);
-        self.bytes.encode(out);
-        self.messages.encode(out);
-        self.rounds.encode(out);
-        self.dropouts.encode(out);
-        self.cache_hits.encode(out);
-        self.cache_misses.encode(out);
-        self.random_accesses.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, crate::wire::WireError> {
-        Ok(OpLedger {
-            enc: OpCount::decode(input)?,
-            dec: OpCount::decode(input)?,
-            he_add: OpCount::decode(input)?,
-            plain: OpCount::decode(input)?,
-            dist: OpCount::decode(input)?,
-            bytes: u64::decode(input)?,
-            messages: u64::decode(input)?,
-            rounds: u64::decode(input)?,
-            dropouts: u64::decode(input)?,
-            cache_hits: u64::decode(input)?,
-            cache_misses: u64::decode(input)?,
-            random_accesses: u64::decode(input)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        5 * 16 + 7 * 8
-    }
-}
-
-impl crate::wire::Wire for CostModel {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.enc_us.encode(out);
-        self.dec_us.encode(out);
-        self.he_add_us.encode(out);
-        self.plain_op_us.encode(out);
-        self.dist_us.encode(out);
-        self.latency_us.encode(out);
-        self.bytes_per_us.encode(out);
-        self.cipher_bytes.encode(out);
-        self.id_bytes.encode(out);
-        self.scalar_bytes.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, crate::wire::WireError> {
-        Ok(CostModel {
-            enc_us: f64::decode(input)?,
-            dec_us: f64::decode(input)?,
-            he_add_us: f64::decode(input)?,
-            plain_op_us: f64::decode(input)?,
-            dist_us: f64::decode(input)?,
-            latency_us: f64::decode(input)?,
-            bytes_per_us: f64::decode(input)?,
-            cipher_bytes: usize::decode(input)?,
-            id_bytes: usize::decode(input)?,
-            scalar_bytes: usize::decode(input)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        10 * 8
-    }
-}
+crate::wire_struct!(OpCount { path, work });
+crate::wire_struct!(OpLedger {
+    enc,
+    dec,
+    he_add,
+    plain,
+    dist,
+    bytes,
+    messages,
+    rounds,
+    dropouts,
+    cache_hits,
+    cache_misses,
+    random_accesses,
+});
+crate::wire_struct!(CostModel {
+    enc_us,
+    dec_us,
+    he_add_us,
+    plain_op_us,
+    dist_us,
+    latency_us,
+    bytes_per_us,
+    cipher_bytes,
+    id_bytes,
+    scalar_bytes,
+});
 
 #[cfg(test)]
 mod tests {

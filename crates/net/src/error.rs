@@ -108,14 +108,17 @@ pub enum TransportFailure {
 impl TransportFailure {
     /// Classifies an I/O error against the taxonomy: deadline-shaped kinds
     /// (`WouldBlock` from a socket read timeout, `TimedOut` from connect)
-    /// become [`TransportFailure::Timeout`]; everything else — resets,
-    /// refusals, EOF-inside-a-frame — is a peer that went away, i.e.
-    /// [`TransportFailure::Hangup`].
+    /// become [`TransportFailure::Timeout`]; `InvalidInput` (an address
+    /// that names nothing, a frame too large to send) is this side's own
+    /// mistake, i.e. [`TransportFailure::Protocol`]; everything else —
+    /// resets, refusals, EOF-inside-a-frame — is a peer that went away,
+    /// i.e. [`TransportFailure::Hangup`].
     #[must_use]
     pub fn classify_io(e: &std::io::Error, waited: Duration) -> TransportFailure {
         use std::io::ErrorKind;
         match e.kind() {
             ErrorKind::WouldBlock | ErrorKind::TimedOut => TransportFailure::Timeout { waited },
+            ErrorKind::InvalidInput => TransportFailure::Protocol { detail: e.to_string() },
             _ => TransportFailure::Hangup,
         }
     }
@@ -195,6 +198,8 @@ mod tests {
                 "{kind:?} is a departed peer"
             );
         }
+        let own = TransportFailure::classify_io(&IoError::from(ErrorKind::InvalidInput), waited);
+        assert!(!own.is_liveness_failure(), "a refused send says nothing about the peer");
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! crate reproduces that topology in-process:
 //!
 //! * [`wire`] — a hand-rolled binary codec, so every message has an exact,
-//!   deterministic byte size;
+//!   deterministic byte size; [`wire_struct!`] / [`wire_enum!`] derive a
+//!   message's three codec methods from one field list;
+//! * [`conn`] and [`server`] — the network edge: the one framed TCP
+//!   connection ([`Conn`]) and the one accept-loop skeleton
+//!   ([`server::Listener`]) every tier's sockets go through;
 //! * [`cluster`] — one thread per node with crossbeam-channel links and a
 //!   shared per-link traffic ledger;
 //! * [`channel`] — the transport trait ([`channel::Channel`]) the protocol
@@ -34,9 +38,11 @@
 
 pub mod channel;
 pub mod cluster;
+pub mod conn;
 pub mod cost;
 pub mod error;
 pub mod fault;
+pub mod server;
 pub mod wire;
 
 pub use channel::Channel;
@@ -44,6 +50,7 @@ pub use cluster::{
     run_cluster, run_cluster_fallible, run_cluster_traced, run_cluster_with, ClusterOptions,
     Envelope, FallibleNodeFn, NodeCtx, NodeId, TraceEvent, TrafficLedger,
 };
+pub use conn::Conn;
 pub use cost::{CostModel, OpLedger};
 pub use error::{Error, TransportFailure};
 pub use fault::FaultPlan;

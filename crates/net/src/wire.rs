@@ -80,7 +80,7 @@ pub fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
     Ok(head)
 }
 
-macro_rules! impl_wire_int {
+macro_rules! impl_wire_le {
     ($($t:ty),*) => {$(
         impl Wire for $t {
             fn encode(&self, buf: &mut Vec<u8>) {
@@ -97,20 +97,8 @@ macro_rules! impl_wire_int {
     )*};
 }
 
-impl_wire_int!(u8, u16, u32, u64, i64);
-
-impl Wire for f64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let bytes = take(input, 8)?;
-        Ok(f64::from_le_bytes(bytes.try_into().expect("exact length")))
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
+// `f64` travels as its IEEE-754 bits.
+impl_wire_le!(u8, u16, u32, u64, i64, f64);
 
 impl Wire for usize {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -153,7 +141,9 @@ impl<T: Wire> Wire for Vec<T> {
         if len > input.len().saturating_mul(8).saturating_add(16) {
             return Err(WireError::BadLength(len));
         }
-        let mut out = Vec::with_capacity(len.min(1 << 20));
+        // Reserve only what the remaining input could fill: a hostile
+        // length prefix must not buy memory it has no bytes for.
+        let mut out = Vec::with_capacity(len.min(input.len() / std::mem::size_of::<T>().max(1)));
         for _ in 0..len {
             out.push(T::decode(input)?);
         }
@@ -215,6 +205,126 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 }
 
 // ---------------------------------------------------------------------------
+// Declarative codecs: one field list, three methods
+// ---------------------------------------------------------------------------
+
+/// Implements [`Wire`] for a named-field struct from **one** field list:
+/// `encode`, `decode` and `encoded_len` walk the same fields in the same
+/// order, so they cannot drift apart. Field types are inferred from the
+/// struct definition.
+///
+/// A field named in a `trailing_optional { .. }` tail is always written,
+/// but decodes as `Default::default()` when the input ends before it — the
+/// backward-compatible way to append a field to a message that is the last
+/// content of its frame.
+///
+/// ```
+/// use vfps_net::wire::Wire;
+/// #[derive(Debug, PartialEq)]
+/// struct Point { x: u32, y: u32, label: u8 }
+/// vfps_net::wire_struct!(Point { x, y } trailing_optional { label });
+///
+/// let p = Point { x: 1, y: 2, label: 3 };
+/// assert_eq!(p.to_bytes(), [1, 0, 0, 0, 2, 0, 0, 0, 3]);
+/// assert_eq!(Point::from_bytes(&p.to_bytes()[..8]).unwrap(), Point { label: 0, ..p });
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),+ $(,)? } $(trailing_optional { $opt:ident })?) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $($crate::wire::Wire::encode(&self.$field, buf);)+
+                $($crate::wire::Wire::encode(&self.$opt, buf);)?
+            }
+
+            fn decode(input: &mut &[u8]) -> Result<Self, $crate::wire::WireError> {
+                Ok($ty {
+                    $($field: $crate::wire::Wire::decode(input)?,)+
+                    $($opt: if input.is_empty() {
+                        Default::default()
+                    } else {
+                        $crate::wire::Wire::decode(input)?
+                    },)?
+                })
+            }
+
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::wire::Wire::encoded_len(&self.$field))+
+                    $(+ $crate::wire::Wire::encoded_len(&self.$opt))?
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for an enum from **one** variant list, each line
+/// `tag => Variant`, `tag => Variant(a, b)` or `tag => Variant { a, b }`:
+/// a leading tag byte (written once, here) followed by the variant's fields
+/// in the listed order. An unlisted tag decodes to [`WireError::BadTag`].
+///
+/// ```
+/// use vfps_net::wire::{Wire, WireError};
+/// #[derive(Debug, PartialEq)]
+/// enum Msg { Stop, Put(u8, u8), Named { id: u16 } }
+/// vfps_net::wire_enum!(Msg { 0 => Stop, 1 => Put(a, b), 7 => Named { id } });
+///
+/// assert_eq!(Msg::Put(5, 6).to_bytes(), [1, 5, 6]);
+/// assert_eq!(Msg::from_bytes(&[7, 9, 0]), Ok(Msg::Named { id: 9 }));
+/// assert_eq!(Msg::from_bytes(&[2]), Err(WireError::BadTag(2)));
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident { $(
+        $tag:literal => $variant:ident $(($($t:ident),+))? $({ $($f:ident),+ })?
+    ),+ $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($($t),+))? $({ $($f),+ })? => {
+                        buf.push($tag);
+                        $($($crate::wire::Wire::encode($t, buf);)+)?
+                        $($($crate::wire::Wire::encode($f, buf);)+)?
+                    })+
+                }
+            }
+
+            fn decode(input: &mut &[u8]) -> Result<Self, $crate::wire::WireError> {
+                match <u8 as $crate::wire::Wire>::decode(input)? {
+                    $($tag => {
+                        $($(let $t = $crate::wire::Wire::decode(input)?;)+)?
+                        $($(let $f = $crate::wire::Wire::decode(input)?;)+)?
+                        Ok($ty::$variant $(($($t),+))? $({ $($f),+ })?)
+                    })+
+                    t => Err($crate::wire::WireError::BadTag(t)),
+                }
+            }
+
+            fn encoded_len(&self) -> usize {
+                1 + match self {
+                    $($ty::$variant $(($($t),+))? $({ $($f),+ })? => {
+                        0 $($(+ $crate::wire::Wire::encoded_len($t))+)?
+                            $($(+ $crate::wire::Wire::encoded_len($f))+)?
+                    })+
+                }
+            }
+        }
+    };
+}
+
+/// Test support: pins all three codec methods of `v` against one golden
+/// hex vector — `to_bytes` must produce exactly it, `encoded_len` must
+/// report its length, and `from_bytes` must read it back as `v`.
+///
+/// # Panics
+/// On any mismatch (that is its job).
+pub fn assert_wire<T: Wire + PartialEq + fmt::Debug>(v: &T, golden_hex: &str) {
+    let bytes = v.to_bytes();
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, golden_hex, "to_bytes drifted for {v:?}");
+    assert_eq!(v.encoded_len(), bytes.len(), "encoded_len drifted for {v:?}");
+    assert_eq!(T::from_bytes(&bytes).as_ref(), Ok(v), "from_bytes drifted");
+}
+
+// ---------------------------------------------------------------------------
 // Length-prefixed stream framing
 // ---------------------------------------------------------------------------
 
@@ -263,19 +373,27 @@ impl From<std::io::Error> for FrameError {
 }
 
 /// Writes `msg` as one frame: a little-endian `u32` payload length followed
-/// by the payload's canonical [`Wire`] encoding, then flushes.
+/// by the payload's canonical [`Wire`] encoding, then flushes. Length and
+/// payload leave in **one** `write_all`: two small writes on a socket are
+/// the Nagle + delayed-ACK stall (40 ms per request on loopback).
 ///
 /// # Errors
-/// Propagates stream errors.
-///
-/// # Panics
-/// Panics if the encoding exceeds [`MAX_FRAME_BYTES`] (a frame that
-/// [`read_frame`] would refuse; sending it would only poison the peer).
+/// Propagates stream errors; [`std::io::ErrorKind::InvalidInput`] (nothing
+/// written) if the encoding exceeds [`MAX_FRAME_BYTES`] — a frame that
+/// [`read_frame`] would refuse, so sending it would only poison the peer.
 pub fn write_frame<W: Write>(w: &mut W, msg: &impl Wire) -> std::io::Result<()> {
-    let payload = msg.to_bytes();
-    assert!(payload.len() <= MAX_FRAME_BYTES, "outbound frame exceeds MAX_FRAME_BYTES");
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
+    let mut frame = Vec::with_capacity(4 + msg.encoded_len());
+    frame.extend_from_slice(&[0; 4]);
+    msg.encode(&mut frame);
+    let len = frame.len() - 4;
+    if len > MAX_FRAME_BYTES {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            FrameError::TooLarge(len).to_string(),
+        ));
+    }
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -290,13 +408,13 @@ pub fn read_frame<R: Read, T: Wire>(r: &mut R) -> Result<Option<T>, FrameError> 
     let mut len_bytes = [0u8; 4];
     // Hand-rolled first-byte probe so that "peer closed between frames" is
     // distinguishable from "peer died mid-frame".
-    match r.read(&mut len_bytes[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-            return read_frame(r);
+    loop {
+        match r.read(&mut len_bytes[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
         }
-        Err(e) => return Err(FrameError::Io(e)),
     }
     r.read_exact(&mut len_bytes[1..])?;
     let len = u32::from_le_bytes(len_bytes) as usize;
@@ -312,35 +430,35 @@ pub fn read_frame<R: Read, T: Wire>(r: &mut R) -> Result<Option<T>, FrameError> 
 mod tests {
     use super::*;
 
-    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
-        let bytes = v.to_bytes();
-        assert_eq!(bytes.len(), v.encoded_len(), "encoded_len must be exact");
-        assert_eq!(T::from_bytes(&bytes).unwrap(), v);
+    #[test]
+    fn primitives_are_little_endian_fixed_width() {
+        assert_wire(&0u8, "00");
+        assert_wire(&u8::MAX, "ff");
+        assert_wire(&12_345u32, "39300000");
+        assert_wire(&u64::MAX, "ffffffffffffffff");
+        assert_wire(&-42i64, "d6ffffffffffffff");
+        assert_wire(&std::f64::consts::PI, "182d4454fb210940");
+        assert_wire(&f64::NEG_INFINITY, "000000000000f0ff");
+        assert_wire(&true, "01");
+        assert_wire(&987_654usize, "06120f0000000000");
     }
 
     #[test]
-    fn primitive_roundtrips() {
-        roundtrip(0u8);
-        roundtrip(u8::MAX);
-        roundtrip(12_345u32);
-        roundtrip(u64::MAX);
-        roundtrip(-42i64);
-        roundtrip(std::f64::consts::PI);
-        roundtrip(f64::NEG_INFINITY);
-        roundtrip(true);
-        roundtrip(987_654usize);
-    }
-
-    #[test]
-    fn container_roundtrips() {
-        roundtrip(vec![1u64, 2, 3]);
-        roundtrip(Vec::<f64>::new());
-        roundtrip("hello wire".to_owned());
-        roundtrip((7u32, vec![1.5f64, -2.5]));
-        roundtrip(vec![vec![1u8, 2], vec![], vec![3]]);
-        roundtrip(Option::<u64>::None);
-        roundtrip(Some(42u64));
-        roundtrip(vec![Some(1.5f64), None, Some(-3.0)]);
+    fn containers_are_length_prefixed() {
+        assert_wire(&vec![1u64, 2, 3], "03000000010000000000000002000000000000000300000000000000");
+        assert_wire(&Vec::<f64>::new(), "00000000");
+        assert_wire(&"hello wire".to_owned(), "0a00000068656c6c6f2077697265");
+        assert_wire(
+            &(7u32, vec![1.5f64, -2.5]),
+            "0700000002000000000000000000f83f00000000000004c0",
+        );
+        assert_wire(&vec![vec![1u8, 2], vec![], vec![3]], "03000000020000000102000000000100000003");
+        assert_wire(&Option::<u64>::None, "00");
+        assert_wire(&Some(42u64), "012a00000000000000");
+        assert_wire(
+            &vec![Some(1.5f64), None, Some(-3.0)],
+            "0300000001000000000000f83f000100000000000008c0",
+        );
     }
 
     #[test]
@@ -406,6 +524,14 @@ mod tests {
             read_frame::<_, Vec<u64>>(&mut r),
             Err(FrameError::TooLarge(n)) if n == u32::MAX as usize
         ));
+    }
+
+    #[test]
+    fn oversized_outbound_frame_is_an_error_and_writes_nothing() {
+        let mut buf = Vec::new();
+        let err = write_frame(&mut buf, &vec![0u8; MAX_FRAME_BYTES]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty(), "a refused frame must not reach the stream");
     }
 
     #[test]

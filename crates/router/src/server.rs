@@ -1,13 +1,13 @@
-//! The routing tier: accept loop, tenant-affine relay, health checking,
-//! backend drain, and fan-out/merge for the broadcast verbs
-//! (DESIGN.md §13).
+//! The routing tier: tenant-affine relay, health checking, backend drain,
+//! and fan-out/merge for the broadcast verbs (DESIGN.md §13) behind the
+//! shared accept loop ([`vfps_net::server`], DESIGN.md §6 "The network
+//! edge").
 //!
-//! Threading model mirrors the daemon's: one acceptor spawns a detached
-//! handler per client connection; each handler relays one request at a
-//! time over its *own* backend connections (cached per backend, so a
-//! client session keeps one TCP stream per backend it actually talks
-//! to); one detached health thread pings every non-drained backend on a
-//! fixed cadence and drives the [`HealthMachine`]s.
+//! Each connection's handler relays one request at a time over its *own*
+//! backend connections (cached per backend, so a client session keeps one
+//! TCP stream per backend it actually talks to); one detached health
+//! thread pings every non-drained backend on a fixed cadence and drives
+//! the [`HealthMachine`]s.
 //!
 //! Relay contract: the router decodes each frame and re-encodes it
 //! unchanged — the codec is canonical (every value has exactly one
@@ -19,14 +19,16 @@
 //! execute a selection twice and lose the one-request-one-response
 //! accounting.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-use vfps_net::{read_frame, write_frame, TransportFailure};
+use vfps_net::server::{Listener, Reply};
+use vfps_net::{Conn, TransportFailure};
 use vfps_serve::{
     health_state_name, BackendStatus, DrainReport, Request, Response, RouterStatusReply,
     TenantStatus, PROTOCOL_VERSION,
@@ -102,7 +104,8 @@ struct Topology {
 /// thread.
 struct Shared {
     topology: RwLock<Topology>,
-    shutdown: AtomicBool,
+    /// The listener's stop flag; the health thread winds down with it.
+    stopping: Arc<AtomicBool>,
     health_interval: Duration,
     health_timeout: Duration,
     /// The merged backend accounting, filled in by the handler that
@@ -204,8 +207,7 @@ impl From<std::io::Error> for RouterError {
 /// The routing tier. Construct with [`Router::bind`], then
 /// [`Router::run`].
 pub struct Router {
-    listener: TcpListener,
-    local_addr: SocketAddr,
+    listener: Listener,
     shared: Arc<Shared>,
     trace_out: Option<PathBuf>,
 }
@@ -237,27 +239,26 @@ impl Router {
                 relay_errors: AtomicU64::new(0),
             }));
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
+        let listener = Listener::bind(&cfg.addr)?;
         if cfg.trace_out.is_some() {
             vfps_obs::start_capture();
         }
         let shared = Arc::new(Shared {
             topology: RwLock::new(Topology { ring, backends }),
-            shutdown: AtomicBool::new(false),
+            stopping: listener.stopping(),
             health_interval: cfg.health_interval,
             health_timeout: cfg.health_timeout,
             final_report: Mutex::new(None),
         });
-        println!("vfps-router listening on {local_addr}");
+        println!("vfps-router listening on {}", listener.local_addr());
         let _ = std::io::stdout().flush();
-        Ok(Router { listener, local_addr, shared, trace_out: cfg.trace_out.clone() })
+        Ok(Router { listener, shared, trace_out: cfg.trace_out.clone() })
     }
 
     /// The bound address (useful with port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Runs the accept loop (plus the background health thread) until a
@@ -273,19 +274,12 @@ impl Router {
                 .spawn(move || health_loop(&shared))
                 .expect("spawn health thread");
         }
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            };
-            let shared = self.shared.clone();
-            let addr = self.local_addr;
-            std::thread::spawn(move || handle_connection(&shared, stream, addr));
-        }
+        let shared = self.shared.clone();
+        self.listener.serve(Response::connection_reject, move || {
+            let shared = shared.clone();
+            let mut conns = ConnCache::new();
+            move |req| handle(&shared, &mut conns, req)
+        })?;
         let report = self
             .shared
             .final_report
@@ -319,38 +313,22 @@ impl Router {
     }
 }
 
-/// Wakes the acceptor after `shutdown` is set (same trick as the
-/// daemon's): `TcpListener::incoming` only notices the flag on its next
-/// connection, so the drain initiator pokes it with a throwaway connect.
-fn wake_acceptor(addr: SocketAddr) {
-    let _ = TcpStream::connect(addr);
-}
-
 /// One ping probe against a backend, bounded by `timeout` at connect,
 /// read, and write.
 fn probe(addr: &str, timeout: Duration) -> Result<(), TransportFailure> {
     let started = Instant::now();
-    let sock = addr
-        .to_socket_addrs()
-        .map_err(|e| TransportFailure::classify_io(&e, started.elapsed()))?
-        .next()
-        .ok_or_else(|| TransportFailure::Protocol { detail: format!("unresolvable {addr}") })?;
-    let stream = TcpStream::connect_timeout(&sock, timeout)
+    let conn = Conn::connect_timeout(addr, timeout)
+        .and_then(|c| {
+            c.set_read_timeout(Some(timeout))?;
+            c.set_write_timeout(Some(timeout))?;
+            Ok(c)
+        })
         .map_err(|e| TransportFailure::classify_io(&e, started.elapsed()))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .and_then(|()| stream.set_write_timeout(Some(timeout)))
-        .map_err(|e| TransportFailure::classify_io(&e, started.elapsed()))?;
-    let mut stream = stream;
-    write_frame(&mut stream, &Request::Ping)
-        .map_err(|e| TransportFailure::classify_io(&e, started.elapsed()))?;
-    match read_frame::<_, Response>(&mut stream) {
-        Ok(Some(Response::Pong { .. })) => Ok(()),
-        Ok(Some(other)) => {
+    match conn.call(&Request::Ping)? {
+        Response::Pong { .. } => Ok(()),
+        other => {
             Err(TransportFailure::Protocol { detail: format!("expected Pong, got {other:?}") })
         }
-        Ok(None) => Err(TransportFailure::Hangup),
-        Err(e) => Err(TransportFailure::classify_frame(&e, started.elapsed())),
     }
 }
 
@@ -358,7 +336,7 @@ fn probe(addr: &str, timeout: Duration) -> Result<(), TransportFailure> {
 /// interval and logs state transitions. Sleeps in small slices so a
 /// drain is noticed promptly.
 fn health_loop(shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::Acquire) {
+    while !shared.stopping.load(Ordering::Acquire) {
         // Fresh snapshot per sweep: a backend joined mid-run is probed
         // from the next sweep on.
         for b in &shared.snapshot() {
@@ -394,7 +372,7 @@ fn health_loop(shared: &Arc<Shared>) {
             }
         }
         let mut slept = Duration::ZERO;
-        while slept < shared.health_interval && !shared.shutdown.load(Ordering::Acquire) {
+        while slept < shared.health_interval && !shared.stopping.load(Ordering::Acquire) {
             let slice = shared.health_interval.saturating_sub(slept).min(Duration::from_millis(25));
             std::thread::sleep(slice);
             slept += slice;
@@ -402,83 +380,41 @@ fn health_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Per-connection cache of backend streams: index-aligned with the
-/// topology's backend list (indices are stable — joins only append). A
-/// client session talking to one tenant keeps one warm TCP stream to
-/// that tenant's backend. Grows lazily via [`conn_slot`] when a backend
-/// joined after the connection opened.
-type ConnCache = Vec<Option<TcpStream>>;
+/// Per-connection cache of backend streams, keyed by the backend's
+/// topology index (stable — joins only append). A client session talking
+/// to one tenant keeps one warm TCP stream to that tenant's backend.
+type ConnCache = BTreeMap<usize, Conn>;
 
-/// The cache slot for backend `idx`, growing the cache if a live join
-/// appended backends this connection has not seen yet.
-fn conn_slot(conns: &mut ConnCache, idx: usize) -> &mut Option<TcpStream> {
-    if conns.len() <= idx {
-        conns.resize_with(idx + 1, || None);
-    }
-    &mut conns[idx]
+fn handle(shared: &Arc<Shared>, conns: &mut ConnCache, req: Request) -> Reply<Response> {
+    Reply::Continue(match req {
+        Request::Ping => Response::Pong { version: PROTOCOL_VERSION },
+        Request::RouterStatus => Response::RouterStatus(shared.status()),
+        Request::DrainBackend(name) => drain_backend(shared, &name),
+        Request::AddBackend { name, addr } => add_backend(shared, &name, &addr),
+        Request::ListDatasets => merged_datasets(shared, conns),
+        Request::Shutdown => {
+            let report = relay_shutdown(shared);
+            *shared.final_report.lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
+            return Reply::Stop(Response::Draining(report));
+        }
+        Request::Select(sel) => route_select(shared, conns, sel),
+    })
 }
 
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, addr: SocketAddr) {
-    let mut conns: ConnCache = (0..shared.snapshot().len()).map(|_| None).collect();
-    loop {
-        let req = match read_frame::<_, Request>(&mut stream) {
-            Ok(Some(r)) => r,
-            Ok(None) => return,                         // clean EOF: client done
-            Err(vfps_net::FrameError::Io(_)) => return, // peer reset mid-frame
-            Err(e) => {
-                let _ = write_frame(
-                    &mut stream,
-                    &Response::Rejected { request_id: 0, reason: format!("bad frame: {e}") },
-                );
-                return;
-            }
-        };
-        match req {
-            Request::Ping => {
-                if write_frame(&mut stream, &Response::Pong { version: PROTOCOL_VERSION }).is_err()
-                {
-                    return;
-                }
-            }
-            Request::RouterStatus => {
-                if write_frame(&mut stream, &Response::RouterStatus(shared.status())).is_err() {
-                    return;
-                }
-            }
-            Request::DrainBackend(name) => {
-                let resp = drain_backend(shared, &name);
-                if write_frame(&mut stream, &resp).is_err() {
-                    return;
-                }
-            }
-            Request::AddBackend { name, addr: backend_addr } => {
-                let resp = add_backend(shared, &name, &backend_addr);
-                if write_frame(&mut stream, &resp).is_err() {
-                    return;
-                }
-            }
-            Request::ListDatasets => {
-                let resp = merged_datasets(shared, &mut conns);
-                if write_frame(&mut stream, &resp).is_err() {
-                    return;
-                }
-            }
-            Request::Shutdown => {
-                let report = relay_shutdown(shared);
-                shared.shutdown.store(true, Ordering::Release);
-                *shared.final_report.lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
-                let _ = write_frame(&mut stream, &Response::Draining(report));
-                wake_acceptor(addr);
-                return;
-            }
-            Request::Select(sel) => {
-                let resp = route_select(shared, &mut conns, sel);
-                if write_frame(&mut stream, &resp).is_err() {
-                    return;
-                }
-            }
-        }
+/// The connect stage: the cached stream to backend `idx`, dialled on first
+/// use. Nothing has been sent when this fails, so the caller may fail over.
+fn backend_conn<'c>(
+    conns: &'c mut ConnCache,
+    backend: &Backend,
+    idx: usize,
+) -> Result<&'c Conn, TransportFailure> {
+    if let Entry::Vacant(slot) = conns.entry(idx) {
+        let started = Instant::now();
+        let conn = Conn::connect(&backend.addr)
+            .map_err(|e| TransportFailure::classify_io(&e, started.elapsed()))?;
+        slot.insert(conn);
     }
+    Ok(&conns[&idx])
 }
 
 /// Relays one request over a (possibly cached) backend stream and reads
@@ -490,29 +426,11 @@ fn relay(
     idx: usize,
     req: &Request,
 ) -> Result<Response, TransportFailure> {
-    let started = Instant::now();
-    if conn_slot(conns, idx).is_none() {
-        let s = TcpStream::connect(&backend.addr)
-            .map_err(|e| TransportFailure::classify_io(&e, started.elapsed()))?;
-        let _ = s.set_nodelay(true);
-        conns[idx] = Some(s);
+    let result = backend_conn(conns, backend, idx)?.call(req);
+    if result.is_err() {
+        conns.remove(&idx);
     }
-    let stream = conns[idx].as_mut().expect("just ensured");
-    if let Err(e) = write_frame(stream, req) {
-        conns[idx] = None;
-        return Err(TransportFailure::classify_io(&e, started.elapsed()));
-    }
-    match read_frame::<_, Response>(stream) {
-        Ok(Some(resp)) => Ok(resp),
-        Ok(None) => {
-            conns[idx] = None;
-            Err(TransportFailure::Hangup)
-        }
-        Err(e) => {
-            conns[idx] = None;
-            Err(TransportFailure::classify_frame(&e, started.elapsed()))
-        }
-    }
+    result
 }
 
 /// Routes one selection to its tenant's ring owner. Failover walks the
@@ -532,26 +450,11 @@ fn route_select(
         let idx = *idx;
         // Connect stage: a refused/unreachable backend is skipped (and
         // billed a relay error — the health loop will demote it soon).
-        if conn_slot(conns, idx).is_none() {
-            let started = Instant::now();
-            match TcpStream::connect(&backend.addr) {
-                Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    conns[idx] = Some(s);
-                }
-                Err(e) => {
-                    let tf = TransportFailure::classify_io(&e, started.elapsed());
-                    backend.relay_errors.fetch_add(1, Ordering::AcqRel);
-                    vfps_obs::counter_add_labelled(
-                        "router.relay_errors",
-                        "backend",
-                        &backend.name,
-                        1,
-                    );
-                    eprintln!("router: connect to backend {} failed: {tf}", backend.name);
-                    continue;
-                }
-            }
+        if let Err(tf) = backend_conn(conns, backend, idx) {
+            backend.relay_errors.fetch_add(1, Ordering::AcqRel);
+            vfps_obs::counter_add_labelled("router.relay_errors", "backend", &backend.name, 1);
+            eprintln!("router: connect to backend {} failed: {tf}", backend.name);
+            continue;
         }
         let started = Instant::now();
         match relay(conns, backend, idx, &req) {
@@ -584,13 +487,10 @@ fn route_select(
 /// run to completion on their existing streams.
 fn drain_backend(shared: &Arc<Shared>, name: &str) -> Response {
     let Some((_, backend)) = shared.backend_entry(name) else {
-        return Response::Rejected {
-            request_id: 0,
-            reason: format!(
-                "unknown backend {name:?} (configured: {})",
-                shared.snapshot().iter().map(|b| b.name.as_str()).collect::<Vec<_>>().join(", ")
-            ),
-        };
+        return Response::connection_reject(format!(
+            "unknown backend {name:?} (configured: {})",
+            shared.snapshot().iter().map(|b| b.name.as_str()).collect::<Vec<_>>().join(", ")
+        ));
     };
     let backend = &backend;
     let prev = {
@@ -617,24 +517,15 @@ fn drain_backend(shared: &Arc<Shared>, name: &str) -> Response {
 /// one interval, exactly like a configured backend going bad.
 fn add_backend(shared: &Arc<Shared>, name: &str, addr: &str) -> Response {
     if name.is_empty() {
-        return Response::Rejected {
-            request_id: 0,
-            reason: "backend names must be non-empty".into(),
-        };
+        return Response::connection_reject("backend names must be non-empty".into());
     }
     if addr.is_empty() {
-        return Response::Rejected {
-            request_id: 0,
-            reason: "backend address must be non-empty".into(),
-        };
+        return Response::connection_reject("backend address must be non-empty".into());
     }
     {
         let mut topo = shared.topology.write().unwrap_or_else(PoisonError::into_inner);
         if topo.backends.iter().any(|b| b.name == name) {
-            return Response::Rejected {
-                request_id: 0,
-                reason: format!("duplicate backend name {name}"),
-            };
+            return Response::connection_reject(format!("duplicate backend name {name}"));
         }
         topo.ring.add(name);
         topo.backends.push(Arc::new(Backend {
@@ -702,7 +593,7 @@ fn merged_datasets(shared: &Arc<Shared>, conns: &mut ConnCache) -> Response {
         }
     }
     if reached == 0 {
-        return Response::Rejected { request_id: 0, reason: "no routable backend".into() };
+        return Response::connection_reject("no routable backend".into());
     }
     Response::Datasets {
         default_dataset: default_dataset.unwrap_or_default(),
@@ -718,11 +609,9 @@ fn relay_shutdown(shared: &Arc<Shared>) -> DrainReport {
     let mut total = DrainReport::default();
     let backends = shared.snapshot();
     for (idx, backend) in backends.iter().enumerate() {
-        // Fresh connection: cached handler streams belong to other
-        // connections, and this one must work even for backends this
-        // handler never routed to.
-        let mut conns: ConnCache = (0..backends.len()).map(|_| None).collect();
-        match relay(&mut conns, backend, idx, &Request::Shutdown) {
+        // Fresh connection: handler caches belong to their connections,
+        // and this must reach backends this handler never routed to.
+        match relay(&mut ConnCache::new(), backend, idx, &Request::Shutdown) {
             Ok(Response::Draining(report)) => {
                 total.accepted += report.accepted;
                 total.completed += report.completed;

@@ -388,3 +388,28 @@ fn a_live_added_backend_joins_the_ring_and_existing_tenants_keep_their_homes() {
     tier.shutdown();
     h2.join().expect("joined daemon drains with the tier");
 }
+
+/// The two-hop latency floor: a warm selection through router and daemon
+/// is engine work (well under a millisecond) plus four frames. At the
+/// commit before the shared network edge each hop paid a 44 ms Nagle +
+/// delayed-ACK stall, so the median sat near 90 ms.
+#[test]
+fn a_warm_request_through_the_tier_takes_milliseconds_not_a_nagle_stall() {
+    let tier = spawn_tier("latency");
+    let mut client = Client::connect(tier.router_addr).unwrap();
+    assert_eq!(select_ok(&mut client, &request(0, "", 42)).cache_status, "cold");
+    let mut rtts: Vec<Duration> = (1..=50)
+        .map(|id| {
+            let started = std::time::Instant::now();
+            let reply = select_ok(&mut client, &request(id, "", 42));
+            let rtt = started.elapsed();
+            assert_eq!(reply.cache_status, "warm");
+            rtt
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(median < Duration::from_millis(5), "median warm round trip {median:?} ({rtts:?})");
+    drop(client);
+    tier.shutdown();
+}

@@ -6,10 +6,10 @@
 //! accounting) — the protocol's backpressure only works if `Busy` stays
 //! visible.
 
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::time::Duration;
 
-use vfps_net::{read_frame, write_frame, FrameError};
+use vfps_net::{Conn, FrameError};
 
 use crate::proto::{
     knn_mode, DrainReport, Request, Response, RouterStatusReply, SelectRequest, TenantStatus,
@@ -61,31 +61,25 @@ impl From<FrameError> for ClientError {
 
 /// A connected vfps-serve client.
 pub struct Client {
-    stream: TcpStream,
+    conn: Conn,
 }
 
 impl Client {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client { conn: Conn::connect(addr)? })
     }
 
     /// Bounds every blocking read on this connection — a client-side
     /// safety net past the server's own per-request deadline.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.stream.set_read_timeout(timeout)?;
-        Ok(())
+        Ok(self.conn.set_read_timeout(timeout)?)
     }
 
     /// Sends one request frame and reads exactly one response frame.
     pub fn roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, req)?;
-        match read_frame::<_, Response>(&mut self.stream)? {
-            Some(resp) => Ok(resp),
-            None => Err(ClientError::Disconnected),
-        }
+        self.conn.send(req)?;
+        self.conn.recv()?.ok_or(ClientError::Disconnected)
     }
 
     /// Submits one selection. The reply may be any of `Selected`, `Busy`,
@@ -135,21 +129,13 @@ impl Client {
     /// A plain daemon answers `Rejected` (`"not a router"`), surfaced here
     /// as [`ClientError::Protocol`].
     pub fn router_status(&mut self) -> Result<RouterStatusReply, ClientError> {
-        match self.roundtrip(&Request::RouterStatus)? {
-            Response::RouterStatus(r) => Ok(r),
-            Response::Rejected { reason, .. } => Err(ClientError::Protocol(reason)),
-            other => Err(ClientError::Protocol(format!("expected RouterStatus, got {other:?}"))),
-        }
+        self.router_verb(&Request::RouterStatus)
     }
 
     /// Asks a routing tier to remove `backend` from its ring (in-flight
     /// relays still complete); returns the post-drain status.
     pub fn router_drain(&mut self, backend: &str) -> Result<RouterStatusReply, ClientError> {
-        match self.roundtrip(&Request::DrainBackend(backend.to_owned()))? {
-            Response::RouterStatus(r) => Ok(r),
-            Response::Rejected { reason, .. } => Err(ClientError::Protocol(reason)),
-            other => Err(ClientError::Protocol(format!("expected RouterStatus, got {other:?}"))),
-        }
+        self.router_verb(&Request::DrainBackend(backend.to_owned()))
     }
 
     /// Asks a routing tier to join backend `name` at `addr` to its ring
@@ -157,8 +143,12 @@ impl Client {
     /// status. A duplicate name or a plain daemon answers `Rejected`,
     /// surfaced here as [`ClientError::Protocol`].
     pub fn router_add(&mut self, name: &str, addr: &str) -> Result<RouterStatusReply, ClientError> {
-        let req = Request::AddBackend { name: name.to_owned(), addr: addr.to_owned() };
-        match self.roundtrip(&req)? {
+        self.router_verb(&Request::AddBackend { name: name.to_owned(), addr: addr.to_owned() })
+    }
+
+    /// Every routing-tier control verb is answered with the tier's status.
+    fn router_verb(&mut self, req: &Request) -> Result<RouterStatusReply, ClientError> {
+        match self.roundtrip(req)? {
             Response::RouterStatus(r) => Ok(r),
             Response::Rejected { reason, .. } => Err(ClientError::Protocol(reason)),
             other => Err(ClientError::Protocol(format!("expected RouterStatus, got {other:?}"))),

@@ -1,20 +1,15 @@
-//! The selection daemon: accept loop, admission control, session
-//! scheduling, and graceful drain (DESIGN.md §10).
+//! The selection daemon: admission control, session scheduling, and
+//! graceful drain (DESIGN.md §10) behind the shared accept loop
+//! ([`vfps_net::server`], DESIGN.md §6 "The network edge").
 //!
-//! Threading model:
-//!
-//! * one **acceptor** (the caller of [`Server::run`]) blocks in
-//!   `TcpListener::accept` and spawns a detached handler per connection;
-//! * each **handler** reads one [`Request`] frame at a time, performs
-//!   admission control inline, and blocks until the job's single
-//!   [`Response`] is ready — a connection never has more than one request
-//!   in flight, so handler threads are the natural per-session flow
-//!   control;
-//! * `max_concurrent` **workers** pop admitted jobs off the
-//!   [`BoundedQueue`] and run them through
-//!   [`vfps_core::select_with_cache`]; the selection kernels inside fan
-//!   out on the shared `vfps-par` pool, so worker count bounds *sessions*,
-//!   not CPU parallelism.
+//! Each connection's handler performs admission control inline and blocks
+//! until the job's single [`Response`] is ready — a connection never has
+//! more than one request in flight, so handler threads are the natural
+//! per-session flow control. `max_concurrent` **workers** pop admitted
+//! jobs off the [`BoundedQueue`] and run them through
+//! [`vfps_core::select_with_cache`]; the selection kernels inside fan out
+//! on the shared `vfps-par` pool, so worker count bounds *sessions*, not
+//! CPU parallelism.
 //!
 //! Determinism: every tenant's dataset and partition are fixed by
 //! `(dataset, instances, parties, data_seed)` — built by the
@@ -33,9 +28,9 @@
 //! visible and cannot silently starve the rest.
 
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -43,10 +38,11 @@ use crossbeam::channel;
 use vfps_core::selectors::{SelectionContext, VfpsSmSelector};
 use vfps_core::TenantContext;
 use vfps_net::cost::CostModel;
-use vfps_net::{read_frame, write_frame, FrameError};
+use vfps_net::server::{Listener, Reply};
 
 use crate::proto::{
     knn_mode, maximizer, DrainReport, Request, Response, SelectReply, SelectRequest,
+    PROTOCOL_VERSION,
 };
 use crate::queue::{AdmitError, BoundedQueue};
 use crate::tenant::{TenantRegistry, TenantWorld};
@@ -131,9 +127,8 @@ struct Shared {
     failed: AtomicU64,
     cache_hits: AtomicU64,
     in_flight: AtomicU64,
-    // Drain machinery: set `shutdown`, close the queue, then wait for
-    // every worker to exit (which implies the queue fully drained).
-    shutdown: AtomicBool,
+    // Drain machinery: close the queue, then wait for every worker to
+    // exit (which implies the queue fully drained).
     live_workers: AtomicUsize,
     drained: (Mutex<()>, Condvar),
 }
@@ -156,7 +151,6 @@ impl Shared {
     /// the `live_workers` atomic), so a drain must still complete after
     /// any worker panic.
     fn drain(&self) -> DrainReport {
-        self.shutdown.store(true, Ordering::Release);
         self.queue.close();
         let (lock, cvar) = &self.drained;
         let mut guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
@@ -207,8 +201,7 @@ impl From<std::io::Error> for ServeError {
 
 /// The daemon. Construct with [`Server::bind`], then [`Server::run`].
 pub struct Server {
-    listener: TcpListener,
-    local_addr: SocketAddr,
+    listener: Listener,
     shared: Arc<Shared>,
     trace_out: Option<PathBuf>,
     scratch_cache: Option<PathBuf>,
@@ -226,8 +219,14 @@ impl Server {
         let (cache_dir, scratch_cache) = match &cfg.cache_dir {
             Some(dir) => (dir.clone(), None),
             None => {
-                let dir =
-                    std::env::temp_dir().join(format!("vfps_serve_cache_{}", std::process::id()));
+                // Unique per `Server`, not per process: two servers in one
+                // process must not share (and on drain delete) a directory.
+                static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
+                let dir = std::env::temp_dir().join(format!(
+                    "vfps_serve_cache_{}_{}",
+                    std::process::id(),
+                    SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
+                ));
                 (dir.clone(), Some(dir))
             }
         };
@@ -241,8 +240,7 @@ impl Server {
         );
         registry.resolve("").map_err(ServeError::Config)?;
 
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
+        let listener = Listener::bind(&cfg.addr)?;
 
         if cfg.trace_out.is_some() {
             vfps_obs::start_capture();
@@ -260,7 +258,6 @@ impl Server {
             failed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
             live_workers: AtomicUsize::new(cfg.max_concurrent),
             drained: (Mutex::new(()), Condvar::new()),
         });
@@ -272,15 +269,15 @@ impl Server {
                 .expect("spawn worker");
         }
 
-        println!("vfps-serve listening on {local_addr}");
+        println!("vfps-serve listening on {}", listener.local_addr());
         let _ = std::io::stdout().flush();
-        Ok(Server { listener, local_addr, shared, trace_out: cfg.trace_out.clone(), scratch_cache })
+        Ok(Server { listener, shared, trace_out: cfg.trace_out.clone(), scratch_cache })
     }
 
     /// The bound address (useful with port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Runs the accept loop until a `Shutdown` request (or, in `--once`
@@ -288,20 +285,13 @@ impl Server {
     /// final accounting; after a clean drain `in_flight == 0` and
     /// `accepted == completed + failed`.
     pub fn run(self) -> Result<DrainReport, ServeError> {
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            };
-            let shared = self.shared.clone();
-            let addr = self.local_addr;
-            std::thread::spawn(move || handle_connection(&shared, stream, addr));
-        }
-        // Belt-and-braces: the drain initiator already waited for workers.
+        let shared = self.shared.clone();
+        self.listener.serve(Response::connection_reject, move || {
+            let shared = shared.clone();
+            move |req| handle(&shared, req)
+        })?;
+        // A `Shutdown` handler already drained; `--once` stops the listener
+        // as soon as its reply is written and leaves the drain to here.
         let report = self.shared.drain();
         if let Some(path) = &self.trace_out {
             if let Some(trace) = vfps_obs::finish_capture() {
@@ -326,84 +316,32 @@ impl Server {
     }
 }
 
-/// Wakes the acceptor after `shutdown` is set: `TcpListener::incoming`
-/// only notices the flag on its next (possibly never-arriving) connection,
-/// so the drain initiator pokes it with a throwaway connect.
-fn wake_acceptor(addr: SocketAddr) {
-    let _ = TcpStream::connect(addr);
-}
-
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, addr: SocketAddr) {
-    loop {
-        let req = match read_frame::<_, Request>(&mut stream) {
-            Ok(Some(r)) => r,
-            Ok(None) => return,               // clean EOF: client done
-            Err(FrameError::Io(_)) => return, // peer reset mid-frame
-            Err(e) => {
-                // Undecodable frame: this protocol has no request id to
-                // echo, so answer with id 0 and hang up.
-                let _ = write_frame(
-                    &mut stream,
-                    &Response::Rejected { request_id: 0, reason: format!("bad frame: {e}") },
-                );
-                return;
-            }
-        };
-        match req {
-            Request::Ping => {
-                if write_frame(
-                    &mut stream,
-                    &Response::Pong { version: crate::proto::PROTOCOL_VERSION },
-                )
-                .is_err()
-                {
-                    return;
-                }
-            }
-            Request::Shutdown => {
-                vfps_obs::counter_add("serve.shutdown", 1);
-                let report = shared.drain();
-                let _ = write_frame(&mut stream, &Response::Draining(report));
-                wake_acceptor(addr);
-                return;
-            }
-            Request::ListDatasets => {
-                let resp = Response::Datasets {
-                    default_dataset: shared.registry.default_dataset().to_owned(),
-                    max_resident: shared.registry.max_resident() as u64,
-                    tenants: shared.registry.statuses(),
-                };
-                if write_frame(&mut stream, &resp).is_err() {
-                    return;
-                }
-            }
-            // Routing-tier control frames reaching a plain daemon get a
-            // typed rejection, not a hangup — a misconfigured `vfps route`
-            // pointed at a backend should learn *why* it failed.
-            Request::RouterStatus | Request::DrainBackend(_) | Request::AddBackend { .. } => {
-                let resp = Response::Rejected {
-                    request_id: 0,
-                    reason: "not a router: this is a vfps-serve daemon".into(),
-                };
-                if write_frame(&mut stream, &resp).is_err() {
-                    return;
-                }
-            }
-            Request::Select(sel) => {
-                let one_shot = shared.once;
-                let resp = submit(shared, sel);
-                let ok = write_frame(&mut stream, &resp).is_ok();
-                if one_shot && matches!(resp, Response::Selected(_)) {
-                    shared.drain();
-                    wake_acceptor(addr);
-                    return;
-                }
-                if !ok {
-                    return;
-                }
-            }
+fn handle(shared: &Arc<Shared>, req: Request) -> Reply<Response> {
+    Reply::Continue(match req {
+        Request::Ping => Response::Pong { version: PROTOCOL_VERSION },
+        Request::Shutdown => {
+            vfps_obs::counter_add("serve.shutdown", 1);
+            return Reply::Stop(Response::Draining(shared.drain()));
         }
-    }
+        Request::ListDatasets => Response::Datasets {
+            default_dataset: shared.registry.default_dataset().to_owned(),
+            max_resident: shared.registry.max_resident() as u64,
+            tenants: shared.registry.statuses(),
+        },
+        // Routing-tier control frames reaching a plain daemon get a typed
+        // rejection, not a hangup — a misconfigured `vfps route` pointed
+        // at a backend should learn *why* it failed.
+        Request::RouterStatus | Request::DrainBackend(_) | Request::AddBackend { .. } => {
+            Response::connection_reject("not a router: this is a vfps-serve daemon".into())
+        }
+        Request::Select(sel) => {
+            let resp = submit(shared, sel);
+            if shared.once && matches!(resp, Response::Selected(_)) {
+                return Reply::Stop(resp);
+            }
+            resp
+        }
+    })
 }
 
 /// Validates, admits, and waits out one selection request; always returns

@@ -130,27 +130,7 @@ pub struct QueryOutcome {
     pub candidates: usize,
 }
 
-impl vfps_net::wire::Wire for QueryOutcome {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.topk_rows.encode(out);
-        self.d_t.encode(out);
-        self.d_t_total.encode(out);
-        self.candidates.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, vfps_net::wire::WireError> {
-        Ok(QueryOutcome {
-            topk_rows: Vec::<usize>::decode(input)?,
-            d_t: Vec::<f64>::decode(input)?,
-            d_t_total: f64::decode(input)?,
-            candidates: usize::decode(input)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.topk_rows.encoded_len() + self.d_t.encoded_len() + 8 + 8
-    }
-}
+vfps_net::wire_struct!(QueryOutcome { topk_rows, d_t, d_t_total, candidates });
 
 /// The logical federated KNN engine for a fixed database and consortium.
 pub struct FedKnn<'a> {

@@ -36,7 +36,6 @@ use vfps_he::scheme::AdditiveHe;
 use vfps_ml::linalg::{squared_distance, Matrix};
 use vfps_net::channel::Channel;
 use vfps_net::cluster::{run_cluster_fallible, ClusterOptions, NodeCtx};
-use vfps_net::wire::{take, Wire, WireError};
 use vfps_net::{Error, FaultPlan, NodeId, TrafficLedger};
 
 /// Stand-in distance for a query's own database entry: large enough never
@@ -80,71 +79,17 @@ pub enum ProtoMsg {
     QueryDone,
 }
 
-impl Wire for ProtoMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ProtoMsg::NeedBatch => buf.push(0),
-            ProtoMsg::RankBatch(ids) => {
-                buf.push(1);
-                ids.encode(buf);
-            }
-            ProtoMsg::Candidates(ids) => {
-                buf.push(2);
-                ids.encode(buf);
-            }
-            ProtoMsg::EncPartials(blobs) => {
-                buf.push(3);
-                blobs.encode(buf);
-            }
-            ProtoMsg::Aggregated(blobs) => {
-                buf.push(4);
-                blobs.encode(buf);
-            }
-            ProtoMsg::TopkIds(ids) => {
-                buf.push(5);
-                ids.encode(buf);
-            }
-            ProtoMsg::DtSum(v) => {
-                buf.push(6);
-                v.encode(buf);
-            }
-            ProtoMsg::QueryDone => buf.push(7),
-            ProtoMsg::AggregatedPartial(blobs, slots) => {
-                buf.push(8);
-                blobs.encode(buf);
-                slots.encode(buf);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let tag = take(input, 1)?[0];
-        Ok(match tag {
-            0 => ProtoMsg::NeedBatch,
-            1 => ProtoMsg::RankBatch(Vec::decode(input)?),
-            2 => ProtoMsg::Candidates(Vec::decode(input)?),
-            3 => ProtoMsg::EncPartials(Vec::decode(input)?),
-            4 => ProtoMsg::Aggregated(Vec::decode(input)?),
-            5 => ProtoMsg::TopkIds(Vec::decode(input)?),
-            6 => ProtoMsg::DtSum(f64::decode(input)?),
-            7 => ProtoMsg::QueryDone,
-            8 => ProtoMsg::AggregatedPartial(Vec::decode(input)?, Vec::decode(input)?),
-            t => return Err(WireError::BadTag(t)),
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ProtoMsg::NeedBatch | ProtoMsg::QueryDone => 0,
-            ProtoMsg::RankBatch(ids) | ProtoMsg::Candidates(ids) | ProtoMsg::TopkIds(ids) => {
-                ids.encoded_len()
-            }
-            ProtoMsg::EncPartials(blobs) | ProtoMsg::Aggregated(blobs) => blobs.encoded_len(),
-            ProtoMsg::AggregatedPartial(blobs, slots) => blobs.encoded_len() + slots.encoded_len(),
-            ProtoMsg::DtSum(v) => v.encoded_len(),
-        }
-    }
-}
+vfps_net::wire_enum!(ProtoMsg {
+    0 => NeedBatch,
+    1 => RankBatch(ids),
+    2 => Candidates(ids),
+    3 => EncPartials(blobs),
+    4 => Aggregated(blobs),
+    5 => TopkIds(ids),
+    6 => DtSum(v),
+    7 => QueryDone,
+    8 => AggregatedPartial(blobs, slots),
+});
 
 /// Result of a threaded run.
 #[derive(Debug)]
@@ -831,6 +776,7 @@ mod tests {
     use super::*;
     use crate::fed_knn::FedKnn;
     use vfps_he::scheme::{PaillierHe, PlainHe};
+    use vfps_net::wire::Wire;
 
     fn toy() -> (Matrix, VerticalPartition) {
         let x = Matrix::from_rows(&[
