@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One network edge (DESIGN.md §6): sockets are configured, accepted and
 # framed in crates/net/src and nowhere else, and message codecs are
-# declared with wire_struct!/wire_enum! rather than written by hand.
+# declared with wire_struct!/wire_enum! rather than written by hand, and
+# the Channel receive contract is vfps_net::channel::Mailbox's alone.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -11,6 +12,15 @@ fail=0
 if hits=$(grep -rnE 'TcpListener::incoming|\.incoming\(\)|wake_acceptor|set_nodelay' \
         crates --include='*.rs' | grep -v '^crates/net/src/'); then
     echo "network-edge code outside crates/net/src (use vfps_net::Conn / server::Listener):"
+    echo "$hits"
+    fail=1
+fi
+
+# The receive contract (reorder buffer, consumed departures) is written
+# once; a transport supplies Mailbox a blocking read, not a fourth copy.
+if hits=$(grep -rnE 'VecDeque<Envelope|last_departed:' crates --include='*.rs' \
+        | grep -v '^crates/net/src/channel.rs:'); then
+    echo "receive-contract bookkeeping outside crates/net/src/channel.rs (use vfps_net::channel::Mailbox):"
     echo "$hits"
     fail=1
 fi

@@ -19,17 +19,16 @@
 //! departure so the PR-2 degradation paths take over.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use vfps_net::channel::Channel;
+use parking_lot::{Condvar, Mutex};
+use vfps_net::channel::{Channel, Event, Mailbox};
 use vfps_net::cluster::Envelope;
-use vfps_net::wire::{FrameError, Wire};
+use vfps_net::wire::Wire;
 use vfps_net::{Conn, Error, NodeId, TransportFailure};
 use vfps_vfl::fed_knn::QueryOutcome;
 use vfps_vfl::{KnnSession, ProtoMsg};
@@ -130,16 +129,12 @@ struct HubShared {
     departed: Mutex<Vec<Option<bool>>>,
     /// Terminal results, filled by reader threads.
     results: Mutex<Vec<Option<SlotResult>>>,
-    tx: Sender<HubEvent>,
+    /// Notified whenever a slot of `results` is filled.
+    result_set: Condvar,
+    tx: Sender<Event<ProtoMsg>>,
     links: Vec<LinkCounters>,
     kills_observed: AtomicU64,
     shutdown: AtomicBool,
-}
-
-/// What a reader thread feeds the node-0 channel.
-enum HubEvent {
-    Msg(Envelope<ProtoMsg>),
-    Departed { node: NodeId, clean: bool },
 }
 
 impl HubShared {
@@ -163,7 +158,7 @@ impl HubShared {
             vfps_obs::counter_add("cluster.kills_observed", 1);
         }
         let node = 1 + slot;
-        let _ = self.tx.send(HubEvent::Departed { node, clean });
+        let _ = self.tx.send(Event::Departed { node, clean });
         let gone: Vec<usize> = {
             let d = self.departed.lock();
             (0..d.len()).filter(|&s| d[s].is_some()).collect()
@@ -180,6 +175,7 @@ impl HubShared {
         let mut res = self.results.lock();
         if res[slot].is_none() {
             res[slot] = Some(r);
+            self.result_set.notify_all();
         }
     }
 
@@ -272,20 +268,13 @@ pub fn ping_party(addr: &str, opts: &HubOptions) -> std::io::Result<Duration> {
     }
 }
 
-/// Node-0 channel bookkeeping (consumed departures, reorder buffer) —
-/// the same structure the simulated `NodeCtx` keeps per node.
-struct HubChanState {
-    reorder: VecDeque<Envelope<ProtoMsg>>,
-    departed: BTreeMap<NodeId, bool>,
-    last_departed: Option<NodeId>,
-}
-
 /// The coordinator: dials the daemons, runs setup, relays traffic, and
 /// acts as node 0 of the protocol via its [`Channel`] implementation.
 pub struct Hub {
     shared: Arc<HubShared>,
-    rx: Receiver<HubEvent>,
-    state: RefCell<HubChanState>,
+    rx: Receiver<Event<ProtoMsg>>,
+    /// Node 0's receive state; its peers are the `p` daemons.
+    mailbox: RefCell<Mailbox<ProtoMsg>>,
     readers: Vec<JoinHandle<()>>,
     reconnects: u64,
     p: usize,
@@ -349,6 +338,7 @@ impl Hub {
                 .collect::<std::io::Result<_>>()?,
             departed: Mutex::new(vec![None; p]),
             results: Mutex::new((0..p).map(|_| None).collect()),
+            result_set: Condvar::new(),
             tx,
             links: (0..p).map(|_| LinkCounters::default()).collect(),
             kills_observed: AtomicU64::new(0),
@@ -365,32 +355,33 @@ impl Hub {
                     .expect("spawn hub reader")
             })
             .collect();
-        Ok(Hub {
-            shared,
-            rx,
-            state: RefCell::new(HubChanState {
-                reorder: VecDeque::new(),
-                departed: BTreeMap::new(),
-                last_departed: None,
-            }),
-            readers,
-            reconnects,
-            p,
-        })
+        Ok(Hub { shared, rx, mailbox: RefCell::new(Mailbox::new(p)), readers, reconnects, p })
     }
 
     /// Waits up to `deadline` for `slot`'s terminal result. `None` when
     /// the daemon reported nothing in time (it is then presumed dead).
     pub fn wait_result(&self, slot: usize, deadline: Duration) -> Option<SlotResult> {
         let until = Instant::now() + deadline;
+        let mut results = self.shared.results.lock();
         loop {
-            if let Some(r) = self.shared.results.lock()[slot].clone() {
-                return Some(r);
+            if let Some(r) = &results[slot] {
+                return Some(r.clone());
             }
-            if Instant::now() >= until {
+            let remaining = until.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
                 return None;
             }
-            std::thread::sleep(Duration::from_millis(5));
+            self.shared.result_set.wait_for(&mut results, remaining);
+        }
+    }
+
+    /// Blocks up to `d` for the next event from the reader threads.
+    fn poll(&self, d: Duration) -> Result<Option<Event<ProtoMsg>>, Error> {
+        match self.rx.recv_timeout(d) {
+            Ok(event) => Ok(Some(event)),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            // `shared` holds the sending half, so this cannot happen.
+            Err(RecvTimeoutError::Disconnected) => Err(Error::Hangup { peer: 0 }),
         }
     }
 
@@ -414,7 +405,7 @@ impl Hub {
     /// Tears the relay plane down: closes every daemon socket and joins
     /// the reader threads.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         for w in &self.shared.writers {
             w.lock().shutdown();
         }
@@ -435,17 +426,21 @@ impl Drop for Hub {
 fn reader_loop(shared: &HubShared, slot: usize, conn: &Conn) {
     let p = shared.writers.len();
     let me = 1 + slot;
-    // Short slices so shutdown is prompt; WouldBlock just re-arms.
-    let _ = conn.set_read_timeout(Some(Duration::from_millis(100)));
+    // Whole frames, however slowly they arrive: a deadline that fired
+    // inside one would lose the bytes already read. `Hub::shutdown` closes
+    // the socket, which wakes a blocked `recv`.
+    let _ = conn.set_read_timeout(None);
     let violation = |detail: String| {
         shared.set_result(slot, Err(Error::violation(detail)));
         shared.depart(slot, false, false);
     };
     loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
+        let frame = conn.recv::<ClusterMsg>();
+        // An EOF or error the hub's own shutdown caused is not a death.
+        if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match conn.recv::<ClusterMsg>() {
+        match frame {
             Ok(Some(ClusterMsg::Routed { from, to, payload })) => {
                 vfps_obs::counter_add("cluster.frames", 1);
                 if from != me {
@@ -458,7 +453,7 @@ fn reader_loop(shared: &HubShared, slot: usize, conn: &Conn) {
                 if to == 0 {
                     match ProtoMsg::from_bytes(&payload) {
                         Ok(msg) => {
-                            let _ = shared.tx.send(HubEvent::Msg(Envelope { from, msg }));
+                            let _ = shared.tx.send(Event::Msg(Envelope { from, msg }));
                         }
                         Err(e) => {
                             violation(format!("undecodable payload from node {me}: {e}"));
@@ -502,11 +497,6 @@ fn reader_loop(shared: &HubShared, slot: usize, conn: &Conn) {
                 }
                 return;
             }
-            Err(FrameError::Io(ref e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
             Err(e) => {
                 match TransportFailure::classify_frame(&e, Duration::ZERO) {
                     TransportFailure::Protocol { detail } => {
@@ -528,7 +518,7 @@ fn reader_loop(shared: &HubShared, slot: usize, conn: &Conn) {
 
 impl Channel<ProtoMsg> for Hub {
     fn send(&self, to: NodeId, msg: ProtoMsg) -> Result<(), Error> {
-        if self.state.borrow().departed.contains_key(&to) {
+        if self.is_departed(to) {
             return Err(Error::Hangup { peer: to });
         }
         if to == 0 || to > self.p {
@@ -553,78 +543,14 @@ impl Channel<ProtoMsg> for Hub {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<ProtoMsg>, Error> {
-        if let Some(env) = self.state.borrow_mut().reorder.pop_front() {
-            return Ok(env);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(remaining) {
-                Ok(HubEvent::Msg(env)) => return Ok(env),
-                Ok(HubEvent::Departed { node, clean }) => {
-                    let mut st = self.state.borrow_mut();
-                    st.departed.insert(node, clean);
-                    st.last_departed = Some(node);
-                    if !clean {
-                        return Err(Error::Hangup { peer: node });
-                    }
-                    if st.departed.len() == self.p {
-                        return Err(Error::Hangup { peer: st.last_departed.unwrap_or(node) });
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(Error::Timeout { peer: None, waited: timeout })
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // All readers gone with the queue drained: every
-                    // daemon has departed.
-                    let st = self.state.borrow();
-                    return Err(Error::Hangup { peer: st.last_departed.unwrap_or(1) });
-                }
-            }
-        }
+        self.mailbox.borrow_mut().recv(Some(timeout), |d| self.poll(d))
     }
 
     fn recv_from_timeout(&self, from: NodeId, timeout: Duration) -> Result<ProtoMsg, Error> {
-        {
-            let mut st = self.state.borrow_mut();
-            if let Some(pos) = st.reorder.iter().position(|env| env.from == from) {
-                let env = st.reorder.remove(pos).expect("position just found");
-                return Ok(env.msg);
-            }
-            if st.departed.contains_key(&from) {
-                return Err(Error::Hangup { peer: from });
-            }
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(remaining) {
-                Ok(HubEvent::Msg(env)) => {
-                    if env.from == from {
-                        return Ok(env.msg);
-                    }
-                    self.state.borrow_mut().reorder.push_back(env);
-                }
-                Ok(HubEvent::Departed { node, clean }) => {
-                    let mut st = self.state.borrow_mut();
-                    st.departed.insert(node, clean);
-                    st.last_departed = Some(node);
-                    if node == from {
-                        return Err(Error::Hangup { peer: from });
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(Error::Timeout { peer: Some(from), waited: timeout })
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(Error::Hangup { peer: from });
-                }
-            }
-        }
+        self.mailbox.borrow_mut().recv_from(from, Some(timeout), |d| self.poll(d))
     }
 
     fn is_departed(&self, node: NodeId) -> bool {
-        self.state.borrow().departed.contains_key(&node)
+        self.mailbox.borrow().is_departed(node)
     }
 }

@@ -10,16 +10,15 @@
 //! answered with a typed [`ClusterMsg::Failed`] (or dropped) and the
 //! accept loop continues.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::{Cell, RefCell};
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use vfps_data::VerticalPartition;
 use vfps_he::scheme::{AdditiveHe, PaillierHe, PlainHe};
 use vfps_ml::linalg::Matrix;
-use vfps_net::channel::Channel;
+use vfps_net::channel::{Channel, Event, Mailbox};
 use vfps_net::cluster::Envelope;
 use vfps_net::wire::Wire;
 use vfps_net::{Conn, Error, NodeId, TransportFailure};
@@ -237,12 +236,10 @@ fn run_session<H: AdditiveHe>(
 /// over the single socket to the coordinator hub, which routes frames
 /// between nodes and broadcasts peer departures.
 ///
-/// Mirrors the simulated [`NodeCtx`](vfps_net::cluster::NodeCtx)
-/// semantics the [`Channel`] contract documents: envelopes interleaved by
-/// other senders are buffered for later receives, other peers' departures
-/// are consumed silently by directed receives, and a receive that can
-/// never complete reports the last departed peer. Hub-socket death is a
-/// hangup of node 0 — without the coordinator nothing can be routed.
+/// The receive rules are [`Mailbox`]'s, as on every transport; what is
+/// this one's own is the socket read, the kill knob's clock, and that
+/// hub-socket death is a hangup of node 0 — without the coordinator
+/// nothing can be routed.
 ///
 /// A deadline that expires mid-frame can leave the stream desynchronized;
 /// the protocol treats any timeout as a dead peer, so the session is
@@ -251,22 +248,11 @@ fn run_session<H: AdditiveHe>(
 pub struct PartyChannel<'a> {
     conn: &'a Conn,
     me: NodeId,
-    nodes: usize,
-    state: RefCell<PartyChanState>,
-}
-
-struct PartyChanState {
-    reorder: VecDeque<Envelope<ProtoMsg>>,
-    departed: BTreeMap<NodeId, bool>,
-    last_departed: Option<NodeId>,
-    ops: u64,
+    /// Channel operations so far (the kill knob's clock).
+    ops: Cell<u64>,
     kill_after: Option<u64>,
-}
-
-/// One event consumed off the socket.
-enum Polled {
-    Msg(Envelope<ProtoMsg>),
-    Departure { node: NodeId, clean: bool },
+    /// Receive state; the peers are the other `nodes - 1` nodes.
+    mailbox: RefCell<Mailbox<ProtoMsg>>,
 }
 
 impl<'a> PartyChannel<'a> {
@@ -281,38 +267,27 @@ impl<'a> PartyChannel<'a> {
         PartyChannel {
             conn,
             me,
-            nodes,
-            state: RefCell::new(PartyChanState {
-                reorder: VecDeque::new(),
-                departed: BTreeMap::new(),
-                last_departed: None,
-                ops: 0,
-                kill_after,
-            }),
+            ops: Cell::new(0),
+            kill_after,
+            mailbox: RefCell::new(Mailbox::new(nodes.saturating_sub(1))),
         }
     }
 
     /// Counts one channel operation, firing the kill knob at its budget.
     fn tick(&self) -> Result<(), Error> {
-        let mut st = self.state.borrow_mut();
-        st.ops += 1;
-        match st.kill_after {
-            Some(limit) if st.ops > limit => Err(Error::Killed { node: self.me, op: st.ops }),
+        let op = self.ops.get() + 1;
+        self.ops.set(op);
+        match self.kill_after {
+            Some(limit) if op > limit => Err(Error::Killed { node: self.me, op }),
             _ => Ok(()),
         }
     }
 
-    /// True when every peer (every node but `me`) has departed.
-    fn starved(&self, st: &PartyChanState) -> bool {
-        (0..self.nodes).filter(|&n| n != self.me).all(|n| st.departed.contains_key(&n))
-    }
-
-    /// Blocks up to `remaining` for one frame, translating socket failures
-    /// onto the typed taxonomy. `total` is the caller's full deadline, for
-    /// timeout reporting.
-    fn poll(&self, remaining: Duration, total: Duration) -> Result<Polled, Error> {
+    /// Blocks up to `d` for one frame, translating socket failures onto
+    /// the typed taxonomy.
+    fn poll(&self, d: Duration) -> Result<Option<Event<ProtoMsg>>, Error> {
         // A zero read timeout means "no timeout" to the OS; clamp up.
-        let slice = remaining.max(Duration::from_millis(1));
+        let slice = d.max(Duration::from_millis(1));
         if self.conn.set_read_timeout(Some(slice)).is_err() {
             return Err(Error::Hangup { peer: 0 });
         }
@@ -326,13 +301,10 @@ impl<'a> PartyChannel<'a> {
                 }
                 let msg = ProtoMsg::from_bytes(&payload)
                     .map_err(|e| Error::violation(format!("undecodable routed payload: {e}")))?;
-                Ok(Polled::Msg(Envelope { from, msg }))
+                Ok(Some(Event::Msg(Envelope { from, msg })))
             }
             Ok(Some(ClusterMsg::Departed { node, clean })) => {
-                let mut st = self.state.borrow_mut();
-                st.departed.insert(node, clean);
-                st.last_departed = Some(node);
-                Ok(Polled::Departure { node, clean })
+                Ok(Some(Event::Departed { node, clean }))
             }
             Ok(Some(other)) => {
                 Err(Error::violation(format!("unexpected control frame mid-session: {other:?}")))
@@ -340,8 +312,8 @@ impl<'a> PartyChannel<'a> {
             // Hub closed the socket: the coordinator — and with it node 0
             // and every route — is gone.
             Ok(None) => Err(Error::Hangup { peer: 0 }),
-            Err(e) => match TransportFailure::classify_frame(&e, total) {
-                TransportFailure::Timeout { waited } => Err(Error::Timeout { peer: None, waited }),
+            Err(e) => match TransportFailure::classify_frame(&e, slice) {
+                TransportFailure::Timeout { .. } => Ok(None),
                 TransportFailure::Hangup => Err(Error::Hangup { peer: 0 }),
                 TransportFailure::Protocol { detail } => Err(Error::violation(detail)),
             },
@@ -352,7 +324,7 @@ impl<'a> PartyChannel<'a> {
 impl Channel<ProtoMsg> for PartyChannel<'_> {
     fn send(&self, to: NodeId, msg: ProtoMsg) -> Result<(), Error> {
         self.tick()?;
-        if self.state.borrow().departed.contains_key(&to) {
+        if self.is_departed(to) {
             return Err(Error::Hangup { peer: to });
         }
         let frame = ClusterMsg::Routed { from: self.me, to, payload: msg.to_bytes() };
@@ -361,78 +333,15 @@ impl Channel<ProtoMsg> for PartyChannel<'_> {
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<ProtoMsg>, Error> {
         self.tick()?;
-        if let Some(env) = self.state.borrow_mut().reorder.pop_front() {
-            return Ok(env);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(Error::Timeout { peer: None, waited: timeout });
-            }
-            match self.poll(remaining, timeout) {
-                Ok(Polled::Msg(env)) => return Ok(env),
-                Ok(Polled::Departure { node, clean }) => {
-                    let st = self.state.borrow();
-                    if !clean {
-                        return Err(Error::Hangup { peer: node });
-                    }
-                    if self.starved(&st) {
-                        return Err(Error::Hangup { peer: st.last_departed.unwrap_or(node) });
-                    }
-                }
-                // The read deadline fired early (clock slicing); loop to
-                // re-check the caller's deadline.
-                Err(Error::Timeout { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
+        self.mailbox.borrow_mut().recv(Some(timeout), |d| self.poll(d))
     }
 
     fn recv_from_timeout(&self, from: NodeId, timeout: Duration) -> Result<ProtoMsg, Error> {
         self.tick()?;
-        {
-            let mut st = self.state.borrow_mut();
-            if let Some(pos) = st.reorder.iter().position(|env| env.from == from) {
-                let env = st.reorder.remove(pos).expect("position just found");
-                return Ok(env.msg);
-            }
-            if st.departed.contains_key(&from) {
-                return Err(Error::Hangup { peer: from });
-            }
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(Error::Timeout { peer: Some(from), waited: timeout });
-            }
-            match self.poll(remaining, timeout) {
-                Ok(Polled::Msg(env)) => {
-                    if env.from == from {
-                        return Ok(env.msg);
-                    }
-                    self.state.borrow_mut().reorder.push_back(env);
-                }
-                // Other peers' departures — clean or not — are recorded
-                // silently; only the awaited sender's departure fails the
-                // directed receive.
-                Ok(Polled::Departure { node, .. }) => {
-                    if node == from {
-                        return Err(Error::Hangup { peer: from });
-                    }
-                }
-                Err(Error::Timeout { peer: None, waited }) => {
-                    if deadline.saturating_duration_since(Instant::now()).is_zero() {
-                        return Err(Error::Timeout { peer: Some(from), waited });
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.mailbox.borrow_mut().recv_from(from, Some(timeout), |d| self.poll(d))
     }
 
     fn is_departed(&self, node: NodeId) -> bool {
-        self.state.borrow().departed.contains_key(&node)
+        self.mailbox.borrow().is_departed(node)
     }
 }

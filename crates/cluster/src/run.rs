@@ -9,9 +9,9 @@ use std::time::Duration;
 use vfps_data::VerticalPartition;
 use vfps_he::scheme::AdditiveHe;
 use vfps_ml::linalg::Matrix;
-use vfps_net::{Error, FaultPlan, NodeId};
+use vfps_net::{Error, FaultPlan};
 use vfps_vfl::fed_knn::{FedKnnConfig, QueryOutcome};
-use vfps_vfl::{knn_server_node, run_threaded_knn_faulted, FaultedRun, KnnSession, ThreadedKnnRun};
+use vfps_vfl::{knn_server_node, run_threaded_knn_faulted, FaultedRun, KnnSession};
 
 use crate::hub::{ClusterStats, Hub, HubOptions, StatsProbe};
 use crate::msg::SchemeSpec;
@@ -79,61 +79,23 @@ pub fn run_cluster_knn_supervised<H: AdditiveHe>(
 
     // Collect terminal frames. The leader decides the run's fate; the
     // other daemons finish at essentially the same moment, so a short
-    // grace per slot suffices.
-    let leader = hub.wait_result(0, opts.result_timeout);
+    // grace per slot suffices. A daemon that reported nothing is down with
+    // the server's own error if it had one, else a timeout naming it.
     let grace = Duration::from_secs(5);
-    let others: Vec<Option<_>> = (1..p).map(|slot| hub.wait_result(slot, grace)).collect();
-
-    let mut dropped = vec![false; p + 1];
-    match &server {
-        Err(_) => dropped[0] = true,
-        Ok(dead_slots) => {
-            for &slot in dead_slots {
-                dropped[1 + slot] = true;
-            }
-        }
-    }
-    let mark_slot = |dropped: &mut Vec<bool>, slot: usize, r: &Option<Result<_, Error>>| match r {
-        None | Some(Err(_)) => dropped[1 + slot] = true,
-        Some(Ok((_, dead_slots))) => {
-            for &s in dead_slots {
-                dropped[1 + s] = true;
-            }
-        }
-    };
-    mark_slot(&mut dropped, 0, &leader);
-    for (i, r) in others.iter().enumerate() {
-        mark_slot(&mut dropped, 1 + i, r);
+    let server_error = server.as_ref().err().cloned();
+    let mut nodes = vec![server.map(|dead_slots| (Vec::new(), dead_slots))];
+    for slot in 0..p {
+        let waited = if slot == 0 { opts.result_timeout } else { grace };
+        let silent =
+            || server_error.clone().unwrap_or(Error::Timeout { peer: Some(1 + slot), waited });
+        nodes.push(hub.wait_result(slot, waited).unwrap_or_else(|| Err(silent())));
     }
 
     hub.shutdown();
     let stats = hub.stats();
     vfps_obs::gauge_set("cluster.run.total_bytes", stats.logical_bytes() as f64);
     vfps_obs::gauge_set("cluster.run.total_messages", stats.logical_messages() as f64);
-
-    let dropouts: Vec<NodeId> = (0..=p).filter(|&n| dropped[n]).collect();
-    let run = match leader {
-        Some(Ok((outcomes, _))) => {
-            let run = ThreadedKnnRun {
-                outcomes,
-                total_bytes: stats.logical_bytes(),
-                total_messages: stats.logical_messages(),
-                dropouts: dropouts.clone(),
-            };
-            if dropouts.is_empty() {
-                FaultedRun::Complete(run)
-            } else {
-                FaultedRun::Degraded(run)
-            }
-        }
-        Some(Err(error)) => FaultedRun::Aborted { error, dropouts },
-        None => FaultedRun::Aborted {
-            error: server
-                .err()
-                .unwrap_or(Error::Timeout { peer: Some(1), waited: opts.result_timeout }),
-            dropouts,
-        },
-    };
+    let run = FaultedRun::from_nodes(nodes, stats.logical_bytes(), stats.logical_messages());
     Ok(ClusterKnnReport { run, stats })
 }
 
@@ -164,8 +126,8 @@ pub enum Backend {
 ///
 /// For [`Backend::Sim`] the caller's `x`/`partition` feed every node; for
 /// [`Backend::Tcp`] the daemons hold their own columns and `x`/`partition`
-/// are only used by... nothing — they are ignored, which is the point:
-/// the coordinator never sees raw features.
+/// are ignored, which is the point: the coordinator never sees raw
+/// features.
 ///
 /// # Errors
 /// Setup-level I/O errors from the TCP backend; the sim backend cannot

@@ -47,8 +47,8 @@ pub mod wire;
 
 pub use channel::Channel;
 pub use cluster::{
-    run_cluster, run_cluster_fallible, run_cluster_traced, run_cluster_with, ClusterOptions,
-    Envelope, FallibleNodeFn, NodeCtx, NodeId, TraceEvent, TrafficLedger,
+    run_cluster, run_cluster_fallible, ClusterOptions, Envelope, FallibleNodeFn, NodeCtx, NodeId,
+    TrafficLedger,
 };
 pub use conn::Conn;
 pub use cost::{CostModel, OpLedger};

@@ -123,6 +123,44 @@ pub enum FaultedRun {
 }
 
 impl FaultedRun {
+    /// Folds per-node results (index = node id: server, leader, other
+    /// participants) and the run's traffic totals into the typed outcome.
+    /// Every node that errored is down; nodes additionally report slots
+    /// they observed dropping (a killed slot's own result and its peers'
+    /// observations agree, but union them to be safe). The leader's
+    /// result decides between a usable run and [`FaultedRun::Aborted`].
+    #[must_use]
+    pub fn from_nodes(
+        mut nodes: Vec<Result<KnnNodeOut, Error>>,
+        total_bytes: u64,
+        total_messages: u64,
+    ) -> FaultedRun {
+        let mut dropped = vec![false; nodes.len()];
+        for (node, r) in nodes.iter().enumerate() {
+            match r {
+                Err(_) => dropped[node] = true,
+                Ok((_, dead_slots)) => {
+                    for &slot in dead_slots {
+                        dropped[1 + slot] = true;
+                    }
+                }
+            }
+        }
+        let dropouts: Vec<NodeId> = (0..nodes.len()).filter(|&i| dropped[i]).collect();
+        match nodes.swap_remove(1) {
+            Err(error) => FaultedRun::Aborted { error, dropouts },
+            Ok((outcomes, _)) => {
+                let complete = dropouts.is_empty();
+                let run = ThreadedKnnRun { outcomes, total_bytes, total_messages, dropouts };
+                if complete {
+                    FaultedRun::Complete(run)
+                } else {
+                    FaultedRun::Degraded(run)
+                }
+            }
+        }
+    }
+
     /// The completed or degraded run, if one exists.
     #[must_use]
     pub fn run(&self) -> Option<&ThreadedKnnRun> {
@@ -310,46 +348,13 @@ where
     }
 
     let opts = ClusterOptions { ledger: TrafficLedger::new(), faults: faults.clone() };
-    let (mut results, ledger) = {
+    let (results, ledger) = {
         vfps_obs::span!("protocol.run");
         run_cluster_fallible(fns, opts)
     };
     vfps_obs::gauge_set("protocol.run.total_bytes", ledger.total_bytes() as f64);
     vfps_obs::gauge_set("protocol.run.total_messages", ledger.total_messages() as f64);
-
-    // Every node that errored is down; the leader and server additionally
-    // report slots they observed dropping (a killed slot's own result and
-    // its peers' observations agree, but union them to be safe).
-    let mut dropped = vec![false; p + 1];
-    for (node, r) in results.iter().enumerate() {
-        match r {
-            Err(_) => dropped[node] = true,
-            Ok((_, dead_slots)) => {
-                for &slot in dead_slots {
-                    dropped[1 + slot] = true;
-                }
-            }
-        }
-    }
-    let dropouts: Vec<NodeId> = (0..=p).filter(|&i| dropped[i]).collect();
-
-    let leader = results.remove(1);
-    match leader {
-        Err(error) => FaultedRun::Aborted { error, dropouts },
-        Ok((outcomes, _)) => {
-            let run = ThreadedKnnRun {
-                outcomes,
-                total_bytes: ledger.total_bytes(),
-                total_messages: ledger.total_messages(),
-                dropouts: dropouts.clone(),
-            };
-            if dropouts.is_empty() {
-                FaultedRun::Complete(run)
-            } else {
-                FaultedRun::Degraded(run)
-            }
-        }
-    }
+    FaultedRun::from_nodes(results, ledger.total_bytes(), ledger.total_messages())
 }
 
 /// Marks `slot` dead, or aborts the whole node if the dead slot is the
