@@ -3,6 +3,8 @@
 # framed in crates/net/src and nowhere else, and message codecs are
 # declared with wire_struct!/wire_enum! rather than written by hand, and
 # the Channel receive contract is vfps_net::channel::Mailbox's alone.
+# Two HE rules ride along: one decrypt helper in vfl, no Montgomery
+# context built per ciphertext.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -43,6 +45,30 @@ while IFS=: read -r file line _; do
         fail=1
     fi
 done <<< "$impls"
+
+# One decrypt (DESIGN.md §11): the protocols hand ciphertext blobs to
+# vfl::he_wire, which decodes, validates and decrypts them in one
+# `decrypt_many` call; a per-ciphertext `.decrypt(` loop in a protocol is
+# the serial round this rule keeps from coming back.
+if hits=$(grep -rnE '\.decrypt\(|\.decrypt_many\(' crates/vfl/src --include='*.rs' \
+        | grep -v '^crates/vfl/src/he_wire.rs:'); then
+    echo "decryption in crates/vfl/src outside he_wire.rs (use he_wire::decrypt):"
+    echo "$hits"
+    fail=1
+fi
+
+# A Montgomery context costs a shift and a long division: Paillier builds
+# them where keys and encryptors are built (CrtParams::new, and
+# FixedBaseWindow::new in bigint), never per ciphertext.
+ctx_builds=$(grep -nE 'MontgomeryCtx::new' crates/he/src/paillier.rs || true)
+while IFS=: read -r line _; do
+    [ -n "$line" ] || continue
+    if ! sed -n "1,${line}p" crates/he/src/paillier.rs | grep -E '^\s*(pub )?fn ' | tail -n 1 \
+            | grep -qE 'fn new\('; then
+        echo "crates/he/src/paillier.rs:$line: MontgomeryCtx::new outside a constructor (hold the context in the key)"
+        fail=1
+    fi
+done <<< "$ctx_builds"
 
 [ "$fail" -eq 0 ] && echo "one-edge check: ok ($count hand-written Wire impl(s) outside wire.rs)"
 exit "$fail"

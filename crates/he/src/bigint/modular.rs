@@ -1,5 +1,6 @@
 //! Modular arithmetic: addition, multiplication, exponentiation and inverse.
 
+use super::montgomery::MontgomeryCtx;
 use super::signed::BigInt;
 use super::BigUint;
 
@@ -42,12 +43,23 @@ impl BigUint {
         if m.is_one() {
             return Self::zero();
         }
-        if !m.is_even() && m.limbs().len() > 1 && exp.bits() > 4 {
-            if let Some(ctx) = super::montgomery::MontgomeryCtx::new(m) {
+        if exp.bits() > 4 {
+            if let Some(ctx) = Self::montgomery_ctx(m) {
                 return ctx.mod_pow(self, exp);
             }
         }
         self.mod_pow_plain(exp, m)
+    }
+
+    /// The Montgomery context [`BigUint::mod_pow`] exponentiates modulo `m`
+    /// with — odd multi-limb moduli only — for callers that raise many
+    /// bases to powers modulo one `m` and want to build it once.
+    pub(crate) fn montgomery_ctx(m: &Self) -> Option<MontgomeryCtx> {
+        if m.limbs().len() > 1 {
+            MontgomeryCtx::new(m)
+        } else {
+            None
+        }
     }
 
     /// Division-based square-and-multiply (always correct; the oracle the

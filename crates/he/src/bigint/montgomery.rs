@@ -1,20 +1,92 @@
 //! Montgomery-form modular arithmetic for odd moduli.
 //!
 //! Paillier spends virtually all of its time in `mod_pow` with an odd
-//! modulus (`n` or `n²`); Montgomery REDC replaces each division-based
-//! reduction with multiply-accumulate passes, a several-fold speedup at
-//! cryptographic sizes (see the `he_ops` bench).
+//! modulus (`n²` when encrypting, `p²`/`q²` when decrypting, a prime
+//! candidate in Miller–Rabin); Montgomery reduction replaces each
+//! division-based reduction with multiply-accumulate passes.
+//!
+//! There is one kernel, `mont_mul`: the product and its reduction fused
+//! limb by limb, written straight into caller-owned limbs — no heap
+//! traffic and no double-width intermediate per product.
+//! [`MontgomeryCtx::mod_pow_with`] walks the exponent left to right in
+//! fixed [`WINDOW_BITS`]-bit windows over it, and [`FixedBaseWindow::pow`]
+//! multiplies its precomputed table entries with it.
 
 use super::BigUint;
+
+/// Exponent window width of both exponentiations here. A fresh-base
+/// `mod_pow` of `b` bits costs `b` squarings plus `2^w − 2` products to
+/// build the table and at most `b / w` to use it: at the 128–512-bit
+/// exponents Paillier decrypts with, `w = 4` (14 + `b`/4) beats both
+/// `w = 3` (6 + `b`/3) and `w = 5` (30 + `b`/5) up to ≈ 320 bits and is
+/// within 7 % of `w = 5` at 512. It also divides 64, so a window never
+/// straddles two limbs.
+pub const WINDOW_BITS: usize = 4;
+
+/// Non-zero digits per window (table entries per window position).
+const DIGITS: usize = (1 << WINDOW_BITS) - 1;
+
+/// `out = a · b · R⁻¹ mod m` for `L`-limb `a, b < m` and `R = 2^(64·L)`,
+/// with `n0_inv = −m⁻¹ mod 2^64` (finely integrated operand scanning: row
+/// `i` adds `a · b[i]` and the multiple `u · m` that clears the low limb in
+/// the same pass, shifting the accumulator down one limb as it goes).
+///
+/// Squarings go through here too (`b = a`). A dedicated squaring — the
+/// cross products once, doubled, then a separate reduction — saves a
+/// quarter of the limb products but pays a second pass and a
+/// double-width buffer: measured against this kernel it ties at 4 limbs,
+/// loses at 2 and 8, and wins 12 % at 16.
+#[inline(always)]
+fn mont_mul(out: &mut [u64], a: &[u64], b: &[u64], m: &[u64], n0_inv: u64) {
+    let l = m.len();
+    assert!(l > 0 && out.len() == l && a.len() == l && b.len() == l);
+    out.fill(0);
+    // The accumulator is `out` plus one limb, `top`; it stays below 2m.
+    let mut top = 0u64;
+    for &bi in b {
+        let s = u128::from(out[0]) + u128::from(a[0]) * u128::from(bi);
+        let u = (s as u64).wrapping_mul(n0_inv);
+        let r = u128::from(s as u64) + u128::from(u) * u128::from(m[0]);
+        let (mut carry_ab, mut carry_um) = ((s >> 64) as u64, (r >> 64) as u64);
+        for j in 1..l {
+            let s = u128::from(out[j]) + u128::from(a[j]) * u128::from(bi) + u128::from(carry_ab);
+            carry_ab = (s >> 64) as u64;
+            let r = u128::from(s as u64) + u128::from(u) * u128::from(m[j]) + u128::from(carry_um);
+            carry_um = (r >> 64) as u64;
+            out[j - 1] = r as u64;
+        }
+        let s = u128::from(top) + u128::from(carry_ab) + u128::from(carry_um);
+        out[l - 1] = s as u64;
+        top = (s >> 64) as u64;
+    }
+    if top != 0 || !less_than(out, m) {
+        sub_in_place(out, m);
+    }
+}
 
 /// Precomputed context for Montgomery arithmetic modulo an odd `m`.
 #[derive(Clone, Debug)]
 pub struct MontgomeryCtx {
-    m: Vec<u64>,
+    modulus: BigUint,
     /// `-m⁻¹ mod 2^64`.
     n0_inv: u64,
-    /// `R² mod m` with `R = 2^(64·L)`, used to enter Montgomery form.
-    r_squared: BigUint,
+    /// `R² mod m` with `R = 2^(64·L)`, as `L` limbs: enters Montgomery form.
+    r_squared: Vec<u64>,
+    /// The integer 1 as `L` limbs: leaves Montgomery form.
+    one: Vec<u64>,
+}
+
+/// Reusable limb buffers for [`MontgomeryCtx::mod_pow_with`]. One scratch
+/// serves contexts of any width (buffers are resized, never read before
+/// being overwritten), so a loop over many exponentiations allocates once.
+#[derive(Clone, Debug, Default)]
+pub struct MontScratch {
+    /// `base^d · R mod m` for `d` in `1..=DIGITS`, `L` limbs each.
+    table: Vec<u64>,
+    /// The running power, `L` limbs.
+    acc: Vec<u64>,
+    /// Where the next product lands before it becomes `acc`, `L` limbs.
+    next: Vec<u64>,
 }
 
 impl MontgomeryCtx {
@@ -24,133 +96,125 @@ impl MontgomeryCtx {
         if modulus.is_zero() || modulus.is_even() {
             return None;
         }
-        let m = modulus.limbs().to_vec();
-        let n0_inv = inv_mod_2_64(m[0]).wrapping_neg();
-        let l = m.len();
+        let l = modulus.limbs().len();
+        let n0_inv = inv_mod_2_64(modulus.limbs()[0]).wrapping_neg();
         // R² mod m via shifting (2·64·L doublings of 1 mod m would be slow;
         // shift in one go and reduce).
-        let r_squared = BigUint::one().shl(2 * 64 * l).rem(modulus);
-        Some(MontgomeryCtx { m, n0_inv, r_squared })
+        let r_squared = padded(&BigUint::one().shl(2 * 64 * l).rem(modulus), l);
+        let one = padded(&BigUint::one(), l);
+        Some(MontgomeryCtx { modulus: modulus.clone(), n0_inv, r_squared, one })
     }
 
     fn limbs(&self) -> usize {
-        self.m.len()
+        self.modulus.limbs().len()
     }
 
-    /// Montgomery reduction of a double-width product `t` (length `2L+1`
-    /// scratch): returns `t · R⁻¹ mod m` as an `L`-limb value.
-    fn redc(&self, t: &mut [u64]) -> Vec<u64> {
-        let l = self.limbs();
-        debug_assert!(t.len() > 2 * l);
-        for i in 0..l {
-            let u = t[i].wrapping_mul(self.n0_inv);
-            // t += u * m << (64 * i)
-            let mut carry = 0u128;
-            for (j, &mj) in self.m.iter().enumerate() {
-                let sum = u128::from(t[i + j]) + u128::from(u) * u128::from(mj) + carry;
-                t[i + j] = sum as u64;
-                carry = sum >> 64;
-            }
-            let mut k = i + l;
-            while carry != 0 {
-                let sum = u128::from(t[k]) + carry;
-                t[k] = sum as u64;
-                carry = sum >> 64;
-                k += 1;
-            }
+    /// `out = a · b · R⁻¹ mod m`: [`mont_mul`], instantiated with constant
+    /// trip counts at the widths Paillier keys of 128–1024 bits produce
+    /// (`p²` and `n²` are 2–16 and 4–32 limbs) so those loops unroll, and
+    /// with run-time ones at any other width.
+    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        let m = self.modulus.limbs();
+        macro_rules! at_width {
+            ($l:literal) => {
+                mont_mul(&mut out[..$l], &a[..$l], &b[..$l], &m[..$l], self.n0_inv)
+            };
         }
-        let mut out: Vec<u64> = t[l..2 * l].to_vec();
-        let overflow = t[2 * l] != 0;
-        if overflow || !less_than(&out, &self.m) {
-            sub_in_place(&mut out, &self.m);
+        match m.len() {
+            2 => at_width!(2),
+            4 => at_width!(4),
+            8 => at_width!(8),
+            16 => at_width!(16),
+            _ => mont_mul(out, a, b, m, self.n0_inv),
         }
-        out
     }
 
-    /// Montgomery product: `a · b · R⁻¹ mod m` for `L`-limb inputs.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let l = self.limbs();
-        let mut t = vec![0u64; 2 * l + 1];
-        // Schoolbook product into t.
-        for (i, &ai) in a.iter().enumerate() {
-            if ai == 0 {
-                continue;
-            }
-            let mut carry = 0u128;
-            for (j, &bj) in b.iter().enumerate() {
-                let sum = u128::from(t[i + j]) + u128::from(ai) * u128::from(bj) + carry;
-                t[i + j] = sum as u64;
-                carry = sum >> 64;
-            }
-            let mut k = i + b.len();
-            while carry != 0 {
-                let sum = u128::from(t[k]) + carry;
-                t[k] = sum as u64;
-                carry = sum >> 64;
-                k += 1;
-            }
-        }
-        self.redc(&mut t)
+    /// Enters Montgomery form: `out = x · R mod m`; `padded` is `L` limbs of
+    /// scratch.
+    fn to_mont(&self, x: &BigUint, out: &mut [u64], padded: &mut [u64]) {
+        let reduced;
+        let x = if x < &self.modulus {
+            x
+        } else {
+            reduced = x.rem(&self.modulus);
+            &reduced
+        };
+        let (low, high) = padded.split_at_mut(x.limbs().len());
+        low.copy_from_slice(x.limbs());
+        high.fill(0);
+        self.mul(out, padded, &self.r_squared);
     }
 
-    /// `base^exp mod m` via Montgomery square-and-multiply.
+    /// Leaves Montgomery form: `a · 1 · R⁻¹ mod m`, through `out`.
+    fn leave_mont(&self, a: &[u64], out: &mut [u64]) -> BigUint {
+        self.mul(out, a, &self.one);
+        BigUint::from_limbs(out.to_vec())
+    }
+
+    /// `base^exp mod m` with fresh buffers; see
+    /// [`MontgomeryCtx::mod_pow_with`].
     #[must_use]
     pub fn mod_pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let l = self.limbs();
-        let modulus = BigUint::from_limbs(self.m.clone());
-        if modulus.is_one() {
+        self.mod_pow_with(base, exp, &mut MontScratch::default())
+    }
+
+    /// `base^exp mod m`, left to right over [`WINDOW_BITS`]-bit windows of
+    /// the exponent: `2^w − 2` products build `base^1..base^(2^w − 1)`, then
+    /// each window costs `w` squarings and, when its digit is non-zero, one
+    /// product. With a warm `scratch` the only allocation is the result.
+    #[must_use]
+    pub fn mod_pow_with(
+        &self,
+        base: &BigUint,
+        exp: &BigUint,
+        scratch: &mut MontScratch,
+    ) -> BigUint {
+        if self.modulus.is_one() {
             return BigUint::zero();
         }
         if exp.is_zero() {
             return BigUint::one();
         }
-        let mut base_limbs = base.rem(&modulus).limbs().to_vec();
-        base_limbs.resize(l, 0);
-        let mut r2 = self.r_squared.limbs().to_vec();
-        r2.resize(l, 0);
-        // Enter Montgomery form.
-        let base_m = self.mont_mul(&base_limbs, &r2);
-        // one in Montgomery form = R mod m = REDC(R²).
-        let mut acc = {
-            let mut one = vec![0u64; l];
-            one[0] = 1;
-            self.mont_mul(&one, &r2)
-        };
-        let nbits = exp.bits();
-        let mut sq = base_m;
-        for i in 0..nbits {
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &sq);
+        let l = self.limbs();
+        let MontScratch { table, acc, next } = scratch;
+        table.resize(DIGITS * l, 0);
+        acc.resize(l, 0);
+        next.resize(l, 0);
+        self.to_mont(base, &mut table[..l], next);
+        for d in 1..DIGITS {
+            let (done, rest) = table.split_at_mut(d * l);
+            self.mul(&mut rest[..l], &done[(d - 1) * l..], &done[..l]);
+        }
+        let entry = |digit: usize| &table[(digit - 1) * l..digit * l];
+        let windows = exp.bits().div_ceil(WINDOW_BITS);
+        // The top window holds the exponent's top bit, so its digit is ≥ 1.
+        acc.copy_from_slice(entry(window_digit(exp, windows - 1)));
+        for j in (0..windows - 1).rev() {
+            for _ in 0..WINDOW_BITS {
+                self.mul(next, acc, acc);
+                std::mem::swap(acc, next);
             }
-            if i + 1 < nbits {
-                sq = self.mont_mul(&sq, &sq);
+            let digit = window_digit(exp, j);
+            if digit != 0 {
+                self.mul(next, acc, entry(digit));
+                std::mem::swap(acc, next);
             }
         }
-        // Leave Montgomery form: REDC(acc · 1).
-        let mut one = vec![0u64; l];
-        one[0] = 1;
-        let out = self.mont_mul(&acc, &one);
-        BigUint::from_limbs(out)
+        self.leave_mont(acc, next)
     }
+}
 
-    /// Enters Montgomery form: `x · R mod m` as `L` limbs.
-    fn to_mont(&self, x: &BigUint) -> Vec<u64> {
-        let l = self.limbs();
-        let modulus = BigUint::from_limbs(self.m.clone());
-        let mut limbs = x.rem(&modulus).limbs().to_vec();
-        limbs.resize(l, 0);
-        let mut r2 = self.r_squared.limbs().to_vec();
-        r2.resize(l, 0);
-        self.mont_mul(&limbs, &r2)
-    }
+/// Digit `j` of `exp` in base `2^WINDOW_BITS` (zero past the top limb).
+fn window_digit(exp: &BigUint, j: usize) -> usize {
+    let bit = j * WINDOW_BITS;
+    exp.limbs().get(bit / 64).map_or(0, |limb| (limb >> (bit % 64)) as usize & DIGITS)
+}
 
-    /// Leaves Montgomery form: `REDC(a · 1)`.
-    fn leave_mont(&self, a: &[u64]) -> BigUint {
-        let l = self.limbs();
-        let mut one = vec![0u64; l];
-        one[0] = 1;
-        BigUint::from_limbs(self.mont_mul(a, &one))
-    }
+/// The limbs of `x` zero-extended to `l`.
+fn padded(x: &BigUint, l: usize) -> Vec<u64> {
+    let mut limbs = x.limbs().to_vec();
+    limbs.resize(l, 0);
+    limbs
 }
 
 /// Fixed-base modular exponentiation with a precomputed window table.
@@ -160,49 +224,42 @@ impl MontgomeryCtx {
 /// form for every window position `j` and digit `d ∈ [1, 2^w)`. An
 /// exponentiation then costs one Montgomery product per *non-zero* window
 /// of the exponent — about `exp_bits / w` products, with no squarings at
-/// all — versus ~1.5·`exp_bits` products for square-and-multiply on a
-/// fresh base. Table construction costs ~`(2^w + w - 2)·exp_bits / w`
-/// products once.
+/// all — versus `exp_bits` squarings plus `exp_bits / w` products on a
+/// fresh base. Table construction costs `2^w − 1` products per window,
+/// once.
 #[derive(Clone, Debug)]
 pub struct FixedBaseWindow {
     ctx: MontgomeryCtx,
-    /// `table[j][d-1] = base^((d+0) · 2^(w·j)) · R mod m` for `d` in `1..2^w`.
-    table: Vec<Vec<Vec<u64>>>,
-    window_bits: usize,
+    /// Entry `(j, d)` — `base^(d · 2^(w·j)) · R mod m` for `d` in `1..2^w` —
+    /// is the `L` limbs at `(j · DIGITS + d − 1) · L`.
+    table: Vec<u64>,
     max_exp_bits: usize,
 }
 
 impl FixedBaseWindow {
-    /// Window width in bits. Four keeps the table small (15 entries per
-    /// window) while already eliminating ~4x of the multiplications.
-    pub const WINDOW_BITS: usize = 4;
-
     /// Precomputes the window table for `base` modulo the odd `modulus`,
     /// covering exponents up to `max_exp_bits` bits. Returns `None` for
     /// even or zero moduli.
     #[must_use]
     pub fn new(base: &BigUint, modulus: &BigUint, max_exp_bits: usize) -> Option<Self> {
         let ctx = MontgomeryCtx::new(modulus)?;
-        let w = Self::WINDOW_BITS;
-        let digits = (1usize << w) - 1;
-        let windows = max_exp_bits.div_ceil(w).max(1);
-        let mut table = Vec::with_capacity(windows);
+        let l = ctx.limbs();
+        let windows = max_exp_bits.div_ceil(WINDOW_BITS).max(1);
+        let mut table = vec![0u64; windows * DIGITS * l];
         // `cur` = base^(2^(w·j)) in Montgomery form for the current window.
-        let mut cur = ctx.to_mont(base);
-        for _ in 0..windows {
-            let mut row: Vec<Vec<u64>> = Vec::with_capacity(digits);
-            row.push(cur.clone());
-            for d in 1..digits {
-                let next = ctx.mont_mul(&row[d - 1], &cur);
-                row.push(next);
+        let (mut cur, mut next) = (vec![0u64; l], vec![0u64; l]);
+        ctx.to_mont(base, &mut cur, &mut next);
+        for row in table.chunks_exact_mut(DIGITS * l) {
+            row[..l].copy_from_slice(&cur);
+            for d in 1..DIGITS {
+                let (done, rest) = row.split_at_mut(d * l);
+                ctx.mul(&mut rest[..l], &done[(d - 1) * l..], &cur);
             }
-            // Advance to the next window: cur^(2^w) by w squarings.
-            for _ in 0..w {
-                cur = ctx.mont_mul(&cur, &cur);
-            }
-            table.push(row);
+            // Advance to the next window: cur^(2^w) = cur^(2^w − 1) · cur.
+            ctx.mul(&mut next, &row[(DIGITS - 1) * l..], &cur);
+            std::mem::swap(&mut cur, &mut next);
         }
-        Some(FixedBaseWindow { ctx, table, window_bits: w, max_exp_bits })
+        Some(FixedBaseWindow { ctx, table, max_exp_bits })
     }
 
     /// The largest exponent width (in bits) the table covers.
@@ -223,28 +280,25 @@ impl FixedBaseWindow {
             exp.bits(),
             self.max_exp_bits
         );
-        let w = self.window_bits;
-        let mut acc: Option<Vec<u64>> = None;
-        for (j, row) in self.table.iter().enumerate() {
-            let mut digit = 0usize;
-            for b in 0..w {
-                if exp.bit(j * w + b) {
-                    digit |= 1 << b;
-                }
-            }
+        let l = self.ctx.limbs();
+        let (mut acc, mut next) = (Vec::new(), vec![0u64; l]);
+        for (j, row) in self.table.chunks_exact(DIGITS * l).enumerate() {
+            let digit = window_digit(exp, j);
             if digit == 0 {
                 continue;
             }
-            let entry = &row[digit - 1];
-            acc = Some(match acc {
-                None => entry.clone(),
-                Some(a) => self.ctx.mont_mul(&a, entry),
-            });
+            let entry = &row[(digit - 1) * l..digit * l];
+            if acc.is_empty() {
+                acc.extend_from_slice(entry);
+            } else {
+                self.ctx.mul(&mut next, &acc, entry);
+                std::mem::swap(&mut acc, &mut next);
+            }
         }
-        match acc {
-            None => BigUint::one().rem(&BigUint::from_limbs(self.ctx.m.clone())),
-            Some(a) => self.ctx.leave_mont(&a),
+        if acc.is_empty() {
+            return BigUint::one().rem(&self.ctx.modulus);
         }
+        self.ctx.leave_mont(&acc, &mut next)
     }
 }
 
@@ -334,6 +388,76 @@ mod tests {
         assert!(ctx.mod_pow(&base, &BigUint::zero()).is_one());
         assert_eq!(ctx.mod_pow(&base, &BigUint::one()).to_u64(), Some(7));
         assert!(ctx.mod_pow(&BigUint::zero(), &BigUint::from_u64(5)).is_zero());
+    }
+
+    fn odd_modulus(rng: &mut StdRng, limbs: usize) -> BigUint {
+        let m = BigUint::random_bits(rng, limbs * 64);
+        if m.is_even() {
+            m.add_u64(1)
+        } else {
+            m
+        }
+    }
+
+    /// The windowed walk against the division-based oracle at every limb
+    /// count Paillier meets (1 = a 64-bit key's `p²`, 16 = a 1024-bit
+    /// key's), on the exponents that sit on window seams: empty, a single
+    /// digit, a full first window, the first bit of the second, all-ones
+    /// (every digit 15) and random. One scratch serves every width in turn.
+    #[test]
+    fn windowed_mod_pow_matches_plain_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut scratch = MontScratch::default();
+        for limbs in (1..=16).chain([3, 1]) {
+            let m = odd_modulus(&mut rng, limbs);
+            let ctx = MontgomeryCtx::new(&m).unwrap();
+            let all_ones = BigUint::one().shl(limbs * 64).sub(&BigUint::one());
+            let exps = [
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::from_u64((1 << WINDOW_BITS) - 1),
+                BigUint::from_u64(1 << WINDOW_BITS),
+                all_ones,
+                BigUint::random_bits(&mut rng, limbs * 64),
+                BigUint::random_bits(&mut rng, limbs * 32 + 3),
+            ];
+            // A reduced base, one above the modulus, and zero.
+            let bases = [BigUint::random_below(&mut rng, &m), m.add_u64(2), BigUint::zero()];
+            for base in &bases {
+                for exp in &exps {
+                    assert_eq!(
+                        ctx.mod_pow_with(base, exp, &mut scratch),
+                        base.mod_pow_plain(exp, &m),
+                        "{limbs} limbs, {}-bit exponent",
+                        exp.bits()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The kernel against its definition, `a · b · R⁻¹ mod m` computed with
+    /// division-based arithmetic — squarings (`b = a`) and the extremes
+    /// `0` and `m − 1` included — at the unrolled widths and between them.
+    #[test]
+    fn product_matches_its_definition_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for limbs in 1..=17 {
+            let m = odd_modulus(&mut rng, limbs);
+            let limbs = m.limbs().len();
+            let ctx = MontgomeryCtx::new(&m).unwrap();
+            let r_inv = BigUint::one().shl(64 * limbs).mod_inverse(&m).unwrap();
+            let mut inputs = vec![BigUint::zero(), BigUint::one(), m.sub(&BigUint::one())];
+            inputs.extend((0..3).map(|_| BigUint::random_below(&mut rng, &m)));
+            let mut out = vec![0u64; limbs];
+            for a in &inputs {
+                for b in &inputs {
+                    ctx.mul(&mut out, &padded(a, limbs), &padded(b, limbs));
+                    let want = a.mul_mod(b, &m).mul_mod(&r_inv, &m);
+                    assert_eq!(BigUint::from_limbs(out.clone()), want, "{limbs} limbs");
+                }
+            }
+        }
     }
 
     #[test]

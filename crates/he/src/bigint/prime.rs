@@ -1,5 +1,6 @@
 //! Primality testing: trial division by small primes, then Miller–Rabin.
 
+use super::montgomery::MontScratch;
 use super::BigUint;
 use rand::Rng;
 
@@ -45,10 +46,17 @@ impl BigUint {
         let s = trailing_zeros(&n_minus_1);
         let d = n_minus_1.shr(s);
         let n_minus_2 = n_minus_1.sub(&one);
+        // Every round exponentiates modulo the same candidate: one context
+        // and one set of buffers serve them all.
+        let ctx = Self::montgomery_ctx(self);
+        let mut scratch = MontScratch::default();
 
         'witness: for _ in 0..rounds {
             let a = Self::random_range(rng, &Self::from_u64(2), &n_minus_2);
-            let mut x = a.mod_pow(&d, self);
+            let mut x = match &ctx {
+                Some(ctx) => ctx.mod_pow_with(&a, &d, &mut scratch),
+                None => a.mod_pow_plain(&d, self),
+            };
             if x.is_one() || x == n_minus_1 {
                 continue;
             }

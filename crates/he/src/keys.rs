@@ -83,9 +83,12 @@ pub fn decode_paillier_public(mut input: &[u8]) -> Result<BigUint> {
     Ok(n)
 }
 
-/// Serialized Paillier secret material (`kind = 1`): `(n, λ, μ)` — enough
-/// for the leader to decrypt (without the CRT fast path, which requires
-/// the factorization and should not leave the key server).
+/// Serialized Paillier secret material (`kind = 1`): `(n, λ, μ)`. This
+/// material decrypts on the slow oracle path only —
+/// [`crate::paillier::PaillierPrivateKey::decrypt_plain`]'s full
+/// `c^λ mod n²` — because the CRT decryptor every
+/// [`crate::paillier::PaillierPrivateKey`] runs needs the factorization,
+/// which this format deliberately does not carry off the key server.
 #[must_use]
 pub fn encode_paillier_secret(n: &BigUint, lambda: &BigUint, mu: &BigUint) -> Vec<u8> {
     let mut buf = header(1);

@@ -101,15 +101,17 @@ impl PackingLayout {
             return Err(Error::TooManySlots { got: encoded.len(), max: self.slots });
         }
         let bound = 1i64 << MAG_BITS;
-        let mut out = BigUint::zero();
-        for &e in encoded.iter().rev() {
+        let width = self.slot_bits as usize;
+        // Slots are disjoint bit ranges, so each is written in place; the
+        // two spare limbs take a top slot's (zero) spill.
+        let mut limbs = vec![0u64; (encoded.len() * width).div_ceil(64) + 2];
+        for (i, &e) in encoded.iter().enumerate() {
             if e.abs() > bound {
                 return Err(Error::PackedValueOutOfRange { encoded: e, mag_bits: MAG_BITS });
             }
-            let slot = (i128::from(e) + Self::bias()) as u128;
-            out = out.shl(self.slot_bits as usize).add(&BigUint::from_u128(slot));
+            write_bits(&mut limbs, i * width, (i128::from(e) + Self::bias()) as u128);
         }
-        Ok(out)
+        Ok(BigUint::from_limbs(limbs))
     }
 
     /// Unpacks the first `count` slots of a decrypted sum of `terms` fresh
@@ -127,18 +129,38 @@ impl PackingLayout {
         if count > self.slots {
             return Err(Error::TooManySlots { got: count, max: self.slots });
         }
-        let slot_modulus = BigUint::one().shl(self.slot_bits as usize);
+        let width = self.slot_bits as usize;
         let offset = i128::from(terms) * Self::bias();
-        let mut rest = plain.clone();
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (q, r) = rest.divrem(&slot_modulus);
-            let slot = r.to_u128().expect("slot narrower than 128 bits") as i128;
-            out.push(slot - offset);
-            rest = q;
-        }
-        Ok(out)
+        Ok((0..count)
+            .map(|i| read_bits(plain.limbs(), i * width, width) as i128 - offset)
+            .collect())
     }
+}
+
+/// ORs `value` into `limbs` at bit `offset`. The caller leaves two limbs
+/// past the one `offset` falls in.
+fn write_bits(limbs: &mut [u64], offset: usize, value: u128) {
+    let (limb, shift) = (offset / 64, offset % 64);
+    let (lo, hi) = (value as u64, (value >> 64) as u64);
+    limbs[limb] |= lo << shift;
+    limbs[limb + 1] |= hi << shift;
+    if shift > 0 {
+        limbs[limb + 1] |= lo >> (64 - shift);
+        limbs[limb + 2] |= hi >> (64 - shift);
+    }
+}
+
+/// Bits `[offset, offset + width)` of the little-endian `limbs` (zero past
+/// the end). `width` is a slot width: at most `MAG_BITS + 2 + 32 = 88`, so
+/// three limbs always cover it.
+fn read_bits(limbs: &[u64], offset: usize, width: usize) -> u128 {
+    let (limb, shift) = (offset / 64, offset % 64);
+    let get = |i: usize| u128::from(limbs.get(i).copied().unwrap_or(0));
+    let mut v = (get(limb) >> shift) | (get(limb + 1) << (64 - shift));
+    if shift > 0 {
+        v |= get(limb + 2) << (128 - shift);
+    }
+    v & ((1u128 << width) - 1)
 }
 
 #[cfg(test)]
@@ -182,6 +204,35 @@ mod tests {
         for i in 0..4 {
             assert_eq!(got[i], i128::from(a[i]) + i128::from(b[i]), "slot {i}");
         }
+    }
+
+    #[test]
+    fn slots_wider_than_a_limb_straddle_three_limbs() {
+        // 76-bit slots: offsets 0, 76, 152, … put a slot at every shift
+        // class, including the ones that touch three limbs.
+        let l = PackingLayout::for_key(1024, 1 << 20).unwrap();
+        assert_eq!(l.slot_bits(), 76);
+        let bound = 1i64 << MAG_BITS;
+        let vals: Vec<i64> =
+            (0..l.slots() as i64).map(|i| if i % 2 == 0 { bound - i } else { i - bound }).collect();
+        let packed = l.pack(&vals).unwrap();
+        // Reference: the division the layout is defined by.
+        let modulus = BigUint::one().shl(76);
+        let mut rest = packed.clone();
+        for &v in &vals {
+            let (q, r) = rest.divrem(&modulus);
+            assert_eq!(r.to_u128().unwrap() as i128 - (1i128 << MAG_BITS), i128::from(v));
+            rest = q;
+        }
+        // A full-headroom sum: every slot at the bound, `max_terms` times.
+        let terms = l.max_terms();
+        let top = l.pack(&vec![bound; l.slots()]).unwrap().mul_u64(u64::from(terms));
+        let got = l.unpack(&top, l.slots(), terms).unwrap();
+        assert!(got.iter().all(|&v| v == i128::from(terms) * i128::from(bound)));
+        assert_eq!(
+            l.unpack(&packed, vals.len(), 1).unwrap(),
+            vals.iter().map(|&v| i128::from(v)).collect::<Vec<_>>()
+        );
     }
 
     #[test]

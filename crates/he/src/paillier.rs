@@ -6,9 +6,11 @@
 //! `Z_n`; signed values are wrapped modularly and decoded by the `n/2`
 //! threshold.
 //!
-//! Implementation notes: `g = n + 1`, so encryption avoids a full
-//! exponentiation (`g^m = 1 + m·n mod n²`) and decryption uses
-//! `μ = λ⁻¹ mod n`.
+//! Implementation notes: `g = n + 1`, so the message part of a ciphertext
+//! needs no exponentiation (`g^m = 1 + m·n mod n²`). Decryption runs by
+//! CRT over `p²` and `q²` (`CrtParams`); the textbook `c^λ mod n²` with
+//! `μ = λ⁻¹ mod n` survives as [`PaillierPrivateKey::decrypt_plain`], the
+//! oracle.
 //!
 //! Encryption has two paths. [`PaillierPublicKey::encrypt`] is the slow
 //! reference: a fresh coprime `r` and a full `r.mod_pow(n, n²)` per call.
@@ -19,8 +21,8 @@
 //! down to ~`x_bits / 4` table products. Since `h^x = (r₀^x mod n)^n`, the
 //! result is ordinary Paillier randomness and decryption is bit-exact.
 
-use crate::bigint::montgomery::FixedBaseWindow;
-use crate::bigint::BigUint;
+use crate::bigint::montgomery::{FixedBaseWindow, MontScratch};
+use crate::bigint::{BigInt, BigUint, MontgomeryCtx};
 use crate::error::{Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,86 +41,96 @@ pub struct PaillierPublicKey {
     half_n: BigUint,
 }
 
-/// Paillier private key: Carmichael `λ` and `μ = λ⁻¹ mod n`, plus the
-/// prime factorization enabling CRT-accelerated decryption.
+/// Paillier private key: the CRT decryptor over the factorization, plus
+/// Carmichael `λ` and `μ = λ⁻¹ mod n` for the oracle
+/// [`PaillierPrivateKey::decrypt_plain`].
 #[derive(Clone, Debug)]
 pub struct PaillierPrivateKey {
     lambda: BigUint,
     mu: BigUint,
     pk: PaillierPublicKey,
-    crt: Option<CrtParams>,
+    crt: CrtParams,
 }
 
 /// Precomputed Chinese-Remainder-Theorem parameters: decrypting modulo
 /// `p²` and `q²` separately and recombining replaces one `n²`-sized
-/// exponentiation with two quarter-cost ones — the standard ~4× Paillier
-/// decryption speedup.
+/// exponentiation with two of half the modulus width and half the
+/// exponent width — the standard ~4× Paillier decryption speedup.
+///
+/// With `g = n + 1` and `n² ≡ 0 (mod p²)`, `g^k ≡ 1 + k·n (mod p²)`; the
+/// noise `rⁿ` has order dividing `p − 1` modulo `p²`. So
+/// `c^{p−1} ≡ 1 + m·(p−1)·n (mod p²)` and
+/// `L_p(c^{p−1} mod p²) = m·(p−1)·q ≡ −q·m (mod p)`: the branch exponent
+/// is `p − 1` and the correction `h_p = (−q)⁻¹ mod p` needs no
+/// exponentiation at key generation.
 #[derive(Clone, Debug)]
 struct CrtParams {
     p: BigUint,
     q: BigUint,
-    p_squared: BigUint,
-    q_squared: BigUint,
-    /// `λ mod (p−1)` — exponent for the `p²` branch.
-    lambda_p: BigUint,
-    /// `λ mod (q−1)` — exponent for the `q²` branch.
-    lambda_q: BigUint,
-    /// `L_p(g^{λ_p} mod p²)^{-1} mod p` (with `g = n+1`).
+    /// Montgomery context modulo `p²`.
+    p_squared: MontgomeryCtx,
+    /// Montgomery context modulo `q²`.
+    q_squared: MontgomeryCtx,
+    /// `p − 1` — exponent for the `p²` branch.
+    p_minus_1: BigUint,
+    /// `q − 1` — exponent for the `q²` branch.
+    q_minus_1: BigUint,
+    /// `(−q)⁻¹ mod p`.
     h_p: BigUint,
-    /// `L_q(g^{λ_q} mod q²)^{-1} mod q`.
+    /// `(−p)⁻¹ mod q`.
     h_q: BigUint,
-    /// `p^{-1} mod q` for the final recombination.
+    /// `p⁻¹ mod q` for the final recombination.
     p_inv_q: BigUint,
 }
 
 impl CrtParams {
-    fn new(p: &BigUint, q: &BigUint, n: &BigUint, lambda: &BigUint) -> Option<CrtParams> {
+    /// `None` when `p` and `q` are not distinct odd primes (no Bézout
+    /// identity `p·x + q·y = 1`, or an even square).
+    fn new(p: &BigUint, q: &BigUint) -> Option<Self> {
         let one = BigUint::one();
-        let p_squared = p.square();
-        let q_squared = q.square();
-        let lambda_p = lambda.rem(&p.sub(&one));
-        let lambda_q = lambda.rem(&q.sub(&one));
-        // g = n + 1; g^λp mod p² = 1 + (n mod p²)·λp· ... — compute directly.
-        let g = n.add(&one);
-        let l_p = |x: &BigUint| x.sub(&one).divrem(p).0;
-        let l_q = |x: &BigUint| x.sub(&one).divrem(q).0;
-        let hp_raw = l_p(&g.mod_pow(&lambda_p, &p_squared)).rem(p);
-        let hq_raw = l_q(&g.mod_pow(&lambda_q, &q_squared)).rem(q);
+        // One extended gcd yields both inverses: p·x + q·y = 1.
+        let (g, x, y) =
+            BigInt::from_biguint(p.clone()).extended_gcd(&BigInt::from_biguint(q.clone()));
+        if !g.magnitude().is_one() {
+            return None;
+        }
+        let p_inv_q = x.rem_floor(q);
+        let q_inv_p = y.rem_floor(p);
         Some(CrtParams {
-            h_p: hp_raw.mod_inverse(p)?,
-            h_q: hq_raw.mod_inverse(q)?,
-            p_inv_q: p.mod_inverse(q)?,
+            h_p: p.sub(&q_inv_p),
+            h_q: q.sub(&p_inv_q),
+            p_inv_q,
+            p_squared: MontgomeryCtx::new(&p.square())?,
+            q_squared: MontgomeryCtx::new(&q.square())?,
+            p_minus_1: p.sub(&one),
+            q_minus_1: q.sub(&one),
             p: p.clone(),
             q: q.clone(),
-            p_squared,
-            q_squared,
-            lambda_p,
-            lambda_q,
         })
     }
 
-    /// CRT decryption of ciphertext `c`.
-    fn decrypt(&self, c: &BigUint) -> BigUint {
-        let one = BigUint::one();
-        // m_p = L_p(c^{λp} mod p²) · h_p mod p
-        let mp = c
-            .rem(&self.p_squared)
-            .mod_pow(&self.lambda_p, &self.p_squared)
-            .sub(&one)
-            .divrem(&self.p)
-            .0
+    /// CRT decryption of ciphertext `c`. Total: a `c` that is not a unit
+    /// modulo `n` (not a ciphertext at all) decrypts to some residue rather
+    /// than panicking.
+    fn decrypt(&self, c: &BigUint, scratch: &mut MontScratch) -> BigUint {
+        // m_p = L_p(c^{p−1} mod p²) · h_p mod p
+        let mp = l_function(self.p_squared.mod_pow_with(c, &self.p_minus_1, scratch), &self.p)
             .mul_mod(&self.h_p, &self.p);
-        let mq = c
-            .rem(&self.q_squared)
-            .mod_pow(&self.lambda_q, &self.q_squared)
-            .sub(&one)
-            .divrem(&self.q)
-            .0
+        let mq = l_function(self.q_squared.mod_pow_with(c, &self.q_minus_1, scratch), &self.q)
             .mul_mod(&self.h_q, &self.q);
         // Garner recombination: m = m_p + p·((m_q − m_p)·p⁻¹ mod q).
         let diff = mq.sub_mod(&mp, &self.q);
         mp.add(&self.p.mul(&diff.mul_mod(&self.p_inv_q, &self.q)))
     }
+}
+
+/// `L_d(x) = (x − 1) / d`. A unit powers to `x ≡ 1 (mod d)`; the `x = 0` a
+/// multiple of `d` powers to maps to zero instead of underflowing.
+fn l_function(x: BigUint, d: &BigUint) -> BigUint {
+    if x.is_zero() {
+        return x;
+    }
+    x.sub(&BigUint::one()).divrem(d).0
 }
 
 /// A public/private key pair.
@@ -179,9 +191,11 @@ pub fn generate_keypair<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Result<Pai
         let Some(mu) = lambda.mod_inverse(&n) else {
             continue;
         };
+        let Some(crt) = CrtParams::new(&p, &q) else {
+            continue;
+        };
         let n_squared = n.square();
         let half_n = n.shr(1);
-        let crt = CrtParams::new(&p, &q, &n, &lambda);
         let pk = PaillierPublicKey { n, n_squared, half_n };
         return Ok(PaillierKeypair {
             private: PaillierPrivateKey { lambda, mu, pk: pk.clone(), crt },
@@ -195,6 +209,12 @@ impl PaillierPublicKey {
     #[must_use]
     pub fn modulus(&self) -> &BigUint {
         &self.n
+    }
+
+    /// The ciphertext modulus `n²`.
+    #[must_use]
+    pub fn modulus_squared(&self) -> &BigUint {
+        &self.n_squared
     }
 
     /// Bit width of the modulus.
@@ -283,18 +303,23 @@ impl PaillierPrivateKey {
         &self.pk
     }
 
-    /// Decrypts to the plaintext residue in `[0, n)` (CRT fast path when
-    /// the factorization is available).
+    /// Decrypts to the plaintext residue in `[0, n)`, by CRT over `p²` and
+    /// `q²`.
     #[must_use]
     pub fn decrypt(&self, c: &PaillierCiphertext) -> BigUint {
-        match &self.crt {
-            Some(crt) => crt.decrypt(&c.0),
-            None => self.decrypt_plain(c),
-        }
+        self.decrypt_with(c, &mut MontScratch::default())
     }
 
-    /// Division-based decryption via the full `n²` exponentiation — the
-    /// oracle the CRT path is tested against.
+    /// [`PaillierPrivateKey::decrypt`] on caller-owned exponentiation
+    /// buffers, for loops over many ciphertexts.
+    #[must_use]
+    pub fn decrypt_with(&self, c: &PaillierCiphertext, scratch: &mut MontScratch) -> BigUint {
+        self.crt.decrypt(&c.0, scratch)
+    }
+
+    /// Decryption via the full `c^λ mod n²` exponentiation — the oracle the
+    /// CRT path is tested against. It needs only `(n, λ, μ)`, the material
+    /// [`crate::keys::encode_paillier_secret`] carries.
     #[must_use]
     pub fn decrypt_plain(&self, c: &PaillierCiphertext) -> BigUint {
         let pk = &self.pk;
@@ -571,15 +596,93 @@ mod tests {
         assert!(matches!(kp.public.encrypt(&too_big, &mut rng), Err(Error::PlaintextOutOfRange)));
     }
 
+    /// The residues every width is checked on: random ones, the ends of
+    /// `Z_n`, and the largest plaintext the packed layout ever produces —
+    /// every slot at `+2^MAG_BITS`, summed `DEFAULT_MAX_TERMS` times.
+    fn residues(kp: &PaillierKeypair, rng: &mut StdRng) -> Vec<BigUint> {
+        use crate::packing::{PackingLayout, DEFAULT_MAX_TERMS, MAG_BITS};
+        let n = kp.public.modulus();
+        let layout = PackingLayout::for_key(kp.public.key_bits(), DEFAULT_MAX_TERMS).unwrap();
+        let full = layout
+            .pack(&vec![1i64 << MAG_BITS; layout.slots()])
+            .unwrap()
+            .mul_u64(u64::from(DEFAULT_MAX_TERMS));
+        assert!(&full < n, "the packed maximum is a plaintext");
+        let mut out = vec![BigUint::zero(), BigUint::one(), n.sub(&BigUint::one()), full];
+        out.extend((0..12).map(|_| BigUint::random_below(rng, n)));
+        out
+    }
+
+    /// CRT and oracle are called by name, never through the dispatching
+    /// `decrypt`, and each is shown not to lean on the other's key
+    /// material: the CRT routine still decrypts under a key whose `λ`, `μ`
+    /// are zeroed, the oracle still decrypts under a key carrying another
+    /// key's CRT parameters — and in both cases the *other* routine fails.
     #[test]
-    fn crt_decrypt_matches_plain_decrypt() {
+    fn crt_decrypt_matches_oracle_and_neither_routes_through_the_other() {
+        for bits in [64usize, 128, 256, 512] {
+            let kp = keypair(bits);
+            let mut rng = StdRng::seed_from_u64(10 + bits as u64);
+            let enc = PaillierEncryptor::new(&kp.public, &mut rng);
+            let mut scratch = MontScratch::default();
+            let crt = |c: &PaillierCiphertext, s: &mut MontScratch| kp.private.crt.decrypt(&c.0, s);
+
+            let mut cts: Vec<(PaillierCiphertext, BigUint)> = residues(&kp, &mut rng)
+                .into_iter()
+                .map(|m| (kp.public.encrypt(&m, &mut rng).unwrap(), m))
+                .collect();
+            // A homomorphic sum of 16 fast-path ciphertexts.
+            let parts: Vec<BigUint> = (0..16).map(|i| BigUint::from_u64(1_000_003 * i)).collect();
+            let sum = parts
+                .iter()
+                .enumerate()
+                .map(|(i, m)| enc.encrypt_seeded(m, 900 + i as u64).unwrap())
+                .reduce(|a, b| kp.public.add(&a, &b))
+                .unwrap();
+            cts.push((sum, parts.iter().fold(BigUint::zero(), |a, b| a.add(b))));
+
+            let stranger = generate_keypair(&mut StdRng::seed_from_u64(4242), bits).unwrap();
+            let no_oracle = PaillierPrivateKey {
+                lambda: BigUint::zero(),
+                mu: BigUint::zero(),
+                ..kp.private.clone()
+            };
+            let no_crt = PaillierPrivateKey { crt: stranger.private.crt, ..kp.private.clone() };
+            for (c, m) in &cts {
+                assert_eq!(&crt(c, &mut scratch), m, "crt, {bits} bits");
+                assert_eq!(&kp.private.decrypt_plain(c), m, "oracle, {bits} bits");
+                assert_eq!(&no_oracle.decrypt(c), m, "crt without λ/μ, {bits} bits");
+                assert_eq!(&no_crt.decrypt_plain(c), m, "oracle without crt, {bits} bits");
+            }
+            // The cross pairings are wrong, so the equalities above cannot
+            // be one routine compared with itself.
+            let (c, m) = &cts[4];
+            assert_ne!(&no_oracle.decrypt_plain(c), m, "oracle needs λ/μ, {bits} bits");
+            assert_ne!(&no_crt.decrypt(c), m, "decrypt needs the crt parameters, {bits} bits");
+        }
+    }
+
+    #[test]
+    fn crt_parameters_are_the_closed_forms() {
         let kp = keypair(256);
-        let mut rng = StdRng::seed_from_u64(10);
-        for _ in 0..20 {
-            let m = BigUint::random_below(&mut rng, kp.public.modulus());
-            let c = kp.public.encrypt(&m, &mut rng).unwrap();
-            assert_eq!(kp.private.decrypt(&c), kp.private.decrypt_plain(&c));
-            assert_eq!(kp.private.decrypt(&c), m);
+        let crt = &kp.private.crt;
+        assert_eq!(crt.p.mul(&crt.q), *kp.public.modulus());
+        let neg_q = crt.p.sub(&crt.q.rem(&crt.p));
+        let neg_p = crt.q.sub(&crt.p.rem(&crt.q));
+        assert!(crt.h_p.mul_mod(&neg_q, &crt.p).is_one(), "h_p = (−q)⁻¹ mod p");
+        assert!(crt.h_q.mul_mod(&neg_p, &crt.q).is_one(), "h_q = (−p)⁻¹ mod q");
+        assert!(crt.p_inv_q.mul_mod(&crt.p, &crt.q).is_one());
+    }
+
+    #[test]
+    fn non_unit_ciphertexts_decrypt_without_panicking() {
+        // n and its multiples are the non-units anyone can name from the
+        // public key; c^{p−1} ≡ 0 (mod p²) for them.
+        let kp = keypair(128);
+        let n = kp.public.modulus();
+        for c in [n.clone(), n.mul_u64(3), n.square().sub(n)] {
+            let m = kp.private.decrypt(&PaillierCiphertext::from_biguint(c));
+            assert!(&m < n);
         }
     }
 

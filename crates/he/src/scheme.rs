@@ -9,9 +9,10 @@
 //! * [`PlainHe`] — a no-op scheme for ablations and large-scale simulation
 //!   where HE costs are accounted analytically instead of paid for real.
 
+use crate::bigint::montgomery::MontScratch;
 use crate::bigint::BigUint;
 use crate::ckks::{CkksCiphertext, CkksContext, CkksParams, CkksPublicKey, CkksSecretKey};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::fixed::FixedPoint;
 use crate::packing::{PackingLayout, DEFAULT_MAX_TERMS};
 use crate::paillier::{self, NoisePool, PaillierCiphertext, PaillierEncryptor, PaillierKeypair};
@@ -55,11 +56,38 @@ pub trait AdditiveHe: Send + Sync {
         vfps_par::global().par_map_indexed(batches, |_, b| self.encrypt(b)).into_iter().collect()
     }
 
-    /// Decrypts the first `count` values.
+    /// Decrypts the first `count` values, on the calling thread.
     fn decrypt(&self, ct: &Self::Ciphertext, count: usize) -> Vec<f64>;
 
+    /// Decrypts the first `count` values of each `(ciphertext, count)`
+    /// pair, results in input order — the leader's side of a query. The
+    /// default is a loop of [`AdditiveHe::decrypt`]; schemes whose
+    /// decryption is worth spreading ([`PaillierHe`]) fan out on the global
+    /// [`vfps_par`] pool and must return the same values at any thread
+    /// count.
+    ///
+    /// # Errors
+    /// Fails when a ciphertext cannot be decoded under this scheme's
+    /// layout.
+    fn decrypt_many(&self, cts: &[(&Self::Ciphertext, usize)]) -> Result<Vec<Vec<f64>>> {
+        Ok(cts.iter().map(|&(ct, count)| self.decrypt(ct, count)).collect())
+    }
+
     /// Homomorphic addition.
+    ///
+    /// # Panics
+    /// May panic where [`AdditiveHe::try_add`] returns an error.
     fn add(&self, a: &Self::Ciphertext, b: &Self::Ciphertext) -> Self::Ciphertext;
+
+    /// Homomorphic addition of ciphertexts this process did not produce
+    /// itself (an aggregation server summing contributions): a pair that
+    /// cannot be added is an error, never a panic.
+    ///
+    /// # Errors
+    /// Fails when the two ciphertexts' shapes do not allow addition.
+    fn try_add(&self, a: &Self::Ciphertext, b: &Self::Ciphertext) -> Result<Self::Ciphertext> {
+        Ok(self.add(a, b))
+    }
 
     /// Serialized ciphertext size in bytes (for communication accounting).
     fn ct_bytes(&self, ct: &Self::Ciphertext) -> usize;
@@ -114,7 +142,7 @@ impl AdditiveHe for PlainHe {
 
     fn encrypt(&self, values: &[f64]) -> Result<Vec<f64>> {
         if values.len() > self.batch {
-            return Err(crate::error::Error::TooManySlots { got: values.len(), max: self.batch });
+            return Err(Error::TooManySlots { got: values.len(), max: self.batch });
         }
         vfps_obs::time_us("he.plain.encrypt_us", || Ok(values.to_vec()))
     }
@@ -146,7 +174,7 @@ impl AdditiveHe for PlainHe {
     }
 
     fn ct_from_bytes(&self, bytes: &[u8]) -> Result<Vec<f64>> {
-        let err = || crate::error::Error::InvalidParameters("malformed plain ciphertext".into());
+        let err = || Error::InvalidParameters("malformed plain ciphertext".into());
         if bytes.len() < 4 {
             return Err(err());
         }
@@ -223,9 +251,7 @@ impl PaillierHe {
         let encryptor = PaillierEncryptor::new(&keypair.public, &mut rng);
         let noise = NoisePool::new(rng.gen());
         let layout = PackingLayout::for_key(key_bits, DEFAULT_MAX_TERMS).ok_or_else(|| {
-            crate::error::Error::InvalidParameters(format!(
-                "key width {key_bits} cannot fit a packed slot"
-            ))
+            Error::InvalidParameters(format!("key width {key_bits} cannot fit a packed slot"))
         })?;
         Ok(PaillierHe {
             keypair,
@@ -276,7 +302,7 @@ impl PaillierHe {
     /// represented.
     pub fn encrypt_on(&self, values: &[f64], pool: &vfps_par::Pool) -> Result<PackedPaillier> {
         if values.len() > self.batch {
-            return Err(crate::error::Error::TooManySlots { got: values.len(), max: self.batch });
+            return Err(Error::TooManySlots { got: values.len(), max: self.batch });
         }
         let n_groups = values.len().div_ceil(self.layout.slots().max(1));
         let start = self.noise.reserve(n_groups);
@@ -327,7 +353,7 @@ impl PaillierHe {
     ) -> Result<Vec<PackedPaillier>> {
         for b in batches {
             if b.len() > self.batch {
-                return Err(crate::error::Error::TooManySlots { got: b.len(), max: self.batch });
+                return Err(Error::TooManySlots { got: b.len(), max: self.batch });
             }
         }
         let slots = self.layout.slots().max(1);
@@ -380,6 +406,76 @@ impl PaillierHe {
             Ok(out)
         })
     }
+
+    /// The `(inner ciphertext, values to take)` pairs covering the first
+    /// `count` values of `ct`, in order.
+    fn group_tasks<'a>(
+        &self,
+        ct: &'a PackedPaillier,
+        count: usize,
+    ) -> impl Iterator<Item = (&'a PaillierCiphertext, usize)> {
+        let slots = self.layout.slots().max(1);
+        let count = count.min(ct.count());
+        ct.cts
+            .iter()
+            .enumerate()
+            .map(move |(g, c)| (c, count.saturating_sub(g * slots).min(slots)))
+            .take_while(|&(_, take)| take > 0)
+    }
+
+    /// Decrypts one slot group and decodes its first `take` values.
+    fn decrypt_group(
+        &self,
+        c: &PaillierCiphertext,
+        take: usize,
+        terms: u32,
+        scratch: &mut MontScratch,
+    ) -> Result<Vec<f64>> {
+        let residue = self.keypair.private.decrypt_with(c, scratch);
+        let vals = self.layout.unpack(&residue, take, terms)?;
+        Ok(vals.into_iter().map(|v| self.codec.decode_i128(v)).collect())
+    }
+
+    /// [`AdditiveHe::decrypt_many`] on an explicit pool (tests and
+    /// benchmarks pin the thread count through this). Every ciphertext's
+    /// slot groups are flattened into one task list before the map — a
+    /// query's 15-odd ciphertexts alone would run inline under the pool's
+    /// sequential cutoff, its few hundred groups do not — and results land
+    /// by index, so the output is the loop of [`AdditiveHe::decrypt`] at any
+    /// thread count.
+    ///
+    /// # Errors
+    /// Fails when a slot group cannot be unpacked under the layout.
+    pub fn decrypt_many_on(
+        &self,
+        cts: &[(&PackedPaillier, usize)],
+        pool: &vfps_par::Pool,
+    ) -> Result<Vec<Vec<f64>>> {
+        vfps_obs::time_us("he.paillier.decrypt_us", || {
+            let tasks: Vec<(&PaillierCiphertext, usize, u32)> = cts
+                .iter()
+                .flat_map(|&(ct, count)| {
+                    self.group_tasks(ct, count).map(move |(c, take)| (c, take, ct.terms))
+                })
+                .collect();
+            let mut flat = pool
+                .par_map_indexed_scratch(
+                    &tasks,
+                    MontScratch::default,
+                    |scratch, _, &(c, take, terms)| self.decrypt_group(c, take, terms, scratch),
+                )
+                .into_iter();
+            cts.iter()
+                .map(|&(ct, count)| {
+                    let mut out = Vec::with_capacity(count.min(ct.count()));
+                    for group in flat.by_ref().take(self.group_tasks(ct, count).count()) {
+                        out.extend(group?);
+                    }
+                    Ok(out)
+                })
+                .collect()
+        })
+    }
 }
 
 impl AdditiveHe for PaillierHe {
@@ -403,40 +499,41 @@ impl AdditiveHe for PaillierHe {
 
     fn decrypt(&self, ct: &Self::Ciphertext, count: usize) -> Vec<f64> {
         vfps_obs::time_us("he.paillier.decrypt_us", || {
-            let slots = self.layout.slots().max(1);
-            let mut remaining = count.min(ct.count as usize);
-            let mut out = Vec::with_capacity(remaining);
-            for c in &ct.cts {
-                if remaining == 0 {
-                    break;
-                }
-                let take = remaining.min(slots);
-                let residue = self.keypair.private.decrypt(c);
-                let vals = self
-                    .layout
-                    .unpack(&residue, take, ct.terms)
-                    .expect("packed decode within layout bounds");
-                out.extend(vals.into_iter().map(|v| self.codec.decode_i128(v)));
-                remaining -= take;
+            let mut scratch = MontScratch::default();
+            let mut out = Vec::with_capacity(count.min(ct.count()));
+            for (c, take) in self.group_tasks(ct, count) {
+                out.extend(
+                    self.decrypt_group(c, take, ct.terms, &mut scratch)
+                        .expect("a PackedPaillier is within its layout's bounds by construction"),
+                );
             }
             out
         })
     }
 
+    fn decrypt_many(&self, cts: &[(&Self::Ciphertext, usize)]) -> Result<Vec<Vec<f64>>> {
+        self.decrypt_many_on(cts, vfps_par::global())
+    }
+
     fn add(&self, a: &Self::Ciphertext, b: &Self::Ciphertext) -> Self::Ciphertext {
+        self.try_add(a, b).unwrap_or_else(|e| panic!("packed paillier addition: {e}"))
+    }
+
+    fn try_add(&self, a: &Self::Ciphertext, b: &Self::Ciphertext) -> Result<Self::Ciphertext> {
         vfps_obs::time_us("he.paillier.add_us", || {
-            assert_eq!(
-                a.cts.len(),
-                b.cts.len(),
-                "packed paillier addition requires identically chunked ciphertexts"
-            );
-            let terms = a.terms + b.terms;
-            assert!(
-                terms <= self.layout.max_terms(),
-                "summing {terms} fresh ciphertexts exceeds the packed headroom of {}",
-                self.layout.max_terms()
-            );
-            PackedPaillier {
+            if a.cts.len() != b.cts.len() {
+                return Err(Error::InvalidParameters(format!(
+                    "adding a {}-group ciphertext to a {}-group one",
+                    b.cts.len(),
+                    a.cts.len()
+                )));
+            }
+            let terms = a.terms.saturating_add(b.terms);
+            let max_terms = self.layout.max_terms();
+            if terms > max_terms {
+                return Err(Error::PackedHeadroomExceeded { terms, max_terms });
+            }
+            Ok(PackedPaillier {
                 cts: a
                     .cts
                     .iter()
@@ -445,7 +542,7 @@ impl AdditiveHe for PaillierHe {
                     .collect(),
                 count: a.count.max(b.count),
                 terms,
-            }
+            })
         })
     }
 
@@ -467,11 +564,12 @@ impl AdditiveHe for PaillierHe {
     }
 
     fn ct_from_bytes(&self, bytes: &[u8]) -> Result<Self::Ciphertext> {
-        let err = || crate::error::Error::InvalidParameters("malformed paillier ciphertext".into());
+        let err =
+            |what: &str| Error::InvalidParameters(format!("malformed paillier ciphertext: {what}"));
         let mut cur = bytes;
         let take_u32 = |n: &mut &[u8]| -> Result<u32> {
             if n.len() < 4 {
-                return Err(err());
+                return Err(err("truncated"));
             }
             let (head, rest) = n.split_at(4);
             *n = rest;
@@ -480,20 +578,36 @@ impl AdditiveHe for PaillierHe {
         let count = take_u32(&mut cur)?;
         let terms = take_u32(&mut cur)?;
         let n_cts = take_u32(&mut cur)? as usize;
-        let mut cts = Vec::with_capacity(n_cts.min(1 << 20));
+        // The header is checked against this scheme's layout here, so
+        // `decrypt` and `add` never meet a shape they would have to refuse.
+        if terms == 0 || terms > self.layout.max_terms() {
+            return Err(err("summed terms outside the packed headroom"));
+        }
+        if count as usize > self.batch {
+            return Err(err("more values than a batch carries"));
+        }
+        if n_cts != (count as usize).div_ceil(self.layout.slots().max(1)) {
+            return Err(err("group count does not match the value count"));
+        }
+        let n_squared = self.keypair.public.modulus_squared();
+        let mut cts = Vec::with_capacity(n_cts);
         for _ in 0..n_cts {
             let len = take_u32(&mut cur)? as usize;
             if cur.len() < len {
-                return Err(err());
+                return Err(err("truncated"));
             }
             let (raw, rest) = cur.split_at(len);
             cur = rest;
-            cts.push(PaillierCiphertext::from_biguint(BigUint::from_bytes_be(raw)));
+            let c = BigUint::from_bytes_be(raw);
+            if c.is_zero() || &c >= n_squared {
+                return Err(err("group outside [1, n²)"));
+            }
+            cts.push(PaillierCiphertext::from_biguint(c));
         }
         if cur.is_empty() {
             Ok(PackedPaillier { cts, count, terms })
         } else {
-            Err(err())
+            Err(err("trailing bytes"))
         }
     }
 
@@ -643,6 +757,97 @@ mod tests {
         exercise_serialization(&PlainHe::new(8));
         exercise_serialization(&PaillierHe::generate(256, 8, 21).unwrap());
         exercise_serialization(&CkksHe::generate(&CkksParams::insecure_test(), 22).unwrap());
+    }
+
+    /// A serialized packed ciphertext with its three header words replaced.
+    fn with_header(bytes: &[u8], count: u32, terms: u32, groups: u32) -> Vec<u8> {
+        let mut out = Vec::with_capacity(bytes.len());
+        for word in [count, terms, groups] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.extend_from_slice(&bytes[12..]);
+        out
+    }
+
+    #[test]
+    fn paillier_ct_from_bytes_rejects_lying_headers() {
+        // 256 bits: 4 slots per group, so 6 values are 2 groups.
+        let scheme = PaillierHe::generate(256, 16, 51).unwrap();
+        let ct = scheme.encrypt(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        let good = scheme.ct_to_bytes(&ct);
+        assert_eq!(scheme.ct_from_bytes(&with_header(&good, 6, 1, 2)).unwrap(), ct);
+        let max_terms = scheme.layout().max_terms();
+        assert!(scheme.ct_from_bytes(&with_header(&good, 6, max_terms, 2)).is_ok());
+        for (what, bad) in [
+            ("zero terms", with_header(&good, 6, 0, 2)),
+            ("terms past the headroom", with_header(&good, 6, max_terms + 1, 2)),
+            ("terms = 1000", with_header(&good, 6, 1000, 2)),
+            ("count past the batch", with_header(&good, 17, 1, 2)),
+            ("count needing a third group", with_header(&good, 9, 1, 2)),
+            ("count needing one group", with_header(&good, 4, 1, 2)),
+            ("group count past the payload", with_header(&good, 6, 1, 3)),
+            ("group count short of the payload", with_header(&good, 4, 1, 1)),
+            ("huge group count", with_header(&good, 6, 1, u32::MAX)),
+        ] {
+            assert!(scheme.ct_from_bytes(&bad).is_err(), "{what}");
+        }
+    }
+
+    #[test]
+    fn paillier_ct_from_bytes_rejects_groups_outside_the_ciphertext_space() {
+        let scheme = PaillierHe::generate(256, 4, 52).unwrap();
+        let n_squared = scheme.keypair().public.modulus_squared();
+        let frame = |group: &BigUint| {
+            let raw = group.to_bytes_be();
+            let mut out = with_header(&[0; 12], 1, 1, 1);
+            out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+            out.extend_from_slice(&raw);
+            out
+        };
+        assert!(scheme.ct_from_bytes(&frame(&BigUint::one())).is_ok());
+        assert!(scheme.ct_from_bytes(&frame(&n_squared.sub(&BigUint::one()))).is_ok());
+        assert!(scheme.ct_from_bytes(&frame(&BigUint::zero())).is_err(), "zero");
+        assert!(scheme.ct_from_bytes(&frame(n_squared)).is_err(), "n²");
+        assert!(scheme.ct_from_bytes(&frame(&n_squared.shl(64))).is_err(), "far past n²");
+        // Every accepted frame decrypts without panicking, whatever it holds.
+        let junk = scheme.ct_from_bytes(&frame(scheme.keypair().public.modulus())).unwrap();
+        assert_eq!(scheme.decrypt(&junk, 1).len(), 1);
+    }
+
+    #[test]
+    fn paillier_try_add_refuses_mismatched_shapes() {
+        let scheme = PaillierHe::generate(256, 8, 53).unwrap();
+        let six = scheme.encrypt(&[1.0; 6]).unwrap();
+        let three = scheme.encrypt(&[1.0; 3]).unwrap();
+        assert!(matches!(scheme.try_add(&six, &three), Err(Error::InvalidParameters(_))));
+        // Doubling reaches the 16-term headroom in four steps; the fifth
+        // would overflow the slots.
+        let mut sum = six.clone();
+        for _ in 0..4 {
+            sum = scheme.try_add(&sum, &sum).unwrap();
+        }
+        assert_eq!(sum.terms(), 16);
+        assert_eq!(scheme.decrypt(&sum, 6), vec![16.0; 6]);
+        assert!(matches!(
+            scheme.try_add(&sum, &six),
+            Err(Error::PackedHeadroomExceeded { terms: 17, max_terms: 16 })
+        ));
+    }
+
+    #[test]
+    fn paillier_decrypt_many_equals_a_loop_of_decrypt() {
+        let scheme = PaillierHe::generate(256, 16, 54).unwrap();
+        let flat = seeded_uniform(6, 45, -9.0, 9.0);
+        let batches: Vec<&[f64]> = flat.chunks(16).collect(); // 16, 16, 13
+        let cts = scheme.encrypt_many(&batches).unwrap();
+        // Full counts, a short ask, an over-ask and a zero ask.
+        for counts in [[16usize, 16, 13], [5, 16, 1], [99, 0, 13]] {
+            let asks: Vec<(&PackedPaillier, usize)> = cts.iter().zip(counts).collect();
+            let looped: Vec<Vec<f64>> =
+                asks.iter().map(|&(ct, count)| scheme.decrypt(ct, count)).collect();
+            assert_eq!(scheme.decrypt_many(&asks).unwrap(), looped, "{counts:?}");
+        }
+        assert!(scheme.decrypt_many(&[]).unwrap().is_empty());
     }
 
     fn exercise<H: AdditiveHe>(scheme: &H, tol_scale: f64) {

@@ -1,12 +1,17 @@
-//! Determinism of batched encryption across thread counts.
+//! Determinism of batched encryption and decryption across thread counts.
 //!
 //! Pooled, packed encryption must be a pure function of (scheme seed, call
 //! sequence): the ciphertext bytes have to be bit-identical whether the
 //! noise factors were prefilled or computed on demand, and whether the
-//! slot groups fanned out over 1 worker or 8. These tests sweep explicit
-//! pools at every thread count the CI determinism matrix pins through
-//! `VFPS_THREADS` and compare serialized ciphertexts against the
-//! single-threaded reference.
+//! slot groups fanned out over 1 worker or 8; batched decryption must
+//! return the serial loop's values. These tests sweep explicit pools at
+//! every thread count the CI determinism matrix pins through
+//! `VFPS_THREADS` and compare against the single-threaded reference.
+//!
+//! Sizes matter: `vfps_par` runs inputs under 64 items inline whatever the
+//! pool, and the unit of work here is a slot group (4 values at 256 bits),
+//! so every Paillier case carries at least 64 groups — 256 values — or its
+//! "thread counts" would all be the same sequential loop.
 
 use vfps_he::ckks::CkksParams;
 use vfps_he::scheme::{seeded_uniform, AdditiveHe, CkksHe, PaillierHe, PlainHe};
@@ -20,7 +25,9 @@ fn batches(flat: &[f64], width: usize) -> Vec<&[f64]> {
 
 #[test]
 fn paillier_encrypt_many_is_bit_identical_across_thread_counts() {
-    let flat = seeded_uniform(0xa11ce, 36, -8.0, 8.0);
+    // 300 values in batches of 9 (3 groups each, the last one ragged):
+    // 102 slot groups.
+    let flat = seeded_uniform(0xa11ce, 300, -8.0, 8.0);
     let batches = batches(&flat, 9);
     let reference: Vec<Vec<u8>> = {
         let scheme = PaillierHe::generate(256, 16, 4242).unwrap();
@@ -37,7 +44,8 @@ fn paillier_encrypt_many_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn paillier_prefill_does_not_change_ciphertexts() {
-    let flat = seeded_uniform(0xb0b, 24, -4.0, 4.0);
+    // 264 values in batches of 6 (2 groups each): 88 slot groups.
+    let flat = seeded_uniform(0xb0b, 264, -4.0, 4.0);
     let batches = batches(&flat, 6);
     let reference: Vec<Vec<u8>> = {
         let scheme = PaillierHe::generate(256, 16, 99).unwrap();
@@ -53,6 +61,36 @@ fn paillier_prefill_does_not_change_ciphertexts() {
         let bytes: Vec<Vec<u8>> = cts.iter().map(|ct| scheme.ct_to_bytes(ct)).collect();
         assert_eq!(bytes, reference, "prefilled, {threads} threads");
     }
+}
+
+#[test]
+fn paillier_decrypt_many_is_identical_across_thread_counts() {
+    // 5 ciphertexts of up to 64 values — 16 + 16 + 16 + 16 + 3 = 67 slot
+    // groups, the last one a ragged tail — each a sum of three encryptions.
+    let scheme = PaillierHe::generate(256, 64, 515).unwrap();
+    let flat = seeded_uniform(0xdec, 3 * 265, -6.0, 6.0);
+    let (a, rest) = flat.split_at(265);
+    let (b, c) = rest.split_at(265);
+    let encrypt = |part: &[f64]| scheme.encrypt_many(&batches(part, 64)).unwrap();
+    let sums: Vec<_> = encrypt(a)
+        .iter()
+        .zip(&encrypt(b))
+        .zip(&encrypt(c))
+        .map(|((x, y), z)| scheme.add(&scheme.add(x, y), z))
+        .collect();
+    let asks: Vec<_> = sums.iter().map(|ct| (ct, ct.count())).collect();
+    assert_eq!(asks.iter().map(|(ct, _)| ct.groups().len()).sum::<usize>(), 67);
+
+    let looped: Vec<Vec<f64>> = asks.iter().map(|&(ct, n)| scheme.decrypt(ct, n)).collect();
+    assert_eq!(looped.concat().len(), 265);
+    for (got, ((x, y), z)) in looped.concat().iter().zip(a.iter().zip(b).zip(c)) {
+        assert!((got - (x + y + z)).abs() <= scheme.error_bound(3));
+    }
+    for threads in THREADS {
+        let pooled = scheme.decrypt_many_on(&asks, &Pool::with_threads(threads)).unwrap();
+        assert_eq!(pooled, looped, "{threads} threads");
+    }
+    assert_eq!(scheme.decrypt_many(&asks).unwrap(), looped, "global pool");
 }
 
 #[test]

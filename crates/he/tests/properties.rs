@@ -133,6 +133,32 @@ proptest! {
         prop_assert_eq!(c.ct_from_bytes(&c.ct_to_bytes(&cc)).unwrap(), cc);
     }
 
+    /// CRT decryption agrees with the `λ`/`μ` oracle under a fresh key of
+    /// every width, on raw residues and on their homomorphic sum.
+    #[test]
+    fn crt_decrypt_matches_oracle(seed in any::<u64>(), width in 0usize..4, terms in 1usize..=16) {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kp = generate_keypair(&mut rng, [64, 128, 256, 512][width]).unwrap();
+        let enc = PaillierEncryptor::new(&kp.public, &mut rng);
+        let n = kp.public.modulus();
+        let mut sum: Option<(BigUint, _)> = None;
+        for i in 0..terms {
+            let m = BigUint::random_below(&mut rng, n);
+            let c = enc.encrypt_seeded(&m, seed ^ i as u64).unwrap();
+            prop_assert_eq!(kp.private.decrypt(&c), m.clone());
+            prop_assert_eq!(kp.private.decrypt_plain(&c), m.clone());
+            sum = Some(match sum {
+                None => (m, c),
+                Some((sm, sc)) => (sm.add_mod(&m, n), kp.public.add(&sc, &c)),
+            });
+        }
+        let (m, c) = sum.expect("at least one term");
+        prop_assert_eq!(kp.private.decrypt(&c), m.clone());
+        prop_assert_eq!(kp.private.decrypt_plain(&c), m);
+    }
+
     /// Pool-backed fast-path ciphertexts decrypt to exactly the same
     /// plaintext residues as the slow reference path.
     #[test]

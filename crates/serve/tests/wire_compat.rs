@@ -20,6 +20,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use vfps_cache::{CacheEntry, CacheKey, Fnv128};
 use vfps_cluster::{ClusterMsg, ErrorFrame, SchemeSpec, SetupFrame};
+use vfps_he::scheme::{AdditiveHe, PaillierHe};
 use vfps_net::cost::{CostModel, OpCount, OpLedger};
 use vfps_net::wire::{assert_wire, Wire};
 use vfps_net::Error;
@@ -323,6 +324,23 @@ fn every_decoder_stays_within_budget(bytes: &[u8]) -> bool {
         && decodes_within_budget::<CacheEntry>(bytes)
 }
 
+/// The blobs inside `EncPartials` / `Aggregated` have a decoder of their
+/// own, `PaillierHe::ct_from_bytes`. Same budget — and whatever it accepts,
+/// the key holder can decrypt and the server can try to add without a
+/// panic, because the header was checked against the layout on the way in.
+fn paillier_blob_is_harmless(bytes: &[u8]) -> bool {
+    static HE: std::sync::OnceLock<PaillierHe> = std::sync::OnceLock::new();
+    let he = HE.get_or_init(|| PaillierHe::generate(256, 64, 7).expect("keygen"));
+    let before = REQUESTED.with(Cell::get);
+    let decoded = he.ct_from_bytes(bytes);
+    let within_budget = REQUESTED.with(Cell::get) - before <= 16 * bytes.len() + 256;
+    if let Ok(ct) = decoded {
+        drop(he.decrypt(&ct, ct.count()));
+        drop(he.try_add(&ct, &ct));
+    }
+    within_budget
+}
+
 proptest! {
     /// Arbitrary bytes behind every plausible tag: no decoder panics, and
     /// a hostile length prefix buys no memory.
@@ -330,12 +348,38 @@ proptest! {
     fn decode_garbage_is_total(
         tag in 0u8..10,
         body in proptest::collection::vec(any::<u8>(), 0..256),
+        (count, terms, groups) in (0u32..20, 0u32..20, 0u32..6),
     ) {
         prop_assert!(every_decoder_stays_within_budget(&body));
+        prop_assert!(paillier_blob_is_harmless(&body));
         let mut tagged = vec![tag];
         tagged.extend_from_slice(&body);
         prop_assert!(every_decoder_stays_within_budget(&tagged));
+        // Garbage behind a ciphertext header that is plausible for the
+        // scheme (in range or just past it), each group length-prefixed.
+        let mut blob = Vec::new();
+        for word in [count, terms, groups] {
+            blob.extend_from_slice(&word.to_le_bytes());
+        }
+        for group in body.chunks(64).take(groups as usize) {
+            blob.extend_from_slice(&(group.len() as u32).to_le_bytes());
+            blob.extend_from_slice(group);
+        }
+        prop_assert!(paillier_blob_is_harmless(&blob));
     }
+}
+
+/// The frame that used to take the leader down: an honest ciphertext whose
+/// header claims 1000 summed terms.
+#[test]
+fn a_lying_ciphertext_header_is_a_decode_error() {
+    let he = PaillierHe::generate(256, 64, 7).expect("keygen");
+    let mut blob = he.ct_to_bytes(&he.encrypt(&[1.0, 2.0, 3.0]).expect("encrypt"));
+    assert!(paillier_blob_is_harmless(&blob));
+    assert!(he.ct_from_bytes(&blob).is_ok());
+    blob[4..8].copy_from_slice(&1000u32.to_le_bytes());
+    assert!(paillier_blob_is_harmless(&blob));
+    assert!(he.ct_from_bytes(&blob).is_err());
 }
 
 /// The worst case spelled out: a vector header claiming as many elements

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod fed_knn;
+mod he_wire;
 pub mod protocol;
 pub mod split_protocol;
 pub mod split_train;

@@ -27,6 +27,7 @@
 //! pre-fault-tolerance protocol: same sends, same bytes, same ledger.
 
 use crate::fed_knn::{FedKnnConfig, KnnMode, QueryOutcome};
+use crate::he_wire;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -508,17 +509,11 @@ pub fn knn_server_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
                             env.from, env.msg
                         )));
                     };
-                    let mut cts = Vec::with_capacity(blobs.len());
-                    for b in &blobs {
-                        cts.push(
-                            he.ct_from_bytes(b)
-                                .map_err(|_| Error::violation("malformed ciphertext"))?,
-                        );
-                    }
-                    agg = Some(match agg {
-                        None => cts,
-                        Some(prev) => prev.iter().zip(&cts).map(|(a, b)| he.add(a, b)).collect(),
-                    });
+                    agg = Some(he_wire::sum_into(
+                        he.as_ref(),
+                        agg,
+                        he_wire::decode(he.as_ref(), &blobs)?,
+                    )?);
                     got[slot] = true;
                     contributors.push(slot);
                 }
@@ -681,18 +676,10 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
                     dead[s] = true;
                 }
             }
-            let decrypt_span = vfps_obs::span("protocol.leader.decrypt");
-            let mut complete = Vec::with_capacity(candidate_pseudos.len());
-            let mut remaining = candidate_pseudos.len();
-            for blob in &blobs {
-                let ct = he
-                    .ct_from_bytes(blob)
-                    .map_err(|_| Error::violation("malformed aggregate ciphertext"))?;
-                let count = remaining.min(chunk);
-                complete.extend(he.decrypt(&ct, count));
-                remaining -= count;
-            }
-            drop(decrypt_span);
+            let complete = {
+                vfps_obs::span!("protocol.leader.decrypt");
+                he_wire::decrypt(he.as_ref(), &blobs, candidate_pseudos.len())?
+            };
             let mut scored: Vec<(usize, f64)> =
                 candidate_pseudos.iter().copied().zip(complete).collect();
             scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(shared.inv[a.0].cmp(&shared.inv[b.0])));

@@ -20,6 +20,7 @@
 //! as centralized logistic regression — which the tests verify gradient
 //! by gradient.
 
+use crate::he_wire;
 use crate::protocol::{ProtoMsg, PHASE_TIMEOUT};
 use std::sync::Arc;
 use vfps_data::VerticalPartition;
@@ -178,22 +179,12 @@ where
                     let ProtoMsg::EncPartials(blobs) = env.msg else {
                         return Err(Error::violation("expected EncPartials"));
                     };
-                    let mut cts = Vec::with_capacity(blobs.len());
-                    for b in &blobs {
-                        cts.push(
-                            he.ct_from_bytes(b)
-                                .map_err(|_| Error::violation("malformed ciphertext"))?,
-                        );
-                    }
-                    pending[env.from - 1].push_back(cts);
+                    pending[env.from - 1].push_back(he_wire::decode(he.as_ref(), &blobs)?);
                 }
                 let mut agg: Option<Vec<H::Ciphertext>> = None;
                 for queue in pending.iter_mut() {
                     let cts = queue.pop_front().expect("one block per participant");
-                    agg = Some(match agg {
-                        None => cts,
-                        Some(prev) => prev.iter().zip(&cts).map(|(a, b)| he.add(a, b)).collect(),
-                    });
+                    agg = Some(he_wire::sum_into(he.as_ref(), agg, cts)?);
                 }
                 let blobs: Vec<Vec<u8>> = agg
                     .expect("at least one participant")
@@ -295,18 +286,9 @@ fn participant_train<H: AdditiveHe>(
     // Non-leaders receive the gradient as encrypted chunks from the leader.
     // (In a deployment the leader would encrypt under each participant's
     // key; the simulation shares one scheme handle — see the module docs.)
-    let recv_grad = |ctx: &NodeCtx<ProtoMsg>| -> Result<Vec<f64>, Error> {
+    let recv_grad = |ctx: &NodeCtx<ProtoMsg>, total: usize| -> Result<Vec<f64>, Error> {
         match ctx.recv_from_timeout(1, PHASE_TIMEOUT)? {
-            ProtoMsg::EncPartials(blobs) => {
-                let mut flat = Vec::new();
-                for b in &blobs {
-                    let ct = he
-                        .ct_from_bytes(b)
-                        .map_err(|_| Error::violation("malformed gradient ciphertext"))?;
-                    flat.extend(he.decrypt(&ct, chunk));
-                }
-                Ok(flat)
-            }
+            ProtoMsg::EncPartials(blobs) => he_wire::decrypt(he.as_ref(), &blobs, total),
             other => Err(Error::violation(format!("expected gradient frame, got {other:?}"))),
         }
     };
@@ -328,16 +310,7 @@ fn participant_train<H: AdditiveHe>(
                 let ProtoMsg::Aggregated(blobs) = ctx.recv_from_timeout(0, PHASE_TIMEOUT)? else {
                     return Err(Error::violation("expected Aggregated"));
                 };
-                let mut flat = Vec::with_capacity(b * n_classes);
-                let mut remaining = b * n_classes;
-                for blob in &blobs {
-                    let ct = he
-                        .ct_from_bytes(blob)
-                        .map_err(|_| Error::violation("malformed aggregate ciphertext"))?;
-                    let take = remaining.min(chunk);
-                    flat.extend(he.decrypt(&ct, take));
-                    remaining -= take;
-                }
+                let flat = he_wire::decrypt(he.as_ref(), &blobs, b * n_classes)?;
                 let logits = Matrix::from_vec(b, n_classes, flat);
                 let probs = softmax(&logits);
                 let yb = &train_labels[start..end];
@@ -355,8 +328,7 @@ fn participant_train<H: AdditiveHe>(
                 }
                 dz
             } else {
-                let flat = recv_grad(ctx)?;
-                Matrix::from_vec(b, n_classes, flat[..b * n_classes].to_vec())
+                Matrix::from_vec(b, n_classes, recv_grad(ctx, b * n_classes)?)
             };
             drop(grad_span);
 
@@ -380,16 +352,7 @@ fn participant_train<H: AdditiveHe>(
                 return Err(Error::violation("expected Aggregated"));
             };
             let b = test_view.rows();
-            let mut flat = Vec::with_capacity(b * n_classes);
-            let mut remaining = b * n_classes;
-            for blob in &blobs {
-                let ct = he
-                    .ct_from_bytes(blob)
-                    .map_err(|_| Error::violation("malformed aggregate ciphertext"))?;
-                let take = remaining.min(chunk);
-                flat.extend(he.decrypt(&ct, take));
-                remaining -= take;
-            }
+            let flat = he_wire::decrypt(he.as_ref(), &blobs, b * n_classes)?;
             let logits = Matrix::from_vec(b, n_classes, flat);
             let probs = softmax(&logits);
             test_predictions = (0..b)

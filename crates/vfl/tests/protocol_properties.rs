@@ -105,3 +105,76 @@ proptest! {
         }
     }
 }
+
+/// One line per query: every field of the outcome, floats as raw bits.
+fn fingerprint(run: &vfps_vfl::ThreadedKnnRun) -> Vec<String> {
+    run.outcomes
+        .iter()
+        .map(|o| {
+            let d_t: Vec<String> = o.d_t.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+            format!(
+                "top={:?} d_t=[{}] total={:016x} cand={}",
+                o.topk_rows,
+                d_t.join(","),
+                o.d_t_total.to_bits(),
+                o.candidates
+            )
+        })
+        .collect()
+}
+
+/// A Paillier run whose queries carry ≥ 64 slot groups each, so the
+/// leader's decrypt (and every participant's encrypt) takes the global
+/// pool's parallel branch whenever `VFPS_THREADS` > 1. Outcomes and traffic
+/// are pinned to what the sequential decrypt loop produced at commit
+/// 010e67b; the CI determinism matrix runs this at 1 / 2 / 4 / 8 threads.
+///
+/// `total_bytes` is pinned to a band, not a value: the simulated parties
+/// share one scheme handle, so which party draws which noise index is a
+/// thread race, and a ciphertext whose top byte happens to be zero
+/// serializes one byte shorter. Repeated runs at 010e67b read 186 481–186 483
+/// on Base — the plaintexts and every outcome bit are unaffected.
+#[test]
+fn paillier_run_with_parallel_sized_queries_is_pinned() {
+    use vfps_he::scheme::{seeded_uniform, PaillierHe};
+    let (rows, cols, parties) = (1000usize, 6usize, 3usize);
+    let x = Matrix::from_vec(rows, cols, seeded_uniform(0x51ab, rows * cols, 0.0, 1.0));
+    let partition = VerticalPartition::random(cols, parties, 7);
+    let db: Vec<usize> = (0..rows).collect();
+    let queries = [3usize, 501];
+    let check = |mode: KnnMode, outcomes: [&str; 2], bytes: u64, messages: u64| {
+        let he = Arc::new(PaillierHe::generate(256, 64, 2024).unwrap());
+        let cfg = FedKnnConfig { k: 10, mode, batch: 50, cost_scale: 1.0 };
+        let run = run_threaded_knn(&he, &x, &partition, &[0, 1, 2], &db, &queries, cfg, 17);
+        let slots = he.layout().slots();
+        assert!(
+            run.outcomes.iter().all(|o| o.candidates.div_ceil(slots) >= 64),
+            "{mode:?}: every query must decrypt at least 64 slot groups"
+        );
+        assert_eq!(fingerprint(&run), outcomes, "{mode:?} outcomes");
+        assert_eq!(run.total_messages, messages, "{mode:?} messages");
+        assert!(
+            run.total_bytes.abs_diff(bytes) <= 64,
+            "{mode:?}: {} bytes moved, pinned at {bytes} ± 64",
+            run.total_bytes
+        );
+    };
+    check(
+        KnnMode::Base,
+        [
+            "top=[501, 859, 21, 74, 1, 707, 801, 447, 651, 564] d_t=[3fc803f36e0579c3,3fdc6f4cb3abd23c,3fd1b4d884edc0da] total=3fed130f77ce27fc cand=1000",
+            "top=[801, 3, 564, 929, 1, 707, 546, 74, 21, 194] d_t=[3fc9327eeaeea6c6,3fdefd3bdd5c79e3,3fce0fa710b7047e] total=3fed4f276d97a7c2 cand=1000",
+        ],
+        186_482,
+        24,
+    );
+    check(
+        KnnMode::Fagin,
+        [
+            "top=[501, 859, 21, 74, 1, 707, 801, 447, 651, 564] d_t=[3fc803f36e0579c3,3fdc6f4cb3abd23c,3fd1b4d884edc0da] total=3fed130f77ce27fc cand=455",
+            "top=[801, 3, 564, 929, 1, 707, 546, 74, 21, 194] d_t=[3fc9327eeaeea6c6,3fdefd3bdd5c79e3,3fce0fa710b7047e] total=3fed4f276d97a7c2 cand=612",
+        ],
+        111_197,
+        80,
+    );
+}
