@@ -3,8 +3,9 @@
 # framed in crates/net/src and nowhere else, and message codecs are
 # declared with wire_struct!/wire_enum! rather than written by hand, and
 # the Channel receive contract is vfps_net::channel::Mailbox's alone.
-# Two HE rules ride along: one decrypt helper in vfl, no Montgomery
-# context built per ciphertext.
+# Three HE rules ride along: one decrypt helper in vfl, no Montgomery
+# context built per ciphertext, no division-based modular product on the
+# Paillier data path.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -60,15 +61,45 @@ fi
 # A Montgomery context costs a shift and a long division: Paillier builds
 # them where keys and encryptors are built (CrtParams::new, and
 # FixedBaseWindow::new in bigint), never per ciphertext.
+# The `fn` line enclosing line $1 of paillier.rs.
+enclosing_fn() {
+    sed -n "1,${1}p" crates/he/src/paillier.rs | grep -E '^\s*(pub )?fn ' | tail -n 1
+}
 ctx_builds=$(grep -nE 'MontgomeryCtx::new' crates/he/src/paillier.rs || true)
 while IFS=: read -r line _; do
     [ -n "$line" ] || continue
-    if ! sed -n "1,${line}p" crates/he/src/paillier.rs | grep -E '^\s*(pub )?fn ' | tail -n 1 \
-            | grep -qE 'fn new\('; then
+    if ! enclosing_fn "$line" | grep -qE 'fn new\('; then
         echo "crates/he/src/paillier.rs:$line: MontgomeryCtx::new outside a constructor (hold the context in the key)"
         fail=1
     fi
 done <<< "$ctx_builds"
+
+# One modular product (DESIGN.md §11): what a ciphertext is multiplied by
+# goes through the key's Montgomery context (`mod_mul`, `mul_by`). The
+# division-based `BigUint::mul_mod(` is for the two reference routines the
+# hot path is tested against, and for tests.
+if hits=$(grep -n 'mul_mod(' crates/he/src/scheme.rs); then
+    echo "crates/he/src/scheme.rs: division-based mul_mod on the scheme path (use the key's MontgomeryCtx):"
+    echo "$hits"
+    fail=1
+fi
+tests_from=$(grep -n '^#\[cfg(test)\]' crates/he/src/paillier.rs | head -n 1 | cut -d: -f1)
+products=$(grep -n 'mul_mod(' crates/he/src/paillier.rs || true)
+while IFS=: read -r line _; do
+    [ -n "$line" ] || continue
+    [ "$line" -lt "${tests_from:-999999}" ] || continue
+    if ! enclosing_fn "$line" | grep -qE 'fn (encrypt<|decrypt_plain\()'; then
+        echo "crates/he/src/paillier.rs:$line: division-based mul_mod outside PaillierPublicKey::encrypt / decrypt_plain (use the key's MontgomeryCtx)"
+        fail=1
+    fi
+done <<< "$products"
+
+# One group-encrypt routine: encrypt_on is encrypt_many_on of one batch.
+if hits=$(grep -rn 'encrypt_reserved' crates --include='*.rs'); then
+    echo "encrypt_reserved is back (PaillierHe::encrypt_many_on is the one group-encrypt routine):"
+    echo "$hits"
+    fail=1
+fi
 
 [ "$fail" -eq 0 ] && echo "one-edge check: ok ($count hand-written Wire impl(s) outside wire.rs)"
 exit "$fail"

@@ -9,27 +9,50 @@
 //! limb by limb, written straight into caller-owned limbs — no heap
 //! traffic and no double-width intermediate per product.
 //! [`MontgomeryCtx::mod_pow_with`] walks the exponent left to right in
-//! fixed [`WINDOW_BITS`]-bit windows over it, and [`FixedBaseWindow::pow`]
-//! multiplies its precomputed table entries with it.
+//! fixed [`WINDOW_BITS`]-bit windows over it, [`FixedBaseWindow::pow`]
+//! multiplies its precomputed table entries with it, and the single
+//! products Paillier needs between exponentiations —
+//! [`MontgomeryCtx::mod_mul`], [`MontgomeryCtx::mul_by`] — are one or two
+//! calls of it, so no ciphertext meets a long division.
 
 use super::BigUint;
 
-/// Exponent window width of both exponentiations here. A fresh-base
-/// `mod_pow` of `b` bits costs `b` squarings plus `2^w − 2` products to
-/// build the table and at most `b / w` to use it: at the 128–512-bit
-/// exponents Paillier decrypts with, `w = 4` (14 + `b`/4) beats both
-/// `w = 3` (6 + `b`/3) and `w = 5` (30 + `b`/5) up to ≈ 320 bits and is
-/// within 7 % of `w = 5` at 512. It also divides 64, so a window never
-/// straddles two limbs.
+/// Exponent window width of the fresh-base exponentiation. A `mod_pow`
+/// of `b` bits costs `b` squarings plus `2^w − 2` products to build the
+/// table and at most `b / w` to use it: at the 128–512-bit exponents
+/// Paillier decrypts with, `w = 4` (14 + `b`/4) beats both `w = 3`
+/// (6 + `b`/3) and `w = 5` (30 + `b`/5) up to ≈ 320 bits and is within 7 %
+/// of `w = 5` at 512.
 pub const WINDOW_BITS: usize = 4;
 
-/// Non-zero digits per window (table entries per window position).
+/// Non-zero digits per fresh-base window.
 const DIGITS: usize = (1 << WINDOW_BITS) - 1;
 
-/// `out = a · b · R⁻¹ mod m` for `L`-limb `a, b < m` and `R = 2^(64·L)`,
-/// with `n0_inv = −m⁻¹ mod 2^64` (finely integrated operand scanning: row
-/// `i` adds `a · b[i]` and the multiple `u · m` that clears the low limb in
-/// the same pass, shifting the accumulator down one limb as it goes).
+/// Window width of [`FixedBaseWindow`], whose table is built once per key
+/// and walked once per ciphertext: a `b`-bit exponent costs `⌈b/w⌉`
+/// products against `⌈b/w⌉ · (2^w − 1)` to build. At the 128-bit noise
+/// exponents of a 256-bit key that is 26 products per noise factor
+/// instead of `w = 4`'s 32, for 806 table products instead of 480
+/// (+ ≈ 30 µs on a ≈ 1.1 ms set-up); `w = 6` would be 22 for 1 386. It
+/// does not divide 64, so a digit can straddle two limbs
+/// (`window_digit`).
+pub const FIXED_WINDOW_BITS: usize = 5;
+
+/// Non-zero digits per fixed-base window (table entries per position).
+const FIXED_DIGITS: usize = (1 << FIXED_WINDOW_BITS) - 1;
+
+/// `out = a · b · R⁻¹ mod m` for `L`-limb `a`, `b` and `R = 2^(64·L)`, with
+/// `n0_inv = −m⁻¹ mod 2^64` (finely integrated operand scanning: row `i`
+/// adds `a · b[i]` and the multiple `u · m` that clears the low limb in the
+/// same pass, shifting the accumulator down one limb as it goes).
+///
+/// Only one operand has to be below `m`: the accumulator stays below
+/// `a + m < 2R` whatever the operands, and the result before the final
+/// subtraction is below `a·b/R + m`, so `out < m` whenever `a · b < R · m`.
+/// With neither reduced, `out` is still congruent and still below `R` —
+/// one more product by a reduced operand makes it canonical, which is what
+/// lets [`MontgomeryCtx::mod_mul`] and [`MontgomeryCtx::to_mont`] take
+/// anything that fits `L` limbs without comparing it with `m` first.
 ///
 /// Squarings go through here too (`b = a`). A dedicated squaring — the
 /// cross products once, doubled, then a separate reduction — saves a
@@ -41,7 +64,7 @@ fn mont_mul(out: &mut [u64], a: &[u64], b: &[u64], m: &[u64], n0_inv: u64) {
     let l = m.len();
     assert!(l > 0 && out.len() == l && a.len() == l && b.len() == l);
     out.fill(0);
-    // The accumulator is `out` plus one limb, `top`; it stays below 2m.
+    // The accumulator is `out` plus one limb, `top`; it stays below 2R.
     let mut top = 0u64;
     for &bi in b {
         let s = u128::from(out[0]) + u128::from(a[0]) * u128::from(bi);
@@ -72,9 +95,19 @@ pub struct MontgomeryCtx {
     n0_inv: u64,
     /// `R² mod m` with `R = 2^(64·L)`, as `L` limbs: enters Montgomery form.
     r_squared: Vec<u64>,
+    /// `R³ mod m`: enters the high half of a double-width operand.
+    r_cubed: Vec<u64>,
     /// The integer 1 as `L` limbs: leaves Montgomery form.
     one: Vec<u64>,
 }
+
+/// A residue in Montgomery form — `x · R mod m`, as `L` limbs — under the
+/// context that produced it. A factor that is computed once and multiplied
+/// into many plain values (a noise factor, a CRT constant) is kept in this
+/// form: [`MontgomeryCtx::mul_by`] then costs one product and returns a
+/// plain value.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct MontResidue(Vec<u64>);
 
 /// Reusable limb buffers for [`MontgomeryCtx::mod_pow_with`]. One scratch
 /// serves contexts of any width (buffers are resized, never read before
@@ -102,7 +135,17 @@ impl MontgomeryCtx {
         // shift in one go and reduce).
         let r_squared = padded(&BigUint::one().shl(2 * 64 * l).rem(modulus), l);
         let one = padded(&BigUint::one(), l);
-        Some(MontgomeryCtx { modulus: modulus.clone(), n0_inv, r_squared, one })
+        // R³ = R² · R² · R⁻¹ is a product, not a second division:
+        // Miller–Rabin builds a context per prime candidate.
+        let mut r_cubed = vec![0u64; l];
+        mont_mul(&mut r_cubed, &r_squared, &r_squared, modulus.limbs(), n0_inv);
+        Some(MontgomeryCtx { modulus: modulus.clone(), n0_inv, r_squared, r_cubed, one })
+    }
+
+    /// The modulus `m`.
+    #[must_use]
+    pub fn modulus(&self) -> &BigUint {
+        &self.modulus
     }
 
     fn limbs(&self) -> usize {
@@ -129,26 +172,94 @@ impl MontgomeryCtx {
         }
     }
 
-    /// Enters Montgomery form: `out = x · R mod m`; `padded` is `L` limbs of
-    /// scratch.
-    fn to_mont(&self, x: &BigUint, out: &mut [u64], padded: &mut [u64]) {
+    /// Enters Montgomery form: `out = x · R mod m`; `pad` and `part` are
+    /// `L` limbs of scratch each.
+    ///
+    /// An `x` of up to `L` limbs enters by one product by `R²`, reduced or
+    /// not (see [`mont_mul`]). A double-width `x = lo + hi·R` — a ciphertext
+    /// below `n²` against `p²` — enters by two and a conditional
+    /// subtraction, `x·R = lo · R² · R⁻¹ + hi · R³ · R⁻¹`, where a long
+    /// division cost three products' time. Only a wider `x` is divided.
+    fn to_mont(&self, x: &BigUint, out: &mut [u64], pad: &mut [u64], part: &mut [u64]) {
+        let l = self.limbs();
         let reduced;
-        let x = if x < &self.modulus {
-            x
+        let x = if x.limbs().len() <= 2 * l {
+            x.limbs()
         } else {
             reduced = x.rem(&self.modulus);
-            &reduced
+            reduced.limbs()
         };
-        let (low, high) = padded.split_at_mut(x.limbs().len());
-        low.copy_from_slice(x.limbs());
-        high.fill(0);
-        self.mul(out, padded, &self.r_squared);
+        let (lo, hi) = x.split_at(x.len().min(l));
+        zero_extend(pad, lo);
+        self.mul(out, pad, &self.r_squared);
+        if !hi.is_empty() {
+            zero_extend(pad, hi);
+            self.mul(part, pad, &self.r_cubed);
+            let m = self.modulus.limbs();
+            if add_in_place(out, part) || !less_than(out, m) {
+                sub_in_place(out, m);
+            }
+        }
     }
 
     /// Leaves Montgomery form: `a · 1 · R⁻¹ mod m`, through `out`.
     fn leave_mont(&self, a: &[u64], out: &mut [u64]) -> BigUint {
         self.mul(out, a, &self.one);
         BigUint::from_limbs(out.to_vec())
+    }
+
+    /// `x` in Montgomery form, for a factor that will be multiplied into
+    /// many values with [`MontgomeryCtx::mul_by`]. Any `x` is accepted.
+    #[must_use]
+    pub fn enter(&self, x: &BigUint) -> MontResidue {
+        let l = self.limbs();
+        let (mut out, mut pad, mut part) = (vec![0u64; l], vec![0u64; l], vec![0u64; l]);
+        self.to_mont(x, &mut out, &mut pad, &mut part);
+        MontResidue(out)
+    }
+
+    /// A plain operand as the `L` limbs the kernel takes: `x`'s own when it
+    /// has exactly `L` — a value spread over `[0, m)` almost always — and
+    /// `buf` otherwise, holding `x` zero-extended, or `x mod m` when `x` is
+    /// wider than the modulus. Nothing is compared with `m`: the kernel
+    /// does not need it (see [`mont_mul`]).
+    fn operand<'a>(&self, x: &'a BigUint, buf: &'a mut Vec<u64>) -> &'a [u64] {
+        let l = self.limbs();
+        if x.limbs().len() == l {
+            return x.limbs();
+        }
+        if x.limbs().len() < l {
+            buf.extend_from_slice(x.limbs());
+        } else {
+            buf.extend_from_slice(x.rem(&self.modulus).limbs());
+        }
+        buf.resize(l, 0);
+        buf
+    }
+
+    /// `a · b mod m` for `a` in Montgomery form and any plain `b`: one
+    /// product, `(a·R) · b · R⁻¹`.
+    #[must_use]
+    pub fn mul_by(&self, a: &MontResidue, b: &BigUint) -> BigUint {
+        let mut buf = Vec::new();
+        let mut out = vec![0u64; self.limbs()];
+        self.mul(&mut out, &a.0, self.operand(b, &mut buf));
+        BigUint::from_limbs(out)
+    }
+
+    /// `a · b mod m` without a division: `a · b · R⁻¹`, then a product by
+    /// `R²` to cancel the `R⁻¹`. Operands of up to `L` limbs go straight
+    /// in, reduced or not — the second product has a reduced operand, so
+    /// its result is canonical (see `mont_mul`); only a wider operand is
+    /// divided first, which keeps this as total as [`BigUint::mul_mod`].
+    #[must_use]
+    pub fn mod_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let l = self.limbs();
+        let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
+        let (mut product, mut out) = (vec![0u64; l], vec![0u64; l]);
+        self.mul(&mut product, self.operand(a, &mut buf_a), self.operand(b, &mut buf_b));
+        self.mul(&mut out, &product, &self.r_squared);
+        BigUint::from_limbs(out)
     }
 
     /// `base^exp mod m` with fresh buffers; see
@@ -180,7 +291,7 @@ impl MontgomeryCtx {
         table.resize(DIGITS * l, 0);
         acc.resize(l, 0);
         next.resize(l, 0);
-        self.to_mont(base, &mut table[..l], next);
+        self.to_mont(base, &mut table[..l], next, acc);
         for d in 1..DIGITS {
             let (done, rest) = table.split_at_mut(d * l);
             self.mul(&mut rest[..l], &done[(d - 1) * l..], &done[..l]);
@@ -188,13 +299,13 @@ impl MontgomeryCtx {
         let entry = |digit: usize| &table[(digit - 1) * l..digit * l];
         let windows = exp.bits().div_ceil(WINDOW_BITS);
         // The top window holds the exponent's top bit, so its digit is ≥ 1.
-        acc.copy_from_slice(entry(window_digit(exp, windows - 1)));
+        acc.copy_from_slice(entry(window_digit(exp, windows - 1, WINDOW_BITS)));
         for j in (0..windows - 1).rev() {
             for _ in 0..WINDOW_BITS {
                 self.mul(next, acc, acc);
                 std::mem::swap(acc, next);
             }
-            let digit = window_digit(exp, j);
+            let digit = window_digit(exp, j, WINDOW_BITS);
             if digit != 0 {
                 self.mul(next, acc, entry(digit));
                 std::mem::swap(acc, next);
@@ -204,10 +315,16 @@ impl MontgomeryCtx {
     }
 }
 
-/// Digit `j` of `exp` in base `2^WINDOW_BITS` (zero past the top limb).
-fn window_digit(exp: &BigUint, j: usize) -> usize {
-    let bit = j * WINDOW_BITS;
-    exp.limbs().get(bit / 64).map_or(0, |limb| (limb >> (bit % 64)) as usize & DIGITS)
+/// Digit `j` of `exp` in base `2^w` (zero past the top limb). When `w`
+/// does not divide 64 a digit can straddle two limbs: its low bits are the
+/// top of one, its high bits the bottom of the next.
+fn window_digit(exp: &BigUint, j: usize, w: usize) -> usize {
+    let (limb, offset) = (j * w / 64, j * w % 64);
+    let limbs = exp.limbs();
+    let low = limbs.get(limb).map_or(0, |x| x >> offset);
+    let high =
+        if offset + w > 64 { limbs.get(limb + 1).map_or(0, |x| x << (64 - offset)) } else { 0 };
+    (low | high) as usize & ((1 << w) - 1)
 }
 
 /// The limbs of `x` zero-extended to `l`.
@@ -217,49 +334,56 @@ fn padded(x: &BigUint, l: usize) -> Vec<u64> {
     limbs
 }
 
+/// `dst = src`, zero-extended. `src` must not be longer than `dst`.
+fn zero_extend(dst: &mut [u64], src: &[u64]) {
+    let (low, high) = dst.split_at_mut(src.len());
+    low.copy_from_slice(src);
+    high.fill(0);
+}
+
 /// Fixed-base modular exponentiation with a precomputed window table.
 ///
 /// For a base `h` that is reused across many exponentiations (the Paillier
 /// noise base `h = r₀ⁿ mod n²`), precompute `h^(d·2^(w·j))` in Montgomery
-/// form for every window position `j` and digit `d ∈ [1, 2^w)`. An
-/// exponentiation then costs one Montgomery product per *non-zero* window
-/// of the exponent — about `exp_bits / w` products, with no squarings at
-/// all — versus `exp_bits` squarings plus `exp_bits / w` products on a
-/// fresh base. Table construction costs `2^w − 1` products per window,
-/// once.
+/// form for every window position `j` and digit `d ∈ [1, 2^w)`, with
+/// `w =` [`FIXED_WINDOW_BITS`]. An exponentiation then costs one Montgomery
+/// product per *non-zero* window of the exponent — about `exp_bits / w`
+/// products, with no squarings at all — versus `exp_bits` squarings plus
+/// `exp_bits / w` products on a fresh base. Table construction costs
+/// `2^w − 1` products per window, once.
 #[derive(Clone, Debug)]
 pub struct FixedBaseWindow {
     ctx: MontgomeryCtx,
     /// Entry `(j, d)` — `base^(d · 2^(w·j)) · R mod m` for `d` in `1..2^w` —
-    /// is the `L` limbs at `(j · DIGITS + d − 1) · L`.
+    /// is the `L` limbs at `(j · FIXED_DIGITS + d − 1) · L`.
     table: Vec<u64>,
     max_exp_bits: usize,
 }
 
 impl FixedBaseWindow {
-    /// Precomputes the window table for `base` modulo the odd `modulus`,
-    /// covering exponents up to `max_exp_bits` bits. Returns `None` for
-    /// even or zero moduli.
+    /// Precomputes the window table for `base` under `ctx` (a copy of the
+    /// context its caller multiplies the powers with — building one costs
+    /// a division, copying one does not), covering exponents up to
+    /// `max_exp_bits` bits.
     #[must_use]
-    pub fn new(base: &BigUint, modulus: &BigUint, max_exp_bits: usize) -> Option<Self> {
-        let ctx = MontgomeryCtx::new(modulus)?;
+    pub fn new(base: &BigUint, ctx: MontgomeryCtx, max_exp_bits: usize) -> Self {
         let l = ctx.limbs();
-        let windows = max_exp_bits.div_ceil(WINDOW_BITS).max(1);
-        let mut table = vec![0u64; windows * DIGITS * l];
+        let windows = max_exp_bits.div_ceil(FIXED_WINDOW_BITS).max(1);
+        let mut table = vec![0u64; windows * FIXED_DIGITS * l];
         // `cur` = base^(2^(w·j)) in Montgomery form for the current window.
-        let (mut cur, mut next) = (vec![0u64; l], vec![0u64; l]);
-        ctx.to_mont(base, &mut cur, &mut next);
-        for row in table.chunks_exact_mut(DIGITS * l) {
+        let (mut cur, mut next, mut part) = (vec![0u64; l], vec![0u64; l], vec![0u64; l]);
+        ctx.to_mont(base, &mut cur, &mut next, &mut part);
+        for row in table.chunks_exact_mut(FIXED_DIGITS * l) {
             row[..l].copy_from_slice(&cur);
-            for d in 1..DIGITS {
+            for d in 1..FIXED_DIGITS {
                 let (done, rest) = row.split_at_mut(d * l);
                 ctx.mul(&mut rest[..l], &done[(d - 1) * l..], &cur);
             }
             // Advance to the next window: cur^(2^w) = cur^(2^w − 1) · cur.
-            ctx.mul(&mut next, &row[(DIGITS - 1) * l..], &cur);
+            ctx.mul(&mut next, &row[(FIXED_DIGITS - 1) * l..], &cur);
             std::mem::swap(&mut cur, &mut next);
         }
-        Some(FixedBaseWindow { ctx, table, max_exp_bits })
+        FixedBaseWindow { ctx, table, max_exp_bits }
     }
 
     /// The largest exponent width (in bits) the table covers.
@@ -268,12 +392,15 @@ impl FixedBaseWindow {
         self.max_exp_bits
     }
 
-    /// `base^exp mod m` from the precomputed table.
+    /// `base^exp mod m` from the precomputed table, in Montgomery form:
+    /// what it is multiplied into next pays one product
+    /// ([`MontgomeryCtx::mul_by`]) where leaving the form and a modular
+    /// product would pay a product, a schoolbook product and a division.
     ///
     /// # Panics
     /// Panics if `exp` is wider than the table was built for.
     #[must_use]
-    pub fn pow(&self, exp: &BigUint) -> BigUint {
+    pub fn pow(&self, exp: &BigUint) -> MontResidue {
         assert!(
             exp.bits() <= self.max_exp_bits,
             "exponent of {} bits exceeds the {}-bit window table",
@@ -282,8 +409,8 @@ impl FixedBaseWindow {
         );
         let l = self.ctx.limbs();
         let (mut acc, mut next) = (Vec::new(), vec![0u64; l]);
-        for (j, row) in self.table.chunks_exact(DIGITS * l).enumerate() {
-            let digit = window_digit(exp, j);
+        for (j, row) in self.table.chunks_exact(FIXED_DIGITS * l).enumerate() {
+            let digit = window_digit(exp, j, FIXED_WINDOW_BITS);
             if digit == 0 {
                 continue;
             }
@@ -296,9 +423,11 @@ impl FixedBaseWindow {
             }
         }
         if acc.is_empty() {
-            return BigUint::one().rem(&self.ctx.modulus);
+            // base⁰ = 1, which enters as R² · 1 · R⁻¹.
+            self.ctx.mul(&mut next, &self.ctx.r_squared, &self.ctx.one);
+            acc = next;
         }
-        self.ctx.leave_mont(&acc, &mut next)
+        MontResidue(acc)
     }
 }
 
@@ -320,6 +449,18 @@ fn less_than(a: &[u64], b: &[u64]) -> bool {
         }
     }
     false
+}
+
+/// `a += b`, returning the carry out of the top limb.
+fn add_in_place(a: &mut [u64], b: &[u64]) -> bool {
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (s1, c1) = x.overflowing_add(y);
+        let (s2, c2) = s1.overflowing_add(u64::from(carry));
+        *x = s2;
+        carry = c1 || c2;
+    }
+    carry
 }
 
 fn sub_in_place(a: &mut [u64], b: &[u64]) {
@@ -460,19 +601,170 @@ mod tests {
         }
     }
 
+    /// Leaves Montgomery form: `(x·R) · 1 · R⁻¹`.
+    fn leave(ctx: &MontgomeryCtx, x: &MontResidue) -> BigUint {
+        ctx.mul_by(x, &BigUint::one())
+    }
+
+    /// `ctx.mod_mul` against the division-based `BigUint::mul_mod` at every
+    /// limb count, over the extremes `0`, `1`, `m − 1`, random reduced
+    /// operands — and the unreduced ones `add` can be handed through
+    /// `PaillierCiphertext::from_biguint`: `m`, `m + 1`, the widest value
+    /// that still fits the limbs (`R − 1`, straight into the kernel) and
+    /// values one and several limbs wider (divided first).
+    #[test]
+    fn mod_mul_matches_division_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for limbs in 1..=17 {
+            let m = odd_modulus(&mut rng, limbs);
+            let limbs = m.limbs().len();
+            let ctx = MontgomeryCtx::new(&m).unwrap();
+            let r = BigUint::one().shl(64 * limbs);
+            let mut inputs = vec![
+                BigUint::zero(),
+                BigUint::one(),
+                m.sub(&BigUint::one()),
+                m.clone(),
+                m.add_u64(1),
+                r.sub(&BigUint::one()),
+                r.clone(),
+                m.mul_u64(3).add(&BigUint::random_below(&mut rng, &m)),
+                BigUint::random_bits(&mut rng, 64 * (limbs + 3)),
+            ];
+            inputs.extend((0..3).map(|_| BigUint::random_below(&mut rng, &m)));
+            for a in &inputs {
+                for b in &inputs {
+                    assert_eq!(ctx.mod_mul(a, b), a.mul_mod(b, &m), "{limbs} limbs");
+                }
+            }
+        }
+    }
+
+    /// `mul_by` takes any plain operand: reduced, unreduced within the
+    /// limbs (straight into the kernel), or wider (divided first).
+    #[test]
+    fn mul_by_matches_division_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(37);
+        for limbs in 1..=17 {
+            let m = odd_modulus(&mut rng, limbs);
+            let limbs = m.limbs().len();
+            let ctx = MontgomeryCtx::new(&m).unwrap();
+            let all_ones = BigUint::one().shl(64 * limbs).sub(&BigUint::one());
+            let factor = BigUint::random_below(&mut rng, &m);
+            let entered = ctx.enter(&factor);
+            assert_eq!(leave(&ctx, &entered), factor, "{limbs} limbs");
+            for b in [
+                BigUint::zero(),
+                BigUint::one(),
+                m.sub(&BigUint::one()),
+                m.clone(),
+                all_ones,
+                BigUint::random_below(&mut rng, &m),
+                BigUint::random_bits(&mut rng, 64 * (limbs + 2)),
+            ] {
+                assert_eq!(ctx.mul_by(&entered, &b), factor.mul_mod(&b, &m), "{limbs} limbs");
+            }
+        }
+    }
+
+    /// Entering Montgomery form from an operand up to twice the modulus'
+    /// width (and past it) against reduce-by-division-then-enter: the
+    /// values on the seams — `m`, `m + 1`, `m·R − 1` (the largest whose
+    /// reduced halves still sum past `m`), the all-ones double width
+    /// `2^(128·L) − 1` — and random ones whose high half is full, one limb
+    /// short and two limbs short.
+    #[test]
+    fn double_width_entry_matches_division_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for limbs in 1..=16 {
+            let m = odd_modulus(&mut rng, limbs);
+            let limbs = m.limbs().len();
+            let ctx = MontgomeryCtx::new(&m).unwrap();
+            let r = BigUint::one().shl(64 * limbs);
+            let mut xs = vec![
+                BigUint::zero(),
+                m.clone(),
+                m.add_u64(1),
+                r.sub(&BigUint::one()),
+                r.clone(),
+                m.mul(&r).sub(&BigUint::one()),
+                BigUint::one().shl(128 * limbs).sub(&BigUint::one()),
+                m.square().sub(&BigUint::one()),
+                // Wider than double: the division fallback.
+                BigUint::one().shl(128 * limbs),
+                BigUint::random_bits(&mut rng, 64 * (2 * limbs + 2)),
+            ];
+            for short in 0..=2usize.min(limbs - 1) {
+                xs.push(BigUint::random_bits(&mut rng, 64 * (2 * limbs - short)));
+                xs.push(BigUint::random_bits(&mut rng, 64 * (2 * limbs - short) - 7));
+            }
+            for x in &xs {
+                let entered = ctx.enter(x);
+                assert_eq!(entered, ctx.enter(&x.rem(&m)), "{limbs} limbs, {} bits", x.bits());
+                assert_eq!(leave(&ctx, &entered), x.rem(&m), "{limbs} limbs, {} bits", x.bits());
+                // The path decryption takes: the exponentiation's own entry.
+                let exp = BigUint::from_u64(3);
+                assert_eq!(ctx.mod_pow(x, &exp), x.mod_pow_plain(&exp, &m), "{limbs} limbs");
+            }
+        }
+    }
+
+    #[test]
+    fn window_digits_straddle_limbs() {
+        // Bits 60..=68 set: at w = 5 digit 12 is bits 60–64, digit 13 bits
+        // 65–69.
+        let exp = BigUint::from_u128(0x1ff << 60);
+        assert_eq!(window_digit(&exp, 11, 5), 0);
+        assert_eq!(window_digit(&exp, 12, 5), 0b11111);
+        assert_eq!(window_digit(&exp, 13, 5), 0b01111);
+        assert_eq!(window_digit(&exp, 14, 5), 0);
+        // w = 6: digit 10 is bits 60–65, digit 11 bits 66–71.
+        assert_eq!(window_digit(&exp, 10, 6), 0b111111);
+        assert_eq!(window_digit(&exp, 11, 6), 0b000111);
+        // Past the top limb, and a digit whose high half is past it.
+        assert_eq!(window_digit(&exp, 40, 5), 0);
+        let top = BigUint::from_u64(0b101 << 61);
+        assert_eq!(window_digit(&top, 12, 5), 0b1010);
+        // w = 4 never straddles.
+        assert_eq!(window_digit(&exp, 15, 4), 0xf);
+        assert_eq!(window_digit(&exp, 16, 4), 0xf);
+        assert_eq!(window_digit(&exp, 17, 4), 0x1);
+    }
+
+    /// The fixed-base table against the division-based oracle, on the
+    /// exponents that sit on its window seams — with a `max_exp_bits` that
+    /// is and is not a multiple of the window width.
     #[test]
     fn fixed_base_window_matches_mod_pow() {
+        let w = FIXED_WINDOW_BITS;
         let mut rng = StdRng::seed_from_u64(17);
-        for bits in [64usize, 192, 512] {
-            let mut m = BigUint::random_bits(&mut rng, bits);
-            if m.is_even() {
-                m = m.add_u64(1);
-            }
+        for (limbs, max_exp_bits) in [(1usize, 70usize), (3, 100), (8, 128), (8, 130), (16, 257)] {
+            let m = odd_modulus(&mut rng, limbs);
+            let ctx = MontgomeryCtx::new(&m).unwrap();
             let base = BigUint::random_below(&mut rng, &m);
-            let window = FixedBaseWindow::new(&base, &m, bits).unwrap();
-            for exp_bits in [1usize, 3, bits / 2, bits - 1, bits] {
-                let exp = BigUint::random_bits(&mut rng, exp_bits);
-                assert_eq!(window.pow(&exp), base.mod_pow(&exp, &m), "bits={bits}/{exp_bits}");
+            let window = FixedBaseWindow::new(&base, ctx.clone(), max_exp_bits);
+            assert_eq!(window.max_exp_bits(), max_exp_bits);
+            let mut exps = vec![
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::from_u64((1 << w) - 1),
+                BigUint::from_u64(1 << w),
+                // Every digit at its maximum, the top window partly filled.
+                BigUint::one().shl(max_exp_bits).sub(&BigUint::one()),
+                BigUint::one().shl(max_exp_bits - 1),
+                // One digit straddling the first limb boundary, alone.
+                BigUint::from_u128(0x1ff << 60),
+                BigUint::random_bits(&mut rng, max_exp_bits),
+                BigUint::random_bits(&mut rng, max_exp_bits / 2),
+            ];
+            exps.extend((1..8).map(|i| BigUint::random_bits(&mut rng, i * max_exp_bits / 8)));
+            for exp in &exps {
+                assert_eq!(
+                    leave(&ctx, &window.pow(exp)),
+                    base.mod_pow_plain(exp, &m),
+                    "{limbs} limbs, {max_exp_bits}-bit table, {}-bit exponent",
+                    exp.bits()
+                );
             }
         }
     }
@@ -480,14 +772,23 @@ mod tests {
     #[test]
     fn fixed_base_window_edge_exponents() {
         let m = BigUint::from_u64(101);
+        let ctx = MontgomeryCtx::new(&m).unwrap();
         let base = BigUint::from_u64(7);
-        let window = FixedBaseWindow::new(&base, &m, 64).unwrap();
-        assert!(window.pow(&BigUint::zero()).is_one());
-        assert_eq!(window.pow(&BigUint::one()).to_u64(), Some(7));
+        let window = FixedBaseWindow::new(&base, ctx.clone(), 64);
+        assert!(leave(&ctx, &window.pow(&BigUint::zero())).is_one());
+        assert_eq!(leave(&ctx, &window.pow(&BigUint::one())).to_u64(), Some(7));
         assert_eq!(
-            window.pow(&BigUint::from_u64(15)).to_u64(),
-            base.mod_pow(&BigUint::from_u64(15), &m).to_u64()
+            leave(&ctx, &window.pow(&BigUint::from_u64(u64::MAX))),
+            base.mod_pow_plain(&BigUint::from_u64(u64::MAX), &m)
         );
-        assert!(FixedBaseWindow::new(&base, &BigUint::from_u64(10), 64).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 100-bit window table")]
+    fn fixed_base_window_refuses_an_exponent_wider_than_its_table() {
+        let m = BigUint::from_u64(1_000_000_007);
+        let window =
+            FixedBaseWindow::new(&BigUint::from_u64(5), MontgomeryCtx::new(&m).unwrap(), 100);
+        let _ = window.pow(&BigUint::one().shl(100));
     }
 }

@@ -13,6 +13,13 @@ pub enum Error {
         /// Minimum accepted bits.
         min: usize,
     },
+    /// Requested key width is above the supported maximum.
+    KeyTooLarge {
+        /// Requested bits.
+        bits: usize,
+        /// Maximum accepted bits.
+        max: usize,
+    },
     /// Plaintext does not fit the scheme's message space.
     PlaintextOutOfRange,
     /// A value could not be represented in the fixed-point encoding.
@@ -50,6 +57,9 @@ impl fmt::Display for Error {
         match self {
             Error::KeyTooSmall { bits, min } => {
                 write!(f, "key width {bits} bits is below the minimum of {min}")
+            }
+            Error::KeyTooLarge { bits, max } => {
+                write!(f, "key width {bits} bits is above the maximum of {max}")
             }
             Error::PlaintextOutOfRange => write!(f, "plaintext outside the message space"),
             Error::FixedPointOverflow { value } => {

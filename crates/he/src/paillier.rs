@@ -10,7 +10,10 @@
 //! needs no exponentiation (`g^m = 1 + m·n mod n²`). Decryption runs by
 //! CRT over `p²` and `q²` (`CrtParams`); the textbook `c^λ mod n²` with
 //! `μ = λ⁻¹ mod n` survives as [`PaillierPrivateKey::decrypt_plain`], the
-//! oracle.
+//! oracle. Every modular product a ciphertext meets on the way — the
+//! encryptor's finish, `add`, the CRT branches' entry and tail — is the
+//! Montgomery kernel's, through contexts the keys own; the division-based
+//! `BigUint::mul_mod` is left to the two reference routines.
 //!
 //! Encryption has two paths. [`PaillierPublicKey::encrypt`] is the slow
 //! reference: a fresh coprime `r` and a full `r.mod_pow(n, n²)` per call.
@@ -18,10 +21,10 @@
 //! setup, precomputes a fixed-base window table for `h` modulo `n²`, and
 //! draws each noise factor as `h^x` for a short random `x` — the standard
 //! shortened-randomness optimization, cutting an n-bit square-and-multiply
-//! down to ~`x_bits / 4` table products. Since `h^x = (r₀^x mod n)^n`, the
+//! down to ~`x_bits / 5` table products. Since `h^x = (r₀^x mod n)^n`, the
 //! result is ordinary Paillier randomness and decryption is bit-exact.
 
-use crate::bigint::montgomery::{FixedBaseWindow, MontScratch};
+use crate::bigint::montgomery::{FixedBaseWindow, MontResidue, MontScratch};
 use crate::bigint::{BigInt, BigUint, MontgomeryCtx};
 use crate::error::{Error, Result};
 use rand::rngs::StdRng;
@@ -33,13 +36,29 @@ use std::sync::Mutex;
 /// tests stay fast — but production callers should use ≥ 2048.
 pub const MIN_KEY_BITS: usize = 64;
 
-/// Paillier public key: the modulus `n` and cached `n²`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// Maximum accepted modulus width. A key width can arrive off the wire (a
+/// party daemon's setup frame): prime search is super-cubic in it and the
+/// encryptor's window table grows with its square, so it is bounded where
+/// keys are made.
+pub const MAX_KEY_BITS: usize = 8192;
+
+/// Paillier public key: the modulus `n` and the Montgomery context modulo
+/// `n²` every ciphertext product runs through — built once, here, and
+/// copied with the key. Two keys are equal when their moduli are.
+#[derive(Clone, Debug)]
 pub struct PaillierPublicKey {
     n: BigUint,
-    n_squared: BigUint,
+    n_squared: MontgomeryCtx,
     half_n: BigUint,
 }
+
+impl PartialEq for PaillierPublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+    }
+}
+
+impl Eq for PaillierPublicKey {}
 
 /// Paillier private key: the CRT decryptor over the factorization, plus
 /// Carmichael `λ` and `μ = λ⁻¹ mod n` for the oracle
@@ -65,8 +84,10 @@ pub struct PaillierPrivateKey {
 /// exponentiation at key generation.
 #[derive(Clone, Debug)]
 struct CrtParams {
-    p: BigUint,
-    q: BigUint,
+    /// Montgomery context modulo `p`: the `p` branch's tail.
+    p: MontgomeryCtx,
+    /// Montgomery context modulo `q`: the `q` branch's tail and Garner.
+    q: MontgomeryCtx,
     /// Montgomery context modulo `p²`.
     p_squared: MontgomeryCtx,
     /// Montgomery context modulo `q²`.
@@ -75,12 +96,12 @@ struct CrtParams {
     p_minus_1: BigUint,
     /// `q − 1` — exponent for the `q²` branch.
     q_minus_1: BigUint,
-    /// `(−q)⁻¹ mod p`.
-    h_p: BigUint,
-    /// `(−p)⁻¹ mod q`.
-    h_q: BigUint,
-    /// `p⁻¹ mod q` for the final recombination.
-    p_inv_q: BigUint,
+    /// `(−q)⁻¹ mod p`, in Montgomery form under `p`.
+    h_p: MontResidue,
+    /// `(−p)⁻¹ mod q`, in Montgomery form under `q`.
+    h_q: MontResidue,
+    /// `p⁻¹ mod q` for the final recombination, in Montgomery form under `q`.
+    p_inv_q: MontResidue,
 }
 
 impl CrtParams {
@@ -96,31 +117,38 @@ impl CrtParams {
         }
         let p_inv_q = x.rem_floor(q);
         let q_inv_p = y.rem_floor(p);
+        let (p_ctx, q_ctx) = (MontgomeryCtx::new(p)?, MontgomeryCtx::new(q)?);
         Some(CrtParams {
-            h_p: p.sub(&q_inv_p),
-            h_q: q.sub(&p_inv_q),
-            p_inv_q,
+            h_p: p_ctx.enter(&p.sub(&q_inv_p)),
+            h_q: q_ctx.enter(&q.sub(&p_inv_q)),
+            p_inv_q: q_ctx.enter(&p_inv_q),
             p_squared: MontgomeryCtx::new(&p.square())?,
             q_squared: MontgomeryCtx::new(&q.square())?,
             p_minus_1: p.sub(&one),
             q_minus_1: q.sub(&one),
-            p: p.clone(),
-            q: q.clone(),
+            p: p_ctx,
+            q: q_ctx,
         })
     }
 
     /// CRT decryption of ciphertext `c`. Total: a `c` that is not a unit
     /// modulo `n` (not a ciphertext at all) decrypts to some residue rather
     /// than panicking.
+    ///
+    /// `c < n²` is twice as wide as `p²`: each branch's exponentiation
+    /// enters Montgomery form from the double-width value (two products)
+    /// rather than reducing it by division first, and the three constant
+    /// factors of the tail, kept in Montgomery form, cost a product each.
     fn decrypt(&self, c: &BigUint, scratch: &mut MontScratch) -> BigUint {
+        let (p, q) = (self.p.modulus(), self.q.modulus());
         // m_p = L_p(c^{p−1} mod p²) · h_p mod p
-        let mp = l_function(self.p_squared.mod_pow_with(c, &self.p_minus_1, scratch), &self.p)
-            .mul_mod(&self.h_p, &self.p);
-        let mq = l_function(self.q_squared.mod_pow_with(c, &self.q_minus_1, scratch), &self.q)
-            .mul_mod(&self.h_q, &self.q);
+        let lp = l_function(self.p_squared.mod_pow_with(c, &self.p_minus_1, scratch), p);
+        let mp = self.p.mul_by(&self.h_p, &lp);
+        let lq = l_function(self.q_squared.mod_pow_with(c, &self.q_minus_1, scratch), q);
+        let mq = self.q.mul_by(&self.h_q, &lq);
         // Garner recombination: m = m_p + p·((m_q − m_p)·p⁻¹ mod q).
-        let diff = mq.sub_mod(&mp, &self.q);
-        mp.add(&self.p.mul(&diff.mul_mod(&self.p_inv_q, &self.q)))
+        let diff = mq.sub_mod(&mp, q);
+        mp.add(&p.mul(&self.q.mul_by(&self.p_inv_q, &diff)))
     }
 }
 
@@ -171,10 +199,14 @@ impl PaillierCiphertext {
 /// Generates a fresh keypair with an `n` of exactly `bits` bits.
 ///
 /// # Errors
-/// Returns [`Error::KeyTooSmall`] when `bits < MIN_KEY_BITS`.
+/// Returns [`Error::KeyTooSmall`] when `bits < MIN_KEY_BITS` and
+/// [`Error::KeyTooLarge`] when `bits > MAX_KEY_BITS`.
 pub fn generate_keypair<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Result<PaillierKeypair> {
     if bits < MIN_KEY_BITS {
         return Err(Error::KeyTooSmall { bits, min: MIN_KEY_BITS });
+    }
+    if bits > MAX_KEY_BITS {
+        return Err(Error::KeyTooLarge { bits, max: MAX_KEY_BITS });
     }
     loop {
         let p = BigUint::random_prime(rng, bits / 2);
@@ -194,9 +226,7 @@ pub fn generate_keypair<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Result<Pai
         let Some(crt) = CrtParams::new(&p, &q) else {
             continue;
         };
-        let n_squared = n.square();
-        let half_n = n.shr(1);
-        let pk = PaillierPublicKey { n, n_squared, half_n };
+        let pk = PaillierPublicKey::new(n);
         return Ok(PaillierKeypair {
             private: PaillierPrivateKey { lambda, mu, pk: pk.clone(), crt },
             public: pk,
@@ -205,6 +235,13 @@ pub fn generate_keypair<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Result<Pai
 }
 
 impl PaillierPublicKey {
+    /// The key over an odd modulus `n` (a product of two odd primes).
+    fn new(n: BigUint) -> Self {
+        let n_squared =
+            MontgomeryCtx::new(&n.square()).expect("n is odd, so n² has a Montgomery context");
+        PaillierPublicKey { half_n: n.shr(1), n_squared, n }
+    }
+
     /// The modulus `n`.
     #[must_use]
     pub fn modulus(&self) -> &BigUint {
@@ -214,7 +251,7 @@ impl PaillierPublicKey {
     /// The ciphertext modulus `n²`.
     #[must_use]
     pub fn modulus_squared(&self) -> &BigUint {
-        &self.n_squared
+        self.n_squared.modulus()
     }
 
     /// Bit width of the modulus.
@@ -231,11 +268,12 @@ impl PaillierPublicKey {
         if m >= &self.n {
             return Err(Error::PlaintextOutOfRange);
         }
+        let n_squared = self.modulus_squared();
         let r = BigUint::random_coprime(rng, &self.n);
         // g^m = (1 + n)^m = 1 + m·n (mod n²)
-        let gm = BigUint::one().add(&m.mul(&self.n)).rem(&self.n_squared);
-        let rn = r.mod_pow(&self.n, &self.n_squared);
-        Ok(PaillierCiphertext(gm.mul_mod(&rn, &self.n_squared)))
+        let gm = BigUint::one().add(&m.mul(&self.n)).rem(n_squared);
+        let rn = r.mod_pow(&self.n, n_squared);
+        Ok(PaillierCiphertext(gm.mul_mod(&rn, n_squared)))
     }
 
     /// Encrypts a signed 64-bit value (wrapped into `Z_n`).
@@ -253,23 +291,27 @@ impl PaillierPublicKey {
         }
     }
 
-    /// Homomorphic addition: `Enc(a) ⊕ Enc(b) = Enc(a + b mod n)`.
+    /// Homomorphic addition: `Enc(a) ⊕ Enc(b) = Enc(a + b mod n)` — the
+    /// product `a · b mod n²`, as two kernel products. Total over anything
+    /// [`PaillierCiphertext::from_biguint`] can hold: the context reduces
+    /// an operand that does not fit `n²`'s width before multiplying.
     #[must_use]
     pub fn add(&self, a: &PaillierCiphertext, b: &PaillierCiphertext) -> PaillierCiphertext {
-        PaillierCiphertext(a.0.mul_mod(&b.0, &self.n_squared))
+        PaillierCiphertext(self.n_squared.mod_mul(&a.0, &b.0))
     }
 
     /// Adds a plaintext to a ciphertext without re-encryption.
     #[must_use]
     pub fn add_plain(&self, a: &PaillierCiphertext, m: &BigUint) -> PaillierCiphertext {
-        let gm = BigUint::one().add(&m.rem(&self.n).mul(&self.n)).rem(&self.n_squared);
-        PaillierCiphertext(a.0.mul_mod(&gm, &self.n_squared))
+        // g^m = 1 + (m mod n)·n, below n² as it stands.
+        let gm = m.rem(&self.n).mul(&self.n).add_u64(1);
+        PaillierCiphertext(self.n_squared.mod_mul(&a.0, &gm))
     }
 
     /// Multiplies the underlying plaintext by a constant: `Enc(a)^k = Enc(k·a)`.
     #[must_use]
     pub fn mul_plain(&self, a: &PaillierCiphertext, k: &BigUint) -> PaillierCiphertext {
-        PaillierCiphertext(a.0.mod_pow(k, &self.n_squared))
+        PaillierCiphertext(self.n_squared.mod_pow(&a.0, k))
     }
 
     /// Re-randomizes a ciphertext (multiplies by a fresh encryption of zero),
@@ -280,8 +322,8 @@ impl PaillierPublicKey {
         rng: &mut R,
     ) -> PaillierCiphertext {
         let r = BigUint::random_coprime(rng, &self.n);
-        let rn = r.mod_pow(&self.n, &self.n_squared);
-        PaillierCiphertext(a.0.mul_mod(&rn, &self.n_squared))
+        let rn = self.n_squared.mod_pow(&r, &self.n);
+        PaillierCiphertext(self.n_squared.mod_mul(&a.0, &rn))
     }
 
     /// Decodes a `Z_n` element into a signed value via the `n/2` threshold.
@@ -323,7 +365,7 @@ impl PaillierPrivateKey {
     #[must_use]
     pub fn decrypt_plain(&self, c: &PaillierCiphertext) -> BigUint {
         let pk = &self.pk;
-        let x = c.0.mod_pow(&self.lambda, &pk.n_squared);
+        let x = c.0.mod_pow(&self.lambda, pk.modulus_squared());
         // L(x) = (x - 1) / n
         let l = x.sub(&BigUint::one()).divrem(&pk.n).0;
         l.mul_mod(&self.mu, &pk.n)
@@ -347,10 +389,10 @@ const MIN_NOISE_BITS: usize = 64;
 /// Precomputed fast-path encryptor: fixed-base window table over the noise
 /// base `h = r₀ⁿ mod n²`, with noise factors `h^x` for short seeded `x`.
 ///
-/// Construction costs a few hundred Montgomery products (one-time, at key
-/// setup); each encryption afterwards costs ~`noise_bits / 4` products
-/// instead of the ~`1.5 · key_bits` of the slow path, and skips the
-/// coprime rejection loop entirely.
+/// Construction costs several hundred Montgomery products (one-time, at
+/// key setup); each encryption afterwards costs ~`noise_bits / 5` products
+/// for the noise factor and one to finish, instead of the ~`1.5 · key_bits`
+/// of the slow path, and skips the coprime rejection loop entirely.
 #[derive(Clone, Debug)]
 pub struct PaillierEncryptor {
     pk: PaillierPublicKey,
@@ -364,12 +406,11 @@ impl PaillierEncryptor {
     /// identical ciphertexts for identical (plaintext, noise seed) pairs.
     pub fn new<R: Rng + ?Sized>(pk: &PaillierPublicKey, rng: &mut R) -> Self {
         let r0 = BigUint::random_coprime(rng, &pk.n);
-        let h = r0.mod_pow(&pk.n, &pk.n_squared);
+        let h = pk.n_squared.mod_pow(&r0, &pk.n);
         // Half the key width keeps the noise group large (2^(k/2) choices)
         // while quartering the exponent the window walk has to cover.
         let noise_bits = (pk.key_bits() / 2).max(MIN_NOISE_BITS);
-        let window = FixedBaseWindow::new(&h, &pk.n_squared, noise_bits)
-            .expect("n² is odd, so the Montgomery context always exists");
+        let window = FixedBaseWindow::new(&h, pk.n_squared.clone(), noise_bits);
         PaillierEncryptor { pk: pk.clone(), window, noise_bits }
     }
 
@@ -386,28 +427,35 @@ impl PaillierEncryptor {
     }
 
     /// Derives the noise factor `h^x mod n²` for a seeded short exponent
-    /// `x`. Pure function of `seed`, so factors can be precomputed on any
+    /// `x`, in Montgomery form under `n²` — the form the window table
+    /// produces and [`PaillierEncryptor::encrypt_with_noise`] consumes.
+    /// Pure function of `seed`, so factors can be precomputed on any
     /// thread (or ahead of time by a [`NoisePool`]) without changing the
     /// ciphertexts.
     #[must_use]
-    pub fn noise_for_seed(&self, seed: u64) -> BigUint {
+    pub fn noise_for_seed(&self, seed: u64) -> MontResidue {
         let mut rng = StdRng::seed_from_u64(seed);
         let x = BigUint::random_bits(&mut rng, self.noise_bits);
         self.window.pow(&x)
     }
 
     /// Encrypts `m` with an explicit noise factor (from
-    /// [`PaillierEncryptor::noise_for_seed`]).
+    /// [`PaillierEncryptor::noise_for_seed`]): one kernel product,
+    /// `(noise · R) · g^m · R⁻¹`.
     ///
     /// # Errors
     /// Returns [`Error::PlaintextOutOfRange`] if `m >= n`.
-    pub fn encrypt_with_noise(&self, m: &BigUint, noise: &BigUint) -> Result<PaillierCiphertext> {
+    pub fn encrypt_with_noise(
+        &self,
+        m: &BigUint,
+        noise: &MontResidue,
+    ) -> Result<PaillierCiphertext> {
         if m >= &self.pk.n {
             return Err(Error::PlaintextOutOfRange);
         }
-        // g^m = (1 + n)^m = 1 + m·n (mod n²)
-        let gm = BigUint::one().add(&m.mul(&self.pk.n)).rem(&self.pk.n_squared);
-        Ok(PaillierCiphertext(gm.mul_mod(noise, &self.pk.n_squared)))
+        // g^m = (1 + n)^m = 1 + m·n, below n² as it stands since m < n.
+        let gm = m.mul(&self.pk.n).add_u64(1);
+        Ok(PaillierCiphertext(self.pk.n_squared.mul_by(noise, &gm)))
     }
 
     /// Convenience: derive the seeded noise factor and encrypt in one call.
@@ -440,7 +488,7 @@ struct NoisePoolState {
     /// call sequence, which is what makes pooled output deterministic.
     cursor: u64,
     /// Prefilled factors not yet consumed, keyed by index.
-    ready: HashMap<u64, BigUint>,
+    ready: HashMap<u64, MontResidue>,
 }
 
 impl NoisePool {
@@ -467,7 +515,7 @@ impl NoisePool {
     /// The factor for a reserved index: the prefilled value if available,
     /// otherwise computed on demand (identical either way).
     #[must_use]
-    pub fn take(&self, enc: &PaillierEncryptor, index: u64) -> BigUint {
+    pub fn take(&self, enc: &PaillierEncryptor, index: u64) -> MontResidue {
         if let Some(hit) =
             self.state.lock().expect("noise pool mutex poisoned").ready.remove(&index)
         {
@@ -514,6 +562,18 @@ mod tests {
     fn rejects_tiny_keys() {
         let mut rng = StdRng::seed_from_u64(0);
         assert!(matches!(generate_keypair(&mut rng, 32), Err(Error::KeyTooSmall { .. })));
+    }
+
+    #[test]
+    fn rejects_oversized_keys() {
+        let mut rng = StdRng::seed_from_u64(0);
+        // Refused before any prime search: these return at once.
+        for bits in [MAX_KEY_BITS + 1, 1 << 20, usize::MAX] {
+            assert_eq!(
+                generate_keypair(&mut rng, bits).err(),
+                Some(Error::KeyTooLarge { bits, max: MAX_KEY_BITS })
+            );
+        }
     }
 
     #[test]
@@ -666,12 +726,13 @@ mod tests {
     fn crt_parameters_are_the_closed_forms() {
         let kp = keypair(256);
         let crt = &kp.private.crt;
-        assert_eq!(crt.p.mul(&crt.q), *kp.public.modulus());
-        let neg_q = crt.p.sub(&crt.q.rem(&crt.p));
-        let neg_p = crt.q.sub(&crt.p.rem(&crt.q));
-        assert!(crt.h_p.mul_mod(&neg_q, &crt.p).is_one(), "h_p = (−q)⁻¹ mod p");
-        assert!(crt.h_q.mul_mod(&neg_p, &crt.q).is_one(), "h_q = (−p)⁻¹ mod q");
-        assert!(crt.p_inv_q.mul_mod(&crt.p, &crt.q).is_one());
+        let (p, q) = (crt.p.modulus(), crt.q.modulus());
+        assert_eq!(p.mul(q), *kp.public.modulus());
+        let neg_q = p.sub(&q.rem(p));
+        let neg_p = q.sub(&p.rem(q));
+        assert!(crt.p.mul_by(&crt.h_p, &neg_q).is_one(), "h_p = (−q)⁻¹ mod p");
+        assert!(crt.q.mul_by(&crt.h_q, &neg_p).is_one(), "h_q = (−p)⁻¹ mod q");
+        assert!(crt.q.mul_by(&crt.p_inv_q, p).is_one());
     }
 
     #[test]
@@ -733,14 +794,14 @@ mod tests {
         // Reference: no prefill at all, take on demand.
         let cold = NoisePool::new(777);
         let start = cold.reserve(12);
-        let want: Vec<BigUint> = (start..start + 12).map(|j| cold.take(&enc, j)).collect();
+        let want: Vec<MontResidue> = (start..start + 12).map(|j| cold.take(&enc, j)).collect();
         for threads in [1usize, 4] {
             let pool = vfps_par::Pool::with_threads(threads);
             let warm = NoisePool::new(777);
             warm.prefill(&enc, 5, &pool); // partial prefill: 5 of 12
             assert_eq!(warm.ready_len(), 5);
             let start = warm.reserve(12);
-            let got: Vec<BigUint> = (start..start + 12).map(|j| warm.take(&enc, j)).collect();
+            let got: Vec<MontResidue> = (start..start + 12).map(|j| warm.take(&enc, j)).collect();
             assert_eq!(got, want, "threads={threads}");
             assert_eq!(warm.ready_len(), 0, "prefilled factors consumed");
         }

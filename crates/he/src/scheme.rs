@@ -276,7 +276,7 @@ impl PaillierHe {
     }
 
     /// Precomputes `count` noise factors off the critical path so upcoming
-    /// encryptions only pay pack + two modular products. Ciphertexts are
+    /// encryptions only pay pack + one modular product. Ciphertexts are
     /// identical with or without prefill.
     pub fn prefill_noise(&self, count: usize, pool: &vfps_par::Pool) {
         self.noise.prefill(&self.encryptor, count, pool);
@@ -290,58 +290,22 @@ impl PaillierHe {
 
     /// Encrypts one batch on an explicit pool (tests and benchmarks pin
     /// the thread count through this; [`AdditiveHe::encrypt`] uses the
-    /// global pool).
-    ///
-    /// One call reserves one contiguous run of noise-pool indices under a
-    /// lock — so ciphertexts are a pure function of the call sequence, not
-    /// of thread count or prefill state — then packs and encrypts the slot
-    /// groups in parallel.
+    /// global pool): [`PaillierHe::encrypt_many_on`] of that one batch.
     ///
     /// # Errors
     /// Fails when the batch exceeds the slot count or a value cannot be
     /// represented.
     pub fn encrypt_on(&self, values: &[f64], pool: &vfps_par::Pool) -> Result<PackedPaillier> {
-        if values.len() > self.batch {
-            return Err(Error::TooManySlots { got: values.len(), max: self.batch });
-        }
-        let n_groups = values.len().div_ceil(self.layout.slots().max(1));
-        let start = self.noise.reserve(n_groups);
-        vfps_obs::time_us("he.paillier.encrypt_us", || self.encrypt_reserved(values, start, pool))
+        let mut cts = self.encrypt_many_on(&[values], pool)?;
+        Ok(cts.pop().expect("one ciphertext per batch"))
     }
 
-    /// The reserved-index core of [`PaillierHe::encrypt_on`]: slot group
-    /// `g` encrypts under noise index `start + g`.
-    fn encrypt_reserved(
-        &self,
-        values: &[f64],
-        start: u64,
-        pool: &vfps_par::Pool,
-    ) -> Result<PackedPaillier> {
-        let slots = self.layout.slots();
-        let groups: Vec<&[f64]> = values.chunks(slots.max(1)).collect();
-        let cts: Result<Vec<PaillierCiphertext>> = pool
-            .par_map_indexed(&groups, |g, group| {
-                // Pad the tail group with zeros so every slot carries the
-                // bias and additions of unequal-count ciphertexts stay
-                // decodable slot-by-slot.
-                let mut encoded = vec![0i64; slots];
-                for (e, &v) in encoded.iter_mut().zip(group.iter()) {
-                    *e = self.codec.encode(v)?;
-                }
-                let plain = self.layout.pack(&encoded)?;
-                let noise = self.noise.take(&self.encryptor, start + g as u64);
-                self.encryptor.encrypt_with_noise(&plain, &noise)
-            })
-            .into_iter()
-            .collect();
-        vfps_obs::counter_add("he.paillier.exponentiations", groups.len() as u64);
-        vfps_obs::counter_add("he.paillier.enc_values", values.len() as u64);
-        Ok(PackedPaillier { cts: cts?, count: values.len() as u32, terms: 1 })
-    }
-
-    /// Encrypts several batches on an explicit pool. One reservation covers
-    /// every batch's slot groups, then all groups across all batches fan
-    /// out as a single flat parallel map.
+    /// Encrypts several batches on an explicit pool. One call reserves one
+    /// contiguous run of noise-pool indices under a lock, covering every
+    /// batch's slot groups in order — so ciphertexts are a pure function
+    /// of the call sequence, not of thread count or prefill state — then
+    /// all groups across all batches fan out as a single flat parallel
+    /// map.
     ///
     /// # Errors
     /// Fails when any batch exceeds the slot count or a value cannot be
@@ -377,6 +341,9 @@ impl PaillierHe {
             let flat: Result<Vec<PaillierCiphertext>> = pool
                 .par_map_indexed(&tasks, |_, &(bi, g)| {
                     let group = &batches[bi][g * slots..batches[bi].len().min((g + 1) * slots)];
+                    // Pad the tail group with zeros so every slot carries
+                    // the bias and additions of unequal-count ciphertexts
+                    // stay decodable slot-by-slot.
                     let mut encoded = vec![0i64; slots];
                     for (e, &v) in encoded.iter_mut().zip(group.iter()) {
                         *e = self.codec.encode(v)?;

@@ -178,6 +178,65 @@ proptest! {
 }
 
 proptest! {
+    // Keys of at most 256 bits: cheap enough for every (width, j, k) to
+    // come up.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `PaillierCiphertext::from_biguint` validates nothing, so the public
+    /// key's homomorphic operations must stay total over unreduced
+    /// operands: `c + j·n²` is the ciphertext `c`, whichever operand it is
+    /// — where a bare Montgomery product would return garbage for an
+    /// operand wider than the modulus. Widths cover an `n²` whose top limb
+    /// is nearly empty (`c + 3n²` still fits its limbs and goes straight
+    /// into the kernel) and nearly full (it does not, and is divided).
+    #[test]
+    fn homomorphic_ops_are_total_over_unreduced_ciphertexts(
+        seed in any::<u64>(),
+        width in 0usize..5,
+        j in 0u64..=3,
+        k in 0u64..=3,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use vfps_he::paillier::PaillierCiphertext;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kp = generate_keypair(&mut rng, [64, 65, 128, 250, 256][width]).unwrap();
+        let pk = &kp.public;
+        let (n, n_squared) = (pk.modulus(), pk.modulus_squared());
+        let enc = PaillierEncryptor::new(pk, &mut rng);
+        let (mc, md) = (BigUint::random_below(&mut rng, n), BigUint::random_below(&mut rng, n));
+        let c = enc.encrypt_seeded(&mc, seed).unwrap();
+        let d = enc.encrypt_seeded(&md, !seed).unwrap();
+        let lift = |ct: &PaillierCiphertext, by: u64| {
+            PaillierCiphertext::from_biguint(ct.as_biguint().add(&n_squared.mul_u64(by)))
+        };
+        let (wide_c, wide_d) = (lift(&c, j), lift(&d, k));
+
+        let sum = pk.add(&c, &d);
+        prop_assert_eq!(sum.as_biguint(), &c.as_biguint().mul_mod(d.as_biguint(), n_squared));
+        prop_assert_eq!(&pk.add(&wide_c, &d), &sum);
+        prop_assert_eq!(&pk.add(&c, &wide_d), &sum);
+        prop_assert_eq!(&pk.add(&wide_c, &wide_d), &sum);
+        prop_assert_eq!(kp.private.decrypt(&sum), mc.add_mod(&md, n));
+
+        // `add_plain` also takes any plaintext, reduced modulo n or not.
+        let shifted = pk.add_plain(&c, &md);
+        prop_assert_eq!(&pk.add_plain(&wide_c, &md), &shifted);
+        prop_assert_eq!(&pk.add_plain(&wide_c, &md.add(&n.mul_u64(k))), &shifted);
+        prop_assert_eq!(kp.private.decrypt(&shifted), mc.add_mod(&md, n));
+
+        let fresh = pk.rerandomize(&c, &mut StdRng::seed_from_u64(seed ^ 1));
+        let fresh_wide = pk.rerandomize(&wide_c, &mut StdRng::seed_from_u64(seed ^ 1));
+        prop_assert_eq!(&fresh_wide, &fresh);
+        prop_assert_eq!(kp.private.decrypt(&fresh), mc.clone());
+
+        let tripled = pk.mul_plain(&c, &BigUint::from_u64(3));
+        prop_assert_eq!(&pk.mul_plain(&wide_c, &BigUint::from_u64(3)), &tripled);
+        prop_assert_eq!(kp.private.decrypt(&tripled), mc.mul_u64(3).rem(n));
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Packing round-trips arbitrary in-range values, including boundary
