@@ -5,7 +5,8 @@
 # the Channel receive contract is vfps_net::channel::Mailbox's alone.
 # Three HE rules ride along: one decrypt helper in vfl, no Montgomery
 # context built per ciphertext, no division-based modular product on the
-# Paillier data path.
+# Paillier data path. And three for the party plane's round: the exchange
+# is per wave, never per query, and session setup is fanned out.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -97,6 +98,54 @@ done <<< "$products"
 # One group-encrypt routine: encrypt_on is encrypt_many_on of one batch.
 if hits=$(grep -rn 'encrypt_reserved' crates --include='*.rs'); then
     echo "encrypt_reserved is back (PaillierHe::encrypt_many_on is the one group-encrypt routine):"
+    echo "$hits"
+    fail=1
+fi
+
+# One wave per round (DESIGN.md §7): the protocol bodies exchange a wave's
+# messages at once. A loop over the session's queries that sends or
+# receives is the per-query exchange — a round of Q serial round trips —
+# coming back.
+# Prints the brace-balanced block of file $1 that opens on line $2.
+block_at() {
+    awk -v from="$2" 'NR >= from {
+        print NR ": " $0
+        opens += gsub(/\{/, "{"); closes += gsub(/\}/, "}")
+        if (opens > 0 && opens == closes) exit
+    }' "$1"
+}
+protocol=crates/vfl/src/protocol.rs
+protocol_tests_from=$(grep -n '^#\[cfg(test)\]' "$protocol" | head -n 1 | cut -d: -f1)
+query_loops=$(grep -nE 'shared\.queries|query_feats' "$protocol" | grep -E '\bfor\b|for_each' || true)
+while IFS=: read -r line _; do
+    [ -n "$line" ] || continue
+    [ "$line" -lt "${protocol_tests_from:-999999}" ] || continue
+    if hits=$(block_at "$protocol" "$line" | grep -E '\.send\(|send_or_gone\(|\.recv[a-z_]*\('); then
+        echo "$protocol:$line: a loop over the session's queries sends or receives (exchange a wave at a time):"
+        echo "$hits"
+        fail=1
+    fi
+done <<< "$query_loops"
+
+# Its barrier is per wave too; the per-query one is retired on the wire.
+if hits=$(grep -rn 'QueryDone' crates --include='*.rs'); then
+    echo "QueryDone is back (the barrier is ProtoMsg::WaveDone, once per wave):"
+    echo "$hits"
+    fail=1
+fi
+
+# Setup is fanned out: Hub::connect dials every daemon and ships its
+# SetupFrame before it waits for any Ready, so keygens and local views
+# build concurrently. A receive inside the dial loop serializes them.
+hub=crates/cluster/src/hub.rs
+connect_from=$(grep -n 'pub fn connect(' "$hub" | head -n 1 | cut -d: -f1 || true)
+dial_line=$(block_at "$hub" "${connect_from:-1}" | grep -E 'connect_with_budget\(' | head -n 1 | cut -d: -f1 || true)
+dial_loop=$(sed -n "${connect_from:-1},${dial_line:-1}p" "$hub" | grep -nE '^\s*for\b' | tail -n 1 | cut -d: -f1 || true)
+if [ -z "$connect_from" ] || [ -z "$dial_line" ] || [ -z "$dial_loop" ]; then
+    echo "$hub: cannot find Hub::connect's dial loop (update ci/check_one_edge.sh with it)"
+    fail=1
+elif hits=$(block_at "$hub" "$((connect_from + dial_loop - 1))" | grep -E '\.recv[a-z_:<>A-Za-z]*\('); then
+    echo "$hub: Hub::connect receives inside its dial loop (send every Setup first, then collect the Readys):"
     echo "$hits"
     fail=1
 fi

@@ -161,17 +161,21 @@ pub fn bench_cluster(cfg: &ClusterBenchConfig) -> String {
     assert_eq!(stats.kills_observed, 0, "fault-free run observed a kill");
     assert_eq!(stats.reconnects, 0, "fault-free localhost run consumed reconnect budget");
 
-    // Backend 2 under fire: slot 2's daemon dies mid-batch (abrupt socket
+    // Backend 2 under fire: slot 2's daemon dies mid-wave (abrupt socket
     // death — the SIGKILL signature) and the leader degrades over the
     // survivors. Skipped for external daemons we do not own.
     let kill = if cfg.addrs.is_none() {
+        // Every frame the victim sends answers, or is answered by, one it
+        // receives: its frame count is half its channel ops, the middle
+        // of the wave.
+        let mid_wave_ops = stats.per_party[2].frames_in;
         let mut handles = Vec::new();
         let addrs: Vec<String> = parties
             .iter()
             .map(|&p| {
                 let mut pc = PartyConfig::new(p);
                 if p == 2 {
-                    pc.kill_after_ops = Some(6 * (query_count as u64 / 2));
+                    pc.kill_after_ops = Some(mid_wave_ops);
                 }
                 let (addr, h) = spawn_party(&ds.x, &partition, pc, 1);
                 handles.push(h);

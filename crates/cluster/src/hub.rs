@@ -281,9 +281,10 @@ pub struct Hub {
 }
 
 impl Hub {
-    /// Dials one daemon per consortium slot, ships each its
-    /// [`SetupFrame`], waits for every [`ClusterMsg::Ready`], and starts
-    /// the relay plane.
+    /// Dials one daemon per consortium slot and ships each its
+    /// [`SetupFrame`], then waits for every [`ClusterMsg::Ready`] in slot
+    /// order — every daemon is building its keys and local view while the
+    /// first is still being waited for — and starts the relay plane.
     ///
     /// # Errors
     /// I/O error when a daemon cannot be reached within its connect
@@ -304,8 +305,11 @@ impl Hub {
             reconnects += retries;
             let setup = SetupFrame::for_slot(session, shuffle_seed, slot, scheme);
             conn.send(&ClusterMsg::Setup(setup))?;
+            conns.push(conn);
+        }
+        for ((conn, addr), &party) in conns.iter().zip(addrs).zip(&session.parties) {
             match conn.recv::<ClusterMsg>() {
-                Ok(Some(ClusterMsg::Ready { party_id })) if party_id == session.parties[slot] => {}
+                Ok(Some(ClusterMsg::Ready { party_id })) if party_id == party => {}
                 Ok(Some(ClusterMsg::Failed(ef))) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
@@ -315,10 +319,7 @@ impl Hub {
                 Ok(other) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
-                        format!(
-                            "{addr}: expected Ready for party {}, got {other:?}",
-                            session.parties[slot]
-                        ),
+                        format!("{addr}: expected Ready for party {party}, got {other:?}"),
                     ));
                 }
                 Err(e) => {
@@ -327,7 +328,6 @@ impl Hub {
                     )));
                 }
             }
-            conns.push(conn);
         }
 
         let (tx, rx) = unbounded();
@@ -372,6 +372,19 @@ impl Hub {
                 return None;
             }
             self.shared.result_set.wait_for(&mut results, remaining);
+        }
+    }
+
+    /// Tells every daemon still in session that node 0 has left dirtily —
+    /// what the simulated cluster broadcasts when a node body fails. A
+    /// participant blocked on the server's next message gets its hangup
+    /// now instead of at its deadline. (A clean exit needs no notice: the
+    /// server body returns only after the last barrier, when no peer
+    /// awaits node 0.)
+    pub(crate) fn announce_server_failure(&self) {
+        let gone = self.shared.departed.lock().clone();
+        for slot in (0..self.p).filter(|&s| gone[s].is_none()) {
+            let _ = self.shared.write_to(slot, &ClusterMsg::Departed { node: 0, clean: false });
         }
     }
 

@@ -143,7 +143,8 @@ impl SetupFrame {
     ///
     /// # Errors
     /// [`Error::ProtocolViolation`] on a mode byte outside the threaded
-    /// protocol or a slot outside the consortium.
+    /// protocol, a slot outside the consortium, an empty consortium or
+    /// database, or more database rows than the wire's `u32` ids address.
     pub fn session(&self) -> Result<KnnSession, Error> {
         let mode = protocol_mode_from_byte(self.mode)
             .ok_or_else(|| Error::violation(format!("unroutable knn mode byte {}", self.mode)))?;
@@ -156,6 +157,12 @@ impl SetupFrame {
         }
         if self.parties.is_empty() || self.db_rows.is_empty() {
             return Err(Error::violation("empty consortium or database"));
+        }
+        if u32::try_from(self.db_rows.len()).is_err() {
+            return Err(Error::violation(format!(
+                "{} database rows: pseudo ids travel as u32",
+                self.db_rows.len()
+            )));
         }
         let cfg = FedKnnConfig {
             k: self.k,
@@ -321,7 +328,7 @@ mod tests {
             Error::Hangup { peer: 3 },
             Error::Timeout { peer: Some(1), waited: Duration::from_millis(250) },
             Error::Timeout { peer: None, waited: Duration::from_secs(10) },
-            Error::violation("expected RankBatch, got QueryDone"),
+            Error::violation("expected RankBatch, got WaveDone"),
             Error::Killed { node: 2, op: 17 },
         ];
         for e in cases {

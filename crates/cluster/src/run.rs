@@ -77,6 +77,10 @@ pub fn run_cluster_knn_supervised<H: AdditiveHe>(
         knn_server_node(&hub, he, session)
     };
 
+    if server.is_err() {
+        hub.announce_server_failure();
+    }
+
     // Collect terminal frames. The leader decides the run's fate; the
     // other daemons finish at essentially the same moment, so a short
     // grace per slot suffices. A daemon that reported nothing is down with

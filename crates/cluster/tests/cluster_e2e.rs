@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use vfps_cluster::{ping_party, run_cluster_knn, HubOptions, PartyConfig, SchemeSpec};
 use vfps_data::VerticalPartition;
-use vfps_he::scheme::PaillierHe;
+use vfps_he::scheme::{seeded_uniform, PaillierHe, PlainHe};
 use vfps_ml::linalg::Matrix;
 use vfps_net::FaultPlan;
 use vfps_vfl::fed_knn::{FedKnnConfig, KnnMode};
@@ -136,7 +136,7 @@ fn plain_two_party_transcript_is_byte_identical_to_the_ledger() {
     let db: Vec<usize> = (0..8).collect();
     let queries = vec![1usize, 4];
     let parties = vec![0usize, 1];
-    let he = Arc::new(vfps_he::scheme::PlainHe::new(4));
+    let he = Arc::new(PlainHe::new(4));
 
     for mode in [KnnMode::Base, KnnMode::Fagin] {
         let cfg = FedKnnConfig { k: 2, mode, batch: 3, cost_scale: 1.0 };
@@ -177,50 +177,82 @@ fn plain_two_party_transcript_is_byte_identical_to_the_ledger() {
 
 /// A non-leader daemon dying abruptly mid-protocol (socket dropped, no
 /// terminal frame — the SIGKILL signature) degrades the run over the
-/// survivors, exactly like the in-process fault suite's kill matrix.
+/// survivors, wave by wave: the wave it dies in runs without it, the wave
+/// before keeps its contribution.
 #[test]
 fn abrupt_nonleader_death_degrades_over_survivors() {
-    let (x, part) = toy();
-    let db: Vec<usize> = (0..8).collect();
-    let queries = vec![0usize, 3];
+    // Enough rows that a dozen queries need two waves.
+    let (rows, cols) = (1024usize, 6usize);
+    let x = Matrix::from_vec(rows, cols, seeded_uniform(0xab0, rows * cols, 0.0, 1.0));
+    let part = VerticalPartition::even(cols, 3);
+    let db: Vec<usize> = (0..rows).collect();
     let parties = vec![0usize, 1, 2];
+    // Real ciphertexts: the degraded wave has the server aggregate two of
+    // three parties' Paillier blobs and the leader decrypt the partial sum.
     let he = Arc::new(PaillierHe::generate(128, 8, 6).unwrap());
-    let cfg = FedKnnConfig { k: 2, mode: KnnMode::Fagin, batch: 2, cost_scale: 1.0 };
+    let scheme = SchemeSpec::paillier(128, 8, 6);
+    let cfg = FedKnnConfig { k: 2, mode: KnnMode::Fagin, batch: 64, cost_scale: 1.0 };
+    let wave = KnnSession::new(&parties, &db, &[], cfg, 9).wave_len();
+    let queries: Vec<usize> = (0..wave + 2).map(|q| q * 11).collect();
 
-    let mut addrs = Vec::new();
-    let mut handles = Vec::new();
-    for &p in &parties {
-        let mut pc = PartyConfig::new(p);
-        if p == 2 {
-            // Slot 2 (node 3) dies mid-Fagin-stream of the first query.
-            pc.kill_after_ops = Some(6);
+    let run = |queries: &[usize], kill_after_ops: Option<u64>| {
+        let mut addrs = Vec::new();
+        let mut handles = Vec::new();
+        for &p in &parties {
+            let mut pc = PartyConfig::new(p);
+            if p == 2 {
+                pc.kill_after_ops = kill_after_ops;
+            }
+            let (addr, h) = spawn_party(&x, &part, pc, 1);
+            addrs.push(addr);
+            handles.push(h);
         }
-        let (addr, h) = spawn_party(&x, &part, pc, 1);
-        addrs.push(addr);
-        handles.push(h);
-    }
-    let session = KnnSession::new(&parties, &db, &queries, cfg, 9);
-    let report =
-        run_cluster_knn(&he, &session, 9, SchemeSpec::paillier(128, 8, 6), &addrs, &fast_opts())
-            .expect("tcp setup");
+        let session = KnnSession::new(&parties, &db, queries, cfg, 9);
+        let report =
+            run_cluster_knn(&he, &session, 9, scheme, &addrs, &fast_opts()).expect("tcp setup");
+        let reports: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        (report, reports)
+    };
+
+    // The first wave alone, fault-free: every frame slot 2 sends answers
+    // one it received (or the other way round), so its channel ops there
+    // are twice its frames.
+    let (first_wave, _) = run(&queries[..wave], None);
+    assert!(matches!(first_wave.run, FaultedRun::Complete(_)), "got {:?}", first_wave.run);
+    let first_wave_ops = 2 * first_wave.stats.per_party[2].frames_in;
+
+    // Slot 2 (node 3) dies in the second wave's Fagin stream, one answered
+    // `NeedBatch` in.
+    let (report, daemons) = run(&queries, Some(first_wave_ops + 2));
     let FaultedRun::Degraded(run) = report.run else {
         panic!("expected degraded run, got {:?}", report.run)
     };
     assert_eq!(run.dropouts, vec![3], "only node 3 died");
     assert_eq!(run.outcomes.len(), queries.len(), "leader finished the batch");
-    // The kill fires between the two queries: the first completed with
-    // every party contributing, the second ran over the survivors with the
-    // dead slot's d_t zero-filled — the same mid-batch semantics the
-    // in-process fault suite pins.
-    assert!(run.outcomes[0].d_t[2] > 0.0, "query before the death is intact");
-    assert_eq!(run.outcomes[1].d_t[2], 0.0, "dead slot's d_t is zero-filled after death");
-    assert!(run.outcomes[1].d_t[0] > 0.0 || run.outcomes[1].d_t[1] > 0.0);
-    assert_eq!(report.stats.kills_observed, 1);
-    let killed_report = handles.remove(2).join().unwrap();
-    assert!(killed_report.killed);
-    for h in handles {
-        h.join().unwrap();
+    for (q, o) in run.outcomes.iter().enumerate() {
+        if q < wave {
+            assert!(o.d_t[2] > 0.0, "query {q}: the wave before the death is intact");
+        } else {
+            assert_eq!(o.d_t[2], 0.0, "query {q}: zero-filled for the whole wave of the death");
+        }
+        assert!(o.d_t[0] > 0.0 && o.d_t[1] > 0.0, "query {q}: the survivors contribute");
+        assert_eq!(o.topk_rows.len(), cfg.k, "query {q} still answers");
     }
+    assert_eq!(report.stats.kills_observed, 1);
+    assert_eq!(
+        daemons.iter().map(|r| r.killed).collect::<Vec<_>>(),
+        vec![false, false, true],
+        "the kill knob fired on slot 2 only"
+    );
+
+    // The in-process cluster with node 3 killed at the same channel op
+    // decrypts the same partial aggregates: Paillier sums are exact, so
+    // every outcome is equal to the bit.
+    let faults = FaultPlan::new().kill_at(3, first_wave_ops + 2);
+    let sim = run_threaded_knn_faulted(&he, &x, &part, &parties, &db, &queries, cfg, 9, &faults);
+    let FaultedRun::Degraded(sim) = sim else { panic!("expected degraded sim run, got {sim:?}") };
+    assert_eq!(sim.dropouts, run.dropouts);
+    assert_eq!(sim.outcomes, run.outcomes, "sim and TCP degrade to the same outcomes");
 }
 
 /// Killing the leader aborts the run with the same typed error the
@@ -333,7 +365,6 @@ fn daemon_survives_garbage_and_misdirected_setups() {
 /// Drives one single-party PlainHe session against `addr` and asserts it
 /// completes.
 fn run_one_plain_session(addr: &str, _x: &Matrix, _part: &VerticalPartition) {
-    use vfps_he::scheme::PlainHe;
     let he = Arc::new(PlainHe::new(4));
     let cfg = FedKnnConfig { k: 2, mode: KnnMode::Base, batch: 2, cost_scale: 1.0 };
     let db: Vec<usize> = (0..8).collect();

@@ -6,18 +6,26 @@
 mod common;
 
 use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vfps_cluster::{ClusterMsg, PartyChannel};
+use vfps_cluster::{
+    run_cluster_knn, serve_party, ClusterMsg, HubOptions, PartyChannel, PartyConfig, SchemeSpec,
+    SetupFrame,
+};
+use vfps_data::VerticalPartition;
+use vfps_he::scheme::PlainHe;
+use vfps_ml::linalg::Matrix;
 use vfps_net::channel::Channel;
 use vfps_net::wire::Wire;
 use vfps_net::{run_cluster_fallible, ClusterOptions, Conn, Envelope, Error, FallibleNodeFn};
-use vfps_vfl::ProtoMsg;
+use vfps_vfl::fed_knn::{FedKnnConfig, KnnMode};
+use vfps_vfl::{knn_server_node, FaultedRun, KnnSession, ProtoMsg};
 
 const LONG: Duration = Duration::from_secs(20);
 
-fn tag(t: usize) -> ProtoMsg {
-    ProtoMsg::TopkIds(vec![t])
+fn tag(t: u32) -> ProtoMsg {
+    ProtoMsg::TopkIds(vec![vec![t]])
 }
 
 /// Node 0's side. What the peers have put in its inbox, in order, when
@@ -158,4 +166,150 @@ fn tcp_party_channel_honours_the_contract() {
     contract(&PartyChannel::new(&conn, 0, 4, None));
     drop(conn);
     hub.join().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Frames that lie: every id, index and count a peer sends is checked where it
+// enters, so a hostile frame is a typed violation on every transport.
+// ---------------------------------------------------------------------------
+
+/// Database rows of the hostile sessions; `ROWS` itself is the first id
+/// outside them.
+const ROWS: u32 = 4;
+
+fn session(parties: &[usize], mode: KnnMode) -> KnnSession {
+    let cfg = FedKnnConfig { k: 1, mode, batch: 2, cost_scale: 1.0 };
+    let db: Vec<usize> = (0..ROWS as usize).collect();
+    KnnSession::new(parties, &db, &[0, 1], cfg, 5)
+}
+
+/// Node 0's side: the real server body over a one-party Fagin session
+/// whose participant answers with an id outside the database.
+fn server_refuses_a_lying_rank_batch<C: Channel<ProtoMsg>>(ch: &C) {
+    let he = Arc::new(PlainHe::new(4));
+    let err = knn_server_node(ch, &he, &session(&[0], KnnMode::Fagin)).unwrap_err();
+    assert!(matches!(err, Error::ProtocolViolation { .. }), "typed, got {err:?}");
+    assert!(err.to_string().contains(&format!("RankBatch: {ROWS} outside")), "got {err}");
+}
+
+/// Node 1's side: one in-range batch too few would be a count violation;
+/// this one keeps the count and lies about an id.
+fn lying_rank_batch(asked: &[u32]) -> ProtoMsg {
+    ProtoMsg::RankBatch(asked.iter().map(|_| vec![0, ROWS]).collect())
+}
+
+fn lying_participant<C: Channel<ProtoMsg>>(ch: &C) -> Result<(), Error> {
+    let ProtoMsg::NeedBatch(asked) = ch.recv_from_timeout(0, LONG)? else {
+        panic!("the stream opens with NeedBatch");
+    };
+    assert_eq!(asked, vec![0, 1], "both queries of the wave are open");
+    ch.send(0, lying_rank_batch(&asked))?;
+    // The server body is gone; nothing else arrives.
+    assert_eq!(ch.recv_from_timeout(0, LONG), Err(Error::Hangup { peer: 0 }));
+    Ok(())
+}
+
+#[test]
+fn a_lying_rank_batch_is_a_typed_violation_on_every_transport() {
+    // Simulated cluster.
+    let fns: Vec<FallibleNodeFn<ProtoMsg, ()>> = vec![
+        Box::new(|ctx| {
+            server_refuses_a_lying_rank_batch(&ctx);
+            Err(Error::violation("server body refused the frame"))
+        }),
+        Box::new(|ctx| lying_participant(&ctx)),
+    ];
+    let (results, _) = run_cluster_fallible(fns, ClusterOptions::default());
+    assert_eq!(results[1], Ok(()), "the participant saw the server leave");
+
+    // The hub, against a daemon-side `PartyChannel`.
+    fn daemon(listener: TcpListener, party_id: usize) {
+        let conn = Conn::adopt(common::accept_session(&listener, party_id));
+        lying_participant(&PartyChannel::new(&conn, 1, 2, None)).unwrap();
+    }
+    let (mut hub, daemons) = common::hub_over(1, daemon);
+    server_refuses_a_lying_rank_batch(&hub);
+    hub.shutdown();
+    for d in daemons {
+        d.join().unwrap();
+    }
+
+    // A `PartyChannel` as node 0, against a scripted hub socket.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let hub = std::thread::spawn(move || {
+        let conn = Conn::adopt(listener.accept().unwrap().0);
+        let Ok(Some(ClusterMsg::Routed { from: 0, to: 1, payload })) = conn.recv::<ClusterMsg>()
+        else {
+            panic!("expected node 0's NeedBatch");
+        };
+        let Ok(ProtoMsg::NeedBatch(asked)) = ProtoMsg::from_bytes(&payload) else {
+            panic!("expected NeedBatch");
+        };
+        let payload = lying_rank_batch(&asked).to_bytes();
+        conn.send(&ClusterMsg::Routed { from: 1, to: 0, payload }).unwrap();
+        assert!(matches!(conn.recv::<ClusterMsg>(), Ok(None)));
+    });
+    let conn = Conn::connect(addr).unwrap();
+    server_refuses_a_lying_rank_batch(&PartyChannel::new(&conn, 0, 2, None));
+    drop(conn);
+    hub.join().unwrap();
+}
+
+/// A real daemon sent ids outside the database — by the server
+/// (`Candidates`) or by the leader (`TopkIds`) — used to index out of
+/// bounds and unwind through `serve_party`. It answers `Failed`, and the
+/// next honest session runs.
+#[test]
+fn a_daemon_answers_lying_id_lists_with_failed_and_serves_on() {
+    let x = Matrix::from_rows(&[vec![0.0, 0.1], vec![0.2, 0.0], vec![5.0, 5.1], vec![5.2, 5.0]]);
+    let partition = VerticalPartition::even(2, 2);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let daemon = {
+        let (x, partition) = (x.clone(), partition.clone());
+        std::thread::spawn(move || {
+            let cfg = PartyConfig { max_sessions: Some(3), ..PartyConfig::new(1) };
+            serve_party(&listener, &x, &partition, &cfg).expect("daemon accept loop")
+        })
+    };
+    let routed = |from, msg: ProtoMsg| ClusterMsg::Routed { from, to: 2, payload: msg.to_bytes() };
+    let lies = [
+        (KnnMode::Fagin, routed(0, ProtoMsg::Candidates(vec![vec![1], vec![ROWS]])), "Candidates"),
+        (KnnMode::Base, routed(1, ProtoMsg::TopkIds(vec![vec![ROWS], vec![1]])), "TopkIds"),
+    ];
+    for (mode, lie, what) in lies {
+        // The daemon is slot 1 — a plain participant — of a two-party session.
+        let conn = Conn::connect(&addr).unwrap();
+        conn.set_read_timeout(Some(LONG)).unwrap();
+        let setup = SetupFrame::for_slot(&session(&[0, 1], mode), 5, 1, SchemeSpec::plain(4));
+        conn.send(&ClusterMsg::Setup(setup)).unwrap();
+        assert_eq!(conn.recv::<ClusterMsg>().unwrap(), Some(ClusterMsg::Ready { party_id: 1 }));
+        if mode == KnnMode::Base {
+            conn.send(&routed(0, ProtoMsg::AllCandidates)).unwrap();
+            match conn.recv::<ClusterMsg>() {
+                Ok(Some(ClusterMsg::Routed { from: 2, to: 0, .. })) => {}
+                other => panic!("expected the daemon's EncPartials, got {other:?}"),
+            }
+        }
+        conn.send(&lie).unwrap();
+        match conn.recv::<ClusterMsg>() {
+            Ok(Some(ClusterMsg::Failed(refusal))) => {
+                let e = refusal.to_error();
+                assert!(matches!(e, Error::ProtocolViolation { .. }), "{what}: got {e:?}");
+                assert!(e.to_string().contains(&format!("{what}: {ROWS} outside")), "got {e}");
+            }
+            other => panic!("{what}: expected a typed Failed frame, got {other:?}"),
+        }
+    }
+
+    // One-party honest session against the same daemon.
+    let he = Arc::new(PlainHe::new(4));
+    let opts = HubOptions { connect_timeout: Duration::from_secs(2), ..HubOptions::default() };
+    let honest = session(&[1], KnnMode::Fagin);
+    let report =
+        run_cluster_knn(&he, &honest, 5, SchemeSpec::plain(4), &[addr], &opts).expect("tcp setup");
+    assert!(matches!(report.run, FaultedRun::Complete(_)), "got {:?}", report.run);
+    let report = daemon.join().unwrap();
+    assert_eq!((report.sessions, report.killed), (3, false));
 }

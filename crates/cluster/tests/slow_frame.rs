@@ -18,7 +18,8 @@ use vfps_cluster::ClusterMsg;
 /// and holds the socket open until the hub closes it.
 fn dribbling_daemon(listener: TcpListener, party_id: usize) {
     let mut stream = common::accept_session(&listener, party_id);
-    let routed = ClusterMsg::Routed { from: 1, to: 0, payload: ProtoMsg::DtSum(4.5).to_bytes() };
+    let routed =
+        ClusterMsg::Routed { from: 1, to: 0, payload: ProtoMsg::DtSum(vec![4.5]).to_bytes() };
     let mut frame = Vec::new();
     write_frame(&mut frame, &routed).unwrap();
     stream.write_all(&frame[..10]).unwrap();
@@ -31,7 +32,7 @@ fn dribbling_daemon(listener: TcpListener, party_id: usize) {
 fn a_frame_that_arrives_in_two_pieces_is_delivered_whole() {
     let (mut hub, daemons) = common::hub_over(1, dribbling_daemon);
     let got = hub.recv_from_timeout(1, Duration::from_secs(3));
-    assert_eq!(got, Ok(ProtoMsg::DtSum(4.5)), "the daemon was alive the whole time");
+    assert_eq!(got, Ok(ProtoMsg::DtSum(vec![4.5])), "the daemon was alive the whole time");
     assert!(!hub.is_departed(1));
     hub.shutdown();
     assert_eq!(hub.stats().kills_observed, 0, "the hub's own shutdown is not a kill");

@@ -15,7 +15,9 @@
 //!    a [`StatsProbe`] and fires once the victim's observed frame count
 //!    crosses a phase threshold, so each cell deterministically lands in
 //!    its phase (setup / Fagin stream / late batch) without wall-clock
-//!    guessing. Each cell must produce the same typed outcome the
+//!    guessing. The cells run a three-wave session: a wave is one exchange,
+//!    so a signal gated on the first wave's frames has two whole waves to
+//!    land in. Each cell must produce the same typed outcome the
 //!    in-process fault suite pins.
 
 use std::io::{BufRead, BufReader};
@@ -42,9 +44,13 @@ const INSTANCES: usize = 96;
 const PARTIES: usize = 3;
 const DATA_SEED: u64 = 7;
 
-fn world() -> (Dataset, Split, VerticalPartition) {
+/// Instances of the kill matrix's world: its training rows times a dozen
+/// queries are three waves.
+const KILL_INSTANCES: usize = 2400;
+
+fn world(instances: usize) -> (Dataset, Split, VerticalPartition) {
     let spec = DatasetSpec::by_name(DATASET).expect("dataset");
-    let (ds, split) = prepared_sized(&spec, INSTANCES, DATA_SEED);
+    let (ds, split) = prepared_sized(&spec, instances, DATA_SEED);
     let partition = VerticalPartition::random(ds.n_features(), PARTIES, DATA_SEED);
     (ds, split, partition)
 }
@@ -79,11 +85,12 @@ struct Fleet {
 }
 
 impl Fleet {
-    fn spawn(max_sessions: usize) -> Fleet {
+    /// A fleet whose daemons rebuild the `instances`-sized world.
+    fn spawn(instances: usize, max_sessions: usize) -> Fleet {
         let mut procs = Vec::new();
         let mut addrs = Vec::new();
         for party_id in 0..PARTIES {
-            let (child, addr) = spawn_party_proc(party_id, max_sessions);
+            let (child, addr) = spawn_party_proc(party_id, instances, max_sessions);
             procs.push(Arc::new(Mutex::new(Some(child))));
             addrs.push(addr);
         }
@@ -106,7 +113,7 @@ impl Drop for Fleet {
 /// Spawns `vfps party` as a real OS process and parses its readiness
 /// banner for the bound address. Stdout stays drained by a detached
 /// thread so the daemon can never block on a full pipe.
-fn spawn_party_proc(party_id: usize, max_sessions: usize) -> (Child, String) {
+fn spawn_party_proc(party_id: usize, instances: usize, max_sessions: usize) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_vfps"))
         .args([
             "party",
@@ -117,7 +124,7 @@ fn spawn_party_proc(party_id: usize, max_sessions: usize) -> (Child, String) {
             "--synthetic",
             DATASET,
             "--instances",
-            &INSTANCES.to_string(),
+            &instances.to_string(),
             "--seed",
             &DATA_SEED.to_string(),
             "--addr",
@@ -201,7 +208,7 @@ fn run_session<H: AdditiveHe>(
 /// pin safe at three parties (f64 addition would not be).
 #[test]
 fn selection_over_three_real_daemons_is_bit_identical_to_the_sim() {
-    let (ds, split, partition) = world();
+    let (ds, split, partition) = world(INSTANCES);
     let ctx = SelectionContext {
         ds: &ds,
         split: &split,
@@ -236,7 +243,7 @@ fn selection_over_three_real_daemons_is_bit_identical_to_the_sim() {
     let FaultedRun::Complete(sim) = sim else { panic!("sim run must complete, got {sim:?}") };
 
     // The real backend: three OS processes, one TCP socket each.
-    let fleet = Fleet::spawn(1);
+    let fleet = Fleet::spawn(INSTANCES, 1);
     let session = KnnSession::new(&parties, &split.train, &queries, cfg, 42);
     let report =
         run_session(&he, &session, 42, SchemeSpec::paillier(128, sel.batch, 5), &fleet, None);
@@ -260,16 +267,45 @@ fn selection_over_three_real_daemons_is_bit_identical_to_the_sim() {
     assert_eq!(from_tcp.selection.scores, from_sim.selection.scores);
 }
 
-/// Shared shape for the kill-matrix cells: a 12-query Fagin batch over
-/// the plaintext scheme (the matrix pins fault semantics, not ciphertext
-/// bits), leaving plenty of protocol frames for the progress gates.
-fn kill_matrix_shape(
-    split: &Split,
-) -> (Vec<usize>, Vec<usize>, FedKnnConfig, Arc<PlainHe>, SchemeSpec) {
-    let parties: Vec<usize> = (0..PARTIES).collect();
-    let queries: Vec<usize> = split.train.iter().copied().take(12).collect();
-    let cfg = FedKnnConfig { k: 4, mode: KnnMode::Fagin, batch: 8, cost_scale: 1.0 };
-    (parties, queries, cfg, Arc::new(PlainHe::new(8)), SchemeSpec::plain(8))
+/// Shared shape for the kill-matrix cells: a three-wave Fagin session
+/// over the plaintext scheme (the matrix pins fault semantics, not
+/// ciphertext bits).
+struct KillShape {
+    /// The world's training rows — the session's database.
+    train: Vec<usize>,
+    parties: Vec<usize>,
+    /// Two full waves of queries and four more.
+    queries: Vec<usize>,
+    cfg: FedKnnConfig,
+    he: Arc<PlainHe>,
+    scheme: SchemeSpec,
+    /// Queries per wave.
+    wave: usize,
+}
+
+impl KillShape {
+    fn new() -> KillShape {
+        let (_ds, split, _partition) = world(KILL_INSTANCES);
+        let parties: Vec<usize> = (0..PARTIES).collect();
+        let cfg = FedKnnConfig { k: 4, mode: KnnMode::Fagin, batch: 8, cost_scale: 1.0 };
+        let wave = KnnSession::new(&parties, &split.train, &[], cfg, 0).wave_len();
+        let queries: Vec<usize> = split.train.iter().copied().take(2 * wave + 4).collect();
+        assert!(queries.len() > 2 * wave, "the world must hold three waves of queries");
+        KillShape {
+            train: split.train,
+            parties,
+            queries,
+            cfg,
+            he: Arc::new(PlainHe::new(8)),
+            scheme: SchemeSpec::plain(8),
+            wave,
+        }
+    }
+
+    /// The session over `queries` under `shuffle_seed`.
+    fn session(&self, queries: &[usize], shuffle_seed: u64) -> KnnSession {
+        KnnSession::new(&self.parties, &self.train, queries, self.cfg, shuffle_seed)
+    }
 }
 
 /// Kill matrix, setup phase: a daemon SIGKILLed before the coordinator
@@ -277,19 +313,18 @@ fn kill_matrix_shape(
 /// the same admission/protocol split the in-process suite pins.
 #[test]
 fn kill_matrix_setup_phase_daemon_death_is_a_typed_connect_error() {
-    let (_ds, split, _partition) = world();
-    let (parties, queries, cfg, he, scheme) = kill_matrix_shape(&split);
+    let shape = KillShape::new();
 
-    let fleet = Fleet::spawn(1);
+    let fleet = Fleet::spawn(KILL_INSTANCES, 1);
     kill_proc(&fleet.victim(2)); // dead before the first dial
-    let session = KnnSession::new(&parties, &split.train, &queries, cfg, 11);
+    let session = shape.session(&shape.queries, 11);
     let tight = HubOptions {
         connect_budget: 3,
         connect_backoff: Duration::from_millis(10),
         connect_timeout: Duration::from_millis(300),
         ..fast_opts()
     };
-    let err = run_cluster_knn(&he, &session, 11, scheme, &fleet.addrs, &tight);
+    let err = run_cluster_knn(&shape.he, &session, 11, shape.scheme, &fleet.addrs, &tight);
     assert!(err.is_err(), "a dead daemon at setup must be an Err, got {err:?}");
 }
 
@@ -298,12 +333,15 @@ fn kill_matrix_setup_phase_daemon_death_is_a_typed_connect_error() {
 /// can be decrypted without the leader, exactly as in-process.
 #[test]
 fn kill_matrix_stream_phase_leader_sigkill_aborts_with_typed_hangup() {
-    let (_ds, split, _partition) = world();
-    let (parties, queries, cfg, he, scheme) = kill_matrix_shape(&split);
+    let shape = KillShape::new();
 
-    let fleet = Fleet::spawn(1);
-    let session = KnnSession::new(&parties, &split.train, &queries, cfg, 17);
-    let report = run_session(&he, &session, 17, scheme, &fleet, Some((0, 4)));
+    let fleet = Fleet::spawn(KILL_INSTANCES, 1);
+    let session = shape.session(&shape.queries, 17);
+    let started = Instant::now();
+    let report = run_session(&shape.he, &session, 17, shape.scheme, &fleet, Some((0, 4)));
+    // The surviving daemons sit in the stream awaiting node 0; they are
+    // told it failed rather than left to their ten-second deadlines.
+    assert!(started.elapsed() < Duration::from_secs(4), "took {:?}", started.elapsed());
 
     let FaultedRun::Aborted { error, dropouts } = report.run else {
         panic!("expected aborted run, got {:?}", report.run)
@@ -314,22 +352,22 @@ fn kill_matrix_stream_phase_leader_sigkill_aborts_with_typed_hangup() {
 }
 
 /// Kill matrix, Fagin stream × participant: SIGKILL on a non-leader
-/// process early in the stream degrades the run over the survivors, with
-/// the dead slot's `d_t` zero-filled from the death onward.
+/// process early in the first wave's stream degrades the run over the
+/// survivors, with the dead slot's `d_t` zero-filled from the wave of the
+/// death onward.
 #[test]
 fn kill_matrix_stream_phase_participant_sigkill_degrades_over_survivors() {
-    let (_ds, split, _partition) = world();
-    let (parties, queries, cfg, he, scheme) = kill_matrix_shape(&split);
+    let shape = KillShape::new();
 
-    let fleet = Fleet::spawn(1);
-    let session = KnnSession::new(&parties, &split.train, &queries, cfg, 23);
-    let report = run_session(&he, &session, 23, scheme, &fleet, Some((2, 4)));
+    let fleet = Fleet::spawn(KILL_INSTANCES, 1);
+    let session = shape.session(&shape.queries, 23);
+    let report = run_session(&shape.he, &session, 23, shape.scheme, &fleet, Some((2, 4)));
 
     let FaultedRun::Degraded(run) = report.run else {
         panic!("expected degraded run, got {:?}", report.run)
     };
     assert_eq!(run.dropouts, vec![3], "only node 3 (slot 2) died");
-    assert_eq!(run.outcomes.len(), queries.len(), "leader finished the whole batch");
+    assert_eq!(run.outcomes.len(), shape.queries.len(), "leader finished the whole batch");
     let last = run.outcomes.last().unwrap();
     assert_eq!(last.d_t[2], 0.0, "dead slot's d_t is zero-filled after the death");
     assert!(last.d_t[0] > 0.0 || last.d_t[1] > 0.0, "survivors keep contributing");
@@ -337,38 +375,54 @@ fn kill_matrix_stream_phase_participant_sigkill_degrades_over_survivors() {
 }
 
 /// Kill matrix, aggregation phase: the same participant SIGKILL landing
-/// *late* in the batch (past half the victim's fault-free frame volume,
-/// measured by a calibration run) leaves the early queries' aggregates
-/// intact and zero-fills only from the death onward.
+/// *late* in the batch — past the first of three waves, measured by a
+/// calibration run of that wave alone — leaves the first wave's aggregates
+/// intact and zero-fills the victim's share from the wave of the death on.
 #[test]
 fn kill_matrix_aggregation_phase_participant_sigkill_keeps_early_aggregates() {
-    let (_ds, split, _partition) = world();
-    let (parties, queries, cfg, he, scheme) = kill_matrix_shape(&split);
+    let shape = KillShape::new();
+    let (queries, wave) = (&shape.queries, shape.wave);
 
     // Two sessions per daemon: one fault-free calibration run measuring
-    // the victim's total frame volume, then the kill run gated on it.
-    let fleet = Fleet::spawn(2);
-    let session = KnnSession::new(&parties, &split.train, &queries, cfg, 29);
-
-    let calibration = run_session(&he, &session, 29, scheme, &fleet, None);
+    // the victim's frame volume over the first wave, then the kill run
+    // gated on it.
+    let fleet = Fleet::spawn(KILL_INSTANCES, 2);
+    let first_wave = shape.session(&queries[..wave], 29);
+    let calibration = run_session(&shape.he, &first_wave, 29, shape.scheme, &fleet, None);
     assert!(
         matches!(calibration.run, FaultedRun::Complete(_)),
         "calibration run must complete, got {:?}",
         calibration.run
     );
-    let total = calibration.stats.per_party[2].frames_in;
-    assert!(total >= 8, "12 Fagin queries must produce a real frame volume, got {total}");
+    let first_wave_frames = calibration.stats.per_party[2].frames_in;
+    assert!(first_wave_frames >= 3, "a Fagin wave is a stream plus two frames");
 
-    let report = run_session(&he, &session, 29, scheme, &fleet, Some((2, total / 2)));
+    // The victim's first frame of the second wave opens the gate; the
+    // SIGKILL lands somewhere in the two waves that remain.
+    let session = shape.session(queries, 29);
+    let report = run_session(
+        &shape.he,
+        &session,
+        29,
+        shape.scheme,
+        &fleet,
+        Some((2, first_wave_frames + 1)),
+    );
     let FaultedRun::Degraded(run) = report.run else {
         panic!("expected degraded run, got {:?}", report.run)
     };
     assert_eq!(run.dropouts, vec![3]);
     assert_eq!(run.outcomes.len(), queries.len());
-    assert!(
-        run.outcomes[0].d_t[2] > 0.0,
-        "queries aggregated before the death keep the victim's contribution"
-    );
-    assert_eq!(run.outcomes.last().unwrap().d_t[2], 0.0, "post-death queries zero-fill it");
+    for (q, o) in run.outcomes[..wave].iter().enumerate() {
+        assert!(
+            o.d_t[2] > 0.0,
+            "query {q}: the wave aggregated before the death keeps the victim's contribution"
+        );
+    }
+    // Whole waves go dark, never part of one.
+    let dark: Vec<bool> = run.outcomes.iter().map(|o| o.d_t[2] == 0.0).collect();
+    let second = &dark[wave..2 * wave];
+    assert!(second.iter().all(|&d| d == second[0]), "the second wave is split: {second:?}");
+    assert!(dark[2 * wave..].iter().all(|&d| d), "the last wave runs without the victim");
     assert!(report.stats.kills_observed >= 1);
 }

@@ -23,8 +23,20 @@
 //! `d_t` and completes the query batch over the surviving sub-consortium.
 //! Death of node 0 (server) or node 1 (leader) aborts the run with a
 //! typed error — there is no one left to aggregate, or to decrypt.
-//! With an empty [`FaultPlan`] the message sequence is exactly the
-//! pre-fault-tolerance protocol: same sends, same bytes, same ledger.
+//!
+//! ## Waves
+//!
+//! Both node bodies work a **wave** at a time: all of a session's queries,
+//! or consecutive runs of them when the session is larger than one frame
+//! should carry ([`KnnSession::new`] derives the split). One wave is one
+//! exchange — a lock-step Fagin stream that asks each slot for every open
+//! query's next batch at once, one candidate announcement, one encrypted
+//! contribution per party, one aggregate, one decrypt, one top-k
+//! broadcast, one `d_T` report per peer, one barrier — so a round costs
+//! the frames of its *slowest* query, not the sum over queries. Each query
+//! still sees exactly the feeds, in exactly the order, a wave of one gives
+//! it, so outcomes do not depend on the split. Degradation is per wave: a
+//! slot that dies is out for every query of the wave it died in.
 
 use crate::fed_knn::{FedKnnConfig, KnnMode, QueryOutcome};
 use crate::he_wire;
@@ -46,22 +58,80 @@ const SELF_EXCLUDE_SENTINEL: f64 = 1e9;
 
 /// Deadline for every blocking receive in the protocol. A dropped frame
 /// leaves its sender alive but silent, so peer death alone cannot unblock
-/// the receiver — only a deadline can. One phase of in-process work
-/// (encrypting or decrypting a single query's candidates) is
-/// milliseconds even with real Paillier/CKKS, so ten seconds cannot fire
-/// spuriously, while still bounding every fault-injected run.
+/// the receiver — only a deadline can. The longest any receive waits on
+/// honest work is one phase of one wave: the parties encrypting, or the
+/// leader decrypting, at most [`WAVE_VALUE_BUDGET`] values — see there for
+/// what that costs against these ten seconds at each key width.
 pub(crate) const PHASE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 
-/// Protocol messages. Ciphertexts travel as opaque scheme-serialized blobs.
+/// Serialized bytes one value can cost in an `EncPartials` or `Aggregated`
+/// frame, at worst: a Paillier scheme whose `batch` is 1 spends a whole
+/// blob on it — the 12-byte header, one length-prefixed ciphertext of
+/// `Z_{n²}` (`2 · key_bits` bits) and the blob's own length prefix.
+const fn unpacked_value_bytes(key_bits: usize) -> usize {
+    12 + 4 + key_bits / 4 + 4
+}
+
+/// Values one protocol frame may carry; a wave is as many queries as fit
+/// ([`KnnSession::new`]). A wave's largest frame is one party's
+/// `EncPartials` (or the aggregate of them): at most `wave × n` values.
+///
+/// **Bytes.** The budget is what fits `MAX_FRAME_BYTES` (less a KiB for the
+/// frame's own tag, count and contributor list) at the worst bytes per
+/// value any scheme a `SchemeSpec` can name produces —
+/// [`unpacked_value_bytes`] under the widest key `generate_keypair` grants,
+/// 2 068 — which makes it 8 112 values. So a session whose single queries
+/// fit a frame (`n` ≤ the budget; a wave is never shorter than one query)
+/// has no wave that does not, whatever the key width and `batch`. The
+/// usual schemes sit far below the cap: packed Paillier spends ≈ 15–17
+/// bytes a value at any width (a 256-bit key packs 4 values into 68 bytes),
+/// `PlainHe` 8, the id lists 4 — under 160 KiB a frame.
+///
+/// **Time.** One phase of a wave is at most the budget's worth of HE work
+/// between two deadlines. Measured on one core of the 2-vCPU development host
+/// (`batch` ≥ the key's slot count, noise pool cold), a full budget costs
+/// to decrypt / to encrypt: 20 / 20 ms at 256-bit keys, 0.26 / 0.10 s at
+/// 1 024, 0.93 / 0.28 s at 2 048 (the width SECURITY.md asks a deployment
+/// for: a tenth of [`PHASE_TIMEOUT`]), 3.4 / 1.1 s at 4 096 — where key
+/// generation alone takes 3.2 s of the hub's 10 s setup deadline. Wider
+/// keys were not measured. A `batch` *below* the slot count spends a
+/// ciphertext group on fewer values than it holds and multiplies these
+/// figures by the shortfall (up to 34× at 2 048 bits with `batch` 1):
+/// such a session must keep `queries × n` small, as it already had to keep
+/// `n`.
+///
+/// At the benchmark's N = 960 the budget is 8 queries a wave: its round
+/// of 8 is one wave.
+const WAVE_VALUE_BUDGET: usize =
+    (vfps_net::MAX_FRAME_BYTES - 1024) / unpacked_value_bytes(vfps_he::paillier::MAX_KEY_BITS);
+
+/// Protocol messages. Ciphertexts travel as opaque scheme-serialized
+/// blobs; pseudo IDs and wave-relative query indices travel as `u32`.
+///
+/// The id-carrying variants describe a whole wave. They were re-declared
+/// under fresh tags when the exchange became per-wave: tags 0, 1, 2, 5, 6
+/// and 7 (the per-query messages) are retired and refuse to decode, so
+/// nodes from either side of that change fail with a typed violation
+/// instead of misreading each other.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ProtoMsg {
-    /// Server → participant: request the next rank mini-batch.
-    NeedBatch,
-    /// Participant → server: the next mini-batch of pseudo IDs.
-    RankBatch(Vec<usize>),
-    /// Server → participants: Fagin finished; encrypt these pseudo IDs.
-    Candidates(Vec<usize>),
-    /// Participant → server: encrypted partial distances, chunked.
+    /// Server → participant: send the next rank mini-batch of each of
+    /// these queries of the wave (ascending wave-relative indices).
+    NeedBatch(Vec<u32>),
+    /// Participant → server: one mini-batch of pseudo IDs per asked query,
+    /// in asked order; an empty batch means that ranking is exhausted.
+    RankBatch(Vec<Vec<u32>>),
+    /// Server → participants: Fagin finished; encrypt these pseudo IDs
+    /// (one list per query of the wave).
+    Candidates(Vec<Vec<u32>>),
+    /// Server → participants (Base mode): encrypt every instance, for
+    /// every query of the wave. Stands for the list `0..n` without
+    /// shipping it; it still gates encryption on the server being ready
+    /// to aggregate, so one wave's ciphertexts cannot interleave with the
+    /// previous wave's.
+    AllCandidates,
+    /// Participant → server: the wave's encrypted partial distances,
+    /// concatenated in query order and chunked by the scheme's batch.
     EncPartials(Vec<Vec<u8>>),
     /// Server → leader: homomorphically aggregated chunks.
     Aggregated(Vec<Vec<u8>>),
@@ -70,26 +140,27 @@ pub enum ProtoMsg {
     /// Sent instead of [`ProtoMsg::Aggregated`] only when at least one
     /// participant has dropped out, so fault-free runs stay byte-identical.
     AggregatedPartial(Vec<Vec<u8>>, Vec<usize>),
-    /// Leader → participants: the selected top-k pseudo IDs.
-    TopkIds(Vec<usize>),
-    /// Participant → leader: its `d_T^p` sum.
-    DtSum(f64),
-    /// Leader → server: the query is fully processed; start the next one.
-    /// This barrier prevents a fast participant's next-query messages from
-    /// interleaving with the current query's aggregation.
-    QueryDone,
+    /// Leader → participants: the selected top-k pseudo IDs, per query.
+    TopkIds(Vec<Vec<u32>>),
+    /// Participant → leader: its `d_T^p` sum, per query.
+    DtSum(Vec<f64>),
+    /// Leader → server: the wave is fully processed; start the next one.
+    /// This barrier prevents a fast participant's next-wave messages from
+    /// interleaving with the current wave's aggregation.
+    WaveDone,
 }
 
 vfps_net::wire_enum!(ProtoMsg {
-    0 => NeedBatch,
-    1 => RankBatch(ids),
-    2 => Candidates(ids),
     3 => EncPartials(blobs),
     4 => Aggregated(blobs),
-    5 => TopkIds(ids),
-    6 => DtSum(v),
-    7 => QueryDone,
     8 => AggregatedPartial(blobs, slots),
+    9 => NeedBatch(queries),
+    10 => RankBatch(batches),
+    11 => Candidates(lists),
+    12 => AllCandidates,
+    13 => TopkIds(lists),
+    14 => DtSum(sums),
+    15 => WaveDone,
 });
 
 /// Result of a threaded run.
@@ -192,6 +263,10 @@ pub struct KnnSession {
     pub perm: Vec<usize>,
     /// Inverse of `perm`.
     pub inv: Vec<usize>,
+    /// Queries per wave, derived from the database size so that both ends
+    /// of a setup frame agree on the split. Private: only this module's
+    /// tests ever run a session under another split.
+    wave_len: usize,
 }
 
 impl KnnSession {
@@ -199,8 +274,12 @@ impl KnnSession {
     /// `shuffle_seed` (paper §IV-B step ①) — the one deterministic input
     /// every node must agree on.
     ///
+    /// The session's queries run in waves of as many queries as keep
+    /// `wave × n` within the per-frame value budget (at least one).
+    ///
     /// # Panics
-    /// Panics on an empty consortium or database, or a mode the threaded
+    /// Panics on an empty consortium or database, a database whose
+    /// positions do not fit the wire's `u32` ids, or a mode the threaded
     /// protocol does not implement (only Base and Fagin have message
     /// flows; Threshold/NRA are logical-engine oracles).
     #[must_use]
@@ -219,6 +298,7 @@ impl KnnSession {
              and NRA oracles are available in the logical engine (fed_knn)"
         );
         let n = db_rows.len();
+        assert!(u32::try_from(n).is_ok(), "pseudo ids travel as u32: {n} rows do not fit");
         let mut perm: Vec<usize> = (0..n).collect();
         perm.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
         let mut inv = vec![0usize; n];
@@ -232,7 +312,23 @@ impl KnnSession {
             cfg,
             perm,
             inv,
+            wave_len: (WAVE_VALUE_BUDGET / n).max(1),
         }
+    }
+
+    /// Queries per wave (the last wave may be shorter). Test support: the
+    /// integration suites size a multi-wave session with it instead of
+    /// repeating the budget; nothing outside tests reads it.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn wave_len(&self) -> usize {
+        self.wave_len
+    }
+
+    /// The waves, in protocol order: consecutive runs of query indices.
+    fn waves(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let q = self.queries.len();
+        (0..q).step_by(self.wave_len).map(move |start| start..(start + self.wave_len).min(q))
     }
 
     /// One party's node-local inputs: its feature view of the database
@@ -319,8 +415,23 @@ pub fn run_threaded_knn_faulted<H>(
 where
     H: AdditiveHe + 'static,
 {
-    let shared = Arc::new(KnnSession::new(parties, db_rows, queries, cfg, shuffle_seed));
-    let p = parties.len();
+    let session = KnnSession::new(parties, db_rows, queries, cfg, shuffle_seed);
+    run_session(he, x, partition, session, faults)
+}
+
+/// Runs `session` over the simulated cluster, one thread per node.
+fn run_session<H>(
+    he: &Arc<H>,
+    x: &Matrix,
+    partition: &VerticalPartition,
+    session: KnnSession,
+    faults: &FaultPlan,
+) -> FaultedRun
+where
+    H: AdditiveHe + 'static,
+{
+    let shared = Arc::new(session);
+    let p = shared.parties.len();
 
     // Node-local feature views (party slot s holds X^{parties[s]}).
     let locals: Vec<(Matrix, Vec<Vec<f64>>)> =
@@ -379,9 +490,134 @@ fn send_or_gone<C: Channel<ProtoMsg>>(ctx: &C, to: usize, msg: ProtoMsg) -> Resu
     }
 }
 
-/// The aggregation server: per query, gathers (or Fagin-selects) encrypted
+/// Where ids enter a node: `list` must hold at most `max_len` ids, each
+/// below `bound`. Whatever a peer sends is indexed with only after passing
+/// here, so a frame that lies is a violation, never an out-of-bounds panic.
+fn checked_ids(
+    what: &str,
+    list: Vec<u32>,
+    max_len: usize,
+    bound: usize,
+) -> Result<Vec<usize>, Error> {
+    if list.len() > max_len {
+        return Err(Error::violation(format!(
+            "{what}: a list of {} where at most {max_len} fit",
+            list.len()
+        )));
+    }
+    list.into_iter()
+        .map(|id| match id as usize {
+            id if id < bound => Ok(id),
+            id => Err(Error::violation(format!("{what}: {id} outside 0..{bound}"))),
+        })
+        .collect()
+}
+
+/// [`checked_ids`] over a frame that owes exactly `due` lists.
+fn checked_id_lists(
+    what: &str,
+    lists: Vec<Vec<u32>>,
+    due: usize,
+    max_len: usize,
+    bound: usize,
+) -> Result<Vec<Vec<usize>>, Error> {
+    if lists.len() != due {
+        return Err(Error::violation(format!(
+            "{what}: {} lists where {due} were due",
+            lists.len()
+        )));
+    }
+    lists.into_iter().map(|list| checked_ids(what, list, max_len, bound)).collect()
+}
+
+/// Ids as they travel. [`KnnSession::new`] refuses a database whose
+/// positions do not fit, and a wave is shorter than the value budget.
+fn wire_ids(ids: &[usize]) -> Vec<u32> {
+    ids.iter().map(|&id| id as u32).collect()
+}
+
+/// The server's half of a wave's Fagin stream: one [`StreamingFagin`] per
+/// query, fed round-robin and lock-step per slot. Each `NeedBatch` names
+/// every query that is neither complete nor exhausted on that slot —
+/// completion is re-read per query before each slot is asked — so a query
+/// is fed exactly the batches, in exactly the order, it would be fed alone:
+/// the server stops asking for it the moment it completes. A dead slot
+/// counts as exhausted for every query: Fagin completion needs every list,
+/// so with a dead slot a stream instead terminates when the survivors have
+/// fed every id. Returns the candidate list of each query.
+///
+/// [`StreamingFagin`]: vfps_topk::stream::StreamingFagin
+fn stream_wave<C: Channel<ProtoMsg>>(
+    ctx: &C,
+    shared: &KnnSession,
+    wave_len: usize,
+    dead: &mut [bool],
+) -> Result<Vec<Vec<u32>>, Error> {
+    vfps_obs::span!("protocol.server.fagin_stream");
+    let p = shared.parties.len();
+    let n = shared.db_rows.len();
+    let mut streams: Vec<_> = (0..wave_len)
+        .map(|_| vfps_topk::stream::StreamingFagin::new(p, n, shared.cfg.k.min(n)))
+        .collect();
+    // exhausted[slot][query]
+    let mut exhausted: Vec<Vec<bool>> = dead.iter().map(|&d| vec![d; wave_len]).collect();
+    loop {
+        let mut asked_any = false;
+        for slot in 0..p {
+            let open: Vec<usize> = (0..wave_len)
+                .filter(|&q| !streams[q].is_complete() && !exhausted[slot][q])
+                .collect();
+            if open.is_empty() {
+                continue;
+            }
+            asked_any = true;
+            let answer = if ctx.is_departed(1 + slot)
+                || !send_or_gone(ctx, 1 + slot, ProtoMsg::NeedBatch(wire_ids(&open)))?
+            {
+                None
+            } else {
+                match ctx.recv_from_timeout(1 + slot, PHASE_TIMEOUT) {
+                    Ok(ProtoMsg::RankBatch(batches)) => Some(checked_id_lists(
+                        "RankBatch",
+                        batches,
+                        open.len(),
+                        shared.cfg.batch,
+                        n,
+                    )?),
+                    Ok(other) => {
+                        return Err(Error::violation(format!("expected RankBatch, got {other:?}")))
+                    }
+                    // A hangup of this slot, or silence past the deadline
+                    // (its frame was lost in flight): either way the slot
+                    // will never answer.
+                    Err(e) if e.is_hangup_of(1 + slot) => None,
+                    Err(Error::Timeout { .. }) => None,
+                    Err(e) => return Err(e),
+                }
+            };
+            let Some(batches) = answer else {
+                mark_dead(dead, slot)?;
+                exhausted[slot].fill(true);
+                continue;
+            };
+            for (q, ids) in open.into_iter().zip(batches) {
+                if ids.is_empty() {
+                    exhausted[slot][q] = true;
+                } else {
+                    streams[q].feed(slot, &ids);
+                }
+            }
+        }
+        if !asked_any {
+            break;
+        }
+    }
+    Ok(streams.iter().map(|sf| wire_ids(sf.candidates())).collect())
+}
+
+/// The aggregation server: per wave, gathers (or Fagin-selects) encrypted
 /// partials, sums them homomorphically, and forwards to the leader.
-/// Participant death marks the slot dead and the round continues over the
+/// Participant death marks the slot dead and the wave continues over the
 /// survivors; leader death aborts. Returns the dead slots it observed.
 ///
 /// Generic over the transport: the simulated cluster's [`NodeCtx`] and
@@ -396,89 +632,23 @@ pub fn knn_server_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
     shared: &KnnSession,
 ) -> Result<Vec<usize>, Error> {
     let p = shared.parties.len();
-    let n = shared.db_rows.len();
     let mut dead = vec![false; p];
-    for _q in 0..shared.queries.len() {
-        vfps_obs::span!("protocol.server.query");
-        match shared.cfg.mode {
+    for wave in shared.waves() {
+        vfps_obs::span!("protocol.server.wave");
+        // Participants only ever encrypt once the server is ready to
+        // aggregate — without the announcement, a fast participant's
+        // next-wave ciphertexts could interleave with this wave's.
+        let announce = match shared.cfg.mode {
+            KnnMode::Fagin => {
+                ProtoMsg::Candidates(stream_wave(ctx, shared, wave.len(), &mut dead)?)
+            }
             // Threshold/NRA are rejected at session construction; grouped
             // with Base to keep the match exhaustive.
-            KnnMode::Base | KnnMode::Threshold | KnnMode::Nra => {
-                // Announce the (full) candidate list so participants only
-                // ever encrypt when the server is ready to aggregate —
-                // without this, a fast participant's next-query ciphertexts
-                // could interleave with this query's.
-                let all: Vec<usize> = (0..n).collect();
-                for slot in 0..p {
-                    if dead[slot] {
-                        continue;
-                    }
-                    if !send_or_gone(ctx, 1 + slot, ProtoMsg::Candidates(all.clone()))? {
-                        mark_dead(&mut dead, slot)?;
-                    }
-                }
-            }
-            KnnMode::Fagin => {
-                // Drive the streaming phase round-robin, lock-step per
-                // slot — kept lock-step (not pipelined) deliberately: the
-                // server stops requesting the moment Fagin completes, and
-                // pipelining would change the fault-free transcript. A
-                // dead slot counts as exhausted from the start: Fagin
-                // completion needs every list, so with a dead slot the
-                // stream instead terminates when the survivors have fed
-                // every id.
-                vfps_obs::span!("protocol.server.fagin_stream");
-                let mut sf = vfps_topk::stream::StreamingFagin::new(p, n, shared.cfg.k.min(n));
-                let mut exhausted: Vec<bool> = dead.clone();
-                while !sf.is_complete() && !exhausted.iter().all(|&e| e) {
-                    for slot in 0..p {
-                        if sf.is_complete() || exhausted[slot] || dead[slot] {
-                            continue;
-                        }
-                        if ctx.is_departed(1 + slot)
-                            || !send_or_gone(ctx, 1 + slot, ProtoMsg::NeedBatch)?
-                        {
-                            mark_dead(&mut dead, slot)?;
-                            exhausted[slot] = true;
-                            continue;
-                        }
-                        match ctx.recv_from_timeout(1 + slot, PHASE_TIMEOUT) {
-                            Ok(ProtoMsg::RankBatch(ids)) => {
-                                if ids.is_empty() {
-                                    exhausted[slot] = true;
-                                } else {
-                                    sf.feed(slot, &ids);
-                                }
-                            }
-                            Ok(other) => {
-                                return Err(Error::violation(format!(
-                                    "expected RankBatch, got {other:?}"
-                                )))
-                            }
-                            // A hangup of this slot, or silence past the
-                            // deadline (its frame was lost in flight):
-                            // either way the slot will never answer.
-                            Err(e) if e.is_hangup_of(1 + slot) => {
-                                mark_dead(&mut dead, slot)?;
-                                exhausted[slot] = true;
-                            }
-                            Err(Error::Timeout { .. }) => {
-                                mark_dead(&mut dead, slot)?;
-                                exhausted[slot] = true;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                let cands = sf.candidates().to_vec();
-                for slot in 0..p {
-                    if dead[slot] {
-                        continue;
-                    }
-                    if !send_or_gone(ctx, 1 + slot, ProtoMsg::Candidates(cands.clone()))? {
-                        mark_dead(&mut dead, slot)?;
-                    }
-                }
+            KnnMode::Base | KnnMode::Threshold | KnnMode::Nra => ProtoMsg::AllCandidates,
+        };
+        for slot in 0..p {
+            if !dead[slot] && !send_or_gone(ctx, 1 + slot, announce.clone())? {
+                mark_dead(&mut dead, slot)?;
             }
         }
 
@@ -546,22 +716,48 @@ pub fn knn_server_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
             ProtoMsg::Aggregated(blobs)
         };
         ctx.send(1, msg)?;
-        // Barrier: wait for the leader to finish the whole query before
+        // Barrier: wait for the leader to finish the whole wave before
         // starting the next one. An unresponsive leader is as fatal as a
         // dead one.
         match ctx.recv_from_timeout(1, PHASE_TIMEOUT)? {
-            ProtoMsg::QueryDone => {}
-            other => return Err(Error::violation(format!("expected QueryDone, got {other:?}"))),
+            ProtoMsg::WaveDone => {}
+            other => return Err(Error::violation(format!("expected WaveDone, got {other:?}"))),
         }
     }
     Ok((0..p).filter(|&s| dead[s]).collect())
 }
 
-/// A participant: computes partial distances, streams rankings (Fagin),
-/// encrypts what the server asks for, and reports `d_T^p` to the leader.
-/// Slot 0 (node 1) additionally acts as the leader: it tolerates peer
-/// participants dying (their `d_t` entries become `0.0`), but errors out
-/// if the server goes away.
+/// One query's partial squared distances by database position; the
+/// query's own database entry is excluded via +inf.
+fn partial_distances(
+    shared: &KnnSession,
+    view: &Matrix,
+    qfeat: &[f64],
+    query_row: usize,
+) -> Vec<f64> {
+    let mut partials: Vec<f64> =
+        (0..shared.db_rows.len()).map(|i| squared_distance(qfeat, view.row(i))).collect();
+    if let Some(self_pos) = shared.db_rows.iter().position(|&r| r == query_row) {
+        partials[self_pos] = f64::INFINITY;
+    }
+    partials
+}
+
+/// The leader's pick for one query: the `k` candidates of smallest
+/// complete distance, ties broken by database position.
+fn top_k(shared: &KnnSession, candidates: &[usize], complete: &[f64]) -> Vec<usize> {
+    let mut scored: Vec<(usize, f64)> =
+        candidates.iter().copied().zip(complete.iter().copied()).collect();
+    scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(shared.inv[a.0].cmp(&shared.inv[b.0])));
+    scored.truncate(shared.cfg.k);
+    scored.into_iter().map(|e| e.0).collect()
+}
+
+/// A participant: per wave, computes partial distances, streams rankings
+/// (Fagin), encrypts what the server asks for, and reports `d_T^p` to the
+/// leader. Slot 0 (node 1) additionally acts as the leader: it tolerates
+/// peer participants dying (their `d_t` entries become `0.0` for every
+/// query of the wave), but errors out if the server goes away.
 ///
 /// Generic over the transport: the simulated cluster's [`NodeCtx`] and
 /// `vfps-cluster`'s daemon-side socket channel run this exact function.
@@ -569,7 +765,8 @@ pub fn knn_server_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
 /// # Errors
 /// Typed [`Error`] when the server (or, for a non-leader, the leader)
 /// dies, the transport fails, or a peer violates the protocol state
-/// machine.
+/// machine — an id, index or list count outside the session's bounds
+/// included.
 pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
     ctx: &C,
     he: &Arc<H>,
@@ -581,49 +778,56 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
     let p = shared.parties.len();
     let n = shared.db_rows.len();
     let is_leader = slot == 0;
-    let mut outcomes = Vec::new();
-    // Leader-observed dead slots, persistent across queries.
+    let mut outcomes = Vec::with_capacity(shared.queries.len());
+    // Leader-observed dead slots, persistent across waves.
     let mut dead = vec![false; p];
 
-    for (qi, qfeat) in query_feats.iter().enumerate() {
-        let query_row = shared.queries[qi];
-        // Partial distances by database position; self excluded via +inf.
-        let self_pos = shared.db_rows.iter().position(|&r| r == query_row);
-        let partials: Vec<f64> = (0..n)
-            .map(|i| {
-                if Some(i) == self_pos {
-                    f64::INFINITY
-                } else {
-                    squared_distance(qfeat, view.row(i))
-                }
-            })
+    for wave in shared.waves() {
+        let wave_len = wave.len();
+        let partials: Vec<Vec<f64>> = wave
+            .map(|qi| partial_distances(shared, view, &query_feats[qi], shared.queries[qi]))
             .collect();
 
-        // Which pseudo IDs to encrypt.
-        let candidate_pseudos: Vec<usize> = match shared.cfg.mode {
+        // Which pseudo IDs to encrypt, per query.
+        let candidates: Vec<Vec<usize>> = match shared.cfg.mode {
             KnnMode::Base | KnnMode::Threshold | KnnMode::Nra => {
                 match ctx.recv_from_timeout(0, PHASE_TIMEOUT)? {
-                    ProtoMsg::Candidates(_) => (0..n).map(|pos| shared.perm[pos]).collect(),
+                    ProtoMsg::AllCandidates => vec![shared.perm.clone(); wave_len],
                     other => {
-                        return Err(Error::violation(format!("expected Candidates, got {other:?}")))
+                        return Err(Error::violation(format!(
+                            "expected AllCandidates, got {other:?}"
+                        )))
                     }
                 }
             }
             KnnMode::Fagin => {
-                // Sorted pseudo-ID ranking, streamed on demand.
-                let mut ranking: Vec<usize> = (0..n).collect();
-                ranking.sort_by(|&a, &b| partials[a].total_cmp(&partials[b]).then(a.cmp(&b)));
-                let pseudo_ranking: Vec<usize> =
-                    ranking.iter().map(|&pos| shared.perm[pos]).collect();
-                let mut cursor = 0usize;
+                // Sorted pseudo-ID rankings, streamed on demand from one
+                // cursor per query.
+                let rankings: Vec<Vec<u32>> = partials
+                    .iter()
+                    .map(|d| {
+                        let mut ranking: Vec<usize> = (0..n).collect();
+                        ranking.sort_by(|&a, &b| d[a].total_cmp(&d[b]).then(a.cmp(&b)));
+                        ranking.iter().map(|&pos| shared.perm[pos] as u32).collect()
+                    })
+                    .collect();
+                let mut cursors = vec![0usize; wave_len];
                 loop {
                     match ctx.recv_from_timeout(0, PHASE_TIMEOUT)? {
-                        ProtoMsg::NeedBatch => {
-                            let end = (cursor + shared.cfg.batch).min(n);
-                            ctx.send(0, ProtoMsg::RankBatch(pseudo_ranking[cursor..end].to_vec()))?;
-                            cursor = end;
+                        ProtoMsg::NeedBatch(asked) => {
+                            let batches = checked_ids("NeedBatch", asked, wave_len, wave_len)?
+                                .into_iter()
+                                .map(|q| {
+                                    let start = cursors[q];
+                                    cursors[q] = start.saturating_add(shared.cfg.batch).min(n);
+                                    rankings[q][start..cursors[q]].to_vec()
+                                })
+                                .collect();
+                            ctx.send(0, ProtoMsg::RankBatch(batches))?;
                         }
-                        ProtoMsg::Candidates(c) => break c,
+                        ProtoMsg::Candidates(lists) => {
+                            break checked_id_lists("Candidates", lists, wave_len, n, n)?
+                        }
                         other => {
                             return Err(Error::violation(format!(
                                 "expected NeedBatch/Candidates, got {other:?}"
@@ -634,18 +838,22 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
             }
         };
 
-        // Encrypt candidate partial distances in candidate order, chunked.
-        // Infinite self-distance is clamped to a large sentinel the codec
-        // can represent; it can never win the top-k.
-        let values: Vec<f64> = candidate_pseudos
+        // Encrypt the wave's candidate partial distances — query by query,
+        // each in candidate order — chunked as one run. Infinite
+        // self-distance is clamped to a large sentinel the codec can
+        // represent; it can never win the top-k.
+        let values: Vec<f64> = candidates
             .iter()
-            .map(|&pseudo| {
-                let v = partials[shared.inv[pseudo]];
-                if v.is_finite() {
-                    v
-                } else {
-                    SELF_EXCLUDE_SENTINEL
-                }
+            .zip(&partials)
+            .flat_map(|(ids, d)| {
+                ids.iter().map(|&pseudo| {
+                    let v = d[shared.inv[pseudo]];
+                    if v.is_finite() {
+                        v
+                    } else {
+                        SELF_EXCLUDE_SENTINEL
+                    }
+                })
             })
             .collect();
         let chunk = he.max_batch().max(1);
@@ -661,8 +869,9 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
         };
         ctx.send(0, ProtoMsg::EncPartials(blobs))?;
 
-        // Leader: decrypt aggregate, pick top-k, broadcast.
-        let topk_pseudos: Vec<usize> = if is_leader {
+        // Leader: decrypt the wave's aggregate, pick each query's top-k,
+        // broadcast.
+        let topk: Vec<Vec<usize>> = if is_leader {
             let (blobs, contributors): (Vec<Vec<u8>>, Vec<usize>) =
                 match ctx.recv_from_timeout(0, PHASE_TIMEOUT)? {
                     ProtoMsg::Aggregated(b) => (b, (0..p).collect()),
@@ -678,86 +887,104 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
             }
             let complete = {
                 vfps_obs::span!("protocol.leader.decrypt");
-                he_wire::decrypt(he.as_ref(), &blobs, candidate_pseudos.len())?
+                he_wire::decrypt(he.as_ref(), &blobs, values.len())?
             };
-            let mut scored: Vec<(usize, f64)> =
-                candidate_pseudos.iter().copied().zip(complete).collect();
-            scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(shared.inv[a.0].cmp(&shared.inv[b.0])));
-            let k = shared.cfg.k.min(scored.len());
-            let top: Vec<usize> = scored[..k].iter().map(|e| e.0).collect();
+            let mut rest = complete.as_slice();
+            let topk: Vec<Vec<usize>> = candidates
+                .iter()
+                .map(|ids| {
+                    let (mine, tail) = rest.split_at(ids.len());
+                    rest = tail;
+                    top_k(shared, ids, mine)
+                })
+                .collect();
+            let msg = ProtoMsg::TopkIds(topk.iter().map(|ids| wire_ids(ids)).collect());
             for peer in 0..p {
                 if peer != slot
                     && !dead[peer]
                     && !ctx.is_departed(1 + peer)
-                    && !send_or_gone(ctx, 1 + peer, ProtoMsg::TopkIds(top.clone()))?
+                    && !send_or_gone(ctx, 1 + peer, msg.clone())?
                 {
                     dead[peer] = true;
                 }
             }
-            top
+            topk
         } else {
             match ctx.recv_from_timeout(1, PHASE_TIMEOUT)? {
-                ProtoMsg::TopkIds(ids) => ids,
+                ProtoMsg::TopkIds(lists) => {
+                    checked_id_lists("TopkIds", lists, wave_len, shared.cfg.k, n)?
+                }
                 other => return Err(Error::violation(format!("expected TopkIds, got {other:?}"))),
             }
         };
 
-        // Everyone computes d_T^p and reports to the leader.
-        let d_t_own: f64 = topk_pseudos.iter().map(|&pseudo| partials[shared.inv[pseudo]]).sum();
-        if is_leader {
-            let mut d_t = vec![0.0f64; p];
-            d_t[0] = d_t_own;
-            let mut got = vec![false; p];
-            got[0] = true;
-            loop {
-                for s in 1..p {
-                    if !dead[s] && !got[s] && ctx.is_departed(1 + s) {
-                        dead[s] = true;
-                    }
-                }
-                if (0..p).all(|s| got[s] || dead[s]) {
-                    break;
-                }
-                match ctx.recv_timeout(PHASE_TIMEOUT) {
-                    Ok(env) => {
-                        let ProtoMsg::DtSum(v) = env.msg else {
-                            return Err(Error::violation(format!(
-                                "expected DtSum from node {}, got {:?}",
-                                env.from, env.msg
-                            )));
-                        };
-                        d_t[env.from - 1] = v;
-                        got[env.from - 1] = true;
-                    }
-                    // A dying peer participant zero-fills its entry; the
-                    // server hanging up is fatal (the QueryDone barrier
-                    // and all later queries need it).
-                    Err(Error::Hangup { peer }) if peer >= 2 => dead[peer - 1] = true,
-                    // Silence past the deadline: whoever still owes a sum
-                    // lost its frame; zero-fill them all.
-                    Err(Error::Timeout { .. }) => {
-                        for s in 1..p {
-                            if !dead[s] && !got[s] {
-                                dead[s] = true;
-                            }
-                        }
-                    }
-                    Err(e) => return Err(e),
+        // Everyone computes d_T^p per query and reports to the leader.
+        let d_t_own: Vec<f64> = topk
+            .iter()
+            .zip(&partials)
+            .map(|(ids, d)| ids.iter().map(|&pseudo| d[shared.inv[pseudo]]).sum())
+            .collect();
+        if !is_leader {
+            ctx.send(1, ProtoMsg::DtSum(d_t_own))?;
+            continue;
+        }
+        // sums[slot][query]; a slot that never reports stays zero-filled.
+        let mut sums = vec![vec![0.0f64; wave_len]; p];
+        sums[0] = d_t_own;
+        let mut got = vec![false; p];
+        got[0] = true;
+        loop {
+            for s in 1..p {
+                if !dead[s] && !got[s] && ctx.is_departed(1 + s) {
+                    dead[s] = true;
                 }
             }
-            let d_t_total = d_t.iter().sum();
-            ctx.send(0, ProtoMsg::QueryDone)?;
+            if (0..p).all(|s| got[s] || dead[s]) {
+                break;
+            }
+            match ctx.recv_timeout(PHASE_TIMEOUT) {
+                Ok(env) => {
+                    let ProtoMsg::DtSum(v) = env.msg else {
+                        return Err(Error::violation(format!(
+                            "expected DtSum from node {}, got {:?}",
+                            env.from, env.msg
+                        )));
+                    };
+                    if !(2..=p).contains(&env.from) || v.len() != wave_len {
+                        return Err(Error::violation(format!(
+                            "DtSum: {} sums from node {}, {wave_len} due from each peer participant",
+                            v.len(),
+                            env.from
+                        )));
+                    }
+                    sums[env.from - 1] = v;
+                    got[env.from - 1] = true;
+                }
+                // A dying peer participant zero-fills its entry; the
+                // server hanging up is fatal (the WaveDone barrier and
+                // all later waves need it).
+                Err(Error::Hangup { peer }) if peer >= 2 => dead[peer - 1] = true,
+                // Silence past the deadline: whoever still owes its sums
+                // lost its frame; zero-fill them all.
+                Err(Error::Timeout { .. }) => {
+                    for s in 1..p {
+                        if !dead[s] && !got[s] {
+                            dead[s] = true;
+                        }
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        ctx.send(0, ProtoMsg::WaveDone)?;
+        for (q, (top, ids)) in topk.iter().zip(&candidates).enumerate() {
+            let d_t: Vec<f64> = sums.iter().map(|of_slot| of_slot[q]).collect();
             outcomes.push(QueryOutcome {
-                topk_rows: topk_pseudos
-                    .iter()
-                    .map(|&pseudo| shared.db_rows[shared.inv[pseudo]])
-                    .collect(),
+                topk_rows: top.iter().map(|&pseudo| shared.db_rows[shared.inv[pseudo]]).collect(),
+                d_t_total: d_t.iter().sum(),
                 d_t,
-                d_t_total,
-                candidates: candidate_pseudos.len(),
+                candidates: ids.len(),
             });
-        } else {
-            ctx.send(1, ProtoMsg::DtSum(d_t_own))?;
         }
     }
     Ok((outcomes, (0..p).filter(|&s| dead[s]).collect()))
@@ -850,20 +1077,116 @@ mod tests {
     #[test]
     fn proto_messages_roundtrip() {
         let msgs = vec![
-            ProtoMsg::NeedBatch,
-            ProtoMsg::RankBatch(vec![1, 2, 3]),
-            ProtoMsg::Candidates(vec![]),
+            ProtoMsg::NeedBatch(vec![0, 2]),
+            ProtoMsg::RankBatch(vec![vec![1, 2, 3], vec![]]),
+            ProtoMsg::Candidates(vec![vec![], vec![4]]),
+            ProtoMsg::AllCandidates,
             ProtoMsg::EncPartials(vec![vec![1, 2], vec![]]),
             ProtoMsg::Aggregated(vec![vec![0xff; 10]]),
             ProtoMsg::AggregatedPartial(vec![vec![0xaa; 4]], vec![0, 2]),
-            ProtoMsg::TopkIds(vec![7]),
-            ProtoMsg::DtSum(-1.25),
-            ProtoMsg::QueryDone,
+            ProtoMsg::TopkIds(vec![vec![7]]),
+            ProtoMsg::DtSum(vec![-1.25, 0.0]),
+            ProtoMsg::WaveDone,
         ];
         for m in msgs {
             let bytes = m.to_bytes();
             assert_eq!(bytes.len(), m.encoded_len());
             assert_eq!(ProtoMsg::from_bytes(&bytes).unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn the_wave_length_follows_the_value_budget() {
+        let cfg = FedKnnConfig { k: 1, mode: KnnMode::Base, batch: 1, cost_scale: 1.0 };
+        let session = |n: usize, q: usize| {
+            let rows: Vec<usize> = (0..n).collect();
+            KnnSession::new(&[0], &rows, &vec![0; q], cfg, 1)
+        };
+        assert_eq!(WAVE_VALUE_BUDGET, 8112);
+        assert_eq!(session(960, 8).wave_len, 8);
+        assert_eq!(session(960, 8).waves().collect::<Vec<_>>(), vec![0..8]);
+        assert_eq!(session(960, 17).waves().collect::<Vec<_>>(), vec![0..8, 8..16, 16..17]);
+        // A database larger than the budget still runs, a query a wave.
+        assert_eq!(session(WAVE_VALUE_BUDGET + 1, 2).waves().collect::<Vec<_>>(), vec![0..1, 1..2]);
+        assert_eq!(session(8, 0).waves().count(), 0);
+    }
+
+    /// The budget's byte bound rests on [`unpacked_value_bytes`]: a real
+    /// one-value blob, length prefix included, is never longer.
+    #[test]
+    fn an_unpacked_value_serializes_within_its_bound() {
+        for key_bits in [64usize, 128, 256] {
+            let he = PaillierHe::generate(key_bits, 1, 3).unwrap();
+            for v in [0.0, 1.5, SELF_EXCLUDE_SENTINEL] {
+                let blob = he.ct_to_bytes(&he.encrypt(&[v]).unwrap());
+                assert!(
+                    blob.encoded_len() <= unpacked_value_bytes(key_bits),
+                    "{key_bits}-bit key: {} bytes",
+                    blob.encoded_len()
+                );
+            }
+        }
+        let frame = WAVE_VALUE_BUDGET * unpacked_value_bytes(vfps_he::paillier::MAX_KEY_BITS);
+        assert!(frame + 1024 <= vfps_net::MAX_FRAME_BYTES);
+    }
+
+    /// Waves are invisible in outcomes: however a session's queries are
+    /// split, every query's outcome is bit-equal to the one-wave run's and
+    /// agrees with the logical engine.
+    #[test]
+    fn any_wave_split_gives_bit_equal_outcomes() {
+        use vfps_he::scheme::seeded_uniform;
+        let (rows, cols, parties) = (40usize, 6usize, [0usize, 1, 2]);
+        let x = Matrix::from_vec(rows, cols, seeded_uniform(0xa11, rows * cols, 0.0, 1.0));
+        let part = VerticalPartition::random(cols, parties.len(), 3);
+        let db: Vec<usize> = (0..rows).collect();
+        let queries = [0usize, 7, 13, 21, 34, 39];
+
+        fn case<H: AdditiveHe + 'static>(
+            he: &Arc<H>,
+            x: &Matrix,
+            part: &VerticalPartition,
+            session: &KnnSession,
+            label: &str,
+        ) {
+            let engine = FedKnn::new(x, part, &session.parties, &session.db_rows, session.cfg);
+            let mut whole: Option<Vec<QueryOutcome>> = None;
+            for wave_len in [session.queries.len(), 3, 2, 1] {
+                let session = KnnSession { wave_len, ..session.clone() };
+                let waves = session.waves().count();
+                let FaultedRun::Complete(run) =
+                    run_session(he, x, part, session.clone(), &FaultPlan::default())
+                else {
+                    panic!("{label}: {waves} waves did not complete");
+                };
+                let whole = whole.get_or_insert_with(|| run.outcomes.clone());
+                assert_eq!(&run.outcomes, whole, "{label}: {waves} waves vs one");
+
+                let mut ledger = vfps_net::cost::OpLedger::default();
+                for (&q, got) in session.queries.iter().zip(&run.outcomes) {
+                    let want = engine.query(q, &mut ledger);
+                    let sorted = |rows: &[usize]| {
+                        let mut rows = rows.to_vec();
+                        rows.sort_unstable();
+                        rows
+                    };
+                    assert_eq!(sorted(&got.topk_rows), sorted(&want.topk_rows), "{label} q{q}");
+                    assert_eq!(got.candidates, want.candidates, "{label} q{q} candidates");
+                    for (a, b) in got.d_t.iter().zip(&want.d_t) {
+                        assert!((a - b).abs() < 1e-6, "{label} q{q} d_t");
+                    }
+                }
+            }
+        }
+
+        for mode in [KnnMode::Base, KnnMode::Fagin] {
+            let cfg = FedKnnConfig { k: 4, mode, batch: 3, cost_scale: 1.0 };
+            let session = KnnSession::new(&parties, &db, &queries, cfg, 11);
+            // Two parties keep PlainHe's f64 aggregate arrival-order-exact.
+            let two = KnnSession::new(&parties[..2], &db, &queries, cfg, 11);
+            case(&Arc::new(PlainHe::new(16)), &x, &part, &two, &format!("plain {mode:?}"));
+            let paillier = Arc::new(PaillierHe::generate(128, 8, 5).unwrap());
+            case(&paillier, &x, &part, &session, &format!("paillier {mode:?}"));
         }
     }
 }

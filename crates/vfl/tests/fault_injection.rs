@@ -9,11 +9,11 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 use vfps_data::VerticalPartition;
-use vfps_he::scheme::PlainHe;
+use vfps_he::scheme::{seeded_uniform, PlainHe};
 use vfps_ml::linalg::Matrix;
 use vfps_net::{Error, FaultPlan};
 use vfps_vfl::fed_knn::{FedKnnConfig, KnnMode};
-use vfps_vfl::{run_threaded_knn, run_threaded_knn_faulted, FaultedRun};
+use vfps_vfl::{run_threaded_knn, run_threaded_knn_faulted, FaultedRun, KnnSession};
 
 const WATCHDOG: Duration = Duration::from_secs(60);
 
@@ -90,8 +90,10 @@ fn empty_fault_plan_is_bit_identical_to_fault_free_run() {
 #[test]
 fn kill_matrix_returns_typed_outcomes_for_every_role_and_phase() {
     // Op indices chosen to land before the stream starts, inside the
-    // stream/encrypt phase, and in the late aggregate/d_t phase.
-    let phases = [0u64, 4, 12, 40];
+    // stream/encrypt phase, and in the late aggregate/d_t phase. The three
+    // queries share one wave: a Base node lives six ops at most (so 2 and
+    // 4 are its middle and end), a Fagin node a dozen more for the stream.
+    let phases = [0u64, 2, 4, 12, 40];
     for mode in [KnnMode::Base, KnnMode::Fagin] {
         for node in [0usize, 1, 2] {
             for &op in &phases {
@@ -132,9 +134,10 @@ fn kill_matrix_returns_typed_outcomes_for_every_role_and_phase() {
     }
 }
 
-/// A participant dying mid-batch: the leader finishes the remaining
-/// queries over the survivors, dead slots carry `d_t = 0.0`, and the
-/// surviving slots still produce usable neighbor sets.
+/// A participant dying mid-wave (here inside the Fagin stream of the
+/// session's only wave) is out for the whole wave: the leader finishes
+/// every query over the survivors, the dead slot carries `d_t = 0.0` in
+/// each, and the surviving slots still produce usable neighbor sets.
 #[test]
 fn participant_death_zero_fills_its_d_t_share() {
     let outcome = run_with(FaultPlan::new().kill_at(2, 6), KnnMode::Fagin);
@@ -143,11 +146,49 @@ fn participant_death_zero_fills_its_d_t_share() {
     };
     assert_eq!(run.dropouts, vec![2]);
     assert_eq!(run.outcomes.len(), 3);
-    // After the death every outcome's slot-1 share is zero-filled (node 2
-    // holds slot 1); the leader's own share stays live.
-    let last = run.outcomes.last().unwrap();
-    assert_eq!(last.d_t[1], 0.0, "dead slot is zero-filled");
-    assert!(!last.topk_rows.is_empty(), "the query still answers");
+    for (q, o) in run.outcomes.iter().enumerate() {
+        // Node 2 holds slot 1; the leader's own share stays live.
+        assert_eq!(o.d_t[1], 0.0, "query {q}: dead slot is zero-filled");
+        assert!(o.d_t[0] > 0.0, "query {q}: the leader still contributes");
+        assert_eq!(o.d_t_total.to_bits(), o.d_t[0].to_bits(), "query {q}");
+        assert_eq!(o.topk_rows.len(), 3, "query {q} still answers");
+    }
+}
+
+/// Degradation is per wave, not per session: with more queries than one
+/// wave carries, a participant killed in the second wave is zero-filled
+/// there only — the first wave's outcomes keep its contribution.
+#[test]
+fn a_death_in_the_second_wave_leaves_the_first_wave_intact() {
+    let run = with_watchdog(|| {
+        let (rows, cols) = (1024usize, 4usize);
+        let x = Matrix::from_vec(rows, cols, seeded_uniform(0xfa11, rows * cols, 0.0, 1.0));
+        let part = VerticalPartition::even(cols, 2);
+        let db: Vec<usize> = (0..rows).collect();
+        let cfg = FedKnnConfig { k: 3, mode: KnnMode::Base, batch: 2, cost_scale: 1.0 };
+        let wave = KnnSession::new(&[0, 1], &db, &[], cfg, 5).wave_len();
+        assert!((2..64).contains(&wave), "1024 rows must fit a few queries a wave, got {wave}");
+        let queries: Vec<usize> = (0..=wave).map(|q| q * 7).collect();
+        // A Base wave is four channel ops to node 2 (announcement in,
+        // partials out, top-k in, sums out): op 5 is its second wave's send.
+        let faults = FaultPlan::new().kill_at(2, 5);
+        let he = Arc::new(PlainHe::new(64));
+        let run = run_threaded_knn_faulted(&he, &x, &part, &[0, 1], &db, &queries, cfg, 5, &faults);
+        (run, wave)
+    });
+    let (FaultedRun::Degraded(run), wave) = run else {
+        panic!("expected degraded run, got {:?}", run.0);
+    };
+    assert_eq!(run.dropouts, vec![2]);
+    assert_eq!(run.outcomes.len(), wave + 1, "both waves answer");
+    for (q, o) in run.outcomes.iter().enumerate() {
+        if q < wave {
+            assert!(o.d_t[1] > 0.0, "query {q} ran before the death");
+        } else {
+            assert_eq!(o.d_t[1], 0.0, "query {q} shares a wave with the death");
+        }
+        assert!(o.d_t[0] > 0.0, "query {q}: the leader still contributes");
+    }
 }
 
 /// Seeded chaos plans at the protocol level: any seed must yield a typed

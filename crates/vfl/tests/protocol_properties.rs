@@ -132,8 +132,17 @@ fn fingerprint(run: &vfps_vfl::ThreadedKnnRun) -> Vec<String> {
 /// `total_bytes` is pinned to a band, not a value: the simulated parties
 /// share one scheme handle, so which party draws which noise index is a
 /// thread race, and a ciphertext whose top byte happens to be zero
-/// serializes one byte shorter. Repeated runs at 010e67b read 186 481–186 483
-/// on Base — the plaintexts and every outcome bit are unaffected.
+/// serializes one byte shorter. Repeated runs read 138 288–138 290 on Base —
+/// the plaintexts and every outcome bit are unaffected.
+///
+/// Traffic is per wave, and both queries share one. Base, P = 3:
+/// 3 `AllCandidates` + 3 `EncPartials` + 1 `Aggregated` + 2 `TopkIds` +
+/// 2 `DtSum` + 1 `WaveDone` = 12 messages (24 when each query had its own
+/// exchange). Fagin adds a `NeedBatch`/`RankBatch` pair per slot asked:
+/// query 3 completes after 12 asks, query 501 after 16, and the wave makes
+/// the larger number of trips, not the sum — 12 + 2 × 16 = 44 (80 before).
+/// Bytes fell with them: Base no longer ships `0..n` to each party per
+/// query (186 482 before), and ids travel as `u32` (Fagin 111 197 before).
 #[test]
 fn paillier_run_with_parallel_sized_queries_is_pinned() {
     use vfps_he::scheme::{seeded_uniform, PaillierHe};
@@ -165,8 +174,8 @@ fn paillier_run_with_parallel_sized_queries_is_pinned() {
             "top=[501, 859, 21, 74, 1, 707, 801, 447, 651, 564] d_t=[3fc803f36e0579c3,3fdc6f4cb3abd23c,3fd1b4d884edc0da] total=3fed130f77ce27fc cand=1000",
             "top=[801, 3, 564, 929, 1, 707, 546, 74, 21, 194] d_t=[3fc9327eeaeea6c6,3fdefd3bdd5c79e3,3fce0fa710b7047e] total=3fed4f276d97a7c2 cand=1000",
         ],
-        186_482,
-        24,
+        138_289,
+        12,
     );
     check(
         KnnMode::Fagin,
@@ -174,7 +183,7 @@ fn paillier_run_with_parallel_sized_queries_is_pinned() {
             "top=[501, 859, 21, 74, 1, 707, 801, 447, 651, 564] d_t=[3fc803f36e0579c3,3fdc6f4cb3abd23c,3fd1b4d884edc0da] total=3fed130f77ce27fc cand=455",
             "top=[801, 3, 564, 929, 1, 707, 546, 74, 21, 194] d_t=[3fc9327eeaeea6c6,3fdefd3bdd5c79e3,3fce0fa710b7047e] total=3fed4f276d97a7c2 cand=612",
         ],
-        111_197,
-        80,
+        92_782,
+        44,
     );
 }

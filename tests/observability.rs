@@ -161,3 +161,43 @@ fn uninstrumented_runs_leave_no_recorder_behind() {
     assert!(!vfps_obs::is_enabled(), "selection must not start captures on its own");
     assert!(vfps_obs::finish_capture().is_none(), "and leaves nothing to collect");
 }
+
+/// The threaded protocol's `protocol.encrypted_values` counter is a count
+/// of values, whatever frames carry them: every party encrypts each query's
+/// candidates once, so a run sums to parties × Σ candidates — the figure
+/// the per-query exchange reported, now added once per wave.
+#[test]
+fn protocol_encrypted_values_counts_each_candidate_once_per_party() {
+    use std::sync::Arc;
+    use vfps_he::scheme::PlainHe;
+    use vfps_vfl::fed_knn::FedKnnConfig;
+    use vfps_vfl::run_threaded_knn;
+
+    let _g = lock();
+    let f = fixture(13);
+    let parties = [0usize, 1, 2];
+    let queries: Vec<usize> = f.split.train.iter().copied().take(5).collect();
+    for mode in [KnnMode::Base, KnnMode::Fagin] {
+        let cfg = FedKnnConfig { k: 3, mode, batch: 8, cost_scale: 1.0 };
+        let he = Arc::new(PlainHe::new(16));
+        vfps_obs::start_capture();
+        let run = run_threaded_knn(
+            &he,
+            &f.ds.x,
+            &f.partition,
+            &parties,
+            &f.split.train,
+            &queries,
+            cfg,
+            3,
+        );
+        let trace = vfps_obs::finish_capture().expect("capture was started");
+        let candidates: usize = run.outcomes.iter().map(|o| o.candidates).sum();
+        assert_eq!(
+            trace.metrics.counter("protocol.encrypted_values"),
+            (parties.len() * candidates) as u64,
+            "{mode:?}"
+        );
+        assert_eq!(trace.span_count("protocol.server.wave"), 1, "{mode:?}: five queries, one wave");
+    }
+}

@@ -89,19 +89,26 @@ fn protocol_messages_never_carry_labels() {
     // and none has a label field (enforced by the type; this test
     // documents it and pins the wire tags).
     let msgs: Vec<(u8, ProtoMsg)> = vec![
-        (0, ProtoMsg::NeedBatch),
-        (1, ProtoMsg::RankBatch(vec![1])),
-        (2, ProtoMsg::Candidates(vec![2])),
         (3, ProtoMsg::EncPartials(vec![vec![9]])),
         (4, ProtoMsg::Aggregated(vec![vec![9]])),
-        (5, ProtoMsg::TopkIds(vec![3])),
-        (6, ProtoMsg::DtSum(1.0)),
-        (7, ProtoMsg::QueryDone),
+        (8, ProtoMsg::AggregatedPartial(vec![vec![9]], vec![0])),
+        (9, ProtoMsg::NeedBatch(vec![0])),
+        (10, ProtoMsg::RankBatch(vec![vec![1]])),
+        (11, ProtoMsg::Candidates(vec![vec![2]])),
+        (12, ProtoMsg::AllCandidates),
+        (13, ProtoMsg::TopkIds(vec![vec![3]])),
+        (14, ProtoMsg::DtSum(vec![1.0])),
+        (15, ProtoMsg::WaveDone),
     ];
     for (tag, m) in msgs {
         let bytes = m.to_bytes();
         assert_eq!(bytes[0], tag, "wire tag pinned for audit");
         assert_eq!(ProtoMsg::from_bytes(&bytes).unwrap(), m);
+    }
+    // Nothing else decodes — the retired per-query tags (0, 1, 2, 5, 6, 7)
+    // included, so no stale frame is ever read as something it is not.
+    for tag in (0..=u8::MAX).filter(|t| !matches!(t, 3 | 4 | 8..=15)) {
+        assert!(ProtoMsg::from_bytes(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]).is_err(), "tag {tag}");
     }
 }
 
