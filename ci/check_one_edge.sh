@@ -6,7 +6,8 @@
 # Three HE rules ride along: one decrypt helper in vfl, no Montgomery
 # context built per ciphertext, no division-based modular product on the
 # Paillier data path. And three for the party plane's round: the exchange
-# is per wave, never per query, and session setup is fanned out.
+# is per wave, never per query, and session setup is fanned out. One more
+# for ranking: the protocols rank through vfps_topk::Ranking, never a sort.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -146,6 +147,17 @@ if [ -z "$connect_from" ] || [ -z "$dial_line" ] || [ -z "$dial_loop" ]; then
     fail=1
 elif hits=$(block_at "$hub" "$((connect_from + dial_loop - 1))" | grep -E '\.recv[a-z_:<>A-Za-z]*\('); then
     echo "$hub: Hub::connect receives inside its dial loop (send every Setup first, then collect the Readys):"
+    echo "$hits"
+    fail=1
+fi
+
+# Rank on demand (DESIGN.md §7): every ranking and top-k in the fed-KNN
+# engines goes through vfps_topk::Ranking, which ranks only the prefix a
+# caller reads. A `total_cmp` sort here is a full sort of N partials
+# coming back.
+if hits=$(grep -rnE -A1 '\.(sort|sort_unstable|select_nth_unstable)(_by[a-z_]*)?\(' \
+        crates/vfl/src --include='*.rs' | grep 'total_cmp'); then
+    echo "a total_cmp sort in crates/vfl/src (rank through vfps_topk::Ranking):"
     echo "$hits"
     fail=1
 fi

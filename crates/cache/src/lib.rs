@@ -24,8 +24,15 @@
 //! Key derivation and the frame format are documented in DESIGN.md §9.
 //! Hashing is hand-rolled FNV-1a-128 and serialization is the existing
 //! [`vfps_net::wire::Wire`] codec — no new dependencies. The store bumps
-//! `cache.{hit,miss,evict}` counters and the `cache.bytes` gauge on the
-//! `vfps-obs` plane.
+//! `cache.{hit,miss,evict}` counters on the `vfps-obs` plane.
+//!
+//! The `cache.bytes` gauge is the byte total of **one capped shard**, as
+//! the eviction pass of a store into it left that shard. Only a store
+//! into a [`ArtifactCache::with_max_bytes`] cache publishes it, from the
+//! directory walk the cap makes anyway; an uncapped cache (the serving
+//! daemon's tenant shards) walks nothing and publishes nothing. The gauge
+//! is process-global, so in a process with several capped shards it reads
+//! the shard that stored last — never a sum over tenants.
 
 #![warn(missing_docs)]
 

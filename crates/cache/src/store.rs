@@ -1,9 +1,13 @@
 //! The on-disk artifact store: one file per selection run.
 //!
 //! File layout: an 8-byte magic, the [`Wire`]-encoded [`CacheEntry`], and a
-//! trailing 16-byte FNV-1a-128 checksum of the payload. Filenames are
-//! `{base_fingerprint}-{full_fingerprint}.vfpsc`, so an exact lookup is one
-//! `open` and a churn lookup is a directory scan over the base prefix.
+//! trailing 16-byte FNV-1a-128 checksum of the payload. An entry lives at
+//! `{bucket}/{base_fingerprint}-{full_fingerprint}.vfpsc` under the cache
+//! directory, `{bucket}` being the base fingerprint's first two hex digits,
+//! so an exact lookup is one `open` and a churn lookup lists one of 256
+//! buckets: 1/256 of the entries, not all of them. Only
+//! [`ArtifactCache::len`], [`ArtifactCache::total_bytes`] and a byte cap
+//! walk the whole tree.
 //!
 //! Every failure mode (missing magic, truncation, checksum mismatch,
 //! undecodable payload, fingerprint collision) surfaces as a typed
@@ -29,6 +33,11 @@ pub const MAGIC: [u8; 8] = *b"VFPSCAC4";
 /// Cache file extension.
 pub const EXTENSION: &str = "vfpsc";
 const CHECKSUM_LEN: usize = 16;
+/// Hex digits of the base fingerprint that name an entry's bucket: 256
+/// buckets. A directory per base would cost every cold store a `mkdir` (a
+/// directory inode and block, journaled); buckets are all created within
+/// the first couple of thousand stores and never again.
+const BUCKET_DIGITS: usize = 2;
 
 /// Why a cache operation failed. Every variant degrades the caller to a
 /// cold run; none of them is a panic.
@@ -147,8 +156,11 @@ impl ArtifactCache {
     }
 
     /// Caps the cache at `max_bytes`: after each store, oldest entries
-    /// (by modification time, ties broken by filename) are evicted until
-    /// the total fits. The just-stored entry itself is never evicted.
+    /// (by modification time, ties broken by path) are evicted until the
+    /// total fits, and the total is published as the `cache.bytes` gauge.
+    /// The just-stored entry itself is never evicted; bucket directories
+    /// are never removed, so a concurrent store never loses the directory
+    /// it is staging into.
     #[must_use]
     pub fn with_max_bytes(mut self, max_bytes: u64) -> Self {
         self.max_bytes = Some(max_bytes);
@@ -161,8 +173,11 @@ impl ArtifactCache {
         &self.dir
     }
 
+    /// `{bucket}/{base}-{full}.vfpsc`: every entry sharing `key`'s base
+    /// fingerprint — its churn neighbours — lives in one bucket.
     fn path_for(&self, key: &CacheKey) -> PathBuf {
-        self.dir.join(format!("{}.{EXTENSION}", key.file_stem()))
+        let stem = key.file_stem();
+        self.dir.join(&stem[..BUCKET_DIGITS]).join(format!("{stem}.{EXTENSION}"))
     }
 
     /// Exact lookup. `Ok(None)` is a clean miss; `Err` means a file exists
@@ -194,18 +209,24 @@ impl ArtifactCache {
         }
     }
 
-    /// Churn lookup: scans entries sharing `key`'s base fingerprint (same
-    /// run in every respect except consortium membership) for one whose
-    /// party set differs from the request by exactly one join or one
-    /// leave. Corrupt neighbors are skipped, not fatal — they only reduce
-    /// reuse. Counts as a `cache.hit` when a neighbor is found.
+    /// Churn lookup: scans the entries sharing `key`'s base fingerprint
+    /// (same run in every respect except consortium membership) — found
+    /// by listing one bucket, a 1/256 share of the cache — in filename
+    /// order for one whose party set differs from the request by exactly
+    /// one join or one leave. Corrupt neighbors are skipped, not fatal —
+    /// they only reduce reuse. Counts as a `cache.hit` when a neighbor is
+    /// found.
     pub fn lookup_churn(
         &self,
         key: &CacheKey,
     ) -> Result<Option<(CacheEntry, ChurnKind)>, CacheError> {
         let prefix = format!("{}-", key.base_fingerprint().hex());
         let own = self.path_for(key);
-        let mut names: Vec<PathBuf> = std::fs::read_dir(&self.dir)?
+        let Some(listing) = read_dir_if_exists(own.parent().expect("entries live in a bucket"))?
+        else {
+            return Ok(None);
+        };
+        let mut names: Vec<PathBuf> = listing
             .filter_map(Result::ok)
             .map(|e| e.path())
             .filter(|p| {
@@ -230,8 +251,10 @@ impl ArtifactCache {
     }
 
     /// Stores `entry` (overwriting any file at its address, including a
-    /// corrupt one), then enforces the byte cap and refreshes the
-    /// `cache.bytes` gauge.
+    /// corrupt one) and returns the path it now lives at, then enforces
+    /// the byte cap, if any. An uncapped store touches its own bucket
+    /// only (creating it the first time): its cost does not grow with the
+    /// cache.
     ///
     /// The write is atomic with respect to concurrent readers: the frame is
     /// written to a uniquely named `.tmp` sibling and `rename`d into place,
@@ -251,15 +274,19 @@ impl ArtifactCache {
         // is not `vfpsc`, so scans never pick a staging file up.
         static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp =
-            self.dir.join(format!("{}.{}-{seq}.tmp", entry.key.file_stem(), std::process::id()));
-        std::fs::write(&tmp, &bytes)?;
+        let tmp = path.with_extension(format!("{}-{seq}.tmp", std::process::id()));
+        match std::fs::write(&tmp, &bytes) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                std::fs::create_dir_all(path.parent().expect("entries live in a bucket"))?;
+                std::fs::write(&tmp, &bytes)?;
+            }
+            written => written?,
+        }
         if let Err(e) = std::fs::rename(&tmp, &path) {
             let _ = std::fs::remove_file(&tmp);
             return Err(e.into());
         }
         self.enforce_cap(&path)?;
-        vfps_obs::gauge_set("cache.bytes", self.total_bytes()? as f64);
         Ok(path)
     }
 
@@ -278,26 +305,22 @@ impl ArtifactCache {
         Ok(self.len()? == 0)
     }
 
-    /// `(path, mtime, len)` for every cache file.
-    #[allow(clippy::type_complexity)]
-    fn files(&self) -> Result<Vec<(PathBuf, std::time::SystemTime, u64)>, CacheError> {
+    /// `(path, mtime, len)` for every cache file: the entries of every
+    /// bucket, and any flat `{base}-{full}.vfpsc` left in the cache
+    /// directory itself by a build that predates buckets — never served,
+    /// but counted and evicted like any other entry.
+    fn files(&self) -> Result<Vec<CacheFile>, CacheError> {
         let mut out = Vec::new();
         for e in std::fs::read_dir(&self.dir)? {
             let e = e?;
-            let path = e.path();
-            if path.extension().is_none_or(|x| x != EXTENSION) {
+            if !e.file_type()?.is_dir() {
+                push_entry_file(&mut out, &e)?;
                 continue;
             }
-            // An entry can vanish between readdir and stat when another
-            // thread or process evicts it; that is not an error, the file
-            // is simply gone.
-            let meta = match e.metadata() {
-                Ok(m) => m,
-                Err(err) if err.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(err) => return Err(err.into()),
-            };
-            let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            out.push((path, mtime, meta.len()));
+            let Some(base) = read_dir_if_exists(&e.path())? else { continue };
+            for f in base {
+                push_entry_file(&mut out, &f?)?;
+            }
         }
         Ok(out)
     }
@@ -325,8 +348,40 @@ impl ArtifactCache {
             vfps_obs::counter_add("cache.evict", 1);
             total = total.saturating_sub(len);
         }
+        vfps_obs::gauge_set("cache.bytes", total as f64);
         Ok(())
     }
+}
+
+/// `read_dir`, with a directory that does not exist read as `None`: a
+/// bucket no entry was ever stored in.
+fn read_dir_if_exists(dir: &Path) -> Result<Option<std::fs::ReadDir>, CacheError> {
+    match std::fs::read_dir(dir) {
+        Ok(listing) => Ok(Some(listing)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// `(path, mtime, len)` of one cache file.
+type CacheFile = (PathBuf, std::time::SystemTime, u64);
+
+/// Appends `e` to `out` when it is a cache file.
+fn push_entry_file(out: &mut Vec<CacheFile>, e: &std::fs::DirEntry) -> Result<(), CacheError> {
+    let path = e.path();
+    if path.extension().is_none_or(|x| x != EXTENSION) {
+        return Ok(());
+    }
+    // An entry can vanish between readdir and stat when another thread or
+    // process evicts it; that is not an error, the file is simply gone.
+    let meta = match e.metadata() {
+        Ok(m) => m,
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(err) => return Err(err.into()),
+    };
+    let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
+    out.push((path, mtime, meta.len()));
+    Ok(())
 }
 
 /// The directory name of one tenant's cache shard: `tenant-<name>` with

@@ -14,6 +14,9 @@
 //!   participants cannot answer point lookups at all.
 //! * [`stream::StreamingFagin`] — the server-side incremental FA fed with
 //!   pseudo-ID mini-batches, exactly as the federated workflow runs it.
+//! * [`rank::Ranking`] — the participant side of that stream: a party's
+//!   `(score, id)` pairs ranked only as far as the server reads them. Every
+//!   ranking and top-k in the federated protocols goes through it.
 //!
 //! All algorithms operate on access-counted [`list::RankedList`]s so their
 //! sequential/random access mix can be compared (see the
@@ -38,11 +41,13 @@ pub mod fagin;
 pub mod list;
 pub mod naive;
 pub mod nra;
+pub mod rank;
 pub mod stream;
 pub mod threshold;
 
 pub use compare::{compare_all, Algorithm, ComparisonRow};
 pub use list::{AccessStats, Direction, ItemId, RankedList};
+pub use rank::Ranking;
 
 /// Result of a top-k run, including the work accounting the paper's
 /// ablations report.

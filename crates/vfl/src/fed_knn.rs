@@ -32,6 +32,7 @@ use vfps_data::VerticalPartition;
 use vfps_ml::linalg::{squared_distance, Matrix};
 use vfps_net::cost::OpLedger;
 use vfps_topk::stream::StreamingFagin;
+use vfps_topk::Ranking;
 
 /// Which federated KNN protocol to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -301,28 +302,28 @@ impl<'a> FedKnn<'a> {
                 // `fagin_cost_scale`.
                 let fscale = fagin_cost_scale(scale, self.parties());
                 let fbill = |count: usize| -> u64 { (count as f64 * fscale).round() as u64 };
-                // Local sorts (plaintext, on each participant in parallel).
+                // Local sorts (plaintext, on each participant in parallel),
+                // billed as the paper's full sort of N even though the
+                // parties below rank only the prefix the stream reads.
                 let scaled_n = bill(n).max(2);
                 let sort_ops = (scaled_n as f64 * (scaled_n as f64).log2()).round() as u64;
                 ledger.record_plain(sort_ops, p);
 
-                // Streaming phase: mini-batches of pseudo IDs, round-robin.
+                // Streaming phase: mini-batches of pseudo IDs, round-robin,
+                // each party ranking only as far as the stream reads.
                 let stream_span = vfps_obs::span("fed_knn.fagin.stream");
-                let rankings: Vec<Vec<usize>> = partials
-                    .iter()
-                    .map(|d| {
-                        let mut idx: Vec<usize> = (0..n).collect();
-                        idx.sort_by(|&a, &b| d[a].total_cmp(&d[b]).then(a.cmp(&b)));
-                        idx
-                    })
-                    .collect();
+                let mut rankings: Vec<Ranking> =
+                    partials.iter().map(|d| Ranking::of_scores(d)).collect();
                 let mut sf = StreamingFagin::new(self.parties(), n, self.cfg.k.min(n));
                 let mut pos = vec![0usize; self.parties()];
+                let mut batch = Vec::with_capacity(self.cfg.batch.min(n));
                 'stream: while !sf.is_complete() {
-                    for (party, ranking) in rankings.iter().enumerate() {
+                    for (party, ranking) in rankings.iter_mut().enumerate() {
                         let end = (pos[party] + self.cfg.batch).min(n);
                         if pos[party] < end {
-                            sf.feed(party, &ranking[pos[party]..end]);
+                            batch.clear();
+                            batch.extend(ranking.prefix(end)[pos[party]..].iter().map(|e| e.id()));
+                            sf.feed(party, &batch);
                             pos[party] = end;
                         }
                         if sf.is_complete() {
@@ -433,17 +434,18 @@ impl<'a> FedKnn<'a> {
 
         // Leader: complete distances of candidates, take k smallest.
         vfps_obs::span!("fed_knn.leader_tail");
-        let mut complete: Vec<(usize, f64)> = candidate_positions
-            .iter()
-            .map(|&i| (i, partials.iter().map(|d| d[i]).sum::<f64>()))
-            .collect();
-        ledger.record_plain(bill(complete.len()), 1);
-        complete.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let complete =
+            candidate_positions.iter().map(|&i| (partials.iter().map(|d| d[i]).sum::<f64>(), i));
+        ledger.record_plain(bill(candidate_positions.len()), 1);
         // The query's own database entry carries an infinite distance; for
         // k >= N it would otherwise slip into the top-k.
-        complete.retain(|e| e.1.is_finite());
-        let k = self.cfg.k.min(complete.len());
-        let topk_pos: Vec<usize> = complete[..k].iter().map(|e| e.0).collect();
+        let topk_pos: Vec<usize> = Ranking::new(complete)
+            .into_iter()
+            .filter(|e| e.score().is_finite())
+            .take(self.cfg.k)
+            .map(|e| e.id())
+            .collect();
+        let k = topk_pos.len();
 
         // Leader → participants: the top-k ids; participants return d_T^p.
         let model = vfps_net::cost::CostModel::default();

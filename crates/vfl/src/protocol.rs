@@ -50,6 +50,7 @@ use vfps_ml::linalg::{squared_distance, Matrix};
 use vfps_net::channel::Channel;
 use vfps_net::cluster::{run_cluster_fallible, ClusterOptions, NodeCtx};
 use vfps_net::{Error, FaultPlan, NodeId, TrafficLedger};
+use vfps_topk::Ranking;
 
 /// Stand-in distance for a query's own database entry: large enough never
 /// to win a top-k, small enough to stay representable in every scheme's
@@ -746,11 +747,8 @@ fn partial_distances(
 /// The leader's pick for one query: the `k` candidates of smallest
 /// complete distance, ties broken by database position.
 fn top_k(shared: &KnnSession, candidates: &[usize], complete: &[f64]) -> Vec<usize> {
-    let mut scored: Vec<(usize, f64)> =
-        candidates.iter().copied().zip(complete.iter().copied()).collect();
-    scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(shared.inv[a.0].cmp(&shared.inv[b.0])));
-    scored.truncate(shared.cfg.k);
-    scored.into_iter().map(|e| e.0).collect()
+    let by_position = candidates.iter().zip(complete).map(|(&pseudo, &d)| (d, shared.inv[pseudo]));
+    Ranking::new(by_position).prefix(shared.cfg.k).iter().map(|e| shared.perm[e.id()]).collect()
 }
 
 /// A participant: per wave, computes partial distances, streams rankings
@@ -801,16 +799,10 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
                 }
             }
             KnnMode::Fagin => {
-                // Sorted pseudo-ID rankings, streamed on demand from one
-                // cursor per query.
-                let rankings: Vec<Vec<u32>> = partials
-                    .iter()
-                    .map(|d| {
-                        let mut ranking: Vec<usize> = (0..n).collect();
-                        ranking.sort_by(|&a, &b| d[a].total_cmp(&d[b]).then(a.cmp(&b)));
-                        ranking.iter().map(|&pos| shared.perm[pos] as u32).collect()
-                    })
-                    .collect();
+                // One ranking and cursor per query, ranked only as far as
+                // the server asks; positions travel as pseudo IDs.
+                let mut rankings: Vec<Ranking> =
+                    partials.iter().map(|d| Ranking::of_scores(d)).collect();
                 let mut cursors = vec![0usize; wave_len];
                 loop {
                     match ctx.recv_from_timeout(0, PHASE_TIMEOUT)? {
@@ -820,7 +812,10 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
                                 .map(|q| {
                                     let start = cursors[q];
                                     cursors[q] = start.saturating_add(shared.cfg.batch).min(n);
-                                    rankings[q][start..cursors[q]].to_vec()
+                                    rankings[q].prefix(cursors[q])[start..]
+                                        .iter()
+                                        .map(|e| shared.perm[e.id()] as u32)
+                                        .collect()
                                 })
                                 .collect();
                             ctx.send(0, ProtoMsg::RankBatch(batches))?;

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use vfps_cache::{ArtifactCache, CacheError};
-use vfps_core::cached::{select_with_cache, CacheStatus, TenantContext};
+use vfps_core::cached::{cache_key, select_with_cache, CacheStatus, TenantContext};
 use vfps_core::pipeline::{run_pipeline, Method, PipelineConfig};
 use vfps_core::selectors::{SelectionContext, VfpsSmSelector};
 use vfps_core::IncrementalConsortium;
@@ -220,8 +220,12 @@ fn corrupted_entry_degrades_to_cold_and_is_repaired() {
     let cold = select_with_cache(&cache, &sel, &c, &parties, 2, &model, &tc(b"it-corrupt"));
     assert_eq!(cold.status, CacheStatus::Cold);
 
-    // Flip one payload byte in the stored entry.
-    let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+    // Flip one payload byte in the stored entry, found where `store` puts
+    // it: re-storing the entry the cold run wrote returns its path.
+    let key = cache_key(&sel, &c, &parties, &model, &tc(b"it-corrupt"));
+    let stored = cache.lookup(&key).unwrap().expect("the cold run stored its entry");
+    let entry = cache.store(&stored).unwrap();
+    assert_eq!(cache.len().unwrap(), 1, "re-storing is idempotent");
     let mut bytes = std::fs::read(&entry).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
