@@ -8,6 +8,7 @@
 # Paillier data path. And three for the party plane's round: the exchange
 # is per wave, never per query, and session setup is fanned out. One more
 # for ranking: the protocols rank through vfps_topk::Ranking, never a sort.
+# And one for the harness: crates/bench times nothing (benchmark/ does).
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -158,6 +159,16 @@ fi
 if hits=$(grep -rnE -A1 '\.(sort|sort_unstable|select_nth_unstable)(_by[a-z_]*)?\(' \
         crates/vfl/src --include='*.rs' | grep 'total_cmp'); then
     echo "a total_cmp sort in crates/vfl/src (rank through vfps_topk::Ranking):"
+    echo "$hits"
+    fail=1
+fi
+
+# One harness (DESIGN.md §4): timings are the repo benchmark's
+# (benchmark/); crates/bench regenerates the paper's tables and figures
+# and pins exact work counters in cargo tests. A dependency on a serving
+# tier or a timing framework is the second timing harness coming back.
+if hits=$(grep -nE '^(vfps-serve|vfps-router|vfps-cluster|criterion)\b' crates/bench/Cargo.toml); then
+    echo "crates/bench/Cargo.toml depends on a serving tier or criterion (time it in benchmark/):"
     echo "$hits"
     fail=1
 fi

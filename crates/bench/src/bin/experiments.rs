@@ -2,8 +2,7 @@
 //! paper's evaluation.
 //!
 //! ```text
-//! cargo run --release -p vfps-bench --bin experiments -- <id> [--runs N] [--quick] [--cached]
-//! cargo run --release -p vfps-bench --bin experiments -- bench-check [--current F] [--baseline F] [--tolerance N]
+//! cargo run --release -p vfps-bench --bin experiments -- <id> [--runs N] [--quick]
 //!
 //! ids: table1 tables45 fig4 fig5 fig6 fig7 fig8 fig9
 //!      ablation-batch ablation-scheme ablation-dp ablation-maximizer ablation-noise ablation-topk breakdown calibrate all
@@ -11,91 +10,12 @@
 
 use vfps_bench::experiments::{
     ablation_batch, ablation_dp, ablation_maximizer, ablation_noise, ablation_scheme,
-    ablation_topk, bench_selection, breakdown, calibrate, fig4, fig5, fig6, fig7, fig8, fig9,
-    table1, tables_4_and_5, ExpConfig,
+    ablation_topk, breakdown, calibrate, fig4, fig5, fig6, fig7, fig8, fig9, table1,
+    tables_4_and_5, ExpConfig,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // `bench-check` is the CI regression gate, not an experiment: it diffs
-    // a fresh BENCH_selection.json against the committed baseline and
-    // exits non-zero on regression.
-    if args.first().map(String::as_str) == Some("bench-check") {
-        let mut current = "BENCH_selection.json".to_owned();
-        let mut baseline = "results/bench_baseline.json".to_owned();
-        let mut tolerance = vfps_bench::check::DEFAULT_TOLERANCE;
-        let mut it = args.iter().skip(1);
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--current" => {
-                    current = it.next().cloned().unwrap_or_else(|| usage("--current needs a path"));
-                }
-                "--baseline" => {
-                    baseline =
-                        it.next().cloned().unwrap_or_else(|| usage("--baseline needs a path"));
-                }
-                "--tolerance" => {
-                    tolerance = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--tolerance needs a number"));
-                }
-                other => usage(&format!("unexpected argument {other}")),
-            }
-        }
-        std::process::exit(vfps_bench::check::run_bench_check(&current, &baseline, tolerance));
-    }
-
-    // `bench-serve` drives the selection service under concurrent load; it
-    // has its own flags (`--clients`, `--addr`) so it is dispatched before
-    // the generic experiment ids.
-    if args.first().map(String::as_str) == Some("bench-serve") {
-        let mut cfg = vfps_bench::serve::ServeBenchConfig::default();
-        let mut it = args.iter().skip(1);
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--quick" => cfg.quick = true,
-                "--clients" => {
-                    cfg.clients = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--clients needs a number"));
-                }
-                "--addr" => {
-                    cfg.addr =
-                        Some(it.next().cloned().unwrap_or_else(|| usage("--addr needs a value")));
-                }
-                "--router" => cfg.router = true,
-                other => usage(&format!("unexpected argument {other}")),
-            }
-        }
-        if cfg.router {
-            println!("{}", vfps_bench::serve::bench_serve_router(&cfg));
-        } else {
-            println!("{}", vfps_bench::serve::bench_serve(&cfg));
-        }
-        return;
-    }
-
-    // `bench-cluster` runs the fed-KNN session over real sockets vs the
-    // simulated cluster and times both, plus a mid-batch kill run.
-    if args.first().map(String::as_str) == Some("bench-cluster") {
-        let mut cfg = vfps_bench::cluster::ClusterBenchConfig::default();
-        let mut it = args.iter().skip(1);
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--quick" => cfg.quick = true,
-                "--addrs" => {
-                    let list = it.next().cloned().unwrap_or_else(|| usage("--addrs needs a value"));
-                    cfg.addrs = Some(list.split(',').map(str::to_owned).collect());
-                }
-                other => usage(&format!("unexpected argument {other}")),
-            }
-        }
-        println!("{}", vfps_bench::cluster::bench_cluster(&cfg));
-        return;
-    }
 
     let mut id: Option<String> = None;
     let mut cfg = ExpConfig::default();
@@ -103,7 +23,6 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => cfg.quick = true,
-            "--cached" => cfg.cached = true,
             "--runs" => {
                 cfg.runs = it
                     .next()
@@ -178,10 +97,6 @@ fn main() {
         println!("{}", ablation_topk(&cfg));
         ran = true;
     }
-    if run("bench-selection") {
-        println!("{}", bench_selection(&cfg));
-        ran = true;
-    }
     if run("calibrate") {
         println!("{}", calibrate());
         ran = true;
@@ -194,22 +109,9 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: experiments <id> [--runs N] [--quick] [--cached]\n\
-         \x20      experiments bench-check [--current F] [--baseline F] [--tolerance N]\n\
-         \x20      experiments bench-serve [--quick] [--clients N] [--addr host:port] [--router]\n\
-         \x20      experiments bench-cluster [--quick] [--addrs h:p,h:p,h:p]\n\
+        "usage: experiments <id> [--runs N] [--quick]\n\
          ids: table1 tables45 fig4 fig5 fig6 fig7 fig8 fig9\n\
-         \x20    ablation-batch ablation-scheme ablation-dp ablation-maximizer ablation-noise ablation-topk breakdown bench-selection calibrate all\n\
-         --cached additionally exercises the selection-artifact cache in bench-selection;\n\
-         bench-check diffs BENCH_selection.json against results/bench_baseline.json;\n\
-         bench-serve load-tests the selection service across two dataset tenants\n\
-         (in-process, or --addr for a daemon started with --max-tenants >= 2);\n\
-         with --router the workload runs through a vfps-router tier over two daemons\n\
-         (in-process, or --addr for a running router whose backends share a --cache-dir)\n\
-         and adds a mid-load backend drain plus bit-identity checks against a direct daemon;\n\
-         bench-cluster times the fed-KNN protocol over real TCP daemons vs the simulated\n\
-         cluster (bit-identity asserted) plus a mid-batch kill run, merging a\n\
-         cluster_breakdown section into BENCH_selection.json"
+         \x20    ablation-batch ablation-scheme ablation-dp ablation-maximizer ablation-noise ablation-topk breakdown calibrate all"
     );
     std::process::exit(2)
 }

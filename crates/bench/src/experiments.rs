@@ -19,14 +19,11 @@ pub struct ExpConfig {
     pub runs: usize,
     /// Shrink instance counts and query sets for a fast smoke pass.
     pub quick: bool,
-    /// Also exercise the selection-artifact cache in `bench_selection`,
-    /// emitting the cold/warm/churn breakdown into `BENCH_selection.json`.
-    pub cached: bool,
 }
 
 impl Default for ExpConfig {
     fn default() -> Self {
-        ExpConfig { runs: 3, quick: false, cached: false }
+        ExpConfig { runs: 3, quick: false }
     }
 }
 
@@ -655,630 +652,6 @@ pub fn ablation_topk(cfg: &ExpConfig) -> String {
     out
 }
 
-/// Thread-scaling report for the parallelized selection stages, written to
-/// `BENCH_selection.json`: wall-clock seconds per stage at 1/2/4/8 worker
-/// threads on this machine, with the outputs of every multi-threaded run
-/// asserted identical to the 1-thread reference. The four stages are the
-/// hot paths `vfps-par` sits under: fed-KNN query batches, Paillier batch
-/// encryption, CKKS batch encryption, and the greedy maximizer.
-pub fn bench_selection(cfg: &ExpConfig) -> String {
-    use std::time::Instant;
-    use vfps_core::KnnSubmodular;
-    use vfps_data::{prepared_sized, VerticalPartition};
-    use vfps_he::ckks::CkksParams;
-    use vfps_he::scheme::{AdditiveHe, CkksHe, PaillierHe};
-    use vfps_net::cost::OpLedger;
-    use vfps_par::Pool;
-    use vfps_vfl::fed_knn::{FedKnn, FedKnnConfig, KnnMode};
-
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
-    let reps = if cfg.quick { 7 } else { cfg.runs.max(5) };
-    // Scheduler noise on these sub-millisecond workloads is strictly
-    // additive, so the minimum sample is the robust per-stage estimate
-    // (the usual microbenchmark convention); a median of a handful of
-    // jittery reps would randomize the reported speedups.
-    let best = |xs: Vec<f64>| -> f64 { xs.into_iter().fold(f64::INFINITY, f64::min) };
-    // rows: (stage, threads, median seconds, deterministic)
-    let mut rows: Vec<(&'static str, usize, f64, bool)> = Vec::new();
-
-    // Stage 1 — fed-KNN query batch (similarity estimation).
-    {
-        let spec = DatasetSpec::by_name("IJCNN").expect("catalog");
-        let sim_n = if cfg.quick { 260 } else { 800 };
-        let (ds, split) = prepared_sized(&spec, sim_n, 1500);
-        let partition = VerticalPartition::random(ds.n_features(), 4, 1500);
-        let parties = [0usize, 1, 2, 3];
-        let knn_cfg = FedKnnConfig { k: 10, mode: KnnMode::Fagin, batch: 100, cost_scale: 1.0 };
-        let engine = FedKnn::new(&ds.x, &partition, &parties, &split.train, knn_cfg);
-        let q_count = if cfg.quick { 12 } else { 48 };
-        let queries: Vec<usize> = split.train.iter().copied().take(q_count).collect();
-        let mut reference: Option<(Vec<Vec<u64>>, OpLedger)> = None;
-        for threads in THREADS {
-            let pool = Pool::with_threads(threads);
-            let mut samples = Vec::with_capacity(reps);
-            let mut last = None;
-            for _ in 0..reps {
-                let mut ledger = OpLedger::default();
-                let t = Instant::now();
-                let outcomes = engine.query_batch(&queries, &pool, &mut ledger);
-                samples.push(t.elapsed().as_secs_f64());
-                last = Some((outcomes, ledger));
-            }
-            let (outcomes, ledger) = last.expect("at least one rep");
-            let bits: Vec<Vec<u64>> =
-                outcomes.iter().map(|o| o.d_t.iter().map(|d| d.to_bits()).collect()).collect();
-            let deterministic = match &reference {
-                None => {
-                    reference = Some((bits, ledger));
-                    true
-                }
-                Some((ref_bits, ref_ledger)) => bits == *ref_bits && ledger == *ref_ledger,
-            };
-            rows.push(("fed_knn_query_batch", threads, best(samples.clone()), deterministic));
-        }
-    }
-
-    // Stage 2 — Paillier batch encryption. A fresh same-seed scheme per
-    // thread count keeps the master RNG stream aligned for the
-    // determinism check; timing then repeats the same-size workload.
-    {
-        let key_bits = if cfg.quick { 256 } else { 512 };
-        let n_values = if cfg.quick { 32 } else { 96 };
-        let values: Vec<f64> = (0..n_values).map(|i| f64::from(i as u32) * 0.25 - 4.0).collect();
-        let mut reference: Option<vfps_he::scheme::PackedPaillier> = None;
-        for threads in THREADS {
-            let pool = Pool::with_threads(threads);
-            let scheme = PaillierHe::generate(key_bits, n_values, 1501).expect("keygen");
-            let first = scheme.encrypt_on(&values, &pool).expect("encrypt");
-            let deterministic = match &reference {
-                None => {
-                    reference = Some(first);
-                    true
-                }
-                Some(r) => first == *r,
-            };
-            let mut samples = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let t = Instant::now();
-                let _ = scheme.encrypt_on(&values, &pool).expect("encrypt");
-                samples.push(t.elapsed().as_secs_f64());
-            }
-            rows.push(("paillier_batch_encrypt", threads, best(samples), deterministic));
-        }
-    }
-
-    // Stage 3 — CKKS batch encryption (one ciphertext per batch).
-    {
-        let params =
-            if cfg.quick { CkksParams::insecure_test() } else { CkksParams::default_vfl() };
-        let batches_n = if cfg.quick { 4 } else { 16 };
-        let mut reference: Option<Vec<vfps_he::ckks::CkksCiphertext>> = None;
-        let probe = CkksHe::generate(&params, 1502).expect("context");
-        let slots = probe.max_batch();
-        let flat: Vec<f64> = (0..batches_n * slots).map(|i| (i as f64).sin() * 0.5).collect();
-        let batches: Vec<&[f64]> = flat.chunks(slots).collect();
-        for threads in THREADS {
-            let pool = Pool::with_threads(threads);
-            let scheme = CkksHe::generate(&params, 1502).expect("context");
-            let first = scheme.encrypt_many_on(&batches, &pool).expect("encrypt");
-            let deterministic = match &reference {
-                None => {
-                    reference = Some(first);
-                    true
-                }
-                Some(r) => first == *r,
-            };
-            let mut samples = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let t = Instant::now();
-                let _ = scheme.encrypt_many_on(&batches, &pool).expect("encrypt");
-                samples.push(t.elapsed().as_secs_f64());
-            }
-            rows.push(("ckks_batch_encrypt", threads, best(samples), deterministic));
-        }
-    }
-
-    // Stage 4 — greedy submodular maximization over a dense matrix.
-    {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let n = if cfg.quick { 60 } else { 140 };
-        let mut rng = StdRng::seed_from_u64(1503);
-        let mut w = vec![vec![0.0f64; n]; n];
-        for i in 0..n {
-            w[i][i] = 1.0;
-            for j in 0..i {
-                let v: f64 = rng.gen_range(0.0..1.0);
-                w[i][j] = v;
-                w[j][i] = v;
-            }
-        }
-        let f = KnnSubmodular::new(w);
-        let select = n / 4;
-        let mut reference: Option<Vec<usize>> = None;
-        for threads in THREADS {
-            let pool = Pool::with_threads(threads);
-            let mut samples = Vec::with_capacity(reps);
-            let mut chosen = Vec::new();
-            for _ in 0..reps {
-                let t = Instant::now();
-                chosen = f.greedy_on(select, &pool);
-                samples.push(t.elapsed().as_secs_f64());
-            }
-            let deterministic = match &reference {
-                None => {
-                    reference = Some(chosen);
-                    true
-                }
-                Some(r) => chosen == *r,
-            };
-            rows.push(("greedy_maximizer", threads, best(samples), deterministic));
-        }
-    }
-
-    // Stage 5 — raw HE op rates: the pooled/packed Paillier fast path vs
-    // the slow per-value reference, and CKKS with full vs single-slot
-    // batches. Work counters (values, exponentiations) are exact and
-    // gate-checked; timings and derived rates are tolerance-band keys.
-    let he_ops = {
-        let key_bits = if cfg.quick { 256 } else { 512 };
-        let n_values = if cfg.quick { 32 } else { 96 };
-        let values: Vec<f64> = (0..n_values).map(|i| f64::from(i as u32) * 0.125 - 2.0).collect();
-        let pool = Pool::with_threads(1);
-        let scheme = PaillierHe::generate(key_bits, n_values, 1506).expect("keygen");
-        let slots = scheme.layout().slots();
-        let groups = n_values.div_ceil(slots);
-
-        // Pooled fast path, noise prefilled off the timed path. One traced
-        // rep pins the exact work counters; timing reps take the median.
-        vfps_obs::start_capture();
-        let ct = scheme.encrypt_on(&values, &pool).expect("encrypt");
-        let trace = vfps_obs::finish_capture().expect("capture was started");
-        let exps = trace.metrics.counter("he.paillier.exponentiations");
-        let enc_values = trace.metrics.counter("he.paillier.enc_values");
-        assert_eq!(enc_values, n_values as u64, "every value must be billed");
-        assert_eq!(exps, groups as u64, "one noise exponentiation per slot group");
-        assert!(
-            enc_values as f64 / exps as f64 >= 4.0,
-            "packing must amortize >= 4 values per exponentiation, got {enc_values}/{exps}"
-        );
-        let out = scheme.decrypt(&ct, n_values);
-        for (got, want) in out.iter().zip(&values) {
-            assert!((got - want).abs() <= scheme.error_bound(1), "packed roundtrip");
-        }
-        let mut pooled_samples = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            scheme.prefill_noise(groups, &pool);
-            let t = Instant::now();
-            let _ = scheme.encrypt_on(&values, &pool).expect("encrypt");
-            pooled_samples.push(t.elapsed().as_secs_f64());
-        }
-        let pooled_s = best(pooled_samples);
-
-        // Slow reference: fresh coprime draw + full n-bit exponentiation
-        // per value, one ciphertext each (the pre-optimization shape).
-        let pk = scheme.keypair().public.clone();
-        let encoded: Vec<i64> =
-            values.iter().map(|&v| (v * f64::from(1u32 << 24)).round() as i64).collect();
-        let mut slow_samples = Vec::with_capacity(reps);
-        let mut rng = vfps_he::scheme::seeded_rng(1506);
-        for _ in 0..reps {
-            let t = Instant::now();
-            for &e in &encoded {
-                let _ = pk.encrypt_i64(e, &mut rng).expect("slow encrypt");
-            }
-            slow_samples.push(t.elapsed().as_secs_f64());
-        }
-        let slow_s = best(slow_samples);
-        let paillier_speedup = slow_s / pooled_s.max(1e-12);
-        assert!(
-            paillier_speedup >= 5.0,
-            "precomputed+packed encryption must be >= 5x the slow path, got {paillier_speedup:.1}x"
-        );
-
-        // CKKS: full-slot batches vs one value per ciphertext, same total
-        // value count, so the gap is pure slot amortization.
-        let params =
-            if cfg.quick { CkksParams::insecure_test() } else { CkksParams::default_vfl() };
-        let ckks = CkksHe::generate(&params, 1506).expect("context");
-        let ckks_slots = ckks.max_batch();
-        let ckks_n = 2 * ckks_slots;
-        let flat: Vec<f64> = (0..ckks_n).map(|i| (i as f64).cos() * 0.5).collect();
-        let packed_batches: Vec<&[f64]> = flat.chunks(ckks_slots).collect();
-        let single_batches: Vec<&[f64]> = flat.chunks(1).collect();
-        let mut packed_samples = Vec::with_capacity(reps);
-        let mut single_samples = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t = Instant::now();
-            let cts = ckks.encrypt_many_on(&packed_batches, &pool).expect("ckks packed");
-            assert_eq!(cts.len(), 2);
-            packed_samples.push(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            let cts = ckks.encrypt_many_on(&single_batches, &pool).expect("ckks single");
-            assert_eq!(cts.len(), ckks_n);
-            single_samples.push(t.elapsed().as_secs_f64());
-        }
-        let ckks_packed_s = best(packed_samples);
-        let ckks_single_s = best(single_samples);
-        let ckks_speedup = ckks_single_s / ckks_packed_s.max(1e-12);
-
-        let per_value_us = |wall_s: f64, n: usize| wall_s * 1e6 / n as f64;
-        format!(
-            "  \"he_ops\": {{\n\
-             \x20   \"paillier_key_bits\": {key_bits},\n\
-             \x20   \"paillier_values\": {n_values},\n\
-             \x20   \"paillier_exponentiations\": {exps},\n\
-             \x20   \"paillier_slots_per_ct\": {slots},\n\
-             \x20   \"paillier_values_per_exponentiation\": {:.3},\n\
-             \x20   \"paillier_pooled_per_value_us\": {:.3},\n\
-             \x20   \"paillier_slow_per_value_us\": {:.3},\n\
-             \x20   \"paillier_pooled_throughput_enc_per_sec\": {:.1},\n\
-             \x20   \"paillier_pooled_speedup_vs_slow\": {:.2},\n\
-             \x20   \"ckks_slots\": {ckks_slots},\n\
-             \x20   \"ckks_values\": {ckks_n},\n\
-             \x20   \"ckks_packed_per_value_us\": {:.3},\n\
-             \x20   \"ckks_unpacked_per_value_us\": {:.3},\n\
-             \x20   \"ckks_packing_speedup\": {:.2}\n  }},\n",
-            enc_values as f64 / exps as f64,
-            per_value_us(pooled_s, n_values),
-            per_value_us(slow_s, n_values),
-            n_values as f64 / pooled_s.max(1e-12),
-            paillier_speedup,
-            per_value_us(ckks_packed_s, ckks_n),
-            per_value_us(ckks_single_s, ckks_n),
-            ckks_speedup,
-        )
-    };
-
-    // Per-phase observability breakdown: the same fed-KNN workload run
-    // once per mode under a trace capture. The exported `enc_instances`
-    // counters use the ledger's corrected accounting (sublinear Fagin
-    // billing of candidates only), so the Fagin-vs-Base comparison here is
-    // the paper's Fig. 9 claim measured through the obs plane.
-    let per_phase = {
-        let spec = DatasetSpec::by_name("Rice").expect("catalog");
-        let sim_n = if cfg.quick { 200 } else { 400 };
-        let (ds, split) = prepared_sized(&spec, sim_n, 1504);
-        let partition = VerticalPartition::random(ds.n_features(), 4, 1504);
-        let parties = [0usize, 1, 2, 3];
-        let q_count = if cfg.quick { 8 } else { 24 };
-        let queries: Vec<usize> = split.train.iter().copied().take(q_count).collect();
-        let pool = Pool::with_threads(1);
-        let measure = |mode: KnnMode| {
-            let knn_cfg = FedKnnConfig { k: 10, mode, batch: 100, cost_scale: 1.0 };
-            let engine = FedKnn::new(&ds.x, &partition, &parties, &split.train, knn_cfg);
-            let mut ledger = OpLedger::default();
-            vfps_obs::start_capture();
-            let _ = engine.query_batch(&queries, &pool, &mut ledger);
-            let trace = vfps_obs::finish_capture().expect("capture was started");
-            (trace, ledger)
-        };
-        let (base_trace, base_ledger) = measure(KnnMode::Base);
-        let (fagin_trace, fagin_ledger) = measure(KnnMode::Fagin);
-        let base_enc = base_trace.metrics.counter("fed_knn.base.enc_instances");
-        let fagin_enc = fagin_trace.metrics.counter("fed_knn.fagin.enc_instances");
-        assert_eq!(base_enc, base_ledger.enc.work, "obs counter must mirror the ledger");
-        assert_eq!(fagin_enc, fagin_ledger.enc.work, "obs counter must mirror the ledger");
-        assert!(
-            fagin_enc < base_enc,
-            "fagin enc {fagin_enc} must strictly undercut base {base_enc}"
-        );
-        let base_bytes = base_ledger.bytes;
-        let fagin_bytes = fagin_ledger.bytes;
-        format!(
-            "  \"per_phase_breakdown\": {{\n\
-             \x20   \"queries\": {q_count},\n\
-             \x20   \"base\": {{\"enc_instances\": {base_enc}, \"bytes\": {base_bytes}, \
-             \"query_span_us\": {}, \
-             \"encrypt_all_us\": {}, \"leader_tail_us\": {}}},\n\
-             \x20   \"fagin\": {{\"enc_instances\": {fagin_enc}, \"bytes\": {fagin_bytes}, \
-             \"query_span_us\": {}, \
-             \"stream_us\": {}, \"encrypt_candidates_us\": {}, \"leader_tail_us\": {}, \
-             \"candidates\": {}}},\n\
-             \x20   \"fagin_undercuts_base\": true\n  }},\n",
-            base_trace.total_us("fed_knn.query"),
-            base_trace.total_us("fed_knn.base.encrypt_all"),
-            base_trace.total_us("fed_knn.leader_tail"),
-            fagin_trace.total_us("fed_knn.query"),
-            fagin_trace.total_us("fed_knn.fagin.stream"),
-            fagin_trace.total_us("fed_knn.fagin.encrypt_candidates"),
-            fagin_trace.total_us("fed_knn.leader_tail"),
-            fagin_trace.metrics.counter("fed_knn.fagin.candidates"),
-        )
-    };
-
-    // Cold/warm/churn serving through the artifact cache (`--cached`).
-    // The warm request must encrypt nothing and reproduce the cold
-    // selection bit-for-bit; churn reuses the cached similarity matrix and
-    // touches only the changed party's pairs (join: |Q|·k plaintext
-    // distance evaluations, leave: zero).
-    let (cache_breakdown, cache_md) = if cfg.cached {
-        use vfps_cache::ArtifactCache;
-        use vfps_core::selectors::{SelectionContext, VfpsSmSelector};
-        use vfps_core::{select_with_cache, CacheStatus, TenantContext};
-        use vfps_net::cost::CostModel;
-
-        let spec = DatasetSpec::by_name("Rice").expect("catalog");
-        let sim_n = if cfg.quick { 200 } else { 400 };
-        let (ds, split) = prepared_sized(&spec, sim_n, 1505);
-        let partition = VerticalPartition::random(ds.n_features(), 5, 1505);
-        let ctx = SelectionContext {
-            ds: &ds,
-            split: &split,
-            partition: &partition,
-            cost_scale: 1.0,
-            seed: 1505,
-        };
-        let q_count = if cfg.quick { 8 } else { 24 };
-        let sel = VfpsSmSelector { query_count: q_count, ..VfpsSmSelector::default() };
-        let cost_model = CostModel::default();
-        let tag = spec.canonical_bytes();
-        let dir = std::env::temp_dir().join(format!("vfps_bench_cache_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ArtifactCache::open(&dir).expect("cache dir");
-        let timed = |party_set: &[usize]| {
-            let t = Instant::now();
-            let served = select_with_cache(
-                &cache,
-                &sel,
-                &ctx,
-                party_set,
-                2,
-                &cost_model,
-                &TenantContext::single(&tag),
-            );
-            (served, t.elapsed().as_secs_f64() * 1e3)
-        };
-
-        let (cold, cold_ms) = timed(&[0, 1, 2, 3]);
-        assert_eq!(cold.status, CacheStatus::Cold);
-        let cold_enc = cold.selection.ledger.enc.work;
-        assert!(cold_enc > 0, "cold run must encrypt");
-
-        let (warm, warm_ms) = timed(&[0, 1, 2, 3]);
-        assert_eq!(warm.status, CacheStatus::Warm);
-        assert_eq!(warm.selection.ledger.enc.work, 0, "warm run must encrypt nothing");
-        let warm_identical = warm.selection.chosen == cold.selection.chosen
-            && warm.selection.scores.iter().map(|s| s.to_bits()).eq(cold
-                .selection
-                .scores
-                .iter()
-                .map(|s| s.to_bits()));
-        assert!(warm_identical, "warm selection must be bit-identical to cold");
-
-        let (join, join_ms) = timed(&[0, 1, 2, 3, 4]);
-        assert_eq!(join.status, CacheStatus::ChurnJoin(4));
-        assert_eq!(join.selection.ledger.enc.work, 0, "churn must encrypt nothing");
-        let join_evals = join.selection.ledger.dist.work;
-        assert_eq!(join_evals, (q_count * sel.k) as u64, "join touches only the new party");
-
-        let (leave, leave_ms) = timed(&[0, 1, 2]);
-        assert_eq!(leave.status, CacheStatus::ChurnLeave(3));
-        assert_eq!(leave.selection.ledger.dist.work, 0, "leave recomputes nothing");
-        assert!(!leave.selection.chosen.contains(&3), "departed party must not be chosen");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let json = format!(
-            "  \"cache_breakdown\": {{\n\
-             \x20   \"queries\": {q_count},\n\
-             \x20   \"cold\": {{\"wall_ms\": {cold_ms:.3}, \"enc_instances\": {cold_enc}, \
-             \"cache_misses\": 1}},\n\
-             \x20   \"warm\": {{\"wall_ms\": {warm_ms:.3}, \"enc_instances\": 0, \
-             \"cache_hits\": 1, \"bit_identical_to_cold\": {warm_identical}}},\n\
-             \x20   \"churn_join\": {{\"wall_ms\": {join_ms:.3}, \"enc_instances\": 0, \
-             \"distance_evals\": {join_evals}}},\n\
-             \x20   \"churn_leave\": {{\"wall_ms\": {leave_ms:.3}, \"enc_instances\": 0, \
-             \"distance_evals\": 0}}\n  }},\n"
-        );
-        let md = format!(
-            "\n## Artifact-cache serving (Rice, {q_count} queries)\n\n{}",
-            markdown_table(
-                &["Mode", "wall (ms)", "enc instances", "distance evals"],
-                &[
-                    vec!["cold".into(), format!("{cold_ms:.2}"), cold_enc.to_string(), "-".into()],
-                    vec!["warm".into(), format!("{warm_ms:.2}"), "0".into(), "0".into()],
-                    vec![
-                        "churn-join(4)".into(),
-                        format!("{join_ms:.2}"),
-                        "0".into(),
-                        join_evals.to_string(),
-                    ],
-                    vec!["churn-leave(3)".into(), format!("{leave_ms:.2}"), "0".into(), "0".into()],
-                ],
-            )
-        );
-        (json, md)
-    } else {
-        (String::new(), String::new())
-    };
-
-    // Party-axis scaling: full greedy vs the sublinear maximizers on
-    // synthetic consortia of 10^2..10^4 parties over a thresholded sparse
-    // similarity (~24 neighbors per party), so each gain() is O(nnz) and
-    // the curves isolate the evaluation-count asymptotics. Gate-checked
-    // claims: at P = 10^4 both sublinear maximizers use >= 10x fewer
-    // gain() evaluations than full greedy while staying within the
-    // 1 - 1/e - eps guarantee, and their selections are bit-identical at
-    // every thread count.
-    let (party_scaling, party_md) = {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        use vfps_core::{Maximizer, SparseSimilarity};
-
-        const SELECT: usize = 25;
-        const EPSILON: f64 = 0.2;
-        const MASTER_SEED: u64 = 1507;
-        let guarantee = 1.0 - (-1.0f64).exp() - EPSILON;
-
-        let mut point_json = Vec::new();
-        let mut md_rows: Vec<Vec<String>> = Vec::new();
-        for parties in [100usize, 1_000, 10_000] {
-            let columns: Vec<Vec<(usize, f64)>> = (0..parties)
-                .map(|s| {
-                    let mut rng =
-                        StdRng::seed_from_u64(vfps_par::split_seed(MASTER_SEED, s as u64));
-                    let degree = 24.min(parties - 1);
-                    let mut neighbors = std::collections::BTreeSet::new();
-                    neighbors.insert(s);
-                    while neighbors.len() < degree + 1 {
-                        neighbors.insert(rng.gen_range(0..parties));
-                    }
-                    neighbors
-                        .into_iter()
-                        .map(|p| (p, if p == s { 1.0 } else { rng.gen_range(0.05..0.95) }))
-                        .collect()
-                })
-                .collect();
-            let f =
-                KnnSubmodular::from_sparse(SparseSimilarity::from_columns(parties, 0.05, columns));
-
-            let pool = Pool::with_threads(1);
-            let timed = |m: Maximizer| {
-                let t = Instant::now();
-                let (chosen, evals) = f.maximize(SELECT, m, MASTER_SEED, &pool);
-                (chosen, evals, t.elapsed().as_secs_f64() * 1e3)
-            };
-            let (greedy_set, greedy_evals, greedy_ms) = timed(Maximizer::Greedy);
-            let greedy_val = f.eval(&greedy_set);
-            md_rows.push(vec![
-                parties.to_string(),
-                "greedy".into(),
-                greedy_evals.to_string(),
-                "1.00x".into(),
-                "1.0000".into(),
-                format!("{greedy_ms:.2}"),
-            ]);
-
-            let mut sublinear = String::new();
-            for (name, m) in [
-                ("stochastic", Maximizer::Stochastic { epsilon: EPSILON }),
-                ("sieve", Maximizer::Sieve { epsilon: EPSILON }),
-            ] {
-                let (chosen, evals, ms) = timed(m);
-                let ratio = f.eval(&chosen) / greedy_val;
-                let reduction = greedy_evals as f64 / evals as f64;
-                let identical = [2usize, 4, 8].iter().all(|&t| {
-                    f.maximize(SELECT, m, MASTER_SEED, &Pool::with_threads(t)).0 == chosen
-                });
-                assert!(identical, "{name} at {parties} parties diverged across thread counts");
-                assert!(
-                    ratio >= guarantee,
-                    "{name} at {parties} parties fell below the {guarantee:.3} guarantee: \
-                     {ratio:.3}"
-                );
-                if parties == 10_000 {
-                    assert!(
-                        reduction >= 10.0,
-                        "{name} must use >= 10x fewer evals than greedy at 10^4 parties, \
-                         got {reduction:.1}x ({evals} vs {greedy_evals})"
-                    );
-                }
-                sublinear.push_str(&format!(
-                    ",\n     \x20 \"{name}\": {{\"wall_ms\": {ms:.3}, \"gain_evals\": {evals}, \
-                     \"objective_ratio_vs_greedy\": {ratio:.4}, \
-                     \"eval_reduction_vs_greedy\": {reduction:.2}, \
-                     \"bit_identical_across_threads\": {identical}}}"
-                ));
-                md_rows.push(vec![
-                    parties.to_string(),
-                    name.into(),
-                    evals.to_string(),
-                    format!("{reduction:.2}x"),
-                    format!("{ratio:.4}"),
-                    format!("{ms:.2}"),
-                ]);
-            }
-            point_json.push(format!(
-                "      {{\"parties\": {parties},\n     \x20 \"greedy\": \
-                 {{\"wall_ms\": {greedy_ms:.3}, \"gain_evals\": {greedy_evals}}}{sublinear}}}"
-            ));
-        }
-
-        let json = format!(
-            "  \"party_scaling\": {{\n\
-             \x20   \"select\": {SELECT},\n\
-             \x20   \"epsilon\": {EPSILON},\n\
-             \x20   \"points\": [\n{}\n    ]\n  }},\n",
-            point_json.join(",\n")
-        );
-        let md = format!(
-            "\n## Party-axis scaling (synthetic sparse consortia, select {SELECT}, ε = \
-             {EPSILON})\n\n{}",
-            markdown_table(
-                &[
-                    "Parties",
-                    "Maximizer",
-                    "gain() evals",
-                    "eval reduction",
-                    "f(S)/f(greedy)",
-                    "wall (ms)"
-                ],
-                &md_rows
-            )
-        );
-        (json, md)
-    };
-
-    // Emit BENCH_selection.json (hand-rolled; no serde in the tree).
-    let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"selection thread scaling\",\n");
-    json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
-    json.push_str(&format!("  \"reps_per_point\": {reps},\n"));
-    json.push_str(&he_ops);
-    json.push_str(&per_phase);
-    json.push_str(&cache_breakdown);
-    json.push_str(&party_scaling);
-    json.push_str("  \"stages\": [\n");
-    for (i, (stage, threads, secs, det)) in rows.iter().enumerate() {
-        let base =
-            rows.iter().find(|(s, t, _, _)| s == stage && *t == 1).map_or(*secs, |(_, _, b, _)| *b);
-        let speedup = if *secs > 0.0 { base / secs } else { 1.0 };
-        json.push_str(&format!(
-            "    {{\"stage\": \"{stage}\", \"threads\": {threads}, \"wall_seconds\": {secs:.6}, \
-             \"speedup_vs_1_thread\": {speedup:.3}, \"bit_identical_to_1_thread\": {det}}}{}\n",
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write("BENCH_selection.json", &json) {
-        eprintln!("warning: could not write BENCH_selection.json: {e}");
-    } else {
-        eprintln!("[saved BENCH_selection.json]");
-    }
-
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|(stage, threads, secs, det)| {
-            let base = rows
-                .iter()
-                .find(|(s, t, _, _)| s == stage && *t == 1)
-                .map_or(*secs, |(_, _, b, _)| *b);
-            vec![
-                (*stage).to_owned(),
-                threads.to_string(),
-                format!("{:.4}", secs),
-                format!("{:.2}x", if *secs > 0.0 { base / secs } else { 1.0 }),
-                if *det { "yes".into() } else { "NO".into() },
-            ]
-        })
-        .collect();
-    for (stage, threads, _, det) in &rows {
-        assert!(det, "{stage} at {threads} threads diverged from the 1-thread reference");
-    }
-    let out = format!(
-        "# Thread scaling — parallelized selection stages (wall-clock on this machine)\n\n{}{}{}",
-        markdown_table(
-            &["Stage", "Threads", "median (s)", "speedup", "bit-identical"],
-            &table_rows
-        ),
-        cache_md,
-        party_md
-    );
-    write_result("bench_selection", &out);
-    out
-}
-
 /// Calibration report: measured per-op costs of the real implementations.
 pub fn calibrate() -> String {
     use vfps_he::ckks::CkksParams;
@@ -1303,4 +676,47 @@ pub fn calibrate() -> String {
     );
     write_result("calibration", &out);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quick_shrinks_the_pipeline_and_full_keeps_paper_scale() {
+        let quick = ExpConfig { runs: 5, quick: true }.pipeline();
+        assert_eq!(quick.sim_instances, Some(260));
+        assert_eq!(quick.query_count, 12);
+        assert_eq!((quick.train.batch_size, quick.train.max_epochs), (50, 12));
+
+        let full = ExpConfig { runs: 5, quick: false }.pipeline();
+        assert_eq!(full.sim_instances, None, "full runs use each dataset's own size");
+        assert_eq!(full.query_count, 24);
+        assert_eq!((full.train.batch_size, full.train.max_epochs), (100, 40));
+
+        // Every method trains the same epoch count in both modes.
+        for pc in [quick, full] {
+            assert!(pc.train.patience > pc.train.max_epochs);
+            let defaults = PipelineConfig::default();
+            assert_eq!((pc.parties, pc.select), (defaults.parties, defaults.select));
+        }
+    }
+
+    #[test]
+    fn quick_averages_one_seed_and_full_averages_every_run() {
+        assert_eq!(ExpConfig::default().runs, 3);
+        assert!(!ExpConfig::default().quick);
+        assert_eq!(ExpConfig { runs: 5, quick: true }.seeds(), 1);
+        assert_eq!(ExpConfig { runs: 5, quick: false }.seeds(), 5);
+    }
+
+    #[test]
+    fn seconds_print_with_precision_by_magnitude() {
+        assert_eq!(fmt_s(1234.56), "1235");
+        assert_eq!(fmt_s(100.0), "100");
+        assert_eq!(fmt_s(99.94), "99.9");
+        assert_eq!(fmt_s(1.0), "1.0");
+        assert_eq!(fmt_s(0.12345), "0.123");
+        assert_eq!(fmt_s(0.0), "0.000");
+    }
 }

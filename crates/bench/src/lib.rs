@@ -4,11 +4,7 @@
 
 #![warn(missing_docs)]
 
-pub mod check;
-pub mod cluster;
 pub mod experiments;
-pub mod json;
-pub mod serve;
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -171,6 +167,39 @@ mod tests {
     }
 
     #[test]
+    fn markdown_table_pads_every_column_to_its_widest_cell() {
+        let t = markdown_table(
+            &["a", "bb"],
+            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
+        );
+        assert_eq!(t, "| a   | bb |\n| --- | -- |\n| 1   | 2  |\n| 333 | 4  |\n");
+        let empty = markdown_table(&["only"], &[]);
+        assert_eq!(empty, "| only |\n| ---- |\n");
+    }
+
+    #[test]
+    fn calibration_rounds_bytes_up_and_keeps_the_link_defaults() {
+        let cal = Calibration {
+            scheme: "test",
+            enc_us: 1.5,
+            dec_us: 2.5,
+            add_us: 0.25,
+            bytes_per_value: 32.1,
+        };
+        let model = cal.to_cost_model();
+        let defaults = CostModel::default();
+        assert_eq!((model.enc_us, model.dec_us, model.he_add_us), (1.5, 2.5, 0.25));
+        assert_eq!(model.cipher_bytes, 33, "a partial byte still goes on the wire");
+        assert_eq!(model.latency_us, defaults.latency_us);
+        assert_eq!(model.bytes_per_us, defaults.bytes_per_us);
+        assert_eq!(model.dist_us, defaults.dist_us);
+        assert_eq!(
+            (model.id_bytes, model.scalar_bytes),
+            (defaults.id_bytes, defaults.scalar_bytes)
+        );
+    }
+
+    #[test]
     fn selection_only_runs() {
         let spec = DatasetSpec::by_name("Rice").unwrap();
         let cfg = PipelineConfig { sim_instances: Some(200), query_count: 8, ..Default::default() };
@@ -185,5 +214,14 @@ mod tests {
         assert!(cal.enc_us > 0.0 && cal.dec_us > 0.0 && cal.bytes_per_value > 0.0);
         let model = cal.to_cost_model();
         assert!(model.cipher_bytes > 0);
+    }
+
+    #[test]
+    fn ckks_calibration_produces_positive_costs() {
+        let cal = calibrate_ckks(&CkksParams::insecure_test(), 2);
+        assert_eq!(cal.scheme, "ckks");
+        assert!(cal.enc_us > 0.0 && cal.dec_us > 0.0 && cal.bytes_per_value > 0.0);
+        let model = cal.to_cost_model();
+        assert_eq!(model.cipher_bytes, cal.bytes_per_value.ceil() as usize);
     }
 }

@@ -252,9 +252,10 @@ mod tests {
 
     #[test]
     fn default_seed_splits_the_bench_tenants_across_two_backends() {
-        // bench-serve --router runs tenants "" (default dataset) and
-        // "Rice" against backends named b0/b1; the per-backend routed
-        // counts must both be nonzero, so the defaults must split them.
+        // The tier tests and the CI router job run tenants "" (default
+        // dataset) and "Rice" against backends named b0/b1; the
+        // per-backend routed counts must both be nonzero, so the
+        // defaults must split them.
         let mut ring = Ring::new(DEFAULT_RING_SEED, DEFAULT_VNODES);
         ring.add("b0");
         ring.add("b1");

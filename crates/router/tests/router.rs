@@ -219,6 +219,123 @@ fn drain_reroutes_new_requests_and_keeps_serving_warm() {
     assert_eq!(merged.completed, 4);
 }
 
+/// A drain *under load*: four clients run mixed warm / cold / churn
+/// requests over both tenants, without pause, while the `Rice` owner is
+/// drained. Each client keeps going for six more requests after it sees
+/// the drain. Relays already on the drained backend finish there, new ones
+/// re-route to the survivor, and the shared cache keeps warm and churn
+/// requests free of encryptions on either side of the drain.
+#[test]
+fn a_drain_under_load_loses_nothing() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    const CLIENTS: usize = 4;
+    const AFTER_DRAIN: usize = 6;
+    const MAX_PER_CLIENT: usize = 1000;
+
+    let tier = spawn_tier("drainload");
+    let mut control = Client::connect(tier.router_addr).unwrap();
+    assert_eq!(select_ok(&mut control, &request(1, "", 42)).cache_status, "cold");
+    assert_eq!(select_ok(&mut control, &request(2, "Rice", 42)).cache_status, "cold");
+
+    let status = control.router_status().unwrap();
+    let mut ring = vfps_router::Ring::new(status.ring_seed, status.vnodes_per_backend);
+    for b in &status.backends {
+        ring.add(&b.name);
+    }
+    let rice_owner = ring.lookup("Rice", |_| true).expect("nonempty ring").to_owned();
+
+    // Each client walks warm → cold → churn, alternating tenants; `Busy`
+    // (the daemons queue four) is retried.
+    let answered = Arc::new(AtomicUsize::new(0));
+    let drained = Arc::new(AtomicBool::new(false));
+    let router_addr = tier.router_addr;
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let (answered, drained) = (Arc::clone(&answered), Arc::clone(&drained));
+            std::thread::spawn(move || {
+                let mut client = Client::connect(router_addr).unwrap();
+                client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+                let mut replies = Vec::new();
+                let mut after_drain = 0;
+                for i in 0..MAX_PER_CLIENT {
+                    let seen_drain = drained.load(Ordering::Acquire);
+                    let id = 1000 + (c * MAX_PER_CLIENT + i) as u64;
+                    let dataset = if (c + i) % 2 == 0 { "" } else { "Rice" };
+                    let mut req = request(id, dataset, 42);
+                    match i % 3 {
+                        0 => {}
+                        1 => req.seed = 10_000 + id,
+                        _ => {
+                            req.party_set.pop();
+                        }
+                    }
+                    let reply = loop {
+                        match client.select(&req).expect("load roundtrip") {
+                            Response::Busy { .. } => std::thread::sleep(Duration::from_millis(5)),
+                            Response::Selected(r) => break r,
+                            other => panic!("request {id} failed: {other:?}"),
+                        }
+                    };
+                    answered.fetch_add(1, Ordering::AcqRel);
+                    replies.push((id, i % 3, reply));
+                    after_drain += usize::from(seen_drain);
+                    if after_drain == AFTER_DRAIN {
+                        break;
+                    }
+                }
+                replies
+            })
+        })
+        .collect();
+
+    // Drain once every client is under way.
+    let started = std::time::Instant::now();
+    while answered.load(Ordering::Acquire) < CLIENTS {
+        assert!(started.elapsed() < Duration::from_secs(60), "the load never got going");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let status = control.router_drain(&rice_owner).unwrap();
+    drained.store(true, Ordering::Release);
+    let row = status.backends.iter().find(|b| b.name == rice_owner).unwrap();
+    assert_eq!(vfps_serve::health_state_name(row.state), "drained");
+
+    // Each request got its own reply here; the merged report below shows
+    // the backends executed each exactly once.
+    let mut issued = 0;
+    for handle in clients {
+        let replies = handle.join().expect("load client panicked");
+        assert!(replies.len() > AFTER_DRAIN, "a client stopped before the drain");
+        issued += replies.len();
+        for (id, kind, reply) in replies {
+            assert_eq!(reply.request_id, id, "reply correlated to the wrong request");
+            if kind != 1 {
+                assert_eq!(reply.enc_instances, 0, "warm/churn request {id} encrypted");
+            }
+        }
+    }
+
+    // The drained backend takes nothing new; both tenants still serve warm.
+    let routed = |client: &mut Client| {
+        let status = client.router_status().unwrap();
+        status.backends.iter().find(|b| b.name == rice_owner).unwrap().routed
+    };
+    let frozen = routed(&mut control);
+    for (id, dataset) in [(9001u64, ""), (9002, "Rice")] {
+        let reply = select_ok(&mut control, &request(id, dataset, 42));
+        assert_eq!(reply.cache_status, "warm", "{dataset:?} after the drain");
+        assert_eq!(reply.enc_instances, 0);
+    }
+    assert_eq!(routed(&mut control), frozen, "a drained backend must take no new requests");
+
+    drop(control);
+    let merged = tier.shutdown();
+    let selections = (2 + issued + 2) as u64;
+    assert_eq!(merged.accepted, selections, "{merged:?}");
+    assert_eq!(merged.completed, selections, "{merged:?}");
+}
+
 #[test]
 fn broadcast_verbs_merge_across_backends() {
     let tier = spawn_tier("merge");

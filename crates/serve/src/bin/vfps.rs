@@ -506,8 +506,7 @@ fn print_party_help() {
          The daemon holds only its slot's feature columns during the protocol;\n\
          raw features never cross the wire — only encrypted partial distances\n\
          and candidate pseudo-IDs (run it once per party, then drive the\n\
-         consortium with `vfps-bench bench-cluster` or the library's\n\
-         run_cluster_knn)."
+         consortium with the library's vfps_cluster::run_cluster_knn)."
     );
 }
 

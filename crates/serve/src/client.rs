@@ -2,9 +2,8 @@
 //!
 //! One [`Client`] wraps one connection and issues strictly ordered
 //! request/response pairs. Retry-on-`Busy` is deliberately left to the
-//! caller (see `experiments bench-serve` for a retry loop with
-//! accounting) — the protocol's backpressure only works if `Busy` stays
-//! visible.
+//! caller (the router suite's drain-under-load test has a retry loop) —
+//! the protocol's backpressure only works if `Busy` stays visible.
 
 use std::net::ToSocketAddrs;
 use std::time::Duration;

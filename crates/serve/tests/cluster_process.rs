@@ -100,6 +100,35 @@ impl Fleet {
     fn victim(&self, slot: usize) -> Proc {
         Arc::clone(&self.procs[slot])
     }
+
+    /// Waits, up to `within`, for every daemon to exit on its own, and
+    /// asserts each one exited with status 0. A reaped child is taken out
+    /// of its slot, so the drop guard has nothing left to kill. Nothing
+    /// asserts while a slot is locked: a poisoned slot would make the drop
+    /// guard panic during the unwind.
+    fn expect_clean_exits(&self, within: Duration) {
+        let deadline = Instant::now() + within;
+        for (slot, p) in self.procs.iter().enumerate() {
+            let status = loop {
+                let reaped = {
+                    let mut guard = p.lock().unwrap();
+                    let exited = guard.as_mut().map(|c| c.try_wait().expect("poll daemon"));
+                    if matches!(exited, Some(Some(_))) {
+                        guard.take();
+                    }
+                    exited
+                };
+                match reaped {
+                    Some(Some(status)) => break status,
+                    Some(None) => {}
+                    None => panic!("daemon {slot} was already reaped"),
+                }
+                assert!(Instant::now() < deadline, "daemon {slot} did not exit within {within:?}");
+                std::thread::sleep(Duration::from_millis(10));
+            };
+            assert!(status.success(), "daemon {slot} exited with {status}");
+        }
+    }
 }
 
 impl Drop for Fleet {
@@ -205,7 +234,8 @@ fn run_session<H: AdditiveHe>(
 /// shared memory — are bit-identical to the simulated thread-backed run,
 /// and so is the selection served from either run's memo. Paillier's
 /// modular aggregation is arrival-order-exact, which is what makes the
-/// pin safe at three parties (f64 addition would not be).
+/// pin safe at three parties (f64 addition would not be). Each daemon,
+/// started with `--max-sessions 1`, then exits with status 0 on its own.
 #[test]
 fn selection_over_three_real_daemons_is_bit_identical_to_the_sim() {
     let (ds, split, partition) = world(INSTANCES);
@@ -257,6 +287,7 @@ fn selection_over_three_real_daemons_is_bit_identical_to_the_sim() {
         "logical message totals must match the sim ledger"
     );
     assert_eq!(report.stats.kills_observed, 0);
+    assert_eq!(report.stats.reconnects, 0, "a fault-free session spends no reconnect budget");
     assert_eq!(report.stats.connects, PARTIES as u64);
 
     // And the selection layer sees no difference: a selection served from
@@ -265,6 +296,9 @@ fn selection_over_three_real_daemons_is_bit_identical_to_the_sim() {
     let from_tcp = sel.run_over(&ctx, &parties, 2, Some(&outcome_memo(&queries, &tcp.outcomes)));
     assert_eq!(from_tcp.selection.chosen, from_sim.selection.chosen);
     assert_eq!(from_tcp.selection.scores, from_sim.selection.scores);
+
+    // `--max-sessions 1`: each daemon leaves by itself after its session.
+    fleet.expect_clean_exits(Duration::from_secs(10));
 }
 
 /// Shared shape for the kill-matrix cells: a three-wave Fagin session
