@@ -9,6 +9,8 @@
 # is per wave, never per query, and session setup is fanned out. One more
 # for ranking: the protocols rank through vfps_topk::Ranking, never a sort.
 # And one for the harness: crates/bench times nothing (benchmark/ does).
+# And one for reach: library surface no binary, experiment or benchmark
+# called (a second split-LR trainer, k-fold CV, ...) stays deleted.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -169,6 +171,15 @@ fi
 # tier or a timing framework is the second timing harness coming back.
 if hits=$(grep -nE '^(vfps-serve|vfps-router|vfps-cluster|criterion)\b' crates/bench/Cargo.toml); then
     echo "crates/bench/Cargo.toml depends on a serving tier or criterion (time it in benchmark/):"
+    echo "$hits"
+    fail=1
+fi
+
+# Nothing unreached (DESIGN.md §2): these items had no caller outside
+# their own tests and were deleted; reviving one needs a caller first.
+if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profiles|DatasetStats|budgeted_greedy|knn_mi|macro_f1|confusion_matrix' \
+        crates examples); then
+    echo "deleted, never-called library surface is back (wire a caller in the same change, or leave it out):"
     echo "$hits"
     fail=1
 fi

@@ -27,7 +27,8 @@ fn main() {
                 cfg.runs = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--runs needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage("--runs needs a number >= 1"));
             }
             other if id.is_none() => id = Some(other.to_owned()),
             other => usage(&format!("unexpected argument {other}")),

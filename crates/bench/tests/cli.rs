@@ -83,6 +83,7 @@ fn the_retired_cached_flag_is_refused() {
 fn runs_needs_a_number() {
     assert_refused(&["fig9", "--runs"], "--runs needs a number");
     assert_refused(&["fig9", "--runs", "three"], "--runs needs a number");
+    assert_refused(&["fig9", "--runs", "0"], "--runs needs a number");
 }
 
 #[test]

@@ -766,58 +766,6 @@ impl KnnSubmodular {
         }
     }
 
-    /// Budgeted (knapsack-constrained) greedy: maximize `f(S)` subject to
-    /// `Σ cost(s) ≤ budget` — the natural generalization of the paper's
-    /// cardinality constraint when participants charge different prices
-    /// for joining (paper §I motivation ②, the reward system).
-    ///
-    /// Runs the classic cost-benefit greedy (pick the element with the
-    /// best gain/cost ratio that still fits) and also considers the best
-    /// single affordable element, which restores a constant-factor
-    /// guarantee (Leskovec et al. 2007: `(1−1/e)/2` with the max of the
-    /// two).
-    ///
-    /// # Panics
-    /// Panics on negative costs or a cost vector of the wrong length.
-    #[must_use]
-    pub fn budgeted_greedy(&self, costs: &[f64], budget: f64) -> Vec<usize> {
-        let n = self.ground_size();
-        assert_eq!(costs.len(), n, "one cost per element");
-        assert!(costs.iter().all(|&c| c >= 0.0), "costs must be non-negative");
-
-        // Cost-benefit greedy, on the same total-order argmax as the
-        // cardinality maximizers.
-        let mut chosen = Vec::new();
-        let mut in_set = vec![false; n];
-        let mut best = vec![0.0f64; n];
-        let mut spent = 0.0;
-        loop {
-            let top = argmax((0..n).filter_map(|v| {
-                if in_set[v] || spent + costs[v] > budget {
-                    return None;
-                }
-                let ratio =
-                    if costs[v] > 0.0 { self.gain(&best, v) / costs[v] } else { f64::INFINITY };
-                Some((v, ratio))
-            }));
-            let Some((v, _)) = top else { break };
-            in_set[v] = true;
-            chosen.push(v);
-            spent += costs[v];
-            self.absorb(&mut best, v);
-        }
-
-        // Guard: the single best affordable element can beat the ratio
-        // greedy on adversarial costs.
-        let single = (0..n)
-            .filter(|&v| costs[v] <= budget)
-            .max_by(|&a, &b| self.eval(&[a]).total_cmp(&self.eval(&[b])).then(b.cmp(&a)));
-        match single {
-            Some(s) if self.eval(&[s]) > self.eval(&chosen) => vec![s],
-            _ => chosen,
-        }
-    }
-
     /// Exhaustive maximization (test oracle; exponential).
     ///
     /// # Panics
@@ -954,7 +902,7 @@ mod tests {
         // Regression for the old ±1e-15 tolerance argmax: gains spaced one
         // ulp (~1e-16 at this magnitude) apart formed a chain where every
         // neighbor was "tied", so the winner depended on scan order — and
-        // greedy/stochastic/budgeted disagreed. The total-order argmax
+        // greedy and stochastic disagreed. The total-order argmax
         // must pick the true maximum regardless of where it sits.
         let mut vals = vec![0.5f64];
         for _ in 0..3 {
@@ -983,65 +931,6 @@ mod tests {
         let pool = vfps_par::Pool::with_threads(2);
         let (stoch, _) = f.stochastic_greedy_seeded(1, 0.01, 7, &pool);
         assert_eq!(stoch, vec![n - 1]);
-
-        // Budgeted greedy with unit costs rides the same argmax.
-        let chosen = f.budgeted_greedy(&vec![1.0; n], 1.0);
-        assert_eq!(chosen, vec![n - 1]);
-    }
-
-    #[test]
-    fn budgeted_greedy_respects_the_budget() {
-        let f = toy();
-        let costs = [1.0, 1.0, 2.0, 1.5];
-        for budget in [0.5f64, 1.0, 2.5, 10.0] {
-            let chosen = f.budgeted_greedy(&costs, budget);
-            let spent: f64 = chosen.iter().map(|&c| costs[c]).sum();
-            assert!(spent <= budget + 1e-12, "budget {budget}: spent {spent}");
-        }
-        // Unlimited budget: everything gets selected.
-        assert_eq!(f.budgeted_greedy(&costs, 100.0).len(), 4);
-        // Unaffordable: nothing.
-        assert!(f.budgeted_greedy(&costs, 0.1).is_empty());
-    }
-
-    #[test]
-    fn budgeted_greedy_prefers_cheap_diverse_elements() {
-        let f = toy();
-        // The diverse participant 2 is cheap; the duplicate pair is pricey.
-        let costs = [3.0, 3.0, 1.0, 1.0];
-        let chosen = f.budgeted_greedy(&costs, 2.0);
-        assert!(chosen.contains(&2), "chosen={chosen:?}");
-        assert!(!chosen.contains(&0) && !chosen.contains(&1));
-    }
-
-    #[test]
-    fn budgeted_greedy_single_element_guard() {
-        // One expensive element dominates; ratio greedy alone would burn
-        // the budget on cheap weak ones.
-        let f = KnnSubmodular::new(vec![
-            vec![1.00, 0.05, 0.05],
-            vec![0.05, 0.10, 0.05],
-            vec![0.05, 0.05, 0.10],
-        ]);
-        let costs = [10.0, 1.0, 1.0];
-        let chosen = f.budgeted_greedy(&costs, 10.0);
-        assert_eq!(chosen, vec![0], "the single strong element wins: {chosen:?}");
-    }
-
-    #[test]
-    fn budgeted_matches_greedy_with_unit_costs() {
-        let f = toy();
-        let unit = [1.0; 4];
-        for k in 1..=4usize {
-            let a = {
-                let mut v = f.budgeted_greedy(&unit, k as f64);
-                v.sort_unstable();
-                v
-            };
-            let mut b = f.greedy(k);
-            b.sort_unstable();
-            assert_eq!(a, b, "k={k}");
-        }
     }
 
     #[test]
@@ -1157,6 +1046,23 @@ mod tests {
         assert!(se <= ge);
         let (sieve, _) = f.maximize(size, Maximizer::Sieve { epsilon: 0.2 }, 0, &pool);
         assert_eq!(sieve, f.sieve_streaming(size, 0.2).0);
+    }
+
+    #[test]
+    fn every_maximizer_refuses_more_than_the_ground_set() {
+        let f = KnnSubmodular::new(random_instance(5, 2));
+        let pool = vfps_par::Pool::with_threads(1);
+        let runs: [&dyn Fn() -> Vec<usize>; 4] = [
+            &|| f.greedy(6),
+            &|| f.lazy_greedy(6).0,
+            &|| f.stochastic_greedy_seeded(6, 0.1, 0, &pool).0,
+            &|| f.sieve_streaming(6, 0.2).0,
+        ];
+        for (i, run) in runs.iter().enumerate() {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert_eq!(msg, "cannot select 6 of 5", "maximizer {i}");
+        }
     }
 
     #[test]

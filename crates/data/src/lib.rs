@@ -28,14 +28,12 @@ pub mod dataset;
 pub mod loader;
 pub mod partition;
 pub mod spec;
-pub mod stats;
 pub mod synth;
 
 pub use dataset::{Dataset, FeatureKind, MinMax, Split, SplitPart, ZScore};
 pub use loader::{load_csv, load_libsvm, parse_csv, parse_libsvm, CsvOptions, LoadError};
 pub use partition::VerticalPartition;
 pub use spec::{paper_catalog, DatasetSpec, Domain};
-pub use stats::{party_profiles, DatasetStats, PartyProfile};
 
 /// Convenience: generate, normalize (min-max fitted on the train split,
 /// as typical VFL KNN pipelines do), and return the dataset plus its

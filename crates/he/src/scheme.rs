@@ -683,20 +683,6 @@ impl AdditiveHe for CkksHe {
     }
 }
 
-/// Returns a random `BigUint` below `bound` using a seeded RNG — helper for
-/// deterministic cross-crate tests.
-#[must_use]
-pub fn seeded_random_below(seed: u64, bound: &BigUint) -> BigUint {
-    let mut rng = StdRng::seed_from_u64(seed);
-    BigUint::random_below(&mut rng, bound)
-}
-
-/// Deterministic helper: a seeded RNG for callers that only need one.
-#[must_use]
-pub fn seeded_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
 /// Draws `n` uniform reals in `[lo, hi)` from a seeded RNG (test helper).
 #[must_use]
 pub fn seeded_uniform(seed: u64, n: usize, lo: f64, hi: f64) -> Vec<f64> {

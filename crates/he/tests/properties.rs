@@ -6,7 +6,7 @@ use vfps_he::ckks::ntt::{find_ntt_prime, NttTables};
 use vfps_he::ckks::CkksParams;
 use vfps_he::packing::{PackingLayout, DEFAULT_MAX_TERMS, MAG_BITS};
 use vfps_he::paillier::{generate_keypair, PaillierEncryptor};
-use vfps_he::scheme::{AdditiveHe, CkksHe, PaillierHe};
+use vfps_he::scheme::{seeded_uniform, AdditiveHe, CkksHe, PaillierHe};
 use vfps_he::{Error, FixedPoint};
 
 fn biguint_strategy(max_limbs: usize) -> impl Strategy<Value = BigUint> {
@@ -297,4 +297,16 @@ proptest! {
             prop_assert_eq!(&fast, &slow, "inverse n={}", n);
         }
     }
+}
+
+/// The cross-crate fixture generator: a pure function of its seed, drawing
+/// in `[lo, hi)`, whose shorter draws are prefixes of longer ones.
+#[test]
+fn seeded_uniform_is_a_prefix_stable_function_of_the_seed() {
+    let long = seeded_uniform(17, 64, -3.0, 5.0);
+    assert_eq!(seeded_uniform(17, 64, -3.0, 5.0), long);
+    assert_eq!(seeded_uniform(17, 10, -3.0, 5.0), long[..10]);
+    assert!(long.iter().all(|v| (-3.0..5.0).contains(v)));
+    assert_ne!(seeded_uniform(18, 64, -3.0, 5.0), long);
+    assert!(seeded_uniform(17, 0, -3.0, 5.0).is_empty());
 }

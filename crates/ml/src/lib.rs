@@ -9,7 +9,7 @@
 //!   with Adam, batch 100, ≤200 epochs, patience-5 early stopping, and the
 //!   {0.001, 0.01, 0.1} learning-rate grid;
 //! * [`optim`] — the Adam optimizer;
-//! * [`metrics`] — accuracy, confusion matrix, macro-F1;
+//! * [`metrics`] — accuracy;
 //! * [`mi`] — mutual-information estimators powering the VF-MINE baseline.
 //!
 //! ```
@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cv;
 pub mod knn;
 pub mod linalg;
 pub mod linear;
@@ -33,7 +32,6 @@ pub mod mlp;
 pub mod nn;
 pub mod optim;
 
-pub use cv::{select_by_cv, KFold};
 pub use knn::KnnClassifier;
 pub use linalg::Matrix;
 pub use linear::LogisticRegression;

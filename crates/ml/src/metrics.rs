@@ -12,40 +12,6 @@ pub fn accuracy(pred: &[usize], truth: &[usize]) -> f64 {
     hits as f64 / pred.len() as f64
 }
 
-/// Confusion matrix `m[truth][pred]`.
-///
-/// # Panics
-/// Panics on length mismatch or out-of-range labels.
-#[must_use]
-pub fn confusion_matrix(pred: &[usize], truth: &[usize], n_classes: usize) -> Vec<Vec<usize>> {
-    assert_eq!(pred.len(), truth.len(), "prediction/label length mismatch");
-    let mut m = vec![vec![0usize; n_classes]; n_classes];
-    for (&p, &t) in pred.iter().zip(truth) {
-        assert!(p < n_classes && t < n_classes, "label out of range");
-        m[t][p] += 1;
-    }
-    m
-}
-
-/// Macro-averaged F1 score (classes absent from both pred and truth count
-/// as F1 = 0 to stay conservative).
-///
-/// # Panics
-/// Panics on length mismatch or out-of-range labels.
-#[must_use]
-pub fn macro_f1(pred: &[usize], truth: &[usize], n_classes: usize) -> f64 {
-    let m = confusion_matrix(pred, truth, n_classes);
-    let mut total = 0.0;
-    for c in 0..n_classes {
-        let tp = m[c][c] as f64;
-        let fp: f64 = (0..n_classes).filter(|&t| t != c).map(|t| m[t][c] as f64).sum();
-        let fn_: f64 = (0..n_classes).filter(|&p| p != c).map(|p| m[c][p] as f64).sum();
-        let denom = 2.0 * tp + fp + fn_;
-        total += if denom == 0.0 { 0.0 } else { 2.0 * tp / denom };
-    }
-    total / n_classes as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,25 +26,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn accuracy_rejects_mismatch() {
         let _ = accuracy(&[0], &[0, 1]);
-    }
-
-    #[test]
-    fn confusion_matrix_layout() {
-        let m = confusion_matrix(&[0, 1, 1], &[0, 0, 1], 2);
-        assert_eq!(m, vec![vec![1, 1], vec![0, 1]]);
-    }
-
-    #[test]
-    fn macro_f1_perfect_and_degenerate() {
-        assert!((macro_f1(&[0, 1, 2], &[0, 1, 2], 3) - 1.0).abs() < 1e-12);
-        // All wrong: zero.
-        assert_eq!(macro_f1(&[1, 0], &[0, 1], 2), 0.0);
-    }
-
-    #[test]
-    fn macro_f1_partial() {
-        // class 0: tp=1 fp=0 fn=1 → f1 = 2/3; class 1: tp=1 fp=1 fn=0 → 2/3.
-        let f1 = macro_f1(&[0, 1, 1], &[0, 1, 0], 2);
-        assert!((f1 - 2.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -107,87 +107,6 @@ pub fn group_label_mi(
     total / n_projections.max(1) as f64
 }
 
-/// Digamma function ψ(x) for positive arguments (asymptotic expansion with
-/// upward recurrence; absolute error below 1e-10 for x ≥ 1).
-#[must_use]
-pub fn digamma(mut x: f64) -> f64 {
-    assert!(x > 0.0, "digamma needs a positive argument");
-    let mut result = 0.0;
-    while x < 10.0 {
-        result -= 1.0 / x;
-        x += 1.0;
-    }
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    result + x.ln() - 0.5 * inv - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 / 252.0))
-}
-
-/// KNN-based MI estimator between a continuous (multi-dimensional) feature
-/// group and a discrete label (Ross 2014, the discrete-target variant of
-/// the Kraskov–Stögbauer–Grassberger estimator).
-///
-/// For each sample, the distance to its `k`-th nearest neighbor *within
-/// the same class* defines a radius; `m_i` counts how many samples of any
-/// class fall inside. `I ≈ ψ(N) − ⟨ψ(N_y)⟩ + ψ(k) − ⟨ψ(m_i)⟩`, clamped at
-/// zero. Unlike the histogram estimator it needs no binning and handles
-/// joint feature groups natively.
-///
-/// # Panics
-/// Panics on mismatched lengths, empty input, `k == 0`, or labels out of
-/// range.
-#[must_use]
-pub fn knn_mi(x: &Matrix, cols: &[usize], labels: &[usize], n_classes: usize, k: usize) -> f64 {
-    assert!(k > 0, "k must be positive");
-    assert_eq!(x.rows(), labels.len(), "rows/labels mismatch");
-    assert!(!labels.is_empty(), "empty input");
-    assert!(labels.iter().all(|&y| y < n_classes), "label out of range");
-    let n = x.rows();
-    let feats: Vec<Vec<f64>> =
-        (0..n).map(|r| cols.iter().map(|&c| x.get(r, c)).collect()).collect();
-    let class_counts = {
-        let mut c = vec![0usize; n_classes];
-        for &y in labels {
-            c[y] += 1;
-        }
-        c
-    };
-
-    let mut psi_m = 0.0;
-    let mut psi_ny = 0.0;
-    let mut used = 0usize;
-    for i in 0..n {
-        let ny = class_counts[labels[i]];
-        if ny <= k {
-            // Too few same-class samples to define the radius; skip.
-            continue;
-        }
-        // Distance to the k-th nearest same-class neighbor (Chebyshev
-        // metric, as in the KSG construction).
-        let mut same: Vec<f64> = (0..n)
-            .filter(|&j| j != i && labels[j] == labels[i])
-            .map(|j| chebyshev(&feats[i], &feats[j]))
-            .collect();
-        same.sort_by(f64::total_cmp);
-        let radius = same[k - 1];
-        // Count of samples (any class) strictly within the radius; ties on
-        // the radius are included per the estimator's "≤" convention.
-        let m =
-            (0..n).filter(|&j| j != i && chebyshev(&feats[i], &feats[j]) <= radius).count().max(k);
-        psi_m += digamma(m as f64);
-        psi_ny += digamma(ny as f64);
-        used += 1;
-    }
-    if used == 0 {
-        return 0.0;
-    }
-    let est = digamma(n as f64) - psi_ny / used as f64 + digamma(k as f64) - psi_m / used as f64;
-    est.max(0.0)
-}
-
-fn chebyshev(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,75 +173,6 @@ mod tests {
         let informative = group_label_mi(&x, &[0, 1], &labels, 2, 8, 4, 1);
         let noisy = group_label_mi(&x, &[2], &labels, 2, 8, 4, 1);
         assert!(informative > noisy, "{informative} vs {noisy}");
-    }
-
-    #[test]
-    fn digamma_known_values() {
-        // ψ(1) = -γ, ψ(2) = 1 - γ, ψ(1/2) = -γ - 2 ln 2.
-        let gamma = 0.577_215_664_901_532_9;
-        assert!((digamma(1.0) + gamma).abs() < 1e-9);
-        assert!((digamma(2.0) - (1.0 - gamma)).abs() < 1e-9);
-        assert!((digamma(0.5) + gamma + 2.0 * (2.0f64).ln()).abs() < 1e-8);
-        // Recurrence ψ(x+1) = ψ(x) + 1/x.
-        for x in [0.3, 1.7, 5.5, 20.0] {
-            assert!((digamma(x + 1.0) - digamma(x) - 1.0 / x).abs() < 1e-9, "x={x}");
-        }
-    }
-
-    #[test]
-    fn knn_mi_detects_separation() {
-        // Two well-separated class clusters in 2-D: MI should approach the
-        // label entropy ln 2; an uninformative dimension should score ~0.
-        let n = 120;
-        let labels: Vec<usize> = (0..n).map(|i| i % 2).collect();
-        let rows: Vec<Vec<f64>> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, &y)| {
-                let c = if y == 0 { -3.0 } else { 3.0 };
-                let jitter = ((i * 37) % 100) as f64 / 100.0 - 0.5;
-                vec![c + jitter, ((i * 61) % 100) as f64 / 100.0]
-            })
-            .collect();
-        let x = Matrix::from_rows(&rows);
-        let informative = knn_mi(&x, &[0], &labels, 2, 3);
-        let noise = knn_mi(&x, &[1], &labels, 2, 3);
-        assert!(informative > 0.5, "informative MI = {informative}");
-        assert!(noise < 0.15, "noise MI = {noise}");
-    }
-
-    #[test]
-    fn knn_mi_joint_group() {
-        // XOR pattern: neither feature alone is informative, jointly they
-        // determine the label — the case histograms on single projections
-        // can miss but the joint KNN estimator captures.
-        let n = 160;
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..n {
-            let a = if (i / 2) % 2 == 0 { -1.0 } else { 1.0 };
-            let b = if i % 2 == 0 { -1.0 } else { 1.0 };
-            // Low-discrepancy jitter keeps coordinates distinct so the
-            // estimator's neighborhoods are well-defined.
-            let ja = (i as f64 * 0.618_033_988_75).fract() * 0.3 - 0.15;
-            let jb = (i as f64 * std::f64::consts::SQRT_2).fract() * 0.3 - 0.15;
-            rows.push(vec![a + ja, b + jb]);
-            labels.push(usize::from((a > 0.0) != (b > 0.0)));
-        }
-        let x = Matrix::from_rows(&rows);
-        let joint = knn_mi(&x, &[0, 1], &labels, 2, 3);
-        let single = knn_mi(&x, &[0], &labels, 2, 3);
-        assert!(joint > 0.4, "joint MI = {joint}");
-        assert!(joint > 2.0 * single.max(0.05), "joint {joint} vs single {single}");
-    }
-
-    #[test]
-    fn knn_mi_degenerate_inputs() {
-        // All one class: MI must be 0 (no same-class k-th neighbor exists
-        // for k >= n, and the estimator clamps at zero anyway).
-        let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);
-        let mi = knn_mi(&x, &[0], &[0, 0, 0, 0], 1, 2);
-        assert!(mi.abs() < 0.3);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   ranking and top-k in the federated protocols goes through it.
 //!
 //! All algorithms operate on access-counted [`list::RankedList`]s so their
-//! sequential/random access mix can be compared (see the
-//! `topk_algorithms` bench).
+//! sequential/random access mix can be compared; `experiments ablation-topk`
+//! compares the federated modes' candidate counts on the paper's datasets.
 //!
 //! ```
 //! use vfps_topk::list::{Direction, RankedList};
@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod fagin;
 pub mod list;
 pub mod naive;
@@ -45,7 +44,6 @@ pub mod rank;
 pub mod stream;
 pub mod threshold;
 
-pub use compare::{compare_all, Algorithm, ComparisonRow};
 pub use list::{AccessStats, Direction, ItemId, RankedList};
 pub use rank::Ranking;
 

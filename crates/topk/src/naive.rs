@@ -70,6 +70,34 @@ mod tests {
         let stats = total_stats(&ls);
         assert_eq!(stats.random, 8, "2 lists x 4 items");
         assert_eq!(stats.sequential, 0);
+
+        // On correlated but not aligned lists every other algorithm pays
+        // fewer accesses in total than the full scan.
+        let correlated = || -> Vec<RankedList> {
+            (0..3)
+                .map(|p| {
+                    let scores: Vec<f64> = (0..200usize)
+                        .map(|i| i as f64 + ((i * 7 + p * 13) % 10) as f64 * 0.3)
+                        .collect();
+                    RankedList::from_scores(scores, Direction::Ascending)
+                })
+                .collect()
+        };
+        let cost = |run: fn(&mut [RankedList], usize) -> crate::TopkOutcome| {
+            let mut ls = correlated();
+            let _ = run(&mut ls, 5);
+            total_stats(&ls)
+        };
+        let naive = cost(naive_topk);
+        assert_eq!(naive.random, 600, "3 lists x 200 items");
+        for (name, stats) in [
+            ("fagin", cost(crate::fagin::fagin_topk)),
+            ("threshold", cost(crate::threshold::threshold_topk)),
+            ("nra", cost(crate::nra::nra_topk)),
+        ] {
+            let total = stats.total();
+            assert!(total < naive.total(), "{name} paid {total} vs naive {}", naive.total());
+        }
     }
 
     #[test]

@@ -32,15 +32,11 @@
 pub mod fed_knn;
 mod he_wire;
 pub mod protocol;
-pub mod split_protocol;
 pub mod split_train;
 
 pub use fed_knn::{Dropout, FedKnn, FedKnnConfig, KnnMode, QueryOutcome, ResilientBatch};
 pub use protocol::{
     knn_participant_node, knn_server_node, run_threaded_knn, run_threaded_knn_faulted, FaultedRun,
     KnnNodeOut, KnnSession, ProtoMsg, ThreadedKnnRun,
-};
-pub use split_protocol::{
-    run_split_training, run_split_training_faulted, SplitTrainConfig, SplitTrainRun,
 };
 pub use split_train::{train_downstream, Downstream, DownstreamReport};
