@@ -11,6 +11,7 @@
 # And one for the harness: crates/bench times nothing (benchmark/ does).
 # And one for reach: library surface no binary, experiment or benchmark
 # called (a second split-LR trainer, k-fold CV, ...) stays deleted.
+# And one for the similarity formula: written once, in core::similarity.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -177,9 +178,20 @@ fi
 
 # Nothing unreached (DESIGN.md §2): these items had no caller outside
 # their own tests and were deleted; reviving one needs a caller first.
-if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profiles|DatasetStats|budgeted_greedy|knn_mi|macro_f1|confusion_matrix' \
+if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profiles|DatasetStats|budgeted_greedy|knn_mi|macro_f1|confusion_matrix|query_batch_memo|query_batch_resilient|ResilientBatch|LeaveOneOutSelector|outcome_memo' \
         crates examples); then
     echo "deleted, never-called library surface is back (wire a caller in the same change, or leave it out):"
+    echo "$hits"
+    fail=1
+fi
+
+# One similarity formula (DESIGN.md §3): w_q(p, s) = (d_T − |d_T^p − d_T^s|)
+# / d_T and its d_T = 0 rule live in SimilarityAccumulator alone. Cold,
+# warm and churn matrices all come from it; a second copy is how the
+# churn path once disagreed with the cold one on d_T = 0 queries.
+if hits=$(grep -rnE 'abs\(\)\)\s*/\s*total' crates tests examples --include='*.rs' \
+        | grep -v '^crates/core/src/similarity.rs:'); then
+    echo "the similarity formula outside crates/core/src/similarity.rs (feed d_t to SimilarityAccumulator):"
     echo "$hits"
     fail=1
 fi

@@ -9,12 +9,12 @@
 //! matrix, and greedy result under a deterministic fingerprint of every
 //! selection input, so that
 //!
-//! * a **warm** repeat of the same request replays the cached outcomes
-//!   through the selection tail — bit-identical result, zero new
+//! * a **warm** repeat of the same request runs the selection tail on the
+//!   cached similarity matrix — bit-identical result, zero new
 //!   encryptions;
 //! * a **churned** request (one party joined or left) reuses the cached
-//!   matrix through `IncrementalConsortium`, touching only the changed
-//!   party's pairs;
+//!   outcomes through `IncrementalConsortium`, touching only the changed
+//!   party's column;
 //! * a **multi-tenant** deployment shards the store per tenant
 //!   ([`ArtifactCache::open_tenant`]): each tenant id gets its own
 //!   directory *and* is folded into every fingerprint

@@ -90,9 +90,9 @@ impl From<std::io::Error> for CacheError {
     }
 }
 
-/// Everything one selection run produced that is worth replaying: the
-/// per-query KNN outcomes (to serve a warm run's memo and the churn path's
-/// profile reconstruction), the accumulated similarity matrix, and the
+/// Everything one selection run produced that is worth reusing: the
+/// per-query KNN outcomes (the churn path's `d_T^p` vectors), the
+/// accumulated similarity matrix (what a warm run maximizes), and the
 /// final greedy result with its billing ledger.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheEntry {

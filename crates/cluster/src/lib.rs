@@ -15,8 +15,7 @@
 //! * [`msg`] — the coordinator ⇄ daemon control frames (setup, routing,
 //!   departures, terminal results), length-prefixed via `net::wire`.
 //! * [`run`] — backend-generic driving: [`run::run_cluster_knn`] over
-//!   daemons, [`run::Backend`] to pick sim vs TCP per config, and the
-//!   memo bridge into the selection layer.
+//!   daemons, and [`run::Backend`] to pick sim vs TCP per config.
 //!
 //! Determinism: both backends derive the pseudo-ID permutation from the
 //! same seed through [`vfps_vfl::KnnSession::new`], and with an
@@ -35,6 +34,5 @@ pub use hub::{ping_party, ClusterStats, Hub, HubOptions, PartyLinkStats, StatsPr
 pub use msg::{ClusterMsg, ErrorFrame, SchemeKind, SchemeSpec, SetupFrame};
 pub use party::{serve_party, PartyChannel, PartyConfig, PartyReport};
 pub use run::{
-    outcome_memo, run_cluster_knn, run_cluster_knn_supervised, run_knn_backend, Backend,
-    ClusterKnnReport,
+    run_cluster_knn, run_cluster_knn_supervised, run_knn_backend, Backend, ClusterKnnReport,
 };

@@ -2,7 +2,6 @@
 //! simulated cluster or over real daemons, with the same typed
 //! [`FaultedRun`] outcome either way.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -10,7 +9,7 @@ use vfps_data::VerticalPartition;
 use vfps_he::scheme::AdditiveHe;
 use vfps_ml::linalg::Matrix;
 use vfps_net::{Error, FaultPlan};
-use vfps_vfl::fed_knn::{FedKnnConfig, QueryOutcome};
+use vfps_vfl::fed_knn::FedKnnConfig;
 use vfps_vfl::{knn_server_node, run_threaded_knn_faulted, FaultedRun, KnnSession};
 
 use crate::hub::{ClusterStats, Hub, HubOptions, StatsProbe};
@@ -169,12 +168,4 @@ pub fn run_knn_backend<H: AdditiveHe + 'static>(
             Ok((report.run, Some(report.stats)))
         }
     }
-}
-
-/// Indexes a run's outcomes by query row — the memo shape
-/// `VfpsSmSelector::run_over` accepts, letting a selection replay a
-/// cluster run's fed-KNN artifacts without re-executing the protocol.
-#[must_use]
-pub fn outcome_memo(queries: &[usize], outcomes: &[QueryOutcome]) -> HashMap<usize, QueryOutcome> {
-    queries.iter().copied().zip(outcomes.iter().cloned()).collect()
 }

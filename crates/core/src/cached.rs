@@ -4,38 +4,38 @@
 //! [`select_with_cache`] is the single entry point. Per request it
 //! resolves to one of four paths:
 //!
-//! * **warm** — an exact-fingerprint entry exists: the cached per-query
-//!   outcomes are replayed through the accumulate + greedy tail via the
-//!   fed-KNN memo hook. The selection is bit-identical to the cold run
-//!   that stored the entry, with zero new encryptions and an (almost)
-//!   empty ledger.
+//! * **warm** — an exact-fingerprint entry exists: its stored similarity
+//!   matrix goes straight to the selection tail
+//!   ([`select_from_matrix`]). The selection is bit-identical to a cold
+//!   run at the request's `count`, with zero federated work and a ledger
+//!   holding only the cache hit. A stored matrix that does not fit the
+//!   request (wrong shape, a non-finite or negative cell) is cache damage.
 //! * **churn** — an entry exists whose consortium differs by exactly one
-//!   party: the cached matrix is extended/shrunk through
-//!   [`IncrementalConsortium`], touching only the changed party's pairs
-//!   (`|Q|·k` plaintext distance evaluations for a join, zero work for a
-//!   leave). Churn results are *not* stored back — the entry is an
+//!   party: its per-query `d_T^p` vectors are extended/shrunk through
+//!   [`IncrementalConsortium`] (`|Q|·k` plaintext distance evaluations for
+//!   a join, zero work for a leave) and re-averaged into a matrix for the
+//!   same tail. Churn results are *not* stored back — the entry is an
 //!   approximation for joins; the churned consortium gets its own exact
 //!   entry on its first cold run.
 //! * **cold** — no reusable entry: the full pipeline runs and its
 //!   artifacts are stored.
-//! * **bypass** — the request uses features the cache does not model
-//!   (dropout schedules, differential privacy): the full pipeline runs
-//!   and the cache is left untouched.
+//! * **bypass** — the request uses differential privacy: `dp_epsilon` is
+//!   not part of the [`CacheKey`], so a noised run must neither be served
+//!   a noise-free entry nor overwrite one. The full pipeline runs and the
+//!   cache is left untouched.
 //!
 //! Every cache failure (unreadable file, bad checksum, undecodable
 //! payload, fingerprint collision) degrades to a cold run and is surfaced
 //! as a typed [`CacheError`] on the result — serving never panics on
 //! cache damage, and the cold run's store overwrites the damaged file.
 
-use std::collections::HashMap;
-
 use vfps_cache::{ArtifactCache, CacheEntry, CacheError, CacheKey, ChurnKind, Fnv128};
 use vfps_net::cost::{CostModel, OpLedger};
-use vfps_net::wire::Wire;
-use vfps_vfl::fed_knn::{KnnMode, QueryOutcome};
+use vfps_net::wire::{Wire, WireError};
+use vfps_vfl::fed_knn::KnnMode;
 
 use crate::incremental::IncrementalConsortium;
-use crate::selectors::{Selection, SelectionContext, VfpsSmSelector};
+use crate::selectors::{select_from_matrix, Selection, SelectionContext, VfpsSmSelector};
 use crate::submodular::Maximizer;
 
 /// How a cached request was served.
@@ -43,13 +43,14 @@ use crate::submodular::Maximizer;
 pub enum CacheStatus {
     /// No reusable entry: full run, artifacts stored.
     Cold,
-    /// Exact entry replayed: bit-identical selection, zero encryptions.
+    /// Exact entry's matrix reused: bit-identical selection, zero
+    /// encryptions.
     Warm,
     /// Served from a cached neighbor entry by joining this party.
     ChurnJoin(usize),
     /// Served from a cached neighbor entry by dropping this party.
     ChurnLeave(usize),
-    /// Request not cacheable (dropouts / DP active): cache untouched.
+    /// Request not cacheable (DP active): cache untouched.
     Bypass,
 }
 
@@ -186,9 +187,9 @@ pub fn select_with_cache(
     cost_model: &CostModel,
     tc: &TenantContext<'_>,
 ) -> CachedSelection {
-    if !sel.dropouts.is_empty() || sel.dp_epsilon.is_some() {
+    if sel.dp_epsilon.is_some() {
         return CachedSelection {
-            selection: sel.run_over(ctx, party_set, count, None).selection,
+            selection: sel.run_over(ctx, party_set, count).selection,
             status: CacheStatus::Bypass,
             fingerprint: None,
             degraded: None,
@@ -200,14 +201,15 @@ pub fn select_with_cache(
     let mut degraded: Option<CacheError> = None;
 
     // Warm path: exact entry.
-    match cache.lookup(&key) {
+    match cache.lookup(&key).and_then(|hit| hit.map(|e| fitted(e, party_set.len())).transpose()) {
         Ok(Some(entry)) => {
-            let memo: HashMap<usize, QueryOutcome> =
-                entry.key.queries.iter().copied().zip(entry.outcomes.iter().cloned()).collect();
-            let mut art = sel.run_over(ctx, party_set, count, Some(&memo));
-            art.selection.ledger.record_cache_hit();
+            let mut selection = Selection {
+                candidates_per_query: entry.candidates_per_query,
+                ..select_from_matrix(entry.similarity, ctx, party_set, count, sel.maximizer)
+            };
+            selection.ledger.record_cache_hit();
             return CachedSelection {
-                selection: art.selection,
+                selection,
                 status: CacheStatus::Warm,
                 fingerprint,
                 degraded: None,
@@ -219,10 +221,10 @@ pub fn select_with_cache(
 
     // Churn path: a neighbor entry one membership change away. Corrupt
     // neighbors were already skipped inside the scan; a scan-level failure
-    // (unreadable directory) just falls through to cold. The incremental
-    // re-selection runs plain greedy, so only the exact maximizers (greedy
-    // and lazy choose the same set) may be churn-served; the stochastic
-    // and sieve variants fall through to their own cold entries.
+    // (unreadable directory) just falls through to cold. Only the exact
+    // maximizers (greedy and lazy choose the same set) are churn-served;
+    // the stochastic and sieve variants fall through to their own cold
+    // entries.
     let churn_eligible = matches!(sel.maximizer, Maximizer::Greedy | Maximizer::Lazy);
     let churn_hit = if churn_eligible { cache.lookup_churn(&key) } else { Ok(None) };
     if let Ok(Some((entry, kind))) = churn_hit {
@@ -233,41 +235,28 @@ pub fn select_with_cache(
             &entry.key.queries,
             &entry.outcomes,
         );
-        match kind {
+        let status = match kind {
             ChurnKind::Join(p) => {
                 let evals = inc.join(p, &ctx.ds.x, ctx.partition);
                 ledger.record_dist(evals as u64, 1);
+                CacheStatus::ChurnJoin(p)
             }
-            ChurnKind::Leave(p) => inc.leave(p),
-        }
-        let scored = inc.select_scored(count.min(inc.parties().len()));
-        let chosen: Vec<usize> = scored.iter().map(|&(p, _)| p).collect();
-        let mut scores = vec![0.0; ctx.parties()];
-        for &(p, gain) in &scored {
-            scores[p] = gain;
-        }
+            ChurnKind::Leave(p) => {
+                inc.leave(p);
+                CacheStatus::ChurnLeave(p)
+            }
+        };
         ledger.record_cache_hit();
-        let status = match kind {
-            ChurnKind::Join(p) => CacheStatus::ChurnJoin(p),
-            ChurnKind::Leave(p) => CacheStatus::ChurnLeave(p),
+        let selection = Selection {
+            ledger,
+            ..select_from_matrix(inc.similarity_matrix(), ctx, inc.parties(), count, sel.maximizer)
         };
-        return CachedSelection {
-            selection: Selection {
-                chosen,
-                ledger,
-                scores,
-                candidates_per_query: 0.0,
-                dropouts: Vec::new(),
-            },
-            status,
-            fingerprint,
-            degraded,
-        };
+        return CachedSelection { selection, status, fingerprint, degraded };
     }
 
     // Cold path: full run, then store (overwriting any damaged file at
     // this address).
-    let art = sel.run_over(ctx, party_set, count, None);
+    let art = sel.run_over(ctx, party_set, count);
     let mut selection = art.selection;
     let entry = CacheEntry {
         key,
@@ -283,4 +272,17 @@ pub fn select_with_cache(
     }
     selection.ledger.record_cache_miss();
     CachedSelection { selection, status: CacheStatus::Cold, fingerprint, degraded }
+}
+
+/// `entry`, if its stored matrix fits a `parties`-member request: square,
+/// one row per party, every cell finite and non-negative. A matrix that
+/// does not fit is damage the checksum could not see, reported like an
+/// undecodable payload.
+fn fitted(entry: CacheEntry, parties: usize) -> Result<CacheEntry, CacheError> {
+    let w = &entry.similarity;
+    let fits = w.len() == parties
+        && w.iter()
+            .all(|row| row.len() == parties && row.iter().all(|&v| v.is_finite() && v >= 0.0));
+    let misfit = WireError::Invalid("similarity matrix does not fit the party set");
+    fits.then_some(entry).ok_or(CacheError::Corrupt(misfit))
 }

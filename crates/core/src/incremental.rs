@@ -15,10 +15,14 @@
 //!   with the paper's similarity which always measures against the full
 //!   ground set).
 //!
-//! The submodular structure makes re-selection after either event a
-//! single greedy pass over the updated matrix.
+//! The maintained state is the per-query `d_T^p` vectors; the matrix is
+//! always their [`SimilarityAccumulator`] average, so a churned matrix
+//! follows the same formula — and the same `d_T = 0` rule — as a cold
+//! one. Re-selection after either event is one pass of the shared
+//! selection tail over the updated matrix.
 
-use crate::submodular::KnnSubmodular;
+use crate::similarity::SimilarityAccumulator;
+use crate::submodular::{KnnSubmodular, Maximizer};
 use vfps_data::VerticalPartition;
 use vfps_ml::linalg::{squared_distance, Matrix};
 use vfps_vfl::fed_knn::QueryOutcome;
@@ -28,19 +32,21 @@ use vfps_vfl::fed_knn::QueryOutcome;
 pub struct IncrementalConsortium {
     /// Active party ids (indices into the partition).
     parties: Vec<usize>,
+    /// Feature count of each active party, aligned with `parties`.
+    counts: Vec<usize>,
     /// Per-query cached neighbor sets (absolute row ids).
     topk: Vec<Vec<usize>>,
     /// Query rows, aligned with `topk`.
     queries: Vec<usize>,
-    /// Per-query, per-active-party `d_T^p` (normalized per feature).
-    profiles: Vec<Vec<f64>>,
+    /// Per-query, per-active-party `d_T^p`, aligned with `parties`.
+    d_t: Vec<Vec<f64>>,
 }
 
 impl IncrementalConsortium {
     /// Builds the state from the outcomes of an initial similarity phase.
     ///
     /// `outcomes[i]` must correspond to `queries[i]`, with `d_t` entries
-    /// aligned to `parties` and feature counts supplied for normalization.
+    /// aligned to `parties`.
     ///
     /// # Panics
     /// Panics on inconsistent lengths.
@@ -53,19 +59,19 @@ impl IncrementalConsortium {
     ) -> Self {
         assert_eq!(queries.len(), outcomes.len(), "one outcome per query");
         assert!(!parties.is_empty(), "empty consortium");
-        let counts: Vec<f64> = parties.iter().map(|&p| partition.columns(p).len() as f64).collect();
-        let profiles = outcomes
+        let d_t = outcomes
             .iter()
             .map(|o| {
                 assert_eq!(o.d_t.len(), parties.len(), "outcome arity");
-                o.d_t.iter().zip(&counts).map(|(&d, &c)| d / c).collect()
+                o.d_t.clone()
             })
             .collect();
         IncrementalConsortium {
             parties: parties.to_vec(),
+            counts: parties.iter().map(|&p| partition.columns(p).len()).collect(),
             topk: outcomes.iter().map(|o| o.topk_rows.clone()).collect(),
             queries: queries.to_vec(),
-            profiles,
+            d_t,
         }
     }
 
@@ -75,7 +81,7 @@ impl IncrementalConsortium {
         &self.parties
     }
 
-    /// A new participant joins: computes its per-query profile over the
+    /// A new participant joins: computes its per-query `d_T^p` over the
     /// cached neighbor sets from its local features only. Returns the
     /// number of local distance evaluations performed (`|Q| · k`) — the
     /// entire cost of the join; zero encryptions, zero federated rounds.
@@ -87,28 +93,26 @@ impl IncrementalConsortium {
     pub fn join(&mut self, party: usize, x: &Matrix, partition: &VerticalPartition) -> usize {
         assert!(!self.parties.contains(&party), "party {party} already active");
         let cols = partition.columns(party);
-        let per_feature = cols.len() as f64;
         let mut evals = 0usize;
-        for ((q, topk), profile) in
-            self.queries.iter().zip(&self.topk).zip(self.profiles.iter_mut())
-        {
+        for ((q, topk), d_t) in self.queries.iter().zip(&self.topk).zip(self.d_t.iter_mut()) {
             let qf: Vec<f64> = cols.iter().map(|&c| x.get(*q, c)).collect();
-            let d_t: f64 = topk
-                .iter()
-                .map(|&row| {
-                    let tf: Vec<f64> = cols.iter().map(|&c| x.get(row, c)).collect();
-                    squared_distance(&qf, &tf)
-                })
-                .sum();
+            d_t.push(
+                topk.iter()
+                    .map(|&row| {
+                        let tf: Vec<f64> = cols.iter().map(|&c| x.get(row, c)).collect();
+                        squared_distance(&qf, &tf)
+                    })
+                    .sum(),
+            );
             evals += topk.len();
-            profile.push(d_t / per_feature);
         }
         self.parties.push(party);
+        self.counts.push(cols.len());
         vfps_obs::counter_add("incremental.join.distance_evals", evals as u64);
         evals
     }
 
-    /// A participant leaves: drops its profile column (exact). Bumps the
+    /// A participant leaves: drops its `d_T^p` column (exact). Bumps the
     /// `incremental.leave` obs counter.
     ///
     /// # Panics
@@ -122,73 +126,41 @@ impl IncrementalConsortium {
             .unwrap_or_else(|| panic!("party {party} not active"));
         assert!(self.parties.len() > 1, "cannot empty the consortium");
         self.parties.remove(idx);
-        for profile in &mut self.profiles {
-            profile.remove(idx);
+        self.counts.remove(idx);
+        for d_t in &mut self.d_t {
+            d_t.remove(idx);
         }
         vfps_obs::counter_add("incremental.leave", 1);
     }
 
-    /// The current similarity matrix over active parties.
-    ///
-    /// Queries whose profile total is zero — every top-k neighbor at
-    /// distance 0 in every party, e.g. a query row that exists in
-    /// duplicate — carry no distance signal and are excluded from the
-    /// average: folding them in as `w = 1.0` for every pair would drag all
-    /// parties toward "identical" and blind the greedy selector. The
-    /// divisor is the *effective* (non-degenerate) query count.
-    #[must_use]
-    pub fn similarity_matrix(&self) -> Vec<Vec<f64>> {
-        let p = self.parties.len();
-        let mut sums = vec![vec![0.0f64; p]; p];
-        let mut effective = 0usize;
-        for profile in &self.profiles {
-            let total: f64 = profile.iter().sum();
-            if total <= 0.0 {
-                continue;
-            }
-            effective += 1;
-            for a in 0..p {
-                for b in 0..p {
-                    let w = ((total - (profile[a] - profile[b]).abs()) / total).max(0.0);
-                    sums[a][b] += w;
-                }
-            }
-        }
-        let q = effective.max(1) as f64;
-        sums.iter().map(|row| row.iter().map(|v| v / q).collect()).collect()
-    }
-
-    /// Greedy re-selection over the current matrix; returns party ids (not
-    /// matrix indices).
+    /// The current similarity matrix over active parties: the stored
+    /// `d_T^p` vectors averaged by [`SimilarityAccumulator`], exactly as a
+    /// cold run averages its outcomes.
     ///
     /// # Panics
-    /// Panics if `count` exceeds the active consortium.
+    /// Panics when the state holds no queries.
     #[must_use]
-    pub fn select(&self, count: usize) -> Vec<usize> {
-        self.select_scored(count).into_iter().map(|(p, _)| p).collect()
+    pub fn similarity_matrix(&self) -> Vec<Vec<f64>> {
+        let mut acc =
+            SimilarityAccumulator::new(self.parties.len()).with_feature_counts(self.counts.clone());
+        for d_t in &self.d_t {
+            acc.add_d_t(d_t).expect("one d_t entry per active party");
+        }
+        acc.finish()
     }
 
-    /// As [`IncrementalConsortium::select`], but each chosen party id is
-    /// paired with its marginal gain at selection time — the same scoring
-    /// the full VFPS-SM selector reports, so a churn-served selection can
-    /// surface comparable scores.
+    /// Greedy re-selection over the current matrix: each chosen party id
+    /// paired with its marginal gain at pick time, in selection order.
     ///
     /// # Panics
     /// Panics if `count` exceeds the active consortium.
     #[must_use]
     pub fn select_scored(&self, count: usize) -> Vec<(usize, f64)> {
-        let f = KnnSubmodular::new(self.similarity_matrix());
-        let chosen = f.greedy(count);
-        let n = self.parties.len();
-        let mut best = vec![0.0f64; n];
-        let mut out = Vec::with_capacity(chosen.len());
-        for &v in &chosen {
-            out.push((self.parties[v], f.gain(&best, v)));
-            for p in 0..n {
-                best[p] = best[p].max(f.similarity(p, v));
-            }
-        }
-        out
+        KnnSubmodular::new(self.similarity_matrix())
+            .maximize_scored(count, Maximizer::Greedy, 0, vfps_par::global())
+            .into_iter()
+            .map(|(v, gain)| (self.parties[v], gain))
+            .collect()
     }
 }
 
@@ -286,69 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn duplicated_query_row_does_not_inflate_similarity() {
-        // Rows 0-2 are exact copies, so querying row 0 with k = 2 finds its
-        // duplicates at distance 0 in every party: a zero-total profile.
-        let x = Matrix::from_rows(&[
-            vec![1.0, 1.0, 1.0, 1.0],
-            vec![1.0, 1.0, 1.0, 1.0],
-            vec![1.0, 1.0, 1.0, 1.0],
-            vec![0.0, 2.0, 4.0, 8.0],
-            vec![3.0, 0.5, 7.0, 1.0],
-            vec![6.0, 5.0, 0.2, 2.5],
-            vec![2.0, 8.0, 1.5, 0.3],
-        ]);
-        let partition = VerticalPartition::even(4, 2);
-        let parties = [0usize, 1];
-        let db: Vec<usize> = (0..7).collect();
-        let engine = FedKnn::new(
-            &x,
-            &partition,
-            &parties,
-            &db,
-            FedKnnConfig { k: 2, ..FedKnnConfig::default() },
-        );
-        let mut ledger = OpLedger::default();
-        let queries = [0usize, 3, 4, 5];
-        let outcomes: Vec<QueryOutcome> =
-            queries.iter().map(|&q| engine.query(q, &mut ledger)).collect();
-        assert_eq!(outcomes[0].d_t_total, 0.0, "duplicated query must be degenerate");
-        assert!(outcomes[1..].iter().all(|o| o.d_t_total > 0.0));
-
-        let with_dup =
-            IncrementalConsortium::from_outcomes(&parties, &partition, &queries, &outcomes);
-        let clean = IncrementalConsortium::from_outcomes(
-            &parties,
-            &partition,
-            &queries[1..],
-            &outcomes[1..],
-        );
-        let w_dup = with_dup.similarity_matrix();
-        let w_clean = clean.similarity_matrix();
-        for a in 0..parties.len() {
-            for b in 0..parties.len() {
-                assert!(
-                    (w_dup[a][b] - w_clean[a][b]).abs() < 1e-12,
-                    "degenerate query shifted w[{a}][{b}]: {} vs {}",
-                    w_dup[a][b],
-                    w_clean[a][b]
-                );
-            }
-        }
-        assert!(
-            w_dup[0][1] < 1.0,
-            "off-diagonal similarity must not be dragged to 1.0 by the duplicate"
-        );
-    }
-
-    #[test]
     fn select_returns_party_ids_after_churn() {
         let base = [0usize, 1, 2];
         let (ds, partition, queries, outcomes) = setup(&base, 4);
         let mut inc = IncrementalConsortium::from_outcomes(&base, &partition, &queries, &outcomes);
         inc.join(3, &ds.x, &partition);
         inc.leave(0);
-        let chosen = inc.select(2);
+        let chosen: Vec<usize> = inc.select_scored(2).into_iter().map(|(p, _)| p).collect();
         assert_eq!(chosen.len(), 2);
         assert!(chosen.iter().all(|p| [1, 2, 3].contains(p)));
         assert!(!chosen.contains(&0), "departed party must not be selected");
@@ -370,11 +286,7 @@ mod tests {
         let (_, partition, queries, outcomes) = setup(&base, 7);
         let inc = IncrementalConsortium::from_outcomes(&base, &partition, &queries, &outcomes);
         let scored = inc.select_scored(3);
-        assert_eq!(
-            scored.iter().map(|&(p, _)| p).collect::<Vec<_>>(),
-            inc.select(3),
-            "select and select_scored must agree on the chosen ids"
-        );
+        assert!(scored.iter().all(|&(p, _)| base.contains(&p)), "party ids, not matrix indices");
         for w in scored.windows(2) {
             assert!(w[0].1 >= w[1].1 - 1e-9, "gains must diminish: {scored:?}");
         }

@@ -49,8 +49,8 @@ pub use incremental::IncrementalConsortium;
 pub use pipeline::{make_selector, run_averaged, run_pipeline, Method, PipelineConfig, RunReport};
 pub use report::selection_report;
 pub use selectors::{
-    AllSelector, LeaveOneOutSelector, RandomSelector, Selection, SelectionContext, Selector,
-    ShapleySelector, VfMineSelector, VfpsSmSelector,
+    AllSelector, RandomSelector, Selection, SelectionContext, Selector, ShapleySelector,
+    VfMineSelector, VfpsSmSelector,
 };
 pub use similarity::{SimilarityAccumulator, SimilarityError};
 pub use submodular::{KnnSubmodular, Maximizer, SparseSimilarity};

@@ -71,15 +71,9 @@ pub struct PipelineConfig {
     /// Extra duplicate participants cloned from the strongest base party
     /// (Fig. 6's redundancy injection).
     pub duplicates: usize,
-    /// Deterministic participant-failure schedule for VFPS-SM selection:
-    /// `(at_query, slot)` pairs meaning party `slot` dies before query
-    /// `at_query` of the similarity phase. Empty (the default) is the
-    /// fault-free pipeline; only the VFPS-SM variants degrade — other
-    /// methods ignore the schedule.
-    pub dropouts: Vec<(usize, usize)>,
     /// Directory for the selection-artifact cache (`vfps-cache`). When set,
     /// VFPS-SM selections are served through [`crate::cached::select_with_cache`]:
-    /// a repeated request replays cached per-query outcomes (zero new
+    /// a repeated request reuses the cached similarity matrix (zero new
     /// encryptions, bit-identical selection) and a degraded or unusable
     /// cache silently falls back to the cold path. `None` (the default)
     /// runs every selection cold and touches no disk. Only the VFPS-SM
@@ -103,7 +97,6 @@ impl Default for PipelineConfig {
             cost_model: CostModel::default(),
             sim_instances: None,
             duplicates: 0,
-            dropouts: Vec::new(),
             cache_dir: None,
             maximizer: Maximizer::Greedy,
         }
@@ -131,9 +124,6 @@ pub struct RunReport {
     pub candidates_per_query: f64,
     /// Which base party duplicates were cloned from (Fig. 6 runs only).
     pub duplicated_party: Option<usize>,
-    /// Parties that dropped out during the selection phase (degraded-mode
-    /// runs only; empty for fault-free pipelines).
-    pub dropouts: Vec<usize>,
     /// How the artifact cache served the selection (`"cold"`, `"warm"`,
     /// `"churn-join(p)"`, `"churn-leave(p)"`, `"bypass"`); `None` when no
     /// cache directory was configured or the method is not cacheable.
@@ -158,11 +148,6 @@ impl RunReport {
 /// Builds the selector for `method`.
 #[must_use]
 pub fn make_selector(method: Method, cfg: &PipelineConfig) -> Box<dyn Selector> {
-    let dropouts: Vec<vfps_vfl::fed_knn::Dropout> = cfg
-        .dropouts
-        .iter()
-        .map(|&(at_query, slot)| vfps_vfl::fed_knn::Dropout { at_query, slot })
-        .collect();
     match method {
         Method::All => Box::new(AllSelector),
         Method::Random => Box::new(RandomSelector),
@@ -172,7 +157,6 @@ pub fn make_selector(method: Method, cfg: &PipelineConfig) -> Box<dyn Selector> 
             k: cfg.knn_k,
             query_count: cfg.query_count,
             batch: cfg.batch,
-            dropouts,
             maximizer: cfg.maximizer,
             ..VfpsSmSelector::default()
         }),
@@ -181,7 +165,6 @@ pub fn make_selector(method: Method, cfg: &PipelineConfig) -> Box<dyn Selector> 
                 k: cfg.knn_k,
                 query_count: cfg.query_count,
                 batch: cfg.batch,
-                dropouts,
                 maximizer: cfg.maximizer,
                 ..VfpsSmSelector::default()
             }
@@ -255,11 +238,6 @@ pub fn run_pipeline(
                 k: cfg.knn_k,
                 query_count: cfg.query_count,
                 batch: cfg.batch,
-                dropouts: cfg
-                    .dropouts
-                    .iter()
-                    .map(|&(at_query, slot)| vfps_vfl::fed_knn::Dropout { at_query, slot })
-                    .collect(),
                 maximizer: cfg.maximizer,
                 ..VfpsSmSelector::default()
             };
@@ -314,7 +292,6 @@ pub fn run_pipeline(
         training_seconds: downstream.ledger.simulated_seconds(&cfg.cost_model),
         candidates_per_query: selection.candidates_per_query,
         duplicated_party,
-        dropouts: selection.dropouts,
         cache,
         real_ms: started.elapsed().as_secs_f64() * 1e3,
         phase_ms,
@@ -381,24 +358,6 @@ mod tests {
         let a = run_pipeline(&spec, Method::Random, Downstream::Knn { k: 3 }, &cfg, 5);
         let b = run_pipeline(&spec, Method::Random, Downstream::Knn { k: 3 }, &cfg, 106);
         assert!((avg.accuracy - (a.accuracy + b.accuracy) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pipeline_with_dropouts_degrades_and_reports() {
-        let spec = DatasetSpec::by_name("Rice").unwrap();
-        let cfg = PipelineConfig {
-            sim_instances: Some(200),
-            query_count: 8,
-            dropouts: vec![(2, 3)],
-            ..Default::default()
-        };
-        let r = run_pipeline(&spec, Method::VfpsSm, Downstream::Knn { k: 3 }, &cfg, 5);
-        assert_eq!(r.dropouts, vec![3], "the dead party is surfaced in the report");
-        assert!(!r.chosen.contains(&3), "the dead party is never selected");
-        assert_eq!(r.chosen.len(), 2, "selection still fills from survivors");
-        // The schedule only affects VFPS-SM; other methods ignore it.
-        let all = run_pipeline(&spec, Method::All, Downstream::Knn { k: 3 }, &cfg, 5);
-        assert!(all.dropouts.is_empty());
     }
 
     #[test]

@@ -66,13 +66,6 @@ pub fn selection_report(
             selection.candidates_per_query
         ));
     }
-    if !selection.dropouts.is_empty() {
-        out.push_str(&format!(
-            "dropouts ({}): {} — selection degraded to survivors\n",
-            selection.dropouts.len(),
-            selection.dropouts.iter().map(|&p| name(p)).collect::<Vec<_>>().join(", ")
-        ));
-    }
     if selection.ledger.cache_hits + selection.ledger.cache_misses > 0 {
         out.push_str(&format!(
             "artifact cache: {} hit(s), {} miss(es)\n",
@@ -97,7 +90,6 @@ mod tests {
             ledger,
             scores: vec![0.9, 0.1, 1.4, 0.0],
             candidates_per_query: 123.0,
-            dropouts: Vec::new(),
         }
     }
 
@@ -137,21 +129,10 @@ mod tests {
             ledger: OpLedger::default(),
             scores: vec![],
             candidates_per_query: 0.0,
-            dropouts: Vec::new(),
         };
         let r = selection_report(&s, "RANDOM", &[], &CostModel::default());
         assert!(!r.contains("simulated selection time"));
         assert!(!r.contains("encrypted instances"));
-        assert!(!r.contains("dropouts"), "fault-free report has no dropout line");
-    }
-
-    #[test]
-    fn report_prints_dropout_line_when_degraded() {
-        let mut s = selection();
-        s.dropouts = vec![1, 3];
-        let r = selection_report(&s, "VFPS-SM", &[], &CostModel::default());
-        assert!(r.contains("dropouts (2): party-1, party-3"), "{r}");
-        assert!(r.contains("degraded to survivors"), "{r}");
     }
 
     #[test]

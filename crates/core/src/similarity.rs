@@ -15,14 +15,10 @@ use std::fmt;
 use vfps_vfl::fed_knn::QueryOutcome;
 
 /// Shape error from feeding the accumulator an incompatible outcome.
-///
-/// A mid-batch participant dropout shrinks the `d_t` width of later
-/// outcomes; the accumulator surfaces that as a typed error so degraded
-/// runs can re-accumulate over the survivor set instead of panicking.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimilarityError {
     /// The outcome's `d_t` width disagrees with the accumulator's party
-    /// count.
+    /// count (an outcome computed over a different consortium).
     PartyCountMismatch {
         /// Width the accumulator was built for.
         expected: usize,
@@ -103,25 +99,36 @@ impl SimilarityAccumulator {
 
     /// Adds one query's outcome.
     ///
+    /// # Errors
+    /// Returns [`SimilarityError::PartyCountMismatch`] when the outcome's
+    /// `d_t` width disagrees with the accumulator's party count.
+    pub fn add_query(&mut self, outcome: &QueryOutcome) -> Result<(), SimilarityError> {
+        self.add_d_t(&outcome.d_t)
+    }
+
+    /// Adds one query's per-party sums `d_T^p` — the whole of what a query
+    /// contributes to `w`, so every path that holds `d_t` vectors (cold
+    /// outcomes, churn-maintained profiles) averages them here.
+    ///
     /// Queries with `d_T = 0` (all selected neighbors identical to the
     /// query in every feature) contribute full similarity for every pair —
     /// no distance signal means no evidence of divergence.
     ///
     /// # Errors
-    /// Returns [`SimilarityError::PartyCountMismatch`] when the outcome's
-    /// `d_t` width disagrees with the accumulator's party count — e.g. the
-    /// outcome was computed after a participant dropped out.
-    pub fn add_query(&mut self, outcome: &QueryOutcome) -> Result<(), SimilarityError> {
-        if outcome.d_t.len() != self.parties {
+    /// Returns [`SimilarityError::PartyCountMismatch`] when `d_t`'s width
+    /// disagrees with the accumulator's party count; nothing is
+    /// accumulated then.
+    pub fn add_d_t(&mut self, d_t: &[f64]) -> Result<(), SimilarityError> {
+        if d_t.len() != self.parties {
             return Err(SimilarityError::PartyCountMismatch {
                 expected: self.parties,
-                got: outcome.d_t.len(),
+                got: d_t.len(),
             });
         }
         self.queries += 1;
         let profile: Vec<f64> = match &self.feature_counts {
-            None => outcome.d_t.clone(),
-            Some(counts) => outcome.d_t.iter().zip(counts).map(|(&d, &c)| d / c as f64).collect(),
+            None => d_t.to_vec(),
+            Some(counts) => d_t.iter().zip(counts).map(|(&d, &c)| d / c as f64).collect(),
         };
         let total: f64 = profile.iter().sum();
         for p in 0..self.parties {
@@ -269,8 +276,8 @@ mod tests {
 
     #[test]
     fn shrunk_outcome_yields_typed_error_not_panic() {
-        // A participant dropping out mid-batch shrinks d_t from 3 to 2
-        // entries; the accumulator must report the mismatch, not assert.
+        // An outcome from a 2-party consortium fed to a 3-party
+        // accumulator: the mismatch is reported, not asserted.
         let mut acc = SimilarityAccumulator::new(3);
         acc.add_query(&outcome(vec![1.0, 2.0, 3.0])).unwrap();
         let err = acc.add_query(&outcome(vec![1.0, 2.0])).unwrap_err();

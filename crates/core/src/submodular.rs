@@ -766,6 +766,32 @@ impl KnnSubmodular {
         }
     }
 
+    /// [`KnnSubmodular::maximize`], with each chosen index paired with its
+    /// marginal gain `f(S_i) − f(S_{i−1})` at pick time, in selection
+    /// order.
+    ///
+    /// # Panics
+    /// As [`KnnSubmodular::maximize`].
+    #[must_use]
+    pub fn maximize_scored(
+        &self,
+        size: usize,
+        maximizer: Maximizer,
+        seed: u64,
+        pool: &vfps_par::Pool,
+    ) -> Vec<(usize, f64)> {
+        let (chosen, _evals) = self.maximize(size, maximizer, seed, pool);
+        let mut best = vec![0.0f64; self.n];
+        chosen
+            .into_iter()
+            .map(|v| {
+                let gain = self.gain(&best, v);
+                self.absorb(&mut best, v);
+                (v, gain)
+            })
+            .collect()
+    }
+
     /// Exhaustive maximization (test oracle; exponential).
     ///
     /// # Panics
@@ -1046,6 +1072,26 @@ mod tests {
         assert!(se <= ge);
         let (sieve, _) = f.maximize(size, Maximizer::Sieve { epsilon: 0.2 }, 0, &pool);
         assert_eq!(sieve, f.sieve_streaming(size, 0.2).0);
+    }
+
+    #[test]
+    fn maximize_scored_gains_are_objective_increments() {
+        let f = KnnSubmodular::new(random_instance(20, 9));
+        let pool = vfps_par::Pool::with_threads(2);
+        for m in [
+            Maximizer::Greedy,
+            Maximizer::Lazy,
+            Maximizer::Stochastic { epsilon: 0.1 },
+            Maximizer::Sieve { epsilon: 0.2 },
+        ] {
+            let scored = f.maximize_scored(5, m, 3, &pool);
+            let chosen: Vec<usize> = scored.iter().map(|&(v, _)| v).collect();
+            assert_eq!(chosen, f.maximize(5, m, 3, &pool).0, "{m:?}: same picks as maximize");
+            for i in 1..=chosen.len() {
+                let step = f.eval(&chosen[..i]) - f.eval(&chosen[..i - 1]);
+                assert!((scored[i - 1].1 - step).abs() < 1e-12, "{m:?} pick {i}: {scored:?}");
+            }
+        }
     }
 
     #[test]

@@ -110,8 +110,9 @@ pub struct OpLedger {
     pub messages: u64,
     /// Synchronous communication rounds (each costs one latency).
     pub rounds: u64,
-    /// Participants observed to drop out during the run (degraded-mode
-    /// bookkeeping — zero cost, but surfaced in every report).
+    /// Participants observed to drop out during the run. Zero cost and
+    /// written by no engine; it stays for the wire format (cached entries
+    /// and the serving protocol's frames carry it).
     pub dropouts: u64,
     /// Selection-artifact cache hits observed during the run (zero cost:
     /// a hit *replaces* federated work, it does not add any).
@@ -174,11 +175,6 @@ impl OpLedger {
     /// Records one synchronous round (one latency on the critical path).
     pub fn record_round(&mut self) {
         self.rounds += 1;
-    }
-
-    /// Records one participant dropout observed during the run.
-    pub fn record_dropout(&mut self) {
-        self.dropouts += 1;
     }
 
     /// Records one selection-artifact cache hit (warm or churned serving).
@@ -436,9 +432,7 @@ mod tests {
         let mut l = OpLedger::default();
         l.record_enc(10, 2);
         let before = l.simulated_us(&model);
-        l.record_dropout();
-        l.record_dropout();
-        assert_eq!(l.dropouts, 2);
+        l.dropouts = 2;
         assert_eq!(l.simulated_us(&model), before, "dropouts carry no simulated cost");
         let mut m = OpLedger::default();
         m.merge_times(&l, 3);
@@ -528,7 +522,7 @@ mod tests {
         l.record_dist(13, 2);
         l.record_traffic(4096, 9);
         l.record_round();
-        l.record_dropout();
+        l.dropouts = 1;
         l.record_cache_hit();
         l.record_cache_miss();
         l.record_random_access(17);

@@ -17,6 +17,8 @@ pub enum WireError {
     BadTag(u8),
     /// A declared length exceeds the remaining input.
     BadLength(usize),
+    /// The value decoded but breaks an invariant of the record holding it.
+    Invalid(&'static str),
 }
 
 impl fmt::Display for WireError {
@@ -25,6 +27,7 @@ impl fmt::Display for WireError {
             WireError::UnexpectedEnd => write!(f, "unexpected end of input"),
             WireError::BadTag(t) => write!(f, "unrecognized tag byte {t}"),
             WireError::BadLength(l) => write!(f, "declared length {l} exceeds input"),
+            WireError::Invalid(what) => write!(f, "invalid record: {what}"),
         }
     }
 }

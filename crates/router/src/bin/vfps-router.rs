@@ -91,7 +91,7 @@ fn main() -> ExitCode {
         Ok(cfg) => cfg,
         Err(msg) => {
             eprintln!("error: {msg}\nrun vfps-router --help for usage");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let router = match Router::bind(&cfg) {

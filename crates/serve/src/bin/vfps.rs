@@ -77,6 +77,15 @@ impl Default for Args {
     }
 }
 
+/// Parses `flag`'s value, naming both on failure:
+/// `bad --parties "abc": invalid digit found in string`.
+fn parse_flag<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    raw.parse().map_err(|e| format!("bad {flag} {raw:?}: {e}"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
@@ -88,21 +97,15 @@ fn parse_args() -> Result<Args, String> {
             "--data" => args.data = Some(PathBuf::from(value("--data")?)),
             "--format" => args.format = value("--format")?,
             "--synthetic" => args.synthetic = Some(value("--synthetic")?),
-            "--parties" => {
-                args.parties = value("--parties")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--select" => {
-                args.select = value("--select")?.parse().map_err(|e| format!("{e}"))?;
-            }
+            "--parties" => args.parties = parse_flag("--parties", &value("--parties")?)?,
+            "--select" => args.select = parse_flag("--select", &value("--select")?)?,
             "--method" => args.method = value("--method")?.to_lowercase(),
             "--model" => args.model = value("--model")?.to_lowercase(),
-            "--k" => args.knn_k = value("--k")?.parse().map_err(|e| format!("{e}"))?,
-            "--queries" => {
-                args.queries = value("--queries")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
+            "--k" => args.knn_k = parse_flag("--k", &value("--k")?)?,
+            "--queries" => args.queries = parse_flag("--queries", &value("--queries")?)?,
+            "--seed" => args.seed = parse_flag("--seed", &value("--seed")?)?,
             "--label-column" => {
-                args.label_column = value("--label-column")?.parse().map_err(|e| format!("{e}"))?;
+                args.label_column = parse_flag("--label-column", &value("--label-column")?)?;
             }
             "--no-header" => args.no_header = true,
             "--verbose" | "-v" => args.verbose = true,
@@ -159,7 +162,6 @@ fn print_help() {
 
 fn method_from(name: &str) -> Result<Method, String> {
     Ok(match name {
-        "loo" | "leave-one-out" => return Err("use --method loo via the library API: the CLI exposes the paper's methods; see vfps_core::LeaveOneOutSelector".into()),
         "vfps-sm" => Method::VfpsSm,
         "vfps-sm-base" => Method::VfpsSmBase,
         "random" => Method::Random,
@@ -354,28 +356,21 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--addr" => cfg.addr = value("--addr")?,
             "--synthetic" => cfg.dataset = value("--synthetic")?,
-            "--instances" => {
-                cfg.instances = value("--instances")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--parties" => {
-                cfg.parties = value("--parties")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--seed" => cfg.data_seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
+            "--instances" => cfg.instances = parse_flag("--instances", &value("--instances")?)?,
+            "--parties" => cfg.parties = parse_flag("--parties", &value("--parties")?)?,
+            "--seed" => cfg.data_seed = parse_flag("--seed", &value("--seed")?)?,
             "--max-concurrent" => {
-                cfg.max_concurrent =
-                    value("--max-concurrent")?.parse().map_err(|e| format!("{e}"))?;
+                cfg.max_concurrent = parse_flag("--max-concurrent", &value("--max-concurrent")?)?;
             }
             "--queue-capacity" => {
-                cfg.queue_capacity =
-                    value("--queue-capacity")?.parse().map_err(|e| format!("{e}"))?;
+                cfg.queue_capacity = parse_flag("--queue-capacity", &value("--queue-capacity")?)?;
             }
             "--max-tenants" => {
-                cfg.max_tenants = value("--max-tenants")?.parse().map_err(|e| format!("{e}"))?;
+                cfg.max_tenants = parse_flag("--max-tenants", &value("--max-tenants")?)?;
             }
             "--deadline-ms" => {
-                cfg.default_deadline = Duration::from_millis(
-                    value("--deadline-ms")?.parse().map_err(|e| format!("{e}"))?,
-                );
+                cfg.default_deadline =
+                    Duration::from_millis(parse_flag("--deadline-ms", &value("--deadline-ms")?)?);
             }
             "--cache-dir" => cfg.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--trace-out" => cfg.trace_out = Some(PathBuf::from(value("--trace-out")?)),
@@ -437,16 +432,12 @@ fn run_party(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--addr" => addr = value("--addr")?,
             "--synthetic" => dataset = value("--synthetic")?,
-            "--instances" => {
-                instances = value("--instances")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--parties" => parties = value("--parties")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--party-id" => {
-                party_id = Some(value("--party-id")?.parse().map_err(|e| format!("{e}"))?);
-            }
+            "--instances" => instances = parse_flag("--instances", &value("--instances")?)?,
+            "--parties" => parties = parse_flag("--parties", &value("--parties")?)?,
+            "--seed" => seed = parse_flag("--seed", &value("--seed")?)?,
+            "--party-id" => party_id = Some(parse_flag("--party-id", &value("--party-id")?)?),
             "--max-sessions" => {
-                max_sessions = Some(value("--max-sessions")?.parse().map_err(|e| format!("{e}"))?);
+                max_sessions = Some(parse_flag("--max-sessions", &value("--max-sessions")?)?);
             }
             "--help" | "-h" => {
                 print_party_help();
@@ -553,22 +544,17 @@ fn run_submit(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--addr" => sub.addr = value("--addr")?,
             "--dataset" => sub.req.dataset = value("--dataset")?,
-            "--id" => {
-                sub.req.request_id = value("--id")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--parties" => sub.parties = value("--parties")?.parse().map_err(|e| format!("{e}"))?,
+            "--id" => sub.req.request_id = parse_flag("--id", &value("--id")?)?,
+            "--parties" => sub.parties = parse_flag("--parties", &value("--parties")?)?,
             "--party-set" => {
+                let raw = value("--party-set")?;
                 let set: Result<Vec<usize>, _> =
-                    value("--party-set")?.split(',').map(str::trim).map(str::parse).collect();
-                sub.party_set = Some(set.map_err(|e| format!("{e}"))?);
+                    raw.split(',').map(str::trim).map(str::parse).collect();
+                sub.party_set = Some(set.map_err(|e| format!("bad --party-set {raw:?}: {e}"))?);
             }
-            "--select" => {
-                sub.req.select = value("--select")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--k" => sub.req.k = value("--k")?.parse().map_err(|e| format!("{e}"))?,
-            "--queries" => {
-                sub.req.query_count = value("--queries")?.parse().map_err(|e| format!("{e}"))?;
-            }
+            "--select" => sub.req.select = parse_flag("--select", &value("--select")?)?,
+            "--k" => sub.req.k = parse_flag("--k", &value("--k")?)?,
+            "--queries" => sub.req.query_count = parse_flag("--queries", &value("--queries")?)?,
             "--mode" => {
                 sub.req.mode = match value("--mode")?.to_lowercase().as_str() {
                     "base" => 0,
@@ -587,10 +573,9 @@ fn run_submit(args: &[String]) -> Result<(), String> {
                     other => return Err(format!("unknown maximizer {other}")),
                 };
             }
-            "--seed" => sub.req.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
+            "--seed" => sub.req.seed = parse_flag("--seed", &value("--seed")?)?,
             "--deadline-ms" => {
-                sub.req.deadline_ms =
-                    value("--deadline-ms")?.parse().map_err(|e| format!("{e}"))?;
+                sub.req.deadline_ms = parse_flag("--deadline-ms", &value("--deadline-ms")?)?;
             }
             "--ping" => sub.ping = true,
             "--shutdown" => sub.shutdown = true,

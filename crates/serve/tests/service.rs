@@ -80,7 +80,7 @@ fn direct_run_on(
         SelectionContext { ds: &ds, split: &split, partition: &partition, cost_scale: 1.0, seed };
     let sel =
         VfpsSmSelector { k: 10, query_count, mode: KnnMode::Fagin, ..VfpsSmSelector::default() };
-    let art = sel.run_over(&ctx, party_set, select, None);
+    let art = sel.run_over(&ctx, party_set, select);
     (art.selection.chosen, art.selection.scores)
 }
 
@@ -562,7 +562,7 @@ fn nra_mode_serves_with_random_access_accounting_in_the_reply() {
     };
     let sel =
         VfpsSmSelector { k: 10, query_count: 8, mode: KnnMode::Nra, ..VfpsSmSelector::default() };
-    let art = sel.run_over(&ctx, &[0, 1, 2, 3], 2, None);
+    let art = sel.run_over(&ctx, &[0, 1, 2, 3], 2);
     assert_eq!(nra.chosen, art.selection.chosen, "served NRA run must match a direct run");
     assert_eq!(nra.scores, art.selection.scores, "served NRA scores must be bit-identical");
     assert_eq!(

@@ -90,32 +90,6 @@ pub fn fagin_cost_scale(cost_scale: f64, parties: usize) -> f64 {
     cost_scale.max(1e-12).powf((p - 1.0) / p)
 }
 
-/// A scheduled participant failure for [`FedKnn::query_batch_resilient`]:
-/// party `slot` (an index into the engine's party list) drops out of the
-/// consortium immediately before query `at_query` of the batch executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Dropout {
-    /// Batch position before which the party disappears (`0` = before the
-    /// first query; `>= batch len` = after the batch completes).
-    pub at_query: usize,
-    /// Index of the dying party within the engine's party list.
-    pub slot: usize,
-}
-
-/// Outcome of a dropout-degraded batch run.
-#[derive(Clone, Debug)]
-pub struct ResilientBatch {
-    /// Per query (in batch order): the outcome plus the slots — indices
-    /// into the engine's original party list — that were still alive when
-    /// the query ran. `outcome.d_t[i]` belongs to original slot
-    /// `alive[i]`.
-    pub outcomes: Vec<(QueryOutcome, Vec<usize>)>,
-    /// Slots still alive after the whole batch.
-    pub survivors: Vec<usize>,
-    /// The dropout events that actually took effect, in schedule order.
-    pub dropouts: Vec<Dropout>,
-}
-
 /// Result of one federated KNN query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryOutcome {
@@ -496,120 +470,6 @@ impl<'a> FedKnn<'a> {
         outcomes
     }
 
-    /// As [`FedKnn::query_batch`], but with a warm-start memo: queries whose
-    /// row appears in `memo` are served from it verbatim — no local
-    /// distances, no encryption, no traffic, nothing billed to `ledger` —
-    /// while the remaining queries run the real protocol on `pool`.
-    /// Outcomes come back in query order regardless of the hit pattern.
-    ///
-    /// Each served query increments the `fed_knn.memo.served` obs counter;
-    /// this is the engine-level hook behind the selection-artifact cache
-    /// (DESIGN.md §9). With an empty memo this is exactly
-    /// [`FedKnn::query_batch`]: bit-identical outcomes and billing.
-    ///
-    /// # Panics
-    /// Panics if any non-memoized query row is out of range of the
-    /// underlying matrix.
-    pub fn query_batch_memo(
-        &self,
-        query_rows: &[usize],
-        memo: &HashMap<usize, QueryOutcome>,
-        pool: &vfps_par::Pool,
-        ledger: &mut OpLedger,
-    ) -> Vec<QueryOutcome> {
-        if memo.is_empty() {
-            return self.query_batch(query_rows, pool, ledger);
-        }
-        let missing: Vec<usize> =
-            query_rows.iter().copied().filter(|q| !memo.contains_key(q)).collect();
-        let mut computed = self.query_batch(&missing, pool, ledger).into_iter();
-        let mut served = 0u64;
-        let outcomes = query_rows
-            .iter()
-            .map(|q| match memo.get(q) {
-                Some(hit) => {
-                    served += 1;
-                    hit.clone()
-                }
-                None => computed.next().expect("one computed outcome per missing query"),
-            })
-            .collect();
-        vfps_obs::counter_add("fed_knn.memo.served", served);
-        outcomes
-    }
-
-    /// As [`FedKnn::query_batch`], but tolerant of a deterministic dropout
-    /// schedule: at each [`Dropout`] boundary the dead party leaves the
-    /// consortium and the remaining queries run over the survivors only
-    /// (shrunk similarity vectors, reduced encryption billing — the
-    /// degraded-mode semantics of DESIGN.md §7).
-    ///
-    /// Each effective dropout bills one [`OpLedger::record_dropout`].
-    /// Dropouts that would empty the consortium are ignored (the last
-    /// survivor always answers), as are duplicate deaths of the same slot.
-    /// With an empty schedule this is exactly [`FedKnn::query_batch`]:
-    /// bit-identical outcomes and billing.
-    ///
-    /// # Panics
-    /// Panics if any query row is out of range, or a `slot` is out of range
-    /// of the party list.
-    pub fn query_batch_resilient(
-        &self,
-        query_rows: &[usize],
-        dropouts: &[Dropout],
-        pool: &vfps_par::Pool,
-        ledger: &mut OpLedger,
-    ) -> ResilientBatch {
-        if dropouts.is_empty() {
-            let all: Vec<usize> = (0..self.parties()).collect();
-            let outcomes = self
-                .query_batch(query_rows, pool, ledger)
-                .into_iter()
-                .map(|o| (o, all.clone()))
-                .collect();
-            return ResilientBatch { outcomes, survivors: all, dropouts: Vec::new() };
-        }
-        let mut schedule: Vec<Dropout> = dropouts.to_vec();
-        schedule.sort_by_key(|d| (d.at_query, d.slot));
-        for d in &schedule {
-            assert!(d.slot < self.parties(), "dropout slot {} out of range", d.slot);
-        }
-
-        let mut alive: Vec<usize> = (0..self.parties()).collect();
-        let mut applied = Vec::new();
-        let mut outcomes = Vec::with_capacity(query_rows.len());
-        let mut next_query = 0usize;
-        let mut schedule = schedule.into_iter().peekable();
-        // The engine over the current survivor set; `None` means "all
-        // parties alive" and the original engine is used directly, so the
-        // pre-dropout prefix is bit-identical to the fault-free run.
-        let mut reduced: Option<FedKnn<'_>> = None;
-
-        loop {
-            // Segment end: the next dropout boundary (or end of batch).
-            let seg_end =
-                schedule.peek().map_or(query_rows.len(), |d| d.at_query.min(query_rows.len()));
-            if next_query < seg_end {
-                let engine = reduced.as_ref().unwrap_or(self);
-                let seg = engine.query_batch(&query_rows[next_query..seg_end], pool, ledger);
-                outcomes.extend(seg.into_iter().map(|o| (o, alive.clone())));
-                next_query = seg_end;
-            }
-            let Some(d) = schedule.next() else { break };
-            if alive.len() > 1 && alive.contains(&d.slot) {
-                alive.retain(|&s| s != d.slot);
-                applied.push(d);
-                vfps_obs::counter_add("fed_knn.dropouts", 1);
-                ledger.record_dropout();
-                let parties: Vec<usize> = alive.iter().map(|&s| self.parties[s]).collect();
-                reduced =
-                    Some(FedKnn::new(self.x, self.partition, &parties, &self.db_rows, self.cfg));
-            }
-        }
-
-        ResilientBatch { outcomes, survivors: alive, dropouts: applied }
-    }
-
     /// Classifies `query_row` by majority vote over its federated top-k
     /// neighbors' labels (ties → smaller class id).
     pub fn classify(
@@ -925,48 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_batch_serves_hits_free_and_computes_misses() {
-        let (x, part) = toy();
-        let db: Vec<usize> = (0..8).collect();
-        let queries: Vec<usize> = (0..8).collect();
-        let engine = FedKnn::new(
-            &x,
-            &part,
-            &[0, 1],
-            &db,
-            FedKnnConfig { k: 3, mode: KnnMode::Fagin, batch: 2, cost_scale: 1.0 },
-        );
-        let pool = vfps_par::Pool::with_threads(2);
-
-        let mut cold_ledger = OpLedger::default();
-        let cold = engine.query_batch(&queries, &pool, &mut cold_ledger);
-
-        // Full memo: every query served, nothing billed.
-        let memo: HashMap<usize, QueryOutcome> =
-            queries.iter().copied().zip(cold.iter().cloned()).collect();
-        let mut warm_ledger = OpLedger::default();
-        let warm = engine.query_batch_memo(&queries, &memo, &pool, &mut warm_ledger);
-        assert_eq!(warm_ledger, OpLedger::default(), "full memo bills nothing");
-        assert_eq!(warm, cold);
-
-        // Partial memo: only the misses are billed, order is preserved.
-        let partial: HashMap<usize, QueryOutcome> =
-            [0usize, 3, 6].iter().map(|&q| (q, cold[q].clone())).collect();
-        let mut mixed_ledger = OpLedger::default();
-        let mixed = engine.query_batch_memo(&queries, &partial, &pool, &mut mixed_ledger);
-        assert_eq!(mixed, cold);
-        let mut miss_ledger = OpLedger::default();
-        let _ = engine.query_batch(&[1, 2, 4, 5, 7], &pool, &mut miss_ledger);
-        assert_eq!(mixed_ledger, miss_ledger, "hits must not be billed");
-
-        // Empty memo degenerates to query_batch exactly.
-        let mut empty_ledger = OpLedger::default();
-        let none = engine.query_batch_memo(&queries, &HashMap::new(), &pool, &mut empty_ledger);
-        assert_eq!(none, cold);
-        assert_eq!(empty_ledger, cold_ledger);
-    }
-
-    #[test]
     fn query_outcome_roundtrips_through_wire() {
         use vfps_net::wire::Wire;
         let (x, part) = toy();
@@ -982,112 +800,6 @@ mod tests {
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&back.d_t), bits(&out.d_t));
         }
-    }
-
-    #[test]
-    fn resilient_batch_with_empty_schedule_is_bit_identical() {
-        let (x, part) = toy();
-        let db: Vec<usize> = (0..8).collect();
-        let queries: Vec<usize> = (0..8).collect();
-        let engine = FedKnn::new(
-            &x,
-            &part,
-            &[0, 1],
-            &db,
-            FedKnnConfig { k: 3, mode: KnnMode::Fagin, batch: 2, cost_scale: 1.0 },
-        );
-        let pool = vfps_par::Pool::with_threads(2);
-        let mut plain_ledger = OpLedger::default();
-        let plain = engine.query_batch(&queries, &pool, &mut plain_ledger);
-        let mut res_ledger = OpLedger::default();
-        let res = engine.query_batch_resilient(&queries, &[], &pool, &mut res_ledger);
-        assert_eq!(res_ledger, plain_ledger, "empty schedule must not change billing");
-        assert_eq!(res.survivors, vec![0, 1]);
-        assert!(res.dropouts.is_empty());
-        for ((a, alive), b) in res.outcomes.iter().zip(&plain) {
-            assert_eq!(alive, &vec![0, 1]);
-            assert_eq!(a.topk_rows, b.topk_rows);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a.d_t), bits(&b.d_t));
-        }
-    }
-
-    #[test]
-    fn resilient_batch_degrades_over_survivors() {
-        let (x, part) = toy();
-        let db: Vec<usize> = (0..8).collect();
-        let queries: Vec<usize> = (0..6).collect();
-        let engine = FedKnn::new(
-            &x,
-            &part,
-            &[0, 1],
-            &db,
-            FedKnnConfig { k: 2, mode: KnnMode::Fagin, batch: 2, cost_scale: 1.0 },
-        );
-        let pool = vfps_par::Pool::with_threads(1);
-        let mut ledger = OpLedger::default();
-        let res = engine.query_batch_resilient(
-            &queries,
-            &[Dropout { at_query: 3, slot: 0 }],
-            &pool,
-            &mut ledger,
-        );
-        assert_eq!(res.outcomes.len(), 6, "the batch completes despite the death");
-        assert_eq!(res.survivors, vec![1]);
-        assert_eq!(res.dropouts, vec![Dropout { at_query: 3, slot: 0 }]);
-        assert_eq!(ledger.dropouts, 1);
-        for (i, (o, alive)) in res.outcomes.iter().enumerate() {
-            if i < 3 {
-                assert_eq!(alive, &vec![0, 1], "query {i} pre-dropout");
-                assert_eq!(o.d_t.len(), 2);
-            } else {
-                assert_eq!(alive, &vec![1], "query {i} post-dropout");
-                assert_eq!(o.d_t.len(), 1, "similarity shrinks to survivors");
-            }
-            assert_eq!(o.topk_rows.len(), 2, "every query still answers");
-        }
-        // Post-dropout outcomes match a single-party engine built up front.
-        let solo = FedKnn::new(
-            &x,
-            &part,
-            &[1],
-            &db,
-            FedKnnConfig { k: 2, mode: KnnMode::Fagin, batch: 2, cost_scale: 1.0 },
-        );
-        let mut solo_ledger = OpLedger::default();
-        for i in 3..6 {
-            let expect = solo.query(queries[i], &mut solo_ledger);
-            assert_eq!(res.outcomes[i].0.topk_rows, expect.topk_rows, "query {i}");
-        }
-    }
-
-    #[test]
-    fn resilient_batch_never_empties_the_consortium() {
-        let (x, part) = toy();
-        let db: Vec<usize> = (0..8).collect();
-        let engine = FedKnn::new(
-            &x,
-            &part,
-            &[0, 1],
-            &db,
-            FedKnnConfig { k: 2, mode: KnnMode::Fagin, batch: 2, cost_scale: 1.0 },
-        );
-        let pool = vfps_par::Pool::with_threads(1);
-        let mut ledger = OpLedger::default();
-        let res = engine.query_batch_resilient(
-            &[0, 1, 2, 3],
-            &[
-                Dropout { at_query: 1, slot: 0 },
-                Dropout { at_query: 2, slot: 1 }, // would leave nobody: ignored
-                Dropout { at_query: 3, slot: 0 }, // already dead: ignored
-            ],
-            &pool,
-            &mut ledger,
-        );
-        assert_eq!(res.outcomes.len(), 4);
-        assert_eq!(res.survivors, vec![1], "the last survivor keeps answering");
-        assert_eq!(res.dropouts, vec![Dropout { at_query: 1, slot: 0 }]);
-        assert_eq!(ledger.dropouts, 1, "only effective deaths are billed");
     }
 
     #[test]

@@ -34,7 +34,7 @@ mod he_wire;
 pub mod protocol;
 pub mod split_train;
 
-pub use fed_knn::{Dropout, FedKnn, FedKnnConfig, KnnMode, QueryOutcome, ResilientBatch};
+pub use fed_knn::{FedKnn, FedKnnConfig, KnnMode, QueryOutcome};
 pub use protocol::{
     knn_participant_node, knn_server_node, run_threaded_knn, run_threaded_knn_faulted, FaultedRun,
     KnnNodeOut, KnnSession, ProtoMsg, ThreadedKnnRun,

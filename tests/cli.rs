@@ -359,6 +359,13 @@ fn bad_arguments_fail_cleanly() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
+
+    // A value that does not parse is refused with its flag named.
+    let out =
+        vfps().args(["--synthetic", "Rice", "--parties", "abc"]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--parties"), "{stderr}");
 }
 
 #[test]
