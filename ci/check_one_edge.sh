@@ -12,6 +12,7 @@
 # And one for reach: library surface no binary, experiment or benchmark
 # called (a second split-LR trainer, k-fold CV, ...) stays deleted.
 # And one for the similarity formula: written once, in core::similarity.
+# And one for serving: a resident tenant's data is hashed once, not per request.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -192,6 +193,16 @@ fi
 if hits=$(grep -rnE 'abs\(\)\)\s*/\s*total' crates tests examples --include='*.rs' \
         | grep -v '^crates/core/src/similarity.rs:'); then
     echo "the similarity formula outside crates/core/src/similarity.rs (feed d_t to SimilarityAccumulator):"
+    echo "$hits"
+    fail=1
+fi
+
+# Hash a resident tenant once (DESIGN.md §9 "Key derivation", §10): the
+# serving tier keys every request from its world's TenantDigest through
+# select_with_digest. A `cache_key(` or `select_with_cache(` call here
+# rehashes the whole dataset on every request.
+if hits=$(grep -rnE '\b(cache_key|select_with_cache)\(' crates/serve/src --include='*.rs'); then
+    echo "per-request rehash of the tenant in crates/serve/src (key from the world's digest: select_with_digest):"
     echo "$hits"
     fail=1
 fi

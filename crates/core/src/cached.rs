@@ -1,8 +1,11 @@
 //! Cache-backed selection serving: warm-start and churn paths over the
 //! `vfps-cache` artifact store (DESIGN.md §9).
 //!
-//! [`select_with_cache`] is the single entry point. Per request it
-//! resolves to one of four paths:
+//! [`select_with_digest`] is the single selection body; it keys a request
+//! by a [`TenantDigest`] of the tenant's data, which a resident world
+//! takes once (DESIGN.md §10), and [`select_with_cache`] is the same call
+//! with the digest taken for this one request. Per request it resolves to
+//! one of four paths:
 //!
 //! * **warm** — an exact-fingerprint entry exists: its stored similarity
 //!   matrix goes straight to the selection tail
@@ -29,7 +32,7 @@
 //! as a typed [`CacheError`] on the result — serving never panics on
 //! cache damage, and the cold run's store overwrites the damaged file.
 
-use vfps_cache::{ArtifactCache, CacheEntry, CacheError, CacheKey, ChurnKind, Fnv128};
+use vfps_cache::{ArtifactCache, CacheEntry, CacheError, CacheKey, ChurnKind, Fingerprint, Fnv128};
 use vfps_net::cost::{CostModel, OpLedger};
 use vfps_net::wire::{Wire, WireError};
 use vfps_vfl::fed_knn::KnnMode;
@@ -107,7 +110,121 @@ impl<'a> TenantContext<'a> {
     }
 }
 
-/// Builds the content-addressed key identifying one selection request.
+/// The tenant-constant half of a [`CacheKey`]: the `dataset`, `partition`
+/// and `db` digests, which depend only on the tenant's dataset tag, its
+/// dataset content, its train split and its vertical partition — never on
+/// the request. A resident world hashes its data once, at
+/// materialization, and builds every request's key from the digest
+/// ([`TenantDigest::key`]); [`cache_key`] is the same two steps done
+/// from scratch, so a resident key and a from-scratch key cannot drift.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TenantDigest {
+    dataset: Fingerprint,
+    partition: Fingerprint,
+    db: Fingerprint,
+}
+
+impl TenantDigest {
+    /// Hashes the tenant's data: `tc.dataset_tag`, the dataset's name,
+    /// shape, every matrix cell and every label; the partition's column
+    /// groups; the train split. Adds the bytes it hashed to the
+    /// `core.tenant_digest_bytes` counter.
+    #[must_use]
+    pub fn of(ctx: &SelectionContext<'_>, tc: &TenantContext<'_>) -> TenantDigest {
+        let mut h = CountingFnv::default();
+        let dataset_tag = tc.dataset_tag;
+        h.update(&(dataset_tag.len() as u64).to_le_bytes());
+        h.update(dataset_tag);
+        h.update(&(ctx.ds.name.len() as u64).to_le_bytes());
+        h.update(ctx.ds.name.as_bytes());
+        h.update(&(ctx.ds.x.rows() as u64).to_le_bytes());
+        h.update(&(ctx.ds.x.cols() as u64).to_le_bytes());
+        for r in 0..ctx.ds.x.rows() {
+            for &v in ctx.ds.x.row(r) {
+                h.update(&v.to_bits().to_le_bytes());
+            }
+        }
+        for &label in &ctx.ds.y {
+            h.update(&(label as u64).to_le_bytes());
+        }
+        let dataset = h.finish();
+
+        h.update(&(ctx.partition.parties() as u64).to_le_bytes());
+        for group in ctx.partition.all_columns() {
+            h.update(&group.to_bytes());
+        }
+        let partition = h.finish();
+
+        h.update(&ctx.split.train.to_bytes());
+        let db = h.finish();
+
+        vfps_obs::counter_add("core.tenant_digest_bytes", h.bytes);
+        TenantDigest { dataset, partition, db }
+    }
+
+    /// The content-addressed key identifying one selection request over
+    /// this digest's tenant data. `ctx` must hold the data the digest was
+    /// taken of; only its per-request parts (the seed, the cost scale and
+    /// the query sample drawn from the train split) are read here.
+    /// `tc.tenant` shards the keyspace per tenant.
+    #[must_use]
+    pub fn key(
+        &self,
+        sel: &VfpsSmSelector,
+        ctx: &SelectionContext<'_>,
+        party_set: &[usize],
+        cost_model: &CostModel,
+        tc: &TenantContext<'_>,
+    ) -> CacheKey {
+        CacheKey {
+            tenant: Fnv128::of(tc.tenant.as_bytes()),
+            dataset: self.dataset,
+            partition: self.partition,
+            db: self.db,
+            queries: sel.query_rows(ctx),
+            party_set: party_set.to_vec(),
+            k: sel.k,
+            batch: sel.batch,
+            mode: match sel.mode {
+                KnnMode::Base => 0,
+                KnnMode::Fagin => 1,
+                KnnMode::Threshold => 2,
+                KnnMode::Nra => 3,
+            },
+            // The maximizer changes the chosen set for identical artifacts, so
+            // both its kind and its epsilon are part of the identity: a
+            // stochastic or sieve selection must never warm-alias an
+            // exact-greedy entry (or vice versa).
+            maximizer: sel.maximizer.kind(),
+            maximizer_epsilon_bits: sel.maximizer.epsilon().unwrap_or(0.0).to_bits(),
+            cost_scale_bits: ctx.cost_scale.to_bits(),
+            cost_model: Fnv128::of(&cost_model.to_bytes()),
+            seed: ctx.seed,
+        }
+    }
+}
+
+/// An [`Fnv128`] that counts the bytes it absorbs; `finish` hands out the
+/// digest and starts the next one.
+#[derive(Default)]
+struct CountingFnv {
+    h: Fnv128,
+    bytes: u64,
+}
+
+impl CountingFnv {
+    fn update(&mut self, bytes: &[u8]) {
+        self.bytes += bytes.len() as u64;
+        self.h.update(bytes);
+    }
+
+    fn finish(&mut self) -> Fingerprint {
+        std::mem::take(&mut self.h).digest()
+    }
+}
+
+/// Builds the content-addressed key identifying one selection request:
+/// [`TenantDigest::of`] then [`TenantDigest::key`].
 ///
 /// `tc.dataset_tag` carries caller-level dataset identity; the dataset's
 /// actual content — every matrix cell, every label — is hashed in as
@@ -121,65 +238,41 @@ pub fn cache_key(
     cost_model: &CostModel,
     tc: &TenantContext<'_>,
 ) -> CacheKey {
-    let dataset_tag = tc.dataset_tag;
-    let mut h = Fnv128::new();
-    h.update(&(dataset_tag.len() as u64).to_le_bytes());
-    h.update(dataset_tag);
-    h.update(&(ctx.ds.name.len() as u64).to_le_bytes());
-    h.update(ctx.ds.name.as_bytes());
-    h.update(&(ctx.ds.x.rows() as u64).to_le_bytes());
-    h.update(&(ctx.ds.x.cols() as u64).to_le_bytes());
-    for r in 0..ctx.ds.x.rows() {
-        for &v in ctx.ds.x.row(r) {
-            h.update(&v.to_bits().to_le_bytes());
-        }
-    }
-    for &label in &ctx.ds.y {
-        h.update(&(label as u64).to_le_bytes());
-    }
-    let dataset = h.digest();
-
-    let mut p = Fnv128::new();
-    p.update(&(ctx.partition.parties() as u64).to_le_bytes());
-    for group in ctx.partition.all_columns() {
-        p.update(&group.to_bytes());
-    }
-    let partition = p.digest();
-
-    CacheKey {
-        tenant: Fnv128::of(tc.tenant.as_bytes()),
-        dataset,
-        partition,
-        db: Fnv128::of(&ctx.split.train.to_bytes()),
-        queries: sel.query_rows(ctx),
-        party_set: party_set.to_vec(),
-        k: sel.k,
-        batch: sel.batch,
-        mode: match sel.mode {
-            KnnMode::Base => 0,
-            KnnMode::Fagin => 1,
-            KnnMode::Threshold => 2,
-            KnnMode::Nra => 3,
-        },
-        // The maximizer changes the chosen set for identical artifacts, so
-        // both its kind and its epsilon are part of the identity: a
-        // stochastic or sieve selection must never warm-alias an
-        // exact-greedy entry (or vice versa).
-        maximizer: sel.maximizer.kind(),
-        maximizer_epsilon_bits: sel.maximizer.epsilon().unwrap_or(0.0).to_bits(),
-        cost_scale_bits: ctx.cost_scale.to_bits(),
-        cost_model: Fnv128::of(&cost_model.to_bytes()),
-        seed: ctx.seed,
-    }
+    TenantDigest::of(ctx, tc).key(sel, ctx, party_set, cost_model, tc)
 }
 
-/// Runs a VFPS-SM selection through the artifact cache. See the module
-/// docs for the warm / churn / cold / bypass semantics.
+/// Runs a VFPS-SM selection through the artifact cache, hashing the
+/// tenant's data for this one request: [`select_with_digest`] over
+/// [`TenantDigest::of`]. See the module docs for the warm / churn / cold /
+/// bypass semantics.
 ///
 /// # Panics
 /// Panics if `party_set` contains an id outside the partition.
 pub fn select_with_cache(
     cache: &ArtifactCache,
+    sel: &VfpsSmSelector,
+    ctx: &SelectionContext<'_>,
+    party_set: &[usize],
+    count: usize,
+    cost_model: &CostModel,
+    tc: &TenantContext<'_>,
+) -> CachedSelection {
+    let digest = TenantDigest::of(ctx, tc);
+    select_with_digest(cache, &digest, sel, ctx, party_set, count, cost_model, tc)
+}
+
+/// Runs a VFPS-SM selection through the artifact cache, keyed by a digest
+/// of the tenant's data taken earlier ([`TenantDigest::of`] over the same
+/// `ctx` data and `tc`): the per-request work no longer grows with the
+/// dataset. See the module docs for the warm / churn / cold / bypass
+/// semantics.
+///
+/// # Panics
+/// Panics if `party_set` contains an id outside the partition.
+#[allow(clippy::too_many_arguments)]
+pub fn select_with_digest(
+    cache: &ArtifactCache,
+    digest: &TenantDigest,
     sel: &VfpsSmSelector,
     ctx: &SelectionContext<'_>,
     party_set: &[usize],
@@ -196,7 +289,7 @@ pub fn select_with_cache(
         };
     }
 
-    let key = cache_key(sel, ctx, party_set, cost_model, tc);
+    let key = digest.key(sel, ctx, party_set, cost_model, tc);
     let fingerprint = Some(key.fingerprint().hex());
     let mut degraded: Option<CacheError> = None;
 

@@ -44,7 +44,10 @@ pub mod selectors;
 pub mod similarity;
 pub mod submodular;
 
-pub use cached::{select_with_cache, CacheStatus, CachedSelection, TenantContext};
+pub use cached::{
+    select_with_cache, select_with_digest, CacheStatus, CachedSelection, TenantContext,
+    TenantDigest,
+};
 pub use incremental::IncrementalConsortium;
 pub use pipeline::{make_selector, run_averaged, run_pipeline, Method, PipelineConfig, RunReport};
 pub use report::selection_report;

@@ -250,6 +250,9 @@ fn run() -> Result<(), String> {
         "\n{:<14} {:>9} {:>14} {:>14}   chosen",
         "method", "accuracy", "selection (s)", "training (s)"
     );
+    let tenant = vfps_core::TenantContext::single(ds.name.as_bytes());
+    // Hashed on first use, then shared by every cached method.
+    let mut digest = None;
     for method in methods {
         let ctx = SelectionContext {
             ds: &ds,
@@ -271,14 +274,17 @@ fn run() -> Result<(), String> {
                 match vfps_cache::ArtifactCache::open(dir) {
                     Ok(cache) => {
                         let party_set: Vec<usize> = (0..args.parties).collect();
-                        let served = vfps_core::select_with_cache(
+                        let digest = digest
+                            .get_or_insert_with(|| vfps_core::TenantDigest::of(&ctx, &tenant));
+                        let served = vfps_core::select_with_digest(
                             &cache,
+                            digest,
                             &sel,
                             &ctx,
                             &party_set,
                             args.select,
                             &cost_model,
-                            &vfps_core::TenantContext::single(ds.name.as_bytes()),
+                            &tenant,
                         );
                         if let Some(err) = &served.degraded {
                             eprintln!("warning: cache degraded to cold run: {err}");

@@ -14,7 +14,8 @@
 //!   worlds lazily, LRU-caps residency, shards the artifact cache per
 //!   tenant, and accounts admission and `serve.*` metrics per tenant;
 //! * **session scheduling** — up to `max_concurrent` jobs run at once,
-//!   each through [`vfps_core::select_with_cache`], so repeat requests are
+//!   each through [`vfps_core::select_with_digest`] over its world's
+//!   once-hashed [`vfps_core::TenantDigest`], so repeat requests are
 //!   served warm (zero new encryptions, bit-identical) and one-party churn
 //!   rides the incremental path;
 //! * **graceful drain** — shutdown stops admission, finishes every

@@ -7,9 +7,10 @@
 //! more than one request in flight, so handler threads are the natural
 //! per-session flow control. `max_concurrent` **workers** pop admitted
 //! jobs off the [`BoundedQueue`] and run them through
-//! [`vfps_core::select_with_cache`]; the selection kernels inside fan out
-//! on the shared `vfps-par` pool, so worker count bounds *sessions*, not
-//! CPU parallelism.
+//! [`vfps_core::select_with_digest`], keyed by their world's digest, so a
+//! request never rehashes the tenant's data; the selection kernels inside
+//! fan out on the shared `vfps-par` pool, so worker count bounds
+//! *sessions*, not CPU parallelism.
 //!
 //! Determinism: every tenant's dataset and partition are fixed by
 //! `(dataset, instances, parties, data_seed)` — built by the
@@ -36,7 +37,6 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use vfps_core::selectors::{SelectionContext, VfpsSmSelector};
-use vfps_core::TenantContext;
 use vfps_net::cost::CostModel;
 use vfps_net::server::{Listener, Reply};
 
@@ -522,14 +522,15 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queued: Duration) -> Response {
         maximizer: maximizer(req.maximizer).expect("maximizer validated at admission"),
         ..VfpsSmSelector::default()
     };
-    let tc = TenantContext { tenant: &world.name, dataset_tag: world.ds.name.as_bytes() };
+    let tc = world.tenant_context();
     let started = Instant::now();
     // `run_over` is panic-free for validated inputs, but a lost response
     // would wedge the client forever — convert any selection panic into a
     // typed rejection instead.
     let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        vfps_core::select_with_cache(
+        vfps_core::select_with_digest(
             &world.cache,
+            world.digest(),
             &sel,
             &ctx,
             &req.party_set,

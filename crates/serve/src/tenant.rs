@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use vfps_cache::ArtifactCache;
+use vfps_core::{SelectionContext, TenantContext, TenantDigest};
 use vfps_data::{prepared_sized, Dataset, DatasetSpec, Split, VerticalPartition};
 
 use crate::proto::TenantStatus;
@@ -60,8 +61,28 @@ pub struct TenantWorld {
     pub cache: ArtifactCache,
     /// Accounting shared with the registry (survives eviction).
     pub stats: Arc<TenantStats>,
+    /// The tenant-constant half of every request's cache key, hashed once
+    /// when the world is built.
+    digest: TenantDigest,
     /// LRU clock stamp of the most recent use.
     last_used: AtomicU64,
+}
+
+impl TenantWorld {
+    /// The tenant a request on this world is served and keyed under: the
+    /// tenant id, with the dataset name as its tag.
+    #[must_use]
+    pub fn tenant_context(&self) -> TenantContext<'_> {
+        TenantContext { tenant: &self.name, dataset_tag: self.ds.name.as_bytes() }
+    }
+
+    /// The digest of this world's data under
+    /// [`tenant_context`](TenantWorld::tenant_context): requests build
+    /// their cache keys from it instead of rehashing the dataset.
+    #[must_use]
+    pub fn digest(&self) -> &TenantDigest {
+        &self.digest
+    }
 }
 
 impl std::fmt::Debug for TenantWorld {
@@ -156,32 +177,21 @@ impl TenantRegistry {
             return Ok(world.clone());
         }
 
-        // Slow path: build outside any lock (dataset generation is the
-        // expensive part), then insert under the write lock; a racing
-        // builder's world wins and ours is dropped.
-        let built = self.materialize(name)?;
+        // Slow path: build outside any lock (dataset generation and the
+        // digest are the expensive part), then insert under the write lock;
+        // a racing builder's world wins and ours is dropped.
+        let mut built = self.materialize(name)?;
         let mut inner = self.write();
         if let Some(world) = inner.resident.get(name) {
             world.last_used.store(stamp, Ordering::Relaxed);
             return Ok(world.clone());
         }
-        let stats = match inner.seen.iter().find(|(n, _)| n == name) {
-            Some((_, stats)) => stats.clone(),
-            None => {
-                let stats = Arc::new(TenantStats::default());
-                inner.seen.push((name.to_owned(), stats.clone()));
-                stats
-            }
-        };
-        let world = Arc::new(TenantWorld {
-            name: name.to_owned(),
-            ds: built.0,
-            split: built.1,
-            partition: built.2,
-            cache: built.3,
-            stats,
-            last_used: AtomicU64::new(stamp),
-        });
+        match inner.seen.iter().find(|(n, _)| n == name) {
+            Some((_, stats)) => built.stats = stats.clone(),
+            None => inner.seen.push((name.to_owned(), built.stats.clone())),
+        }
+        *built.last_used.get_mut() = stamp;
+        let world = Arc::new(built);
         inner.resident.insert(name.to_owned(), world.clone());
         vfps_obs::counter_add("serve.tenant_materialized", 1);
         while inner.resident.len() > self.max_resident {
@@ -201,10 +211,9 @@ impl TenantRegistry {
         Ok(world)
     }
 
-    fn materialize(
-        &self,
-        name: &str,
-    ) -> Result<(Dataset, Split, VerticalPartition, ArtifactCache), String> {
+    /// Builds the named world with fresh stats: dataset, split, partition,
+    /// cache shard and the digest of its data.
+    fn materialize(&self, name: &str) -> Result<TenantWorld, String> {
         let spec = DatasetSpec::by_name(name).ok_or_else(|| format!("unknown dataset {name:?}"))?;
         let instances = if self.instances == 0 { spec.sim_instances } else { self.instances };
         let (ds, split) = prepared_sized(&spec, instances, self.data_seed);
@@ -218,7 +227,28 @@ impl TenantRegistry {
         let partition = VerticalPartition::random(ds.n_features(), self.parties, self.data_seed);
         let cache = ArtifactCache::open_tenant(&self.cache_root, name)
             .map_err(|e| format!("cannot open cache shard for {name:?}: {e}"))?;
-        Ok((ds, split, partition, cache))
+        // Under the context `TenantWorld::tenant_context` serves requests
+        // with. The seed and cost scale are per request; the digest reads
+        // neither.
+        let ctx = SelectionContext {
+            ds: &ds,
+            split: &split,
+            partition: &partition,
+            cost_scale: 1.0,
+            seed: 0,
+        };
+        let tc = TenantContext { tenant: name, dataset_tag: ds.name.as_bytes() };
+        let digest = TenantDigest::of(&ctx, &tc);
+        Ok(TenantWorld {
+            name: name.to_owned(),
+            ds,
+            split,
+            partition,
+            cache,
+            stats: Arc::default(),
+            digest,
+            last_used: AtomicU64::new(0),
+        })
     }
 
     /// Whether the named tenant's world is currently materialized.
