@@ -13,6 +13,7 @@
 # called (a second split-LR trainer, k-fold CV, ...) stays deleted.
 # And one for the similarity formula: written once, in core::similarity.
 # And one for serving: a resident tenant's data is hashed once, not per request.
+# And one for the maximizers: KnnSubmodular::maximize is their one entry point.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -179,9 +180,27 @@ fi
 
 # Nothing unreached (DESIGN.md §2): these items had no caller outside
 # their own tests and were deleted; reviving one needs a caller first.
-if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profiles|DatasetStats|budgeted_greedy|knn_mi|macro_f1|confusion_matrix|query_batch_memo|query_batch_resilient|ResilientBatch|LeaveOneOutSelector|outcome_memo' \
+if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profiles|DatasetStats|budgeted_greedy|knn_mi|macro_f1|confusion_matrix|query_batch_memo|query_batch_resilient|ResilientBatch|LeaveOneOutSelector|outcome_memo|SparseSimilarity|from_sparse|try_finish_sparse|stochastic_greedy_seeded|greedy_on|lazy_greedy_on|stochastic_greedy_on|sieve_streaming_on' \
         crates examples); then
     echo "deleted, never-called library surface is back (wire a caller in the same change, or leave it out):"
+    echo "$hits"
+    fail=1
+fi
+
+# One way into the maximizers (DESIGN.md §12): KnnSubmodular::maximize
+# runs every algorithm; the algorithms themselves are private. A public
+# per-algorithm method is the second entry point coming back.
+submodular=crates/core/src/submodular.rs
+submodular_tests_from=$(grep -n '^#\[cfg(test)\]' "$submodular" | head -n 1 | cut -d: -f1)
+impl_from=$(grep -n '^impl KnnSubmodular' "$submodular" | head -n 1 | cut -d: -f1 || true)
+if [ -z "$impl_from" ]; then
+    echo "$submodular: cannot find impl KnnSubmodular (update ci/check_one_edge.sh with it)"
+    fail=1
+elif hits=$(block_at "$submodular" "$impl_from" \
+        | awk -F': ' -v to="${submodular_tests_from:-999999}" '$1 < to' \
+        | grep -E '^[0-9]+: +pub fn ' \
+        | grep -vE 'pub fn (new|similarity|eval|gain|maximize|maximize_scored)\b'); then
+    echo "$submodular: public KnnSubmodular method beyond new/similarity/eval/gain/maximize/maximize_scored (run it through maximize):"
     echo "$hits"
     fail=1
 fi

@@ -481,16 +481,19 @@ pub fn ablation_dp(cfg: &ExpConfig) -> String {
     out
 }
 
-/// Extra ablation: greedy vs lazy greedy vs stochastic greedy — identical
-/// (or near-identical) selections at very different marginal-gain
-/// evaluation counts, on a synthetic 200-party consortium.
+/// Extra ablation: the four maximizers the service runs — greedy, lazy
+/// greedy, seeded stochastic greedy and sieve-streaming, both sublinear
+/// ones at the service's ε of 0.1 — on a synthetic 200-party consortium:
+/// identical (or near-identical) selections at very different marginal-gain
+/// evaluation counts.
 pub fn ablation_maximizer(_cfg: &ExpConfig) -> String {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use vfps_core::submodular::KnnSubmodular;
+    use vfps_core::submodular::{KnnSubmodular, Maximizer};
 
+    const SEED: u64 = 77;
     let n = 200;
-    let mut rng = StdRng::seed_from_u64(77);
+    let mut rng = StdRng::seed_from_u64(SEED);
     let mut w = vec![vec![0.0f64; n]; n];
     for i in 0..n {
         w[i][i] = 1.0;
@@ -503,36 +506,23 @@ pub fn ablation_maximizer(_cfg: &ExpConfig) -> String {
     let f = KnnSubmodular::new(w);
     let size = 50;
 
-    let greedy_set = f.greedy(size);
-    let greedy_val = f.eval(&greedy_set);
-    // Round i evaluates only the n - i remaining candidates, so the total
-    // is Σ_{i<size}(n - i) — the old `size * n` overcounted by the
-    // triangular term and made lazy greedy's saving look smaller.
-    let greedy_evals = size * n - size * (size - 1) / 2;
-
-    let (lazy_set, lazy_evals) = f.lazy_greedy(size);
-    let (stoch_set, stoch_evals) = f.stochastic_greedy(size, 0.1, &mut rng);
-
-    let rows = vec![
+    let rows = [
+        ("greedy", Maximizer::Greedy, "1 - 1/e"),
+        ("lazy greedy", Maximizer::Lazy, "1 - 1/e (identical set)"),
+        ("stochastic greedy", Maximizer::Stochastic { epsilon: 0.1 }, "1 - 1/e - 0.1 (expected)"),
+        ("sieve-streaming", Maximizer::Sieve { epsilon: 0.1 }, "1/2 - 0.1"),
+    ]
+    .into_iter()
+    .map(|(name, m, guarantee)| {
+        let (set, evaluations) = f.maximize(size, m, SEED, vfps_par::global());
         vec![
-            "greedy".to_owned(),
-            format!("{greedy_val:.4}"),
-            greedy_evals.to_string(),
-            "1 - 1/e".to_owned(),
-        ],
-        vec![
-            "lazy greedy".to_owned(),
-            format!("{:.4}", f.eval(&lazy_set)),
-            lazy_evals.to_string(),
-            "1 - 1/e (identical set)".to_owned(),
-        ],
-        vec![
-            "stochastic greedy".to_owned(),
-            format!("{:.4}", f.eval(&stoch_set)),
-            stoch_evals.to_string(),
-            "1 - 1/e - 0.1 (expected)".to_owned(),
-        ],
-    ];
+            name.to_owned(),
+            format!("{:.4}", f.eval(&set)),
+            evaluations.to_string(),
+            guarantee.to_owned(),
+        ]
+    })
+    .collect::<Vec<_>>();
     let out = format!(
         "# Ablation — submodular maximizers (200 parties, select 50)\n\n{}",
         markdown_table(&["Maximizer", "f(S)", "gain() evaluations", "guarantee"], &rows)

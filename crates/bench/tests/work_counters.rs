@@ -16,9 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vfps_cache::ArtifactCache;
 use vfps_core::selectors::{SelectionContext, VfpsSmSelector};
-use vfps_core::{
-    select_with_cache, CacheStatus, KnnSubmodular, Maximizer, SparseSimilarity, TenantContext,
-};
+use vfps_core::{select_with_cache, CacheStatus, KnnSubmodular, Maximizer, TenantContext};
 use vfps_data::{prepared_sized, DatasetSpec, VerticalPartition};
 use vfps_he::scheme::{AdditiveHe, PaillierHe};
 use vfps_net::cost::{CostModel, OpLedger};
@@ -123,32 +121,31 @@ fn cache_serves_warm_and_churn_without_encrypting() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A synthetic consortium of `parties` over a thresholded sparse
-/// similarity, about 24 neighbours per party, each column seeded apart.
-fn sparse_consortium(parties: usize, seed: u64) -> KnnSubmodular {
-    let columns: Vec<Vec<(usize, f64)>> = (0..parties)
-        .map(|s| {
-            let mut rng = StdRng::seed_from_u64(vfps_par::split_seed(seed, s as u64));
-            let degree = 24.min(parties - 1);
-            let mut neighbors = std::collections::BTreeSet::new();
-            neighbors.insert(s);
-            while neighbors.len() < degree + 1 {
-                neighbors.insert(rng.gen_range(0..parties));
-            }
-            neighbors
-                .into_iter()
-                .map(|p| (p, if p == s { 1.0 } else { rng.gen_range(0.05..0.95) }))
-                .collect()
-        })
-        .collect();
-    KnnSubmodular::from_sparse(SparseSimilarity::from_columns(parties, 0.05, columns))
+/// A synthetic consortium of `parties`: candidate `s` resembles itself
+/// (1.0) and about 24 random neighbours (0.05–0.95), each column seeded
+/// apart; every other similarity is 0.
+fn consortium(parties: usize, seed: u64) -> KnnSubmodular {
+    let mut w = vec![vec![0.0f64; parties]; parties];
+    for s in 0..parties {
+        let mut rng = StdRng::seed_from_u64(vfps_par::split_seed(seed, s as u64));
+        let degree = 24.min(parties - 1);
+        let mut neighbors = std::collections::BTreeSet::new();
+        neighbors.insert(s);
+        while neighbors.len() < degree + 1 {
+            neighbors.insert(rng.gen_range(0..parties));
+        }
+        for p in neighbors {
+            w[p][s] = if p == s { 1.0 } else { rng.gen_range(0.05..0.95) };
+        }
+    }
+    KnnSubmodular::new(w)
 }
 
 /// Party-axis scaling (select 25, ε 0.2, seed 1507): gain() evaluations
-/// of full greedy against the two sublinear maximizers at 10², 10³ and
-/// 10⁴ parties. Both sublinear maximizers stay within 1 − 1/e − ε of
+/// of full greedy against the two sublinear maximizers at 10² and 10³
+/// parties. Both sublinear maximizers stay within 1 − 1/e − ε of
 /// greedy's objective, return the same set at any thread count, and at
-/// 10⁴ parties use at least ten times fewer evaluations.
+/// 10³ parties use at least ten times fewer evaluations.
 #[test]
 fn sublinear_maximizers_cut_gain_evaluations_at_party_scale() {
     let _serial = lock();
@@ -157,14 +154,10 @@ fn sublinear_maximizers_cut_gain_evaluations_at_party_scale() {
     const SEED: u64 = 1507;
     let guarantee = 1.0 - (-1.0f64).exp() - EPSILON;
     // (parties, greedy, stochastic, sieve) gain evaluations.
-    let expected = [
-        (100usize, 2_200usize, 175usize, 1_151usize),
-        (1_000, 24_700, 1_625, 1_981),
-        (10_000, 249_700, 16_100, 10_554),
-    ];
+    let expected = [(100usize, 2_200usize, 175usize, 1_151usize), (1_000, 24_700, 1_625, 1_981)];
     let pool = Pool::with_threads(1);
     for (parties, greedy_evals, stochastic_evals, sieve_evals) in expected {
-        let f = sparse_consortium(parties, SEED);
+        let f = consortium(parties, SEED);
         let (greedy_set, evals) = f.maximize(SELECT, Maximizer::Greedy, SEED, &pool);
         assert_eq!(evals, greedy_evals, "greedy at {parties} parties");
         let greedy_val = f.eval(&greedy_set);
@@ -180,7 +173,7 @@ fn sublinear_maximizers_cut_gain_evaluations_at_party_scale() {
                 let (again, _) = f.maximize(SELECT, m, SEED, &Pool::with_threads(threads));
                 assert_eq!(again, chosen, "{name} at {parties} parties, {threads} threads");
             }
-            if parties == 10_000 {
+            if parties == 1_000 {
                 assert!(greedy_evals >= 10 * evals, "{name}: {evals} vs greedy {greedy_evals}");
             }
         }

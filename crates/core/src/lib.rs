@@ -11,10 +11,11 @@
 //!
 //! * [`similarity`] — the `w(p, s)` participant similarity from federated
 //!   KNN outcomes;
-//! * [`submodular`] — `f(S) = Σ_p max_{s∈S} w(p, s)` with greedy and lazy
-//!   greedy maximizers (`1 − 1/e` guarantee), seeded stochastic greedy
-//!   (`1 − 1/e − ε`), single-pass sieve-streaming (`1/2 − ε`), and a
-//!   thresholded [`SparseSimilarity`] for consortia beyond 10⁴ candidates;
+//! * [`submodular`] — `f(S) = Σ_p max_{s∈S} w(p, s)` over the dense
+//!   `P × P` similarity, maximized through one entry point,
+//!   [`KnnSubmodular::maximize`]: greedy and lazy greedy (`1 − 1/e`
+//!   guarantee), seeded stochastic greedy (`1 − 1/e − ε`) or single-pass
+//!   sieve-streaming (`1/2 − ε`);
 //! * [`selectors`] — `VFPS-SM`, `VFPS-SM-BASE`, and the `RANDOM`,
 //!   `SHAPLEY`, `VF-MINE`, `ALL` baselines;
 //! * [`pipeline`] — the end-to-end select → train → evaluate → cost-report
@@ -56,4 +57,4 @@ pub use selectors::{
     VfMineSelector, VfpsSmSelector,
 };
 pub use similarity::{SimilarityAccumulator, SimilarityError};
-pub use submodular::{KnnSubmodular, Maximizer, SparseSimilarity};
+pub use submodular::{KnnSubmodular, Maximizer};

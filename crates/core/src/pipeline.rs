@@ -3,10 +3,9 @@
 //! flow every table and figure of the paper's evaluation exercises.
 
 use crate::selectors::{
-    AllSelector, RandomSelector, Selection, SelectionContext, Selector, ShapleySelector,
-    VfMineSelector, VfpsSmSelector,
+    AllSelector, RandomSelector, SelectionContext, Selector, ShapleySelector, VfMineSelector,
+    VfpsSmSelector,
 };
-use crate::submodular::Maximizer;
 use vfps_data::{prepared_sized, DatasetSpec, VerticalPartition};
 use vfps_ml::mlp::TrainConfig;
 use vfps_net::cost::CostModel;
@@ -71,18 +70,6 @@ pub struct PipelineConfig {
     /// Extra duplicate participants cloned from the strongest base party
     /// (Fig. 6's redundancy injection).
     pub duplicates: usize,
-    /// Directory for the selection-artifact cache (`vfps-cache`). When set,
-    /// VFPS-SM selections are served through [`crate::cached::select_with_cache`]:
-    /// a repeated request reuses the cached similarity matrix (zero new
-    /// encryptions, bit-identical selection) and a degraded or unusable
-    /// cache silently falls back to the cold path. `None` (the default)
-    /// runs every selection cold and touches no disk. Only the VFPS-SM
-    /// variants are cacheable — the baselines ignore this.
-    pub cache_dir: Option<std::path::PathBuf>,
-    /// Submodular maximizer for the VFPS-SM selection tail (the baselines
-    /// ignore it). `Greedy` (the default) reproduces the paper; the
-    /// sublinear variants scale the party axis (DESIGN.md §12).
-    pub maximizer: Maximizer,
 }
 
 impl Default for PipelineConfig {
@@ -97,8 +84,6 @@ impl Default for PipelineConfig {
             cost_model: CostModel::default(),
             sim_instances: None,
             duplicates: 0,
-            cache_dir: None,
-            maximizer: Maximizer::Greedy,
         }
     }
 }
@@ -124,10 +109,6 @@ pub struct RunReport {
     pub candidates_per_query: f64,
     /// Which base party duplicates were cloned from (Fig. 6 runs only).
     pub duplicated_party: Option<usize>,
-    /// How the artifact cache served the selection (`"cold"`, `"warm"`,
-    /// `"churn-join(p)"`, `"churn-leave(p)"`, `"bypass"`); `None` when no
-    /// cache directory was configured or the method is not cacheable.
-    pub cache: Option<String>,
     /// Wall-clock milliseconds the simulation itself took.
     pub real_ms: f64,
     /// Wall-clock milliseconds per pipeline phase, in execution order
@@ -157,7 +138,6 @@ pub fn make_selector(method: Method, cfg: &PipelineConfig) -> Box<dyn Selector> 
             k: cfg.knn_k,
             query_count: cfg.query_count,
             batch: cfg.batch,
-            maximizer: cfg.maximizer,
             ..VfpsSmSelector::default()
         }),
         Method::VfpsSmBase => Box::new(
@@ -165,7 +145,6 @@ pub fn make_selector(method: Method, cfg: &PipelineConfig) -> Box<dyn Selector> 
                 k: cfg.knn_k,
                 query_count: cfg.query_count,
                 batch: cfg.batch,
-                maximizer: cfg.maximizer,
                 ..VfpsSmSelector::default()
             }
             .base(),
@@ -232,38 +211,7 @@ pub fn run_pipeline(
 
     let ctx = SelectionContext { ds: &ds, split: &split, partition: &partition, cost_scale, seed };
     let select_span = vfps_obs::span("pipeline.select");
-    let (selection, cache): (Selection, Option<String>) = match (&cfg.cache_dir, method) {
-        (Some(dir), Method::VfpsSm | Method::VfpsSmBase) => {
-            let mut sel = VfpsSmSelector {
-                k: cfg.knn_k,
-                query_count: cfg.query_count,
-                batch: cfg.batch,
-                maximizer: cfg.maximizer,
-                ..VfpsSmSelector::default()
-            };
-            if method == Method::VfpsSmBase {
-                sel = sel.base();
-            }
-            match vfps_cache::ArtifactCache::open(dir) {
-                Ok(cache) => {
-                    let party_set: Vec<usize> = (0..ctx.parties()).collect();
-                    let served = crate::cached::select_with_cache(
-                        &cache,
-                        &sel,
-                        &ctx,
-                        &party_set,
-                        cfg.select,
-                        &cfg.cost_model,
-                        &crate::cached::TenantContext::single(&spec.canonical_bytes()),
-                    );
-                    (served.selection, Some(served.status.to_string()))
-                }
-                // An unusable cache directory must never fail the run.
-                Err(_) => (sel.select(&ctx, cfg.select), None),
-            }
-        }
-        _ => (make_selector(method, cfg).select(&ctx, cfg.select), None),
-    };
+    let selection = make_selector(method, cfg).select(&ctx, cfg.select);
     drop(select_span);
     vfps_obs::gauge_set("pipeline.candidates_per_query", selection.candidates_per_query);
     let t = timed("select", t);
@@ -292,7 +240,6 @@ pub fn run_pipeline(
         training_seconds: downstream.ledger.simulated_seconds(&cfg.cost_model),
         candidates_per_query: selection.candidates_per_query,
         duplicated_party,
-        cache,
         real_ms: started.elapsed().as_secs_f64() * 1e3,
         phase_ms,
     }

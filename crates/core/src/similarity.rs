@@ -176,38 +176,6 @@ impl SimilarityAccumulator {
     pub fn finish(&self) -> Vec<Vec<f64>> {
         self.try_finish().expect("no queries accumulated")
     }
-
-    /// The averaged similarity thresholded straight into a
-    /// [`crate::SparseSimilarity`]: pairs whose averaged `w(p, s)` falls
-    /// below `floor` (or is exactly zero) are dropped without ever
-    /// materializing the dense matrix.
-    ///
-    /// # Errors
-    /// Returns [`SimilarityError::NoQueries`] when no queries were
-    /// accumulated.
-    ///
-    /// # Panics
-    /// Panics on a negative or non-finite floor.
-    pub fn try_finish_sparse(
-        &self,
-        floor: f64,
-    ) -> Result<crate::SparseSimilarity, SimilarityError> {
-        if self.queries == 0 {
-            return Err(SimilarityError::NoQueries);
-        }
-        let q = self.queries as f64;
-        let columns: Vec<Vec<(usize, f64)>> = (0..self.parties)
-            .map(|s| {
-                (0..self.parties)
-                    .filter_map(|p| {
-                        let w = self.sums[p][s] / q;
-                        (w > 0.0 && w >= floor).then_some((p, w))
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(crate::SparseSimilarity::from_columns(self.parties, floor, columns))
-    }
 }
 
 #[cfg(test)]
@@ -301,19 +269,6 @@ mod tests {
         // and only trip KnnSubmodular::new's finiteness assert much later.
         let acc = SimilarityAccumulator::new(2);
         assert_eq!(acc.try_finish().unwrap_err(), SimilarityError::NoQueries);
-        assert_eq!(acc.try_finish_sparse(0.0).unwrap_err(), SimilarityError::NoQueries);
         assert!(SimilarityError::NoQueries.to_string().contains("no queries"));
-    }
-
-    #[test]
-    fn sparse_finish_matches_thresholded_dense_finish() {
-        let mut acc = SimilarityAccumulator::new(3);
-        acc.add_query(&outcome(vec![1.0, 3.0, 0.5])).unwrap();
-        acc.add_query(&outcome(vec![0.1, 0.2, 0.3])).unwrap();
-        let floor = 0.7;
-        let sparse = acc.try_finish_sparse(floor).unwrap();
-        let dense = acc.finish();
-        assert_eq!(sparse, crate::SparseSimilarity::from_dense(&dense, floor));
-        assert!(sparse.nnz() < 9, "the floor must drop at least one pair");
     }
 }

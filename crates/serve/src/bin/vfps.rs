@@ -131,7 +131,8 @@ fn print_help() {
          \x20 vfps serve [options]    run the selection service (see `vfps serve --help`)\n\
          \x20 vfps submit [options]   submit to a running service (see `vfps submit --help`)\n\
          \x20 vfps party [options]    run one consortium member's feature-column daemon\n\
-         \x20                         (see `vfps party --help`)\n\n\
+         \x20                         (see `vfps party --help`)\n\
+         \x20 vfps route <action>     control a running vfps-router (see `vfps route --help`)\n\n\
          INPUT:\n\
          \x20 --data <file>          CSV or LIBSVM dataset\n\
          \x20 --format csv|libsvm    input format (default csv)\n\

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use vfps_core::similarity::SimilarityAccumulator;
-use vfps_core::submodular::KnnSubmodular;
+use vfps_core::submodular::{KnnSubmodular, Maximizer};
 use vfps_data::{prepared_sized, DatasetSpec, FeatureKind, VerticalPartition};
 use vfps_he::scheme::PaillierHe;
 use vfps_ml::knn::KnnClassifier;
@@ -96,7 +96,7 @@ fn main() {
     }
 
     let f = KnnSubmodular::new(w);
-    let chosen = f.greedy(2);
+    let (chosen, _) = f.maximize(2, Maximizer::Greedy, 0, vfps_par::global());
     println!("\nVFPS-SM selects: {:?}", chosen.iter().map(|&c| PARTY_NAMES[c]).collect::<Vec<_>>());
 
     // Downstream check: accuracy of the chosen pair vs the redundant pair.

@@ -10,9 +10,6 @@
 //!    leave — and agrees with the incremental oracle built by hand.
 //! 3. **Degradation**: a corrupted cache file downgrades the request to a
 //!    cold run with a typed error surfaced; the cold run repairs the entry.
-//! 4. **Pipeline plumbing**: `PipelineConfig::cache_dir` threads the whole
-//!    path through `run_pipeline`, surfacing the serving status on the
-//!    report.
 //!
 //! Every test runs the real selection over `vfps_par::global()`, so the CI
 //! determinism matrix (`VFPS_THREADS` ∈ {1, 2, 4, 8}) exercises the warm
@@ -24,12 +21,10 @@ use std::sync::Mutex;
 
 use vfps_cache::{ArtifactCache, CacheError};
 use vfps_core::cached::{cache_key, select_with_cache, CacheStatus, TenantContext};
-use vfps_core::pipeline::{run_pipeline, Method, PipelineConfig};
 use vfps_core::selectors::{SelectionContext, VfpsSmSelector};
 use vfps_core::IncrementalConsortium;
 use vfps_data::{prepared_sized, DatasetSpec, VerticalPartition};
 use vfps_net::cost::CostModel;
-use vfps_vfl::split_train::Downstream;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -304,38 +299,4 @@ fn tenants_get_disjoint_entries_warm_paths_and_identical_results() {
     // bit-identical: tenant A's entry can never warm-serve tenant B.
     let crossed = select_with_cache(&bank, &sel, &c, &parties, 2, &model, &tc_rice);
     assert_eq!(crossed.status, CacheStatus::Cold, "no cross-tenant warm serving");
-}
-
-#[test]
-fn pipeline_serves_repeat_runs_warm() {
-    let _g = lock();
-    let spec = DatasetSpec::by_name("Rice").unwrap();
-    let dir = cache_dir("pipeline");
-    let cfg = PipelineConfig {
-        sim_instances: Some(200),
-        query_count: 8,
-        cache_dir: Some(dir),
-        ..Default::default()
-    };
-
-    let cold = run_pipeline(&spec, Method::VfpsSm, Downstream::Knn { k: 3 }, &cfg, 5);
-    assert_eq!(cold.cache.as_deref(), Some("cold"));
-    let warm = run_pipeline(&spec, Method::VfpsSm, Downstream::Knn { k: 3 }, &cfg, 5);
-    assert_eq!(warm.cache.as_deref(), Some("warm"));
-    assert_eq!(warm.chosen, cold.chosen, "cached pipeline picks the same consortium");
-    assert_eq!(warm.accuracy.to_bits(), cold.accuracy.to_bits());
-    assert!(
-        warm.selection_seconds < cold.selection_seconds,
-        "warm selection bills less simulated time: {} vs {}",
-        warm.selection_seconds,
-        cold.selection_seconds
-    );
-
-    // A different seed is a different fingerprint: cold again, not churn.
-    let other = run_pipeline(&spec, Method::VfpsSm, Downstream::Knn { k: 3 }, &cfg, 6);
-    assert_eq!(other.cache.as_deref(), Some("cold"));
-
-    // Uncacheable methods report no cache involvement.
-    let random = run_pipeline(&spec, Method::Random, Downstream::Knn { k: 3 }, &cfg, 5);
-    assert_eq!(random.cache, None);
 }

@@ -373,7 +373,56 @@ fn help_lists_every_method() {
     let out = vfps().arg("--help").output().expect("binary runs");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["vfps-sm", "shapley", "vfmine", "random", "libsvm"] {
+    for needle in [
+        "vfps-sm",
+        "shapley",
+        "vfmine",
+        "random",
+        "libsvm",
+        "vfps serve",
+        "vfps submit",
+        "vfps party",
+        "vfps route",
+    ] {
         assert!(stdout.contains(needle), "help missing {needle}");
+    }
+}
+
+/// Runs `vfps route <args>` and returns its exit code and stderr.
+fn route(args: &[&str]) -> (Option<i32>, String) {
+    let out = vfps().arg("route").args(args).output().expect("route runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn route_status_against_a_plain_daemon_is_refused_as_not_a_router() {
+    let (mut child, _reader, addr) = spawn_serve(&[]);
+    let (code, stderr) = route(&["status", "--addr", &addr]);
+    let _ = child.kill();
+    let _ = child.wait();
+    assert_ne!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("not a router"), "{stderr}");
+}
+
+#[test]
+fn route_refuses_an_incomplete_command_with_its_reason() {
+    for (args, reason) in [
+        (&["--addr", "127.0.0.1:1"][..], "route needs an action"),
+        (&["drain"][..], "drain needs a backend name"),
+        (&["add", "b2"][..], "must be <name>=<host:port>"),
+    ] {
+        let (code, stderr) = route(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn route_help_lists_every_action() {
+    let out = vfps().args(["route", "--help"]).output().expect("route runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for needle in ["route status", "route drain <backend>", "route add <name>=", "not a router"] {
+        assert!(stdout.contains(needle), "route help missing {needle}: {stdout}");
     }
 }

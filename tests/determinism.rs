@@ -9,7 +9,7 @@
 //! the single-threaded reference.
 
 use proptest::prelude::*;
-use vfps_core::{KnnSubmodular, SimilarityAccumulator};
+use vfps_core::{KnnSubmodular, Maximizer, SimilarityAccumulator};
 use vfps_data::{prepared_sized, DatasetSpec, VerticalPartition};
 use vfps_net::cost::OpLedger;
 use vfps_par::Pool;
@@ -50,7 +50,7 @@ fn run_selection(
     let w = acc.finish();
     let w_bits: Vec<Vec<u64>> =
         w.iter().map(|row| row.iter().map(|v| v.to_bits()).collect()).collect();
-    let chosen = KnnSubmodular::new(w).greedy_on(2, pool);
+    let (chosen, _) = KnnSubmodular::new(w).maximize(2, Maximizer::Greedy, seed, pool);
     (chosen, w_bits, ledger)
 }
 
@@ -112,9 +112,10 @@ proptest! {
         n in 40usize..90,
     ) {
         let f = random_instance(n, seed);
-        let reference = f.stochastic_greedy_seeded(10, 0.1, seed, &Pool::with_threads(1));
+        let m = Maximizer::Stochastic { epsilon: 0.1 };
+        let reference = f.maximize(10, m, seed, &Pool::with_threads(1));
         for threads in thread_counts() {
-            let run = f.stochastic_greedy_seeded(10, 0.1, seed, &Pool::with_threads(threads));
+            let run = f.maximize(10, m, seed, &Pool::with_threads(threads));
             prop_assert_eq!(&run.0, &reference.0, "chosen set at {} threads", threads);
             prop_assert_eq!(run.1, reference.1, "eval count at {} threads", threads);
         }
@@ -128,9 +129,10 @@ proptest! {
         n in 40usize..90,
     ) {
         let f = random_instance(n, seed);
-        let reference = f.sieve_streaming_on(10, 0.15, &Pool::with_threads(1));
+        let m = Maximizer::Sieve { epsilon: 0.15 };
+        let reference = f.maximize(10, m, seed, &Pool::with_threads(1));
         for threads in thread_counts() {
-            let run = f.sieve_streaming_on(10, 0.15, &Pool::with_threads(threads));
+            let run = f.maximize(10, m, seed, &Pool::with_threads(threads));
             prop_assert_eq!(&run.0, &reference.0, "chosen set at {} threads", threads);
             prop_assert_eq!(run.1, reference.1, "eval count at {} threads", threads);
         }

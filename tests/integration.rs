@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use vfps_core::selectors::{SelectionContext, Selector, VfpsSmSelector};
 use vfps_core::similarity::SimilarityAccumulator;
-use vfps_core::submodular::KnnSubmodular;
+use vfps_core::submodular::{KnnSubmodular, Maximizer};
 use vfps_data::{prepared_sized, DatasetSpec, VerticalPartition};
 use vfps_he::ckks::CkksParams;
 use vfps_he::scheme::{AdditiveHe, CkksHe, PaillierHe, PlainHe};
@@ -99,7 +99,7 @@ fn duplicate_participants_get_unit_similarity_and_are_avoided() {
     );
 
     let f = KnnSubmodular::new(w);
-    let chosen = f.greedy(2);
+    let (chosen, _) = f.maximize(2, Maximizer::Greedy, 0, vfps_par::global());
     assert!(
         !(chosen.contains(&0) && chosen.contains(&3)),
         "greedy must not pick both copies: {chosen:?}"
