@@ -14,6 +14,7 @@
 # And one for the similarity formula: written once, in core::similarity.
 # And one for serving: a resident tenant's data is hashed once, not per request.
 # And one for the maximizers: KnnSubmodular::maximize is their one entry point.
+# And one for partial distances: both fed-KNN engines run the feature-major kernel.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -180,7 +181,7 @@ fi
 
 # Nothing unreached (DESIGN.md §2): these items had no caller outside
 # their own tests and were deleted; reviving one needs a caller first.
-if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profiles|DatasetStats|budgeted_greedy|knn_mi|macro_f1|confusion_matrix|query_batch_memo|query_batch_resilient|ResilientBatch|LeaveOneOutSelector|outcome_memo|SparseSimilarity|from_sparse|try_finish_sparse|stochastic_greedy_seeded|greedy_on|lazy_greedy_on|stochastic_greedy_on|sieve_streaming_on' \
+if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profiles|DatasetStats|budgeted_greedy|knn_mi|macro_f1|confusion_matrix|query_batch_memo|query_batch_resilient|ResilientBatch|LeaveOneOutSelector|outcome_memo|SparseSimilarity|from_sparse|try_finish_sparse|stochastic_greedy_seeded|greedy_on|lazy_greedy_on|stochastic_greedy_on|sieve_streaming_on|canonical_bytes' \
         crates examples); then
     echo "deleted, never-called library surface is back (wire a caller in the same change, or leave it out):"
     echo "$hits"
@@ -201,6 +202,16 @@ elif hits=$(block_at "$submodular" "$impl_from" \
         | grep -E '^[0-9]+: +pub fn ' \
         | grep -vE 'pub fn (new|similarity|eval|gain|maximize|maximize_scored)\b'); then
     echo "$submodular: public KnnSubmodular method beyond new/similarity/eval/gain/maximize/maximize_scored (run it through maximize):"
+    echo "$hits"
+    fail=1
+fi
+
+# One partial-distance kernel (DESIGN.md §7): both fed-KNN engines compute
+# a party's partials with vfps_ml::linalg::squared_distances_feature_major
+# over its feature-major view. A row-wise `squared_distance(` call is the
+# slower per-point loop, and a second formula to keep bit-identical.
+if hits=$(grep -rn 'squared_distance(' crates/vfl/src --include='*.rs'); then
+    echo "row-wise squared_distance in crates/vfl/src (use linalg::squared_distances_feature_major):"
     echo "$hits"
     fail=1
 fi

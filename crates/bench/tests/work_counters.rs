@@ -81,7 +81,7 @@ fn cache_serves_warm_and_churn_without_encrypting() {
     };
     let sel = VfpsSmSelector { query_count: 8, ..VfpsSmSelector::default() };
     let cost_model = CostModel::default();
-    let tag = spec.canonical_bytes();
+    let tag = spec.name.as_bytes();
     let dir = std::env::temp_dir().join(format!("vfps_work_counters_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = ArtifactCache::open(&dir).expect("cache dir");
@@ -93,7 +93,7 @@ fn cache_serves_warm_and_churn_without_encrypting() {
             party_set,
             2,
             &cost_model,
-            &TenantContext::single(&tag),
+            &TenantContext::single(tag),
         )
     };
 

@@ -97,8 +97,8 @@ pub struct CachedSelection {
 pub struct TenantContext<'a> {
     /// Tenant identity; `""` for single-tenant use.
     pub tenant: &'a str,
-    /// Caller-level dataset identity (e.g. `DatasetSpec::canonical_bytes()`,
-    /// or a source path for loaded data).
+    /// Caller-level dataset identity: the dataset's name on the served
+    /// path and the CLI, or any bytes a caller identifies its data by.
     pub dataset_tag: &'a [u8],
 }
 

@@ -62,32 +62,6 @@ impl DatasetSpec {
     pub fn by_name(name: &str) -> Option<DatasetSpec> {
         paper_catalog().into_iter().find(|s| s.name.eq_ignore_ascii_case(name))
     }
-
-    /// Deterministic byte serialization of every generation-relevant field —
-    /// the dataset-identity half of a selection-artifact cache key. Two
-    /// specs produce the same bytes iff they generate the same synthetic
-    /// twin; any change to the shape, class structure, or separation knobs
-    /// changes the bytes (floats are serialized as exact IEEE-754 bits).
-    #[must_use]
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.name.len() + 64);
-        out.extend_from_slice(&(self.name.len() as u64).to_le_bytes());
-        out.extend_from_slice(self.name.as_bytes());
-        out.extend_from_slice(&(self.paper_instances as u64).to_le_bytes());
-        out.extend_from_slice(&(self.sim_instances as u64).to_le_bytes());
-        out.extend_from_slice(&(self.features as u64).to_le_bytes());
-        out.extend_from_slice(&(self.classes as u64).to_le_bytes());
-        out.push(match self.domain {
-            Domain::Finance => 0,
-            Domain::Internet => 1,
-            Domain::Science => 2,
-            Domain::Healthcare => 3,
-        });
-        out.extend_from_slice(&self.informative_frac.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.redundant_frac.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.class_sep.to_bits().to_le_bytes());
-        out
-    }
 }
 
 /// The ten datasets of Table III as synthetic-twin specs.
@@ -238,32 +212,6 @@ mod tests {
     fn lookup_is_case_insensitive() {
         assert!(DatasetSpec::by_name("susy").is_some());
         assert!(DatasetSpec::by_name("NoSuch").is_none());
-    }
-
-    #[test]
-    fn canonical_bytes_distinguish_every_spec_and_every_field() {
-        let cat = paper_catalog();
-        // Pairwise distinct across the whole catalog.
-        for (i, a) in cat.iter().enumerate() {
-            for b in &cat[i + 1..] {
-                assert_ne!(a.canonical_bytes(), b.canonical_bytes(), "{} vs {}", a.name, b.name);
-            }
-        }
-        // Stable for identical specs; sensitive to each mutated field.
-        let base = DatasetSpec::by_name("Rice").unwrap();
-        assert_eq!(base.canonical_bytes(), DatasetSpec::by_name("Rice").unwrap().canonical_bytes());
-        let mut m = base.clone();
-        m.sim_instances += 1;
-        assert_ne!(base.canonical_bytes(), m.canonical_bytes());
-        let mut m = base.clone();
-        m.features += 1;
-        assert_ne!(base.canonical_bytes(), m.canonical_bytes());
-        let mut m = base.clone();
-        m.class_sep += 1e-12;
-        assert_ne!(base.canonical_bytes(), m.canonical_bytes(), "float bits must be exact");
-        let mut m = base.clone();
-        m.domain = Domain::Finance;
-        assert_ne!(base.canonical_bytes(), m.canonical_bytes());
     }
 
     #[test]

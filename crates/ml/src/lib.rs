@@ -76,6 +76,31 @@ mod proptests {
             prop_assert!((d_ab - d_ba).abs() < 1e-9);
         }
 
+        /// The feature-major kernel is `squared_distance` point by point,
+        /// bit for bit — signed zeros and negative coordinates included.
+        #[test]
+        fn feature_major_distances_match_squared_distance_bitwise(
+            (f, n, raw) in (0usize..8, 0usize..300).prop_flat_map(|(f, n)| {
+                let coordinate = (0usize..5, -100.0f64..100.0);
+                (Just(f), Just(n), proptest::collection::vec(coordinate, f * (n + 1)))
+            }),
+        ) {
+            let value = |&(pick, v): &(usize, f64)| match pick {
+                0 => 0.0,
+                1 => -0.0,
+                2 => v.round(),
+                _ => v,
+            };
+            let values: Vec<f64> = raw.iter().map(value).collect();
+            let (q, points) = values.split_at(f);
+            let rows = Matrix::from_vec(n, f, points.to_vec());
+            let got = linalg::squared_distances_feature_major(&rows.transpose(), q);
+            prop_assert_eq!(got.len(), n);
+            for (i, d) in got.iter().enumerate() {
+                prop_assert_eq!(d.to_bits(), linalg::squared_distance(q, rows.row(i)).to_bits());
+            }
+        }
+
         /// Softmax outputs are probabilities for arbitrary finite logits.
         #[test]
         fn softmax_is_distribution(

@@ -298,6 +298,31 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+/// Squared Euclidean distances from `q` to every point of a feature-major
+/// view — `features` holds one feature per row (`F × N`, the
+/// [`Matrix::transpose`] of a row-per-point view): entry `i` is
+/// `squared_distance(q, point i)`, bit for bit.
+///
+/// Each feature is one contiguous pass that adds `(q_j − x_ij)²` into the
+/// `N` running sums, feature 0 first and from the empty sum's zero — the
+/// order [`squared_distance`] adds its terms in — so every sum rounds as
+/// the row-wise one does while the inner loop vectorises.
+///
+/// # Panics
+/// Panics if `q.len() != features.rows()`.
+#[must_use]
+pub fn squared_distances_feature_major(features: &Matrix, q: &[f64]) -> Vec<f64> {
+    assert_eq!(q.len(), features.rows(), "vector length mismatch");
+    let mut out = vec![std::iter::empty::<f64>().sum::<f64>(); features.cols()];
+    for (j, &qj) in q.iter().enumerate() {
+        for (sum, &x) in out.iter_mut().zip(features.row(j)) {
+            let d = qj - x;
+            *sum += d * d;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

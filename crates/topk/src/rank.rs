@@ -11,7 +11,8 @@
 //! The order is total, and pairs that compare equal are bit-identical, so
 //! every prefix equals the same prefix of the full stable sort: callers
 //! that switch from sorting to a [`Ranking`] see the same entries, in the
-//! same order.
+//! same order. A caller that needs only *which* entries rank best, not
+//! their order, asks [`Ranking::top_set`], which selects without sorting.
 
 use crate::list::ItemId;
 
@@ -68,16 +69,20 @@ impl Entry {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Ranking {
-    /// `entries[..ranked]` is the ranked prefix; the rest is unordered.
+    /// `entries[..ranked]` is the ranked prefix, `entries[..selected]` the
+    /// best `selected` entries (`ranked <= selected`); past `ranked` the
+    /// order is unspecified.
     entries: Vec<Entry>,
     ranked: usize,
+    selected: usize,
 }
 
 impl Ranking {
     /// Ranks arbitrary `(score, id)` pairs.
     #[must_use]
     pub fn new(pairs: impl IntoIterator<Item = (f64, ItemId)>) -> Self {
-        Ranking { entries: pairs.into_iter().map(|(s, id)| Entry::new(s, id)).collect(), ranked: 0 }
+        let entries = pairs.into_iter().map(|(s, id)| Entry::new(s, id)).collect();
+        Ranking { entries, ranked: 0, selected: 0 }
     }
 
     /// Ranks `scores` by position: the id of `scores[i]` is `i`.
@@ -93,15 +98,41 @@ impl Ranking {
         let len = len.min(self.entries.len());
         if len > self.ranked {
             let end = len.max(2 * self.ranked).max(MIN_SLICE).min(self.entries.len());
-            let rest = &mut self.entries[self.ranked..];
-            let slice = end - self.ranked;
-            if slice < rest.len() {
-                rest.select_nth_unstable(slice);
-            }
-            rest[..slice].sort_unstable();
+            self.select(end);
+            self.entries[self.ranked..end].sort_unstable();
             self.ranked = end;
         }
         &self.entries[..len]
+    }
+
+    /// The best `len` entries (all of them when there are fewer), as a
+    /// set: the ranked prefix in rank order, the rest in unspecified order.
+    ///
+    /// While the lengths asked of this and [`Ranking::prefix`] only grow,
+    /// each call partitions only the entries past the previous one, so
+    /// `top_set(b)[a..]` after `top_set(a)` is the set of entries ranked
+    /// `a..b`. A later `prefix` still returns the full sort's prefix.
+    pub fn top_set(&mut self, len: usize) -> &[Entry] {
+        let len = len.min(self.entries.len());
+        self.select(len);
+        &self.entries[..len]
+    }
+
+    /// Makes `entries[..len]` the best `len` entries, keeping the ranked
+    /// prefix and the selected watermark's set.
+    fn select(&mut self, len: usize) {
+        if len <= self.ranked {
+            return;
+        }
+        let (from, to) = if len <= self.selected {
+            (self.ranked, self.selected)
+        } else {
+            (self.selected, self.entries.len())
+        };
+        if len < to {
+            self.entries[from..to].select_nth_unstable(len - from);
+        }
+        self.selected = self.selected.max(len);
     }
 }
 
@@ -226,6 +257,48 @@ mod tests {
             prop_assert_eq!(entry_bits(&iterated), want.clone());
             let fresh: Vec<Entry> = Ranking::new(pairs).into_iter().collect();
             prop_assert_eq!(entry_bits(&fresh), want);
+        }
+
+        /// Any interleaving of `top_set` and `prefix` calls, at any length:
+        /// each `top_set(len)` is the full sort's first `len` entries as a
+        /// set, each `prefix(len)` the full sort's prefix, and a `top_set`
+        /// past the longest length asked so far adds exactly the next
+        /// ranks' set.
+        fn top_sets_and_prefixes_interleave(
+            pairs in pairs(),
+            calls in collection::vec((0usize..3, any::<u64>()), 0..16),
+        ) {
+            let want = bits(&full_sort(&pairs));
+            let n = pairs.len();
+            let as_set = |mut v: Vec<(u64, ItemId)>| {
+                v.sort_unstable();
+                v
+            };
+            let mut ranking = Ranking::new(pairs.iter().copied());
+            let mut longest = 0;
+            for (kind, raw) in calls {
+                let len = match kind {
+                    2 => longest + (raw % 40) as usize,
+                    _ => (raw % (n as u64 + 20)) as usize,
+                };
+                let to = len.min(n);
+                match kind {
+                    0 => prop_assert_eq!(entry_bits(ranking.prefix(len)), want[..to].to_vec()),
+                    1 => prop_assert_eq!(
+                        as_set(entry_bits(ranking.top_set(len))),
+                        as_set(want[..to].to_vec())
+                    ),
+                    _ => {
+                        let from = longest.min(n);
+                        prop_assert_eq!(
+                            as_set(entry_bits(&ranking.top_set(len)[from..])),
+                            as_set(want[from..to].to_vec())
+                        );
+                    }
+                }
+                longest = longest.max(len);
+            }
+            prop_assert_eq!(entry_bits(ranking.prefix(n)), want);
         }
 
         /// Packing is lossless and its integer order is the reference order.

@@ -81,6 +81,23 @@ impl StreamingFagin {
         self.fully_seen >= self.k
     }
 
+    /// Whether feeding `ids` — one party's next batch, so distinct ids —
+    /// would complete the stream: each id already seen by all other
+    /// parties completes as it arrives.
+    ///
+    /// A batch that does not complete the stream is absorbed whole, and
+    /// leaves the same counts, candidate set and consumption in any order;
+    /// only the batch the stream stops in needs its ids in rank order.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range id.
+    #[must_use]
+    pub fn completes_within(&self, ids: &[ItemId]) -> bool {
+        let completing =
+            ids.iter().filter(|&&id| self.seen_count[id] as usize + 1 == self.parties).count();
+        self.fully_seen + completing >= self.k
+    }
+
     /// All ids surfaced so far, in first-seen order — the candidate set for
     /// the encrypted random-access phase.
     #[must_use]
@@ -215,5 +232,49 @@ mod tests {
         let mut sf = StreamingFagin::new(1, 3, 10);
         sf.feed(0, &[0, 1, 2]);
         assert!(sf.is_complete());
+    }
+
+    proptest::proptest! {
+        /// `completes_within` predicts `is_complete` after the feed, and a
+        /// batch it says the stream does not stop in leaves the same state
+        /// fed in any order.
+        fn completes_within_predicts_the_feed(
+            parties in 1usize..5,
+            n in 1usize..60,
+            k in 1usize..12,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let rankings: Vec<Vec<ItemId>> = (0..parties)
+                .map(|_| {
+                    let mut r: Vec<ItemId> = (0..n).collect();
+                    r.shuffle(&mut rng);
+                    r
+                })
+                .collect();
+            let mut sf = StreamingFagin::new(parties, n, k);
+            let mut pos = vec![0usize; parties];
+            while !sf.is_complete() {
+                let party = rng.gen_range(0..parties);
+                let end = (pos[party] + rng.gen_range(1usize..=8)).min(n);
+                let batch = &rankings[party][pos[party]..end];
+                pos[party] = end;
+                let predicted = sf.completes_within(batch);
+                let mut reordered = batch.to_vec();
+                reordered.shuffle(&mut rng);
+                let mut other = sf.clone();
+                sf.feed(party, batch);
+                proptest::prop_assert_eq!(predicted, sf.is_complete());
+                if !predicted {
+                    other.feed(party, &reordered);
+                    proptest::prop_assert_eq!(other.candidate_set(), sf.candidate_set());
+                    proptest::prop_assert_eq!(other.rows_consumed(), sf.rows_consumed());
+                    proptest::prop_assert_eq!(other.ids_received(), sf.ids_received());
+                    proptest::prop_assert_eq!(other.fully_seen(), sf.fully_seen());
+                }
+            }
+        }
     }
 }

@@ -26,10 +26,8 @@
 //! HE lives in [`crate::protocol`]; tests assert the two produce identical
 //! neighbor sets.
 
-use std::collections::HashMap;
-
 use vfps_data::VerticalPartition;
-use vfps_ml::linalg::{squared_distance, Matrix};
+use vfps_ml::linalg::{squared_distances_feature_major, Matrix};
 use vfps_net::cost::OpLedger;
 use vfps_topk::stream::StreamingFagin;
 use vfps_topk::Ranking;
@@ -112,10 +110,12 @@ pub struct FedKnn<'a> {
     x: &'a Matrix,
     partition: &'a VerticalPartition,
     parties: Vec<usize>,
-    /// Per party: the `n_db × F_p` local feature view over database rows.
+    /// Per party: the `F_p × n_db` local feature view over database rows,
+    /// one feature per row (the partial-distance kernel's layout).
     db_views: Vec<Matrix>,
     db_rows: Vec<usize>,
-    row_pos: HashMap<usize, usize>,
+    /// By row of `x`: that row's database position, if it has one.
+    row_pos: Vec<Option<usize>>,
     cfg: FedKnnConfig,
 }
 
@@ -135,9 +135,23 @@ impl<'a> FedKnn<'a> {
     ) -> Self {
         assert!(!db_rows.is_empty(), "empty database");
         assert!(!parties.is_empty(), "empty consortium");
-        let db = x.select_rows(db_rows);
-        let db_views = parties.iter().map(|&p| partition.local_view(&db, p)).collect();
-        let row_pos = db_rows.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+        let db_views = parties
+            .iter()
+            .map(|&p| {
+                let cols = partition.columns(p);
+                let mut view = Matrix::zeros(cols.len(), db_rows.len());
+                for (i, &r) in db_rows.iter().enumerate() {
+                    for (j, &c) in cols.iter().enumerate() {
+                        view.set(j, i, x.get(r, c));
+                    }
+                }
+                view
+            })
+            .collect();
+        let mut row_pos = vec![None; x.rows()];
+        for (i, &r) in db_rows.iter().enumerate() {
+            row_pos[r] = Some(i);
+        }
         FedKnn {
             x,
             partition,
@@ -165,23 +179,18 @@ impl<'a> FedKnn<'a> {
     /// to every database instance. The query's own database entry (if
     /// present) is excluded by giving it an infinite distance.
     fn partial_distances(&self, query_row: usize) -> Vec<Vec<f64>> {
-        let self_pos = self.row_pos.get(&query_row).copied();
+        let self_pos = self.row_pos.get(query_row).copied().flatten();
         self.parties
             .iter()
-            .enumerate()
-            .map(|(slot, &party)| {
+            .zip(&self.db_views)
+            .map(|(&party, view)| {
                 let cols = self.partition.columns(party);
                 let q: Vec<f64> = cols.iter().map(|&c| self.x.get(query_row, c)).collect();
-                let view = &self.db_views[slot];
-                (0..view.rows())
-                    .map(|i| {
-                        if Some(i) == self_pos {
-                            f64::INFINITY
-                        } else {
-                            squared_distance(&q, view.row(i))
-                        }
-                    })
-                    .collect()
+                let mut partials = squared_distances_feature_major(view, &q);
+                if let Some(i) = self_pos {
+                    partials[i] = f64::INFINITY;
+                }
+                partials
             })
             .collect()
     }
@@ -284,7 +293,10 @@ impl<'a> FedKnn<'a> {
                 ledger.record_plain(sort_ops, p);
 
                 // Streaming phase: mini-batches of pseudo IDs, round-robin,
-                // each party ranking only as far as the stream reads.
+                // each party ranking only as far as the stream reads. A
+                // batch the stream does not stop in leaves the same state
+                // in any order, so it is taken as a set; only the batch the
+                // k-th id completes in is ranked (DESIGN §7).
                 let stream_span = vfps_obs::span("fed_knn.fagin.stream");
                 let mut rankings: Vec<Ranking> =
                     partials.iter().map(|d| Ranking::of_scores(d)).collect();
@@ -296,7 +308,13 @@ impl<'a> FedKnn<'a> {
                         let end = (pos[party] + self.cfg.batch).min(n);
                         if pos[party] < end {
                             batch.clear();
-                            batch.extend(ranking.prefix(end)[pos[party]..].iter().map(|e| e.id()));
+                            batch.extend(ranking.top_set(end)[pos[party]..].iter().map(|e| e.id()));
+                            if sf.completes_within(&batch) {
+                                batch.clear();
+                                batch.extend(
+                                    ranking.prefix(end)[pos[party]..].iter().map(|e| e.id()),
+                                );
+                            }
                             sf.feed(party, &batch);
                             pos[party] = end;
                         }
@@ -406,7 +424,9 @@ impl<'a> FedKnn<'a> {
             }
         };
 
-        // Leader: complete distances of candidates, take k smallest.
+        // Leader: complete distances of candidates, take k smallest. The
+        // ranking is by (distance, position), so the candidates' order (a
+        // set-read batch's included) never reaches the outcome.
         vfps_obs::span!("fed_knn.leader_tail");
         let complete =
             candidate_positions.iter().map(|&i| (partials.iter().map(|d| d[i]).sum::<f64>(), i));

@@ -43,10 +43,11 @@ use crate::he_wire;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::sync::Arc;
 use vfps_data::VerticalPartition;
 use vfps_he::scheme::AdditiveHe;
-use vfps_ml::linalg::{squared_distance, Matrix};
+use vfps_ml::linalg::{squared_distances_feature_major, Matrix};
 use vfps_net::channel::Channel;
 use vfps_net::cluster::{run_cluster_fallible, ClusterOptions, NodeCtx};
 use vfps_net::{Error, FaultPlan, NodeId, TrafficLedger};
@@ -264,6 +265,9 @@ pub struct KnnSession {
     pub perm: Vec<usize>,
     /// Inverse of `perm`.
     pub inv: Vec<usize>,
+    /// Per query: its own database position, if it has one (its partial
+    /// distance there is excluded).
+    self_pos: Vec<Option<usize>>,
     /// Queries per wave, derived from the database size so that both ends
     /// of a setup frame agree on the split. Private: only this module's
     /// tests ever run a session under another split.
@@ -306,6 +310,10 @@ impl KnnSession {
         for (pos, &pseudo) in perm.iter().enumerate() {
             inv[pseudo] = pos;
         }
+        let mut first_pos = HashMap::with_capacity(n);
+        for (pos, &row) in db_rows.iter().enumerate() {
+            first_pos.entry(row).or_insert(pos);
+        }
         KnnSession {
             parties: parties.to_vec(),
             db_rows: db_rows.to_vec(),
@@ -313,6 +321,7 @@ impl KnnSession {
             cfg,
             perm,
             inv,
+            self_pos: queries.iter().map(|q| first_pos.get(q).copied()).collect(),
             wave_len: (WAVE_VALUE_BUDGET / n).max(1),
         }
     }
@@ -728,17 +737,12 @@ pub fn knn_server_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
     Ok((0..p).filter(|&s| dead[s]).collect())
 }
 
-/// One query's partial squared distances by database position; the
-/// query's own database entry is excluded via +inf.
-fn partial_distances(
-    shared: &KnnSession,
-    view: &Matrix,
-    qfeat: &[f64],
-    query_row: usize,
-) -> Vec<f64> {
-    let mut partials: Vec<f64> =
-        (0..shared.db_rows.len()).map(|i| squared_distance(qfeat, view.row(i))).collect();
-    if let Some(self_pos) = shared.db_rows.iter().position(|&r| r == query_row) {
+/// Query `qi`'s partial squared distances by database position, over the
+/// party's feature-major view; the query's own database entry is
+/// excluded via +inf.
+fn partial_distances(shared: &KnnSession, view_t: &Matrix, qfeat: &[f64], qi: usize) -> Vec<f64> {
+    let mut partials = squared_distances_feature_major(view_t, qfeat);
+    if let Some(self_pos) = shared.self_pos[qi] {
         partials[self_pos] = f64::INFINITY;
     }
     partials
@@ -779,12 +783,13 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
     let mut outcomes = Vec::with_capacity(shared.queries.len());
     // Leader-observed dead slots, persistent across waves.
     let mut dead = vec![false; p];
+    // One feature per row: the layout the partial-distance kernel reads.
+    let view_t = view.transpose();
 
     for wave in shared.waves() {
         let wave_len = wave.len();
-        let partials: Vec<Vec<f64>> = wave
-            .map(|qi| partial_distances(shared, view, &query_feats[qi], shared.queries[qi]))
-            .collect();
+        let partials: Vec<Vec<f64>> =
+            wave.map(|qi| partial_distances(shared, &view_t, &query_feats[qi], qi)).collect();
 
         // Which pseudo IDs to encrypt, per query.
         let candidates: Vec<Vec<usize>> = match shared.cfg.mode {
@@ -1006,31 +1011,54 @@ mod tests {
         (x, VerticalPartition::even(4, 2))
     }
 
+    /// The protocol ranks every batch it streams; the logical engine takes
+    /// every batch but the one its stream stops in as a set. So the
+    /// protocol is the reference: on a 100-row random world, for every
+    /// consortium size, batch and k, both modes agree query by query on
+    /// the top-k set, `d_T` and the candidate count.
     #[test]
     fn threaded_plain_matches_logical_engine() {
-        let (x, part) = toy();
-        let db: Vec<usize> = (0..8).collect();
-        let queries = vec![0usize, 3, 6];
-        for mode in [KnnMode::Base, KnnMode::Fagin] {
-            let cfg = FedKnnConfig { k: 3, mode, batch: 2, cost_scale: 1.0 };
-            let he = Arc::new(PlainHe::new(4));
-            let run = run_threaded_knn(&he, &x, &part, &[0, 1], &db, &queries, cfg, 77);
-            assert!(run.dropouts.is_empty());
-            let engine = FedKnn::new(&x, &part, &[0, 1], &db, cfg);
-            let mut ledger = vfps_net::cost::OpLedger::default();
-            for (qi, &q) in queries.iter().enumerate() {
-                let expect = engine.query(q, &mut ledger);
-                let got = &run.outcomes[qi];
-                let mut a = expect.topk_rows.clone();
-                let mut b = got.topk_rows.clone();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "{mode:?} query {q}");
-                for (x1, x2) in expect.d_t.iter().zip(&got.d_t) {
-                    assert!((x1 - x2).abs() < 1e-6, "{mode:?} d_t mismatch");
+        use rand::Rng;
+        let features = 10;
+        let mut rng = StdRng::seed_from_u64(1010);
+        let x = Matrix::from_vec(
+            100,
+            features,
+            (0..100 * features).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+        );
+        // Rows 96..100 are queries outside the database.
+        let db: Vec<usize> = (0..96).collect();
+        let queries = vec![0usize, 17, 45, 95, 97, 99];
+        for parties in [1usize, 2, 3, 5] {
+            let part = VerticalPartition::random(features, parties, 31 + parties as u64);
+            let slots: Vec<usize> = (0..parties).collect();
+            for batch in [1usize, 2, 7, 30, 100] {
+                for k in [1usize, 3, 10] {
+                    for mode in [KnnMode::Base, KnnMode::Fagin] {
+                        let cfg = FedKnnConfig { k, mode, batch, cost_scale: 1.0 };
+                        let case = format!("{mode:?} P={parties} b={batch} k={k}");
+                        let he = Arc::new(PlainHe::new(4));
+                        let run = run_threaded_knn(&he, &x, &part, &slots, &db, &queries, cfg, 77);
+                        assert!(run.dropouts.is_empty(), "{case}");
+                        assert!(run.total_bytes > 0, "{case}");
+                        let engine = FedKnn::new(&x, &part, &slots, &db, cfg);
+                        let mut ledger = vfps_net::cost::OpLedger::default();
+                        for (qi, &q) in queries.iter().enumerate() {
+                            let expect = engine.query(q, &mut ledger);
+                            let got = &run.outcomes[qi];
+                            let mut a = expect.topk_rows.clone();
+                            let mut b = got.topk_rows.clone();
+                            a.sort_unstable();
+                            b.sort_unstable();
+                            assert_eq!(a, b, "{case} query {q}");
+                            assert_eq!(expect.candidates, got.candidates, "{case} query {q}");
+                            for (x1, x2) in expect.d_t.iter().zip(&got.d_t) {
+                                assert!((x1 - x2).abs() < 1e-6, "{case} query {q}: d_t");
+                            }
+                        }
+                    }
                 }
             }
-            assert!(run.total_bytes > 0);
         }
     }
 
