@@ -15,6 +15,7 @@
 # And one for serving: a resident tenant's data is hashed once, not per request.
 # And one for the maximizers: KnnSubmodular::maximize is their one entry point.
 # And one for partial distances: both fed-KNN engines run the feature-major kernel.
+# And one for the option matrix: two maximizers (lazy, stochastic), three KNN modes.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -212,6 +213,17 @@ fi
 # slower per-point loop, and a second formula to keep bit-identical.
 if hits=$(grep -rn 'squared_distance(' crates/vfl/src --include='*.rs'); then
     echo "row-wise squared_distance in crates/vfl/src (use linalg::squared_distances_feature_major):"
+    echo "$hits"
+    fail=1
+fi
+
+# Two maximizers, three KNN modes (DESIGN.md §12): lazy greedy serves exact
+# greedy's set, and stochastic greedy beats sieve-streaming wherever both
+# were measured; NRA's score bounds need plaintext partial scores at the
+# server. Eager greedy is a test oracle inside submodular.rs, not a variant.
+if hits=$(grep -rnE '\bSieve\b|sieve_streaming|Maximizer::Greedy|KnnMode::Nra|nra_topk|\bmod nra\b' \
+        crates tests examples --include='*.rs'); then
+    echo "a retired maximizer or KNN mode is back (serve Maximizer::Lazy / KnnMode::Fagin):"
     echo "$hits"
     fail=1
 fi

@@ -481,11 +481,10 @@ pub fn ablation_dp(cfg: &ExpConfig) -> String {
     out
 }
 
-/// Extra ablation: the four maximizers the service runs — greedy, lazy
-/// greedy, seeded stochastic greedy and sieve-streaming, both sublinear
-/// ones at the service's ε of 0.1 — on a synthetic 200-party consortium:
-/// identical (or near-identical) selections at very different marginal-gain
-/// evaluation counts.
+/// Extra ablation: the two maximizers the service runs — lazy greedy
+/// (exact greedy's set) and seeded stochastic greedy at the service's ε of
+/// 0.1 — on a synthetic 200-party consortium: near-identical selections at
+/// very different marginal-gain evaluation counts.
 pub fn ablation_maximizer(_cfg: &ExpConfig) -> String {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -507,10 +506,8 @@ pub fn ablation_maximizer(_cfg: &ExpConfig) -> String {
     let size = 50;
 
     let rows = [
-        ("greedy", Maximizer::Greedy, "1 - 1/e"),
-        ("lazy greedy", Maximizer::Lazy, "1 - 1/e (identical set)"),
+        ("lazy greedy", Maximizer::Lazy, "1 - 1/e (greedy's set)"),
         ("stochastic greedy", Maximizer::Stochastic { epsilon: 0.1 }, "1 - 1/e - 0.1 (expected)"),
-        ("sieve-streaming", Maximizer::Sieve { epsilon: 0.1 }, "1/2 - 0.1"),
     ]
     .into_iter()
     .map(|(name, m, guarantee)| {
@@ -613,12 +610,9 @@ pub fn ablation_topk(cfg: &ExpConfig) -> String {
             seed: 1400,
         };
         let mut per_mode = Vec::new();
-        for (label, mode) in [
-            ("base", KnnMode::Base),
-            ("fagin", KnnMode::Fagin),
-            ("threshold", KnnMode::Threshold),
-            ("nra", KnnMode::Nra),
-        ] {
+        for (label, mode) in
+            [("base", KnnMode::Base), ("fagin", KnnMode::Fagin), ("threshold", KnnMode::Threshold)]
+        {
             let sel = VfpsSmSelector { mode, query_count: pc.query_count, ..Default::default() }
                 .select(&ctx, pc.select);
             per_mode.push((label, sel));

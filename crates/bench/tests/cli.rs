@@ -91,22 +91,19 @@ fn a_second_id_is_refused() {
     assert_refused(&["table1", "fig9"], "unexpected argument fig9");
 }
 
-/// Lazy greedy returns greedy's set at a fraction of its gain()
-/// evaluations; greedy's count is Σ_{i<50} (200 − i). The two sublinear
-/// maximizers (ε 0.1) keep their guarantees against greedy's f(S).
+/// Lazy greedy returns greedy's set at under a quarter of eager greedy's
+/// Σ_{i<50} (200 − i) = 8 775 gain() evaluations; stochastic greedy
+/// (ε 0.1) keeps its guarantee against lazy's f(S) on fewer still.
 #[test]
 fn ablation_maximizer_keeps_the_greedy_set_at_fewer_evaluations() {
     let rows = quick_table("ablation-maximizer", "ablation_maximizer");
     let names: Vec<&str> = rows.iter().map(|r| r[0].as_str()).collect();
-    assert_eq!(names, ["greedy", "lazy greedy", "stochastic greedy", "sieve-streaming"]);
+    assert_eq!(names, ["lazy greedy", "stochastic greedy"]);
     let evals: Vec<usize> = rows.iter().map(|r| r[2].parse().expect("count")).collect();
-    assert_eq!(evals, [8_775, 2_097, 500, 7_700]);
-    assert_eq!(rows[0][1], rows[1][1], "lazy greedy must reach greedy's f(S)");
+    assert_eq!(evals, [2_097, 500]);
     let value = |r: &Vec<String>| r[1].parse::<f64>().expect("f(S)");
     let stochastic = 1.0 - (-1.0f64).exp() - 0.1;
-    assert!(value(&rows[2]) >= stochastic * value(&rows[0]));
-    let sieve = 0.5 - 0.1;
-    assert!(value(&rows[3]) >= sieve * value(&rows[0]));
+    assert!(value(&rows[1]) >= stochastic * value(&rows[0]));
 }
 
 /// Fig. 9's claim on every dataset of the catalog: Fagin encrypts fewer
@@ -126,17 +123,16 @@ fn fig9_fagin_encrypts_fewer_instances_on_every_dataset() {
 
 /// Every top-k oracle picks the same parties (the run panics otherwise),
 /// and each later oracle touches fewer candidates: base ≥ fagin ≥
-/// threshold ≥ nra, which sees only the k it returns.
+/// threshold.
 #[test]
 fn ablation_topk_orders_the_oracles_by_candidates() {
     let rows = quick_table("ablation-topk", "ablation_topk");
-    assert_eq!(rows.len(), 12, "three datasets × four oracles");
-    for per_dataset in rows.chunks(4) {
+    assert_eq!(rows.len(), 9, "three datasets × three oracles");
+    for per_dataset in rows.chunks(3) {
         let oracles: Vec<&str> = per_dataset.iter().map(|r| r[1].as_str()).collect();
-        assert_eq!(oracles, ["base", "fagin", "threshold", "nra"]);
+        assert_eq!(oracles, ["base", "fagin", "threshold"]);
         let candidates: Vec<f64> =
             per_dataset.iter().map(|r| r[2].parse().expect("candidates")).collect();
         assert!(candidates.windows(2).all(|w| w[0] >= w[1]), "{per_dataset:?}");
-        assert_eq!(candidates[3], 10.0, "NRA touches only the k = 10 it returns");
     }
 }

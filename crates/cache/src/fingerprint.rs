@@ -114,8 +114,8 @@ impl Wire for Fingerprint {
 /// matrix, and the configured maximizer re-runs over them
 /// deterministically, so one entry serves every `count`. The maximizer
 /// *itself* (kind + epsilon) **is** part of the key: different maximizers
-/// choose different sets from identical artifacts, so a stochastic or
-/// sieve selection must never alias a warm exact-greedy entry.
+/// choose different sets from identical artifacts, so a stochastic
+/// selection must never alias a warm exact (lazy) entry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheKey {
     /// Digest of the owning tenant's identity ([`Fnv128`] over the tenant
@@ -140,11 +140,11 @@ pub struct CacheKey {
     pub batch: usize,
     /// KNN mode tag (0 = Base, 1 = Fagin, 2 = Threshold).
     pub mode: u8,
-    /// Maximizer kind tag (0 = greedy, 1 = lazy, 2 = stochastic,
-    /// 3 = sieve).
+    /// Maximizer kind tag (`Maximizer::kind`: 0 = lazy, which selects
+    /// exact greedy's set and keeps its tag; 2 = stochastic).
     pub maximizer: u8,
     /// IEEE-754 bits of the maximizer's epsilon (0.0 for the exact
-    /// maximizers, which have none).
+    /// maximizer, which has none).
     pub maximizer_epsilon_bits: u64,
     /// IEEE-754 bits of the billing cost scale.
     pub cost_scale_bits: u64,

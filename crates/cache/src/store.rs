@@ -102,7 +102,7 @@ pub struct CacheEntry {
     pub outcomes: Vec<QueryOutcome>,
     /// The accumulated party-by-party similarity matrix.
     pub similarity: Vec<Vec<f64>>,
-    /// Parties the greedy maximizer chose (at store-time `count`).
+    /// Parties the maximizer chose (at store-time `count`).
     pub chosen: Vec<usize>,
     /// Full-width marginal-gain scores.
     pub scores: Vec<f64>,

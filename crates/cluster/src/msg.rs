@@ -63,15 +63,14 @@ wire_enum!(SchemeKind { 0 => Plain, 1 => Paillier });
 wire_struct!(SchemeSpec { kind, key_bits, batch, seed });
 
 /// The byte for a [`KnnMode`] on the wire (only the modes the threaded
-/// protocol implements are routable; Threshold/NRA are logical-engine
-/// oracles and never reach a daemon).
+/// protocol implements are routable; Threshold is a logical-engine
+/// oracle and never reaches a daemon).
 #[must_use]
 pub fn mode_byte(mode: KnnMode) -> u8 {
     match mode {
         KnnMode::Base => 0,
         KnnMode::Fagin => 1,
         KnnMode::Threshold => 2,
-        KnnMode::Nra => 3,
     }
 }
 
@@ -357,9 +356,12 @@ mod tests {
     fn setup_rejects_unroutable_modes_and_bad_slots() {
         let cfg = FedKnnConfig { k: 1, mode: KnnMode::Base, batch: 1, cost_scale: 1.0 };
         let session = KnnSession::new(&[0], &[0, 1], &[0], cfg, 1);
-        let mut f = SetupFrame::for_slot(&session, 1, 0, SchemeSpec::plain(4));
-        f.mode = mode_byte(KnnMode::Nra);
-        assert!(matches!(f.session(), Err(Error::ProtocolViolation { .. })));
+        // Threshold has no message flow, and 3 named the retired NRA.
+        for mode in [mode_byte(KnnMode::Threshold), 3] {
+            let mut f = SetupFrame::for_slot(&session, 1, 0, SchemeSpec::plain(4));
+            f.mode = mode;
+            assert!(matches!(f.session(), Err(Error::ProtocolViolation { .. })), "mode {mode}");
+        }
         let mut g = SetupFrame::for_slot(&session, 1, 0, SchemeSpec::plain(4));
         g.slot = 5;
         assert!(matches!(g.session(), Err(Error::ProtocolViolation { .. })));

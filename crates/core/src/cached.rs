@@ -189,12 +189,11 @@ impl TenantDigest {
                 KnnMode::Base => 0,
                 KnnMode::Fagin => 1,
                 KnnMode::Threshold => 2,
-                KnnMode::Nra => 3,
             },
             // The maximizer changes the chosen set for identical artifacts, so
             // both its kind and its epsilon are part of the identity: a
-            // stochastic or sieve selection must never warm-alias an
-            // exact-greedy entry (or vice versa).
+            // stochastic selection must never warm-alias an exact (lazy)
+            // entry, or vice versa.
             maximizer: sel.maximizer.kind(),
             maximizer_epsilon_bits: sel.maximizer.epsilon().unwrap_or(0.0).to_bits(),
             cost_scale_bits: ctx.cost_scale.to_bits(),
@@ -315,10 +314,9 @@ pub fn select_with_digest(
     // Churn path: a neighbor entry one membership change away. Corrupt
     // neighbors were already skipped inside the scan; a scan-level failure
     // (unreadable directory) just falls through to cold. Only the exact
-    // maximizers (greedy and lazy choose the same set) are churn-served;
-    // the stochastic and sieve variants fall through to their own cold
-    // entries.
-    let churn_eligible = matches!(sel.maximizer, Maximizer::Greedy | Maximizer::Lazy);
+    // maximizer (lazy) is churn-served; stochastic falls through to its
+    // own cold entries.
+    let churn_eligible = sel.maximizer == Maximizer::Lazy;
     let churn_hit = if churn_eligible { cache.lookup_churn(&key) } else { Ok(None) };
     if let Ok(Some((entry, kind))) = churn_hit {
         let mut ledger = OpLedger::default();

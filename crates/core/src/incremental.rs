@@ -149,15 +149,16 @@ impl IncrementalConsortium {
         acc.finish()
     }
 
-    /// Greedy re-selection over the current matrix: each chosen party id
-    /// paired with its marginal gain at pick time, in selection order.
+    /// Exact (lazy) greedy re-selection over the current matrix: each
+    /// chosen party id paired with its marginal gain at pick time, in
+    /// selection order.
     ///
     /// # Panics
     /// Panics if `count` exceeds the active consortium.
     #[must_use]
     pub fn select_scored(&self, count: usize) -> Vec<(usize, f64)> {
         KnnSubmodular::new(self.similarity_matrix())
-            .maximize_scored(count, Maximizer::Greedy, 0, vfps_par::global())
+            .maximize_scored(count, Maximizer::Lazy, 0, vfps_par::global())
             .into_iter()
             .map(|(v, gain)| (self.parties[v], gain))
             .collect()

@@ -13,9 +13,8 @@
 //!   KNN outcomes;
 //! * [`submodular`] — `f(S) = Σ_p max_{s∈S} w(p, s)` over the dense
 //!   `P × P` similarity, maximized through one entry point,
-//!   [`KnnSubmodular::maximize`]: greedy and lazy greedy (`1 − 1/e`
-//!   guarantee), seeded stochastic greedy (`1 − 1/e − ε`) or single-pass
-//!   sieve-streaming (`1/2 − ε`);
+//!   [`KnnSubmodular::maximize`]: lazy greedy (greedy's set, `1 − 1/e`
+//!   guarantee) or seeded stochastic greedy (`1 − 1/e − ε`);
 //! * [`selectors`] — `VFPS-SM`, `VFPS-SM-BASE`, and the `RANDOM`,
 //!   `SHAPLEY`, `VF-MINE`, `ALL` baselines;
 //! * [`pipeline`] — the end-to-end select → train → evaluate → cost-report

@@ -105,11 +105,11 @@ pub struct VfpsSmSelector {
     /// (the DP alternative to HE the paper surveys in §II; used by the
     /// `ablation-dp` experiment to show the accuracy cost of noise).
     pub dp_epsilon: Option<f64>,
-    /// Which submodular maximizer runs the selection tail. `Greedy` (the
-    /// default) and `Lazy` pick identical sets; `Stochastic`/`Sieve` are
-    /// the sublinear variants for large consortia (DESIGN.md §12). The
-    /// stochastic sampler is seeded from the run seed, so every variant
-    /// stays bit-deterministic at any thread count.
+    /// Which submodular maximizer runs the selection tail. `Lazy` (the
+    /// default) picks exact greedy's set; `Stochastic` is the sublinear
+    /// variant for large consortia (DESIGN.md §12). The stochastic sampler
+    /// is seeded from the run seed, so both stay bit-deterministic at any
+    /// thread count.
     pub maximizer: Maximizer,
 }
 
@@ -121,7 +121,7 @@ impl Default for VfpsSmSelector {
             mode: KnnMode::Fagin,
             batch: 100,
             dp_epsilon: None,
-            maximizer: Maximizer::Greedy,
+            maximizer: Maximizer::Lazy,
         }
     }
 }
@@ -269,7 +269,7 @@ pub fn select_from_matrix(
     count: usize,
     maximizer: Maximizer,
 ) -> Selection {
-    vfps_obs::span!("select.vfps_sm.greedy");
+    vfps_obs::span!("select.vfps_sm.maximize");
     assert_eq!(w.len(), party_set.len(), "one similarity row per party");
     let picks = KnnSubmodular::new(w).maximize_scored(
         count.min(party_set.len()),
@@ -294,7 +294,6 @@ impl Selector for VfpsSmSelector {
             KnnMode::Fagin => "VFPS-SM",
             KnnMode::Base => "VFPS-SM-BASE",
             KnnMode::Threshold => "VFPS-SM-TA",
-            KnnMode::Nra => "VFPS-SM-NRA",
         }
     }
 
@@ -657,15 +656,13 @@ mod tests {
         let c = ctx(&f, 10);
         // A 2-party sub-consortium {1, 3} of the 4-party partition.
         let w = vec![vec![1.0, 0.2], vec![0.2, 1.0]];
-        for m in [Maximizer::Greedy, Maximizer::Lazy] {
-            let sel = select_from_matrix(w.clone(), &c, &[1, 3], 3, m);
-            assert_eq!(sel.chosen, vec![1, 3], "{m:?}: the tie breaks toward row 0");
-            assert_eq!(sel.scores.len(), 4, "scores span the whole partition");
-            assert_eq!((sel.scores[0], sel.scores[2]), (0.0, 0.0), "outside the set");
-            assert!((sel.scores[1] - 1.2).abs() < 1e-12, "{:?}", sel.scores);
-            assert!((sel.scores[3] - 0.8).abs() < 1e-12, "{:?}", sel.scores);
-            assert_eq!(sel.ledger, OpLedger::default(), "the tail bills nothing");
-        }
+        let sel = select_from_matrix(w, &c, &[1, 3], 3, Maximizer::Lazy);
+        assert_eq!(sel.chosen, vec![1, 3], "the tie breaks toward row 0");
+        assert_eq!(sel.scores.len(), 4, "scores span the whole partition");
+        assert_eq!((sel.scores[0], sel.scores[2]), (0.0, 0.0), "outside the set");
+        assert!((sel.scores[1] - 1.2).abs() < 1e-12, "{:?}", sel.scores);
+        assert!((sel.scores[3] - 0.8).abs() < 1e-12, "{:?}", sel.scores);
+        assert_eq!(sel.ledger, OpLedger::default(), "the tail bills nothing");
     }
 
     #[test]

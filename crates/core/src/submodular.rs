@@ -2,14 +2,13 @@
 //!
 //! `f(S) = Σ_{p∈P} max_{s∈S} w(p, s)` over a non-negative similarity matrix
 //! `w` is a facility-location function: normalized (`f(∅) = 0`), monotone,
-//! and submodular (paper Theorem 1). The greedy maximizer therefore enjoys
-//! the classic `1 − 1/e` guarantee (Nemhauser et al., 1978); the lazy
-//! variant exploits that marginal gains only shrink; stochastic greedy
-//! (Mirzasoleiman et al., 2015) keeps `1 − 1/e − ε` in expectation on a
-//! vanishing fraction of the evaluations; and sieve-streaming
-//! (Badanidiyuru et al., 2014) gives `1/2 − ε` in a single pass — the
-//! sublinear party-axis path for consortia far beyond the paper's ≤32
-//! participants (DESIGN.md §12).
+//! and submodular (paper Theorem 1). Greedy maximization therefore enjoys
+//! the classic `1 − 1/e` guarantee (Nemhauser et al., 1978). Two
+//! maximizers run it: lazy greedy returns greedy's set by exploiting that
+//! marginal gains only shrink, and stochastic greedy (Mirzasoleiman et
+//! al., 2015) keeps `1 − 1/e − ε` in expectation on a vanishing fraction
+//! of the evaluations — the sublinear party-axis path for consortia far
+//! beyond the paper's ≤32 participants (DESIGN.md §12).
 //!
 //! [`KnnSubmodular::maximize`] is the one way to run a maximizer; it runs
 //! over the dense `P × P` matrix the selection's accumulator produced.
@@ -58,17 +57,14 @@ fn partial_shuffle(cand: &mut [usize], take: usize, rng: &mut StdRng) {
 
 /// Which maximizer runs a selection's accumulate → maximize tail.
 ///
-/// `Greedy` and `Lazy` are exact (`1 − 1/e`, identical sets); `Stochastic`
-/// keeps `1 − 1/e − ε` in expectation on `O(n·ln(1/ε))` evaluations;
-/// `Sieve` is the single-pass streaming maximizer with the `1/2 − ε`
-/// guarantee. Every variant is bit-deterministic at any thread count — the
-/// stochastic sampler is seed-addressed, never scheduler-dependent.
+/// `Lazy` is exact: greedy's `1 − 1/e` set, in greedy's order. `Stochastic`
+/// keeps `1 − 1/e − ε` in expectation on `O(n·ln(1/ε))` evaluations. Both
+/// are bit-deterministic at any thread count — the stochastic sampler is
+/// seed-addressed, never scheduler-dependent.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Maximizer {
-    /// Full greedy: `Σᵢ (n − i)` gain evaluations.
+    /// Lazy greedy (Minoux): greedy's set, far fewer evaluations.
     #[default]
-    Greedy,
-    /// Lazy greedy (Minoux): same set as greedy, far fewer evaluations.
     Lazy,
     /// Stochastic greedy with sample parameter `epsilon ∈ (0, 1)`.
     Stochastic {
@@ -76,58 +72,39 @@ pub enum Maximizer {
         /// candidates.
         epsilon: f64,
     },
-    /// Sieve-streaming with threshold-ladder resolution `epsilon ∈ (0, 1)`.
-    Sieve {
-        /// Ladder resolution: thresholds grow geometrically by `1 + ε`.
-        epsilon: f64,
-    },
 }
 
 impl Maximizer {
-    /// Stable wire/cache tag: 0 = greedy, 1 = lazy, 2 = stochastic,
-    /// 3 = sieve.
+    /// Stable cache tag: 0 = lazy, 2 = stochastic. Lazy keeps the tag exact
+    /// greedy's entries carry, since it selects the same set.
     #[must_use]
     pub fn kind(self) -> u8 {
         match self {
-            Maximizer::Greedy => 0,
-            Maximizer::Lazy => 1,
+            Maximizer::Lazy => 0,
             Maximizer::Stochastic { .. } => 2,
-            Maximizer::Sieve { .. } => 3,
         }
     }
 
-    /// The approximation parameter, for the variants that have one.
+    /// The approximation parameter, for the variant that has one.
     #[must_use]
     pub fn epsilon(self) -> Option<f64> {
         match self {
-            Maximizer::Greedy | Maximizer::Lazy => None,
-            Maximizer::Stochastic { epsilon } | Maximizer::Sieve { epsilon } => Some(epsilon),
+            Maximizer::Lazy => None,
+            Maximizer::Stochastic { epsilon } => Some(epsilon),
         }
     }
 
-    /// Inverse of [`Maximizer::kind`]: maps a tag byte back to a variant,
-    /// attaching `epsilon` to the approximate ones. `None` for unknown
-    /// bytes — the single mapping point the service protocol validates
+    /// Maps a wire byte to a variant, attaching `epsilon` to stochastic:
+    /// 0 (exact greedy, whose set lazy returns) and 1 are lazy, 2 is
+    /// stochastic. `None` for any other byte, the retired sieve's 3
+    /// included — the single mapping point the service protocol validates
     /// against (mirroring `knn_mode`).
     #[must_use]
     pub fn from_kind(kind: u8, epsilon: f64) -> Option<Maximizer> {
         match kind {
-            0 => Some(Maximizer::Greedy),
-            1 => Some(Maximizer::Lazy),
+            0 | 1 => Some(Maximizer::Lazy),
             2 => Some(Maximizer::Stochastic { epsilon }),
-            3 => Some(Maximizer::Sieve { epsilon }),
             _ => None,
-        }
-    }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Maximizer::Greedy => "greedy",
-            Maximizer::Lazy => "lazy",
-            Maximizer::Stochastic { .. } => "stochastic",
-            Maximizer::Sieve { .. } => "sieve",
         }
     }
 }
@@ -206,9 +183,9 @@ impl KnnSubmodular {
 
     /// Runs `maximizer` for a `size`-element selection. Returns the chosen
     /// set in selection order and the number of `gain()` evaluations the
-    /// maximizer performed. `seed` feeds the stochastic sampler (the
-    /// deterministic maximizers ignore it); every variant is bit-identical
-    /// at any thread count of `pool`.
+    /// maximizer performed. `seed` feeds the stochastic sampler (lazy
+    /// ignores it); both variants are bit-identical at any thread count of
+    /// `pool`.
     ///
     /// # Panics
     /// Panics if `size` exceeds the ground set or the maximizer's
@@ -227,10 +204,8 @@ impl KnnSubmodular {
             assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0, 1)");
         }
         match maximizer {
-            Maximizer::Greedy => self.greedy(size, pool),
             Maximizer::Lazy => self.lazy_greedy(size, pool),
             Maximizer::Stochastic { epsilon } => self.stochastic_greedy(size, epsilon, seed, pool),
-            Maximizer::Sieve { epsilon } => self.sieve_streaming(size, epsilon, pool),
         }
     }
 
@@ -260,37 +235,12 @@ impl KnnSubmodular {
             .collect()
     }
 
-    /// Greedy maximization: repeatedly add the element with the largest
-    /// marginal gain, `Σᵢ (n − i)` evaluations in all. Ties break toward
-    /// the smaller index (total-order argmax — see DESIGN.md §12).
-    ///
-    /// Gains are evaluated on `pool`; the argmax scan stays sequential
-    /// over the ordered gain vector, so the chosen set matches a
-    /// single-threaded run exactly.
-    fn greedy(&self, size: usize, pool: &vfps_par::Pool) -> (Vec<usize>, usize) {
-        let n = self.ground_size();
-        let mut chosen = Vec::with_capacity(size);
-        let mut in_set = vec![false; n];
-        let mut best = vec![0.0f64; n];
-        let mut evaluations = 0usize;
-        for _ in 0..size {
-            let candidates: Vec<usize> = (0..n).filter(|&v| !in_set[v]).collect();
-            let gains = self.candidate_gains(&best, &candidates, pool);
-            evaluations += candidates.len();
-            let (v, _) = argmax(candidates.iter().copied().zip(gains.iter().copied()))
-                .expect("ground set not exhausted");
-            in_set[v] = true;
-            chosen.push(v);
-            self.absorb(&mut best, v);
-        }
-        (chosen, evaluations)
-    }
-
     /// Lazy greedy ("accelerated greedy", Minoux 1978): keeps stale gains
     /// in a max-heap and only re-evaluates the top — valid because
-    /// submodularity guarantees gains never grow. Returns greedy's set
-    /// (the heap order is the same total-order-then-smaller-index rule
-    /// the eager argmax uses).
+    /// submodularity guarantees gains never grow, in floating point too
+    /// (each term `(w − b).max(0)` only shrinks as `b` grows, and rounding
+    /// is monotone). Returns greedy's set in greedy's order: the heap
+    /// order is the total-order-then-smaller-index rule of `argmax`.
     ///
     /// The initial round-0 gain sweep (the `n` evaluations that dominate
     /// when laziness works) runs on `pool`; the heap refresh loop is
@@ -383,141 +333,14 @@ impl KnnSubmodular {
         }
         (chosen, evaluations)
     }
-
-    /// Sieve-streaming (Badanidiyuru et al., KDD 2014): one pass over the
-    /// ground set against a geometric ladder of OPT guesses
-    /// `τ = (1+ε)^i ∈ [m, 2·size·m]` (with `m` the running maximum
-    /// singleton value); each guess keeps a set and admits an element
-    /// whose marginal gain reaches `(τ/2 − f(S)) / (size − |S|)`. The best
-    /// surviving set carries the `1/2 − ε` guarantee in `O(n·log(size)/ε)`
-    /// work and `O(n·log(size)/ε)` memory.
-    ///
-    /// Two properties keep it cheap and deterministic:
-    ///
-    /// * by submodularity `gain(S, v) ≤ f({v})`, so a ladder level whose
-    ///   admission requirement exceeds the element's singleton value is
-    ///   skipped without an evaluation — most elements touch only the few
-    ///   lowest levels;
-    /// * per element, the surviving levels' gains are evaluated on `pool`
-    ///   in ladder order ([`vfps_par::Pool::par_map_indexed`] preserves
-    ///   order), so the result is bit-identical at any thread count.
-    ///
-    /// If the pass keeps fewer than `size` elements the result is padded
-    /// with the smallest-index unchosen elements, so the returned set
-    /// always has exactly `size` elements (monotonicity: padding never
-    /// lowers `f`). The evaluation count includes the singleton probes.
-    fn sieve_streaming(
-        &self,
-        size: usize,
-        epsilon: f64,
-        pool: &vfps_par::Pool,
-    ) -> (Vec<usize>, usize) {
-        struct Sieve {
-            level: i32,
-            threshold: f64,
-            set: Vec<usize>,
-            best: Vec<f64>,
-            value: f64,
-        }
-
-        let n = self.ground_size();
-        if size == 0 {
-            return (Vec::new(), 0);
-        }
-
-        let log_base = (1.0 + epsilon).ln();
-        let level_of = |x: f64| x.ln() / log_base;
-        let zero = vec![0.0f64; n];
-        let mut sieves: Vec<Sieve> = Vec::new();
-        let mut max_singleton = 0.0f64;
-        let mut evaluations = 0usize;
-
-        for v in 0..n {
-            evaluations += 1;
-            let sv = self.gain(&zero, v);
-            if sv > max_singleton {
-                max_singleton = sv;
-                // Refresh the ladder: keep levels with (1+ε)^i ∈
-                // [m, 2·size·m], instantiate missing ones empty.
-                let lo = level_of(max_singleton).ceil() as i32;
-                let hi = level_of(2.0 * size as f64 * max_singleton).floor() as i32;
-                sieves.retain(|s| s.level >= lo);
-                for level in lo..=hi {
-                    if !sieves.iter().any(|s| s.level == level) {
-                        sieves.push(Sieve {
-                            level,
-                            threshold: (1.0 + epsilon).powi(level),
-                            set: Vec::new(),
-                            best: vec![0.0f64; n],
-                            value: 0.0,
-                        });
-                    }
-                }
-                sieves.sort_unstable_by_key(|s| s.level);
-            }
-            if sv <= 0.0 {
-                continue; // a zero column can never meet a positive requirement
-            }
-            let requirement =
-                |s: &Sieve| (s.threshold / 2.0 - s.value) / (size - s.set.len()) as f64;
-            // Submodular upper bound: gain(S, v) ≤ f({v}) = sv, so levels
-            // whose requirement already exceeds sv are skipped unevaluated.
-            let need: Vec<usize> = sieves
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.set.len() < size && sv >= requirement(s))
-                .map(|(i, _)| i)
-                .collect();
-            if need.is_empty() {
-                continue;
-            }
-            let gains = pool.par_map_indexed(&need, |_, &i| self.gain(&sieves[i].best, v));
-            evaluations += need.len();
-            for (&i, &g) in need.iter().zip(&gains) {
-                if g >= requirement(&sieves[i]) {
-                    let s = &mut sieves[i];
-                    s.set.push(v);
-                    s.value += g;
-                    self.absorb(&mut s.best, v);
-                }
-            }
-        }
-
-        // Best surviving guess; value ties break toward the lower level.
-        let mut chosen = sieves
-            .iter()
-            .max_by(|a, b| a.value.total_cmp(&b.value).then(b.level.cmp(&a.level)))
-            .map(|s| s.set.clone())
-            .unwrap_or_default();
-        if chosen.len() < size {
-            let mut in_set = vec![false; n];
-            for &v in &chosen {
-                in_set[v] = true;
-            }
-            for v in 0..n {
-                if chosen.len() == size {
-                    break;
-                }
-                if !in_set[v] {
-                    chosen.push(v);
-                }
-            }
-        }
-        (chosen, evaluations)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    const EXACT: [Maximizer; 2] = [Maximizer::Greedy, Maximizer::Lazy];
-    const EVERY: [Maximizer; 4] = [
-        Maximizer::Greedy,
-        Maximizer::Lazy,
-        Maximizer::Stochastic { epsilon: 0.1 },
-        Maximizer::Sieve { epsilon: 0.2 },
-    ];
+    const EVERY: [Maximizer; 2] = [Maximizer::Lazy, Maximizer::Stochastic { epsilon: 0.1 }];
 
     fn toy() -> KnnSubmodular {
         // 4 participants; 0 and 1 are near-duplicates, 2 is diverse,
@@ -549,8 +372,33 @@ mod tests {
         f.maximize(size, m, 0, vfps_par::global())
     }
 
-    fn greedy(f: &KnnSubmodular, size: usize) -> Vec<usize> {
-        run(f, size, Maximizer::Greedy).0
+    /// Eager greedy, the oracle lazy greedy is held to: repeatedly add
+    /// the element with the largest marginal gain, `Σᵢ (n − i)`
+    /// evaluations in all, ties toward the smaller index. Returns each
+    /// pick with the gain it won at, and the evaluation count.
+    fn greedy_scored(f: &KnnSubmodular, size: usize) -> (Vec<(usize, f64)>, usize) {
+        let n = f.ground_size();
+        let mut picks = Vec::with_capacity(size);
+        let mut in_set = vec![false; n];
+        let mut best = vec![0.0f64; n];
+        let mut evaluations = 0usize;
+        for _ in 0..size {
+            let candidates: Vec<usize> = (0..n).filter(|&v| !in_set[v]).collect();
+            let gains = f.candidate_gains(&best, &candidates, vfps_par::global());
+            evaluations += candidates.len();
+            let (v, gain) = argmax(candidates.iter().copied().zip(gains.iter().copied()))
+                .expect("ground set not exhausted");
+            in_set[v] = true;
+            picks.push((v, gain));
+            f.absorb(&mut best, v);
+        }
+        (picks, evaluations)
+    }
+
+    /// The oracle's picks and evaluation count.
+    fn greedy(f: &KnnSubmodular, size: usize) -> (Vec<usize>, usize) {
+        let (picks, evaluations) = greedy_scored(f, size);
+        (picks.into_iter().map(|(v, _)| v).collect(), evaluations)
     }
 
     /// Exhaustive maximization (exponential; at most 20 elements).
@@ -615,8 +463,8 @@ mod tests {
     }
 
     #[test]
-    fn greedy_prefers_diversity_over_duplicates() {
-        let chosen = greedy(&toy(), 2);
+    fn lazy_prefers_diversity_over_duplicates() {
+        let (chosen, _) = run(&toy(), 2, Maximizer::Lazy);
         // Best pair must include the diverse participant 2, not the
         // duplicate pair {0, 1}.
         assert!(chosen.contains(&2), "chosen={chosen:?}");
@@ -628,16 +476,54 @@ mod tests {
         let f = toy();
         for size in 1..=4 {
             let (lz, evals) = run(&f, size, Maximizer::Lazy);
-            assert_eq!(greedy(&f, size), lz, "size {size}");
+            assert_eq!(greedy(&f, size).0, lz, "size {size}");
             assert!(evals >= f.ground_size());
         }
     }
 
+    /// A square matrix whose cells are `level / levels`, so most gains tie.
+    fn tied_instance() -> impl Strategy<Value = KnnSubmodular> {
+        (1usize..14, 1u32..4).prop_flat_map(|(n, levels)| {
+            collection::vec(0..=levels, n * n).prop_map(move |cells| {
+                let w = cells
+                    .chunks(n)
+                    .map(|row| row.iter().map(|&c| f64::from(c) / f64::from(levels)).collect())
+                    .collect();
+                KnnSubmodular::new(w)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Where most gains tie, lazy greedy still returns the eager
+        /// oracle's picks in the oracle's order, `maximize_scored` reports
+        /// the gains the oracle's argmax won at bit for bit, and lazy never
+        /// evaluates more than the oracle.
+        fn lazy_equals_the_greedy_oracle_on_tied_instances(
+            f in tied_instance(),
+            size in 0usize..14,
+        ) {
+            let size = size.min(f.ground_size());
+            let (oracle, oracle_evals) = greedy_scored(&f, size);
+            let lazy = f.maximize_scored(size, Maximizer::Lazy, 0, vfps_par::global());
+            let bits = |picks: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                picks.iter().map(|&(v, g)| (v, g.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&lazy), bits(&oracle));
+            if size > 0 {
+                let (_, lazy_evals) = run(&f, size, Maximizer::Lazy);
+                prop_assert!(lazy_evals <= oracle_evals, "{} vs {}", lazy_evals, oracle_evals);
+            }
+        }
+    }
+
     #[test]
-    fn greedy_achieves_approximation_bound() {
+    fn lazy_achieves_approximation_bound() {
         let f = toy();
         for size in 1..=3 {
-            let greedy_val = f.eval(&greedy(&f, size));
+            let greedy_val = f.eval(&run(&f, size, Maximizer::Lazy).0);
             let (_, opt) = brute_force(&f, size);
             assert!(
                 greedy_val >= (1.0 - 1.0 / std::f64::consts::E) * opt - 1e-12,
@@ -669,11 +555,13 @@ mod tests {
 
         // Ascending layout: the maximum sits last.
         let f = build(&vals);
-        assert_eq!(greedy(&f, 1), vec![n - 1]);
+        assert_eq!(greedy(&f, 1).0, vec![n - 1]);
+        assert_eq!(run(&f, 1, Maximizer::Lazy).0, vec![n - 1]);
         // Descending layout: the maximum sits first.
         let mut rev = vals.clone();
         rev.reverse();
-        assert_eq!(greedy(&build(&rev), 1), vec![0]);
+        assert_eq!(greedy(&build(&rev), 1).0, vec![0]);
+        assert_eq!(run(&build(&rev), 1, Maximizer::Lazy).0, vec![0]);
 
         // A stochastic round whose sample covers the full ground set must
         // agree with greedy on the same chain.
@@ -708,7 +596,7 @@ mod tests {
         let (set, evals) =
             f.maximize(size, Maximizer::Stochastic { epsilon: 0.2 }, 2, vfps_par::global());
         assert_eq!(set.len(), size);
-        let (_, greedy_evals) = run(&f, size, Maximizer::Greedy);
+        let (_, greedy_evals) = greedy(&f, size);
         assert!(evals < greedy_evals, "evals {evals} vs greedy's {greedy_evals}");
     }
 
@@ -734,7 +622,7 @@ mod tests {
         for size in 1..=10 {
             let stoch =
                 f.maximize(size, Maximizer::Stochastic { epsilon: 1e-9 }, 5, vfps_par::global());
-            assert_eq!(stoch, run(&f, size, Maximizer::Greedy), "size {size}");
+            assert_eq!(stoch, greedy(&f, size), "size {size}");
         }
     }
 
@@ -745,65 +633,33 @@ mod tests {
     }
 
     #[test]
-    fn sieve_streaming_returns_full_sized_near_greedy_sets() {
-        let f = KnnSubmodular::new(random_instance(60, 4));
-        for size in [1usize, 5, 12] {
-            let (set, evals) = run(&f, size, Maximizer::Sieve { epsilon: 0.2 });
-            assert_eq!(set.len(), size, "sieve must pad to exactly {size}");
-            let mut dedup = set.clone();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(dedup.len(), size, "no duplicates");
-            assert!(evals >= f.ground_size(), "at least one singleton probe per element");
-            let greedy_val = f.eval(&greedy(&f, size));
-            let bound = (0.5 - 0.2) * greedy_val;
-            assert!(
-                f.eval(&set) >= bound,
-                "size {size}: sieve {} below bound {bound}",
-                f.eval(&set)
-            );
+    fn lazy_on_an_all_zero_matrix_picks_ascending_indices_at_one_refresh_a_round() {
+        // Every gain is 0: each round's top is the smallest stale index,
+        // refreshed once to the same 0 and then picked.
+        let f = KnnSubmodular::new(vec![vec![0.0; 5]; 5]);
+        for size in 1..=5 {
+            let scored = f.maximize_scored(size, Maximizer::Lazy, 0, vfps_par::global());
+            let want: Vec<(usize, f64)> = (0..size).map(|v| (v, 0.0)).collect();
+            assert_eq!(scored, want, "size {size}");
+            assert_eq!(run(&f, size, Maximizer::Lazy).1, 5 + size - 1, "size {size}");
         }
     }
 
     #[test]
-    fn sieve_streaming_handles_degenerate_instances() {
-        let sieve = Maximizer::Sieve { epsilon: 0.1 };
-        // All-zero similarity: no sieve ever instantiates; the result is
-        // the deterministic ascending-index padding.
-        let f = KnnSubmodular::new(vec![vec![0.0; 3]; 3]);
-        let (set, _) = run(&f, 2, sieve);
-        assert_eq!(set, vec![0, 1]);
-        // size 0 selects nothing.
-        let (set, evals) = run(&f, 0, sieve);
-        assert!(set.is_empty());
-        assert_eq!(evals, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon")]
-    fn sieve_streaming_rejects_bad_epsilon() {
-        let _ = run(&toy(), 2, Maximizer::Sieve { epsilon: 0.0 });
-    }
-
-    #[test]
     fn maximize_dispatches_every_variant() {
-        // Each variant's evaluation count identifies it: greedy's is
-        // Σᵢ (n − i), lazy's is smaller for the same set, stochastic's is
-        // size × ⌈(n/size)·ln(1/ε)⌉ = 6 × 12, and sieve's one probe per
-        // element plus its ladder admissions.
+        // Each variant's evaluation count identifies it: lazy's is smaller
+        // than the greedy oracle's Σᵢ (n − i) for the same set, and
+        // stochastic's is size × ⌈(n/size)·ln(1/ε)⌉ = 6 × 12.
         let f = KnnSubmodular::new(random_instance(30, 5));
         let pool = vfps_par::Pool::with_threads(2);
         let size = 6;
-        let (greedy_set, ge) = f.maximize(size, Maximizer::Greedy, 0, &pool);
+        let (greedy_set, ge) = greedy(&f, size);
         assert_eq!(ge, (0..size).map(|i| 30 - i).sum::<usize>());
         let (lazy, le) = f.maximize(size, Maximizer::Lazy, 0, &pool);
         assert_eq!(lazy, greedy_set, "lazy returns the greedy set");
         assert!(le < ge, "lazy {le} vs greedy {ge}");
         let (stoch, se) = f.maximize(size, Maximizer::Stochastic { epsilon: 0.1 }, 7, &pool);
         assert_eq!((stoch.len(), se), (size, 72));
-        let (sieve, ve) = f.maximize(size, Maximizer::Sieve { epsilon: 0.2 }, 0, &pool);
-        assert_eq!(sieve.len(), size);
-        assert!(ve >= 30, "sieve probes every element: {ve}");
     }
 
     #[test]
@@ -822,15 +678,13 @@ mod tests {
     }
 
     #[test]
-    fn exact_greedy_gains_never_increase_along_the_selection() {
+    fn lazy_gains_never_increase_along_the_selection() {
         // Pick i + 1's gain at S_i is at most its gain at S_{i−1}
         // (submodularity), which is at most pick i's (the argmax), and
         // each step of that chain is exact in floating point.
         let f = KnnSubmodular::new(random_instance(25, 11));
-        for m in EXACT {
-            let scored = f.maximize_scored(12, m, 0, vfps_par::global());
-            assert!(scored.windows(2).all(|w| w[1].1 <= w[0].1), "{m:?}: {scored:?}");
-        }
+        let scored = f.maximize_scored(12, Maximizer::Lazy, 0, vfps_par::global());
+        assert!(scored.windows(2).all(|w| w[1].1 <= w[0].1), "{scored:?}");
     }
 
     #[test]
@@ -858,42 +712,37 @@ mod tests {
 
     #[test]
     fn maximizer_kind_roundtrips_and_rejects_unknown_bytes() {
-        for m in [
-            Maximizer::Greedy,
-            Maximizer::Lazy,
-            Maximizer::Stochastic { epsilon: 0.25 },
-            Maximizer::Sieve { epsilon: 0.25 },
-        ] {
-            assert_eq!(Maximizer::from_kind(m.kind(), 0.25), Some(m), "{}", m.name());
+        for m in [Maximizer::Lazy, Maximizer::Stochastic { epsilon: 0.25 }] {
+            assert_eq!(Maximizer::from_kind(m.kind(), 0.25), Some(m), "{m:?}");
         }
-        for bad in [4u8, 100, 250, 255] {
+        // Byte 0 named exact greedy, whose set lazy returns; byte 3 named
+        // the retired sieve.
+        assert_eq!(Maximizer::from_kind(1, 0.25), Some(Maximizer::Lazy));
+        for bad in [3u8, 4, 100, 250, 255] {
             assert_eq!(Maximizer::from_kind(bad, 0.1), None, "kind {bad} must not map");
         }
     }
 
     #[test]
-    fn greedy_is_identical_across_thread_counts() {
+    fn lazy_is_identical_across_thread_counts() {
         let f = KnnSubmodular::new(random_instance(48, 7));
         let single = vfps_par::Pool::with_threads(1);
-        for m in EXACT {
-            let reference = f.maximize(12, m, 0, &single);
-            for threads in [2usize, 4, 8] {
-                let pool = vfps_par::Pool::with_threads(threads);
-                assert_eq!(f.maximize(12, m, 0, &pool), reference, "{m:?} at {threads} threads");
-            }
+        let reference = f.maximize(12, Maximizer::Lazy, 0, &single);
+        for threads in [2usize, 4, 8] {
+            let pool = vfps_par::Pool::with_threads(threads);
+            assert_eq!(f.maximize(12, Maximizer::Lazy, 0, &pool), reference, "{threads} threads");
         }
     }
 
     #[test]
-    fn stochastic_and_sieve_are_identical_across_thread_counts() {
+    fn stochastic_is_identical_across_thread_counts() {
         let f = KnnSubmodular::new(random_instance(72, 9));
         let single = vfps_par::Pool::with_threads(1);
-        for m in [Maximizer::Stochastic { epsilon: 0.15 }, Maximizer::Sieve { epsilon: 0.15 }] {
-            let reference = f.maximize(10, m, 42, &single);
-            for threads in [2usize, 4, 8] {
-                let pool = vfps_par::Pool::with_threads(threads);
-                assert_eq!(f.maximize(10, m, 42, &pool), reference, "{m:?} at {threads} threads");
-            }
+        let m = Maximizer::Stochastic { epsilon: 0.15 };
+        let reference = f.maximize(10, m, 42, &single);
+        for threads in [2usize, 4, 8] {
+            let pool = vfps_par::Pool::with_threads(threads);
+            assert_eq!(f.maximize(10, m, 42, &pool), reference, "{threads} threads");
         }
     }
 

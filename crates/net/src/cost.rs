@@ -121,9 +121,8 @@ pub struct OpLedger {
     pub cache_misses: u64,
     /// Random accesses performed by the top-k stage: complete-object
     /// fetches outside the sorted streams (Fagin's phase-2 lookups, TA's
-    /// per-candidate probes). Zero for NRA — its sorted-access-only
-    /// guarantee is the point of exposing this counter. Bookkeeping only;
-    /// the priced cost of the fetches is already in `enc`/`bytes`.
+    /// per-candidate probes); zero for Base, which only scans. Bookkeeping
+    /// only; the priced cost of the fetches is already in `enc`/`bytes`.
     pub random_accesses: u64,
 }
 

@@ -151,6 +151,31 @@ fn routed_replies_are_bit_identical_to_direct_daemon_replies() {
     tier.shutdown();
 }
 
+/// A retired byte (mode 3 was NRA, maximizer 3 was sieve) put on the wire
+/// raw reaches a daemon through the tier and comes back as that daemon's
+/// typed refusal, with the request id; a refusal is a reply, not a relay
+/// error, and the tier keeps serving.
+#[test]
+fn a_retired_byte_is_refused_through_the_tier() {
+    let tier = spawn_tier("retired");
+    let mut client = Client::connect(tier.router_addr).unwrap();
+    for (bad, reason) in [
+        (SelectRequest { mode: 3, ..request(70, "", 42) }, "unknown KNN mode 3"),
+        (SelectRequest { maximizer: 3, ..request(71, "Rice", 42) }, "unknown maximizer 3"),
+    ] {
+        match client.roundtrip(&vfps_serve::Request::Select(bad.clone())).unwrap() {
+            Response::Rejected { request_id, reason: got } => {
+                assert_eq!((request_id, got.as_str()), (bad.request_id, reason));
+            }
+            other => panic!("expected Rejected, got {other:?}"),
+        }
+    }
+    assert_eq!(select_ok(&mut client, &request(72, "", 42)).chosen.len(), 2);
+    let status = client.router_status().unwrap();
+    assert!(status.backends.iter().all(|b| b.relay_errors == 0), "{status:?}");
+    tier.shutdown();
+}
+
 #[test]
 fn drain_reroutes_new_requests_and_keeps_serving_warm() {
     let tier = spawn_tier("drain");

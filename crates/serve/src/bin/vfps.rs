@@ -567,17 +567,22 @@ fn run_submit(args: &[String]) -> Result<(), String> {
                     "base" => 0,
                     "fagin" => 1,
                     "threshold" | "ta" => 2,
-                    "nra" => 3,
-                    other => return Err(format!("unknown mode {other}")),
+                    other => {
+                        return Err(format!(
+                            "unknown mode {other} (accepted: base, fagin, threshold)"
+                        ))
+                    }
                 };
             }
             "--maximizer" => {
                 sub.req.maximizer = match value("--maximizer")?.to_lowercase().as_str() {
-                    "greedy" => 0,
                     "lazy" => 1,
                     "stochastic" => 2,
-                    "sieve" => 3,
-                    other => return Err(format!("unknown maximizer {other}")),
+                    other => {
+                        return Err(format!(
+                            "unknown maximizer {other} (accepted: lazy, stochastic)"
+                        ))
+                    }
                 };
             }
             "--seed" => sub.req.seed = parse_flag("--seed", &value("--seed")?)?,
@@ -778,11 +783,9 @@ fn print_submit_help() {
          \x20 --select <S>           participants to keep (default 2)\n\
          \x20 --k <k>                proxy-KNN neighbor count (default 10)\n\
          \x20 --queries <q>          similarity query sample (default 32)\n\
-         \x20 --mode base|fagin|threshold|nra   federated KNN variant (default fagin;\n\
-         \x20                        nra is sorted-access-only with counted random\n\
-         \x20                        accesses in the reply)\n\
-         \x20 --maximizer greedy|lazy|stochastic|sieve   submodular maximizer\n\
-         \x20                        (default greedy; stochastic/sieve are sublinear)\n\
+         \x20 --mode base|fagin|threshold   federated KNN variant (default fagin)\n\
+         \x20 --maximizer lazy|stochastic   submodular maximizer (default lazy, exact\n\
+         \x20                        greedy's set; stochastic is sublinear)\n\
          \x20 --seed <s>             run seed (default 42)\n\
          \x20 --deadline-ms <ms>     per-request deadline (0 = server default)\n\
          \x20 --ping                 liveness probe instead of a selection\n\

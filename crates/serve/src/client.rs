@@ -92,13 +92,13 @@ impl Client {
     pub fn select(&mut self, req: &SelectRequest) -> Result<Response, ClientError> {
         if knn_mode(req.mode).is_none() {
             return Err(ClientError::InvalidRequest(format!(
-                "unknown KNN mode {} (known: 0=Base, 1=Fagin, 2=Threshold, 3=NRA)",
+                "unknown KNN mode {} (known: 0=Base, 1=Fagin, 2=Threshold)",
                 req.mode
             )));
         }
         if crate::proto::maximizer(req.maximizer).is_none() {
             return Err(ClientError::InvalidRequest(format!(
-                "unknown maximizer {} (known: 0=greedy, 1=lazy, 2=stochastic, 3=sieve)",
+                "unknown maximizer {} (known: 0=greedy, 1=lazy, 2=stochastic)",
                 req.maximizer
             )));
         }

@@ -42,7 +42,7 @@
 //!         mode: 1,
 //!         seed: 42,
 //!         deadline_ms: 0,
-//!         maximizer: 0, // 0 = exact greedy (2 = stochastic, 3 = sieve)
+//!         maximizer: 0, // 0 = exact greedy's set (2 = stochastic)
 //!     })
 //!     .unwrap();
 //! assert!(matches!(reply, Response::Selected(_)));

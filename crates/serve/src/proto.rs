@@ -25,8 +25,8 @@ use vfps_net::{wire_enum, wire_struct};
 ///
 /// The `maximizer` byte appended to [`SelectRequest`] is v2-*compatible*:
 /// it sits at the very end of the frame and decodes as trailing-optional
-/// (an early-v2 frame without it reads as `0` = greedy), so the version
-/// did not bump.
+/// (an early-v2 frame without it reads as `0`, served by lazy greedy), so
+/// the version did not bump.
 ///
 /// The routing-tier control requests ([`Request::RouterStatus`] /
 /// [`Request::DrainBackend`] / [`Request::AddBackend`] answered by
@@ -35,11 +35,11 @@ use vfps_net::{wire_enum, wire_struct};
 /// answers them with a typed [`Response::Rejected`] (`"not a router"`),
 /// never a decode failure.
 ///
-/// The NRA additions are v2-compatible on both sides: `mode` byte `3` is
-/// a *value* of an existing field (an old server rejects it at admission
-/// with a typed [`Response::Rejected`], exactly like any unknown byte),
-/// and [`SelectReply::random_accesses`] is trailing-optional (an old
-/// frame without it decodes as `0`).
+/// [`SelectReply::random_accesses`] is trailing-optional too (an old frame
+/// without it decodes as `0`). Retired values of existing fields — `mode`
+/// byte `3` (NRA) and `maximizer` byte `3` (sieve) — still decode; the
+/// server refuses them at admission with a typed [`Response::Rejected`],
+/// exactly like any unknown byte.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The federated-KNN variant a [`SelectRequest::mode`] byte names, or
@@ -53,19 +53,18 @@ pub fn knn_mode(mode: u8) -> Option<vfps_vfl::fed_knn::KnnMode> {
         0 => Some(KnnMode::Base),
         1 => Some(KnnMode::Fagin),
         2 => Some(KnnMode::Threshold),
-        3 => Some(KnnMode::Nra),
         _ => None,
     }
 }
 
-/// Epsilon the server attaches to the approximate maximizers. Fixed
+/// Epsilon the server attaches to the stochastic maximizer. Fixed
 /// server-side (not wire-carried) so a request's cache identity stays a
 /// pure function of its validated fields.
 pub const SERVED_MAXIMIZER_EPSILON: f64 = 0.1;
 
 /// The submodular maximizer a [`SelectRequest::maximizer`] byte names
-/// (0 = greedy, 1 = lazy, 2 = stochastic, 3 = sieve), or `None` for an
-/// unknown byte. Mirrors [`knn_mode`]: the single mapping point that
+/// (0 = greedy and 1 = lazy, both served by lazy greedy, whose set is
+/// exact greedy's; 2 = stochastic), or `None` for an unknown byte. Mirrors [`knn_mode`]: the single mapping point that
 /// admission validation, job execution, and the client pre-flight all
 /// delegate to, so an unknown maximizer can never be silently coerced.
 #[must_use]
@@ -95,9 +94,9 @@ pub struct SelectRequest {
     pub k: usize,
     /// Similarity query sample size.
     pub query_count: usize,
-    /// Federated KNN variant: 0 = Base, 1 = Fagin, 2 = Threshold,
-    /// 3 = NRA (see [`knn_mode`]). Any other byte is rejected at admission
-    /// with a typed [`Response::Rejected`] — it never reaches the pipeline.
+    /// Federated KNN variant: 0 = Base, 1 = Fagin, 2 = Threshold (see
+    /// [`knn_mode`]). Any other byte is rejected at admission with a typed
+    /// [`Response::Rejected`] — it never reaches the pipeline.
     pub mode: u8,
     /// Run seed — the determinism handle: a served selection with this
     /// seed is bit-identical to a direct pipeline run with the same seed.
@@ -107,16 +106,17 @@ pub struct SelectRequest {
     /// NOT mean "already expired"; an explicit 0 is served exactly like an
     /// omitted deadline (DESIGN.md §10).
     pub deadline_ms: u64,
-    /// Submodular maximizer: 0 = greedy, 1 = lazy, 2 = stochastic,
-    /// 3 = sieve (see [`maximizer`]). Any other byte is rejected at
-    /// admission with a typed [`Response::Rejected`]. Trailing-optional on
-    /// the wire: an early-v2 frame that omits it decodes as 0 (greedy).
+    /// Submodular maximizer: 0 = greedy and 1 = lazy (one selection, one
+    /// cache entry), 2 = stochastic (see [`maximizer`]). Any other byte is
+    /// rejected at admission with a typed [`Response::Rejected`].
+    /// Trailing-optional on the wire: an early-v2 frame that omits it
+    /// decodes as 0.
     pub maximizer: u8,
 }
 
 // `maximizer` is trailing-optional: frames from early-v2 builds end at
 // `deadline_ms`, and a `Select` payload is the frame's last content, so an
-// empty remainder unambiguously means "field absent" = 0 = greedy.
+// empty remainder unambiguously means "field absent" = 0.
 wire_struct!(SelectRequest {
     request_id, dataset, party_set, select, k, query_count, mode, seed, deadline_ms
 } trailing_optional { maximizer });
@@ -282,12 +282,10 @@ pub struct SelectReply {
     pub queue_us: u64,
     /// Microseconds the selection itself ran.
     pub run_us: u64,
-    /// Sorted-access-only accounting: random (by-id) accesses the fed-KNN
-    /// runs charged while serving this request. Structurally 0 for every
-    /// mode except NRA (whose refinement phase is the only random-access
-    /// consumer), so clients can verify the NRA access profile from the
-    /// reply alone. Trailing-optional on the wire: a frame from a build
-    /// without it decodes as 0.
+    /// Random (by-id) accesses the fed-KNN runs charged while serving this
+    /// request: 0 for Base, which only scans; Fagin's phase-2 fetches and
+    /// Threshold's per-candidate probes otherwise. Trailing-optional on the
+    /// wire: a frame from a build without it decodes as 0.
     pub random_accesses: u64,
 }
 
@@ -427,32 +425,30 @@ mod tests {
     }
 
     #[test]
-    fn knn_mode_maps_exactly_four_bytes() {
+    fn knn_mode_maps_exactly_three_bytes() {
         use vfps_vfl::fed_knn::KnnMode;
         assert_eq!(knn_mode(0), Some(KnnMode::Base));
         assert_eq!(knn_mode(1), Some(KnnMode::Fagin));
         assert_eq!(knn_mode(2), Some(KnnMode::Threshold));
-        assert_eq!(knn_mode(3), Some(KnnMode::Nra));
-        for bad in [4u8, 100, 250, 255] {
+        for bad in [3u8, 4, 100, 250, 255] {
             assert_eq!(knn_mode(bad), None, "mode {bad} must not map");
         }
     }
 
     #[test]
-    fn maximizer_maps_exactly_four_bytes() {
+    fn maximizer_maps_exactly_three_bytes() {
         use vfps_core::Maximizer;
-        assert_eq!(maximizer(0), Some(Maximizer::Greedy));
+        assert_eq!(maximizer(0), Some(Maximizer::Lazy));
         assert_eq!(maximizer(1), Some(Maximizer::Lazy));
         assert_eq!(maximizer(2), Some(Maximizer::Stochastic { epsilon: SERVED_MAXIMIZER_EPSILON }));
-        assert_eq!(maximizer(3), Some(Maximizer::Sieve { epsilon: SERVED_MAXIMIZER_EPSILON }));
-        for bad in [4u8, 100, 250, 255] {
+        for bad in [3u8, 4, 100, 250, 255] {
             assert_eq!(maximizer(bad), None, "maximizer {bad} must not map");
         }
     }
 
     #[test]
     fn a_reply_frame_without_the_random_accesses_field_decodes_as_zero() {
-        // Re-encode a reply the way a pre-NRA build did: every field up to
+        // Re-encode a reply the way an older build did: every field up to
         // and including run_us, nothing after.
         let want = SelectReply {
             request_id: 21,
@@ -488,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn an_early_v2_frame_without_the_maximizer_byte_decodes_as_greedy() {
+    fn an_early_v2_frame_without_the_maximizer_byte_decodes_as_zero() {
         // Re-encode a request the way an early-v2 build did: every field
         // up to and including deadline_ms, nothing after.
         let want = sample_request();
@@ -505,7 +501,7 @@ mod tests {
         assert_eq!(old_frame.len() + 1, want.encoded_len(), "one trailing byte");
 
         let got = SelectRequest::from_bytes(&old_frame).unwrap();
-        assert_eq!(got, want, "absent byte must read as 0 = greedy");
+        assert_eq!(got, want, "absent byte must read as 0");
 
         // And inside a tagged Request frame too (the shape on the socket).
         let mut tagged = vec![0u8];

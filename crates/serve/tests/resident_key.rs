@@ -173,7 +173,7 @@ fn resident_keys_equal_from_scratch_keys_for_every_catalog_tenant() {
         for party_set in [&full, &short] {
             for k in [5, 10] {
                 for mode in [KnnMode::Base, KnnMode::Fagin] {
-                    for byte in 0..4 {
+                    for byte in 0..3 {
                         for seed in [1, 42, 9_001] {
                             let sel = VfpsSmSelector {
                                 k,

@@ -420,7 +420,7 @@ fn a_raw_maximizer_250_frame_is_rejected_at_admission_not_coerced_to_greedy() {
     }
 
     // Every known byte still serves, returning a full-size selection.
-    for (id, m) in [(42u64, 0u8), (43, 1), (44, 2), (45, 3)] {
+    for (id, m) in [(42u64, 0u8), (43, 1), (44, 2)] {
         match client.select(&SelectRequest { maximizer: m, ..request(id, 1) }).unwrap() {
             Response::Selected(r) => {
                 assert_eq!(r.request_id, id);
@@ -432,8 +432,66 @@ fn a_raw_maximizer_250_frame_is_rejected_at_admission_not_coerced_to_greedy() {
 
     let report = client.shutdown().unwrap();
     assert_eq!(report.rejected, 1, "only the raw frame reaches the server's rejection path");
-    assert_eq!(report.completed, 4);
+    assert_eq!(report.completed, 3);
     handle.join().unwrap();
+}
+
+/// Byte 0 (exact greedy) and byte 1 (lazy) are served by the same
+/// maximizer, so the second request is a warm hit on the first one's
+/// entry, with the same bits.
+#[test]
+fn greedy_and_lazy_bytes_are_served_from_one_cache_entry() {
+    let (addr, handle) = spawn(test_config());
+    let mut client = Client::connect(addr).unwrap();
+    let mut replies = Vec::new();
+    for (id, m) in [(50u64, 0u8), (51, 1)] {
+        match client.select(&SelectRequest { maximizer: m, ..request(id, 17) }).unwrap() {
+            Response::Selected(r) => replies.push(r),
+            other => panic!("expected Selected for maximizer {m}, got {other:?}"),
+        }
+    }
+    assert_eq!(replies[0].cache_status, "cold");
+    assert_eq!(replies[1].cache_status, "warm", "byte 1 must hit byte 0's entry");
+    assert_eq!(replies[1].enc_instances, 0);
+    assert_eq!(replies[1].chosen, replies[0].chosen);
+    assert_eq!(replies[1].scores, replies[0].scores);
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A retired byte (mode 3 was NRA, maximizer 3 was sieve) is refused by
+/// the client pre-flight and, put on the wire raw, gets a typed
+/// `Rejected` naming it; the connection keeps serving.
+fn assert_retired_byte_is_refused(bad: SelectRequest, field: &str) {
+    let (addr, handle) = spawn(test_config());
+    let mut client = Client::connect(addr).unwrap();
+    match client.select(&bad) {
+        Err(ClientError::InvalidRequest(msg)) => {
+            assert!(msg.contains(&format!("unknown {field} 3")), "{msg}");
+        }
+        other => panic!("expected InvalidRequest pre-flight, got {other:?}"),
+    }
+    match client.roundtrip(&Request::Select(bad.clone())).unwrap() {
+        Response::Rejected { request_id, reason } => {
+            assert_eq!(request_id, bad.request_id);
+            assert_eq!(reason, format!("unknown {field} 3"));
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    assert!(matches!(client.select(&request(62, 1)).unwrap(), Response::Selected(_)));
+    let report = client.shutdown().unwrap();
+    assert_eq!((report.rejected, report.completed), (1, 1));
+    handle.join().unwrap();
+}
+
+#[test]
+fn the_retired_nra_mode_byte_is_refused() {
+    assert_retired_byte_is_refused(SelectRequest { mode: 3, ..request(60, 1) }, "KNN mode");
+}
+
+#[test]
+fn the_retired_sieve_maximizer_byte_is_refused() {
+    assert_retired_byte_is_refused(SelectRequest { maximizer: 3, ..request(61, 1) }, "maximizer");
 }
 
 /// Satellite: `deadline_ms == 0` is the documented "use the server
@@ -533,23 +591,22 @@ fn draining_server_rejects_new_submits_but_answers_admitted_ones() {
     );
 }
 
-/// Satellite: mode byte 3 (NRA) serves end-to-end, is bit-identical to a
-/// direct NRA pipeline run, and the reply's per-mode `random_accesses`
-/// counter is real accounting: structurally zero for NRA (that is the
-/// algorithm's defining property) and strictly positive for the
-/// Threshold variant served by the very same server.
+/// Mode byte 2 (Threshold) serves end-to-end, bit-identical to a direct
+/// run, and the reply's `random_accesses` is the ledger's charge: positive
+/// for Threshold's per-candidate probes, zero for Base's scan through the
+/// very same server.
 #[test]
-fn nra_mode_serves_with_random_access_accounting_in_the_reply() {
+fn threshold_mode_serves_with_random_access_accounting_in_the_reply() {
     let (addr, handle) = spawn(test_config());
     let mut client = Client::connect(addr).unwrap();
 
-    let nra = match client.select(&SelectRequest { mode: 3, ..request(40, 9) }).unwrap() {
+    let ta = match client.select(&SelectRequest { mode: 2, ..request(40, 9) }).unwrap() {
         Response::Selected(r) => r,
         other => panic!("expected Selected, got {other:?}"),
     };
-    assert_eq!(nra.random_accesses, 0, "No-Random-Access must bill zero random accesses");
+    assert!(ta.random_accesses > 0, "Threshold must bill its random accesses in the reply");
 
-    // Bit-identity against the pipeline run directly with the NRA variant.
+    // Bit-identity against the pipeline run directly with the TA variant.
     let spec = DatasetSpec::by_name("Bank").unwrap();
     let (ds, split) = prepared_sized(&spec, 240, 42);
     let partition = VerticalPartition::random(ds.n_features(), 4, 42);
@@ -560,24 +617,27 @@ fn nra_mode_serves_with_random_access_accounting_in_the_reply() {
         cost_scale: 1.0,
         seed: 9,
     };
-    let sel =
-        VfpsSmSelector { k: 10, query_count: 8, mode: KnnMode::Nra, ..VfpsSmSelector::default() };
+    let sel = VfpsSmSelector {
+        k: 10,
+        query_count: 8,
+        mode: KnnMode::Threshold,
+        ..VfpsSmSelector::default()
+    };
     let art = sel.run_over(&ctx, &[0, 1, 2, 3], 2);
-    assert_eq!(nra.chosen, art.selection.chosen, "served NRA run must match a direct run");
-    assert_eq!(nra.scores, art.selection.scores, "served NRA scores must be bit-identical");
+    assert_eq!(ta.chosen, art.selection.chosen, "served TA run must match a direct run");
+    assert_eq!(ta.scores, art.selection.scores, "served TA scores must be bit-identical");
     assert_eq!(
-        nra.random_accesses, art.selection.ledger.random_accesses,
+        ta.random_accesses, art.selection.ledger.random_accesses,
         "the reply's charge must be the ledger's, not an approximation"
     );
 
-    // The Threshold variant through the very same server pays for its
-    // encrypted point queries — so the field is live accounting, not a
-    // constant the reply always carries.
-    let ta = match client.select(&SelectRequest { mode: 2, ..request(41, 9) }).unwrap() {
+    // Base through the very same server only scans — so the field is live
+    // accounting, not a constant the reply always carries.
+    let base = match client.select(&SelectRequest { mode: 0, ..request(41, 9) }).unwrap() {
         Response::Selected(r) => r,
         other => panic!("expected Selected, got {other:?}"),
     };
-    assert!(ta.random_accesses > 0, "Threshold must bill its random accesses in the reply");
+    assert_eq!(base.random_accesses, 0, "Base is a scan, not random access");
 
     let report = client.shutdown().unwrap();
     assert_eq!(report.completed, 2);

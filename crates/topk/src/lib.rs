@@ -10,8 +10,6 @@
 //! * [`fagin::fagin_topk`] — Fagin's algorithm (FA), the paper's choice.
 //! * [`threshold::threshold_topk`] — the Threshold Algorithm (TA); the paper
 //!   notes VFPS-SM "also supports other top-k query algorithms".
-//! * [`nra::nra_topk`] — the No-Random-Access algorithm, for settings where
-//!   participants cannot answer point lookups at all.
 //! * [`stream::StreamingFagin`] — the server-side incremental FA fed with
 //!   pseudo-ID mini-batches, exactly as the federated workflow runs it.
 //! * [`rank::Ranking`] — the participant side of that stream: a party's
@@ -39,7 +37,6 @@
 pub mod fagin;
 pub mod list;
 pub mod naive;
-pub mod nra;
 pub mod rank;
 pub mod stream;
 pub mod threshold;
@@ -121,18 +118,11 @@ mod proptests {
             let mut a = mk(&scores);
             let mut b = mk(&scores);
             let mut c = mk(&scores);
-            let mut d = mk(&scores);
             let oracle = naive_topk(&mut a, k);
             let fa = fagin_topk(&mut b, k);
             let ta = threshold_topk(&mut c, k);
             prop_assert_eq!(fa.ids(), oracle.ids());
             prop_assert_eq!(ta.ids(), oracle.ids());
-            // NRA guarantees the set, not the internal order.
-            let mut nra_ids = crate::nra::nra_topk(&mut d, k).ids();
-            let mut oracle_ids = oracle.ids();
-            nra_ids.sort_unstable();
-            oracle_ids.sort_unstable();
-            prop_assert_eq!(nra_ids, oracle_ids);
         }
 
         /// Fagin's candidate set always contains the true top-k, regardless

@@ -93,7 +93,6 @@ mod tests {
         for (name, stats) in [
             ("fagin", cost(crate::fagin::fagin_topk)),
             ("threshold", cost(crate::threshold::threshold_topk)),
-            ("nra", cost(crate::nra::nra_topk)),
         ] {
             let total = stats.total();
             assert!(total < naive.total(), "{name} paid {total} vs naive {}", naive.total());

@@ -1,6 +1,6 @@
 //! The access model the top-k algorithms are compared on: what an outcome
 //! reports matches what its lists counted, counters start fresh only when
-//! reset, all four algorithms agree at scale, the streaming FA stops where
+//! reset, all three algorithms agree at scale, the streaming FA stops where
 //! the batch FA does, and the participant-side `Ranking` orders exactly as
 //! the oracle `RankedList` does.
 
@@ -8,7 +8,6 @@ use proptest::prelude::*;
 use vfps_topk::fagin::fagin_topk;
 use vfps_topk::list::total_stats;
 use vfps_topk::naive::naive_topk;
-use vfps_topk::nra::nra_topk;
 use vfps_topk::stream::StreamingFagin;
 use vfps_topk::threshold::threshold_topk;
 use vfps_topk::{Direction, RankedList, Ranking, TopkOutcome};
@@ -16,12 +15,8 @@ use vfps_topk::{Direction, RankedList, Ranking, TopkOutcome};
 type Algorithm = fn(&mut [RankedList], usize) -> TopkOutcome;
 type Shape = (&'static str, fn() -> Vec<RankedList>);
 
-const ALGORITHMS: [(&str, Algorithm); 4] = [
-    ("naive", naive_topk),
-    ("fagin", fagin_topk),
-    ("threshold", threshold_topk),
-    ("nra", nra_topk),
-];
+const ALGORITHMS: [(&str, Algorithm); 3] =
+    [("naive", naive_topk), ("fagin", fagin_topk), ("threshold", threshold_topk)];
 
 /// Scores rise with the id, so the lists roughly agree on the order.
 fn correlated(n: usize, parties: usize, direction: Direction) -> Vec<RankedList> {
@@ -68,9 +63,9 @@ fn counters_accumulate_until_reset() {
     assert_eq!(total_stats(&lists), first);
 }
 
-/// FA, TA and NRA return the exhaustive oracle's id set on 200-item lists,
-/// well past the proptests' 24, for correlated lists in both directions and
-/// for anti-correlated ones (NRA takes ascending lists only).
+/// FA and TA return the exhaustive oracle's id set on 200-item lists, well
+/// past the proptests' 24, for correlated lists in both directions and for
+/// anti-correlated ones.
 #[test]
 fn all_algorithms_agree_with_the_oracle_at_scale() {
     let shapes: [Shape; 3] = [
@@ -83,9 +78,6 @@ fn all_algorithms_agree_with_the_oracle_at_scale() {
             let mut oracle = naive_topk(&mut make(), k).ids();
             oracle.sort_unstable();
             for (name, run) in &ALGORITHMS[1..] {
-                if *name == "nra" && shape.ends_with("desc") {
-                    continue;
-                }
                 let mut ids = run(&mut make(), k).ids();
                 ids.sort_unstable();
                 assert_eq!(ids, oracle, "{name} on {shape}, k = {k}");

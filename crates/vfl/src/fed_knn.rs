@@ -1,7 +1,8 @@
 //! Vertical federated KNN — the oracle at the heart of VFPS-SM.
 //!
-//! Four implementations — the paper's two (§IV) plus the Threshold and
-//! No-Random-Access algorithms it names as supported alternatives:
+//! Three implementations — the paper's two (§IV) plus the Threshold
+//! Algorithm, one of the top-k algorithms it names as supported
+//! alternatives:
 //!
 //! * [`KnnMode::Base`] (`VFPS-SM-BASE`): every participant encrypts the
 //!   partial distances of *all* `N` database instances per query; the
@@ -13,9 +14,6 @@
 //! * [`KnnMode::Threshold`] (`VFPS-SM-TA`): the Threshold Algorithm —
 //!   earlier stopping, but every surfaced instance costs an encrypted
 //!   point query (recorded in [`OpLedger::random_accesses`]).
-//! * [`KnnMode::Nra`] (`VFPS-SM-NRA`): No-Random-Access — sorted streams
-//!   only, zero random accesses, deeper scan; only the `k` winners are
-//!   ever encrypted.
 //!
 //! This module is the *logical* engine: it executes the exact protocol data
 //! flow and bills every operation and byte to an [`OpLedger`], optionally
@@ -46,13 +44,6 @@ pub enum KnnMode {
     /// paper notes VFPS-SM "also supports other top-k query algorithms" —
     /// this is that support.
     Threshold,
-    /// No-Random-Access: maintains best/worst-case score bounds from the
-    /// sorted streams alone and stops when no unseen object can beat the
-    /// k-th worst case — zero random accesses (the ledger counter this
-    /// mode exists to minimize), at the price of a deeper sorted scan.
-    /// Guarantees the correct top-k *set*; exact ordering is recovered by
-    /// the leader tail, as for Fagin.
-    Nra,
 }
 
 /// Federated KNN configuration.
@@ -360,68 +351,6 @@ impl<'a> FedKnn<'a> {
                 ledger.record_dec(fbill(c));
                 (cands, c)
             }
-            KnnMode::Nra => {
-                vfps_obs::span!("fed_knn.nra.scan");
-                // NRA never leaves the sorted streams: the server keeps
-                // best/worst-case bounds per surfaced id and stops once no
-                // unseen object can beat the k-th worst case. Run the
-                // plaintext NRA to learn the true stop depth and top-k
-                // set, then bill the encrypted equivalents (sublinear
-                // extrapolation as for Fagin).
-                let fscale = fagin_cost_scale(scale, self.parties());
-                let fbill = |count: usize| -> u64 { (count as f64 * fscale).round() as u64 };
-                let scaled_n = bill(n).max(2);
-                let sort_ops = (scaled_n as f64 * (scaled_n as f64).log2()).round() as u64;
-                ledger.record_plain(sort_ops, p);
-
-                let mut lists: Vec<vfps_topk::RankedList> = partials
-                    .iter()
-                    .map(|d| {
-                        vfps_topk::RankedList::from_scores(
-                            d.clone(),
-                            vfps_topk::Direction::Ascending,
-                        )
-                    })
-                    .collect();
-                let out = vfps_topk::nra::nra_topk(&mut lists, self.cfg.k.min(n));
-                debug_assert_eq!(out.random_accesses, 0, "NRA made a random access");
-                let depth = out.depth;
-
-                // Sorted-access streaming of (pseudo id, partial score)
-                // pairs up to the stop depth — NRA needs the scores, not
-                // just the ids, to maintain its bounds — plus the bound
-                // bookkeeping at the server.
-                let scaled_depth = fbill(depth).max(1);
-                let rounds = scaled_depth.div_ceil(self.cfg.batch as u64).max(1);
-                let model = vfps_net::cost::CostModel::default();
-                for _ in 0..rounds {
-                    ledger.record_round();
-                }
-                ledger.record_traffic(
-                    fbill(depth) * p * (model.id_bytes as u64 + model.scalar_bytes as u64),
-                    rounds * p,
-                );
-                ledger.record_plain(fbill(depth) * p, 1);
-
-                // Exact-distance pass over the k winners only: NRA already
-                // guarantees the correct top-k *set*, so only those
-                // instances are ever encrypted — and zero random accesses
-                // are recorded, which is the mode's whole selling point.
-                let cands: Vec<usize> = out.topk.iter().map(|e| e.0).collect();
-                let c = cands.len();
-                vfps_obs::counter_add("fed_knn.nra.enc_instances", fbill(c) * p);
-                vfps_obs::counter_add("fed_knn.nra.candidates", out.candidates_examined as u64);
-                vfps_obs::counter_add("fed_knn.nra.depth", depth as u64);
-                ledger.record_enc(fbill(c), p);
-                let cipher = model.cipher_bytes as u64;
-                ledger.record_traffic(p * fbill(c) * cipher, p);
-                ledger.record_round();
-                ledger.record_he_add((p - 1) * fbill(c));
-                ledger.record_traffic(fbill(c) * cipher, 1);
-                ledger.record_round();
-                ledger.record_dec(fbill(c));
-                (cands, c)
-            }
         };
 
         // Leader: complete distances of candidates, take k smallest. The
@@ -556,6 +485,8 @@ mod tests {
             );
             let ob = base.query(q, &mut lb);
             let ot = ta.query(q, &mut lt);
+            assert!(lt.random_accesses > 0, "TA must record its random accesses");
+            assert_eq!(lb.random_accesses, 0, "Base is a scan, not random access");
             let mut a = ob.topk_rows.clone();
             let mut b = ot.topk_rows.clone();
             a.sort_unstable();
@@ -565,38 +496,6 @@ mod tests {
                 lt.enc.work <= lb.enc.work,
                 "TA must not encrypt more than base: {} vs {}",
                 lt.enc.work,
-                lb.enc.work
-            );
-        }
-    }
-
-    #[test]
-    fn nra_mode_matches_base_with_zero_random_accesses() {
-        let (x, part) = toy();
-        let db: Vec<usize> = (0..8).collect();
-        for q in 0..8usize {
-            let mut lb = OpLedger::default();
-            let mut ln = OpLedger::default();
-            let mut lt = OpLedger::default();
-            let mk = |mode| FedKnnConfig { k: 3, mode, batch: 2, cost_scale: 1.0 };
-            let base = FedKnn::new(&x, &part, &[0, 1], &db, mk(KnnMode::Base));
-            let nra = FedKnn::new(&x, &part, &[0, 1], &db, mk(KnnMode::Nra));
-            let ta = FedKnn::new(&x, &part, &[0, 1], &db, mk(KnnMode::Threshold));
-            let ob = base.query(q, &mut lb);
-            let on = nra.query(q, &mut ln);
-            ta.query(q, &mut lt);
-            let mut a = ob.topk_rows.clone();
-            let mut b = on.topk_rows.clone();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "query {q}");
-            assert_eq!(ln.random_accesses, 0, "NRA made a random access");
-            assert!(lt.random_accesses > 0, "TA must record its random accesses");
-            assert_eq!(lb.random_accesses, 0, "Base is a scan, not random access");
-            assert!(
-                ln.enc.work <= lb.enc.work,
-                "NRA must not encrypt more than base: {} vs {}",
-                ln.enc.work,
                 lb.enc.work
             );
         }
@@ -780,7 +679,7 @@ mod tests {
         let (x, part) = toy();
         let db: Vec<usize> = (0..8).collect();
         let queries: Vec<usize> = (0..8).collect();
-        for mode in [KnnMode::Base, KnnMode::Fagin, KnnMode::Threshold, KnnMode::Nra] {
+        for mode in [KnnMode::Base, KnnMode::Fagin, KnnMode::Threshold] {
             let cfg = FedKnnConfig { k: 3, mode, batch: 2, cost_scale: 1.0 };
             let engine = FedKnn::new(&x, &part, &[0, 1], &db, cfg);
 

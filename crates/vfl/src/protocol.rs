@@ -286,7 +286,7 @@ impl KnnSession {
     /// Panics on an empty consortium or database, a database whose
     /// positions do not fit the wire's `u32` ids, or a mode the threaded
     /// protocol does not implement (only Base and Fagin have message
-    /// flows; Threshold/NRA are logical-engine oracles).
+    /// flows; Threshold is a logical-engine oracle).
     #[must_use]
     pub fn new(
         parties: &[usize],
@@ -300,7 +300,7 @@ impl KnnSession {
         assert!(
             matches!(cfg.mode, KnnMode::Base | KnnMode::Fagin),
             "the threaded protocol implements Base and Fagin; the Threshold \
-             and NRA oracles are available in the logical engine (fed_knn)"
+             oracle is available in the logical engine (fed_knn)"
         );
         let n = db_rows.len();
         assert!(u32::try_from(n).is_ok(), "pseudo ids travel as u32: {n} rows do not fit");
@@ -652,9 +652,9 @@ pub fn knn_server_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
             KnnMode::Fagin => {
                 ProtoMsg::Candidates(stream_wave(ctx, shared, wave.len(), &mut dead)?)
             }
-            // Threshold/NRA are rejected at session construction; grouped
-            // with Base to keep the match exhaustive.
-            KnnMode::Base | KnnMode::Threshold | KnnMode::Nra => ProtoMsg::AllCandidates,
+            // Threshold is rejected at session construction; grouped with
+            // Base to keep the match exhaustive.
+            KnnMode::Base | KnnMode::Threshold => ProtoMsg::AllCandidates,
         };
         for slot in 0..p {
             if !dead[slot] && !send_or_gone(ctx, 1 + slot, announce.clone())? {
@@ -793,16 +793,12 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
 
         // Which pseudo IDs to encrypt, per query.
         let candidates: Vec<Vec<usize>> = match shared.cfg.mode {
-            KnnMode::Base | KnnMode::Threshold | KnnMode::Nra => {
-                match ctx.recv_from_timeout(0, PHASE_TIMEOUT)? {
-                    ProtoMsg::AllCandidates => vec![shared.perm.clone(); wave_len],
-                    other => {
-                        return Err(Error::violation(format!(
-                            "expected AllCandidates, got {other:?}"
-                        )))
-                    }
+            KnnMode::Base | KnnMode::Threshold => match ctx.recv_from_timeout(0, PHASE_TIMEOUT)? {
+                ProtoMsg::AllCandidates => vec![shared.perm.clone(); wave_len],
+                other => {
+                    return Err(Error::violation(format!("expected AllCandidates, got {other:?}")))
                 }
-            }
+            },
             KnnMode::Fagin => {
                 // One ranking and cursor per query, ranked only as far as
                 // the server asks; positions travel as pseudo IDs.
@@ -1009,6 +1005,15 @@ mod tests {
             vec![9.0, 9.0, 9.0, 9.0],
         ]);
         (x, VerticalPartition::even(4, 2))
+    }
+
+    /// Threshold has no message flow: a session refuses it up front rather
+    /// than run it as Base.
+    #[test]
+    #[should_panic(expected = "implements Base and Fagin")]
+    fn sessions_refuse_the_threshold_mode() {
+        let cfg = FedKnnConfig { k: 1, mode: KnnMode::Threshold, batch: 1, cost_scale: 1.0 };
+        let _ = KnnSession::new(&[0], &[0, 1], &[0], cfg, 1);
     }
 
     /// The protocol ranks every batch it streams; the logical engine takes

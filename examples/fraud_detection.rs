@@ -96,7 +96,7 @@ fn main() {
     }
 
     let f = KnnSubmodular::new(w);
-    let (chosen, _) = f.maximize(2, Maximizer::Greedy, 0, vfps_par::global());
+    let (chosen, _) = f.maximize(2, Maximizer::Lazy, 0, vfps_par::global());
     println!("\nVFPS-SM selects: {:?}", chosen.iter().map(|&c| PARTY_NAMES[c]).collect::<Vec<_>>());
 
     // Downstream check: accuracy of the chosen pair vs the redundant pair.

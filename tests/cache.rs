@@ -183,6 +183,28 @@ fn churn_leave_is_free_and_matches_the_oracle() {
     assert_eq!(churn.selection.chosen, scored.iter().map(|&(p, _)| p).collect::<Vec<_>>());
 }
 
+/// Only the exact maximizer is churn-served: a stochastic request one
+/// party away from a stochastic entry serves cold, equal to a direct run,
+/// and stores its own entry.
+#[test]
+fn a_stochastic_request_is_never_churn_served() {
+    let _g = lock();
+    let f = fixture(25);
+    let c = ctx(&f, 25);
+    let sel = VfpsSmSelector {
+        maximizer: vfps_core::Maximizer::Stochastic { epsilon: 0.1 },
+        ..selector()
+    };
+    let cache = ArtifactCache::open(cache_dir("stochurn")).unwrap();
+    let model = CostModel::default();
+
+    select_with_cache(&cache, &sel, &c, &[0, 1, 2, 3], 2, &model, &tc(b"it-stoch"));
+    let shrunk = select_with_cache(&cache, &sel, &c, &[0, 1, 3], 2, &model, &tc(b"it-stoch"));
+    assert_eq!(shrunk.status, CacheStatus::Cold);
+    assert_eq!(shrunk.selection.chosen, sel.run_over(&c, &[0, 1, 3], 2).selection.chosen);
+    assert_eq!(cache.len().unwrap(), 2, "the shrunk consortium gets its own entry");
+}
+
 #[test]
 fn two_membership_changes_fall_back_to_cold() {
     let _g = lock();

@@ -326,6 +326,56 @@ fn submit_ping_and_shutdown_drain_a_persistent_server() {
     assert!(rest.contains("drain clean:"), "{rest}");
 }
 
+/// Submits one selection (Rice, 4 parties, select 2, 8 queries, seed 42,
+/// plus `extra`) and returns the reply's cache status and chosen line.
+fn submit_select(addr: &str, extra: &[&str]) -> (String, String) {
+    let out = vfps()
+        .args(["submit", "--addr", addr, "--select", "2", "--queries", "8", "--seed", "42"])
+        .args(extra)
+        .output()
+        .expect("submit runs");
+    assert!(out.status.success(), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
+    let reply = String::from_utf8_lossy(&out.stdout).into_owned();
+    let status = reply.split("cache=").nth(1).and_then(|r| r.split_whitespace().next());
+    let chosen = reply.lines().find_map(|l| l.strip_prefix("chosen: "));
+    (status.expect("cache status").to_owned(), chosen.expect("chosen line").to_owned())
+}
+
+/// Stops a daemon `spawn_serve` started and checks it drained clean.
+fn shutdown_serve(addr: &str, mut child: Child, mut reader: BufReader<std::process::ChildStdout>) {
+    let down = vfps().args(["submit", "--addr", addr, "--shutdown"]).output().expect("shutdown");
+    assert!(down.status.success(), "stderr: {}", String::from_utf8_lossy(&down.stderr));
+    assert!(child.wait().expect("serve exits").success());
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).expect("drain summary");
+    assert!(rest.contains("drain clean:"), "{rest}");
+}
+
+/// `--maximizer lazy` names the default's selection, so it is served warm
+/// from the default request's entry; `stochastic` has its own.
+#[test]
+fn submit_serves_every_accepted_maximizer_name() {
+    let (child, reader, addr) = spawn_serve(&[]);
+    let (status, default_chosen) = submit_select(&addr, &[]);
+    assert_eq!(status, "cold");
+    assert_eq!(submit_select(&addr, &["--maximizer", "lazy"]), ("warm".into(), default_chosen));
+    assert_eq!(submit_select(&addr, &["--maximizer", "stochastic"]).0, "cold");
+    shutdown_serve(&addr, child, reader);
+}
+
+/// Every accepted mode name serves the same selection; `ta` is
+/// `threshold`'s alias, so it is served warm from that entry.
+#[test]
+fn submit_serves_every_accepted_mode_name() {
+    let (child, reader, addr) = spawn_serve(&[]);
+    let (_, fagin) = submit_select(&addr, &["--mode", "fagin"]);
+    for mode in ["base", "threshold"] {
+        assert_eq!(submit_select(&addr, &["--mode", mode]), ("cold".into(), fagin.clone()));
+    }
+    assert_eq!(submit_select(&addr, &["--mode", "ta"]), ("warm".into(), fagin));
+    shutdown_serve(&addr, child, reader);
+}
+
 #[test]
 fn submit_against_a_dead_server_fails_cleanly() {
     // Port 1 is never listening; the client must error, not hang.
@@ -366,6 +416,34 @@ fn bad_arguments_fail_cleanly() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--parties"), "{stderr}");
+}
+
+/// Runs `vfps submit <args>` against a port nothing listens on and
+/// returns its exit code and stderr: argument errors surface before any
+/// connection is tried.
+fn submit(args: &[&str]) -> (Option<i32>, String) {
+    let out =
+        vfps().args(["submit", "--addr", "127.0.0.1:1"]).args(args).output().expect("submit runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn submit_refuses_the_retired_maximizer_names_and_names_the_accepted_ones() {
+    for name in ["greedy", "sieve"] {
+        let (code, stderr) = submit(&["--maximizer", name]);
+        assert_eq!(code, Some(2), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown maximizer {name} (accepted: lazy, stochastic)")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn submit_refuses_the_retired_nra_mode_and_names_the_accepted_ones() {
+    let (code, stderr) = submit(&["--mode", "nra"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown mode nra (accepted: base, fagin, threshold)"), "{stderr}");
 }
 
 #[test]

@@ -99,7 +99,7 @@ fn duplicate_participants_get_unit_similarity_and_are_avoided() {
     );
 
     let f = KnnSubmodular::new(w);
-    let (chosen, _) = f.maximize(2, Maximizer::Greedy, 0, vfps_par::global());
+    let (chosen, _) = f.maximize(2, Maximizer::Lazy, 0, vfps_par::global());
     assert!(
         !(chosen.contains(&0) && chosen.contains(&3)),
         "greedy must not pick both copies: {chosen:?}"

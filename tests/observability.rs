@@ -78,7 +78,7 @@ fn instrumented_selection_is_bit_identical_to_uninstrumented() {
 
     // The capture actually observed the run.
     assert!(trace.span_count("select.vfps_sm") >= 1, "names: {:?}", trace.span_names());
-    assert!(trace.span_count("select.vfps_sm.greedy") >= 1);
+    assert!(trace.span_count("select.vfps_sm.maximize") >= 1);
     assert_eq!(trace.span_count("fed_knn.query") as usize, 12, "one span per query");
     assert!(trace.metrics.counter("fed_knn.fagin.candidates") > 0);
 }
