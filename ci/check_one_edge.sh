@@ -16,6 +16,7 @@
 # And one for the maximizers: KnnSubmodular::maximize is their one entry point.
 # And one for partial distances: both fed-KNN engines run the feature-major kernel.
 # And one for the option matrix: two maximizers (lazy, stochastic), three KNN modes.
+# And one for the pool: one FIFO queue, and nothing pushes to a per-worker deque.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -245,6 +246,16 @@ fi
 # rehashes the whole dataset on every request.
 if hits=$(grep -rnE '\b(cache_key|select_with_cache)\(' crates/serve/src --include='*.rs'); then
     echo "per-request rehash of the tenant in crates/serve/src (key from the world's digest: select_with_digest):"
+    echo "$hits"
+    fail=1
+fi
+
+# One queue (DESIGN.md §5): vfps-par's maps push their chunks onto one
+# locked FIFO that workers and the waiting caller pop. Per-worker deques,
+# stealers and an injector never carried a task, and par_fold and
+# PoolBuilder had no caller; this keeps that machinery deleted.
+if hits=$(grep -rnE 'crossbeam::deque|Stealer|Injector|par_fold|PoolBuilder' crates shims); then
+    echo "work-stealing machinery is back in the pool (vfps-par is one FIFO queue):"
     echo "$hits"
     fail=1
 fi

@@ -62,26 +62,12 @@ impl SchemeSpec {
 wire_enum!(SchemeKind { 0 => Plain, 1 => Paillier });
 wire_struct!(SchemeSpec { kind, key_bits, batch, seed });
 
-/// The byte for a [`KnnMode`] on the wire (only the modes the threaded
-/// protocol implements are routable; Threshold is a logical-engine
-/// oracle and never reaches a daemon).
-#[must_use]
-pub fn mode_byte(mode: KnnMode) -> u8 {
-    match mode {
-        KnnMode::Base => 0,
-        KnnMode::Fagin => 1,
-        KnnMode::Threshold => 2,
-    }
-}
-
-/// Inverse of [`mode_byte`], restricted to the protocol-capable modes.
+/// [`KnnMode::from_byte`], restricted to the modes the threaded protocol
+/// implements: Threshold is a logical-engine oracle and never reaches a
+/// daemon.
 #[must_use]
 pub fn protocol_mode_from_byte(b: u8) -> Option<KnnMode> {
-    match b {
-        0 => Some(KnnMode::Base),
-        1 => Some(KnnMode::Fagin),
-        _ => None,
-    }
+    KnnMode::from_byte(b).filter(|m| matches!(m, KnnMode::Base | KnnMode::Fagin))
 }
 
 /// Everything a daemon needs to enter one protocol run: the session
@@ -101,7 +87,7 @@ pub struct SetupFrame {
     pub queries: Vec<usize>,
     /// `FedKnnConfig::k`.
     pub k: usize,
-    /// Protocol mode byte (see [`mode_byte`]).
+    /// Protocol mode byte (see [`KnnMode::byte`]).
     pub mode: u8,
     /// `FedKnnConfig::batch`.
     pub batch: usize,
@@ -128,7 +114,7 @@ impl SetupFrame {
             db_rows: session.db_rows.clone(),
             queries: session.queries.clone(),
             k: session.cfg.k,
-            mode: mode_byte(session.cfg.mode),
+            mode: session.cfg.mode.byte(),
             batch: session.cfg.batch,
             cost_scale_bits: session.cfg.cost_scale.to_bits(),
             shuffle_seed,
@@ -357,7 +343,7 @@ mod tests {
         let cfg = FedKnnConfig { k: 1, mode: KnnMode::Base, batch: 1, cost_scale: 1.0 };
         let session = KnnSession::new(&[0], &[0, 1], &[0], cfg, 1);
         // Threshold has no message flow, and 3 named the retired NRA.
-        for mode in [mode_byte(KnnMode::Threshold), 3] {
+        for mode in [KnnMode::Threshold.byte(), 3] {
             let mut f = SetupFrame::for_slot(&session, 1, 0, SchemeSpec::plain(4));
             f.mode = mode;
             assert!(matches!(f.session(), Err(Error::ProtocolViolation { .. })), "mode {mode}");

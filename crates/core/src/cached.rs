@@ -35,7 +35,6 @@
 use vfps_cache::{ArtifactCache, CacheEntry, CacheError, CacheKey, ChurnKind, Fingerprint, Fnv128};
 use vfps_net::cost::{CostModel, OpLedger};
 use vfps_net::wire::{Wire, WireError};
-use vfps_vfl::fed_knn::KnnMode;
 
 use crate::incremental::IncrementalConsortium;
 use crate::selectors::{select_from_matrix, Selection, SelectionContext, VfpsSmSelector};
@@ -185,11 +184,7 @@ impl TenantDigest {
             party_set: party_set.to_vec(),
             k: sel.k,
             batch: sel.batch,
-            mode: match sel.mode {
-                KnnMode::Base => 0,
-                KnnMode::Fagin => 1,
-                KnnMode::Threshold => 2,
-            },
+            mode: sel.mode.byte(),
             // The maximizer changes the chosen set for identical artifacts, so
             // both its kind and its epsilon are part of the identity: a
             // stochastic selection must never warm-alias an exact (lazy)

@@ -34,6 +34,7 @@ use vfps_data::{
 };
 use vfps_ml::mlp::TrainConfig;
 use vfps_net::cost::CostModel;
+use vfps_vfl::fed_knn::KnnMode;
 use vfps_vfl::split_train::{train_downstream, Downstream};
 
 #[derive(Debug)]
@@ -563,16 +564,17 @@ fn run_submit(args: &[String]) -> Result<(), String> {
             "--k" => sub.req.k = parse_flag("--k", &value("--k")?)?,
             "--queries" => sub.req.query_count = parse_flag("--queries", &value("--queries")?)?,
             "--mode" => {
-                sub.req.mode = match value("--mode")?.to_lowercase().as_str() {
-                    "base" => 0,
-                    "fagin" => 1,
-                    "threshold" | "ta" => 2,
+                let mode = match value("--mode")?.to_lowercase().as_str() {
+                    "base" => KnnMode::Base,
+                    "fagin" => KnnMode::Fagin,
+                    "threshold" | "ta" => KnnMode::Threshold,
                     other => {
                         return Err(format!(
                             "unknown mode {other} (accepted: base, fagin, threshold)"
                         ))
                     }
                 };
+                sub.req.mode = mode.byte();
             }
             "--maximizer" => {
                 sub.req.maximizer = match value("--maximizer")?.to_lowercase().as_str() {

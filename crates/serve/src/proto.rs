@@ -42,19 +42,14 @@ use vfps_net::{wire_enum, wire_struct};
 /// exactly like any unknown byte.
 pub const PROTOCOL_VERSION: u32 = 2;
 
-/// The federated-KNN variant a [`SelectRequest::mode`] byte names, or
-/// `None` for an unknown byte. The single place the wire byte is mapped —
-/// admission validation, job execution, and the client-side pre-flight all
-/// delegate here so an unknown mode can never be silently coerced.
+/// The federated-KNN variant a [`SelectRequest::mode`] byte names
+/// ([`KnnMode::from_byte`](vfps_vfl::fed_knn::KnnMode::from_byte)), or
+/// `None` for an unknown byte. Admission validation, job execution, and the
+/// client-side pre-flight all call this, so an unknown mode can never be
+/// silently coerced.
 #[must_use]
 pub fn knn_mode(mode: u8) -> Option<vfps_vfl::fed_knn::KnnMode> {
-    use vfps_vfl::fed_knn::KnnMode;
-    match mode {
-        0 => Some(KnnMode::Base),
-        1 => Some(KnnMode::Fagin),
-        2 => Some(KnnMode::Threshold),
-        _ => None,
-    }
+    vfps_vfl::fed_knn::KnnMode::from_byte(mode)
 }
 
 /// Epsilon the server attaches to the stochastic maximizer. Fixed

@@ -1,9 +1,7 @@
 //! Offline shim for `crossbeam` covering the surface this workspace uses:
 //! [`channel`] (multi-producer multi-consumer unbounded channels, here
 //! multi-producer single-consumer over `std::sync::mpsc`, which is the only
-//! topology the workspace builds) and [`deque`] (work-stealing deques for
-//! the `vfps-par` pool, implemented as locked queues — correct and
-//! contention-light at the worker counts this project targets).
+//! topology the workspace builds).
 
 /// Unbounded channels with crossbeam's `Sender`/`Receiver` API.
 pub mod channel {
@@ -102,132 +100,9 @@ pub mod channel {
     }
 }
 
-/// Work-stealing deques (the subset `vfps-par` uses).
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// Outcome of a steal attempt.
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The queue was empty.
-        Empty,
-        /// One task was stolen.
-        Success(T),
-        /// The attempt raced with another; try again.
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// Converts to `Option`, mapping `Empty`/`Retry` to `None`.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(t) => Some(t),
-                _ => None,
-            }
-        }
-    }
-
-    /// A global FIFO injector queue shared by all workers.
-    pub struct Injector<T> {
-        queue: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Default for Injector<T> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<T> Injector<T> {
-        /// Creates an empty injector.
-        pub fn new() -> Self {
-            Injector { queue: Mutex::new(VecDeque::new()) }
-        }
-
-        /// Pushes a task onto the global queue.
-        pub fn push(&self, task: T) {
-            self.queue.lock().expect("injector lock").push_back(task);
-        }
-
-        /// Steals one task from the front of the global queue.
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock().expect("injector lock").pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().expect("injector lock").is_empty()
-        }
-    }
-
-    /// A worker-local deque: LIFO for the owner, FIFO for stealers.
-    pub struct Worker<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    /// Stealing handle onto another worker's deque.
-    pub struct Stealer<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Stealer { queue: Arc::clone(&self.queue) }
-        }
-    }
-
-    impl<T> Default for Worker<T> {
-        fn default() -> Self {
-            Self::new_lifo()
-        }
-    }
-
-    impl<T> Worker<T> {
-        /// Creates an empty worker deque.
-        pub fn new_lifo() -> Self {
-            Worker { queue: Arc::new(Mutex::new(VecDeque::new())) }
-        }
-
-        /// Creates a stealing handle.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer { queue: Arc::clone(&self.queue) }
-        }
-
-        /// Pushes onto the owner's end.
-        pub fn push(&self, task: T) {
-            self.queue.lock().expect("worker lock").push_back(task);
-        }
-
-        /// Pops from the owner's end (LIFO).
-        pub fn pop(&self) -> Option<T> {
-            self.queue.lock().expect("worker lock").pop_back()
-        }
-
-        /// Whether the deque is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().expect("worker lock").is_empty()
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steals from the opposite end (FIFO).
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock().expect("stealer lock").pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel::{unbounded, TryRecvError};
-    use super::deque::{Injector, Steal, Worker};
     use std::thread;
 
     #[test]
@@ -244,28 +119,5 @@ mod tests {
         t.join().unwrap();
         drop(tx);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn injector_is_fifo() {
-        let inj = Injector::new();
-        inj.push(1);
-        inj.push(2);
-        assert_eq!(inj.steal(), Steal::Success(1));
-        assert_eq!(inj.steal(), Steal::Success(2));
-        assert_eq!(inj.steal(), Steal::Empty);
-    }
-
-    #[test]
-    fn worker_lifo_stealer_fifo() {
-        let w = Worker::new_lifo();
-        let s = w.stealer();
-        w.push(1);
-        w.push(2);
-        w.push(3);
-        assert_eq!(w.pop(), Some(3));
-        assert_eq!(s.steal(), Steal::Success(1));
-        assert_eq!(w.pop(), Some(2));
-        assert_eq!(s.steal(), Steal::Empty);
     }
 }
