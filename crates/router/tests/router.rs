@@ -273,12 +273,14 @@ fn a_drain_under_load_loses_nothing() {
 
     // Each client walks warm → cold → churn, alternating tenants; `Busy`
     // (the daemons queue four) is retried.
-    let answered = Arc::new(AtomicUsize::new(0));
+    // Clients with at least one reply: each counts once, so a fast client
+    // cannot stand in for a slow one.
+    let under_way = Arc::new(AtomicUsize::new(0));
     let drained = Arc::new(AtomicBool::new(false));
     let router_addr = tier.router_addr;
     let clients: Vec<_> = (0..CLIENTS)
         .map(|c| {
-            let (answered, drained) = (Arc::clone(&answered), Arc::clone(&drained));
+            let (under_way, drained) = (Arc::clone(&under_way), Arc::clone(&drained));
             std::thread::spawn(move || {
                 let mut client = Client::connect(router_addr).unwrap();
                 client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
@@ -303,7 +305,9 @@ fn a_drain_under_load_loses_nothing() {
                             other => panic!("request {id} failed: {other:?}"),
                         }
                     };
-                    answered.fetch_add(1, Ordering::AcqRel);
+                    if replies.is_empty() {
+                        under_way.fetch_add(1, Ordering::AcqRel);
+                    }
                     replies.push((id, i % 3, reply));
                     after_drain += usize::from(seen_drain);
                     if after_drain == AFTER_DRAIN {
@@ -317,7 +321,7 @@ fn a_drain_under_load_loses_nothing() {
 
     // Drain once every client is under way.
     let started = std::time::Instant::now();
-    while answered.load(Ordering::Acquire) < CLIENTS {
+    while under_way.load(Ordering::Acquire) < CLIENTS {
         assert!(started.elapsed() < Duration::from_secs(60), "the load never got going");
         std::thread::sleep(Duration::from_millis(1));
     }
