@@ -17,6 +17,7 @@
 # And one for partial distances: both fed-KNN engines run the feature-major kernel.
 # And one for the option matrix: two maximizers (lazy, stochastic), three KNN modes.
 # And one for the pool: one FIFO queue, and nothing pushes to a per-worker deque.
+# And one for SIMD: the AVX-512 IFMA lane kernel and its dispatch live in one file.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -69,21 +70,28 @@ if hits=$(grep -rnE '\.decrypt\(|\.decrypt_many\(' crates/vfl/src --include='*.r
     fail=1
 fi
 
-# A Montgomery context costs a shift and a long division: Paillier builds
-# them where keys and encryptors are built (CrtParams::new, and
-# FixedBaseWindow::new in bigint), never per ciphertext.
-# The `fn` line enclosing line $1 of paillier.rs.
+# A Montgomery context costs a shift and a long division, and the lane
+# kernel's constants several: Paillier builds them where keys and
+# encryptors are built (CrtParams::new, and FixedBaseWindow::new in
+# bigint), never per ciphertext.
+# The `fn` line enclosing line $2 of file $1.
 enclosing_fn() {
-    sed -n "1,${1}p" crates/he/src/paillier.rs | grep -E '^\s*(pub )?fn ' | tail -n 1
+    sed -n "1,${2}p" "$1" | grep -E '^\s*(pub(\(crate\))? )?fn ' | tail -n 1
 }
-ctx_builds=$(grep -nE 'MontgomeryCtx::new' crates/he/src/paillier.rs || true)
-while IFS=: read -r line _; do
-    [ -n "$line" ] || continue
-    if ! enclosing_fn "$line" | grep -qE 'fn new\('; then
-        echo "crates/he/src/paillier.rs:$line: MontgomeryCtx::new outside a constructor (hold the context in the key)"
-        fail=1
-    fi
-done <<< "$ctx_builds"
+for rule in 'crates/he/src/paillier.rs:MontgomeryCtx::new|LaneCtx::new' \
+        'crates/he/src/bigint/montgomery.rs:LaneCtx::new'; do
+    file=${rule%%:*}
+    tests_at=$(grep -n '^#\[cfg(test)\]' "$file" | head -n 1 | cut -d: -f1)
+    ctx_builds=$(grep -nE "${rule#*:}" "$file" || true)
+    while IFS=: read -r line _; do
+        [ -n "$line" ] || continue
+        [ "$line" -lt "${tests_at:-999999}" ] || continue
+        if ! enclosing_fn "$file" "$line" | grep -qE 'fn new\('; then
+            echo "$file:$line: a Montgomery or lane context built outside a constructor (hold it in the key)"
+            fail=1
+        fi
+    done <<< "$ctx_builds"
+done
 
 # One modular product (DESIGN.md §11): what a ciphertext is multiplied by
 # goes through the key's Montgomery context (`mod_mul`, `mul_by`). The
@@ -99,7 +107,7 @@ products=$(grep -n 'mul_mod(' crates/he/src/paillier.rs || true)
 while IFS=: read -r line _; do
     [ -n "$line" ] || continue
     [ "$line" -lt "${tests_from:-999999}" ] || continue
-    if ! enclosing_fn "$line" | grep -qE 'fn (encrypt<|decrypt_plain\()'; then
+    if ! enclosing_fn crates/he/src/paillier.rs "$line" | grep -qE 'fn (encrypt<|decrypt_plain\()'; then
         echo "crates/he/src/paillier.rs:$line: division-based mul_mod outside PaillierPublicKey::encrypt / decrypt_plain (use the key's MontgomeryCtx)"
         fail=1
     fi
@@ -256,6 +264,17 @@ fi
 # PoolBuilder had no caller; this keeps that machinery deleted.
 if hits=$(grep -rnE 'crossbeam::deque|Stealer|Injector|par_fold|PoolBuilder' crates shims); then
     echo "work-stealing machinery is back in the pool (vfps-par is one FIFO queue):"
+    echo "$hits"
+    fail=1
+fi
+
+# SIMD lives in one file (DESIGN.md §11): the AVX-512 IFMA lane kernel,
+# its target features, its run-time CPU detection and its unsafe blocks
+# are crates/he/src/bigint/lanes.rs alone. Everything else reaches the
+# lanes through Kernel and builds on any target.
+if hits=$(grep -rnE 'std::arch|core::arch|target_feature|is_x86_feature_detected|_mm512_' \
+        crates shims --include='*.rs' | grep -v '^crates/he/src/bigint/lanes.rs:'); then
+    echo "SIMD outside crates/he/src/bigint/lanes.rs (put lane code in the one lane module):"
     echo "$hits"
     fail=1
 fi

@@ -9,6 +9,7 @@
 
 mod convert;
 mod div;
+pub(crate) mod lanes;
 mod modular;
 pub mod montgomery;
 mod mul;

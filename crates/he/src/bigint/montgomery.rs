@@ -13,8 +13,13 @@
 //! multiplies its precomputed table entries with it, and the single
 //! products Paillier needs between exponentiations —
 //! [`MontgomeryCtx::mod_mul`], [`MontgomeryCtx::mul_by`] — are one or two
-//! calls of it, so no ciphertext meets a long division.
+//! calls of it, so no ciphertext meets a long division. Where the CPU has
+//! AVX-512 IFMA, `bigint::lanes` runs the two batched exponentiations —
+//! [`MontgomeryCtx::mod_pow_with`] at a shared exponent and
+//! [`FixedBaseWindow::pow`] — eight at a time, with this kernel as its
+//! fallback and its oracle.
 
+use super::lanes::{Kernel, LaneCtx, LaneWindow, LANES, MIN_LIVE_LANES};
 use super::BigUint;
 
 /// Exponent window width of the fresh-base exponentiation. A `mod_pow`
@@ -318,7 +323,7 @@ impl MontgomeryCtx {
 /// Digit `j` of `exp` in base `2^w` (zero past the top limb). When `w`
 /// does not divide 64 a digit can straddle two limbs: its low bits are the
 /// top of one, its high bits the bottom of the next.
-fn window_digit(exp: &BigUint, j: usize, w: usize) -> usize {
+pub(super) fn window_digit(exp: &BigUint, j: usize, w: usize) -> usize {
     let (limb, offset) = (j * w / 64, j * w % 64);
     let limbs = exp.limbs();
     let low = limbs.get(limb).map_or(0, |x| x >> offset);
@@ -358,6 +363,9 @@ pub struct FixedBaseWindow {
     /// is the `L` limbs at `(j · FIXED_DIGITS + d − 1) · L`.
     table: Vec<u64>,
     max_exp_bits: usize,
+    /// The table again in the lane kernel's form, where this CPU has the
+    /// lanes and the modulus a lane width.
+    lanes: Option<LaneWindow>,
 }
 
 impl FixedBaseWindow {
@@ -383,7 +391,23 @@ impl FixedBaseWindow {
             ctx.mul(&mut next, &row[(FIXED_DIGITS - 1) * l..], &cur);
             std::mem::swap(&mut cur, &mut next);
         }
-        FixedBaseWindow { ctx, table, max_exp_bits }
+        let lanes = LaneCtx::new(ctx.modulus())
+            .filter(|_| Kernel::detected() == Kernel::Ifma8)
+            .map(|lane_ctx| {
+                // The scalar product of `windows` copies of R mod m (the
+                // lanes' R) is R^windows · R₆₄^(1 − windows): the lane
+                // walk's way out into this kernel's form.
+                let r = padded(&lane_ctx.r(), l);
+                let mut exit = r.clone();
+                for _ in 1..windows {
+                    ctx.mul(&mut next, &exit, &r);
+                    std::mem::swap(&mut exit, &mut next);
+                }
+                let mut one = vec![0u64; l];
+                ctx.mul(&mut one, &ctx.r_squared, &ctx.one);
+                LaneWindow::new(lane_ctx, &table, FIXED_WINDOW_BITS, &one, &exit)
+            });
+        FixedBaseWindow { ctx, table, max_exp_bits, lanes }
     }
 
     /// The largest exponent width (in bits) the table covers.
@@ -401,12 +425,7 @@ impl FixedBaseWindow {
     /// Panics if `exp` is wider than the table was built for.
     #[must_use]
     pub fn pow(&self, exp: &BigUint) -> MontResidue {
-        assert!(
-            exp.bits() <= self.max_exp_bits,
-            "exponent of {} bits exceeds the {}-bit window table",
-            exp.bits(),
-            self.max_exp_bits
-        );
+        self.check_width(exp);
         let l = self.ctx.limbs();
         let (mut acc, mut next) = (Vec::new(), vec![0u64; l]);
         for (j, row) in self.table.chunks_exact(FIXED_DIGITS * l).enumerate() {
@@ -429,10 +448,39 @@ impl FixedBaseWindow {
         }
         MontResidue(acc)
     }
+
+    /// [`FixedBaseWindow::pow`] of every exponent, eight at a time on the
+    /// lanes when `kernel` is [`Kernel::Ifma8`] and at least
+    /// [`MIN_LIVE_LANES`] of a batch are live — the same limbs either way.
+    ///
+    /// # Panics
+    /// Panics if an exponent is wider than the table was built for.
+    pub(crate) fn pow_many(&self, exps: &[BigUint], kernel: Kernel) -> Vec<MontResidue> {
+        exps.iter().for_each(|e| self.check_width(e));
+        let mut out = Vec::with_capacity(exps.len());
+        for batch in exps.chunks(LANES) {
+            match &self.lanes {
+                Some(lanes) if kernel == Kernel::Ifma8 && batch.len() >= MIN_LIVE_LANES => {
+                    out.extend(lanes.pow_many(batch).into_iter().map(MontResidue));
+                }
+                _ => out.extend(batch.iter().map(|e| self.pow(e))),
+            }
+        }
+        out
+    }
+
+    fn check_width(&self, exp: &BigUint) {
+        assert!(
+            exp.bits() <= self.max_exp_bits,
+            "exponent of {} bits exceeds the {}-bit window table",
+            exp.bits(),
+            self.max_exp_bits
+        );
+    }
 }
 
 /// Inverse of an odd `x` modulo 2^64 by Newton–Hensel lifting.
-fn inv_mod_2_64(x: u64) -> u64 {
+pub(super) fn inv_mod_2_64(x: u64) -> u64 {
     debug_assert!(x & 1 == 1);
     let mut inv = x; // correct mod 2^3 (x odd ⇒ x·x ≡ 1 mod 8)
     for _ in 0..5 {

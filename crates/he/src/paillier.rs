@@ -23,7 +23,13 @@
 //! shortened-randomness optimization, cutting an n-bit square-and-multiply
 //! down to ~`x_bits / 5` table products. Since `h^x = (r₀^x mod n)^n`, the
 //! result is ordinary Paillier randomness and decryption is bit-exact.
+//!
+//! Both hot exponentiations — the CRT branches and the noise factors —
+//! also run eight at a time on AVX-512 IFMA lanes where the CPU has them
+//! (`bigint::lanes`), through [`NoisePool`] and the scheme's batched
+//! decryption; the integers, and so the bytes, are the same.
 
+use crate::bigint::lanes::{self, Kernel, LaneCtx, LANES};
 use crate::bigint::montgomery::{FixedBaseWindow, MontResidue, MontScratch};
 use crate::bigint::{BigInt, BigUint, MontgomeryCtx};
 use crate::error::{Error, Result};
@@ -92,6 +98,10 @@ struct CrtParams {
     p_squared: MontgomeryCtx,
     /// Montgomery context modulo `q²`.
     q_squared: MontgomeryCtx,
+    /// Lane constants modulo `p²`, where the lane kernel serves its width.
+    p_squared_lanes: Option<LaneCtx>,
+    /// Lane constants modulo `q²`.
+    q_squared_lanes: Option<LaneCtx>,
     /// `p − 1` — exponent for the `p²` branch.
     p_minus_1: BigUint,
     /// `q − 1` — exponent for the `q²` branch.
@@ -118,12 +128,15 @@ impl CrtParams {
         let p_inv_q = x.rem_floor(q);
         let q_inv_p = y.rem_floor(p);
         let (p_ctx, q_ctx) = (MontgomeryCtx::new(p)?, MontgomeryCtx::new(q)?);
+        let (p_squared, q_squared) = (p.square(), q.square());
         Some(CrtParams {
             h_p: p_ctx.enter(&p.sub(&q_inv_p)),
             h_q: q_ctx.enter(&q.sub(&p_inv_q)),
             p_inv_q: q_ctx.enter(&p_inv_q),
-            p_squared: MontgomeryCtx::new(&p.square())?,
-            q_squared: MontgomeryCtx::new(&q.square())?,
+            p_squared_lanes: LaneCtx::new(&p_squared),
+            q_squared_lanes: LaneCtx::new(&q_squared),
+            p_squared: MontgomeryCtx::new(&p_squared)?,
+            q_squared: MontgomeryCtx::new(&q_squared)?,
             p_minus_1: p.sub(&one),
             q_minus_1: q.sub(&one),
             p: p_ctx,
@@ -140,12 +153,35 @@ impl CrtParams {
     /// rather than reducing it by division first, and the three constant
     /// factors of the tail, kept in Montgomery form, cost a product each.
     fn decrypt(&self, c: &BigUint, scratch: &mut MontScratch) -> BigUint {
+        let xp = self.p_squared.mod_pow_with(c, &self.p_minus_1, scratch);
+        let xq = self.q_squared.mod_pow_with(c, &self.q_minus_1, scratch);
+        self.recombine(xp, xq)
+    }
+
+    /// [`CrtParams::decrypt`] of up to [`LANES`] ciphertexts on `kernel`:
+    /// every `p²` branch as one lane batch — shared modulus and exponent,
+    /// uniform control flow — then every `q²` branch, then each scalar
+    /// tail.
+    fn decrypt_batch(
+        &self,
+        cs: &[&BigUint],
+        kernel: Kernel,
+        scratch: &mut MontScratch,
+    ) -> Vec<BigUint> {
+        let (p_lanes, q_lanes) = (self.p_squared_lanes.as_ref(), self.q_squared_lanes.as_ref());
+        let xp = lanes::pow_batch(&self.p_squared, p_lanes, cs, &self.p_minus_1, kernel, scratch);
+        let xq = lanes::pow_batch(&self.q_squared, q_lanes, cs, &self.q_minus_1, kernel, scratch);
+        xp.into_iter().zip(xq).map(|(xp, xq)| self.recombine(xp, xq)).collect()
+    }
+
+    /// The plaintext from the branch powers `xp = c^{p−1} mod p²` and
+    /// `xq = c^{q−1} mod q²`: the L function, the correction and Garner's
+    /// recombination, per ciphertext.
+    fn recombine(&self, xp: BigUint, xq: BigUint) -> BigUint {
         let (p, q) = (self.p.modulus(), self.q.modulus());
         // m_p = L_p(c^{p−1} mod p²) · h_p mod p
-        let lp = l_function(self.p_squared.mod_pow_with(c, &self.p_minus_1, scratch), p);
-        let mp = self.p.mul_by(&self.h_p, &lp);
-        let lq = l_function(self.q_squared.mod_pow_with(c, &self.q_minus_1, scratch), q);
-        let mq = self.q.mul_by(&self.h_q, &lq);
+        let mp = self.p.mul_by(&self.h_p, &l_function(xp, p));
+        let mq = self.q.mul_by(&self.h_q, &l_function(xq, q));
         // Garner recombination: m = m_p + p·((m_q − m_p)·p⁻¹ mod q).
         let diff = mq.sub_mod(&mp, q);
         mp.add(&p.mul(&self.q.mul_by(&self.p_inv_q, &diff)))
@@ -359,6 +395,23 @@ impl PaillierPrivateKey {
         self.crt.decrypt(&c.0, scratch)
     }
 
+    /// The plaintext residue of every ciphertext, [`LANES`] at a time on
+    /// `kernel` — the same residues as a loop of
+    /// [`PaillierPrivateKey::decrypt_with`].
+    pub(crate) fn decrypt_batch(
+        &self,
+        cs: &[&PaillierCiphertext],
+        kernel: Kernel,
+        scratch: &mut MontScratch,
+    ) -> Vec<BigUint> {
+        let mut out = Vec::with_capacity(cs.len());
+        for batch in cs.chunks(LANES) {
+            let values: Vec<&BigUint> = batch.iter().map(|c| &c.0).collect();
+            out.extend(self.crt.decrypt_batch(&values, kernel, scratch));
+        }
+        out
+    }
+
     /// Decryption via the full `c^λ mod n²` exponentiation — the oracle the
     /// CRT path is tested against. It needs only `(n, λ, μ)`, the material
     /// [`crate::keys::encode_paillier_secret`] carries.
@@ -434,9 +487,19 @@ impl PaillierEncryptor {
     /// ciphertexts.
     #[must_use]
     pub fn noise_for_seed(&self, seed: u64) -> MontResidue {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x = BigUint::random_bits(&mut rng, self.noise_bits);
-        self.window.pow(&x)
+        self.window.pow(&self.noise_exponent(seed))
+    }
+
+    /// [`PaillierEncryptor::noise_for_seed`] of every seed, [`LANES`] at
+    /// a time on `kernel` — the same factors.
+    pub(crate) fn noise_for_seeds(&self, seeds: &[u64], kernel: Kernel) -> Vec<MontResidue> {
+        let exps: Vec<BigUint> = seeds.iter().map(|&s| self.noise_exponent(s)).collect();
+        self.window.pow_many(&exps, kernel)
+    }
+
+    /// The short noise exponent `x` seeded by `seed`.
+    fn noise_exponent(&self, seed: u64) -> BigUint {
+        BigUint::random_bits(&mut StdRng::seed_from_u64(seed), self.noise_bits)
     }
 
     /// Encrypts `m` with an explicit noise factor (from
@@ -472,10 +535,11 @@ impl PaillierEncryptor {
 /// The pool does not own randomness: factor `j` is the pure function
 /// `encryptor.noise_for_seed(split_seed(pool_seed, j))`, so a ciphertext
 /// depends only on the order in which callers *reserve* indices — never on
-/// whether the factor was prefilled, which thread computed it, or how many
-/// were prefilled. [`NoisePool::prefill`] computes factors ahead of the
-/// critical path and caches them; [`NoisePool::take`] consumes the cache
-/// when it can and falls back to computing on demand.
+/// whether the factor was prefilled, which thread computed it, which
+/// kernel, or how many were prefilled. [`NoisePool::prefill`] computes
+/// factors ahead of the critical path and caches them; a take of a run of
+/// reserved indices consumes the cache when it can and computes the rest
+/// on demand, a lane batch at a time.
 #[derive(Debug)]
 pub struct NoisePool {
     seed: u64,
@@ -512,32 +576,69 @@ impl NoisePool {
         start
     }
 
-    /// The factor for a reserved index: the prefilled value if available,
-    /// otherwise computed on demand (identical either way).
-    #[must_use]
-    pub fn take(&self, enc: &PaillierEncryptor, index: u64) -> MontResidue {
-        if let Some(hit) =
-            self.state.lock().expect("noise pool mutex poisoned").ready.remove(&index)
-        {
-            return hit;
-        }
-        enc.noise_for_seed(self.seed_for(index))
+    /// The factors for the reserved indices `first..first + count`: the
+    /// prefilled ones, taken under one lock, and the rest computed on
+    /// `kernel` as one batch (identical either way).
+    pub(crate) fn take(
+        &self,
+        enc: &PaillierEncryptor,
+        first: u64,
+        count: usize,
+        kernel: Kernel,
+    ) -> Vec<MontResidue> {
+        let indices = first..first + count as u64;
+        let hits: Vec<Option<MontResidue>> = {
+            let mut state = self.state.lock().expect("noise pool mutex poisoned");
+            indices.clone().map(|j| state.ready.remove(&j)).collect()
+        };
+        let missing: Vec<u64> = indices
+            .zip(&hits)
+            .filter(|(_, hit)| hit.is_none())
+            .map(|(j, _)| self.seed_for(j))
+            .collect();
+        let mut computed = enc.noise_for_seeds(&missing, kernel).into_iter();
+        hits.into_iter()
+            .map(|hit| hit.unwrap_or_else(|| computed.next().expect("a factor per missing index")))
+            .collect()
     }
 
     /// Precomputes the next `count` unreserved factors on `pool`, off the
     /// encryption critical path. Safe to call at any time; already-reserved
     /// indices are never recomputed.
     pub fn prefill(&self, enc: &PaillierEncryptor, count: usize, pool: &vfps_par::Pool) {
+        self.prefill_insert(self.prefill_compute(enc, count, pool, Kernel::detected()));
+    }
+
+    /// The first half of [`NoisePool::prefill`]: the next `count`
+    /// unreserved factors, computed in lane batches on `pool` without
+    /// holding the lock.
+    pub(crate) fn prefill_compute(
+        &self,
+        enc: &PaillierEncryptor,
+        count: usize,
+        pool: &vfps_par::Pool,
+        kernel: Kernel,
+    ) -> Vec<(u64, MontResidue)> {
         let start = self.state.lock().expect("noise pool mutex poisoned").cursor;
         let indices: Vec<u64> = (start..start + count as u64).collect();
-        let factors =
-            pool.par_map_indexed(&indices, |_, &j| (j, enc.noise_for_seed(self.seed_for(j))));
+        let batches: Vec<&[u64]> = indices.chunks(LANES).collect();
+        pool.par_map_indexed(&batches, |_, batch| {
+            let seeds: Vec<u64> = batch.iter().map(|&j| self.seed_for(j)).collect();
+            batch.iter().copied().zip(enc.noise_for_seeds(&seeds, kernel)).collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    /// The second half of [`NoisePool::prefill`]: caches the factors whose
+    /// index is still unreserved. A reserve (and take) that ran while they
+    /// were computed has consumed the indices below the cursor; caching
+    /// those would leave them in `ready` forever.
+    pub(crate) fn prefill_insert(&self, factors: Vec<(u64, MontResidue)>) {
         let mut state = self.state.lock().expect("noise pool mutex poisoned");
-        for (j, f) in factors {
-            // A concurrent reserve/take may have consumed past `j` already;
-            // caching it anyway is harmless (take falls back to computing).
-            state.ready.insert(j, f);
-        }
+        let cursor = state.cursor;
+        state.ready.extend(factors.into_iter().filter(|&(j, _)| j >= cursor));
     }
 
     /// Number of prefilled factors currently cached.
@@ -545,6 +646,14 @@ impl NoisePool {
     pub fn ready_len(&self) -> usize {
         self.state.lock().expect("noise pool mutex poisoned").ready.len()
     }
+}
+
+/// The kernel Paillier's batched exponentiations run on in this process:
+/// `ifma8` where CPUID reports `avx512f` and `avx512ifma`, `scalar`
+/// elsewhere.
+#[must_use]
+pub fn kernel_name() -> &'static str {
+    Kernel::detected().name()
 }
 
 #[cfg(test)]
@@ -791,20 +900,47 @@ mod tests {
         let kp = keypair(128);
         let mut rng = StdRng::seed_from_u64(22);
         let enc = PaillierEncryptor::new(&kp.public, &mut rng);
-        // Reference: no prefill at all, take on demand.
+        // Reference: no prefill at all, one scalar factor per index.
         let cold = NoisePool::new(777);
         let start = cold.reserve(12);
-        let want: Vec<MontResidue> = (start..start + 12).map(|j| cold.take(&enc, j)).collect();
-        for threads in [1usize, 4] {
-            let pool = vfps_par::Pool::with_threads(threads);
-            let warm = NoisePool::new(777);
-            warm.prefill(&enc, 5, &pool); // partial prefill: 5 of 12
-            assert_eq!(warm.ready_len(), 5);
-            let start = warm.reserve(12);
-            let got: Vec<MontResidue> = (start..start + 12).map(|j| warm.take(&enc, j)).collect();
-            assert_eq!(got, want, "threads={threads}");
-            assert_eq!(warm.ready_len(), 0, "prefilled factors consumed");
+        let want: Vec<MontResidue> =
+            (start..start + 12).map(|j| enc.noise_for_seed(cold.seed_for(j))).collect();
+        for kernel in Kernel::available() {
+            for threads in [1usize, 4] {
+                let pool = vfps_par::Pool::with_threads(threads);
+                let warm = NoisePool::new(777);
+                // Partial prefill: 5 of 12.
+                warm.prefill_insert(warm.prefill_compute(&enc, 5, &pool, kernel));
+                assert_eq!(warm.ready_len(), 5);
+                let start = warm.reserve(12);
+                let got = warm.take(&enc, start, 12, kernel);
+                assert_eq!(got, want, "{kernel:?}, threads={threads}");
+                assert_eq!(warm.ready_len(), 0, "prefilled factors consumed");
+            }
         }
+    }
+
+    /// A reserve and take that land between a prefill's compute and its
+    /// insert consume indices the prefill computed: the insert drops them
+    /// rather than caching factors nothing will take.
+    #[test]
+    fn prefill_drops_factors_reserved_while_it_computed() {
+        let kp = keypair(128);
+        let enc = PaillierEncryptor::new(&kp.public, &mut StdRng::seed_from_u64(23));
+        let pool = vfps_par::Pool::with_threads(1);
+        let noise = NoisePool::new(778);
+        let computed = noise.prefill_compute(&enc, 5, &pool, Kernel::detected());
+        assert_eq!(computed.iter().map(|&(j, _)| j).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        let start = noise.reserve(3);
+        let taken = noise.take(&enc, start, 3, Kernel::detected());
+        noise.prefill_insert(computed.clone());
+        assert_eq!(noise.ready_len(), 2, "indices 0–2 were reserved before the insert");
+        let start = noise.reserve(2);
+        assert_eq!(start, 3);
+        let rest = noise.take(&enc, start, 2, Kernel::detected());
+        assert_eq!(noise.ready_len(), 0);
+        let all: Vec<MontResidue> = taken.into_iter().chain(rest).collect();
+        assert_eq!(all, computed.into_iter().map(|(_, f)| f).collect::<Vec<_>>());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! * [`PlainHe`] — a no-op scheme for ablations and large-scale simulation
 //!   where HE costs are accounted analytically instead of paid for real.
 
+use crate::bigint::lanes::{Kernel, LANES};
 use crate::bigint::montgomery::MontScratch;
 use crate::bigint::BigUint;
 use crate::ckks::{CkksCiphertext, CkksContext, CkksParams, CkksPublicKey, CkksSecretKey};
@@ -303,9 +304,9 @@ impl PaillierHe {
     /// Encrypts several batches on an explicit pool. One call reserves one
     /// contiguous run of noise-pool indices under a lock, covering every
     /// batch's slot groups in order — so ciphertexts are a pure function
-    /// of the call sequence, not of thread count or prefill state — then
-    /// all groups across all batches fan out as a single flat parallel
-    /// map.
+    /// of the call sequence, not of thread count, prefill state or kernel —
+    /// then all groups across all batches fan out as a single flat
+    /// parallel map, eight groups (one noise batch) per task.
     ///
     /// # Errors
     /// Fails when any batch exceeds the slot count or a value cannot be
@@ -315,21 +316,26 @@ impl PaillierHe {
         batches: &[&[f64]],
         pool: &vfps_par::Pool,
     ) -> Result<Vec<PackedPaillier>> {
+        self.encrypt_many_with(batches, pool, Kernel::detected())
+    }
+
+    /// [`PaillierHe::encrypt_many_on`] with the noise factors on `kernel`.
+    pub(crate) fn encrypt_many_with(
+        &self,
+        batches: &[&[f64]],
+        pool: &vfps_par::Pool,
+        kernel: Kernel,
+    ) -> Result<Vec<PackedPaillier>> {
         for b in batches {
             if b.len() > self.batch {
                 return Err(Error::TooManySlots { got: b.len(), max: self.batch });
             }
         }
         let slots = self.layout.slots().max(1);
-        // Noise index ranges per batch, assigned contiguously in order.
-        let mut starts = Vec::with_capacity(batches.len());
         let total_groups: usize = batches.iter().map(|b| b.len().div_ceil(slots)).sum();
+        // Group `t` of the flattened (batch, group) order takes noise
+        // index `start + t`.
         let start = self.noise.reserve(total_groups);
-        let mut next = start;
-        for b in batches {
-            starts.push(next);
-            next += b.len().div_ceil(slots) as u64;
-        }
         vfps_obs::time_us("he.paillier.encrypt_us", || {
             // Flatten to (batch, group) tasks so small batches still fill
             // the pool, then reassemble per batch.
@@ -338,21 +344,32 @@ impl PaillierHe {
                 .enumerate()
                 .flat_map(|(bi, b)| (0..b.len().div_ceil(slots)).map(move |g| (bi, g)))
                 .collect();
+            let lane_batches: Vec<&[(usize, usize)]> = tasks.chunks(LANES).collect();
             let flat: Result<Vec<PaillierCiphertext>> = pool
-                .par_map_indexed(&tasks, |_, &(bi, g)| {
-                    let group = &batches[bi][g * slots..batches[bi].len().min((g + 1) * slots)];
-                    // Pad the tail group with zeros so every slot carries
-                    // the bias and additions of unequal-count ciphertexts
-                    // stay decodable slot-by-slot.
-                    let mut encoded = vec![0i64; slots];
-                    for (e, &v) in encoded.iter_mut().zip(group.iter()) {
-                        *e = self.codec.encode(v)?;
-                    }
-                    let plain = self.layout.pack(&encoded)?;
-                    let noise = self.noise.take(&self.encryptor, starts[bi] + g as u64);
-                    self.encryptor.encrypt_with_noise(&plain, &noise)
+                .par_map_indexed(&lane_batches, |i, groups| {
+                    let first = start + (i * LANES) as u64;
+                    let noise = self.noise.take(&self.encryptor, first, groups.len(), kernel);
+                    groups
+                        .iter()
+                        .zip(noise)
+                        .map(|(&(bi, g), noise)| {
+                            let group =
+                                &batches[bi][g * slots..batches[bi].len().min((g + 1) * slots)];
+                            // Pad the tail group with zeros so every slot
+                            // carries the bias and additions of
+                            // unequal-count ciphertexts stay decodable
+                            // slot-by-slot.
+                            let mut encoded = vec![0i64; slots];
+                            for (e, &v) in encoded.iter_mut().zip(group.iter()) {
+                                *e = self.codec.encode(v)?;
+                            }
+                            let plain = self.layout.pack(&encoded)?;
+                            self.encryptor.encrypt_with_noise(&plain, &noise)
+                        })
+                        .collect::<Vec<_>>()
                 })
                 .into_iter()
+                .flatten()
                 .collect();
             let mut flat = flat?.into_iter();
             let out = batches
@@ -390,26 +407,33 @@ impl PaillierHe {
             .take_while(|&(_, take)| take > 0)
     }
 
-    /// Decrypts one slot group and decodes its first `take` values.
-    fn decrypt_group(
+    /// Decrypts up to [`LANES`] slot groups `(group, values to take,
+    /// summed terms)` as one batch on `kernel` and decodes each.
+    fn decrypt_groups(
         &self,
-        c: &PaillierCiphertext,
-        take: usize,
-        terms: u32,
+        groups: &[(&PaillierCiphertext, usize, u32)],
+        kernel: Kernel,
         scratch: &mut MontScratch,
-    ) -> Result<Vec<f64>> {
-        let residue = self.keypair.private.decrypt_with(c, scratch);
-        let vals = self.layout.unpack(&residue, take, terms)?;
-        Ok(vals.into_iter().map(|v| self.codec.decode_i128(v)).collect())
+    ) -> Vec<Result<Vec<f64>>> {
+        let cs: Vec<&PaillierCiphertext> = groups.iter().map(|&(c, _, _)| c).collect();
+        let residues = self.keypair.private.decrypt_batch(&cs, kernel, scratch);
+        residues
+            .iter()
+            .zip(groups)
+            .map(|(residue, &(_, take, terms))| {
+                let vals = self.layout.unpack(residue, take, terms)?;
+                Ok(vals.into_iter().map(|v| self.codec.decode_i128(v)).collect())
+            })
+            .collect()
     }
 
     /// [`AdditiveHe::decrypt_many`] on an explicit pool (tests and
     /// benchmarks pin the thread count through this). Every ciphertext's
-    /// slot groups are flattened into one task list before the map — a
-    /// query's 15-odd ciphertexts alone would run inline under the pool's
-    /// sequential cutoff, its few hundred groups do not — and results land
-    /// by index, so the output is the loop of [`AdditiveHe::decrypt`] at any
-    /// thread count.
+    /// slot groups are flattened into one task list and mapped eight
+    /// groups (one lane batch) per task — a wave's 120-odd ciphertexts
+    /// alone would run inline under the pool's sequential cutoff, its 240
+    /// lane batches do not — and results land by index, so the output is
+    /// the loop of [`AdditiveHe::decrypt`] at any thread count.
     ///
     /// # Errors
     /// Fails when a slot group cannot be unpacked under the layout.
@@ -418,6 +442,16 @@ impl PaillierHe {
         cts: &[(&PackedPaillier, usize)],
         pool: &vfps_par::Pool,
     ) -> Result<Vec<Vec<f64>>> {
+        self.decrypt_many_with(cts, pool, Kernel::detected())
+    }
+
+    /// [`PaillierHe::decrypt_many_on`] on `kernel`.
+    pub(crate) fn decrypt_many_with(
+        &self,
+        cts: &[(&PackedPaillier, usize)],
+        pool: &vfps_par::Pool,
+        kernel: Kernel,
+    ) -> Result<Vec<Vec<f64>>> {
         vfps_obs::time_us("he.paillier.decrypt_us", || {
             let tasks: Vec<(&PaillierCiphertext, usize, u32)> = cts
                 .iter()
@@ -425,13 +459,16 @@ impl PaillierHe {
                     self.group_tasks(ct, count).map(move |(c, take)| (c, take, ct.terms))
                 })
                 .collect();
+            let lane_batches: Vec<&[(&PaillierCiphertext, usize, u32)]> =
+                tasks.chunks(LANES).collect();
             let mut flat = pool
                 .par_map_indexed_scratch(
-                    &tasks,
+                    &lane_batches,
                     MontScratch::default,
-                    |scratch, _, &(c, take, terms)| self.decrypt_group(c, take, terms, scratch),
+                    |scratch, _, groups| self.decrypt_groups(groups, kernel, scratch),
                 )
-                .into_iter();
+                .into_iter()
+                .flatten();
             cts.iter()
                 .map(|&(ct, count)| {
                     let mut out = Vec::with_capacity(count.min(ct.count()));
@@ -442,6 +479,17 @@ impl PaillierHe {
                 })
                 .collect()
         })
+    }
+
+    /// [`AdditiveHe::decrypt`] on `kernel`: [`PaillierHe::decrypt_many_with`]
+    /// of the one ciphertext on a one-thread pool (no workers), so it runs
+    /// on the calling thread.
+    fn decrypt_on_kernel(&self, ct: &PackedPaillier, count: usize, kernel: Kernel) -> Vec<f64> {
+        let here = vfps_par::Pool::with_threads(1);
+        let mut out = self
+            .decrypt_many_with(&[(ct, count)], &here, kernel)
+            .expect("a PackedPaillier is within its layout's bounds by construction");
+        out.pop().expect("one ciphertext asked, one answered")
     }
 }
 
@@ -465,17 +513,7 @@ impl AdditiveHe for PaillierHe {
     }
 
     fn decrypt(&self, ct: &Self::Ciphertext, count: usize) -> Vec<f64> {
-        vfps_obs::time_us("he.paillier.decrypt_us", || {
-            let mut scratch = MontScratch::default();
-            let mut out = Vec::with_capacity(count.min(ct.count()));
-            for (c, take) in self.group_tasks(ct, count) {
-                out.extend(
-                    self.decrypt_group(c, take, ct.terms, &mut scratch)
-                        .expect("a PackedPaillier is within its layout's bounds by construction"),
-                );
-            }
-            out
-        })
+        self.decrypt_on_kernel(ct, count, Kernel::detected())
     }
 
     fn decrypt_many(&self, cts: &[(&Self::Ciphertext, usize)]) -> Result<Vec<Vec<f64>>> {
@@ -801,6 +839,91 @@ mod tests {
             assert_eq!(scheme.decrypt_many(&asks).unwrap(), looped, "{counts:?}");
         }
         assert!(scheme.decrypt_many(&[]).unwrap().is_empty());
+    }
+
+    /// Ciphertexts of `groups` slot groups in all, at most 16 groups (64
+    /// values at 4 slots) each, the last one short of a full group.
+    fn packed(scheme: &PaillierHe, groups: usize) -> Vec<PackedPaillier> {
+        let slots = scheme.layout().slots();
+        let flat = seeded_uniform(groups as u64, groups * slots - 1, -9.0, 9.0);
+        let batches: Vec<&[f64]> = flat.chunks(16 * slots).collect();
+        scheme.encrypt_many(&batches).unwrap()
+    }
+
+    /// The scalar reference: a loop of `decrypt_with` over every group.
+    fn decrypt_by_loop(scheme: &PaillierHe, ct: &PackedPaillier, count: usize) -> Vec<f64> {
+        let mut scratch = MontScratch::default();
+        scheme
+            .group_tasks(ct, count)
+            .flat_map(|(c, take)| {
+                let residue = scheme.keypair.private.decrypt_with(c, &mut scratch);
+                let vals = scheme.layout.unpack(&residue, take, ct.terms).unwrap();
+                vals.into_iter().map(|v| scheme.codec.decode_i128(v)).collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    /// `decrypt_many_on` and the trait's `decrypt`, on every kernel this
+    /// CPU runs, against a loop of the scalar `decrypt_with`: 1, 7, 8, 9
+    /// and 17 groups (a lane batch short, full, one over, and a tail below
+    /// the live-lane crossover), plus 515 (64 lane batches and a tail: the
+    /// pool's parallel branch), on 1-, 2- and 4-thread pools.
+    #[test]
+    fn paillier_batched_decrypt_equals_a_loop_of_decrypt_with() {
+        let scheme = PaillierHe::generate(256, 64, 55).unwrap();
+        let pools: Vec<vfps_par::Pool> =
+            [1, 2, 4].into_iter().map(vfps_par::Pool::with_threads).collect();
+        for kernel in Kernel::available() {
+            for groups in [1usize, 7, 8, 9, 17, 515] {
+                let cts = packed(&scheme, groups);
+                let asks: Vec<(&PackedPaillier, usize)> =
+                    cts.iter().map(|ct| (ct, ct.count())).collect();
+                let want: Vec<Vec<f64>> =
+                    asks.iter().map(|&(ct, count)| decrypt_by_loop(&scheme, ct, count)).collect();
+                for pool in &pools {
+                    assert_eq!(
+                        scheme.decrypt_many_with(&asks, pool, kernel).unwrap(),
+                        want,
+                        "{kernel:?}, {groups} groups, {} threads",
+                        pool.threads()
+                    );
+                }
+                for (&(ct, count), want) in asks.iter().zip(&want) {
+                    assert_eq!(&scheme.decrypt_on_kernel(ct, count, kernel), want, "{kernel:?}");
+                    // A short ask ends inside a lane batch.
+                    let short = count.min(9);
+                    assert_eq!(scheme.decrypt_on_kernel(ct, short, kernel), want[..short]);
+                }
+            }
+        }
+    }
+
+    /// `encrypt_many_on` forced onto each kernel, with no prefill, a
+    /// partial one and one past the call, gives the bytes of the scalar
+    /// kernel without prefill.
+    #[test]
+    fn paillier_encrypt_bytes_are_the_same_on_every_kernel() {
+        let flat = seeded_uniform(8, 68, -5.0, 5.0);
+        let batches: Vec<&[f64]> = flat.chunks(64).collect(); // 17 groups
+        let bytes = |cts: Vec<PackedPaillier>, scheme: &PaillierHe| -> Vec<Vec<u8>> {
+            cts.iter().map(|ct| scheme.ct_to_bytes(ct)).collect()
+        };
+        let pool = vfps_par::Pool::with_threads(2);
+        let reference = {
+            let scheme = PaillierHe::generate(256, 64, 79).unwrap();
+            bytes(scheme.encrypt_many_with(&batches, &pool, Kernel::Scalar).unwrap(), &scheme)
+        };
+        for kernel in Kernel::available() {
+            for prefill in [0usize, 5, 40] {
+                let scheme = PaillierHe::generate(256, 64, 79).unwrap();
+                let computed =
+                    scheme.noise.prefill_compute(&scheme.encryptor, prefill, &pool, kernel);
+                scheme.noise.prefill_insert(computed);
+                let cts = scheme.encrypt_many_with(&batches, &pool, kernel).unwrap();
+                assert_eq!(bytes(cts, &scheme), reference, "{kernel:?}, prefill {prefill}");
+                assert_eq!(scheme.noise_ready(), prefill.saturating_sub(17));
+            }
+        }
     }
 
     fn exercise<H: AdditiveHe>(scheme: &H, tol_scale: f64) {

@@ -90,13 +90,19 @@ const fn unpacked_value_bytes(key_bits: usize) -> usize {
 /// `PlainHe` 8, the id lists 4 — under 160 KiB a frame.
 ///
 /// **Time.** One phase of a wave is at most the budget's worth of HE work
-/// between two deadlines. Measured on one core of the 2-vCPU development host
-/// (`batch` ≥ the key's slot count, noise pool cold), a full budget costs
-/// to decrypt / to encrypt: 20 / 20 ms at 256-bit keys, 0.26 / 0.10 s at
-/// 1 024, 0.93 / 0.28 s at 2 048 (the width SECURITY.md asks a deployment
-/// for: a tenth of [`PHASE_TIMEOUT`]), 3.4 / 1.1 s at 4 096 — where key
-/// generation alone takes 3.2 s of the hub's 10 s setup deadline. Wider
-/// keys were not measured. A `batch` *below* the slot count spends a
+/// between two deadlines. Measured on one core of the 2-vCPU development
+/// host, a Xeon with AVX-512 IFMA (`batch` ≥ the key's slot count, noise
+/// pool cold, ranges over two runs), a full budget costs to decrypt / to
+/// encrypt on the scalar kernel 18–20 / 4–6 ms at 128-bit keys, 25–35 /
+/// 6–10 ms at 256, 74–105 / 25–38 ms at 512 and 0.31–0.33 / 0.09–0.13 s at
+/// 1 024; on the eight-lane kernel, which `vfps_he` runs where CPUID has
+/// IFMA, 9–10 / 3 ms at 128, 9–11 / 3–4 ms at 256, 17–20 / 6–8 ms at 512,
+/// and 55–59 ms to decrypt at 1 024 (its encryption, modulo a 2 048-bit
+/// `n²`, stays scalar). Wider keys run the scalar kernel only: 0.93 /
+/// 0.28 s at 2 048 (the width SECURITY.md asks a deployment for: a tenth
+/// of [`PHASE_TIMEOUT`]), 3.4 / 1.1 s at 4 096 — where key generation
+/// alone takes 3.2 s of the hub's 10 s setup deadline. Wider keys were not
+/// measured. A `batch` *below* the slot count spends a
 /// ciphertext group on fewer values than it holds and multiplies these
 /// figures by the shortfall (up to 34× at 2 048 bits with `batch` 1):
 /// such a session must keep `queries × n` small, as it already had to keep
