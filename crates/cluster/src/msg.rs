@@ -18,8 +18,9 @@ use vfps_vfl::KnnSession;
 
 /// Which additive-HE scheme every node of a session instantiates.
 ///
-/// All nodes derive the scheme from the same spec (same seed), so the
-/// leader's decryption key matches the participants' encryption key. A
+/// All nodes derive the key pair from the same spec (same seed), so the
+/// leader's decryption key matches the participants' encryption key; each
+/// daemon's noise stream is its own, per session, never the seed's. A
 /// production deployment would replace this with the paper's key server;
 /// the testbed trades that ceremony for determinism.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

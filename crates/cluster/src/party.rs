@@ -11,9 +11,12 @@
 //! accept loop continues.
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::net::TcpListener;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, SystemTime};
 
 use vfps_data::VerticalPartition;
 use vfps_he::scheme::{AdditiveHe, PaillierHe, PlainHe};
@@ -24,7 +27,7 @@ use vfps_net::wire::Wire;
 use vfps_net::{Conn, Error, NodeId, TransportFailure};
 use vfps_vfl::{knn_participant_node, KnnSession, ProtoMsg};
 
-use crate::msg::{ClusterMsg, ErrorFrame, SchemeKind, SetupFrame};
+use crate::msg::{ClusterMsg, ErrorFrame, SchemeKind, SchemeSpec, SetupFrame};
 
 /// How long a daemon waits for the first frame of a connection (and
 /// between control frames) before giving up on the peer.
@@ -181,22 +184,65 @@ fn run_setup(
                 killed: run_session(conn, &he, &session, frame.slot, x, partition, cfg),
             }
         }
-        SchemeKind::Paillier => {
-            match PaillierHe::generate(frame.scheme.key_bits, frame.scheme.batch, frame.scheme.seed)
-            {
-                Ok(he) => {
-                    let he = Arc::new(he);
-                    ConnOutcome::Session {
-                        killed: run_session(conn, &he, &session, frame.slot, x, partition, cfg),
-                    }
-                }
-                Err(e) => {
-                    refuse(conn, Error::violation(format!("scheme generation failed: {e}")));
-                    ConnOutcome::Probe
+        SchemeKind::Paillier => match session_paillier(&frame.scheme, cfg.party_id) {
+            Ok(he) => {
+                let he = Arc::new(he);
+                ConnOutcome::Session {
+                    killed: run_session(conn, &he, &session, frame.slot, x, partition, cfg),
                 }
             }
-        }
+            Err(e) => {
+                refuse(conn, Error::violation(format!("scheme generation failed: {e}")));
+                ConnOutcome::Probe
+            }
+        },
     }
+}
+
+/// The Paillier scheme for one session of party `party_id` under `spec`.
+///
+/// Every daemon derives the whole key pair from the spec's seed, so the
+/// leader can decrypt what the others encrypt. The derived material —
+/// keypair, encryptor table, CRT constants — is kept in a single-entry,
+/// process-wide cache keyed by the full spec, so a daemon serving
+/// back-to-back sessions pays keygen once; a failing generation (an
+/// oversized key) leaves the cache as it was. The noise stream is never
+/// the spec's: each session draws from [`session_noise_seed`], so two
+/// parties — or two sessions — encrypting equal plaintexts do not produce
+/// equal ciphertexts, and dividing one party's ciphertext by another's
+/// does not cancel the noise.
+fn session_paillier(spec: &SchemeSpec, party_id: usize) -> vfps_he::Result<PaillierHe> {
+    static KEYS: Mutex<Option<(SchemeSpec, Arc<PaillierHe>)>> = Mutex::new(None);
+    let keys = {
+        let mut cached = KEYS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        match &*cached {
+            Some((cached_spec, he)) if cached_spec == spec => Arc::clone(he),
+            _ => {
+                let he = Arc::new(PaillierHe::generate(spec.key_bits, spec.batch, spec.seed)?);
+                *cached = Some((*spec, Arc::clone(&he)));
+                he
+            }
+        }
+    };
+    Ok(keys.with_noise_seed(session_noise_seed(party_id)))
+}
+
+/// A noise seed no other session of this process, and no other party,
+/// draws: the party id and a cursor that advances with every session,
+/// hashed under per-process entropy (a [`RandomState`]'s OS-seeded keys,
+/// drawn once, plus the clock and the process id).
+fn session_noise_seed(party_id: usize) -> u64 {
+    static ENTROPY: OnceLock<(RandomState, u128)> = OnceLock::new();
+    static SESSIONS: AtomicU64 = AtomicU64::new(0);
+    let (keys, salt) = ENTROPY.get_or_init(|| {
+        let now = SystemTime::now().duration_since(SystemTime::UNIX_EPOCH).unwrap_or_default();
+        (RandomState::new(), now.as_nanos() ^ u128::from(std::process::id()))
+    });
+    let mut h = keys.build_hasher();
+    h.write_u128(*salt);
+    h.write_usize(party_id);
+    h.write_u64(SESSIONS.fetch_add(1, Ordering::Relaxed));
+    h.finish()
 }
 
 /// Runs one protocol session as node `1 + slot` over the socket. Returns
@@ -343,5 +389,29 @@ impl Channel<ProtoMsg> for PartyChannel<'_> {
 
     fn is_departed(&self, node: NodeId) -> bool {
         self.mailbox.borrow().is_departed(node)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The only test in this binary that derives Paillier keys, so nothing
+    /// else touches the process-wide cache while it runs.
+    #[test]
+    fn keys_are_derived_once_per_spec_and_never_cached_from_a_refusal() {
+        let spec = SchemeSpec::paillier(128, 8, 77);
+        let first = session_paillier(&spec, 0).unwrap();
+        let oversized = SchemeSpec::paillier(1 << 20, 8, 77);
+        assert!(session_paillier(&oversized, 0).is_err());
+        let again = session_paillier(&spec, 1).unwrap();
+        assert!(std::ptr::eq(first.keypair(), again.keypair()), "a refusal evicted the keys");
+        let other = session_paillier(&SchemeSpec::paillier(128, 8, 78), 0).unwrap();
+        assert!(!std::ptr::eq(first.keypair(), other.keypair()));
+        assert_ne!(first.keypair().public, other.keypair().public);
+        // Same keys, different noise: equal plaintexts, different bytes.
+        let (a, b) = (first.encrypt(&[1.5; 8]).unwrap(), again.encrypt(&[1.5; 8]).unwrap());
+        assert_ne!(first.ct_to_bytes(&a), again.ct_to_bytes(&b));
+        assert_eq!(first.decrypt(&b, 8), vec![1.5; 8]);
     }
 }

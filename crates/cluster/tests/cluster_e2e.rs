@@ -6,13 +6,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use vfps_cluster::{ping_party, run_cluster_knn, HubOptions, PartyConfig, SchemeSpec};
+use vfps_cluster::{
+    ping_party, run_cluster_knn, ClusterMsg, HubOptions, PartyConfig, SchemeSpec, SetupFrame,
+};
 use vfps_data::VerticalPartition;
-use vfps_he::scheme::{seeded_uniform, PaillierHe, PlainHe};
+use vfps_he::scheme::{seeded_uniform, AdditiveHe, PaillierHe, PlainHe};
 use vfps_ml::linalg::Matrix;
-use vfps_net::FaultPlan;
+use vfps_net::wire::Wire;
+use vfps_net::{Conn, FaultPlan};
 use vfps_vfl::fed_knn::{FedKnnConfig, KnnMode};
-use vfps_vfl::{run_threaded_knn_faulted, FaultedRun, KnnSession};
+use vfps_vfl::{run_threaded_knn_faulted, FaultedRun, KnnSession, ProtoMsg};
 
 fn toy() -> (Matrix, VerticalPartition) {
     let x = Matrix::from_rows(&[
@@ -373,4 +376,66 @@ fn run_one_plain_session(addr: &str, _x: &Matrix, _part: &VerticalPartition) {
         run_cluster_knn(&he, &session, 3, SchemeSpec::plain(4), &[addr.to_string()], &fast_opts())
             .expect("tcp setup");
     assert!(matches!(report.run, FaultedRun::Complete(_)), "got {:?}", report.run);
+}
+
+/// Every daemon derives the same key pair from the setup's seed, but not
+/// the same noise. Two parties whose columns are copies of each other
+/// encrypt equal plaintexts; over TCP, their slots of one session send
+/// different ciphertexts, and each daemon's second session differs from
+/// its first. (With the setup seed's noise stream all four sent the same
+/// bytes, and one party's ciphertext divided by another's exposed the
+/// difference of their plaintexts.)
+#[test]
+fn paillier_noise_is_per_party_and_per_session() {
+    let rows: Vec<Vec<f64>> = (0..8)
+        .map(|i| {
+            let (a, b) = (f64::from(i) * 0.7, f64::from(i * i) * 0.1);
+            vec![a, b, a, b]
+        })
+        .collect();
+    let (x, part) = (Matrix::from_rows(&rows), VerticalPartition::even(4, 2));
+    let parties = vec![0usize, 1];
+    let db: Vec<usize> = (0..8).collect();
+    let cfg = FedKnnConfig { k: 2, mode: KnnMode::Base, batch: 3, cost_scale: 1.0 };
+    let session = KnnSession::new(&parties, &db, &[1, 4], cfg, 13);
+    let spec = SchemeSpec::paillier(128, 8, 5);
+    let daemons: Vec<(String, JoinHandle<vfps_cluster::PartyReport>)> =
+        parties.iter().map(|&p| spawn_party(&x, &part, PartyConfig::new(p), 2)).collect();
+    // One Base exchange as the coordinator: Setup, Ready, AllCandidates,
+    // then the slot's EncPartials; dropping the socket ends the session.
+    let encrypted = |slot: usize| -> Vec<Vec<u8>> {
+        let conn = Conn::connect(daemons[slot].0.as_str()).expect("dial daemon");
+        let setup = SetupFrame::for_slot(&session, 13, slot, spec);
+        conn.send(&ClusterMsg::Setup(setup)).unwrap();
+        assert!(matches!(conn.recv::<ClusterMsg>(), Ok(Some(ClusterMsg::Ready { .. }))));
+        let payload = ProtoMsg::AllCandidates.to_bytes();
+        conn.send(&ClusterMsg::Routed { from: 0, to: 1 + slot, payload }).unwrap();
+        match conn.recv::<ClusterMsg>() {
+            Ok(Some(ClusterMsg::Routed { payload, .. })) => match ProtoMsg::from_bytes(&payload) {
+                Ok(ProtoMsg::EncPartials(blobs)) => blobs,
+                other => panic!("expected EncPartials, got {other:?}"),
+            },
+            other => panic!("expected a routed frame, got {other:?}"),
+        }
+    };
+    let first = [encrypted(0), encrypted(1)];
+    let second = [encrypted(0), encrypted(1)];
+    for (_, handle) in daemons {
+        assert_eq!(handle.join().unwrap().sessions, 2);
+    }
+
+    let he = PaillierHe::generate(128, 8, 5).unwrap();
+    let plain = |blobs: &[Vec<u8>]| -> Vec<Vec<f64>> {
+        blobs.iter().map(|b| he.decrypt(&he.ct_from_bytes(b).unwrap(), 8)).collect()
+    };
+    let want = plain(&first[0]);
+    for blobs in first.iter().chain(&second) {
+        assert_eq!(plain(blobs), want, "equal plaintexts in every frame");
+    }
+    for (a, b) in [(&first[0], &first[1]), (&first[0], &second[0]), (&first[1], &second[1])] {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_ne!(x, y, "a ciphertext repeated across parties or sessions");
+        }
+    }
 }

@@ -7,12 +7,20 @@ impl BigUint {
     /// Big-endian byte encoding with no leading zero bytes (empty for zero).
     #[must_use]
     pub fn to_bytes_be(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.limbs.len() * 8);
-        for &l in self.limbs.iter().rev() {
+        let mut out = Vec::with_capacity(self.byte_len());
+        self.write_bytes_be(&mut out);
+        out
+    }
+
+    /// Appends [`BigUint::to_bytes_be`] to `out`, with no buffer of its own.
+    pub(crate) fn write_bytes_be(&self, out: &mut Vec<u8>) {
+        let Some((&top, rest)) = self.limbs.split_last() else {
+            return;
+        };
+        out.extend_from_slice(&top.to_be_bytes()[top.leading_zeros() as usize / 8..]);
+        for &l in rest.iter().rev() {
             out.extend_from_slice(&l.to_be_bytes());
         }
-        let first = out.iter().position(|&b| b != 0).unwrap_or(out.len());
-        out.split_off(first)
     }
 
     /// Parses a big-endian byte slice.

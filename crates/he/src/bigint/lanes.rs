@@ -25,7 +25,9 @@
 // lane constants.
 #![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 
-use super::montgomery::{inv_mod_2_64, window_digit, MontScratch, MontgomeryCtx, WINDOW_BITS};
+use super::montgomery::{
+    bits_of, inv_mod_2_64, window_digit, MontScratch, MontgomeryCtx, WINDOW_BITS,
+};
 use super::BigUint;
 use std::sync::OnceLock;
 
@@ -153,23 +155,42 @@ impl LaneCtx {
         BigUint::one().shl(LIMB_BITS * self.limbs).rem(&self.modulus)
     }
 
-    /// `bases[i]^exp mod m`, canonical, for up to [`LANES`] bases at once.
-    /// A base up to twice the lane width — a ciphertext below `n²` against
-    /// `p²` — enters lane form as `lo·R² + hi·R³`, two products and no
-    /// division; only a wider one is divided first, which keeps this as
-    /// total as `MontgomeryCtx::mod_pow_with`.
+    /// `bases[i]^exp mod m`, canonical, for up to [`LANES`] bases at once,
+    /// into `out` as `l` 64-bit limbs each (`l` fits the modulus). A base
+    /// up to twice the lane width — a ciphertext below `n²` against `p²` —
+    /// enters lane form as `lo·R² + hi·R³`, two products and no division;
+    /// only a wider one is divided first, which keeps this as total as
+    /// `MontgomeryCtx::mod_pow_with`. No allocation once `scratch` is warm,
+    /// bar that division.
     ///
     /// # Panics
     /// Panics on more than [`LANES`] bases, or on a CPU without the lanes.
-    pub(crate) fn pow_many(&self, bases: &[&BigUint], exp: &BigUint) -> Vec<BigUint> {
+    pub(crate) fn pow_into(
+        &self,
+        bases: &[&BigUint],
+        exp: &BigUint,
+        scratch: &mut LaneScratch,
+        l: usize,
+        out: &mut [u64],
+    ) {
         assert!(bases.len() <= LANES, "{} bases for {LANES} lanes", bases.len());
         assert_ifma();
+        let out = &mut out[..bases.len() * l];
         if exp.is_zero() {
-            return vec![BigUint::one(); bases.len()];
+            for value in out.chunks_exact_mut(l) {
+                value.fill(0);
+                value[0] = 1;
+            }
+            return;
         }
         let n = self.limbs;
-        let (mut lo, mut hi) = (vec![[0u64; LANES]; n], vec![[0u64; LANES]; n]);
-        let mut limbs = vec![0u64; 2 * n];
+        let LaneScratch { lo, hi, rows, limbs, .. } = scratch;
+        for buf in [&mut *lo, &mut *hi] {
+            buf.clear();
+            buf.resize(n, [0; LANES]);
+        }
+        rows.resize(n, [0; LANES]);
+        limbs.resize(2 * n, 0);
         for (lane, base) in bases.iter().enumerate() {
             let reduced;
             let base = if base.bits() > 2 * n * LIMB_BITS {
@@ -178,25 +199,80 @@ impl LaneCtx {
             } else {
                 *base
             };
-            to_radix52(base.limbs(), &mut limbs);
+            to_radix52(base.limbs(), limbs);
             for k in 0..n {
                 lo[k][lane] = limbs[k];
                 hi[k][lane] = limbs[n + k];
             }
         }
-        let mut out = vec![[0u64; LANES]; n];
         // SAFETY: `assert_ifma` above passed, so this CPU has avx512f and
-        // avx512ifma; `lo`, `hi` and `out` hold `n` rows, the width
+        // avx512ifma; `lo`, `hi` and `rows` hold `n` rows, the width
         // `at_width!` instantiates the kernel at.
-        unsafe { at_width!(n, ifma::pow(self, &lo, &hi, exp, &mut out)) };
-        (0..bases.len()).map(|lane| from_radix52(&column(&out, lane))).collect()
+        unsafe { at_width!(n, ifma::pow(self, lo, hi, exp, rows)) };
+        for (lane, value) in out.chunks_exact_mut(l).enumerate() {
+            radix64_lane(rows, lane, value);
+        }
     }
 }
 
-/// `bases[i]^exp mod m` for up to [`LANES`] bases: on the lanes when
-/// `kernel` is [`Kernel::Ifma8`], the modulus has lane constants and at
-/// least [`MIN_LIVE_LANES`] bases are live; on the scalar `ctx` otherwise.
-/// The same integers either way.
+impl LaneCtx {
+    /// `x` (below `m`) as the `N` radix-52 limbs
+    /// [`LaneCtx::product_into`] takes its factor in.
+    pub(crate) fn lane_limbs(&self, x: &BigUint) -> Vec<u64> {
+        radix52(x.limbs(), self.limbs)
+    }
+
+    /// For up to [`LANES`] lanes, the product of `k ≥ 1` operands and
+    /// `factor`, times `R^(−k)`: `x₁ · … · x_k · factor · R^(−k) mod m`,
+    /// canonical, into `out` as `l` 64-bit limbs a lane. Operand `j` of
+    /// lane `i` is `operand(j, i)`, a value below `m` in 64-bit limbs;
+    /// `factor` comes from [`LaneCtx::lane_limbs`]. The factor picks the
+    /// form the result lands in: `R^k mod m` gives the plain product. No
+    /// allocation once `scratch` is warm.
+    ///
+    /// # Panics
+    /// Panics on no operands, more than [`LANES`] lanes, or a CPU without
+    /// the lanes.
+    pub(crate) fn product_into<'a>(
+        &self,
+        k: usize,
+        live: usize,
+        operand: impl Fn(usize, usize) -> &'a [u64],
+        factor: &[u64],
+        scratch: &mut LaneScratch,
+        l: usize,
+        out: &mut [u64],
+    ) {
+        assert!(k >= 1 && live <= LANES, "{k} operands in {live} lanes");
+        assert_ifma();
+        let n = self.limbs;
+        let LaneScratch { lo, rows, limbs, .. } = scratch;
+        lo.clear();
+        lo.resize(k * n, [0; LANES]);
+        rows.resize(n, [0; LANES]);
+        limbs.resize(n, 0);
+        for j in 0..k {
+            for lane in 0..live {
+                to_radix52(operand(j, lane), &mut limbs[..n]);
+                for (row, &limb) in lo[j * n..(j + 1) * n].iter_mut().zip(&limbs[..n]) {
+                    row[lane] = limb;
+                }
+            }
+        }
+        // SAFETY: `assert_ifma` above passed; `lo` holds `k · n` rows and
+        // `rows` `n`, the width `at_width!` instantiates the kernel at, and
+        // `factor` is `n` limbs.
+        unsafe { at_width!(n, ifma::product(self, lo, k, factor, rows)) };
+        for (lane, value) in out.chunks_exact_mut(l).take(live).enumerate() {
+            radix64_lane(rows, lane, value);
+        }
+    }
+}
+
+/// `bases[i]^exp mod m` for up to [`LANES`] bases into `out`, `ctx`'s `L`
+/// limbs each: on the lanes when `kernel` is [`Kernel::Ifma8`], the
+/// modulus has lane constants and at least [`MIN_LIVE_LANES`] bases are
+/// live; on the scalar `ctx` otherwise. The same integers either way.
 pub(crate) fn pow_batch(
     ctx: &MontgomeryCtx,
     lanes: Option<&LaneCtx>,
@@ -204,13 +280,30 @@ pub(crate) fn pow_batch(
     exp: &BigUint,
     kernel: Kernel,
     scratch: &mut MontScratch,
-) -> Vec<BigUint> {
+    out: &mut [u64],
+) {
+    let l = ctx.limbs();
     match lanes {
         Some(lanes) if kernel == Kernel::Ifma8 && bases.len() >= MIN_LIVE_LANES => {
-            lanes.pow_many(bases, exp)
+            lanes.pow_into(bases, exp, &mut scratch.lanes, l, out);
         }
-        _ => bases.iter().map(|b| ctx.mod_pow_with(b, exp, scratch)).collect(),
+        _ => {
+            for (base, value) in bases.iter().zip(out.chunks_exact_mut(l)) {
+                ctx.mod_pow_into(base, exp, scratch, value);
+            }
+        }
     }
+}
+
+/// The lane kernel's buffers, reused across batches: lane rows in and
+/// out, gather offsets, and one value's radix-52 limbs.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LaneScratch {
+    lo: Vec<[u64; LANES]>,
+    hi: Vec<[u64; LANES]>,
+    rows: Vec<[u64; LANES]>,
+    offsets: Vec<[u64; LANES]>,
+    limbs: Vec<u64>,
 }
 
 /// A `FixedBaseWindow` table in lane form: entry `(j, d)` is the scalar
@@ -260,38 +353,56 @@ impl LaneWindow {
         LaneWindow { ctx, table, rows, window_bits, exit, scalar_limbs: l }
     }
 
-    /// `base^exps[i]` for up to [`LANES`] exponents, each in the scalar
-    /// kernel's Montgomery form (`L` limbs, canonical) — the limbs
-    /// `FixedBaseWindow::pow` returns for the same exponent. Each lane
-    /// gathers its own entry per window.
+    /// `base^exps[i]` for up to [`LANES`] exponents, `stride` limbs apart
+    /// in `exps`, into `out` in the scalar kernel's Montgomery form (`L`
+    /// limbs each, canonical) — the limbs `FixedBaseWindow::pow` returns
+    /// for the same exponent. Each lane gathers its own entry per window.
     ///
     /// # Panics
     /// Panics on more than [`LANES`] exponents, one wider than the table,
     /// or a CPU without the lanes.
-    pub(crate) fn pow_many(&self, exps: &[BigUint]) -> Vec<Vec<u64>> {
-        assert!(exps.len() <= LANES, "{} exponents for {LANES} lanes", exps.len());
+    pub(crate) fn pow_into(
+        &self,
+        exps: &[u64],
+        stride: usize,
+        scratch: &mut LaneScratch,
+        out: &mut [u64],
+    ) {
+        let count = exps.len() / stride;
+        assert!(count <= LANES, "{count} exponents for {LANES} lanes");
         assert_ifma();
         assert!(
-            exps.iter().all(|e| e.bits() <= self.rows * self.window_bits),
+            exps.chunks_exact(stride).all(|e| bits_of(e) <= self.rows * self.window_bits),
             "exponent wider than the lane table"
         );
         let n = self.ctx.limbs;
-        let mut offsets = vec![[0u64; LANES]; self.rows];
-        for (j, row) in offsets.iter_mut().enumerate() {
-            for (lane, offset) in row.iter_mut().enumerate() {
-                let digit = exps.get(lane).map_or(0, |e| window_digit(e, j, self.window_bits));
-                *offset = (((j << self.window_bits) + digit) * n) as u64;
+        let LaneScratch { rows, offsets, .. } = scratch;
+        offsets.resize(self.rows, [0; LANES]);
+        rows.resize(n, [0; LANES]);
+        // Each lane's digits, low window first, off one running bit
+        // buffer per exponent; a dead lane reads digit 0 throughout.
+        let w = self.window_bits;
+        for lane in 0..LANES {
+            let exp = exps.get(lane * stride..(lane + 1) * stride).filter(|_| lane < count);
+            let (mut words, mut buf, mut bits) = (exp.unwrap_or(&[]).iter(), 0u128, 0);
+            for (j, row) in offsets.iter_mut().enumerate() {
+                if bits < w {
+                    buf |= u128::from(words.next().copied().unwrap_or(0)) << bits;
+                    bits += 64;
+                }
+                let digit = buf as usize & ((1 << w) - 1);
+                (buf, bits) = (buf >> w, bits - w);
+                row[lane] = (((j << w) + digit) * n) as u64;
             }
         }
-        let mut out = vec![[0u64; LANES]; n];
         // SAFETY: `assert_ifma` above passed. Every offset is the start of
         // an entry of `table` — row `j < rows`, digit below `2^w` — so
         // each gathered `offset + k` for `k < n` is inside it; the kernel
         // asserts this again before gathering.
-        unsafe {
-            at_width!(n, ifma::fixed_pow(&self.ctx, &self.table, &offsets, &self.exit, &mut out))
-        };
-        (0..exps.len()).map(|lane| radix64(&column(&out, lane), self.scalar_limbs)).collect()
+        unsafe { at_width!(n, ifma::fixed_pow(&self.ctx, &self.table, offsets, &self.exit, rows)) };
+        for (lane, value) in out.chunks_exact_mut(self.scalar_limbs).take(count).enumerate() {
+            radix64_lane(rows, lane, value);
+        }
     }
 }
 
@@ -331,30 +442,19 @@ fn to_radix52(x: &[u64], out: &mut [u64]) {
     }
 }
 
-/// Radix-52 limbs `x` as `l` 64-bit limbs; the value must fit them.
-fn radix64(x: &[u64], l: usize) -> Vec<u64> {
-    let mut out = Vec::with_capacity(l);
-    let (mut limbs, mut buf, mut bits) = (x.iter(), 0u128, 0);
-    while out.len() < l {
+/// Lane `lane` of the limb-major radix-52 `rows` as the 64-bit limbs
+/// `out`; the value must fit them.
+fn radix64_lane(rows: &[[u64; LANES]], lane: usize, out: &mut [u64]) {
+    let (mut limbs, mut buf, mut bits) = (rows.iter().map(|row| row[lane]), 0u128, 0);
+    for word in out {
         while bits < 64 {
-            buf |= u128::from(limbs.next().copied().unwrap_or(0)) << bits;
+            buf |= u128::from(limbs.next().unwrap_or(0)) << bits;
             bits += LIMB_BITS;
         }
-        out.push(buf as u64);
+        *word = buf as u64;
         buf >>= 64;
         bits -= 64;
     }
-    out
-}
-
-/// Radix-52 limbs `x` as an integer.
-fn from_radix52(x: &[u64]) -> BigUint {
-    BigUint::from_limbs(radix64(x, (x.len() * LIMB_BITS).div_ceil(64)))
-}
-
-/// Lane `lane` of limb-major lane rows: one value's radix-52 limbs.
-fn column(rows: &[[u64; LANES]], lane: usize) -> Vec<u64> {
-    rows.iter().map(|row| row[lane]).collect()
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -518,12 +618,12 @@ mod ifma {
         }
         let windows = exp.bits().div_ceil(WINDOW_BITS);
         // The top window holds the exponent's top bit, so its digit is ≥ 1.
-        let mut acc = table[window_digit(exp, windows - 1, WINDOW_BITS) - 1];
+        let mut acc = table[window_digit(exp.limbs(), windows - 1, WINDOW_BITS) - 1];
         for j in (0..windows - 1).rev() {
             for _ in 0..WINDOW_BITS {
                 acc = amm(&acc, &acc, &m, n0);
             }
-            let digit = window_digit(exp, j, WINDOW_BITS);
+            let digit = window_digit(exp.limbs(), j, WINDOW_BITS);
             if digit != 0 {
                 acc = amm(&acc, &table[digit - 1], &m, n0);
             }
@@ -558,6 +658,26 @@ mod ifma {
             acc = amm(&acc, &entry, &m, n0);
         }
         store(&leave(&acc, &splat(exit), &m, n0), out);
+    }
+
+    /// The running product of the `k` operands (`N` rows each, below
+    /// `m`), left by a product with `factor` and the canonicalising
+    /// subtraction.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn product<const N: usize>(
+        ctx: &LaneCtx,
+        operands: &[[u64; LANES]],
+        k: usize,
+        factor: &[u64],
+        out: &mut [[u64; LANES]],
+    ) {
+        assert!(factor.len() == N && operands.len() >= k * N, "operand rows for {k} × {N} limbs");
+        let (m, n0) = (splat::<N>(&ctx.m), _mm512_set1_epi64(ctx.n0 as i64));
+        let mut acc = load::<N>(&operands[..N]);
+        for j in 1..k {
+            acc = amm(&acc, &load(&operands[j * N..(j + 1) * N]), &m, n0);
+        }
+        store(&leave(&acc, &splat(factor), &m, n0), out);
     }
 
     /// Lane `i` loads the `N` limbs at `table[offsets[i]..]`.
@@ -596,6 +716,16 @@ mod ifma {
         _: &[[u64; LANES]],
         _: &[[u64; LANES]],
         _: &BigUint,
+        _: &mut [[u64; LANES]],
+    ) {
+        unreachable!("no lane kernel off x86_64")
+    }
+
+    pub(super) unsafe fn product<const N: usize>(
+        _: &LaneCtx,
+        _: &[[u64; LANES]],
+        _: usize,
+        _: &[u64],
         _: &mut [[u64; LANES]],
     ) {
         unreachable!("no lane kernel off x86_64")
@@ -645,8 +775,16 @@ mod tests {
         for bits in [1usize, 52, 53, 64, 104, 155, 1038] {
             let x = BigUint::random_bits(&mut rng, bits);
             let n = bits.div_ceil(LIMB_BITS);
-            assert_eq!(from_radix52(&radix52(x.limbs(), n)), x, "{bits} bits");
-            assert!(radix52(x.limbs(), n).iter().all(|&limb| limb <= MASK));
+            let lane52 = radix52(x.limbs(), n);
+            assert!(lane52.iter().all(|&limb| limb <= MASK));
+            // Lane 3 of rows holding the value there, and junk elsewhere.
+            let rows: Vec<[u64; LANES]> = lane52
+                .iter()
+                .map(|&limb| std::array::from_fn(|lane| if lane == 3 { limb } else { MASK }))
+                .collect();
+            let mut back = vec![u64::MAX; bits.div_ceil(64)];
+            radix64_lane(&rows, 3, &mut back);
+            assert_eq!(BigUint::from_limbs(back), x, "{bits} bits");
         }
     }
 
@@ -700,18 +838,79 @@ mod tests {
                 // Wider than twice the lanes: divided first.
                 BigUint::random_bits(&mut rng, 2 * LIMB_BITS * n + 70),
             ];
+            let l = scalar.limbs();
             for exp in &exps {
                 for live in 1..=LANES {
                     let batch: Vec<&BigUint> = bases.iter().cycle().skip(live).take(live).collect();
                     let want: Vec<BigUint> =
                         batch.iter().map(|b| scalar.mod_pow_with(b, exp, &mut scratch)).collect();
+                    let mut out = vec![u64::MAX; LANES * l];
+                    lanes.pow_into(&batch, exp, &mut scratch.lanes, l, &mut out);
+                    let got: Vec<BigUint> =
+                        out.chunks(l).take(live).map(|v| BigUint::from_limbs(v.to_vec())).collect();
                     assert_eq!(
-                        lanes.pow_many(&batch, exp),
+                        got,
                         want,
                         "{} bits, {}-bit exponent, {live} lanes",
                         m.bits(),
                         exp.bits()
                     );
+                }
+            }
+        }
+    }
+
+    /// The lane product against division-based arithmetic at every
+    /// width: 1–4 and 16 operands (zero, one, `m − 1` and random), a
+    /// random factor, and 1–8 live lanes.
+    #[test]
+    fn product_matches_division() {
+        if !Kernel::available().contains(&Kernel::Ifma8) {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut scratch = LaneScratch::default();
+        for (n, m) in moduli(&mut rng) {
+            let lanes = LaneCtx::new(&m).expect("a served width");
+            let l = m.limbs().len();
+            let r_inv = BigUint::one().shl(LIMB_BITS * n).mod_inverse(&m).expect("odd m");
+            let factor = BigUint::random_below(&mut rng, &m);
+            let mut values = vec![BigUint::zero(), BigUint::one(), m.sub(&BigUint::one())];
+            values.extend((0..13).map(|_| BigUint::random_below(&mut rng, &m)));
+            let padded: Vec<Vec<u64>> = values
+                .iter()
+                .map(|v| {
+                    let mut limbs = v.limbs().to_vec();
+                    limbs.resize(l, 0);
+                    limbs
+                })
+                .collect();
+            for k in [1usize, 2, 3, 4, 16] {
+                for live in 1..=LANES {
+                    let pick = |j: usize, lane: usize| (3 * j + 5 * lane + k) % values.len();
+                    let mut out = vec![u64::MAX; LANES * l];
+                    let f = lanes.lane_limbs(&factor);
+                    lanes.product_into(
+                        k,
+                        live,
+                        |j, lane| &padded[pick(j, lane)],
+                        &f,
+                        &mut scratch,
+                        l,
+                        &mut out,
+                    );
+                    for lane in 0..live {
+                        let want = (0..k).fold(factor.clone(), |acc, j| {
+                            acc.mul_mod(&values[pick(j, lane)], &m).mul_mod(&r_inv, &m)
+                        });
+                        let got = BigUint::from_limbs(out[lane * l..(lane + 1) * l].to_vec());
+                        assert_eq!(
+                            got,
+                            want,
+                            "{} bits, {k} operands, lane {lane} of {live}",
+                            m.bits()
+                        );
+                    }
                 }
             }
         }
@@ -744,11 +943,19 @@ mod tests {
                 BigUint::from_u128(0x1ff << 60),
             ];
             exps.extend((1..=8).map(|i| BigUint::random_bits(&mut rng, i * max_exp_bits / 8)));
+            let (l, stride) = (m.limbs().len(), max_exp_bits.div_ceil(64));
+            let mut scratch = MontScratch::default();
             for live in 1..=LANES {
                 for batch in exps.chunks(live) {
-                    let want: Vec<_> = batch.iter().map(|e| window.pow(e)).collect();
+                    let want: Vec<Vec<u64>> = batch.iter().map(|e| window.pow(e).0).collect();
+                    let mut flat = vec![0u64; batch.len() * stride];
+                    for (e, slot) in batch.iter().zip(flat.chunks_mut(stride)) {
+                        slot[..e.limbs().len()].copy_from_slice(e.limbs());
+                    }
+                    let mut out = vec![u64::MAX; LANES * l];
+                    window.pow_batch(&flat, stride, Kernel::Ifma8, &mut scratch, &mut out);
                     assert_eq!(
-                        window.pow_many(batch, Kernel::Ifma8),
+                        out.chunks(l).take(batch.len()).map(<[u64]>::to_vec).collect::<Vec<_>>(),
                         want,
                         "{} bits, {max_exp_bits}-bit table, {} lanes",
                         m.bits(),

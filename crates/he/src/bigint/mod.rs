@@ -12,7 +12,7 @@ mod div;
 pub(crate) mod lanes;
 mod modular;
 pub mod montgomery;
-mod mul;
+pub(crate) mod mul;
 mod prime;
 mod random;
 pub mod signed;

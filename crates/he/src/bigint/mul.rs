@@ -53,6 +53,14 @@ impl BigUint {
 
 fn schoolbook(a: &[u64], b: &[u64]) -> Vec<u64> {
     let mut out = vec![0u64; a.len() + b.len()];
+    mul_into(&mut out, a, b);
+    out
+}
+
+/// `out = a · b` in the caller's limbs, schoolbook: `out` is zeroed first
+/// and must hold `a.len() + b.len()` limbs.
+pub(crate) fn mul_into(out: &mut [u64], a: &[u64], b: &[u64]) {
+    out.fill(0);
     for (i, &ai) in a.iter().enumerate() {
         if ai == 0 {
             continue;
@@ -71,7 +79,6 @@ fn schoolbook(a: &[u64], b: &[u64]) -> Vec<u64> {
             k += 1;
         }
     }
-    out
 }
 
 fn karatsuba(a: &BigUint, b: &BigUint) -> BigUint {

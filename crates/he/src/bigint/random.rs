@@ -7,15 +7,23 @@ impl BigUint {
     /// Uniformly random value with exactly `bits` significant bits
     /// (the top bit is forced to 1). `bits` must be ≥ 1.
     pub fn random_bits<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Self {
+        let mut v = vec![0u64; bits.div_ceil(64)];
+        Self::fill_random_bits(rng, bits, &mut v);
+        Self::from_limbs(v)
+    }
+
+    /// [`BigUint::random_bits`] into the caller's `⌈bits/64⌉` limbs: the
+    /// same draws, so the same value.
+    pub(crate) fn fill_random_bits<R: Rng + ?Sized>(rng: &mut R, bits: usize, out: &mut [u64]) {
         assert!(bits >= 1, "random_bits needs at least one bit");
         let limbs = bits.div_ceil(64);
-        let mut v: Vec<u64> = (0..limbs).map(|_| rng.gen()).collect();
+        assert_eq!(out.len(), limbs, "{bits} random bits fill {limbs} limbs");
+        out.iter_mut().for_each(|limb| *limb = rng.gen());
         let top_bits = bits - (limbs - 1) * 64;
         let mask = if top_bits == 64 { u64::MAX } else { (1u64 << top_bits) - 1 };
         let last = limbs - 1;
-        v[last] &= mask;
-        v[last] |= 1u64 << (top_bits - 1);
-        Self::from_limbs(v)
+        out[last] &= mask;
+        out[last] |= 1u64 << (top_bits - 1);
     }
 
     /// Uniformly random value in `[0, bound)` by rejection sampling.

@@ -100,18 +100,40 @@ impl PackingLayout {
         if encoded.len() > self.slots {
             return Err(Error::TooManySlots { got: encoded.len(), max: self.slots });
         }
+        let mut limbs = vec![0u64; self.plain_limbs()];
+        self.pack_into(encoded.iter().map(|&e| Ok(e)), &mut limbs)?;
+        Ok(BigUint::from_limbs(limbs))
+    }
+
+    /// Limbs a packed plaintext is written into: the slots' bits and the
+    /// two spare limbs that take a top slot's (zero) spill.
+    pub(crate) fn plain_limbs(&self) -> usize {
+        (self.slots * self.slot_bits as usize).div_ceil(64) + 2
+    }
+
+    /// [`PackingLayout::pack`] into the caller's zeroed
+    /// [`PackingLayout::plain_limbs`] limbs, one encoded value (or its
+    /// encoding error) at a time; values past the slot count are ignored.
+    ///
+    /// # Errors
+    /// The first error among `encoded`; [`Error::PackedValueOutOfRange`]
+    /// when a value exceeds the 2^[`MAG_BITS`] slot magnitude.
+    pub(crate) fn pack_into(
+        &self,
+        encoded: impl IntoIterator<Item = Result<i64>>,
+        limbs: &mut [u64],
+    ) -> Result<()> {
         let bound = 1i64 << MAG_BITS;
         let width = self.slot_bits as usize;
-        // Slots are disjoint bit ranges, so each is written in place; the
-        // two spare limbs take a top slot's (zero) spill.
-        let mut limbs = vec![0u64; (encoded.len() * width).div_ceil(64) + 2];
-        for (i, &e) in encoded.iter().enumerate() {
+        // Slots are disjoint bit ranges, so each is written in place.
+        for (i, e) in encoded.into_iter().take(self.slots).enumerate() {
+            let e = e?;
             if e.abs() > bound {
                 return Err(Error::PackedValueOutOfRange { encoded: e, mag_bits: MAG_BITS });
             }
-            write_bits(&mut limbs, i * width, (i128::from(e) + Self::bias()) as u128);
+            write_bits(limbs, i * width, (i128::from(e) + Self::bias()) as u128);
         }
-        Ok(BigUint::from_limbs(limbs))
+        Ok(())
     }
 
     /// Unpacks the first `count` slots of a decrypted sum of `terms` fresh
@@ -123,6 +145,20 @@ impl PackingLayout {
     /// decode would be silently wrong); [`Error::TooManySlots`] when
     /// `count` exceeds the slot count.
     pub fn unpack(&self, plain: &BigUint, count: usize, terms: u32) -> Result<Vec<i128>> {
+        Ok(self.unpack_limbs(plain.limbs(), count, terms)?.collect())
+    }
+
+    /// [`PackingLayout::unpack`] straight off a plaintext's little-endian
+    /// limbs, value by value.
+    ///
+    /// # Errors
+    /// As [`PackingLayout::unpack`].
+    pub(crate) fn unpack_limbs<'a>(
+        &self,
+        plain: &'a [u64],
+        count: usize,
+        terms: u32,
+    ) -> Result<impl Iterator<Item = i128> + 'a> {
         if terms > self.max_terms {
             return Err(Error::PackedHeadroomExceeded { terms, max_terms: self.max_terms });
         }
@@ -131,9 +167,7 @@ impl PackingLayout {
         }
         let width = self.slot_bits as usize;
         let offset = i128::from(terms) * Self::bias();
-        Ok((0..count)
-            .map(|i| read_bits(plain.limbs(), i * width, width) as i128 - offset)
-            .collect())
+        Ok((0..count).map(move |i| read_bits(plain, i * width, width) as i128 - offset))
     }
 }
 

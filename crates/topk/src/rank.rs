@@ -70,11 +70,16 @@ impl Entry {
 #[derive(Clone, Debug)]
 pub struct Ranking {
     /// `entries[..ranked]` is the ranked prefix, `entries[..selected]` the
-    /// best `selected` entries (`ranked <= selected`); past `ranked` the
-    /// order is unspecified.
+    /// best `selected` entries and `entries[..ahead]` the best `ahead`
+    /// (`ranked <= selected <= ahead`); past `ranked` the order is
+    /// unspecified.
     entries: Vec<Entry>,
     ranked: usize,
     selected: usize,
+    ahead: usize,
+    /// Entries handed to `select_nth_unstable` so far.
+    #[cfg(test)]
+    partitioned: usize,
 }
 
 impl Ranking {
@@ -82,7 +87,14 @@ impl Ranking {
     #[must_use]
     pub fn new(pairs: impl IntoIterator<Item = (f64, ItemId)>) -> Self {
         let entries = pairs.into_iter().map(|(s, id)| Entry::new(s, id)).collect();
-        Ranking { entries, ranked: 0, selected: 0 }
+        Ranking {
+            entries,
+            ranked: 0,
+            selected: 0,
+            ahead: 0,
+            #[cfg(test)]
+            partitioned: 0,
+        }
     }
 
     /// Ranks `scores` by position: the id of `scores[i]` is `i`.
@@ -98,7 +110,7 @@ impl Ranking {
         let len = len.min(self.entries.len());
         if len > self.ranked {
             let end = len.max(2 * self.ranked).max(MIN_SLICE).min(self.entries.len());
-            self.select(end);
+            self.select(end, end);
             self.entries[self.ranked..end].sort_unstable();
             self.ranked = end;
         }
@@ -112,27 +124,50 @@ impl Ranking {
     /// each call partitions only the entries past the previous one, so
     /// `top_set(b)[a..]` after `top_set(a)` is the set of entries ranked
     /// `a..b`. A later `prefix` still returns the full sort's prefix.
+    ///
+    /// Selection looks ahead as `prefix` does: a call past the look-ahead
+    /// partitions the unselected remainder once at
+    /// `max(len, 2·look-ahead, MIN_SLICE)`, and every call up to that
+    /// boundary partitions inside the slice alone. A stream that reads to
+    /// depth `D` in steps of `b` then partitions about
+    /// `N·log(D) + D²/b` entries, not the `N·D/b` of partitioning the
+    /// whole remainder per call.
     pub fn top_set(&mut self, len: usize) -> &[Entry] {
         let len = len.min(self.entries.len());
-        self.select(len);
+        let ahead = len.max(2 * self.ahead).max(MIN_SLICE).min(self.entries.len());
+        self.select(len, ahead);
         &self.entries[..len]
     }
 
     /// Makes `entries[..len]` the best `len` entries, keeping the ranked
-    /// prefix and the selected watermark's set.
-    fn select(&mut self, len: usize) {
+    /// prefix and the selected watermark's set. Past the look-ahead, the
+    /// remainder is partitioned at `ahead` first.
+    fn select(&mut self, len: usize, ahead: usize) {
         if len <= self.ranked {
             return;
+        }
+        if len > self.ahead {
+            self.partition(self.ahead, self.entries.len(), ahead);
+            self.ahead = ahead;
         }
         let (from, to) = if len <= self.selected {
             (self.ranked, self.selected)
         } else {
-            (self.selected, self.entries.len())
+            (self.selected, self.ahead)
         };
-        if len < to {
-            self.entries[from..to].select_nth_unstable(len - from);
-        }
+        self.partition(from, to, len);
         self.selected = self.selected.max(len);
+    }
+
+    /// Partitions `entries[from..to]` so that position `at` splits it.
+    fn partition(&mut self, from: usize, to: usize, at: usize) {
+        if at < to {
+            #[cfg(test)]
+            {
+                self.partitioned += to - from;
+            }
+            self.entries[from..to].select_nth_unstable(at - from);
+        }
     }
 }
 
@@ -329,6 +364,32 @@ mod tests {
         let mut r = Ranking::of_scores(&[2.0, 1.0]);
         assert!(r.prefix(0).is_empty());
         assert_eq!(r.prefix(5).len(), 2);
+    }
+
+    /// A party-query's stream: `top_set` in steps of `b = 100` to depth
+    /// `D = N/16` over `N = 65 536` entries, the sets unchanged. Selecting
+    /// ahead partitions ≈ 7.6·N entries here; partitioning the whole
+    /// remainder on every call took ≈ 41·N (`N·D/b`), and grows with `D`.
+    #[test]
+    fn a_stream_partitions_linearly_many_entries() {
+        let n = 1usize << 16;
+        let scores: Vec<f64> = (0..n).map(|i| ((i * 7919) % n) as f64).collect();
+        let mut by_rank: Vec<usize> = (0..n).collect();
+        by_rank.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
+        let mut r = Ranking::of_scores(&scores);
+        let (step, depth) = (100, n / 16);
+        let mut read = 0;
+        while read < depth {
+            let len = read + step;
+            let mut got: Vec<usize> = r.top_set(len)[read..].iter().map(|e| e.id()).collect();
+            got.sort_unstable();
+            let mut want = by_rank[read..len].to_vec();
+            want.sort_unstable();
+            assert_eq!(got, want, "ranks {read}..{len}");
+            read = len;
+        }
+        println!("{} entries partitioned for N = {n}", r.partitioned);
+        assert!(r.partitioned <= 12 * n, "{} entries partitioned for N = {n}", r.partitioned);
     }
 
     #[test]
