@@ -18,6 +18,7 @@
 # And one for the option matrix: two maximizers (lazy, stochastic), three KNN modes.
 # And one for the pool: one FIFO queue, and nothing pushes to a per-worker deque.
 # And one for SIMD: the AVX-512 IFMA lane kernel and its dispatch live in one file.
+# And one for synchronisation: locks, condvars and channels are std::sync's.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -262,7 +263,7 @@ fi
 # locked FIFO that workers and the waiting caller pop. Per-worker deques,
 # stealers and an injector never carried a task, and par_fold and
 # PoolBuilder had no caller; this keeps that machinery deleted.
-if hits=$(grep -rnE 'crossbeam::deque|Stealer|Injector|par_fold|PoolBuilder' crates shims); then
+if hits=$(grep -rnE 'Stealer|Injector|par_fold|PoolBuilder' crates shims); then
     echo "work-stealing machinery is back in the pool (vfps-par is one FIFO queue):"
     echo "$hits"
     fail=1
@@ -275,6 +276,18 @@ fi
 if hits=$(grep -rnE 'std::arch|core::arch|target_feature|is_x86_feature_detected|_mm512_' \
         crates shims --include='*.rs' | grep -v '^crates/he/src/bigint/lanes.rs:'); then
     echo "SIMD outside crates/he/src/bigint/lanes.rs (put lane code in the one lane module):"
+    echo "$hits"
+    fail=1
+fi
+
+# Std where std suffices (DESIGN.md §5): every lock, condvar and channel
+# is std::sync's, poison recovered by each crate's private lock helper.
+# The crossbeam and parking_lot shims wrapped exactly those types, and
+# parking_lot's condvar moved guards with unsafe ptr::read/ptr::write.
+hits=$({ grep -rnE 'crossbeam|parking_lot' Cargo.toml Cargo.lock crates/*/Cargo.toml shims
+        grep -rnE 'crossbeam|parking_lot' crates --include='*.rs'; } || true)
+if [ -n "$hits" ]; then
+    echo "crossbeam / parking_lot are back (use std::sync::{mpsc, Mutex, Condvar}):"
     echo "$hits"
     fail=1
 fi

@@ -20,12 +20,11 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::{Condvar, Mutex};
 use vfps_net::channel::{Channel, Event, Mailbox};
 use vfps_net::cluster::Envelope;
 use vfps_net::wire::Wire;
@@ -121,6 +120,13 @@ struct LinkCounters {
 /// A daemon's terminal result as observed by the hub.
 type SlotResult = Result<(Vec<QueryOutcome>, Vec<usize>), Error>;
 
+/// Locks `m`, recovering the guard from a panicked holder, so one reader
+/// thread's panic cannot wedge the relay plane. The departure and result
+/// lists change one slot at a time, so a recovered guard sees whole state.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// State shared between the hub and its reader threads.
 struct HubShared {
     writers: Vec<Mutex<Conn>>,
@@ -139,7 +145,7 @@ struct HubShared {
 
 impl HubShared {
     fn write_to(&self, slot: usize, frame: &ClusterMsg) -> std::io::Result<()> {
-        self.writers[slot].lock().send(frame)
+        lock(&self.writers[slot]).send(frame)
     }
 
     /// Records a departure exactly once: event to node 0, broadcast to the
@@ -147,7 +153,7 @@ impl HubShared {
     /// terminal frame — a killed process.
     fn depart(&self, slot: usize, clean: bool, abrupt: bool) {
         {
-            let mut d = self.departed.lock();
+            let mut d = lock(&self.departed);
             if d[slot].is_some() {
                 return;
             }
@@ -160,7 +166,7 @@ impl HubShared {
         let node = 1 + slot;
         let _ = self.tx.send(Event::Departed { node, clean });
         let gone: Vec<usize> = {
-            let d = self.departed.lock();
+            let d = lock(&self.departed);
             (0..d.len()).filter(|&s| d[s].is_some()).collect()
         };
         for other in 0..self.writers.len() {
@@ -172,7 +178,7 @@ impl HubShared {
 
     /// Stores a slot's terminal result (first writer wins).
     fn set_result(&self, slot: usize, r: SlotResult) {
-        let mut res = self.results.lock();
+        let mut res = lock(&self.results);
         if res[slot].is_none() {
             res[slot] = Some(r);
             self.result_set.notify_all();
@@ -180,7 +186,7 @@ impl HubShared {
     }
 
     fn has_result(&self, slot: usize) -> bool {
-        self.results.lock()[slot].is_some()
+        lock(&self.results)[slot].is_some()
     }
 
     fn link_stats(&self) -> Vec<PartyLinkStats> {
@@ -330,7 +336,7 @@ impl Hub {
             }
         }
 
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let shared = Arc::new(HubShared {
             writers: conns
                 .iter()
@@ -361,18 +367,13 @@ impl Hub {
     /// Waits up to `deadline` for `slot`'s terminal result. `None` when
     /// the daemon reported nothing in time (it is then presumed dead).
     pub fn wait_result(&self, slot: usize, deadline: Duration) -> Option<SlotResult> {
-        let until = Instant::now() + deadline;
-        let mut results = self.shared.results.lock();
-        loop {
-            if let Some(r) = &results[slot] {
-                return Some(r.clone());
-            }
-            let remaining = until.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            self.shared.result_set.wait_for(&mut results, remaining);
-        }
+        let results = lock(&self.shared.results);
+        let (results, _) = self
+            .shared
+            .result_set
+            .wait_timeout_while(results, deadline, |results| results[slot].is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        results[slot].clone()
     }
 
     /// Tells every daemon still in session that node 0 has left dirtily —
@@ -382,7 +383,7 @@ impl Hub {
     /// server body returns only after the last barrier, when no peer
     /// awaits node 0.)
     pub(crate) fn announce_server_failure(&self) {
-        let gone = self.shared.departed.lock().clone();
+        let gone = lock(&self.shared.departed).clone();
         for slot in (0..self.p).filter(|&s| gone[s].is_none()) {
             let _ = self.shared.write_to(slot, &ClusterMsg::Departed { node: 0, clean: false });
         }
@@ -420,7 +421,7 @@ impl Hub {
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for w in &self.shared.writers {
-            w.lock().shutdown();
+            lock(w).shutdown();
         }
         for h in self.readers.drain(..) {
             let _ = h.join();

@@ -107,7 +107,7 @@ pub fn run_cluster_knn_supervised<H: AdditiveHe>(
 /// implementation differs.
 #[derive(Clone, Debug)]
 pub enum Backend {
-    /// Threads and crossbeam channels in-process, with optional
+    /// Threads and `std::sync::mpsc` channels in-process, with optional
     /// deterministic fault injection.
     Sim {
         /// Fault plan for the run (empty = fault-free).

@@ -6,7 +6,7 @@
 //! with a deadline, receive from a *specific* peer with a deadline, and
 //! ask whether a peer has departed. [`Channel`] captures exactly that
 //! surface, so the same protocol code runs unchanged over
-//! [`crate::cluster::NodeCtx`] (threads + crossbeam channels) and over
+//! [`crate::cluster::NodeCtx`] (threads + `std::sync::mpsc` channels) and over
 //! `vfps-cluster`'s TCP transport (real daemons on real sockets) — the
 //! backend is chosen by the caller, and bit-identical results across the
 //! two are pinned by test.

@@ -1,5 +1,6 @@
-//! A simulated cluster: one thread per node, crossbeam channels as links,
-//! and a shared traffic ledger recording byte-accurate per-link volume.
+//! A simulated cluster: one thread per node, `std::sync::mpsc` channels as
+//! links, and a shared traffic ledger recording byte-accurate per-link
+//! volume.
 //!
 //! The VFL protocols deploy five logical roles (key server, aggregation
 //! server, leader, participants) onto these nodes, mirroring the paper's
@@ -22,11 +23,10 @@ use crate::channel::{Event, Mailbox};
 use crate::error::Error;
 use crate::fault::FaultPlan;
 use crate::wire::Wire;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Node identifier within a cluster.
@@ -63,8 +63,14 @@ impl TrafficLedger {
         Self::default()
     }
 
+    /// Every update is one `entry` bump, so a holder that panicked left
+    /// the map whole: recover the guard instead of spreading the panic.
+    fn lock(&self) -> MutexGuard<'_, HashMap<(NodeId, NodeId), LinkTraffic>> {
+        self.links.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn record(&self, from: NodeId, to: NodeId, bytes: u64) {
-        let mut links = self.links.lock();
+        let mut links = self.lock();
         let entry = links.entry((from, to)).or_default();
         entry.bytes += bytes;
         entry.messages += 1;
@@ -73,19 +79,19 @@ impl TrafficLedger {
     /// Snapshot of all links.
     #[must_use]
     pub fn snapshot(&self) -> HashMap<(NodeId, NodeId), LinkTraffic> {
-        self.links.lock().clone()
+        self.lock().clone()
     }
 
     /// Total bytes over all links.
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.links.lock().values().map(|l| l.bytes).sum()
+        self.lock().values().map(|l| l.bytes).sum()
     }
 
     /// Total messages over all links.
     #[must_use]
     pub fn total_messages(&self) -> u64 {
-        self.links.lock().values().map(|l| l.messages).sum()
+        self.lock().values().map(|l| l.messages).sum()
     }
 }
 
@@ -356,7 +362,7 @@ where
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         receivers.push(rx);
     }

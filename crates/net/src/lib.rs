@@ -9,7 +9,7 @@
 //! * [`conn`] and [`server`] — the network edge: the one framed TCP
 //!   connection ([`Conn`]) and the one accept-loop skeleton
 //!   ([`server::Listener`]) every tier's sockets go through;
-//! * [`cluster`] — one thread per node with crossbeam-channel links and a
+//! * [`cluster`] — one thread per node with `std::sync::mpsc` links and a
 //!   shared per-link traffic ledger;
 //! * [`channel`] — the transport trait ([`channel::Channel`]) the protocol
 //!   bodies are generic over, implemented by the simulated cluster here

@@ -28,12 +28,11 @@
 //! its own chunks are done, so nested maps cannot deadlock and a 1-thread
 //! pool runs everything inline on the caller.
 
-use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -76,6 +75,13 @@ fn chunk_len(len: usize) -> usize {
 /// output to the dispatched one.
 const SEQUENTIAL_BELOW: usize = 64;
 
+/// Locks `m`, recovering the guard from a panicked holder. Tasks run
+/// under `catch_unwind` and no critical section here calls user code, so
+/// a poisoned lock still guards whole state.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct Shared {
     queue: Mutex<VecDeque<Task>>,
     shutdown: Mutex<bool>,
@@ -85,7 +91,7 @@ struct Shared {
 impl Shared {
     /// The task at the front of the queue; the lock is released on return.
     fn pop(&self) -> Option<Task> {
-        self.queue.lock().pop_front()
+        lock(&self.queue).pop_front()
     }
 }
 
@@ -95,13 +101,14 @@ fn worker_loop(shared: &Shared) {
             task();
             continue;
         }
-        let mut shutdown = shared.shutdown.lock();
+        let shutdown = lock(&shared.shutdown);
         if *shutdown {
             return;
         }
-        // Timed wait closes the push/sleep race without an epoch protocol:
-        // a missed notify costs at most one timeout period.
-        shared.work_cv.wait_for(&mut shutdown, Duration::from_millis(2));
+        // A push between the pop above and this wait misses its notify;
+        // the timeout bounds that to 2 ms. One lock for queue, shutdown and
+        // scope counters with no timeouts measured slower (DESIGN.md §5).
+        drop(shared.work_cv.wait_timeout(shutdown, Duration::from_millis(2)));
     }
 }
 
@@ -180,17 +187,23 @@ impl Pool {
                 continue;
             }
             let (pending, done_cv) = &*scope.pending;
-            let mut guard = pending.lock();
+            let guard = lock(pending);
             if *guard == 0 {
                 break;
             }
-            done_cv.wait_for(&mut guard, Duration::from_millis(1));
+            // The 1 ms re-check is the helping policy, not only a race
+            // guard: a caller waiting on its scope runs other scopes' tasks,
+            // which a task blocked on another scope needs. Waking only when
+            // the scope is done hangs that and measured slower (DESIGN.md §5).
+            let (guard, _) = done_cv
+                .wait_timeout(guard, Duration::from_millis(1))
+                .unwrap_or_else(PoisonError::into_inner);
             if *guard == 0 {
                 break;
             }
         }
 
-        if let Some(payload) = scope.panic.lock().take() {
+        if let Some(payload) = lock(&scope.panic).take() {
             resume_unwind(payload);
         }
         match result {
@@ -255,11 +268,11 @@ impl Pool {
                         .enumerate()
                         .map(|(j, t)| f(&mut scratch, start + j, t))
                         .collect();
-                    parts.lock().push((start, vals));
+                    lock(parts).push((start, vals));
                 });
             }
         });
-        let mut parts = parts.into_inner();
+        let mut parts = parts.into_inner().unwrap_or_else(PoisonError::into_inner);
         parts.sort_unstable_by_key(|(start, _)| *start);
         let mut out = Vec::with_capacity(items.len());
         for (_, vals) in parts {
@@ -271,7 +284,7 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        *self.shared.shutdown.lock() = true;
+        *lock(&self.shared.shutdown) = true;
         self.shared.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -293,15 +306,15 @@ impl<'scope> Scope<'scope> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        *self.pending.0.lock() += 1;
+        *lock(&self.pending.0) += 1;
         let pending = Arc::clone(&self.pending);
         let panic = Arc::clone(&self.panic);
         let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                panic.lock().get_or_insert(payload);
+                lock(&panic).get_or_insert(payload);
             }
             let (count, done_cv) = &*pending;
-            let mut guard = count.lock();
+            let mut guard = lock(count);
             *guard -= 1;
             if *guard == 0 {
                 done_cv.notify_all();
@@ -314,7 +327,7 @@ impl<'scope> Scope<'scope> {
         let task: Task =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task) };
         let shared = &self.pool.shared;
-        shared.queue.lock().push_back(task);
+        lock(&shared.queue).push_back(task);
         shared.work_cv.notify_all();
     }
 }
@@ -371,11 +384,11 @@ mod tests {
             for chunk in data.chunks(8) {
                 let sums = &sums;
                 s.spawn(move || {
-                    sums.lock().push(chunk.iter().sum::<u64>());
+                    lock(sums).push(chunk.iter().sum::<u64>());
                 });
             }
         });
-        let total: u64 = sums.into_inner().iter().sum();
+        let total: u64 = sums.into_inner().expect("no task panicked").iter().sum();
         assert_eq!(total, data.iter().sum::<u64>());
     }
 
@@ -489,6 +502,54 @@ mod tests {
                     });
                 }
             });
+        });
+    }
+
+    #[test]
+    fn a_waiting_scope_runs_other_scopes_tasks() {
+        // Scope A's two tasks meet at a barrier, so one runs on the pool's
+        // only worker; that one (picked by thread id) then blocks until
+        // scope B's `t1` is done, and `t1` needs `t2` running beside it.
+        // B's caller runs one of them; the other can only run on A's
+        // caller, which is waiting for its own scope.
+        within(30, || {
+            use std::sync::{mpsc, Barrier};
+            use std::thread::current;
+            let pool = Pool::with_threads(2);
+            let caller = current().id();
+            let (meet, t1_t2, t1_done) = (Barrier::new(2), Barrier::new(2), Barrier::new(2));
+            let (go, start_b) = mpsc::channel();
+            let ran_b = Mutex::new(Vec::new());
+            std::thread::scope(|threads| {
+                let (pool, t1_t2, t1_done, ran_b) = (&pool, &t1_t2, &t1_done, &ran_b);
+                threads.spawn(move || {
+                    start_b.recv().expect("the worker's task starts scope B");
+                    pool.scope(|s| {
+                        s.spawn(move || {
+                            lock(ran_b).push(current().id());
+                            t1_t2.wait();
+                            t1_done.wait();
+                        });
+                        s.spawn(move || {
+                            lock(ran_b).push(current().id());
+                            t1_t2.wait();
+                        });
+                    });
+                });
+                pool.scope(|s| {
+                    for _ in 0..2 {
+                        let (meet, go) = (&meet, &go);
+                        s.spawn(move || {
+                            meet.wait();
+                            if current().id() != caller {
+                                go.send(()).expect("scope B's caller is listening");
+                                t1_done.wait();
+                            }
+                        });
+                    }
+                });
+            });
+            assert!(lock(&ran_b).contains(&caller), "scope A's caller ran none of B's tasks");
         });
     }
 

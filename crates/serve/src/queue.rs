@@ -1,10 +1,12 @@
 //! The bounded admission queue.
 //!
-//! The crossbeam shim only provides unbounded channels, so backpressure is
-//! hand-rolled on `std::sync::{Mutex, Condvar}`: [`BoundedQueue::try_push`]
-//! never blocks — over capacity it returns [`AdmitError::Full`]
-//! immediately, which the server turns into a typed `Busy` reply. Nothing
-//! in the service can queue unboundedly.
+//! Hand-rolled on `std::sync::{Mutex, Condvar}` because the service needs
+//! three things no `std::sync::mpsc` channel gives: several workers pop
+//! one queue, admitted items still drain after admission closes, and the
+//! depth is readable for the `serve.queue_depth` gauge.
+//! [`BoundedQueue::try_push`] never blocks — over capacity it returns
+//! [`AdmitError::Full`] immediately, which the server turns into a typed
+//! `Busy` reply. Nothing in the service can queue unboundedly.
 //!
 //! Workers block in [`BoundedQueue::pop`]. Closing the queue
 //! ([`BoundedQueue::close`]) stops admission but lets workers drain what
@@ -13,7 +15,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// Why an item was not admitted.
 #[derive(Debug)]
@@ -115,31 +116,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Like [`BoundedQueue::pop`] but gives up after `timeout`, returning
-    /// `None` with the queue still open (callers distinguish via
-    /// [`BoundedQueue::is_closed`]).
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut s = self.lock();
-        loop {
-            if let Some(item) = s.items.pop_front() {
-                return Some(item);
-            }
-            if s.closed {
-                return None;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(s, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            s = guard;
-        }
-    }
-
     /// Stops admission (subsequent `try_push` returns
     /// [`AdmitError::Closed`]) and wakes every blocked `pop`, which will
     /// drain remaining items then return `None`.
@@ -147,18 +123,13 @@ impl<T> BoundedQueue<T> {
         self.lock().closed = true;
         self.not_empty.notify_all();
     }
-
-    /// Whether [`BoundedQueue::close`] has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn admission_is_rejected_at_capacity_without_blocking() {
@@ -208,15 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_expires_on_an_open_queue() {
-        let q = BoundedQueue::<u32>::new(1);
-        let start = std::time::Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(30)), None);
-        assert!(start.elapsed() >= Duration::from_millis(30));
-        assert!(!q.is_closed());
-    }
-
-    #[test]
     fn a_panicking_holder_leaves_the_queue_serviceable() {
         let q = Arc::new(BoundedQueue::new(4));
         q.try_push(1).unwrap();
@@ -237,7 +199,6 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         q.close();
-        assert!(q.is_closed());
         assert_eq!(q.pop(), None);
     }
 
@@ -247,7 +208,8 @@ mod tests {
         for i in 0..8 {
             q.try_push(i).unwrap();
         }
-        let popped: Vec<i32> = std::iter::from_fn(|| q.pop_timeout(Duration::ZERO)).collect();
+        q.close();
+        let popped: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(popped, (0..8).collect::<Vec<_>>());
     }
 }

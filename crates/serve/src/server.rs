@@ -32,10 +32,9 @@ use std::io::Write as _;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use vfps_core::selectors::{SelectionContext, VfpsSmSelector};
 use vfps_net::cost::CostModel;
 use vfps_net::server::{Listener, Reply};
@@ -110,7 +109,7 @@ struct Job {
     world: Arc<TenantWorld>,
     admitted_at: Instant,
     deadline: Instant,
-    reply: channel::Sender<Response>,
+    reply: mpsc::Sender<Response>,
 }
 
 /// Everything shared between acceptor, handlers, and workers.
@@ -149,18 +148,16 @@ impl Shared {
     /// A lock poisoned by a panicking thread is recovered, not
     /// propagated: the guarded state is `()` (the condvar's predicate is
     /// the `live_workers` atomic), so a drain must still complete after
-    /// any worker panic.
+    /// any worker panic. No wake-up is lost: a worker decrements, then
+    /// notifies under the lock this thread holds from check to sleep.
     fn drain(&self) -> DrainReport {
         self.queue.close();
         let (lock, cvar) = &self.drained;
-        let mut guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        while self.live_workers.load(Ordering::Acquire) > 0 {
-            let (g, _) = cvar
-                .wait_timeout(guard, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner);
-            guard = g;
-        }
-        drop(guard);
+        let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        drop(
+            cvar.wait_while(guard, |()| self.live_workers.load(Ordering::Acquire) > 0)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         self.report()
     }
 
@@ -374,7 +371,7 @@ fn submit(shared: &Arc<Shared>, req: SelectRequest) -> Response {
         } else {
             Duration::from_millis(deadline_ms)
         };
-    let (tx, rx) = channel::unbounded();
+    let (tx, rx) = mpsc::channel();
     let stats = world.stats.clone();
     // Bill the tenant's in-flight slot *before* the push: once the job is
     // in the queue a worker may pop, run, and decrement it at any moment,
