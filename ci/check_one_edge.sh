@@ -19,6 +19,7 @@
 # And one for the pool: one FIFO queue, and nothing pushes to a per-worker deque.
 # And one for SIMD: the AVX-512 IFMA lane kernel and its dispatch live in one file.
 # And one for synchronisation: locks, condvars and channels are std::sync's.
+# And one for top-k: one ranking (Ranking), no access-counted list model beside it.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -190,9 +191,21 @@ if hits=$(grep -nE '^(vfps-serve|vfps-router|vfps-cluster|criterion)\b' crates/b
     fail=1
 fi
 
+# One ranking (DESIGN.md §7): FA and TA run over vfps_topk::Ranking, the
+# structure the parties rank with. The access-counted list model beside
+# it (RankedList, Direction, AccessStats and total_stats, a batch
+# fagin_topk, a naive_topk oracle) had its own sort, and a proptest had to
+# hold the two orders equal; tests write their references inline.
+if hits=$(grep -rnE '\b(RankedList|fagin_topk|naive_topk|AccessStats|total_stats)\b|Direction::' \
+        crates tests examples); then
+    echo "the access-counted top-k list model is back (rank through vfps_topk::Ranking):"
+    echo "$hits"
+    fail=1
+fi
+
 # Nothing unreached (DESIGN.md §2): these items had no caller outside
 # their own tests and were deleted; reviving one needs a caller first.
-if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profiles|DatasetStats|budgeted_greedy|knn_mi|macro_f1|confusion_matrix|query_batch_memo|query_batch_resilient|ResilientBatch|LeaveOneOutSelector|outcome_memo|SparseSimilarity|from_sparse|try_finish_sparse|stochastic_greedy_seeded|greedy_on|lazy_greedy_on|stochastic_greedy_on|sieve_streaming_on|canonical_bytes' \
+if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profiles|DatasetStats|budgeted_greedy|knn_mi|macro_f1|confusion_matrix|query_batch_memo|query_batch_resilient|ResilientBatch|LeaveOneOutSelector|outcome_memo|SparseSimilarity|from_sparse|try_finish_sparse|stochastic_greedy_seeded|greedy_on|lazy_greedy_on|stochastic_greedy_on|sieve_streaming_on|canonical_bytes|hconcat|axpy|frobenius_norm|learning_rate|cluster_size' \
         crates examples); then
     echo "deleted, never-called library surface is back (wire a caller in the same change, or leave it out):"
     echo "$hits"

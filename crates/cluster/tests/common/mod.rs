@@ -26,13 +26,14 @@ pub fn accept_session(listener: &TcpListener, party_id: usize) -> TcpStream {
 /// The daemons' session is a placeholder: no protocol body runs over it.
 pub fn hub_over(
     parties: usize,
-    daemon: fn(TcpListener, usize),
+    daemon: impl Fn(TcpListener, usize) + Clone + Send + 'static,
 ) -> (Hub, Vec<std::thread::JoinHandle<()>>) {
     let mut addrs = Vec::new();
     let mut handles = Vec::new();
     for party_id in 0..parties {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake daemon");
         addrs.push(listener.local_addr().unwrap().to_string());
+        let daemon = daemon.clone();
         handles.push(std::thread::spawn(move || daemon(listener, party_id)));
     }
     let ids: Vec<usize> = (0..parties).collect();

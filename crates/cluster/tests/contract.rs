@@ -183,27 +183,38 @@ fn session(parties: &[usize], mode: KnnMode) -> KnnSession {
     KnnSession::new(parties, &db, &[0, 1], cfg, 5)
 }
 
+/// The lies a participant tells in its first `RankBatch`, each keeping
+/// the batch count, with what the server's refusal names: an id outside
+/// the database, and an id sent twice (a slot streams disjoint slices of
+/// one ranking, so a repeat would pass for another party's sighting).
+fn rank_batch_lies() -> [(Vec<u32>, String); 2] {
+    [
+        (vec![0, ROWS], format!("RankBatch: {ROWS} outside")),
+        (vec![2, 2], "RankBatch: 2 already streamed by slot 0".to_owned()),
+    ]
+}
+
 /// Node 0's side: the real server body over a one-party Fagin session
-/// whose participant answers with an id outside the database.
-fn server_refuses_a_lying_rank_batch<C: Channel<ProtoMsg>>(ch: &C) {
+/// whose participant answers with `lie`'s batch.
+fn server_refuses_a_lying_rank_batch<C: Channel<ProtoMsg>>(ch: &C, refusal: &str) {
     let he = Arc::new(PlainHe::new(4));
     let err = knn_server_node(ch, &he, &session(&[0], KnnMode::Fagin)).unwrap_err();
     assert!(matches!(err, Error::ProtocolViolation { .. }), "typed, got {err:?}");
-    assert!(err.to_string().contains(&format!("RankBatch: {ROWS} outside")), "got {err}");
+    assert!(err.to_string().contains(refusal), "got {err}");
 }
 
 /// Node 1's side: one in-range batch too few would be a count violation;
-/// this one keeps the count and lies about an id.
-fn lying_rank_batch(asked: &[u32]) -> ProtoMsg {
-    ProtoMsg::RankBatch(asked.iter().map(|_| vec![0, ROWS]).collect())
+/// this one keeps the count and lies about its ids.
+fn lying_rank_batch(asked: &[u32], lie: &[u32]) -> ProtoMsg {
+    ProtoMsg::RankBatch(asked.iter().map(|_| lie.to_vec()).collect())
 }
 
-fn lying_participant<C: Channel<ProtoMsg>>(ch: &C) -> Result<(), Error> {
+fn lying_participant<C: Channel<ProtoMsg>>(ch: &C, lie: &[u32]) -> Result<(), Error> {
     let ProtoMsg::NeedBatch(asked) = ch.recv_from_timeout(0, LONG)? else {
         panic!("the stream opens with NeedBatch");
     };
     assert_eq!(asked, vec![0, 1], "both queries of the wave are open");
-    ch.send(0, lying_rank_batch(&asked))?;
+    ch.send(0, lying_rank_batch(&asked, lie))?;
     // The server body is gone; nothing else arrives.
     assert_eq!(ch.recv_from_timeout(0, LONG), Err(Error::Hangup { peer: 0 }));
     Ok(())
@@ -211,49 +222,87 @@ fn lying_participant<C: Channel<ProtoMsg>>(ch: &C) -> Result<(), Error> {
 
 #[test]
 fn a_lying_rank_batch_is_a_typed_violation_on_every_transport() {
-    // Simulated cluster.
+    for (lie, refusal) in rank_batch_lies() {
+        // Simulated cluster.
+        let (server_refusal, participant_lie) = (refusal.clone(), lie.clone());
+        let fns: Vec<FallibleNodeFn<ProtoMsg, ()>> = vec![
+            Box::new(move |ctx| {
+                server_refuses_a_lying_rank_batch(&ctx, &server_refusal);
+                Err(Error::violation("server body refused the frame"))
+            }),
+            Box::new(move |ctx| lying_participant(&ctx, &participant_lie)),
+        ];
+        let (results, _) = run_cluster_fallible(fns, ClusterOptions::default());
+        assert_eq!(results[1], Ok(()), "the participant saw the server leave");
+
+        // The hub, against a daemon-side `PartyChannel`.
+        let daemon_lie = lie.clone();
+        let daemon = move |listener: TcpListener, party_id: usize| {
+            let conn = Conn::adopt(common::accept_session(&listener, party_id));
+            lying_participant(&PartyChannel::new(&conn, 1, 2, None), &daemon_lie).unwrap();
+        };
+        let (mut hub, daemons) = common::hub_over(1, daemon);
+        server_refuses_a_lying_rank_batch(&hub, &refusal);
+        hub.shutdown();
+        for d in daemons {
+            d.join().unwrap();
+        }
+
+        // A `PartyChannel` as node 0, against a scripted hub socket.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let hub = std::thread::spawn(move || {
+            let conn = Conn::adopt(listener.accept().unwrap().0);
+            let Ok(Some(ClusterMsg::Routed { from: 0, to: 1, payload })) =
+                conn.recv::<ClusterMsg>()
+            else {
+                panic!("expected node 0's NeedBatch");
+            };
+            let Ok(ProtoMsg::NeedBatch(asked)) = ProtoMsg::from_bytes(&payload) else {
+                panic!("expected NeedBatch");
+            };
+            let payload = lying_rank_batch(&asked, &lie).to_bytes();
+            conn.send(&ClusterMsg::Routed { from: 1, to: 0, payload }).unwrap();
+            assert!(matches!(conn.recv::<ClusterMsg>(), Ok(None)));
+        });
+        let conn = Conn::connect(addr).unwrap();
+        server_refuses_a_lying_rank_batch(&PartyChannel::new(&conn, 0, 2, None), &refusal);
+        drop(conn);
+        hub.join().unwrap();
+    }
+}
+
+/// A slot that repeats an id from an earlier batch of the same query is
+/// refused too; the same id for two queries is not. One party, k = 2, one
+/// id a batch: honest, query 0's second batch would be its second id; this
+/// one resends the first, which the stream alone would count as the second
+/// completion.
+#[test]
+fn a_rank_batch_repeating_an_earlier_batch_is_a_typed_violation() {
     let fns: Vec<FallibleNodeFn<ProtoMsg, ()>> = vec![
         Box::new(|ctx| {
-            server_refuses_a_lying_rank_batch(&ctx);
+            let cfg = FedKnnConfig { k: 2, mode: KnnMode::Fagin, batch: 1, cost_scale: 1.0 };
+            let db: Vec<usize> = (0..ROWS as usize).collect();
+            let session = KnnSession::new(&[0], &db, &[0, 1], cfg, 5);
+            let err = knn_server_node(&ctx, &Arc::new(PlainHe::new(4)), &session).unwrap_err();
+            assert!(matches!(err, Error::ProtocolViolation { .. }), "typed, got {err:?}");
+            assert!(err.to_string().contains("RankBatch: 0 already streamed by slot 0"), "{err}");
             Err(Error::violation("server body refused the frame"))
         }),
-        Box::new(|ctx| lying_participant(&ctx)),
+        Box::new(|ctx| {
+            for batches in [vec![vec![0], vec![0]], vec![vec![0], vec![1]]] {
+                let ProtoMsg::NeedBatch(asked) = ctx.recv_from_timeout(0, LONG)? else {
+                    panic!("the stream asks for batches");
+                };
+                assert_eq!(asked, vec![0, 1], "neither query is complete");
+                ctx.send(0, ProtoMsg::RankBatch(batches))?;
+            }
+            assert_eq!(ctx.recv_from_timeout(0, LONG), Err(Error::Hangup { peer: 0 }));
+            Ok(())
+        }),
     ];
     let (results, _) = run_cluster_fallible(fns, ClusterOptions::default());
     assert_eq!(results[1], Ok(()), "the participant saw the server leave");
-
-    // The hub, against a daemon-side `PartyChannel`.
-    fn daemon(listener: TcpListener, party_id: usize) {
-        let conn = Conn::adopt(common::accept_session(&listener, party_id));
-        lying_participant(&PartyChannel::new(&conn, 1, 2, None)).unwrap();
-    }
-    let (mut hub, daemons) = common::hub_over(1, daemon);
-    server_refuses_a_lying_rank_batch(&hub);
-    hub.shutdown();
-    for d in daemons {
-        d.join().unwrap();
-    }
-
-    // A `PartyChannel` as node 0, against a scripted hub socket.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let hub = std::thread::spawn(move || {
-        let conn = Conn::adopt(listener.accept().unwrap().0);
-        let Ok(Some(ClusterMsg::Routed { from: 0, to: 1, payload })) = conn.recv::<ClusterMsg>()
-        else {
-            panic!("expected node 0's NeedBatch");
-        };
-        let Ok(ProtoMsg::NeedBatch(asked)) = ProtoMsg::from_bytes(&payload) else {
-            panic!("expected NeedBatch");
-        };
-        let payload = lying_rank_batch(&asked).to_bytes();
-        conn.send(&ClusterMsg::Routed { from: 1, to: 0, payload }).unwrap();
-        assert!(matches!(conn.recv::<ClusterMsg>(), Ok(None)));
-    });
-    let conn = Conn::connect(addr).unwrap();
-    server_refuses_a_lying_rank_batch(&PartyChannel::new(&conn, 0, 2, None));
-    drop(conn);
-    hub.join().unwrap();
 }
 
 /// A real daemon sent ids outside the database — by the server

@@ -123,21 +123,6 @@ impl Matrix {
         out
     }
 
-    /// Horizontal concatenation.
-    ///
-    /// # Panics
-    /// Panics if row counts differ.
-    #[must_use]
-    pub fn hconcat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "row count mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
-        }
-        out
-    }
-
     /// `self · other`.
     ///
     /// # Panics
@@ -224,17 +209,6 @@ impl Matrix {
         }
     }
 
-    /// In-place `self += alpha * other`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn axpy(&mut self, alpha: f64, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// In-place scaling.
     pub fn scale_inplace(&mut self, alpha: f64) {
         for v in &mut self.data {
@@ -265,12 +239,6 @@ impl Matrix {
             }
         }
         sums
-    }
-
-    /// Frobenius norm.
-    #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 }
 
@@ -368,15 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn hconcat_stitches() {
-        let a = Matrix::from_rows(&[vec![1.0], vec![2.0]]);
-        let b = Matrix::from_rows(&[vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let c = a.hconcat(&b);
-        assert_eq!(c.row(0), &[1.0, 3.0, 4.0]);
-        assert_eq!(c.row(1), &[2.0, 5.0, 6.0]);
-    }
-
-    #[test]
     fn broadcast_and_reductions() {
         let mut m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         m.add_row_broadcast(&[10.0, 20.0]);
@@ -385,11 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
-        let mut a = Matrix::from_rows(&[vec![1.0, 1.0]]);
-        let b = Matrix::from_rows(&[vec![2.0, 3.0]]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.row(0), &[2.0, 2.5]);
+    fn scale_inplace_scales_every_entry() {
+        let mut a = Matrix::from_rows(&[vec![2.0, 2.5]]);
         a.scale_inplace(2.0);
         assert_eq!(a.row(0), &[4.0, 5.0]);
     }
@@ -398,11 +354,5 @@ mod tests {
     fn squared_distance_basics() {
         assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
         assert_eq!(squared_distance(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn frobenius() {
-        let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

@@ -37,18 +37,6 @@ impl Dense {
         }
     }
 
-    /// Input dimension.
-    #[must_use]
-    pub fn in_dim(&self) -> usize {
-        self.w.rows()
-    }
-
-    /// Output dimension.
-    #[must_use]
-    pub fn out_dim(&self) -> usize {
-        self.w.cols()
-    }
-
     /// Forward pass: `x · W + b`.
     #[must_use]
     pub fn forward(&self, x: &Matrix) -> Matrix {
@@ -148,6 +136,25 @@ pub fn softmax_ce_grad(probs: &Matrix, labels: &[usize]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The rate reaches both Adam states: at zero a step moves no weight
+    /// and no bias, yet the input gradient still flows back.
+    #[test]
+    fn set_learning_rate_reaches_both_adam_states() {
+        let x = Matrix::from_rows(&[vec![1.0, -2.0]]);
+        let dz = Matrix::from_rows(&[vec![0.5, -1.0, 2.0]]);
+        let mut layer = Dense::new(2, 3, 0.1, 7);
+        layer.set_learning_rate(0.0);
+        let (w, b) = (layer.w.clone(), layer.b.clone());
+        let dx = layer.backward_update(&x, &dz);
+        assert_eq!(layer.w.as_slice(), w.as_slice(), "a zero rate moves no weight");
+        assert_eq!(layer.b, b, "a zero rate moves no bias");
+        assert_eq!(dx.as_slice(), dz.matmul_t(&w).as_slice());
+        layer.set_learning_rate(0.1);
+        let _ = layer.backward_update(&x, &dz);
+        assert!(layer.w.as_slice().iter().zip(w.as_slice()).all(|(now, was)| now != was));
+        assert!(layer.b.iter().zip(&b).all(|(now, was)| now != was));
+    }
 
     #[test]
     fn dense_forward_shape_and_values() {

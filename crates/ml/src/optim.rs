@@ -21,12 +21,6 @@ impl Adam {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, m: vec![0.0; dim], v: vec![0.0; dim], t: 0 }
     }
 
-    /// The learning rate.
-    #[must_use]
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
     /// Updates the learning rate (used by grid search restarts).
     pub fn set_learning_rate(&mut self, lr: f64) {
         self.lr = lr;

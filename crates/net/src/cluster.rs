@@ -291,12 +291,6 @@ impl<M: Wire + Send + 'static> NodeCtx<M> {
     pub fn departed(&self) -> Vec<NodeId> {
         self.mailbox.borrow().departed()
     }
-
-    /// Number of nodes in the cluster.
-    #[must_use]
-    pub fn cluster_size(&self) -> usize {
-        self.senders.len()
-    }
 }
 
 impl<M> Drop for NodeCtx<M> {

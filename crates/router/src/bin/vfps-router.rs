@@ -14,47 +14,27 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use vfps_router::{Router, RouterConfig};
+use vfps_serve::flags::Flags;
 
 fn parse_args(args: &[String]) -> Result<RouterConfig, String> {
     let mut cfg = RouterConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => cfg.addr = value("--addr")?,
+    let mut flags = Flags::new(args.to_vec());
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--addr" => cfg.addr = flags.value()?,
             "--backend" => {
-                let spec = value("--backend")?;
+                let spec = flags.value()?;
                 let (name, addr) = spec
                     .split_once('=')
+                    .filter(|(name, addr)| !name.is_empty() && !addr.is_empty())
                     .ok_or_else(|| format!("--backend wants name=host:port, got {spec:?}"))?;
-                if name.is_empty() || addr.is_empty() {
-                    return Err(format!("--backend wants name=host:port, got {spec:?}"));
-                }
                 cfg.backends.push((name.to_owned(), addr.to_owned()));
             }
-            "--ring-seed" => {
-                let v = value("--ring-seed")?;
-                cfg.ring_seed = v.parse().map_err(|e| format!("bad --ring-seed {v:?}: {e}"))?;
-            }
-            "--vnodes" => {
-                let v = value("--vnodes")?;
-                cfg.vnodes = v.parse().map_err(|e| format!("bad --vnodes {v:?}: {e}"))?;
-            }
-            "--health-interval-ms" => {
-                let v = value("--health-interval-ms")?;
-                cfg.health_interval = Duration::from_millis(
-                    v.parse().map_err(|e| format!("bad --health-interval-ms {v:?}: {e}"))?,
-                );
-            }
-            "--health-timeout-ms" => {
-                let v = value("--health-timeout-ms")?;
-                cfg.health_timeout = Duration::from_millis(
-                    v.parse().map_err(|e| format!("bad --health-timeout-ms {v:?}: {e}"))?,
-                );
-            }
-            "--trace-out" => cfg.trace_out = Some(value("--trace-out")?.into()),
+            "--ring-seed" => cfg.ring_seed = flags.parse()?,
+            "--vnodes" => cfg.vnodes = flags.parse()?,
+            "--health-interval-ms" => cfg.health_interval = Duration::from_millis(flags.parse()?),
+            "--health-timeout-ms" => cfg.health_timeout = Duration::from_millis(flags.parse()?),
+            "--trace-out" => cfg.trace_out = Some(flags.value()?.into()),
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);

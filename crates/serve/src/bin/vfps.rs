@@ -23,6 +23,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use vfps_serve::flags::Flags;
 use vfps_serve::{Client, Request, Response, SelectRequest, ServeConfig, Server};
 
 use vfps_core::make_selector;
@@ -78,40 +79,26 @@ impl Default for Args {
     }
 }
 
-/// Parses `flag`'s value, naming both on failure:
-/// `bad --parties "abc": invalid digit found in string`.
-fn parse_flag<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    raw.parse().map_err(|e| format!("bad {flag} {raw:?}: {e}"))
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--data" => args.data = Some(PathBuf::from(value("--data")?)),
-            "--format" => args.format = value("--format")?,
-            "--synthetic" => args.synthetic = Some(value("--synthetic")?),
-            "--parties" => args.parties = parse_flag("--parties", &value("--parties")?)?,
-            "--select" => args.select = parse_flag("--select", &value("--select")?)?,
-            "--method" => args.method = value("--method")?.to_lowercase(),
-            "--model" => args.model = value("--model")?.to_lowercase(),
-            "--k" => args.knn_k = parse_flag("--k", &value("--k")?)?,
-            "--queries" => args.queries = parse_flag("--queries", &value("--queries")?)?,
-            "--seed" => args.seed = parse_flag("--seed", &value("--seed")?)?,
-            "--label-column" => {
-                args.label_column = parse_flag("--label-column", &value("--label-column")?)?;
-            }
+    let mut flags = Flags::new(std::env::args().skip(1));
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--data" => args.data = Some(PathBuf::from(flags.value()?)),
+            "--format" => args.format = flags.value()?,
+            "--synthetic" => args.synthetic = Some(flags.value()?),
+            "--parties" => args.parties = flags.parse()?,
+            "--select" => args.select = flags.parse()?,
+            "--method" => args.method = flags.value()?.to_lowercase(),
+            "--model" => args.model = flags.value()?.to_lowercase(),
+            "--k" => args.knn_k = flags.parse()?,
+            "--queries" => args.queries = flags.parse()?,
+            "--seed" => args.seed = flags.parse()?,
+            "--label-column" => args.label_column = flags.parse()?,
             "--no-header" => args.no_header = true,
             "--verbose" | "-v" => args.verbose = true,
-            "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
+            "--trace-out" => args.trace_out = Some(PathBuf::from(flags.value()?)),
+            "--cache-dir" => args.cache_dir = Some(PathBuf::from(flags.value()?)),
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);
@@ -356,32 +343,22 @@ fn run() -> Result<(), String> {
 
 fn run_serve(args: &[String]) -> Result<(), String> {
     let mut cfg = ServeConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => cfg.addr = value("--addr")?,
-            "--synthetic" => cfg.dataset = value("--synthetic")?,
-            "--instances" => cfg.instances = parse_flag("--instances", &value("--instances")?)?,
-            "--parties" => cfg.parties = parse_flag("--parties", &value("--parties")?)?,
-            "--seed" => cfg.data_seed = parse_flag("--seed", &value("--seed")?)?,
-            "--max-concurrent" => {
-                cfg.max_concurrent = parse_flag("--max-concurrent", &value("--max-concurrent")?)?;
-            }
-            "--queue-capacity" => {
-                cfg.queue_capacity = parse_flag("--queue-capacity", &value("--queue-capacity")?)?;
-            }
-            "--max-tenants" => {
-                cfg.max_tenants = parse_flag("--max-tenants", &value("--max-tenants")?)?;
-            }
+    let mut flags = Flags::new(args.to_vec());
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--addr" => cfg.addr = flags.value()?,
+            "--synthetic" => cfg.dataset = flags.value()?,
+            "--instances" => cfg.instances = flags.parse()?,
+            "--parties" => cfg.parties = flags.parse()?,
+            "--seed" => cfg.data_seed = flags.parse()?,
+            "--max-concurrent" => cfg.max_concurrent = flags.parse()?,
+            "--queue-capacity" => cfg.queue_capacity = flags.parse()?,
+            "--max-tenants" => cfg.max_tenants = flags.parse()?,
             "--deadline-ms" => {
-                cfg.default_deadline =
-                    Duration::from_millis(parse_flag("--deadline-ms", &value("--deadline-ms")?)?);
+                cfg.default_deadline = Duration::from_millis(flags.parse()?);
             }
-            "--cache-dir" => cfg.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--trace-out" => cfg.trace_out = Some(PathBuf::from(value("--trace-out")?)),
+            "--cache-dir" => cfg.cache_dir = Some(PathBuf::from(flags.value()?)),
+            "--trace-out" => cfg.trace_out = Some(PathBuf::from(flags.value()?)),
             "--once" => cfg.once = true,
             "--help" | "-h" => {
                 print_serve_help();
@@ -432,21 +409,16 @@ fn run_party(args: &[String]) -> Result<(), String> {
     let mut seed = 42u64;
     let mut party_id: Option<usize> = None;
     let mut max_sessions: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--synthetic" => dataset = value("--synthetic")?,
-            "--instances" => instances = parse_flag("--instances", &value("--instances")?)?,
-            "--parties" => parties = parse_flag("--parties", &value("--parties")?)?,
-            "--seed" => seed = parse_flag("--seed", &value("--seed")?)?,
-            "--party-id" => party_id = Some(parse_flag("--party-id", &value("--party-id")?)?),
-            "--max-sessions" => {
-                max_sessions = Some(parse_flag("--max-sessions", &value("--max-sessions")?)?);
-            }
+    let mut flags = Flags::new(args.to_vec());
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--addr" => addr = flags.value()?,
+            "--synthetic" => dataset = flags.value()?,
+            "--instances" => instances = flags.parse()?,
+            "--parties" => parties = flags.parse()?,
+            "--seed" => seed = flags.parse()?,
+            "--party-id" => party_id = Some(flags.parse()?),
+            "--max-sessions" => max_sessions = Some(flags.parse()?),
             "--help" | "-h" => {
                 print_party_help();
                 std::process::exit(0);
@@ -544,27 +516,24 @@ fn run_submit(args: &[String]) -> Result<(), String> {
         shutdown: false,
         list_datasets: false,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => sub.addr = value("--addr")?,
-            "--dataset" => sub.req.dataset = value("--dataset")?,
-            "--id" => sub.req.request_id = parse_flag("--id", &value("--id")?)?,
-            "--parties" => sub.parties = parse_flag("--parties", &value("--parties")?)?,
+    let mut flags = Flags::new(args.to_vec());
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--addr" => sub.addr = flags.value()?,
+            "--dataset" => sub.req.dataset = flags.value()?,
+            "--id" => sub.req.request_id = flags.parse()?,
+            "--parties" => sub.parties = flags.parse()?,
             "--party-set" => {
-                let raw = value("--party-set")?;
+                let raw = flags.value()?;
                 let set: Result<Vec<usize>, _> =
                     raw.split(',').map(str::trim).map(str::parse).collect();
                 sub.party_set = Some(set.map_err(|e| format!("bad --party-set {raw:?}: {e}"))?);
             }
-            "--select" => sub.req.select = parse_flag("--select", &value("--select")?)?,
-            "--k" => sub.req.k = parse_flag("--k", &value("--k")?)?,
-            "--queries" => sub.req.query_count = parse_flag("--queries", &value("--queries")?)?,
+            "--select" => sub.req.select = flags.parse()?,
+            "--k" => sub.req.k = flags.parse()?,
+            "--queries" => sub.req.query_count = flags.parse()?,
             "--mode" => {
-                let mode = match value("--mode")?.to_lowercase().as_str() {
+                let mode = match flags.value()?.to_lowercase().as_str() {
                     "base" => KnnMode::Base,
                     "fagin" => KnnMode::Fagin,
                     "threshold" | "ta" => KnnMode::Threshold,
@@ -577,7 +546,7 @@ fn run_submit(args: &[String]) -> Result<(), String> {
                 sub.req.mode = mode.byte();
             }
             "--maximizer" => {
-                sub.req.maximizer = match value("--maximizer")?.to_lowercase().as_str() {
+                sub.req.maximizer = match flags.value()?.to_lowercase().as_str() {
                     "lazy" => 1,
                     "stochastic" => 2,
                     other => {
@@ -587,10 +556,8 @@ fn run_submit(args: &[String]) -> Result<(), String> {
                     }
                 };
             }
-            "--seed" => sub.req.seed = parse_flag("--seed", &value("--seed")?)?,
-            "--deadline-ms" => {
-                sub.req.deadline_ms = parse_flag("--deadline-ms", &value("--deadline-ms")?)?;
-            }
+            "--seed" => sub.req.seed = flags.parse()?,
+            "--deadline-ms" => sub.req.deadline_ms = flags.parse()?,
             "--ping" => sub.ping = true,
             "--shutdown" => sub.shutdown = true,
             "--list-datasets" => sub.list_datasets = true,
@@ -684,12 +651,10 @@ fn run_route(args: &[String]) -> Result<(), String> {
     let mut action: Option<String> = None;
     let mut drain_target: Option<String> = None;
     let mut add_target: Option<(String, String)> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => {
-                addr = it.next().cloned().ok_or("--addr needs a value")?;
-            }
+    let mut flags = Flags::new(args.to_vec());
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--addr" => addr = flags.value()?,
             "--help" | "-h" => {
                 print_route_help();
                 std::process::exit(0);
@@ -697,11 +662,11 @@ fn run_route(args: &[String]) -> Result<(), String> {
             "status" if action.is_none() => action = Some("status".into()),
             "drain" if action.is_none() => {
                 action = Some("drain".into());
-                drain_target = Some(it.next().cloned().ok_or("drain needs a backend name")?);
+                drain_target = Some(flags.value().map_err(|_| "drain needs a backend name")?);
             }
             "add" if action.is_none() => {
                 action = Some("add".into());
-                let spec = it.next().cloned().ok_or("add needs <name>=<host:port>")?;
+                let spec = flags.value().map_err(|_| "add needs <name>=<host:port>")?;
                 let (name, backend_addr) = spec
                     .split_once('=')
                     .ok_or_else(|| format!("add target {spec:?} must be <name>=<host:port>"))?;

@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod flags;
 pub mod proto;
 pub mod queue;
 pub mod server;

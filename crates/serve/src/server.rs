@@ -213,6 +213,9 @@ impl Server {
         if cfg.max_concurrent == 0 {
             return Err(ServeError::Config("max_concurrent must be positive".into()));
         }
+        if cfg.queue_capacity == 0 {
+            return Err(ServeError::Config("queue_capacity must be positive".into()));
+        }
         let (cache_dir, scratch_cache) = match &cfg.cache_dir {
             Some(dir) => (dir.clone(), None),
             None => {

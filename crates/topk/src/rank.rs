@@ -14,7 +14,7 @@
 //! same order. A caller that needs only *which* entries rank best, not
 //! their order, asks [`Ranking::top_set`], which selects without sorting.
 
-use crate::list::ItemId;
+use crate::ItemId;
 
 /// The fewest entries one extension ranks: a top-k read one entry at a
 /// time (through [`IntoIter`]) selects once for small `k`.

@@ -9,7 +9,7 @@
 //! *candidate* whose (encrypted) partial distances are then fetched — the
 //! set the paper's Fig. 9 counts.
 
-use crate::list::ItemId;
+use crate::ItemId;
 use std::collections::HashSet;
 
 /// Incremental Fagin state fed by per-party pseudo-ID batches.
@@ -160,14 +160,43 @@ mod tests {
         sf
     }
 
+    /// The walkthrough of the paper's Fig. 2: three parties' distances to
+    /// X1..X4 (ids 0..3), k = 2, one id per party per round.
     #[test]
     fn completes_when_k_ids_fully_seen() {
-        // Matches the fagin_paper_fig2 example (rank orders only).
-        let rankings = vec![vec![0, 1, 2, 3], vec![2, 3, 0, 1], vec![0, 1, 2, 3]];
+        let scores = [vec![1.0, 2.0, 6.0, 9.0], vec![3.0, 3.5, 1.0, 2.0], vec![1.0, 1.5, 2.0, 9.0]];
+        let rankings: Vec<Vec<ItemId>> = scores
+            .iter()
+            .map(|s| crate::Ranking::of_scores(s).into_iter().map(|e| e.id()).collect())
+            .collect();
+        assert_eq!(rankings, [[0, 1, 2, 3], [2, 3, 0, 1], [0, 1, 2, 3]], "the figure's orders");
         let sf = run_round_robin(&rankings, 2, 1);
         assert!(sf.is_complete());
-        assert_eq!(sf.fully_seen(), 2);
-        assert_eq!(sf.candidate_count(), 4, "X1..X4 all surfaced");
+        assert_eq!(sf.fully_seen(), 2, "X1 and X3 are seen in every list");
+        assert_eq!(sf.rows_consumed(), [3, 3, 3], "the scan stops at depth 3");
+        assert_eq!(sf.candidates(), [0, 2, 1, 3], "X1..X4 all surfaced");
+        // The leader ranks the candidates' sums: X1 = 5, X2 = 7, X3 = 9.
+        let sums = sf.candidates().iter().map(|&id| (scores.iter().map(|s| s[id]).sum(), id));
+        let top: Vec<ItemId> = crate::Ranking::new(sums).prefix(2).iter().map(|e| e.id()).collect();
+        assert_eq!(top, [0, 1], "minimal-2 is X1, X2 — not the fully-seen X3");
+    }
+
+    /// Reversed rankings force a deep scan — FA's worst case — and the
+    /// candidates still hold the best sum.
+    #[test]
+    fn anti_correlated_rankings_scan_past_the_middle() {
+        let asc: Vec<f64> = (0..10).map(f64::from).collect();
+        let desc: Vec<f64> = (0..10).rev().map(|v| f64::from(v) * 0.5).collect();
+        let scores = [asc, desc];
+        let rankings = crate::reference::orders(&scores);
+        let sf = run_round_robin(&rankings, 1, 1);
+        assert!(
+            sf.rows_consumed()[0] > 5,
+            "must scan past the middle, got {:?}",
+            sf.rows_consumed()
+        );
+        let best = crate::reference::oracle(&scores, 1)[0].0;
+        assert!(sf.candidate_set().contains(&best), "best id {best} missing");
     }
 
     #[test]

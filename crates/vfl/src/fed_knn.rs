@@ -257,17 +257,8 @@ impl<'a> FedKnn<'a> {
                 let sort_ops = (scaled_n as f64 * (scaled_n as f64).log2()).round() as u64;
                 ledger.record_plain(sort_ops, p);
 
-                let mut lists: Vec<vfps_topk::RankedList> = partials
-                    .iter()
-                    .map(|d| {
-                        vfps_topk::RankedList::from_scores(
-                            d.clone(),
-                            vfps_topk::Direction::Ascending,
-                        )
-                    })
-                    .collect();
-                let out = vfps_topk::threshold::threshold_topk(&mut lists, self.cfg.k.min(n));
-                let c = out.candidates_examined;
+                let out = vfps_topk::threshold::threshold_topk(&partials, self.cfg.k.min(n));
+                let c = out.candidates;
                 let depth = out.depth;
 
                 // Sequential id streaming up to the stop depth.
@@ -292,7 +283,7 @@ impl<'a> FedKnn<'a> {
                 ledger.record_dec(fbill(c));
                 // TA already identified the exact top-k among the scored
                 // candidates, so the shared tail only needs those.
-                let cands: Vec<usize> = out.topk.iter().map(|e| e.0).collect();
+                let cands: Vec<usize> = out.topk.iter().map(|e| e.id()).collect();
                 (cands, c)
             }
             KnnMode::Fagin => {

@@ -563,6 +563,11 @@ fn wire_ids(ids: &[usize]) -> Vec<u32> {
 /// so with a dead slot a stream instead terminates when the survivors have
 /// fed every id. Returns the candidate list of each query.
 ///
+/// A slot streams disjoint slices of one ranking, so an id it already
+/// sent for a query — in the same batch or an earlier one — is refused:
+/// the stream would count the repeat as another party's sighting and
+/// could stop before the true top-k surfaced.
+///
 /// [`StreamingFagin`]: vfps_topk::stream::StreamingFagin
 fn stream_wave<C: Channel<ProtoMsg>>(
     ctx: &C,
@@ -578,6 +583,8 @@ fn stream_wave<C: Channel<ProtoMsg>>(
         .collect();
     // exhausted[slot][query]
     let mut exhausted: Vec<Vec<bool>> = dead.iter().map(|&d| vec![d; wave_len]).collect();
+    // streamed[slot][query][id]
+    let mut streamed = vec![vec![vec![false; n]; wave_len]; p];
     loop {
         let mut asked_any = false;
         for slot in 0..p {
@@ -620,9 +627,16 @@ fn stream_wave<C: Channel<ProtoMsg>>(
             for (q, ids) in open.into_iter().zip(batches) {
                 if ids.is_empty() {
                     exhausted[slot][q] = true;
-                } else {
-                    streams[q].feed(slot, &ids);
+                    continue;
                 }
+                for &id in &ids {
+                    if std::mem::replace(&mut streamed[slot][q][id], true) {
+                        return Err(Error::violation(format!(
+                            "RankBatch: {id} already streamed by slot {slot}"
+                        )));
+                    }
+                }
+                streams[q].feed(slot, &ids);
             }
         }
         if !asked_any {

@@ -504,3 +504,93 @@ fn route_help_lists_every_action() {
         assert!(stdout.contains(needle), "route help missing {needle}: {stdout}");
     }
 }
+
+/// Runs `vfps <args>`, expecting the argument refusal: exit 2, and the
+/// stderr line `error: <reason>` exactly.
+fn refused_with(args: &[&str], reason: &str) {
+    let out = vfps().args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().next(), Some(format!("error: {reason}").as_str()), "{args:?}");
+}
+
+#[test]
+fn every_subcommand_names_a_flag_missing_its_value() {
+    refused_with(&["--synthetic"], "--synthetic needs a value");
+    refused_with(&["serve", "--cache-dir"], "--cache-dir needs a value");
+    refused_with(&["party", "--party-id"], "--party-id needs a value");
+    refused_with(&["submit", "--mode"], "--mode needs a value");
+    refused_with(&["route", "--addr"], "--addr needs a value");
+    refused_with(&["route", "add"], "add needs <name>=<host:port>");
+}
+
+#[test]
+fn every_subcommand_names_an_unparsable_value_with_its_flag() {
+    let digit = "invalid digit found in string";
+    refused_with(&["--k", "ten"], &format!("bad --k \"ten\": {digit}"));
+    refused_with(&["serve", "--deadline-ms", "-1"], &format!("bad --deadline-ms \"-1\": {digit}"));
+    refused_with(&["party", "--seed", "x"], &format!("bad --seed \"x\": {digit}"));
+    refused_with(&["submit", "--party-set", "0,a"], &format!("bad --party-set \"0,a\": {digit}"));
+}
+
+#[test]
+fn every_subcommand_names_an_unknown_argument() {
+    refused_with(&["--bogus"], "unknown argument --bogus");
+    refused_with(&["serve", "--bogus"], "unknown serve argument --bogus");
+    refused_with(&["party", "--bogus"], "unknown party argument --bogus");
+    refused_with(&["submit", "--bogus"], "unknown submit argument --bogus");
+    refused_with(&["route", "--bogus"], "unknown route argument --bogus");
+}
+
+#[test]
+fn party_refuses_a_missing_or_out_of_range_slot() {
+    refused_with(&["party"], "--party-id is required");
+    refused_with(&["party", "--party-id", "4"], "--party-id 4 out of range for 4 parties");
+    refused_with(
+        &["party", "--party-id", "0", "--parties", "0"],
+        "--party-id 0 out of range for 0 parties",
+    );
+}
+
+/// The daemon builds its world from its flags before it binds, so a
+/// world it cannot build is refused up front.
+#[test]
+fn party_refuses_a_world_it_cannot_build() {
+    refused_with(
+        &["party", "--party-id", "0", "--synthetic", "Nope"],
+        "unknown synthetic dataset Nope",
+    );
+    refused_with(
+        &[
+            "party",
+            "--party-id",
+            "0",
+            "--parties",
+            "40",
+            "--synthetic",
+            "Rice",
+            "--instances",
+            "50",
+        ],
+        "40 parties but only 10 features",
+    );
+}
+
+#[test]
+fn submit_without_an_address_is_refused() {
+    refused_with(&["submit", "--select", "2"], "--addr is required");
+}
+
+/// A daemon that could run no job, or admit none, is refused at bind
+/// with a typed config error, not a panic.
+#[test]
+fn serve_refuses_a_config_it_cannot_run() {
+    refused_with(
+        &["serve", "--max-concurrent", "0"],
+        "config error: max_concurrent must be positive",
+    );
+    refused_with(
+        &["serve", "--queue-capacity", "0"],
+        "config error: queue_capacity must be positive",
+    );
+}
