@@ -15,6 +15,10 @@ lint:
     bash ci/check_one_edge.sh
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+# No test binary registers a name twice (`--list` shows each once).
+unique-tests:
+    bash ci/check_unique_tests.sh
+
 # Sockets, accept loops and hand-written codecs stay inside crates/net/src
 # (DESIGN.md §6, "The network edge").
 one-edge:

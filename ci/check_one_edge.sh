@@ -20,6 +20,7 @@
 # And one for SIMD: the AVX-512 IFMA lane kernel and its dispatch live in one file.
 # And one for synchronisation: locks, condvars and channels are std::sync's.
 # And one for top-k: one ranking (Ranking), no access-counted list model beside it.
+# And one for HE randomness: vfps-he holds no lock; one atomic cursor seeds both schemes.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -205,12 +206,27 @@ fi
 
 # Nothing unreached (DESIGN.md §2): these items had no caller outside
 # their own tests and were deleted; reviving one needs a caller first.
-if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profiles|DatasetStats|budgeted_greedy|knn_mi|macro_f1|confusion_matrix|query_batch_memo|query_batch_resilient|ResilientBatch|LeaveOneOutSelector|outcome_memo|SparseSimilarity|from_sparse|try_finish_sparse|stochastic_greedy_seeded|greedy_on|lazy_greedy_on|stochastic_greedy_on|sieve_streaming_on|canonical_bytes|hconcat|axpy|frobenius_norm|learning_rate|cluster_size' \
+if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profiles|DatasetStats|budgeted_greedy|knn_mi|macro_f1|confusion_matrix|query_batch_memo|query_batch_resilient|ResilientBatch|LeaveOneOutSelector|outcome_memo|SparseSimilarity|from_sparse|try_finish_sparse|stochastic_greedy_seeded|greedy_on|lazy_greedy_on|stochastic_greedy_on|sieve_streaming_on|canonical_bytes|hconcat|axpy|frobenius_norm|learning_rate|cluster_size|NoisePoolState|prefill|prefill_noise|prefill_compute|prefill_insert|noise_ready|ready_len|encrypt_i64|encode_i64|mul_plain|rerandomize|decrypt_i128|half_n|encode_slice|privatize_slice|noise_frac|joint_view|candidate_set' \
         crates examples); then
     echo "deleted, never-called library surface is back (wire a caller in the same change, or leave it out):"
     echo "$hits"
     fail=1
 fi
+# The same for names a bare word would confuse with a kept item: each
+# pattern is searched where the deleted item lived. (CKKS keeps its own
+# add_plain, FixedPoint its decode_i128, the bench calibration its
+# bytes_per_value field, prepared_sized stays.)
+for rule in 'crates/he/src/paillier.rs:\b(add_plain|decode_i128)\b|\b(ready|computed):' \
+        'crates/he/src:\bbytes_per_value\b' \
+        'crates/router/src/health.rs:\bfrom_u8\b' \
+        'crates/ml/src:fn reset\b|\.reset\(' \
+        'crates:\bprepared\('; do
+    if hits=$(grep -rnE "${rule#*:}" "${rule%%:*}" --include='*.rs'); then
+        echo "deleted, never-called library surface is back (wire a caller in the same change, or leave it out):"
+        echo "$hits"
+        fail=1
+    fi
+done
 
 # One way into the maximizers (DESIGN.md §12): KnnSubmodular::maximize
 # runs every algorithm; the algorithms themselves are private. A public
@@ -301,6 +317,15 @@ hits=$({ grep -rnE 'crossbeam|parking_lot' Cargo.toml Cargo.lock crates/*/Cargo.
         grep -rnE 'crossbeam|parking_lot' crates --include='*.rs'; } || true)
 if [ -n "$hits" ]; then
     echo "crossbeam / parking_lot are back (use std::sync::{mpsc, Mutex, Condvar}):"
+    echo "$hits"
+    fail=1
+fi
+
+# No lock in vfps-he (DESIGN.md §11 "Noise pool determinism"): Paillier
+# and CKKS reserve their noise indices with one atomic add on a NoisePool.
+# A mutex here once guarded a prefill cache nothing filled, and CKKS's rng.
+if hits=$(grep -rnE '\b(Mutex|RwLock)\b|\.lock\(' crates/he/src --include='*.rs'); then
+    echo "a lock in crates/he/src (reserve noise indices with NoisePool::reserve):"
     echo "$hits"
     fail=1
 fi

@@ -501,6 +501,7 @@ mod tests {
         /// oracle's picks in the oracle's order, `maximize_scored` reports
         /// the gains the oracle's argmax won at bit for bit, and lazy never
         /// evaluates more than the oracle.
+        #[test]
         fn lazy_equals_the_greedy_oracle_on_tied_instances(
             f in tied_instance(),
             size in 0usize..14,

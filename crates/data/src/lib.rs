@@ -35,15 +35,9 @@ pub use loader::{load_csv, load_libsvm, parse_csv, parse_libsvm, CsvOptions, Loa
 pub use partition::VerticalPartition;
 pub use spec::{paper_catalog, DatasetSpec, Domain};
 
-/// Convenience: generate, normalize (min-max fitted on the train split,
-/// as typical VFL KNN pipelines do), and return the dataset plus its
-/// split.
-#[must_use]
-pub fn prepared(spec: &DatasetSpec, seed: u64) -> (Dataset, Split) {
-    prepared_sized(spec, spec.sim_instances, seed)
-}
-
-/// As [`prepared`] with an explicit instance count.
+/// Convenience: generate `n` instances, normalize (min-max fitted on the
+/// train split, as typical VFL KNN pipelines do), and return the dataset
+/// plus its split.
 #[must_use]
 pub fn prepared_sized(spec: &DatasetSpec, n: usize, seed: u64) -> (Dataset, Split) {
     let mut ds = synth::generate_sized(spec, n, seed);

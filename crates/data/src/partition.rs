@@ -139,12 +139,6 @@ impl VerticalPartition {
         cols.dedup();
         cols
     }
-
-    /// Materializes the joint feature matrix of a sub-consortium.
-    #[must_use]
-    pub fn joint_view(&self, x: &Matrix, parties: &[usize]) -> Matrix {
-        x.select_columns(&self.joint_columns(parties))
-    }
 }
 
 #[cfg(test)]
@@ -181,10 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn joint_view_dedups_duplicate_columns() {
+    fn joint_columns_dedup_duplicate_parties() {
         let p = VerticalPartition::even(4, 2).with_duplicates(0, 1);
-        // Parties 0 and 2 hold the same columns; the joint view of {0, 2}
-        // must not double them.
+        // Parties 0 and 2 hold the same columns; the joint columns of
+        // {0, 2} must not double them.
         let joint = p.joint_columns(&[0, 2]);
         assert_eq!(joint, p.columns(0).to_vec());
     }

@@ -45,12 +45,6 @@ pub struct DatasetSpec {
 }
 
 impl DatasetSpec {
-    /// Generation-time fraction of pure-noise features.
-    #[must_use]
-    pub fn noise_frac(&self) -> f64 {
-        (1.0 - self.informative_frac - self.redundant_frac).max(0.0)
-    }
-
     /// Scale factor between paper-size and simulated-size instance counts.
     #[must_use]
     pub fn scale_factor(&self) -> f64 {
@@ -202,7 +196,7 @@ mod tests {
     fn fractions_are_sane() {
         for spec in paper_catalog() {
             assert!(spec.informative_frac > 0.0 && spec.informative_frac <= 1.0);
-            assert!(spec.noise_frac() >= 0.0);
+            assert!(spec.redundant_frac >= 0.0, "{}", spec.name);
             assert!(spec.informative_frac + spec.redundant_frac <= 1.0 + 1e-9, "{}", spec.name);
             assert!(spec.sim_instances >= 500, "{}", spec.name);
         }

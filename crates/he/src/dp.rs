@@ -48,13 +48,6 @@ impl LaplaceMechanism {
     pub fn privatize<R: Rng + ?Sized>(&self, value: f64, rng: &mut R) -> f64 {
         value + self.sample(rng)
     }
-
-    /// Privatizes a slice in place.
-    pub fn privatize_slice<R: Rng + ?Sized>(&self, values: &mut [f64], rng: &mut R) {
-        for v in values {
-            *v += self.sample(rng);
-        }
-    }
 }
 
 /// The Gaussian mechanism: adds `N(0, σ²)` noise for (ε, δ)-DP release of
@@ -160,16 +153,5 @@ mod tests {
         assert!(LaplaceMechanism::new(f64::NAN, 1.0).is_err());
         assert!(GaussianMechanism::new(1.0, 2.0, 1e-5).is_err());
         assert!(GaussianMechanism::new(1.0, 0.5, 0.0).is_err());
-    }
-
-    #[test]
-    fn privatize_slice_perturbs_everything() {
-        let mech = LaplaceMechanism::new(1.0, 1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut values = vec![5.0; 32];
-        mech.privatize_slice(&mut values, &mut rng);
-        assert!(values.iter().any(|&v| (v - 5.0).abs() > 1e-9));
-        let mean: f64 = values.iter().sum::<f64>() / 32.0;
-        assert!((mean - 5.0).abs() < 2.0);
     }
 }

@@ -68,11 +68,6 @@ impl FixedPoint {
         v as f64 / self.scale()
     }
 
-    /// Encodes a slice, failing on the first unrepresentable element.
-    pub fn encode_slice(&self, xs: &[f64]) -> Result<Vec<i64>> {
-        xs.iter().map(|&x| self.encode(x)).collect()
-    }
-
     /// Absolute quantization error bound for a single encoded value.
     #[must_use]
     pub fn quantization_error(&self) -> f64 {
@@ -121,12 +116,5 @@ mod tests {
     fn rejects_excess_precision() {
         assert!(FixedPoint::new(53).is_err());
         assert!(FixedPoint::new(52).is_ok());
-    }
-
-    #[test]
-    fn encode_slice_propagates_errors() {
-        let fp = FixedPoint::default_codec();
-        assert!(fp.encode_slice(&[1.0, f64::NAN]).is_err());
-        assert_eq!(fp.encode_slice(&[1.0, 2.0]).unwrap().len(), 2);
     }
 }

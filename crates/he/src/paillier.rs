@@ -3,8 +3,8 @@
 //!
 //! VFPS-SM only needs to *sum* encrypted partial distances, which Paillier
 //! supports natively: `Enc(a)·Enc(b) mod n² = Enc(a+b)`. Plaintexts live in
-//! `Z_n`; signed values are wrapped modularly and decoded by the `n/2`
-//! threshold.
+//! `Z_n`; signed values reach them biased non-negative by the packed layout
+//! (`crate::packing`).
 //!
 //! Implementation notes: `g = n + 1`, so the message part of a ciphertext
 //! needs no exponentiation (`g^m = 1 + m·n mod n²`). Decryption runs by
@@ -44,8 +44,8 @@ use crate::fixed::FixedPoint;
 use crate::packing::{PackingLayout, DEFAULT_MAX_TERMS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Minimum accepted modulus width. Far below any secure size — permitted so
 /// tests stay fast — but production callers should use ≥ 2048.
@@ -64,7 +64,6 @@ pub const MAX_KEY_BITS: usize = 8192;
 pub struct PaillierPublicKey {
     n: BigUint,
     n_squared: MontgomeryCtx,
-    half_n: BigUint,
     /// What finishes a [`PaillierPublicKey::products`] chain, built by
     /// the first sum: a key that never sums never pays for it.
     sums: OnceLock<SumFactors>,
@@ -471,7 +470,7 @@ impl PaillierPublicKey {
     fn new(n: BigUint) -> Self {
         let n_squared =
             MontgomeryCtx::new(&n.square()).expect("n is odd, so n² has a Montgomery context");
-        PaillierPublicKey { half_n: n.shr(1), n_squared, n, sums: OnceLock::new() }
+        PaillierPublicKey { n_squared, n, sums: OnceLock::new() }
     }
 
     /// The modulus `n`.
@@ -506,21 +505,6 @@ impl PaillierPublicKey {
         let gm = BigUint::one().add(&m.mul(&self.n)).rem(n_squared);
         let rn = r.mod_pow(&self.n, n_squared);
         Ok(PaillierCiphertext(gm.mul_mod(&rn, n_squared)))
-    }
-
-    /// Encrypts a signed 64-bit value (wrapped into `Z_n`).
-    pub fn encrypt_i64<R: Rng + ?Sized>(&self, v: i64, rng: &mut R) -> Result<PaillierCiphertext> {
-        self.encrypt(&self.encode_i64(v), rng)
-    }
-
-    /// Wraps a signed value into `Z_n` (negatives map to `n - |v|`).
-    #[must_use]
-    pub fn encode_i64(&self, v: i64) -> BigUint {
-        if v >= 0 {
-            BigUint::from_u64(v as u64)
-        } else {
-            self.n.sub(&BigUint::from_u64(v.unsigned_abs()))
-        }
     }
 
     /// Homomorphic addition: `Enc(a) ⊕ Enc(b) = Enc(a + b mod n)` — the
@@ -612,43 +596,6 @@ impl PaillierPublicKey {
     fn sum_factors(&self) -> &SumFactors {
         self.sums.get_or_init(|| SumFactors::new(&self.n_squared))
     }
-
-    /// Adds a plaintext to a ciphertext without re-encryption.
-    #[must_use]
-    pub fn add_plain(&self, a: &PaillierCiphertext, m: &BigUint) -> PaillierCiphertext {
-        // g^m = 1 + (m mod n)·n, below n² as it stands.
-        let gm = m.rem(&self.n).mul(&self.n).add_u64(1);
-        PaillierCiphertext(self.n_squared.mod_mul(&a.0, &gm))
-    }
-
-    /// Multiplies the underlying plaintext by a constant: `Enc(a)^k = Enc(k·a)`.
-    #[must_use]
-    pub fn mul_plain(&self, a: &PaillierCiphertext, k: &BigUint) -> PaillierCiphertext {
-        PaillierCiphertext(self.n_squared.mod_pow(&a.0, k))
-    }
-
-    /// Re-randomizes a ciphertext (multiplies by a fresh encryption of zero),
-    /// breaking ciphertext linkability.
-    pub fn rerandomize<R: Rng + ?Sized>(
-        &self,
-        a: &PaillierCiphertext,
-        rng: &mut R,
-    ) -> PaillierCiphertext {
-        let r = BigUint::random_coprime(rng, &self.n);
-        let rn = self.n_squared.mod_pow(&r, &self.n);
-        PaillierCiphertext(self.n_squared.mod_mul(&a.0, &rn))
-    }
-
-    /// Decodes a `Z_n` element into a signed value via the `n/2` threshold.
-    #[must_use]
-    pub fn decode_i128(&self, m: &BigUint) -> i128 {
-        if m > &self.half_n {
-            let mag = self.n.sub(m);
-            -(mag.to_u128().expect("decoded magnitude exceeds i128") as i128)
-        } else {
-            m.to_u128().expect("decoded value exceeds i128") as i128
-        }
-    }
 }
 
 impl PaillierPrivateKey {
@@ -699,13 +646,6 @@ impl PaillierPrivateKey {
         // L(x) = (x - 1) / n
         let l = x.sub(&BigUint::one()).divrem(&pk.n).0;
         l.mul_mod(&self.mu, &pk.n)
-    }
-
-    /// Decrypts to a signed value via the `n/2` threshold.
-    #[must_use]
-    pub fn decrypt_i128(&self, c: &PaillierCiphertext) -> i128 {
-        let m = self.decrypt(c);
-        self.pk.decode_i128(&m)
     }
 }
 
@@ -759,9 +699,8 @@ impl PaillierEncryptor {
     /// Derives the noise factor `h^x mod n²` for a seeded short exponent
     /// `x`, in Montgomery form under `n²` — the form the window table
     /// produces and [`PaillierEncryptor::encrypt_with_noise`] consumes.
-    /// Pure function of `seed`, so factors can be precomputed on any
-    /// thread (or ahead of time by a [`NoisePool`]) without changing the
-    /// ciphertexts.
+    /// Pure function of `seed`, so factors can be computed on any thread
+    /// without changing the ciphertexts.
     #[must_use]
     pub fn noise_for_seed(&self, seed: u64) -> MontResidue {
         let mut exp = vec![0u64; self.exponent_limbs()];
@@ -894,29 +833,21 @@ impl PaillierEncryptor {
     }
 }
 
-/// A seeded, refillable pool of noise-factor *indices*.
+/// A seeded stream of noise indices, for both schemes.
 ///
-/// The pool does not own randomness: factor `j` is the pure function
-/// `encryptor.noise_for_seed(split_seed(pool_seed, j))`, so a ciphertext
-/// depends only on the order in which callers *reserve* indices — never on
-/// whether the factor was prefilled, which thread computed it, which
-/// kernel, or how many were prefilled. [`NoisePool::prefill`] computes
-/// factors ahead of the critical path and caches them; a take of a run of
-/// reserved indices consumes the cache when it can and computes the rest
-/// on demand, a lane batch at a time.
+/// The pool owns no randomness and caches nothing: index `j` seeds
+/// [`NoisePool::seed_for`]`(j) = split_seed(pool_seed, j)`, and a caller
+/// reserves a contiguous run of indices with one atomic add. Paillier's
+/// factor `j` is `encryptor.noise_for_seed(seed_for(j))`; CKKS encrypts
+/// batch `j` under `StdRng::seed_from_u64(seed_for(j))`. So a ciphertext
+/// depends only on the order in which callers *reserve* indices — never
+/// on which thread computed it or on which kernel.
 #[derive(Debug)]
 pub struct NoisePool {
     seed: u64,
-    state: Mutex<NoisePoolState>,
-}
-
-#[derive(Debug, Default)]
-struct NoisePoolState {
     /// Next unreserved index; reservations are contiguous and ordered by
     /// call sequence, which is what makes pooled output deterministic.
-    cursor: u64,
-    /// Prefilled factors not yet consumed, keyed by index.
-    ready: HashMap<u64, MontResidue>,
+    cursor: AtomicU64,
 }
 
 /// Reusable limb buffers for one lane batch of encryptions: noise
@@ -928,7 +859,6 @@ pub(crate) struct EncryptScratch {
     /// The batch's noise factors, `L` limbs each, after
     /// [`NoisePool::take_into`].
     noise: Vec<u64>,
-    computed: Vec<u64>,
     plain: Vec<u64>,
     /// Each lane's `g^m`, `gm_width` limbs apart.
     gms: Vec<u64>,
@@ -936,30 +866,29 @@ pub(crate) struct EncryptScratch {
 }
 
 impl NoisePool {
-    /// Creates an empty pool over `seed`.
+    /// Creates a stream over `seed`, with no index reserved.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        NoisePool { seed, state: Mutex::new(NoisePoolState::default()) }
+        NoisePool { seed, cursor: AtomicU64::new(0) }
     }
 
-    /// The seed for factor index `j` (pure).
+    /// The seed for index `j` (pure).
     #[must_use]
     pub fn seed_for(&self, index: u64) -> u64 {
         vfps_par::split_seed(self.seed, index)
     }
 
-    /// Reserves `count` consecutive factor indices, returning the first.
+    /// Reserves `count` consecutive indices, returning the first.
     pub fn reserve(&self, count: usize) -> u64 {
-        let mut state = self.state.lock().expect("noise pool mutex poisoned");
-        let start = state.cursor;
-        state.cursor += count as u64;
-        start
+        // Relaxed: the cursor publishes no other data. Every add lands in
+        // the atomic's one modification order, so runs never overlap.
+        self.cursor.fetch_add(count as u64, Ordering::Relaxed)
     }
 
-    /// The factors for the reserved indices `first..first + count` (at
-    /// most [`LANES`]) into `scratch.noise`, `L` limbs each: the prefilled
-    /// ones, taken under one lock, and the rest computed on `kernel` as one
-    /// batch (identical either way). No allocation once `scratch` is warm.
+    /// The Paillier noise factors for the reserved indices
+    /// `first..first + count` (at most [`LANES`]) into `scratch.noise`, `L`
+    /// limbs each, computed on `kernel` as one batch. No allocation once
+    /// `scratch` is warm.
     ///
     /// # Panics
     /// Panics on more than [`LANES`] indices.
@@ -972,35 +901,13 @@ impl NoisePool {
         scratch: &mut EncryptScratch,
     ) {
         assert!(count <= LANES, "{count} noise factors for one lane batch");
-        let l = enc.pk.n_squared.limbs();
-        let EncryptScratch { exps, pow, noise, computed, .. } = scratch;
-        noise.resize(LANES * l, 0);
-        let (mut missing, mut seeds) = ([0usize; LANES], [0u64; LANES]);
-        let mut misses = 0;
-        {
-            let mut state = self.state.lock().expect("noise pool mutex poisoned");
-            // Nothing prefilled (the common case) needs no lookups.
-            let prefilled = !state.ready.is_empty();
-            for (i, factor) in noise.chunks_exact_mut(l).take(count).enumerate() {
-                let j = first + i as u64;
-                match prefilled.then(|| state.ready.remove(&j)).flatten() {
-                    Some(hit) => factor.copy_from_slice(&hit.0),
-                    None => {
-                        (missing[misses], seeds[misses]) = (i, self.seed_for(j));
-                        misses += 1;
-                    }
-                }
-            }
+        let EncryptScratch { exps, pow, noise, .. } = scratch;
+        noise.resize(LANES * enc.pk.n_squared.limbs(), 0);
+        let mut seeds = [0u64; LANES];
+        for (i, seed) in seeds[..count].iter_mut().enumerate() {
+            *seed = self.seed_for(first + i as u64);
         }
-        if misses == count {
-            enc.noise_into(&seeds[..count], kernel, exps, pow, noise);
-        } else if misses > 0 {
-            computed.resize(misses * l, 0);
-            enc.noise_into(&seeds[..misses], kernel, exps, pow, computed);
-            for (&i, factor) in missing[..misses].iter().zip(computed.chunks_exact(l)) {
-                noise[i * l..(i + 1) * l].copy_from_slice(factor);
-            }
-        }
+        enc.noise_into(&seeds[..count], kernel, exps, pow, noise);
     }
 
     /// [`NoisePool::take_into`] of any number of indices, as residues.
@@ -1021,55 +928,6 @@ impl NoisePool {
             out.extend(scratch.noise.chunks_exact(l).take(batch).map(|f| MontResidue(f.to_vec())));
         }
         out
-    }
-
-    /// Precomputes the next `count` unreserved factors on `pool`, off the
-    /// encryption critical path. Safe to call at any time; already-reserved
-    /// indices are never recomputed.
-    pub fn prefill(&self, enc: &PaillierEncryptor, count: usize, pool: &vfps_par::Pool) {
-        self.prefill_insert(self.prefill_compute(enc, count, pool, Kernel::detected()));
-    }
-
-    /// The first half of [`NoisePool::prefill`]: the next `count`
-    /// unreserved factors, computed in lane batches on `pool` without
-    /// holding the lock.
-    pub(crate) fn prefill_compute(
-        &self,
-        enc: &PaillierEncryptor,
-        count: usize,
-        pool: &vfps_par::Pool,
-        kernel: Kernel,
-    ) -> Vec<(u64, MontResidue)> {
-        let start = self.state.lock().expect("noise pool mutex poisoned").cursor;
-        let indices: Vec<u64> = (start..start + count as u64).collect();
-        let batches: Vec<&[u64]> = indices.chunks(LANES).collect();
-        let l = enc.pk.n_squared.limbs();
-        pool.par_map_indexed_scratch(&batches, EncryptScratch::default, |scratch, _, batch| {
-            let seeds: Vec<u64> = batch.iter().map(|&j| self.seed_for(j)).collect();
-            let mut factors = vec![0u64; batch.len() * l];
-            enc.noise_into(&seeds, kernel, &mut scratch.exps, &mut scratch.pow, &mut factors);
-            let factors = factors.chunks_exact(l).map(|f| MontResidue(f.to_vec()));
-            batch.iter().copied().zip(factors).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// The second half of [`NoisePool::prefill`]: caches the factors whose
-    /// index is still unreserved. A reserve (and take) that ran while they
-    /// were computed has consumed the indices below the cursor; caching
-    /// those would leave them in `ready` forever.
-    pub(crate) fn prefill_insert(&self, factors: Vec<(u64, MontResidue)>) {
-        let mut state = self.state.lock().expect("noise pool mutex poisoned");
-        let cursor = state.cursor;
-        state.ready.extend(factors.into_iter().filter(|&(j, _)| j >= cursor));
-    }
-
-    /// Number of prefilled factors currently cached.
-    #[must_use]
-    pub fn ready_len(&self) -> usize {
-        self.state.lock().expect("noise pool mutex poisoned").ready.len()
     }
 }
 
@@ -1140,46 +998,6 @@ mod tests {
         let b = kp.public.encrypt(&BigUint::from_u64(8766), &mut rng).unwrap();
         let sum = kp.public.add(&a, &b);
         assert_eq!(kp.private.decrypt(&sum).to_u64(), Some(10_000));
-    }
-
-    #[test]
-    fn add_plain_and_mul_plain() {
-        let kp = keypair(256);
-        let mut rng = StdRng::seed_from_u64(4);
-        let c = kp.public.encrypt(&BigUint::from_u64(100), &mut rng).unwrap();
-        let c2 = kp.public.add_plain(&c, &BigUint::from_u64(23));
-        assert_eq!(kp.private.decrypt(&c2).to_u64(), Some(123));
-        let c3 = kp.public.mul_plain(&c, &BigUint::from_u64(5));
-        assert_eq!(kp.private.decrypt(&c3).to_u64(), Some(500));
-    }
-
-    #[test]
-    fn signed_values_roundtrip() {
-        let kp = keypair(256);
-        let mut rng = StdRng::seed_from_u64(5);
-        for v in [-1_000_000i64, -1, 0, 1, 999_999_999] {
-            let c = kp.public.encrypt_i64(v, &mut rng).unwrap();
-            assert_eq!(kp.private.decrypt_i128(&c), i128::from(v), "v={v}");
-        }
-    }
-
-    #[test]
-    fn signed_sums_cross_zero() {
-        let kp = keypair(256);
-        let mut rng = StdRng::seed_from_u64(6);
-        let a = kp.public.encrypt_i64(-500, &mut rng).unwrap();
-        let b = kp.public.encrypt_i64(200, &mut rng).unwrap();
-        assert_eq!(kp.private.decrypt_i128(&kp.public.add(&a, &b)), -300);
-    }
-
-    #[test]
-    fn rerandomize_preserves_plaintext() {
-        let kp = keypair(256);
-        let mut rng = StdRng::seed_from_u64(7);
-        let c = kp.public.encrypt(&BigUint::from_u64(77), &mut rng).unwrap();
-        let c2 = kp.public.rerandomize(&c, &mut rng);
-        assert_ne!(c, c2);
-        assert_eq!(kp.private.decrypt(&c2).to_u64(), Some(77));
     }
 
     #[test]
@@ -1395,52 +1213,21 @@ mod tests {
         assert!(matches!(enc.encrypt_seeded(&too_big, 0), Err(Error::PlaintextOutOfRange)));
     }
 
+    /// A take of reserved indices, on every kernel and across lane
+    /// batches, is the scalar factor of each index's seed.
     #[test]
-    fn noise_pool_output_is_independent_of_prefill_and_threads() {
+    fn noise_pool_takes_are_the_seeded_factors_on_every_kernel() {
         let kp = keypair(128);
         let mut rng = StdRng::seed_from_u64(22);
         let enc = PaillierEncryptor::new(&kp.public, &mut rng);
-        // Reference: no prefill at all, one scalar factor per index.
-        let cold = NoisePool::new(777);
-        let start = cold.reserve(12);
-        let want: Vec<MontResidue> =
-            (start..start + 12).map(|j| enc.noise_for_seed(cold.seed_for(j))).collect();
         for kernel in Kernel::available() {
-            for threads in [1usize, 4] {
-                let pool = vfps_par::Pool::with_threads(threads);
-                let warm = NoisePool::new(777);
-                // Partial prefill: 5 of 12.
-                warm.prefill_insert(warm.prefill_compute(&enc, 5, &pool, kernel));
-                assert_eq!(warm.ready_len(), 5);
-                let start = warm.reserve(12);
-                let got = warm.take(&enc, start, 12, kernel);
-                assert_eq!(got, want, "{kernel:?}, threads={threads}");
-                assert_eq!(warm.ready_len(), 0, "prefilled factors consumed");
-            }
+            let noise = NoisePool::new(777);
+            assert_eq!(noise.reserve(3), 0);
+            let start = noise.reserve(12);
+            let want: Vec<MontResidue> =
+                (start..start + 12).map(|j| enc.noise_for_seed(noise.seed_for(j))).collect();
+            assert_eq!(noise.take(&enc, start, 12, kernel), want, "{kernel:?}");
         }
-    }
-
-    /// A reserve and take that land between a prefill's compute and its
-    /// insert consume indices the prefill computed: the insert drops them
-    /// rather than caching factors nothing will take.
-    #[test]
-    fn prefill_drops_factors_reserved_while_it_computed() {
-        let kp = keypair(128);
-        let enc = PaillierEncryptor::new(&kp.public, &mut StdRng::seed_from_u64(23));
-        let pool = vfps_par::Pool::with_threads(1);
-        let noise = NoisePool::new(778);
-        let computed = noise.prefill_compute(&enc, 5, &pool, Kernel::detected());
-        assert_eq!(computed.iter().map(|&(j, _)| j).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
-        let start = noise.reserve(3);
-        let taken = noise.take(&enc, start, 3, Kernel::detected());
-        noise.prefill_insert(computed.clone());
-        assert_eq!(noise.ready_len(), 2, "indices 0–2 were reserved before the insert");
-        let start = noise.reserve(2);
-        assert_eq!(start, 3);
-        let rest = noise.take(&enc, start, 2, Kernel::detected());
-        assert_eq!(noise.ready_len(), 0);
-        let all: Vec<MontResidue> = taken.into_iter().chain(rest).collect();
-        assert_eq!(all, computed.into_iter().map(|(_, f)| f).collect::<Vec<_>>());
     }
 
     #[test]

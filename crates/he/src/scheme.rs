@@ -21,7 +21,7 @@ use crate::paillier::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Operations the VFL protocols need from an additively homomorphic scheme.
 pub trait AdditiveHe: Send + Sync {
@@ -47,10 +47,9 @@ pub trait AdditiveHe: Send + Sync {
     /// The default implementation fans the per-batch [`AdditiveHe::encrypt`]
     /// calls out on the global [`vfps_par`] pool, which is correct for
     /// deterministic schemes ([`PlainHe`]). Schemes whose `encrypt` draws
-    /// from a shared RNG ([`PaillierHe`], [`CkksHe`]) MUST override it to
-    /// sequence their randomness deterministically (seed reservation under
-    /// a lock) before fanning out, so the output is identical at any
-    /// thread count.
+    /// from a shared seed stream ([`PaillierHe`], [`CkksHe`]) MUST override
+    /// it to reserve their noise indices in one call before fanning out,
+    /// so the output is identical at any thread count.
     ///
     /// # Errors
     /// Fails when any batch exceeds the slot count or a value cannot be
@@ -148,16 +147,17 @@ pub trait AdditiveHe: Send + Sync {
 #[derive(Debug, Clone)]
 pub struct PlainHe {
     batch: usize,
-    /// Bytes charged per carried value, mirroring the expansion a real
-    /// ciphertext would have (default: CKKS-like 16x expansion over f64).
-    pub bytes_per_value: usize,
 }
+
+/// Bytes [`PlainHe`] charges per carried value, mirroring the expansion a
+/// real ciphertext would have: CKKS-like, 16x over an f64.
+const PLAIN_BYTES_PER_VALUE: usize = 128;
 
 impl PlainHe {
     /// Creates a plain scheme carrying up to `batch` values per "ciphertext".
     #[must_use]
     pub fn new(batch: usize) -> Self {
-        PlainHe { batch, bytes_per_value: 128 }
+        PlainHe { batch }
     }
 }
 
@@ -193,7 +193,7 @@ impl AdditiveHe for PlainHe {
     }
 
     fn ct_bytes(&self, ct: &Vec<f64>) -> usize {
-        ct.len() * self.bytes_per_value
+        ct.len() * PLAIN_BYTES_PER_VALUE
     }
 
     fn ct_to_bytes(&self, ct: &Vec<f64>) -> Vec<u8> {
@@ -319,19 +319,6 @@ impl PaillierHe {
         self.keys.layout
     }
 
-    /// Precomputes `count` noise factors off the critical path so upcoming
-    /// encryptions only pay pack + one modular product. Ciphertexts are
-    /// identical with or without prefill.
-    pub fn prefill_noise(&self, count: usize, pool: &vfps_par::Pool) {
-        self.noise.prefill(&self.keys.encryptor, count, pool);
-    }
-
-    /// Noise factors currently sitting ready in the pool.
-    #[must_use]
-    pub fn noise_ready(&self) -> usize {
-        self.noise.ready_len()
-    }
-
     /// Encrypts one batch on an explicit pool (tests and benchmarks pin
     /// the thread count through this; [`AdditiveHe::encrypt`] uses the
     /// global pool): [`PaillierHe::encrypt_many_on`] of that one batch.
@@ -345,11 +332,11 @@ impl PaillierHe {
     }
 
     /// Encrypts several batches on an explicit pool. One call reserves one
-    /// contiguous run of noise-pool indices under a lock, covering every
-    /// batch's slot groups in order — so ciphertexts are a pure function
-    /// of the call sequence, not of thread count, prefill state or kernel —
-    /// then all groups across all batches fan out as a single flat
-    /// parallel map, eight groups (one noise batch) per task.
+    /// contiguous run of noise-pool indices, covering every batch's slot
+    /// groups in order — so ciphertexts are a pure function of the call
+    /// sequence, not of thread count or kernel — then all groups across
+    /// all batches fan out as a single flat parallel map, eight groups
+    /// (one noise batch) per task.
     ///
     /// # Errors
     /// Fails when any batch exceeds the slot count or a value cannot be
@@ -694,11 +681,13 @@ impl AdditiveHe for PaillierHe {
 // ---------------------------------------------------------------------------
 
 /// CKKS-backed scheme: SIMD batches of reals per ciphertext, approximate.
+/// Each ciphertext is seeded by one index of the scheme's [`NoisePool`],
+/// the seed stream [`PaillierHe`] draws its noise factors from too.
 pub struct CkksHe {
     ctx: CkksContext,
     pk: CkksPublicKey,
     sk: CkksSecretKey,
-    rng: Mutex<StdRng>,
+    noise: NoisePool,
 }
 
 impl CkksHe {
@@ -710,7 +699,7 @@ impl CkksHe {
         let ctx = CkksContext::new(params)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let (pk, sk) = ctx.keygen(&mut rng);
-        Ok(CkksHe { ctx, pk, sk, rng: Mutex::new(rng) })
+        Ok(CkksHe { ctx, pk, sk, noise: NoisePool::new(rng.gen()) })
     }
 
     /// The underlying context (tests and calibration benches).
@@ -720,10 +709,10 @@ impl CkksHe {
     }
 
     /// Encrypts several slot-batches on an explicit pool, one ciphertext
-    /// per batch. A single master draw seeds the whole call; batch `i`
-    /// encrypts under `split_seed(call_seed, i)`, so the NTT/sampling work
-    /// parallelizes across ciphertexts while the output stays identical at
-    /// any thread count.
+    /// per batch. One call reserves one noise index per batch; batch `i`
+    /// encrypts under the seed of index `start + i`, so the NTT/sampling
+    /// work parallelizes across ciphertexts while the output stays
+    /// identical at any thread count.
     ///
     /// # Errors
     /// Fails when any batch exceeds the slot count.
@@ -732,15 +721,18 @@ impl CkksHe {
         batches: &[&[f64]],
         pool: &vfps_par::Pool,
     ) -> Result<Vec<CkksCiphertext>> {
-        let call_seed: u64 = self.rng.lock().expect("rng mutex poisoned").gen();
+        let start = self.noise.reserve(batches.len());
         vfps_obs::time_us("he.ckks.encrypt_us", || {
-            pool.par_map_indexed(batches, |i, b| {
-                let mut rng = StdRng::seed_from_u64(vfps_par::split_seed(call_seed, i as u64));
-                self.ctx.encrypt(&self.pk, b, &mut rng)
-            })
-            .into_iter()
-            .collect()
+            pool.par_map_indexed(batches, |i, b| self.encrypt_at(start + i as u64, b))
+                .into_iter()
+                .collect()
         })
+    }
+
+    /// Encrypts `values` under the seed of the reserved noise index `index`.
+    fn encrypt_at(&self, index: u64, values: &[f64]) -> Result<CkksCiphertext> {
+        let mut rng = StdRng::seed_from_u64(self.noise.seed_for(index));
+        self.ctx.encrypt(&self.pk, values, &mut rng)
     }
 }
 
@@ -756,8 +748,8 @@ impl AdditiveHe for CkksHe {
     }
 
     fn encrypt(&self, values: &[f64]) -> Result<CkksCiphertext> {
-        let mut rng = self.rng.lock().expect("rng mutex poisoned");
-        vfps_obs::time_us("he.ckks.encrypt_us", || self.ctx.encrypt(&self.pk, values, &mut *rng))
+        let index = self.noise.reserve(1);
+        vfps_obs::time_us("he.ckks.encrypt_us", || self.encrypt_at(index, values))
     }
 
     fn encrypt_many(&self, batches: &[&[f64]]) -> Result<Vec<CkksCiphertext>> {
@@ -967,9 +959,8 @@ mod tests {
         }
     }
 
-    /// `encrypt_many_on` forced onto each kernel, with no prefill, a
-    /// partial one and one past the call, gives the bytes of the scalar
-    /// kernel without prefill.
+    /// `encrypt_many_on` forced onto each kernel gives the bytes of the
+    /// scalar kernel.
     #[test]
     fn paillier_encrypt_bytes_are_the_same_on_every_kernel() {
         let flat = seeded_uniform(8, 68, -5.0, 5.0);
@@ -983,15 +974,9 @@ mod tests {
             bytes(scheme.encrypt_many_with(&batches, &pool, Kernel::Scalar).unwrap(), &scheme)
         };
         for kernel in Kernel::available() {
-            for prefill in [0usize, 5, 40] {
-                let scheme = PaillierHe::generate(256, 64, 79).unwrap();
-                let computed =
-                    scheme.noise.prefill_compute(&scheme.keys.encryptor, prefill, &pool, kernel);
-                scheme.noise.prefill_insert(computed);
-                let cts = scheme.encrypt_many_with(&batches, &pool, kernel).unwrap();
-                assert_eq!(bytes(cts, &scheme), reference, "{kernel:?}, prefill {prefill}");
-                assert_eq!(scheme.noise_ready(), prefill.saturating_sub(17));
-            }
+            let scheme = PaillierHe::generate(256, 64, 79).unwrap();
+            let cts = scheme.encrypt_many_with(&batches, &pool, kernel).unwrap();
+            assert_eq!(bytes(cts, &scheme), reference, "{kernel:?}");
         }
     }
 
@@ -1044,36 +1029,6 @@ mod tests {
         let c = CkksHe::generate(&CkksParams::insecure_test(), 1).unwrap();
         assert!(p.error_bound(100) < 1e-4, "paillier is exact up to quantization");
         assert!(c.error_bound(100) > 0.0, "ckks error grows with terms");
-    }
-
-    #[test]
-    fn paillier_encrypt_is_identical_across_thread_counts() {
-        let values = seeded_uniform(3, 24, -5.0, 5.0);
-        let reference = {
-            let scheme = PaillierHe::generate(256, 32, 77).unwrap();
-            scheme.encrypt_on(&values, &vfps_par::Pool::with_threads(1)).unwrap()
-        };
-        for threads in [2usize, 4] {
-            let scheme = PaillierHe::generate(256, 32, 77).unwrap();
-            let ct = scheme.encrypt_on(&values, &vfps_par::Pool::with_threads(threads)).unwrap();
-            assert_eq!(ct, reference, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn ckks_encrypt_many_is_identical_across_thread_counts() {
-        let flat = seeded_uniform(4, 12, -1.0, 1.0);
-        let batches: Vec<&[f64]> = flat.chunks(4).collect();
-        let reference = {
-            let scheme = CkksHe::generate(&CkksParams::insecure_test(), 78).unwrap();
-            scheme.encrypt_many_on(&batches, &vfps_par::Pool::with_threads(1)).unwrap()
-        };
-        for threads in [2usize, 4] {
-            let scheme = CkksHe::generate(&CkksParams::insecure_test(), 78).unwrap();
-            let cts =
-                scheme.encrypt_many_on(&batches, &vfps_par::Pool::with_threads(threads)).unwrap();
-            assert_eq!(cts, reference, "{threads} threads");
-        }
     }
 
     fn exercise_encrypt_many<H: AdditiveHe>(scheme: &H, tol_scale: f64) {

@@ -2,7 +2,6 @@
 //!
 //! Pooled, packed encryption must be a pure function of (scheme seed, call
 //! sequence): the ciphertext bytes have to be bit-identical whether the
-//! noise factors were prefilled or computed on demand, and whether the
 //! slot groups fanned out over 1 worker or 8; batched decryption must
 //! return the serial loop's values. These tests sweep explicit pools at
 //! every thread count the CI determinism matrix pins through
@@ -43,27 +42,6 @@ fn paillier_encrypt_many_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn paillier_prefill_does_not_change_ciphertexts() {
-    // 264 values in batches of 6 (2 groups each): 88 slot groups.
-    let flat = seeded_uniform(0xb0b, 264, -4.0, 4.0);
-    let batches = batches(&flat, 6);
-    let reference: Vec<Vec<u8>> = {
-        let scheme = PaillierHe::generate(256, 16, 99).unwrap();
-        let cts = scheme.encrypt_many_on(&batches, &Pool::with_threads(1)).unwrap();
-        cts.iter().map(|ct| scheme.ct_to_bytes(ct)).collect()
-    };
-    for threads in THREADS {
-        let pool = Pool::with_threads(threads);
-        let scheme = PaillierHe::generate(256, 16, 99).unwrap();
-        // Prefill part of the demand: outputs must not depend on how much.
-        scheme.prefill_noise(3 * threads, &pool);
-        let cts = scheme.encrypt_many_on(&batches, &pool).unwrap();
-        let bytes: Vec<Vec<u8>> = cts.iter().map(|ct| scheme.ct_to_bytes(ct)).collect();
-        assert_eq!(bytes, reference, "prefilled, {threads} threads");
-    }
-}
-
-#[test]
 fn paillier_decrypt_many_is_identical_across_thread_counts() {
     // 5 ciphertexts of up to 64 values — 16 + 16 + 16 + 16 + 3 = 67 slot
     // groups, the last one a ragged tail — each a sum of three encryptions.
@@ -98,18 +76,23 @@ fn ckks_encrypt_many_is_bit_identical_across_thread_counts() {
     let params = CkksParams::insecure_test();
     let probe = CkksHe::generate(&params, 77).unwrap();
     let slots = probe.max_batch();
-    let flat = seeded_uniform(0xcafe, 4 * slots, -1.0, 1.0);
-    let batches = batches(&flat, slots);
-    let reference: Vec<Vec<u8>> = {
-        let scheme = CkksHe::generate(&params, 77).unwrap();
-        let cts = scheme.encrypt_many_on(&batches, &Pool::with_threads(1)).unwrap();
-        cts.iter().map(|ct| scheme.ct_to_bytes(ct)).collect()
-    };
-    for threads in THREADS {
-        let scheme = CkksHe::generate(&params, 77).unwrap();
-        let cts = scheme.encrypt_many_on(&batches, &Pool::with_threads(threads)).unwrap();
-        let bytes: Vec<Vec<u8>> = cts.iter().map(|ct| scheme.ct_to_bytes(ct)).collect();
-        assert_eq!(bytes, reference, "{threads} threads");
+    // Four full batches, then three of 4 values: slots the batch leaves
+    // empty.
+    let full = seeded_uniform(0xcafe, 4 * slots, -1.0, 1.0);
+    let partial = seeded_uniform(4, 12, -1.0, 1.0);
+    for (flat, width) in [(&full, slots), (&partial, 4)] {
+        let batches = batches(flat, width);
+        let reference: Vec<Vec<u8>> = {
+            let scheme = CkksHe::generate(&params, 77).unwrap();
+            let cts = scheme.encrypt_many_on(&batches, &Pool::with_threads(1)).unwrap();
+            cts.iter().map(|ct| scheme.ct_to_bytes(ct)).collect()
+        };
+        for threads in THREADS {
+            let scheme = CkksHe::generate(&params, 77).unwrap();
+            let cts = scheme.encrypt_many_on(&batches, &Pool::with_threads(threads)).unwrap();
+            let bytes: Vec<Vec<u8>> = cts.iter().map(|ct| scheme.ct_to_bytes(ct)).collect();
+            assert_eq!(bytes, reference, "{width}-value batches, {threads} threads");
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Golden ciphertext bytes.
 //!
 //! Every other pin on the Paillier path compares the code with itself
-//! (thread counts, prefill, CRT against its oracle); this one compares it
+//! (thread counts, kernels, CRT against its oracle); this one compares it
 //! with bytes on disk. `golden_bytes.txt` was captured at f4a899b — the
 //! commit before encrypt's finish, `add` and decrypt's entry and tail moved
 //! onto the Montgomery kernel — so a change to the arithmetic that moves
@@ -13,7 +13,7 @@
 //! modulus, a 3-value ciphertext through `encrypt_on` (noise index 0), two
 //! full 64-value chunks through one `encrypt_many_on` (the following
 //! indices), and their `add`. The sequence is replayed on pools of
-//! 1 / 2 / 4 / 8 threads, with and without a partial noise prefill.
+//! 1 / 2 / 4 / 8 threads.
 
 use vfps_he::scheme::{AdditiveHe, PaillierHe};
 use vfps_par::Pool;
@@ -25,11 +25,8 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 /// `(name, hex)` for everything pinned at one key width.
-fn observed(bits: usize, pool: &Pool, prefill: usize) -> Vec<(String, String)> {
+fn observed(bits: usize, pool: &Pool) -> Vec<(String, String)> {
     let scheme = PaillierHe::generate(bits, 64, 7).unwrap();
-    if prefill > 0 {
-        scheme.prefill_noise(prefill, pool);
-    }
     let chunk = |from: usize| -> Vec<f64> {
         (from..from + 64).map(|i| (i as f64 - 64.0) * 0.375).collect()
     };
@@ -59,13 +56,8 @@ fn golden(name: &str) -> &'static str {
 
 fn check(bits: usize) {
     for threads in [1usize, 2, 4, 8] {
-        let pool = Pool::with_threads(threads);
-        // 33 noise indices are consumed at 256 bits, 17 at 512: none, some
-        // and more than all of them prefilled.
-        for prefill in [0usize, 5, 40] {
-            for (name, got) in observed(bits, &pool, prefill) {
-                assert_eq!(got, golden(&name), "{name}, {threads} threads, prefill {prefill}");
-            }
+        for (name, got) in observed(bits, &Pool::with_threads(threads)) {
+            assert_eq!(got, golden(&name), "{name}, {threads} threads");
         }
     }
 }

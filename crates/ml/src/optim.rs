@@ -45,13 +45,6 @@ impl Adam {
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
-
-    /// Resets moments and step count (fresh training run, same dimension).
-    pub fn reset(&mut self) {
-        self.m.iter_mut().for_each(|x| *x = 0.0);
-        self.v.iter_mut().for_each(|x| *x = 0.0);
-        self.t = 0;
-    }
 }
 
 #[cfg(test)]
@@ -77,17 +70,6 @@ mod tests {
         let mut x = [1.0f64];
         adam.step(&mut x, &[123.0]);
         assert!((x[0] - (1.0 - 0.01)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reset_restores_fresh_state() {
-        let mut adam = Adam::new(1, 0.01);
-        let mut x = [0.0f64];
-        adam.step(&mut x, &[1.0]);
-        adam.reset();
-        let mut y = [0.0f64];
-        adam.step(&mut y, &[1.0]);
-        assert!((x[0] - y[0]).abs() < 1e-12, "same trajectory after reset");
     }
 
     #[test]

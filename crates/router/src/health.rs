@@ -41,18 +41,6 @@ impl HealthState {
         self as u8
     }
 
-    /// The state for a wire byte (`None` for unknown bytes).
-    #[must_use]
-    pub fn from_u8(b: u8) -> Option<HealthState> {
-        match b {
-            0 => Some(HealthState::Healthy),
-            1 => Some(HealthState::Suspect),
-            2 => Some(HealthState::Down),
-            3 => Some(HealthState::Drained),
-            _ => None,
-        }
-    }
-
     /// Whether new requests may be routed to a backend in this state.
     #[must_use]
     pub fn routable(self) -> bool {
@@ -176,16 +164,14 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_roundtrip_and_match_the_proto_names() {
+    fn wire_bytes_match_the_proto_names() {
         for (state, name) in [
             (HealthState::Healthy, "healthy"),
             (HealthState::Suspect, "suspect"),
             (HealthState::Down, "down"),
             (HealthState::Drained, "drained"),
         ] {
-            assert_eq!(HealthState::from_u8(state.as_u8()), Some(state));
             assert_eq!(vfps_serve::health_state_name(state.as_u8()), name);
         }
-        assert_eq!(HealthState::from_u8(9), None);
     }
 }

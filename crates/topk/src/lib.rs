@@ -169,9 +169,8 @@ mod proptests {
                 pos = end;
             }
             let truth = oracle(&scores, k);
-            let cands = sf.candidate_set();
             for &(id, _) in &truth {
-                prop_assert!(cands.contains(&id), "top-k id {} missing", id);
+                prop_assert!(sf.candidates().contains(&id), "top-k id {} missing", id);
             }
             let sums = sf.candidates().iter().map(|&id| (scores.iter().map(|s| s[id]).sum(), id));
             prop_assert_eq!(pairs(Ranking::new(sums).prefix(k)), truth);
@@ -200,7 +199,7 @@ mod proptests {
             prop_assert_eq!(depth, want_depth);
             prop_assert!(sf.rows_consumed().iter().all(|&r| r == depth));
             prop_assert_eq!(sf.candidates().iter().copied().collect::<BTreeSet<_>>(), want);
-            prop_assert_eq!(sf.candidate_count(), sf.candidate_set().len(), "no id twice");
+            prop_assert_eq!(sf.candidate_count(), want.len(), "no id twice");
             prop_assert!((k.min(n)..=n).contains(&sf.candidate_count()));
         }
     }

@@ -269,6 +269,7 @@ mod tests {
     proptest! {
         /// Every prefix a caller can ask for is the reference's prefix, bit
         /// for bit, and reading on through the iterator finishes the order.
+        #[test]
         fn every_prefix_matches_the_full_sort(
             pairs in pairs(),
             style in 0usize..4,
@@ -299,6 +300,7 @@ mod tests {
         /// set, each `prefix(len)` the full sort's prefix, and a `top_set`
         /// past the longest length asked so far adds exactly the next
         /// ranks' set.
+        #[test]
         fn top_sets_and_prefixes_interleave(
             pairs in pairs(),
             calls in collection::vec((0usize..3, any::<u64>()), 0..16),
@@ -337,6 +339,7 @@ mod tests {
         }
 
         /// Packing is lossless and its integer order is the reference order.
+        #[test]
         fn entries_round_trip_and_order_like_total_cmp(
             a in (score(), any::<u64>()),
             b in (score(), any::<u64>()),

@@ -10,7 +10,6 @@
 //! set the paper's Fig. 9 counts.
 
 use crate::ItemId;
-use std::collections::HashSet;
 
 /// Incremental Fagin state fed by per-party pseudo-ID batches.
 #[derive(Clone, Debug)]
@@ -111,12 +110,6 @@ impl StreamingFagin {
         self.surfaced.len()
     }
 
-    /// Unique candidate set as a hash set (convenience).
-    #[must_use]
-    pub fn candidate_set(&self) -> HashSet<ItemId> {
-        self.surfaced.iter().copied().collect()
-    }
-
     /// Rows consumed from each party's ranking so far.
     #[must_use]
     pub fn rows_consumed(&self) -> &[usize] {
@@ -196,7 +189,7 @@ mod tests {
             sf.rows_consumed()
         );
         let best = crate::reference::oracle(&scores, 1)[0].0;
-        assert!(sf.candidate_set().contains(&best), "best id {best} missing");
+        assert!(sf.candidates().contains(&best), "best id {best} missing");
     }
 
     #[test]
@@ -233,11 +226,11 @@ mod tests {
     }
 
     #[test]
-    fn candidate_set_matches_surfaced() {
+    fn candidates_are_the_surfaced_ids_in_first_seen_order() {
         let mut sf = StreamingFagin::new(2, 5, 5);
-        sf.feed(0, &[0, 1]);
-        sf.feed(1, &[1, 2]);
-        assert_eq!(sf.candidate_set(), [0, 1, 2].into_iter().collect());
+        sf.feed(0, &[3, 1]);
+        sf.feed(1, &[2, 1]);
+        assert_eq!(sf.candidates(), [3, 1, 2]);
         assert_eq!(sf.fully_seen(), 1);
         assert!(!sf.is_complete());
     }
@@ -267,6 +260,7 @@ mod tests {
         /// `completes_within` predicts `is_complete` after the feed, and a
         /// batch it says the stream does not stop in leaves the same state
         /// fed in any order.
+        #[test]
         fn completes_within_predicts_the_feed(
             parties in 1usize..5,
             n in 1usize..60,
@@ -298,7 +292,10 @@ mod tests {
                 proptest::prop_assert_eq!(predicted, sf.is_complete());
                 if !predicted {
                     other.feed(party, &reordered);
-                    proptest::prop_assert_eq!(other.candidate_set(), sf.candidate_set());
+                    let set = |s: &StreamingFagin| {
+                        s.candidates().iter().copied().collect::<std::collections::BTreeSet<_>>()
+                    };
+                    proptest::prop_assert_eq!(set(&other), set(&sf));
                     proptest::prop_assert_eq!(other.rows_consumed(), sf.rows_consumed());
                     proptest::prop_assert_eq!(other.ids_received(), sf.ids_received());
                     proptest::prop_assert_eq!(other.fully_seen(), sf.fully_seen());

@@ -246,9 +246,10 @@ pub mod prelude {
 
 /// Defines deterministic property tests.
 ///
-/// Each `fn name(pat in strategy, ...) { body }` becomes a `#[test]` that
+/// Each `fn name(pat in strategy, ...) { body }` becomes a function that
 /// generates inputs until the configured number of cases pass (rejections
-/// via `prop_assume!` are retried up to a 10x budget).
+/// via `prop_assume!` are retried up to a 10x budget). As in proptest, the
+/// macro adds no `#[test]` of its own: the caller writes it, once.
 #[macro_export]
 macro_rules! proptest {
     (
@@ -274,7 +275,6 @@ macro_rules! __proptest_impl {
     ) => {
         $(
             $(#[$meta])*
-            #[test]
             #[allow(clippy::redundant_closure_call)]
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
@@ -344,20 +344,24 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
+        #[test]
         fn ranges_and_any(x in 3usize..10, y in any::<u64>(), b in any::<bool>()) {
             prop_assert!((3..10).contains(&x));
             let _ = (y, b);
         }
 
+        #[test]
         fn assume_rejects_and_retries(v in 0usize..8) {
             prop_assume!(v != 3);
             prop_assert!(v != 3, "assume failed to filter {}", v);
         }
 
+        #[test]
         fn flat_map_ties_sizes((data, cols) in pair_strategy()) {
             prop_assert_eq!(data.len() % cols, 0);
         }
 
+        #[test]
         fn vec_sizes_in_bounds(v in collection::vec(any::<u8>(), 2..=5)) {
             prop_assert!((2..=5).contains(&v.len()), "len {}", v.len());
         }

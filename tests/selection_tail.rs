@@ -148,6 +148,7 @@ proptest! {
     /// see. An exact tie (one query over an even number of parties ties the
     /// two median profiles) is broken by rounding either way, so tied
     /// instances are rejected, not asserted.
+    #[test]
     fn all_zero_queries_never_move_the_lazy_choice(
         seed in 0u64..10_000,
         parties in 3usize..8,
