@@ -311,4 +311,30 @@ mod tests {
         let k = key();
         assert_eq!(CacheKey::from_bytes(&k.to_bytes()).unwrap(), k);
     }
+
+    #[test]
+    fn update_in_pieces_equals_one_shot() {
+        let bytes = b"tenant-Rice/partition/db";
+        for cut in [0, 1, 7, bytes.len()] {
+            let mut h = Fnv128::new();
+            h.update(&bytes[..cut]);
+            h.update(&[]);
+            h.update(&bytes[cut..]);
+            assert_eq!(h.digest(), Fnv128::of(bytes), "cut {cut}");
+        }
+        assert_eq!(Fnv128::default().digest(), Fnv128::of(b""));
+    }
+
+    #[test]
+    fn fingerprint_forms_agree() {
+        let f = Fingerprint(0x0011_2233_4455_6677_8899_aabb_ccdd_eeff);
+        assert_eq!(f.hex(), "00112233445566778899aabbccddeeff");
+        assert_eq!(f.to_string(), f.hex());
+        assert_eq!(Fingerprint(1).hex().len(), 32, "zero-padded");
+        assert_eq!(f.to_le_bytes()[0], 0xff);
+        let bytes = f.to_bytes();
+        assert_eq!(bytes.len(), f.encoded_len());
+        assert_eq!(bytes[..8], 0x0011_2233_4455_6677u64.to_bytes()[..], "high half first");
+        assert_eq!(Fingerprint::from_bytes(&bytes).unwrap(), f);
+    }
 }

@@ -568,3 +568,28 @@ impl Channel<ProtoMsg> for Hub {
         self.mailbox.borrow().is_departed(node)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn logical_totals_sum_both_directions_of_every_link() {
+        let link = |frames_in, bytes_in, frames_out, bytes_out| PartyLinkStats {
+            frames_in,
+            bytes_in,
+            frames_out,
+            bytes_out,
+        };
+        let stats = ClusterStats {
+            per_party: vec![link(3, 300, 2, 20), link(5, 500, 4, 40)],
+            connects: 2,
+            reconnects: 1,
+            kills_observed: 0,
+        };
+        assert_eq!(stats.logical_bytes(), 860);
+        assert_eq!(stats.logical_messages(), 14);
+        assert_eq!(ClusterStats::default().logical_bytes(), 0);
+        assert_eq!(ClusterStats::default().logical_messages(), 0);
+    }
+}

@@ -353,4 +353,14 @@ mod tests {
         g.slot = 5;
         assert!(matches!(g.session(), Err(Error::ProtocolViolation { .. })));
     }
+
+    #[test]
+    fn protocol_modes_are_base_and_fagin_only() {
+        assert_eq!(protocol_mode_from_byte(KnnMode::Base.byte()), Some(KnnMode::Base));
+        assert_eq!(protocol_mode_from_byte(KnnMode::Fagin.byte()), Some(KnnMode::Fagin));
+        assert_eq!(KnnMode::from_byte(KnnMode::Threshold.byte()), Some(KnnMode::Threshold));
+        for b in [KnnMode::Threshold.byte(), 3, u8::MAX] {
+            assert_eq!(protocol_mode_from_byte(b), None, "byte {b}");
+        }
+    }
 }

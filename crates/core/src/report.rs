@@ -144,4 +144,35 @@ mod tests {
         let r = selection_report(&s, "VFPS-SM", &[], &CostModel::default());
         assert!(r.contains("artifact cache: 1 hit(s), 0 miss(es)"), "{r}");
     }
+
+    #[test]
+    fn a_short_name_list_falls_back_party_by_party() {
+        let names = vec!["bank".to_owned()];
+        let r = selection_report(&selection(), "X", &names, &CostModel::default());
+        assert!(r.contains("chosen (2): party-2, bank"), "{r}");
+        assert!(r.contains("* bank"), "{r}");
+    }
+
+    #[test]
+    fn bars_scale_with_the_score_and_clamp_below_zero() {
+        let mut s = selection();
+        s.scores = vec![0.9, -0.5, 1.4, 0.0];
+        let r = selection_report(&s, "X", &[], &CostModel::default());
+        let row =
+            |name: &str| r.lines().find(|l| l.trim_start_matches([' ', '*']).starts_with(name));
+        let bar = |name: &str| row(name).unwrap().matches('#').count();
+        assert_eq!(bar("party-0"), 15, "round(0.9 / 1.4 * 24)\n{r}");
+        assert_eq!(bar("party-1"), 0, "{r}");
+        assert_eq!(bar("party-2"), 24, "{r}");
+        assert_eq!(bar("party-3"), 0, "{r}");
+    }
+
+    #[test]
+    fn all_zero_scores_draw_no_bars_and_no_nan() {
+        let mut s = selection();
+        s.scores = vec![0.0; 3];
+        let r = selection_report(&s, "X", &[], &CostModel::default());
+        assert!(!r.contains('#') && !r.contains("NaN"), "{r}");
+        assert_eq!(r.lines().filter(|l| l.contains("0.0000")).count(), 3, "{r}");
+    }
 }

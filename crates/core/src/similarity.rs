@@ -271,4 +271,33 @@ mod tests {
         assert_eq!(acc.try_finish().unwrap_err(), SimilarityError::NoQueries);
         assert!(SimilarityError::NoQueries.to_string().contains("no queries"));
     }
+
+    #[test]
+    fn feature_counts_compare_per_feature_profiles() {
+        // One feature against four: raw sums differ, per-feature ones agree.
+        let mut raw = SimilarityAccumulator::new(2);
+        raw.add_d_t(&[1.0, 4.0]).unwrap();
+        assert!((raw.finish()[0][1] - 0.4).abs() < 1e-12, "(5 - 3) / 5");
+        let mut norm = SimilarityAccumulator::new(2).with_feature_counts(vec![1, 4]);
+        norm.add_d_t(&[1.0, 4.0]).unwrap();
+        assert_eq!(norm.finish()[0][1], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one count per participant")]
+    fn feature_counts_need_one_count_per_party() {
+        let _ = SimilarityAccumulator::new(3).with_feature_counts(vec![1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-width participant")]
+    fn feature_counts_refuse_a_zero_width_party() {
+        let _ = SimilarityAccumulator::new(2).with_feature_counts(vec![3, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one participant")]
+    fn an_empty_consortium_is_refused() {
+        let _ = SimilarityAccumulator::new(0);
+    }
 }

@@ -367,4 +367,31 @@ mod tests {
     fn tiny_split_rejected() {
         let _ = Split::paper_split(5, 1);
     }
+
+    #[test]
+    fn full_label_noise_moves_every_label_to_another_class() {
+        let mut ds = toy();
+        ds.n_classes = 3;
+        ds.y = (0..20).map(|i| i % 3).collect();
+        let noisy = ds.with_label_noise(1.0, 4);
+        for (before, after) in ds.y.iter().zip(&noisy.y) {
+            assert_ne!(before, after);
+            assert!(*after < 3);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fraction must be in [0, 1]")]
+    fn label_noise_refuses_a_fraction_past_one() {
+        let _ = toy().with_label_noise(1.5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "label noise needs at least two classes")]
+    fn label_noise_needs_two_classes() {
+        let mut ds = toy();
+        ds.n_classes = 1;
+        ds.y = vec![0; 20];
+        let _ = ds.with_label_noise(0.5, 1);
+    }
 }

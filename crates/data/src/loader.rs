@@ -317,4 +317,75 @@ mod tests {
         assert_eq!(split.train.len(), 32);
         assert_eq!(partition.parties(), 2);
     }
+
+    /// A file under the system temp dir, removed on drop.
+    struct TempFile(std::path::PathBuf);
+
+    impl TempFile {
+        fn new(name: &str, text: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("vfps-loader-{}-{name}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            TempFile(path)
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+            let _ = self.0.parent().map(std::fs::remove_dir);
+        }
+    }
+
+    #[test]
+    fn load_csv_reads_the_file_and_names_it_by_stem() {
+        let file = TempFile::new("rice_twin.csv", "a,b,c\n1,2,x\n3,4,y\n");
+        let ds = load_csv(&file.0, &CsvOptions::default()).unwrap();
+        assert_eq!(ds.name, "rice_twin");
+        assert_eq!(ds.len(), 2);
+        assert_eq!(ds.x.row(1), &[3.0, 4.0]);
+        assert_eq!(ds.y, vec![0, 1]);
+    }
+
+    #[test]
+    fn load_libsvm_reads_the_file_and_names_it_by_stem() {
+        let file = TempFile::new("a9a_twin.libsvm", "1 2:0.5\n0 1:1.5\n");
+        let ds = load_libsvm(&file.0).unwrap();
+        assert_eq!(ds.name, "a9a_twin");
+        assert_eq!(ds.x.row(0), &[0.0, 0.5]);
+        assert_eq!(ds.x.row(1), &[1.5, 0.0]);
+    }
+
+    #[test]
+    fn a_missing_file_is_an_io_error() {
+        let path = std::env::temp_dir().join("vfps-loader-no-such-dir").join("none.csv");
+        let csv = load_csv(&path, &CsvOptions::default()).unwrap_err();
+        assert!(matches!(csv, LoadError::Io(_)), "{csv}");
+        assert!(csv.to_string().starts_with("i/o error: "));
+        assert!(matches!(load_libsvm(&path).unwrap_err(), LoadError::Io(_)));
+    }
+
+    #[test]
+    fn csv_label_column_out_of_range_is_located() {
+        for label_column in [5, -4] {
+            let opts = CsvOptions { label_column, has_header: false, delimiter: ',' };
+            match parse_csv("1,2,3\n", &opts, "t").unwrap_err() {
+                LoadError::Parse { line, message } => {
+                    assert_eq!(line, 1);
+                    assert_eq!(message, format!("label column {label_column} out of range"));
+                }
+                other => panic!("unexpected {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn load_errors_display_their_location() {
+        let parse = LoadError::Parse { line: 7, message: "bad".into() };
+        assert_eq!(parse.to_string(), "line 7: bad");
+        assert_eq!(LoadError::Empty.to_string(), "no data rows found");
+        assert!(matches!(parse_libsvm("\n# only a comment\n", "t").unwrap_err(), LoadError::Empty));
+    }
 }

@@ -202,4 +202,31 @@ mod tests {
     fn too_many_parties_rejected() {
         let _ = VerticalPartition::even(2, 3);
     }
+
+    #[test]
+    fn from_groups_keeps_group_order_and_may_leave_columns_out() {
+        let p = VerticalPartition::from_groups(5, vec![vec![3, 0], vec![1]]);
+        assert_eq!(p.parties(), 2);
+        assert_eq!(p.columns(0), &[3, 0]);
+        assert_eq!(p.all_columns(), &[vec![3, 0], vec![1]]);
+        assert_eq!(p.joint_columns(&[1, 0]), vec![0, 1, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 4 out of range")]
+    fn from_groups_rejects_a_column_past_the_end() {
+        let _ = VerticalPartition::from_groups(4, vec![vec![0], vec![4]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "source participant out of range")]
+    fn duplicates_of_an_unknown_party_are_refused() {
+        let _ = VerticalPartition::even(4, 2).with_duplicates(2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one party")]
+    fn a_random_split_over_no_party_is_refused() {
+        let _ = VerticalPartition::random(4, 0, 1);
+    }
 }

@@ -304,4 +304,22 @@ mod tests {
             assert!(ds.x.as_slice().iter().all(|v| v.is_finite()), "{}", spec.name);
         }
     }
+
+    #[test]
+    fn generate_sized_sets_the_instance_count() {
+        let spec = small_spec();
+        let ds = generate_sized(&spec, 57, 9);
+        assert_eq!(ds.len(), 57);
+        assert_eq!(ds.n_features(), spec.features);
+        let full = generate(&spec, 9);
+        let same = generate_sized(&spec, spec.sim_instances, 9);
+        assert_eq!(full.x.as_slice(), same.x.as_slice());
+        assert_eq!(full.y, same.y);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one instance")]
+    fn generate_sized_refuses_zero_instances() {
+        let _ = generate_sized(&small_spec(), 0, 1);
+    }
 }

@@ -165,4 +165,22 @@ mod tests {
         assert_eq!(format!("{a}"), "255");
         assert_eq!(format!("{a:?}"), "BigUint(0xff)");
     }
+
+    #[test]
+    fn write_bytes_be_appends_to_existing_bytes() {
+        let a = BigUint::from_limbs(vec![0x0807_0605_0403_0201, 0x0a09]);
+        let mut out = vec![0xee];
+        a.write_bytes_be(&mut out);
+        assert_eq!(out, [0xee, 0x0a, 0x09, 8, 7, 6, 5, 4, 3, 2, 1]);
+        BigUint::zero().write_bytes_be(&mut out);
+        assert_eq!(out.len(), 11, "zero writes no bytes");
+    }
+
+    #[test]
+    fn leading_zero_bytes_parse_to_the_same_value() {
+        let a = BigUint::from_bytes_be(&[0, 0, 0, 0, 0, 0, 0, 0, 0, 0x12, 0x34]);
+        assert_eq!(a.to_u64(), Some(0x1234));
+        assert_eq!(a.limbs().len(), 1, "zero limbs above the value are dropped");
+        assert_eq!(a.to_bytes_be(), [0x12, 0x34]);
+    }
 }

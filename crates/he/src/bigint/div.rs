@@ -200,4 +200,25 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn divrem_u64_matches_divrem() {
+        let a = BigUint::from_limbs(vec![0x1111_2222_3333_4444, 0x5555_6666_7777_8888, 0x9]);
+        for d in [1u64, 7, 0x1_0000_0001, u64::MAX] {
+            let (q, r) = a.divrem_u64(d);
+            let (q2, r2) = a.divrem(&BigUint::from_u64(d));
+            assert_eq!(q, q2, "d={d}");
+            assert_eq!(BigUint::from_u64(r), r2, "d={d}");
+            assert!(r < d);
+        }
+        let (q, r) = BigUint::zero().divrem_u64(5);
+        assert!(q.is_zero());
+        assert_eq!(r, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "division by zero")]
+    fn divrem_u64_by_zero_panics() {
+        let _ = BigUint::from_u64(1).divrem_u64(0);
+    }
 }

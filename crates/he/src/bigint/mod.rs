@@ -369,4 +369,15 @@ mod tests {
         let v = 0x1234_5678_9abc_def0_1122_3344_5566_7788u128;
         assert_eq!(BigUint::from_u128(v).to_u128(), Some(v));
     }
+
+    #[test]
+    fn normalize_drops_only_top_zero_limbs() {
+        let mut a = BigUint { limbs: vec![0, 5, 0, 0] };
+        a.normalize();
+        assert_eq!(a.limbs(), [0, 5]);
+        let mut z = BigUint { limbs: vec![0, 0] };
+        z.normalize();
+        assert!(z.limbs().is_empty());
+        assert!(z.is_zero());
+    }
 }

@@ -172,4 +172,16 @@ mod tests {
             assert!(a.mul_mod(&inv, &m).is_one());
         }
     }
+
+    #[test]
+    fn montgomery_ctx_only_for_odd_multi_limb_moduli() {
+        assert!(BigUint::montgomery_ctx(&BigUint::from_u64(1_000_000_007)).is_none());
+        let even = BigUint::one().shl(100);
+        assert!(BigUint::montgomery_ctx(&even).is_none());
+        let m = even.add_u64(1);
+        let ctx = BigUint::montgomery_ctx(&m).unwrap();
+        let base = BigUint::from_u64(3);
+        let exp = BigUint::from_u64(1_000_003);
+        assert_eq!(ctx.mod_pow(&base, &exp), base.mod_pow_plain(&exp, &m));
+    }
 }

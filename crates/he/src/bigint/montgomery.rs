@@ -909,4 +909,95 @@ mod tests {
             FixedBaseWindow::new(&BigUint::from_u64(5), MontgomeryCtx::new(&m).unwrap(), 100);
         let _ = window.pow(&BigUint::one().shl(100));
     }
+
+    #[test]
+    fn mod_pow_into_overwrites_out_and_reuses_scratch() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut m = BigUint::random_bits(&mut rng, 256);
+        if m.is_even() {
+            m = m.add_u64(1);
+        }
+        let ctx = MontgomeryCtx::new(&m).unwrap();
+        let mut scratch = MontScratch::default();
+        let mut out = vec![u64::MAX; ctx.limbs()];
+        for exp_bits in [1usize, 5, 6, 130] {
+            let base = BigUint::random_below(&mut rng, &m);
+            let exp = BigUint::random_bits(&mut rng, exp_bits);
+            ctx.mod_pow_into(&base, &exp, &mut scratch, &mut out);
+            assert_eq!(
+                BigUint::from_limbs(out.clone()),
+                base.mod_pow_plain(&exp, &m),
+                "exp_bits={exp_bits}"
+            );
+        }
+        ctx.mod_pow_into(&BigUint::from_u64(7), &BigUint::zero(), &mut scratch, &mut out);
+        assert!(BigUint::from_limbs(out).is_one(), "x^0 = 1");
+    }
+
+    #[test]
+    fn bits_of_counts_significant_bits() {
+        assert_eq!(bits_of(&[]), 0);
+        assert_eq!(bits_of(&[0, 0]), 0);
+        assert_eq!(bits_of(&[1]), 1);
+        assert_eq!(bits_of(&[u64::MAX, 0]), 64);
+        assert_eq!(bits_of(&[0, 1, 0]), 65);
+        assert_eq!(bits_of(&[0, 0, 1 << 63]), 192);
+    }
+
+    #[test]
+    fn mul_low_is_the_product_truncated_to_out() {
+        let a = [u64::MAX, 0x1234_5678_9abc_def0, 7];
+        let b = [3, u64::MAX, 0x0fed_cba9_8765_4321];
+        let full = BigUint::from_limbs(a.to_vec()).mul(&BigUint::from_limbs(b.to_vec()));
+        for k in 1..=3 {
+            let mut out = vec![u64::MAX; k];
+            mul_low(&mut out, &a, &b);
+            let mut want = full.limbs().to_vec();
+            want.resize(k, 0);
+            assert_eq!(out, want, "k={k}");
+        }
+    }
+
+    #[test]
+    fn mul_low_by_an_inverse_divides_exactly() {
+        let d = [0xdead_beef_0000_0001u64, 0x55];
+        let q = [0x0123_4567_89ab_cdefu64, 0x42];
+        let mut prod = [0u64; 2];
+        mul_low(&mut prod, &q, &d);
+        // d^-1 mod 2^128 from its low limb's inverse, lifted once.
+        let lo = inv_mod_2_64(d[0]);
+        let mut t = [0u64; 2];
+        mul_low(&mut t, &d, &[lo, 0]);
+        let two_minus = {
+            let mut x = [0u64, 0];
+            sub_in_place(&mut x, &t);
+            add_in_place(&mut x, &[2, 0]);
+            x
+        };
+        let mut inv = [0u64; 2];
+        mul_low(&mut inv, &[lo, 0], &two_minus);
+        let mut back = [0u64; 2];
+        mul_low(&mut back, &prod, &inv);
+        assert_eq!(back, q);
+    }
+
+    #[test]
+    fn limb_compare_add_and_sub_agree_with_biguint() {
+        let a = [u64::MAX, 5];
+        let b = [1u64, 5];
+        assert!(less_than(&b, &a));
+        assert!(!less_than(&a, &b));
+        assert!(!less_than(&a, &a), "strict");
+        let mut s = a;
+        assert!(!add_in_place(&mut s, &b));
+        assert_eq!(s, [0, 11], "carry crosses the limb");
+        let mut top = [u64::MAX, u64::MAX];
+        assert!(add_in_place(&mut top, &[1, 0]), "carry out of the top limb");
+        assert_eq!(top, [0, 0]);
+        sub_in_place(&mut s, &b);
+        assert_eq!(s, a);
+        let mut w = [0u64, 0];
+        sub_in_place(&mut w, &[1, 0]);
+        assert_eq!(w, [u64::MAX, u64::MAX], "wraps past zero");
+    }
 }

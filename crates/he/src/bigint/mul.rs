@@ -153,4 +153,15 @@ mod tests {
         let a = BigUint::from_u128(0xdead_beef_dead_beef_dead_beef);
         assert_eq!(a.square(), a.mul(&a));
     }
+
+    #[test]
+    fn mul_into_overwrites_its_output() {
+        let a = [u64::MAX, 3];
+        let b = [u64::MAX, u64::MAX, 1];
+        let mut out = [0xdead_beefu64; 5];
+        mul_into(&mut out, &a, &b);
+        assert_eq!(out.to_vec(), schoolbook(&a, &b));
+        let expect = BigUint::from_limbs(a.to_vec()).mul(&BigUint::from_limbs(b.to_vec()));
+        assert_eq!(BigUint::from_limbs(out.to_vec()), expect);
+    }
 }

@@ -162,4 +162,21 @@ mod tests {
             assert!(p.is_probable_prime(&mut rng));
         }
     }
+
+    #[test]
+    fn fill_random_bits_draws_what_random_bits_draws() {
+        for bits in [1usize, 63, 64, 65, 200] {
+            let v = BigUint::random_bits(&mut StdRng::seed_from_u64(9), bits);
+            let mut out = vec![u64::MAX; bits.div_ceil(64)];
+            BigUint::fill_random_bits(&mut StdRng::seed_from_u64(9), bits, &mut out);
+            assert_eq!(BigUint::from_limbs(out), v, "bits={bits}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "random bits fill")]
+    fn fill_random_bits_refuses_a_misfit_buffer() {
+        let mut out = [0u64; 3];
+        BigUint::fill_random_bits(&mut StdRng::seed_from_u64(1), 64, &mut out);
+    }
 }

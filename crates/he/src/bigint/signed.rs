@@ -230,4 +230,14 @@ mod tests {
         assert!(z.is_zero());
         assert_eq!(z.sign(), Sign::Zero);
     }
+
+    #[test]
+    fn sign_predicates_follow_the_value() {
+        assert!(BigInt::from_i64(-1).is_negative());
+        assert!(!BigInt::from_i64(1).is_negative());
+        assert!(!BigInt::zero().is_negative());
+        assert!(BigInt::from_i64(3).neg().is_negative());
+        assert!(!BigInt::from_i64(-3).neg().is_negative());
+        assert_eq!(BigInt::from_i64(i64::MIN).magnitude().to_u64(), Some(1u64 << 63));
+    }
 }

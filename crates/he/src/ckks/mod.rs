@@ -341,4 +341,23 @@ mod tests {
         let ct = ctx.encrypt(&pk, &[1.0], &mut rng).unwrap();
         assert_eq!(ct.byte_len(), 2 * 256 * 8);
     }
+
+    #[test]
+    fn default_vfl_parameters_roundtrip_a_full_vector() {
+        let params = CkksParams::default_vfl();
+        assert!(params.degree.is_power_of_two());
+        let ctx = CkksContext::new(&params).unwrap();
+        assert_eq!(ctx.slots(), params.degree / 2);
+        let mut rng = StdRng::seed_from_u64(7);
+        let (pk, sk) = ctx.keygen(&mut rng);
+        let vals: Vec<f64> = (0..ctx.slots()).map(|i| (i as f64).sin() * 100.0).collect();
+        let ct = ctx.encrypt(&pk, &vals, &mut rng).unwrap();
+        assert_eq!(ct.byte_len(), 2 * params.degree * 8);
+        // Absolute, not `error_bound(1)`: that heuristic spreads noise by
+        // sqrt(n) and reads below the observed error at this degree.
+        let back = ctx.decrypt(&sk, &ct, vals.len());
+        for (a, b) in vals.iter().zip(&back) {
+            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        }
+    }
 }

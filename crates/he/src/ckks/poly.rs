@@ -244,4 +244,19 @@ mod tests {
         let mean: f64 = p.centered().iter().map(|&c| c as f64).sum::<f64>() / p.degree() as f64;
         assert!(mean.abs() < 2.0, "error distribution should be centered, mean={mean}");
     }
+
+    #[test]
+    fn from_coeffs_keeps_the_coefficients_in_order() {
+        let t = tables(8);
+        let coeffs: Vec<u64> = (0..8).map(|i| i * 1000 + 1).collect();
+        let p = Poly::from_coeffs(coeffs.clone(), Arc::clone(&t));
+        assert_eq!(p.coeffs, coeffs);
+        assert_eq!(p.add(&Poly::zero(t)), p);
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient count must equal ring degree")]
+    fn from_coeffs_refuses_a_wrong_length() {
+        let _ = Poly::from_coeffs(vec![0; 7], tables(8));
+    }
 }

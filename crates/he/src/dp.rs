@@ -154,4 +154,16 @@ mod tests {
         assert!(GaussianMechanism::new(1.0, 2.0, 1e-5).is_err());
         assert!(GaussianMechanism::new(1.0, 0.5, 0.0).is_err());
     }
+
+    #[test]
+    fn privatize_adds_exactly_one_sample() {
+        let lap = LaplaceMechanism::new(1.0, 0.5).unwrap();
+        let gauss = GaussianMechanism::new(1.0, 0.5, 1e-5).unwrap();
+        for value in [0.0, -3.5, 1e6] {
+            let noise = lap.sample(&mut StdRng::seed_from_u64(7));
+            assert_eq!(lap.privatize(value, &mut StdRng::seed_from_u64(7)), value + noise);
+            let noise = gauss.sample(&mut StdRng::seed_from_u64(7));
+            assert_eq!(gauss.privatize(value, &mut StdRng::seed_from_u64(7)), value + noise);
+        }
+    }
 }

@@ -281,4 +281,37 @@ mod tests {
             Err(Error::PackedHeadroomExceeded { terms: 5, max_terms: 4 })
         ));
     }
+
+    #[test]
+    fn pack_into_writes_what_pack_writes_and_ignores_extra_values() {
+        let l = PackingLayout::for_key(256, 4).unwrap();
+        let vals = [7i64, -8, 9, -10, 11, 12];
+        let mut limbs = vec![0u64; l.plain_limbs()];
+        l.pack_into(vals.iter().map(|&v| Ok(v)), &mut limbs).unwrap();
+        assert_eq!(BigUint::from_limbs(limbs), l.pack(&vals[..4]).unwrap());
+    }
+
+    #[test]
+    fn pack_into_returns_the_first_encoding_error() {
+        let l = PackingLayout::for_key(256, 4).unwrap();
+        let mut limbs = vec![0u64; l.plain_limbs()];
+        let encoded = [Ok(1), Err(Error::InvalidParameters("first".into())), Ok(1i64 << 60)];
+        match l.pack_into(encoded, &mut limbs) {
+            Err(Error::InvalidParameters(m)) => assert_eq!(m, "first"),
+            other => panic!("expected the first error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unpack_limbs_reads_missing_limbs_as_zero_and_checks_count() {
+        let l = PackingLayout::for_key(512, 8).unwrap();
+        let packed = l.pack(&[5, -6]).unwrap();
+        let got: Vec<i128> = l.unpack_limbs(packed.limbs(), 4, 1).unwrap().collect();
+        let bias = 1i128 << MAG_BITS;
+        assert_eq!(got, [5, -6, -bias, -bias], "empty slots decode to minus the bias");
+        assert!(matches!(
+            l.unpack_limbs(packed.limbs(), 9, 1).err(),
+            Some(Error::TooManySlots { got: 9, max: 8 })
+        ));
+    }
 }

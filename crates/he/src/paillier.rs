@@ -1252,4 +1252,44 @@ mod tests {
         }
         assert_eq!(kp.private.decrypt(&acc).to_u64(), Some(expect));
     }
+
+    #[test]
+    fn noise_bits_are_half_the_key_with_a_floor() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let wide = PaillierEncryptor::new(&keypair(256).public, &mut rng);
+        assert_eq!(wide.noise_bits(), 128);
+        let narrow = PaillierEncryptor::new(&keypair(96).public, &mut rng);
+        assert_eq!(narrow.noise_bits(), MIN_NOISE_BITS);
+    }
+
+    #[test]
+    fn encrypt_with_noise_is_encrypt_seeded_in_two_steps() {
+        let kp = keypair(128);
+        let enc = PaillierEncryptor::new(&kp.public, &mut StdRng::seed_from_u64(24));
+        let m = BigUint::from_u64(2718);
+        for seed in [0u64, 5, u64::MAX] {
+            let noise = enc.noise_for_seed(seed);
+            let c = enc.encrypt_with_noise(&m, &noise).unwrap();
+            assert_eq!(c, enc.encrypt_seeded(&m, seed).unwrap(), "seed {seed}");
+            assert_eq!(kp.private.decrypt(&c), m);
+        }
+        let noise = enc.noise_for_seed(1);
+        let too_big = kp.public.modulus().clone();
+        assert!(matches!(
+            enc.encrypt_with_noise(&too_big, &noise),
+            Err(Error::PlaintextOutOfRange)
+        ));
+    }
+
+    #[test]
+    fn noise_pool_seeds_are_pure_in_pool_seed_and_index() {
+        let a = NoisePool::new(31);
+        let _ = a.reserve(5);
+        let b = NoisePool::new(31);
+        for j in [0u64, 1, 4, 1 << 40] {
+            assert_eq!(a.seed_for(j), b.seed_for(j), "reserving moves no seed");
+            assert_ne!(a.seed_for(j), NoisePool::new(32).seed_for(j));
+        }
+        assert_ne!(a.seed_for(0), a.seed_for(1));
+    }
 }

@@ -1066,4 +1066,20 @@ mod tests {
         let names = [PlainHe::new(1).name(), p.name(), c.name()];
         assert_eq!(names, ["plain", "paillier", "ckks"]);
     }
+
+    #[test]
+    fn with_noise_seed_keeps_the_keys_and_restarts_the_stream() {
+        let base = PaillierHe::generate(256, 8, 61).unwrap();
+        let values = [1.25, -2.5, 3.0];
+        let a = base.with_noise_seed(9);
+        let again = base.with_noise_seed(9);
+        let other = base.with_noise_seed(10);
+        let ct = a.encrypt(&values).unwrap();
+        assert_eq!(ct, again.encrypt(&values).unwrap(), "one seed repeats its factors");
+        assert_ne!(ct, other.encrypt(&values).unwrap(), "two seeds share none");
+        let back = base.decrypt(&ct, values.len());
+        for (want, got) in values.iter().zip(&back) {
+            assert!((want - got).abs() < 1e-6, "{want} vs {got}: the keys are shared");
+        }
+    }
 }

@@ -355,4 +355,26 @@ mod tests {
         assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
         assert_eq!(squared_distance(&[1.0], &[1.0]), 0.0);
     }
+
+    #[test]
+    fn row_mut_writes_one_row_only() {
+        let mut m = Matrix::zeros(3, 2);
+        m.row_mut(1).copy_from_slice(&[5.0, 6.0]);
+        assert_eq!(m.as_slice(), &[0.0, 0.0, 5.0, 6.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn as_mut_slice_is_the_row_major_storage() {
+        let mut m = Matrix::zeros(2, 3);
+        m.as_mut_slice()[4] = 9.0;
+        assert_eq!(m.get(1, 1), 9.0);
+        assert_eq!(m.as_mut_slice().len(), 6);
+    }
+
+    #[test]
+    fn map_inplace_applies_to_every_element() {
+        let mut m = Matrix::from_rows(&[vec![1.0, -2.0], vec![3.0, -4.0]]);
+        m.map_inplace(|v| v * v + 1.0);
+        assert_eq!(m.as_slice(), &[2.0, 5.0, 10.0, 17.0]);
+    }
 }

@@ -539,4 +539,24 @@ mod tests {
         l.record_dec(1_000_000);
         assert_eq!(l.simulated_us(&m), 0.0);
     }
+
+    #[test]
+    fn hetero_records_keep_path_and_work_apart() {
+        let mut l = OpLedger::default();
+        l.record_enc_hetero(30, 100);
+        l.record_plain_hetero(7, 20);
+        assert_eq!(l.enc, OpCount { path: 30, work: 100 });
+        assert_eq!(l.plain, OpCount { path: 7, work: 20 });
+        // An even split is the homogeneous record.
+        let mut even = OpLedger::default();
+        even.record_enc_hetero(25, 100);
+        even.record_plain_hetero(5, 20);
+        let mut homo = OpLedger::default();
+        homo.record_enc(25, 4);
+        homo.record_plain(5, 4);
+        assert_eq!(even, homo);
+        // Time follows the slowest party, not the total.
+        let model = CostModel::default();
+        assert!(l.simulated_us(&model) > even.simulated_us(&model));
+    }
 }

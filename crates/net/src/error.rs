@@ -222,4 +222,28 @@ mod tests {
         assert!(!c.is_liveness_failure(), "protocol violations are not flakiness");
         assert!(TransportFailure::Hangup.is_liveness_failure());
     }
+
+    #[test]
+    fn timeouts_name_their_peer_or_any_message() {
+        let waited = Duration::from_millis(50);
+        assert_eq!(
+            Error::Timeout { peer: Some(2), waited }.to_string(),
+            "timed out after 50ms waiting for node 2"
+        );
+        assert_eq!(
+            Error::Timeout { peer: None, waited }.to_string(),
+            "timed out after 50ms waiting for any message"
+        );
+        assert_eq!(Error::Hangup { peer: 0 }.to_string(), "node 0 hung up");
+    }
+
+    #[test]
+    fn transport_failures_display_their_kind() {
+        assert_eq!(TransportFailure::Hangup.to_string(), "peer hung up");
+        let t = TransportFailure::Timeout { waited: Duration::from_secs(2) };
+        assert_eq!(t.to_string(), "timed out after 2s");
+        assert!(t.is_liveness_failure());
+        let p = TransportFailure::Protocol { detail: "length prefix 4294967295".into() };
+        assert_eq!(p.to_string(), "protocol violation: length prefix 4294967295");
+    }
 }

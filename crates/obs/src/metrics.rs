@@ -222,4 +222,19 @@ mod tests {
         assert!(m.gauge("x").is_none());
         assert!(m.histogram("x").is_none());
     }
+
+    #[test]
+    fn histograms_are_listed_by_name_with_their_stats() {
+        let mut m = MetricsRegistry::default();
+        m.histogram_record("z.lat_us", 3.0);
+        m.histogram_record("a.lat_us", 1.0);
+        m.histogram_record("a.lat_us", 5.0);
+        let names: Vec<&str> = m.histograms().keys().map(String::as_str).collect();
+        assert_eq!(names, ["a.lat_us", "z.lat_us"]);
+        let a = &m.histograms()["a.lat_us"];
+        assert_eq!((a.count(), a.sum(), a.mean()), (2, 6.0, Some(3.0)));
+        assert!(m.counters().is_empty() && m.gauges().is_empty());
+        assert!(!m.is_empty());
+        assert_eq!(Histogram::default().mean(), None);
+    }
 }

@@ -210,6 +210,7 @@ pub fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::HISTOGRAM_BUCKETS;
 
     fn leaf(name: &str, dur: u64) -> TraceSpan {
         TraceSpan {
@@ -269,5 +270,57 @@ mod tests {
         assert_eq!(json_number(1.5), "1.5");
         assert_eq!(json_number(f64::NAN), "null");
         assert_eq!(json_number(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn an_empty_trace_is_the_bare_schema() {
+        let t = Trace { spans: Vec::new(), metrics: MetricsRegistry::default(), wall_us: 0 };
+        assert_eq!(
+            t.to_json(),
+            "{\n  \"wall_us\": 0,\n  \"spans\": [],\n  \"metrics\": {\n    \"counters\": {},\n    \
+             \"gauges\": {},\n    \"histograms\": {}\n  }\n}\n"
+        );
+        assert_eq!(t.span_count_total(), 0);
+        assert!(t.span_names().is_empty());
+    }
+
+    #[test]
+    fn json_spans_carry_their_fields_and_open_state() {
+        let open = TraceSpan { thread: 3, start_us: 17, closed: false, ..leaf("wire.recv", 5) };
+        let t = Trace { spans: vec![open], metrics: MetricsRegistry::default(), wall_us: 22 };
+        let j = t.to_json();
+        assert!(
+            j.contains(
+                "{\"name\": \"wire.recv\", \"thread\": 3, \"start_us\": 17, \"duration_us\": 5, \
+                 \"closed\": false, \"children\": []}"
+            ),
+            "{j}"
+        );
+    }
+
+    #[test]
+    fn json_histograms_list_every_bucket_and_the_mean() {
+        let mut metrics = MetricsRegistry::default();
+        metrics.histogram_record("lat_us", 1.0);
+        metrics.histogram_record("lat_us", 3.0);
+        metrics.gauge_set("util", f64::NAN);
+        let j = Trace { spans: Vec::new(), metrics, wall_us: 1 }.to_json();
+        let mut buckets = vec!["0"; HISTOGRAM_BUCKETS];
+        buckets[1] = "1";
+        buckets[2] = "1";
+        let want = format!(
+            "\"lat_us\": {{\"count\": 2, \"sum\": 4, \"min\": 1, \"max\": 3, \"mean\": 2, \
+             \"buckets\": [{}]}}",
+            buckets.join(",")
+        );
+        assert!(j.contains(&want), "{j}");
+        assert!(j.contains("\"gauges\": {\"util\": null}"), "{j}");
+    }
+
+    #[test]
+    fn json_strings_escape_cr_tab_and_keep_unicode() {
+        assert_eq!(json_string("a\rb\tc"), "\"a\\rb\\tc\"");
+        assert_eq!(json_string("d_T ≥ μ"), "\"d_T ≥ μ\"");
+        assert_eq!(json_string("\u{1f}"), "\"\\u001f\"");
     }
 }

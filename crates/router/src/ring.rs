@@ -279,4 +279,31 @@ mod tests {
         ring.add("a");
         assert_eq!(ring.points.len(), points_before);
     }
+
+    #[test]
+    fn key_hash_depends_on_the_key_and_the_seed() {
+        let a = Ring::new(7, 4);
+        assert_eq!(a.key_hash("Rice"), Ring::new(7, 64).key_hash("Rice"), "vnodes do not matter");
+        assert_ne!(a.key_hash("Rice"), a.key_hash("Bank"));
+        assert_ne!(a.key_hash("Rice"), Ring::new(8, 4).key_hash("Rice"));
+    }
+
+    #[test]
+    fn a_key_is_owned_by_the_first_point_at_or_after_its_hash() {
+        let mut ring = Ring::new(3, 8);
+        for name in ["b0", "b1", "b2"] {
+            ring.add(name);
+        }
+        for i in 0..200 {
+            let key = format!("tenant-{i}");
+            let h = ring.key_hash(&key);
+            let owner = ring
+                .points
+                .iter()
+                .find(|&&(p, _)| p >= h)
+                .or(ring.points.first())
+                .map(|&(_, idx)| ring.backends[idx as usize].as_str());
+            assert_eq!(ring.lookup(&key, |_| true), owner, "key {key}");
+        }
+    }
 }

@@ -527,4 +527,14 @@ mod tests {
         );
         assert_eq!(response_request_id(&Response::Pong { version: 1 }), None);
     }
+
+    #[test]
+    fn a_connection_reject_answers_no_request() {
+        let r = Response::connection_reject("frame too large".into());
+        assert_eq!(r, Response::Rejected { request_id: 0, reason: "frame too large".into() });
+        assert_eq!(response_request_id(&r), Some(0));
+        let bytes = r.to_bytes();
+        assert_eq!(bytes[0], 3, "the Rejected tag");
+        assert_eq!(Response::from_bytes(&bytes).unwrap(), r);
+    }
 }

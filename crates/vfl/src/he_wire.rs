@@ -146,4 +146,35 @@ mod tests {
         assert_eq!(agg.len(), 16, "a refused contribution is not kept");
         assert!(aggregate(&he, &agg).is_ok());
     }
+
+    #[test]
+    fn aggregate_sums_each_chunk_across_contributions() {
+        let he = PaillierHe::generate(256, 4, 5).unwrap();
+        let party = |p: f64| -> Vec<f64> { (0..6).map(|i| f64::from(i) + p * 10.0).collect() };
+        let mut agg = Vec::new();
+        for p in 0..3 {
+            let values = party(f64::from(p));
+            let chunks: Vec<&[f64]> = values.chunks(4).collect();
+            admit(&he, &mut agg, he.encrypt_many(&chunks).unwrap()).unwrap();
+        }
+        let blobs = aggregate(&he, &agg).unwrap();
+        assert_eq!(blobs.len(), 2, "one blob per chunk");
+        let want: Vec<f64> = (0..6).map(|i| 3.0 * f64::from(i) + 30.0).collect();
+        assert_eq!(decrypt(&he, &blobs, 6).unwrap(), want);
+    }
+
+    #[test]
+    fn aggregate_of_no_contribution_is_a_violation() {
+        let he = PaillierHe::generate(256, 4, 6).unwrap();
+        let err = aggregate(&he, &[]).unwrap_err();
+        assert!(err.to_string().contains("no participant contributed"), "{err}");
+    }
+
+    #[test]
+    fn undecodable_bytes_are_violations() {
+        let he = PaillierHe::generate(256, 4, 7).unwrap();
+        let err = decode(&he, &[vec![1, 2, 3]]).unwrap_err();
+        assert!(err.to_string().contains("ciphertext: "), "{err}");
+        assert!(is_violation(decrypt(&he, &[Vec::new()], 1)));
+    }
 }
