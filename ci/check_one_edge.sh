@@ -20,7 +20,8 @@
 # And one for SIMD: the AVX-512 IFMA lane kernel and its dispatch live in one file.
 # And one for synchronisation: locks, condvars and channels are std::sync's.
 # And one for top-k: one ranking (Ranking), no access-counted list model beside it.
-# And one for HE randomness: vfps-he holds no lock; one atomic cursor seeds both schemes.
+# And one for HE randomness: vfps-he holds no lock; one atomic cursor seeds Paillier.
+# And one for HE families: Paillier is the one real scheme; CKKS-lite stays deleted.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -213,9 +214,9 @@ if hits=$(grep -rnwE 'split_protocol|compare_all|KFold|select_by_cv|party_profil
     fail=1
 fi
 # The same for names a bare word would confuse with a kept item: each
-# pattern is searched where the deleted item lived. (CKKS keeps its own
-# add_plain, FixedPoint its decode_i128, the bench calibration its
-# bytes_per_value field, prepared_sized stays.)
+# pattern is searched where the deleted item lived. (FixedPoint keeps its
+# decode_i128, the bench calibration its bytes_per_value field,
+# prepared_sized stays.)
 for rule in 'crates/he/src/paillier.rs:\b(add_plain|decode_i128)\b|\b(ready|computed):' \
         'crates/he/src:\bbytes_per_value\b' \
         'crates/router/src/health.rs:\bfrom_u8\b' \
@@ -322,10 +323,22 @@ if [ -n "$hits" ]; then
 fi
 
 # No lock in vfps-he (DESIGN.md §11 "Noise pool determinism"): Paillier
-# and CKKS reserve their noise indices with one atomic add on a NoisePool.
-# A mutex here once guarded a prefill cache nothing filled, and CKKS's rng.
+# reserves its noise indices with one atomic add on a NoisePool. A mutex
+# here once guarded a prefill cache nothing filled.
 if hits=$(grep -rnE '\b(Mutex|RwLock)\b|\.lock\(' crates/he/src --include='*.rs'); then
     echo "a lock in crates/he/src (reserve noise indices with NoisePool::reserve):"
+    echo "$hits"
+    fail=1
+fi
+
+# One HE family (DESIGN.md §11): AdditiveHe has two implementations,
+# PaillierHe and PlainHe. CKKS-lite ran on no served path, party daemon or
+# benchmark — only a calibration bill and toy-parameter tests — and was
+# deleted. A CKKS scheme comes back on the wire (a SchemeKind, a protocol
+# run), not as a second family the tests keep alive for a bill.
+if hits=$(grep -rnE '\b(CkksHe|CkksParams|CkksContext)\b|vfps_he::ckks' \
+        crates tests examples --include='*.rs'); then
+    echo "CKKS-lite is back without a protocol path (wire a SchemeKind and a run in the same change):"
     echo "$hits"
     fail=1
 fi

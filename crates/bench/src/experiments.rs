@@ -348,16 +348,13 @@ pub fn ablation_batch(cfg: &ExpConfig) -> String {
 }
 
 /// Extra ablation: HE scheme cost mix — the same VFPS-SM selection billed
-/// under Paillier-, CKKS-, and plaintext-calibrated cost models.
+/// under a Paillier-calibrated and a plaintext cost model.
 pub fn ablation_scheme(cfg: &ExpConfig) -> String {
-    use vfps_he::ckks::CkksParams;
     let spec = DatasetSpec::by_name("IJCNN").expect("catalog");
     let paillier = crate::calibrate_paillier(512, 4);
-    let ckks = crate::calibrate_ckks(&CkksParams::insecure_test(), 4);
     let mut rows = Vec::new();
     for (name, model) in [
         ("paillier-512", paillier.to_cost_model()),
-        ("ckks-lite", ckks.to_cost_model()),
         ("plaintext", vfps_net::cost::CostModel::plaintext_only()),
     ] {
         let mut pc = cfg.pipeline();
@@ -636,18 +633,14 @@ pub fn ablation_topk(cfg: &ExpConfig) -> String {
     out
 }
 
-/// Calibration report: measured per-op costs of the real implementations.
+/// Calibration report: measured per-op costs of the real Paillier
+/// implementation, one row per key width.
 pub fn calibrate() -> String {
-    use vfps_he::ckks::CkksParams;
     let mut rows = Vec::new();
-    for cal in [
-        crate::calibrate_paillier(256, 8),
-        crate::calibrate_paillier(512, 4),
-        crate::calibrate_ckks(&CkksParams::insecure_test(), 8),
-        crate::calibrate_ckks(&CkksParams::default_vfl(), 4),
-    ] {
+    for (key_bits, reps) in [(256, 8), (512, 4)] {
+        let cal = crate::calibrate_paillier(key_bits, reps);
         rows.push(vec![
-            cal.scheme.to_owned(),
+            format!("paillier-{key_bits}"),
             format!("{:.2}", cal.enc_us),
             format!("{:.2}", cal.dec_us),
             format!("{:.3}", cal.add_us),

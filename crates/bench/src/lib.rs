@@ -1,6 +1,6 @@
 //! Shared infrastructure for the experiment harness: table formatting,
 //! result persistence, selection-only runs, and cost-model calibration
-//! against the real HE implementations.
+//! against the real Paillier implementation.
 
 #![warn(missing_docs)]
 
@@ -12,8 +12,7 @@ use std::time::Instant;
 use vfps_core::selectors::{Selection, SelectionContext};
 use vfps_core::{make_selector, Method, PipelineConfig};
 use vfps_data::{prepared_sized, DatasetSpec, VerticalPartition};
-use vfps_he::ckks::CkksParams;
-use vfps_he::scheme::{AdditiveHe, CkksHe, PaillierHe};
+use vfps_he::scheme::{AdditiveHe, PaillierHe};
 use vfps_net::cost::CostModel;
 
 /// Renders a GitHub-flavoured markdown table.
@@ -76,11 +75,9 @@ pub fn selection_only(
     (selection, secs)
 }
 
-/// Measured per-op microsecond costs of the real HE implementations.
+/// Measured per-op microsecond costs of the real Paillier implementation.
 #[derive(Clone, Copy, Debug)]
 pub struct Calibration {
-    /// Scheme name.
-    pub scheme: &'static str,
     /// Microseconds to encrypt one value (amortized over a batch).
     pub enc_us: f64,
     /// Microseconds to decrypt one value.
@@ -124,30 +121,7 @@ pub fn calibrate_paillier(key_bits: usize, reps: usize) -> Calibration {
     }
     let dec_us = t2.elapsed().as_micros() as f64 / (reps * 16) as f64;
     let bytes = he.ct_bytes(&cts[0]) as f64 / 16.0;
-    Calibration { scheme: "paillier", enc_us, dec_us, add_us, bytes_per_value: bytes }
-}
-
-/// Measures the real CKKS implementation.
-#[must_use]
-pub fn calibrate_ckks(params: &CkksParams, reps: usize) -> Calibration {
-    let he = CkksHe::generate(params, 99).expect("context");
-    let slots = he.max_batch();
-    let values: Vec<f64> = (0..slots).map(|i| i as f64 * 0.01).collect();
-    let t0 = Instant::now();
-    let cts: Vec<_> = (0..reps).map(|_| he.encrypt(&values).expect("encrypt")).collect();
-    let enc_us = t0.elapsed().as_micros() as f64 / (reps * slots) as f64;
-    let t1 = Instant::now();
-    for w in cts.windows(2) {
-        let _ = he.add(&w[0], &w[1]);
-    }
-    let add_us = t1.elapsed().as_micros() as f64 / ((reps.max(2) - 1) * slots) as f64;
-    let t2 = Instant::now();
-    for ct in &cts {
-        let _ = he.decrypt(ct, slots);
-    }
-    let dec_us = t2.elapsed().as_micros() as f64 / (reps * slots) as f64;
-    let bytes = he.ct_bytes(&cts[0]) as f64 / slots as f64;
-    Calibration { scheme: "ckks", enc_us, dec_us, add_us, bytes_per_value: bytes }
+    Calibration { enc_us, dec_us, add_us, bytes_per_value: bytes }
 }
 
 #[cfg(test)]
@@ -179,13 +153,7 @@ mod tests {
 
     #[test]
     fn calibration_rounds_bytes_up_and_keeps_the_link_defaults() {
-        let cal = Calibration {
-            scheme: "test",
-            enc_us: 1.5,
-            dec_us: 2.5,
-            add_us: 0.25,
-            bytes_per_value: 32.1,
-        };
+        let cal = Calibration { enc_us: 1.5, dec_us: 2.5, add_us: 0.25, bytes_per_value: 32.1 };
         let model = cal.to_cost_model();
         let defaults = CostModel::default();
         assert_eq!((model.enc_us, model.dec_us, model.he_add_us), (1.5, 2.5, 0.25));
@@ -214,14 +182,5 @@ mod tests {
         assert!(cal.enc_us > 0.0 && cal.dec_us > 0.0 && cal.bytes_per_value > 0.0);
         let model = cal.to_cost_model();
         assert!(model.cipher_bytes > 0);
-    }
-
-    #[test]
-    fn ckks_calibration_produces_positive_costs() {
-        let cal = calibrate_ckks(&CkksParams::insecure_test(), 2);
-        assert_eq!(cal.scheme, "ckks");
-        assert!(cal.enc_us > 0.0 && cal.dec_us > 0.0 && cal.bytes_per_value > 0.0);
-        let model = cal.to_cost_model();
-        assert_eq!(model.cipher_bytes, cal.bytes_per_value.ceil() as usize);
     }
 }

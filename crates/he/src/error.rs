@@ -27,7 +27,9 @@ pub enum Error {
         /// The offending value.
         value: f64,
     },
-    /// CKKS parameters are invalid (e.g. ring degree not a power of two).
+    /// A parameter or an input is malformed: a codec or privacy setting
+    /// out of range, undecodable ciphertext or key bytes, or ciphertexts
+    /// whose shapes cannot be summed.
     InvalidParameters(String),
     /// Too many values for the scheme's slot count.
     TooManySlots {

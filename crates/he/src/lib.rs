@@ -7,15 +7,12 @@
 //!   exponentiation and inverse).
 //! * [`paillier`] — the Paillier cryptosystem: exact additively homomorphic
 //!   encryption over `Z_n`.
-//! * [`ckks`] — CKKS-lite: RLWE approximate HE with SIMD real slots and
-//!   homomorphic addition (the operation set the paper's TenSEAL usage
-//!   exercises).
 //! * [`fixed`] — fixed-point real↔integer codec for exact schemes.
 //! * [`packing`] — shift-and-pack slot layout so one Paillier noise
 //!   exponentiation amortizes over a whole group of values.
-//! * [`scheme`] — the [`scheme::AdditiveHe`] trait unifying Paillier, CKKS,
-//!   and a pass-through [`scheme::PlainHe`] used for cost-accounted
-//!   large-scale simulation.
+//! * [`scheme`] — the [`scheme::AdditiveHe`] trait unifying Paillier and a
+//!   pass-through [`scheme::PlainHe`] used for cost-accounted large-scale
+//!   simulation.
 //!
 //! ## Example
 //!
@@ -33,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod bigint;
-pub mod ckks;
 pub mod dp;
 pub mod error;
 pub mod fixed;

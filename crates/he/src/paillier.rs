@@ -833,15 +833,14 @@ impl PaillierEncryptor {
     }
 }
 
-/// A seeded stream of noise indices, for both schemes.
+/// A seeded stream of noise indices.
 ///
 /// The pool owns no randomness and caches nothing: index `j` seeds
 /// [`NoisePool::seed_for`]`(j) = split_seed(pool_seed, j)`, and a caller
-/// reserves a contiguous run of indices with one atomic add. Paillier's
-/// factor `j` is `encryptor.noise_for_seed(seed_for(j))`; CKKS encrypts
-/// batch `j` under `StdRng::seed_from_u64(seed_for(j))`. So a ciphertext
-/// depends only on the order in which callers *reserve* indices — never
-/// on which thread computed it or on which kernel.
+/// reserves a contiguous run of indices with one atomic add. Factor `j` is
+/// `encryptor.noise_for_seed(seed_for(j))`, so a ciphertext depends only
+/// on the order in which callers *reserve* indices — never on which
+/// thread computed it or on which kernel.
 #[derive(Debug)]
 pub struct NoisePool {
     seed: u64,

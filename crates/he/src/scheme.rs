@@ -2,16 +2,15 @@
 //!
 //! The VFL protocols only require: encrypt a batch of reals, add two
 //! ciphertexts, decrypt, and report serialized size. [`AdditiveHe`] captures
-//! exactly that, with three implementations:
+//! exactly that, with two implementations:
 //!
-//! * [`PaillierHe`] — exact integer HE (fixed-point encoded reals),
-//! * [`CkksHe`] — approximate RLWE HE with SIMD slots (the paper's choice),
+//! * [`PaillierHe`] — exact integer HE (fixed-point encoded reals, several
+//!   per ciphertext),
 //! * [`PlainHe`] — a no-op scheme for ablations and large-scale simulation
 //!   where HE costs are accounted analytically instead of paid for real.
 
 use crate::bigint::lanes::{Kernel, LANES};
 use crate::bigint::BigUint;
-use crate::ckks::{CkksCiphertext, CkksContext, CkksParams, CkksPublicKey, CkksSecretKey};
 use crate::error::{Error, Result};
 use crate::fixed::FixedPoint;
 use crate::packing::{PackingLayout, DEFAULT_MAX_TERMS};
@@ -46,10 +45,10 @@ pub trait AdditiveHe: Send + Sync {
     ///
     /// The default implementation fans the per-batch [`AdditiveHe::encrypt`]
     /// calls out on the global [`vfps_par`] pool, which is correct for
-    /// deterministic schemes ([`PlainHe`]). Schemes whose `encrypt` draws
-    /// from a shared seed stream ([`PaillierHe`], [`CkksHe`]) MUST override
-    /// it to reserve their noise indices in one call before fanning out,
-    /// so the output is identical at any thread count.
+    /// deterministic schemes ([`PlainHe`]). A scheme whose `encrypt` draws
+    /// from a shared seed stream ([`PaillierHe`]) MUST override it to
+    /// reserve its noise indices in one call before fanning out, so the
+    /// output is identical at any thread count.
     ///
     /// # Errors
     /// Fails when any batch exceeds the slot count or a value cannot be
@@ -149,8 +148,10 @@ pub struct PlainHe {
     batch: usize,
 }
 
-/// Bytes [`PlainHe`] charges per carried value, mirroring the expansion a
-/// real ciphertext would have: CKKS-like, 16x over an f64.
+/// Bytes [`PlainHe`] charges per carried value: 16x over an f64, an
+/// encrypted value's order of expansion. A fixed charge rather than a
+/// measured one, because committed bills and protocol fingerprints are
+/// computed from it.
 const PLAIN_BYTES_PER_VALUE: usize = 128;
 
 impl PlainHe {
@@ -676,111 +677,6 @@ impl AdditiveHe for PaillierHe {
     }
 }
 
-// ---------------------------------------------------------------------------
-// CKKS
-// ---------------------------------------------------------------------------
-
-/// CKKS-backed scheme: SIMD batches of reals per ciphertext, approximate.
-/// Each ciphertext is seeded by one index of the scheme's [`NoisePool`],
-/// the seed stream [`PaillierHe`] draws its noise factors from too.
-pub struct CkksHe {
-    ctx: CkksContext,
-    pk: CkksPublicKey,
-    sk: CkksSecretKey,
-    noise: NoisePool,
-}
-
-impl CkksHe {
-    /// Generates a fresh scheme instance from CKKS parameters.
-    ///
-    /// # Errors
-    /// Propagates parameter validation failures.
-    pub fn generate(params: &CkksParams, seed: u64) -> Result<Self> {
-        let ctx = CkksContext::new(params)?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (pk, sk) = ctx.keygen(&mut rng);
-        Ok(CkksHe { ctx, pk, sk, noise: NoisePool::new(rng.gen()) })
-    }
-
-    /// The underlying context (tests and calibration benches).
-    #[must_use]
-    pub fn context(&self) -> &CkksContext {
-        &self.ctx
-    }
-
-    /// Encrypts several slot-batches on an explicit pool, one ciphertext
-    /// per batch. One call reserves one noise index per batch; batch `i`
-    /// encrypts under the seed of index `start + i`, so the NTT/sampling
-    /// work parallelizes across ciphertexts while the output stays
-    /// identical at any thread count.
-    ///
-    /// # Errors
-    /// Fails when any batch exceeds the slot count.
-    pub fn encrypt_many_on(
-        &self,
-        batches: &[&[f64]],
-        pool: &vfps_par::Pool,
-    ) -> Result<Vec<CkksCiphertext>> {
-        let start = self.noise.reserve(batches.len());
-        vfps_obs::time_us("he.ckks.encrypt_us", || {
-            pool.par_map_indexed(batches, |i, b| self.encrypt_at(start + i as u64, b))
-                .into_iter()
-                .collect()
-        })
-    }
-
-    /// Encrypts `values` under the seed of the reserved noise index `index`.
-    fn encrypt_at(&self, index: u64, values: &[f64]) -> Result<CkksCiphertext> {
-        let mut rng = StdRng::seed_from_u64(self.noise.seed_for(index));
-        self.ctx.encrypt(&self.pk, values, &mut rng)
-    }
-}
-
-impl AdditiveHe for CkksHe {
-    type Ciphertext = CkksCiphertext;
-
-    fn name(&self) -> &'static str {
-        "ckks"
-    }
-
-    fn max_batch(&self) -> usize {
-        self.ctx.slots()
-    }
-
-    fn encrypt(&self, values: &[f64]) -> Result<CkksCiphertext> {
-        let index = self.noise.reserve(1);
-        vfps_obs::time_us("he.ckks.encrypt_us", || self.encrypt_at(index, values))
-    }
-
-    fn encrypt_many(&self, batches: &[&[f64]]) -> Result<Vec<CkksCiphertext>> {
-        self.encrypt_many_on(batches, vfps_par::global())
-    }
-
-    fn decrypt(&self, ct: &CkksCiphertext, count: usize) -> Vec<f64> {
-        vfps_obs::time_us("he.ckks.decrypt_us", || self.ctx.decrypt(&self.sk, ct, count))
-    }
-
-    fn add(&self, a: &CkksCiphertext, b: &CkksCiphertext) -> CkksCiphertext {
-        vfps_obs::time_us("he.ckks.add_us", || self.ctx.add(a, b))
-    }
-
-    fn ct_bytes(&self, ct: &CkksCiphertext) -> usize {
-        ct.byte_len()
-    }
-
-    fn ct_to_bytes(&self, ct: &CkksCiphertext) -> Vec<u8> {
-        ct.to_bytes()
-    }
-
-    fn ct_from_bytes(&self, bytes: &[u8]) -> Result<CkksCiphertext> {
-        self.ctx.ct_from_bytes(bytes)
-    }
-
-    fn error_bound(&self, terms: usize) -> f64 {
-        self.ctx.error_bound(terms)
-    }
-}
-
 /// Draws `n` uniform reals in `[lo, hi)` from a seeded RNG (test helper).
 #[must_use]
 pub fn seeded_uniform(seed: u64, n: usize, lo: f64, hi: f64) -> Vec<f64> {
@@ -808,7 +704,6 @@ mod tests {
     fn ciphertext_serialization_roundtrips() {
         exercise_serialization(&PlainHe::new(8));
         exercise_serialization(&PaillierHe::generate(256, 8, 21).unwrap());
-        exercise_serialization(&CkksHe::generate(&CkksParams::insecure_test(), 22).unwrap());
     }
 
     /// A serialized packed ciphertext with its three header words replaced.
@@ -980,14 +875,14 @@ mod tests {
         }
     }
 
-    fn exercise<H: AdditiveHe>(scheme: &H, tol_scale: f64) {
+    fn exercise<H: AdditiveHe>(scheme: &H) {
         let a = [1.5, -2.25, 3.0, 0.0];
         let b = [0.5, 2.25, -1.0, 7.5];
         let ca = scheme.encrypt(&a).unwrap();
         let cb = scheme.encrypt(&b).unwrap();
         let sum = scheme.add(&ca, &cb);
         let out = scheme.decrypt(&sum, 4);
-        let bound = scheme.error_bound(2).max(1e-12) * tol_scale;
+        let bound = scheme.error_bound(2).max(1e-12);
         for i in 0..4 {
             assert!(
                 (out[i] - (a[i] + b[i])).abs() <= bound,
@@ -1002,19 +897,13 @@ mod tests {
 
     #[test]
     fn plain_scheme_behaves() {
-        exercise(&PlainHe::new(16), 1.0);
+        exercise(&PlainHe::new(16));
     }
 
     #[test]
     fn paillier_scheme_behaves() {
         let scheme = PaillierHe::generate(256, 16, 11).unwrap();
-        exercise(&scheme, 1.0);
-    }
-
-    #[test]
-    fn ckks_scheme_behaves() {
-        let scheme = CkksHe::generate(&CkksParams::insecure_test(), 12).unwrap();
-        exercise(&scheme, 1.0);
+        exercise(&scheme);
     }
 
     #[test]
@@ -1024,19 +913,17 @@ mod tests {
     }
 
     #[test]
-    fn paillier_exactness_vs_ckks_approximation() {
+    fn paillier_is_exact_up_to_quantization() {
         let p = PaillierHe::generate(256, 4, 1).unwrap();
-        let c = CkksHe::generate(&CkksParams::insecure_test(), 1).unwrap();
         assert!(p.error_bound(100) < 1e-4, "paillier is exact up to quantization");
-        assert!(c.error_bound(100) > 0.0, "ckks error grows with terms");
     }
 
-    fn exercise_encrypt_many<H: AdditiveHe>(scheme: &H, tol_scale: f64) {
+    fn exercise_encrypt_many<H: AdditiveHe>(scheme: &H) {
         let flat = seeded_uniform(5, 9, -3.0, 3.0);
         let batches: Vec<&[f64]> = flat.chunks(3).collect();
         let cts = scheme.encrypt_many(&batches).unwrap();
         assert_eq!(cts.len(), batches.len());
-        let bound = scheme.error_bound(1).max(1e-12) * tol_scale;
+        let bound = scheme.error_bound(1).max(1e-12);
         for (ct, batch) in cts.iter().zip(&batches) {
             let out = scheme.decrypt(ct, batch.len());
             for (got, want) in out.iter().zip(*batch) {
@@ -1047,9 +934,8 @@ mod tests {
 
     #[test]
     fn encrypt_many_roundtrips_on_every_scheme() {
-        exercise_encrypt_many(&PlainHe::new(8), 1.0);
-        exercise_encrypt_many(&PaillierHe::generate(256, 8, 31).unwrap(), 1.0);
-        exercise_encrypt_many(&CkksHe::generate(&CkksParams::insecure_test(), 32).unwrap(), 1.0);
+        exercise_encrypt_many(&PlainHe::new(8));
+        exercise_encrypt_many(&PaillierHe::generate(256, 8, 31).unwrap());
     }
 
     #[test]
@@ -1062,9 +948,7 @@ mod tests {
     #[test]
     fn schemes_report_distinct_names() {
         let p = PaillierHe::generate(128, 4, 1).unwrap();
-        let c = CkksHe::generate(&CkksParams::insecure_test(), 1).unwrap();
-        let names = [PlainHe::new(1).name(), p.name(), c.name()];
-        assert_eq!(names, ["plain", "paillier", "ckks"]);
+        assert_eq!([PlainHe::new(1).name(), p.name()], ["plain", "paillier"]);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! so every Paillier case carries at least 64 groups — 256 values — or its
 //! "thread counts" would all be the same sequential loop.
 
-use vfps_he::ckks::CkksParams;
-use vfps_he::scheme::{seeded_uniform, AdditiveHe, CkksHe, PaillierHe, PlainHe};
+use vfps_he::scheme::{seeded_uniform, AdditiveHe, PaillierHe, PlainHe};
 use vfps_par::Pool;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -69,31 +68,6 @@ fn paillier_decrypt_many_is_identical_across_thread_counts() {
         assert_eq!(pooled, looped, "{threads} threads");
     }
     assert_eq!(scheme.decrypt_many(&asks).unwrap(), looped, "global pool");
-}
-
-#[test]
-fn ckks_encrypt_many_is_bit_identical_across_thread_counts() {
-    let params = CkksParams::insecure_test();
-    let probe = CkksHe::generate(&params, 77).unwrap();
-    let slots = probe.max_batch();
-    // Four full batches, then three of 4 values: slots the batch leaves
-    // empty.
-    let full = seeded_uniform(0xcafe, 4 * slots, -1.0, 1.0);
-    let partial = seeded_uniform(4, 12, -1.0, 1.0);
-    for (flat, width) in [(&full, slots), (&partial, 4)] {
-        let batches = batches(flat, width);
-        let reference: Vec<Vec<u8>> = {
-            let scheme = CkksHe::generate(&params, 77).unwrap();
-            let cts = scheme.encrypt_many_on(&batches, &Pool::with_threads(1)).unwrap();
-            cts.iter().map(|ct| scheme.ct_to_bytes(ct)).collect()
-        };
-        for threads in THREADS {
-            let scheme = CkksHe::generate(&params, 77).unwrap();
-            let cts = scheme.encrypt_many_on(&batches, &Pool::with_threads(threads)).unwrap();
-            let bytes: Vec<Vec<u8>> = cts.iter().map(|ct| scheme.ct_to_bytes(ct)).collect();
-            assert_eq!(bytes, reference, "{width}-value batches, {threads} threads");
-        }
-    }
 }
 
 #[test]

@@ -1,17 +1,64 @@
 //! Property-based tests of the HE substrate's core invariants.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use proptest::prelude::*;
 use vfps_he::bigint::{BigInt, BigUint, MontgomeryCtx};
-use vfps_he::ckks::ntt::{find_ntt_prime, NttTables};
-use vfps_he::ckks::CkksParams;
+use vfps_he::keys::{decode_paillier_public, decode_paillier_secret};
 use vfps_he::packing::{PackingLayout, DEFAULT_MAX_TERMS, MAG_BITS};
 use vfps_he::paillier::{generate_keypair, PaillierEncryptor};
-use vfps_he::scheme::{seeded_uniform, AdditiveHe, CkksHe, PaillierHe};
+use vfps_he::scheme::{seeded_uniform, AdditiveHe, PaillierHe};
 use vfps_he::{Error, FixedPoint};
 
 fn biguint_strategy(max_limbs: usize) -> impl Strategy<Value = BigUint> {
     proptest::collection::vec(any::<u64>(), 0..=max_limbs).prop_map(BigUint::from_limbs)
 }
+
+thread_local! {
+    static ALLOCATED_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts the bytes each thread asks the heap for, so a decoder's
+/// allocations can be bounded by its input.
+struct Counting;
+
+// SAFETY: every call forwards to `System` with the caller's arguments, so
+// `System`'s guarantees carry over; the counter is a const-initialized
+// `Cell<usize>` thread-local with no destructor, so touching it here
+// neither allocates nor can run after the thread's TLS teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED_BYTES.with(|a| a.set(a.get() + layout.size()));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through the methods above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED_BYTES.with(|a| a.set(a.get() + new_size));
+        // SAFETY: `ptr` came from `System`; the caller upholds the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `f`'s result and the heap bytes this thread asked for running it.
+fn allocated<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED_BYTES.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED_BYTES.with(Cell::get) - before)
+}
+
+/// Heap bytes a refused decode may take beyond its input: the error's
+/// message.
+const ERROR_BYTES: usize = 64;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -102,35 +149,12 @@ proptest! {
         }
     }
 
-    /// CKKS: same property within the scheme's error bound.
-    #[test]
-    fn ckks_homomorphism(
-        a in proptest::collection::vec(-1e3f64..1e3, 8),
-        b in proptest::collection::vec(-1e3f64..1e3, 8),
-    ) {
-        let he = CkksHe::generate(&CkksParams::insecure_test(), 0xcafe).unwrap();
-        let ca = he.encrypt(&a).unwrap();
-        let cb = he.encrypt(&b).unwrap();
-        let out = he.decrypt(&he.add(&ca, &cb), 8);
-        let bound = he.error_bound(2);
-        for i in 0..8 {
-            prop_assert!(
-                (out[i] - (a[i] + b[i])).abs() < bound,
-                "slot {}: {} vs {}", i, out[i], a[i] + b[i]
-            );
-        }
-    }
-
-    /// Ciphertext serialization round-trips for both real schemes.
+    /// Paillier ciphertext serialization round-trips.
     #[test]
     fn ciphertext_wire_roundtrip(values in proptest::collection::vec(-1e4f64..1e4, 3)) {
         let p = PaillierHe::generate(128, 4, 7).unwrap();
         let cp = p.encrypt(&values).unwrap();
         prop_assert_eq!(p.ct_from_bytes(&p.ct_to_bytes(&cp)).unwrap(), cp);
-
-        let c = CkksHe::generate(&CkksParams::insecure_test(), 7).unwrap();
-        let cc = c.encrypt(&values).unwrap();
-        prop_assert_eq!(c.ct_from_bytes(&c.ct_to_bytes(&cc)).unwrap(), cc);
     }
 
     /// CRT decryption agrees with the `λ`/`μ` oracle under a fresh key of
@@ -260,26 +284,40 @@ proptest! {
             Err(Error::PackedHeadroomExceeded { .. })
         ));
     }
+}
 
-    /// The Shoup-multiplied NTT equals the `u128 %` reference transform on
-    /// random polynomials.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The key decoders are total over hostile bytes: arbitrary input, and
+    /// a valid `VFPK` header whose `u32` length prefix — after `valid`
+    /// well-formed integers — names more bytes than follow. Every decode
+    /// is an `Err`, never a panic, and asks the heap for no more than the
+    /// input's length and an error message.
     #[test]
-    fn shoup_ntt_matches_reference(seed in any::<u64>()) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        for n in [16usize, 128] {
-            let q = find_ntt_prime(55, n);
-            let tables = NttTables::new(n, q);
-            let orig: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-            let mut fast = orig.clone();
-            let mut slow = orig;
-            tables.forward(&mut fast);
-            tables.forward_reference(&mut slow);
-            prop_assert_eq!(&fast, &slow, "forward n={}", n);
-            tables.inverse(&mut fast);
-            tables.inverse_reference(&mut slow);
-            prop_assert_eq!(&fast, &slow, "inverse n={}", n);
+    fn key_decoders_refuse_hostile_bytes(
+        junk in proptest::collection::vec(any::<u8>(), 0..48),
+        valid in 0usize..=2,
+        claimed in 48u32..=u32::MAX,
+    ) {
+        let frame = |kind: u8, valid: usize| {
+            let mut out = b"VFPK\x01".to_vec();
+            out.push(kind);
+            for _ in 0..valid {
+                out.extend_from_slice(&[0, 0, 0, 1, 7]);
+            }
+            out.extend_from_slice(&claimed.to_be_bytes());
+            out.extend_from_slice(&junk);
+            out
+        };
+        let (public, secret) = (frame(0, valid.min(1)), frame(1, valid));
+        for input in [&junk[..], &public[..], &secret[..]] {
+            let (refused, bytes) = allocated(|| decode_paillier_public(input).is_err());
+            prop_assert!(refused, "public key from {:?}", input);
+            prop_assert!(bytes <= input.len() + ERROR_BYTES, "public: {} bytes", bytes);
+            let (refused, bytes) = allocated(|| decode_paillier_secret(input).is_err());
+            prop_assert!(refused, "secret key from {:?}", input);
+            prop_assert!(bytes <= input.len() + ERROR_BYTES, "secret: {} bytes", bytes);
         }
     }
 }

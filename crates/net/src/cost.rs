@@ -4,9 +4,11 @@
 //! The paper's timings are dominated by (a) homomorphic operations and
 //! (b) bytes moved between five AWS nodes. Both are *counted exactly* by
 //! the protocol implementations; the [`CostModel`] then prices them with
-//! per-op microsecond costs. The defaults are magnitudes measured from this
-//! repo's own Paillier/CKKS implementations (see the `he_ops` bench, which
-//! can re-calibrate them), plus typical intra-region AWS latency/bandwidth.
+//! per-op microsecond costs. The HE defaults are fixed magnitudes, not
+//! measurements of this repo's Paillier: `enc_us` is 120 where
+//! `experiments calibrate` measures a few µs per packed value, and the
+//! model is not yet fitted to measured rounds. The link defaults are
+//! typical intra-region AWS latency/bandwidth.
 //!
 //! Ledgers track two quantities per operation class:
 //!

@@ -1,7 +1,7 @@
 //! Deterministic thread pool for the VFPS-SM hot paths.
 //!
 //! The pool parallelizes the selection pipeline's embarrassingly parallel
-//! loops — fed-KNN query batches, Paillier/CKKS batch encryption, and
+//! loops — fed-KNN query batches, Paillier batch encryption, and
 //! marginal-gain evaluation in the submodular maximizer — while guaranteeing
 //! **bit-identical results at any thread count**. Three rules make that
 //! hold, and every primitive here is built around them:
