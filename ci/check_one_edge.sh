@@ -15,7 +15,7 @@
 # And one for serving: a resident tenant's data is hashed once, not per request.
 # And one for the maximizers: KnnSubmodular::maximize is their one entry point.
 # And one for partial distances: both fed-KNN engines run the feature-major kernel.
-# And one for the option matrix: two maximizers (lazy, stochastic), three KNN modes.
+# And one for the option matrix: two maximizers (lazy, stochastic), two KNN modes.
 # And one for the pool: one FIFO queue, and nothing pushes to a per-worker deque.
 # And one for SIMD: the AVX-512 IFMA lane kernel and its dispatch live in one file.
 # And one for synchronisation: locks, condvars and channels are std::sync's.
@@ -193,7 +193,7 @@ if hits=$(grep -nE '^(vfps-serve|vfps-router|vfps-cluster|criterion)\b' crates/b
     fail=1
 fi
 
-# One ranking (DESIGN.md §7): FA and TA run over vfps_topk::Ranking, the
+# One ranking (DESIGN.md §7): FA runs over vfps_topk::Ranking, the
 # structure the parties rank with. The access-counted list model beside
 # it (RankedList, Direction, AccessStats and total_stats, a batch
 # fagin_topk, a naive_topk oracle) had its own sort, and a proptest had to
@@ -257,11 +257,12 @@ if hits=$(grep -rn 'squared_distance(' crates/vfl/src --include='*.rs'); then
     fail=1
 fi
 
-# Two maximizers, three KNN modes (DESIGN.md §12): lazy greedy serves exact
+# Two maximizers, two KNN modes (DESIGN.md §12): lazy greedy serves exact
 # greedy's set, and stochastic greedy beats sieve-streaming wherever both
 # were measured; NRA's score bounds need plaintext partial scores at the
-# server. Eager greedy is a test oracle inside submodular.rs, not a variant.
-if hits=$(grep -rnE '\bSieve\b|sieve_streaming|Maximizer::Greedy|KnnMode::Nra|nra_topk|\bmod nra\b' \
+# server, and TA had no message flow: only the logical engine billed it.
+# Eager greedy is a test oracle inside submodular.rs, not a variant.
+if hits=$(grep -rnE '\bSieve\b|sieve_streaming|Maximizer::Greedy|KnnMode::Nra|nra_topk|\bmod nra\b|KnnMode::Threshold|threshold_topk|ThresholdOutcome|VFPS-SM-TA|\bmod threshold\b' \
         crates tests examples --include='*.rs'); then
     echo "a retired maximizer or KNN mode is back (serve Maximizer::Lazy / KnnMode::Fagin):"
     echo "$hits"

@@ -351,7 +351,7 @@ pub fn ablation_batch(cfg: &ExpConfig) -> String {
 /// under a Paillier-calibrated and a plaintext cost model.
 pub fn ablation_scheme(cfg: &ExpConfig) -> String {
     let spec = DatasetSpec::by_name("IJCNN").expect("catalog");
-    let paillier = crate::calibrate_paillier(512, 4);
+    let paillier = crate::calibrate_paillier(512);
     let mut rows = Vec::new();
     for (name, model) in [
         ("paillier-512", paillier.to_cost_model()),
@@ -583,10 +583,8 @@ pub fn ablation_noise(cfg: &ExpConfig) -> String {
     out
 }
 
-/// Extra ablation: the three federated KNN oracles (Base / Fagin / TA)
-/// on the same queries — candidates encrypted and simulated selection
-/// seconds. The paper claims other top-k algorithms plug in; this is the
-/// measurement.
+/// Extra ablation: the two federated KNN oracles (Base / Fagin) on the
+/// same queries — candidates encrypted and simulated selection seconds.
 pub fn ablation_topk(cfg: &ExpConfig) -> String {
     use vfps_core::selectors::{SelectionContext, Selector, VfpsSmSelector};
     use vfps_data::{prepared_sized, VerticalPartition};
@@ -607,9 +605,7 @@ pub fn ablation_topk(cfg: &ExpConfig) -> String {
             seed: 1400,
         };
         let mut per_mode = Vec::new();
-        for (label, mode) in
-            [("base", KnnMode::Base), ("fagin", KnnMode::Fagin), ("threshold", KnnMode::Threshold)]
-        {
+        for (label, mode) in [("base", KnnMode::Base), ("fagin", KnnMode::Fagin)] {
             let sel = VfpsSmSelector { mode, query_count: pc.query_count, ..Default::default() }
                 .select(&ctx, pc.select);
             per_mode.push((label, sel));
@@ -637,8 +633,8 @@ pub fn ablation_topk(cfg: &ExpConfig) -> String {
 /// implementation, one row per key width.
 pub fn calibrate() -> String {
     let mut rows = Vec::new();
-    for (key_bits, reps) in [(256, 8), (512, 4)] {
-        let cal = crate::calibrate_paillier(key_bits, reps);
+    for key_bits in [256, 512] {
+        let cal = crate::calibrate_paillier(key_bits);
         rows.push(vec![
             format!("paillier-{key_bits}"),
             format!("{:.2}", cal.enc_us),

@@ -102,26 +102,55 @@ impl Calibration {
     }
 }
 
-/// Measures the real Paillier implementation (key width in bits).
+/// Ciphertexts one timed pass of [`calibrate_paillier`] encrypts, adds
+/// and decrypts: enough that a pass spans many timer ticks.
+const CALIBRATION_CTS: usize = 32;
+
+/// Timed passes [`calibrate_paillier`] takes each op's median over.
+const CALIBRATION_PASSES: usize = 5;
+
+/// Measures the real Paillier implementation (key width in bits): each
+/// op's per-value median over five timed passes of 32 ciphertexts of 16
+/// values each, the key's one-off sum factor built before timing.
 #[must_use]
-pub fn calibrate_paillier(key_bits: usize, reps: usize) -> Calibration {
-    let he = PaillierHe::generate(key_bits, 16, 99).expect("keygen");
-    let values: Vec<f64> = (0..16).map(|i| i as f64 * 0.5).collect();
-    let t0 = Instant::now();
-    let cts: Vec<_> = (0..reps).map(|_| he.encrypt(&values).expect("encrypt")).collect();
-    let enc_us = t0.elapsed().as_micros() as f64 / (reps * 16) as f64;
-    let t1 = Instant::now();
-    for w in cts.windows(2) {
-        let _ = he.add(&w[0], &w[1]);
+pub fn calibrate_paillier(key_bits: usize) -> Calibration {
+    const VALUES: usize = 16;
+    let he = PaillierHe::generate(key_bits, VALUES, 99).expect("keygen");
+    let values: Vec<f64> = (0..VALUES).map(|i| i as f64 * 0.5).collect();
+    let us_per_value =
+        |t: Instant, cts: usize| t.elapsed().as_secs_f64() * 1e6 / (cts * VALUES) as f64;
+    // A key's first sum builds its sum factor; keep that out of the timing.
+    let probe = he.encrypt(&values).expect("encrypt");
+    let _ = he.add(&probe, &probe);
+    let mut passes = Vec::with_capacity(CALIBRATION_PASSES);
+    for _ in 0..CALIBRATION_PASSES {
+        let t0 = Instant::now();
+        let cts: Vec<_> =
+            (0..CALIBRATION_CTS).map(|_| he.encrypt(&values).expect("encrypt")).collect();
+        let enc_us = us_per_value(t0, CALIBRATION_CTS);
+        let t1 = Instant::now();
+        for w in cts.windows(2) {
+            let _ = he.add(&w[0], &w[1]);
+        }
+        let add_us = us_per_value(t1, CALIBRATION_CTS - 1);
+        let t2 = Instant::now();
+        for ct in &cts {
+            let _ = he.decrypt(ct, VALUES);
+        }
+        let dec_us = us_per_value(t2, CALIBRATION_CTS);
+        passes.push([enc_us, dec_us, add_us]);
     }
-    let add_us = t1.elapsed().as_micros() as f64 / ((reps.max(2) - 1) * 16) as f64;
-    let t2 = Instant::now();
-    for ct in &cts {
-        let _ = he.decrypt(ct, 16);
+    let median = |op: usize| {
+        let mut v: Vec<f64> = passes.iter().map(|p| p[op]).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    Calibration {
+        enc_us: median(0),
+        dec_us: median(1),
+        add_us: median(2),
+        bytes_per_value: he.ct_bytes(&probe) as f64 / VALUES as f64,
     }
-    let dec_us = t2.elapsed().as_micros() as f64 / (reps * 16) as f64;
-    let bytes = he.ct_bytes(&cts[0]) as f64 / 16.0;
-    Calibration { enc_us, dec_us, add_us, bytes_per_value: bytes }
 }
 
 #[cfg(test)]
@@ -178,7 +207,7 @@ mod tests {
 
     #[test]
     fn calibration_produces_positive_costs() {
-        let cal = calibrate_paillier(128, 3);
+        let cal = calibrate_paillier(128);
         assert!(cal.enc_us > 0.0 && cal.dec_us > 0.0 && cal.bytes_per_value > 0.0);
         let model = cal.to_cost_model();
         assert!(model.cipher_bytes > 0);

@@ -138,7 +138,7 @@ pub struct CacheKey {
     pub k: usize,
     /// Fagin mini-batch size.
     pub batch: usize,
-    /// KNN mode tag (0 = Base, 1 = Fagin, 2 = Threshold).
+    /// KNN mode tag (0 = Base, 1 = Fagin).
     pub mode: u8,
     /// Maximizer kind tag (`Maximizer::kind`: 0 = lazy, which selects
     /// exact greedy's set and keeps its tag; 2 = stochastic).

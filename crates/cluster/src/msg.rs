@@ -63,14 +63,6 @@ impl SchemeSpec {
 wire_enum!(SchemeKind { 0 => Plain, 1 => Paillier });
 wire_struct!(SchemeSpec { kind, key_bits, batch, seed });
 
-/// [`KnnMode::from_byte`], restricted to the modes the threaded protocol
-/// implements: Threshold is a logical-engine oracle and never reaches a
-/// daemon.
-#[must_use]
-pub fn protocol_mode_from_byte(b: u8) -> Option<KnnMode> {
-    KnnMode::from_byte(b).filter(|m| matches!(m, KnnMode::Base | KnnMode::Fagin))
-}
-
 /// Everything a daemon needs to enter one protocol run: the session
 /// description (consortium, rows, queries, config, shuffle seed), its own
 /// slot, and the scheme recipe. Shipping the *seed* rather than the
@@ -128,11 +120,12 @@ impl SetupFrame {
     /// permutation is derived identically.
     ///
     /// # Errors
-    /// [`Error::ProtocolViolation`] on a mode byte outside the threaded
-    /// protocol, a slot outside the consortium, an empty consortium or
-    /// database, or more database rows than the wire's `u32` ids address.
+    /// [`Error::ProtocolViolation`] on a mode byte no [`KnnMode`] uses (2
+    /// and 3 named the retired Threshold and NRA modes), a slot outside
+    /// the consortium, an empty consortium or database, or more database
+    /// rows than the wire's `u32` ids address.
     pub fn session(&self) -> Result<KnnSession, Error> {
-        let mode = protocol_mode_from_byte(self.mode)
+        let mode = KnnMode::from_byte(self.mode)
             .ok_or_else(|| Error::violation(format!("unroutable knn mode byte {}", self.mode)))?;
         if self.slot >= self.parties.len() {
             return Err(Error::violation(format!(
@@ -343,8 +336,8 @@ mod tests {
     fn setup_rejects_unroutable_modes_and_bad_slots() {
         let cfg = FedKnnConfig { k: 1, mode: KnnMode::Base, batch: 1, cost_scale: 1.0 };
         let session = KnnSession::new(&[0], &[0, 1], &[0], cfg, 1);
-        // Threshold has no message flow, and 3 named the retired NRA.
-        for mode in [KnnMode::Threshold.byte(), 3] {
+        // 2 and 3 named the retired Threshold and NRA modes.
+        for mode in [2, 3, u8::MAX] {
             let mut f = SetupFrame::for_slot(&session, 1, 0, SchemeSpec::plain(4));
             f.mode = mode;
             assert!(matches!(f.session(), Err(Error::ProtocolViolation { .. })), "mode {mode}");
@@ -356,11 +349,12 @@ mod tests {
 
     #[test]
     fn protocol_modes_are_base_and_fagin_only() {
-        assert_eq!(protocol_mode_from_byte(KnnMode::Base.byte()), Some(KnnMode::Base));
-        assert_eq!(protocol_mode_from_byte(KnnMode::Fagin.byte()), Some(KnnMode::Fagin));
-        assert_eq!(KnnMode::from_byte(KnnMode::Threshold.byte()), Some(KnnMode::Threshold));
-        for b in [KnnMode::Threshold.byte(), 3, u8::MAX] {
-            assert_eq!(protocol_mode_from_byte(b), None, "byte {b}");
+        let cfg = FedKnnConfig { k: 1, mode: KnnMode::Base, batch: 1, cost_scale: 1.0 };
+        let session = KnnSession::new(&[0], &[0, 1], &[0], cfg, 1);
+        let frame = SetupFrame::for_slot(&session, 1, 0, SchemeSpec::plain(4));
+        for mode in [KnnMode::Base, KnnMode::Fagin] {
+            let f = SetupFrame { mode: mode.byte(), ..frame.clone() };
+            assert_eq!(f.session().unwrap().cfg.mode, mode);
         }
     }
 }

@@ -342,24 +342,31 @@ fn daemon_survives_garbage_and_misdirected_setups() {
         s.write_all(&5u32.to_le_bytes()).unwrap();
         s.write_all(&[0xEE; 5]).unwrap();
     }
-    // 2: a setup naming the wrong party for the slot.
+    // 2: a setup naming the wrong party for the slot, and one naming the
+    // retired Threshold mode's byte.
+    let cfg = FedKnnConfig { k: 1, mode: KnnMode::Base, batch: 1, cost_scale: 1.0 };
+    let wrong_party = KnnSession::new(&[9], &[0, 1], &[0], cfg, 1);
+    let right_party = KnnSession::new(&[0], &[0, 1], &[0], cfg, 1);
+    for (session, mode, want) in
+        [(&wrong_party, 0, "party"), (&right_party, 2, "unroutable knn mode byte 2")]
     {
         use vfps_net::wire::{read_frame, write_frame};
         let s = std::net::TcpStream::connect(&addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let cfg = FedKnnConfig { k: 1, mode: KnnMode::Base, batch: 1, cost_scale: 1.0 };
-        let session = KnnSession::new(&[9], &[0, 1], &[0], cfg, 1);
-        let frame = vfps_cluster::SetupFrame::for_slot(&session, 1, 0, SchemeSpec::plain(4));
+        let frame = vfps_cluster::SetupFrame {
+            mode,
+            ..vfps_cluster::SetupFrame::for_slot(session, 1, 0, SchemeSpec::plain(4))
+        };
         write_frame(&mut &s, &vfps_cluster::ClusterMsg::Setup(frame)).unwrap();
         match read_frame::<_, vfps_cluster::ClusterMsg>(&mut &s) {
             Ok(Some(vfps_cluster::ClusterMsg::Failed(ef))) => {
                 let e = ef.to_error();
-                assert!(e.to_string().contains("party"), "typed refusal, got {e}");
+                assert!(e.to_string().contains(want), "typed refusal, got {e}");
             }
             other => panic!("expected typed Failed frame, got {other:?}"),
         }
     }
-    // 3: a real session still works — the daemon survived both abuses.
+    // 3: a real session still works — the daemon survived every abuse.
     run_one_plain_session(&addr, &x, &part);
     let report = handle.join().unwrap();
     assert_eq!(report.sessions, 1, "abusive connections never count as sessions");

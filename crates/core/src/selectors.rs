@@ -293,7 +293,6 @@ impl Selector for VfpsSmSelector {
         match self.mode {
             KnnMode::Fagin => "VFPS-SM",
             KnnMode::Base => "VFPS-SM-BASE",
-            KnnMode::Threshold => "VFPS-SM-TA",
         }
     }
 

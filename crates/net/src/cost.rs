@@ -122,9 +122,10 @@ pub struct OpLedger {
     /// Selection-artifact cache misses observed during the run.
     pub cache_misses: u64,
     /// Random accesses performed by the top-k stage: complete-object
-    /// fetches outside the sorted streams (Fagin's phase-2 lookups, TA's
-    /// per-candidate probes); zero for Base, which only scans. Bookkeeping
-    /// only; the priced cost of the fetches is already in `enc`/`bytes`.
+    /// fetches outside the sorted streams (Fagin's phase-2 lookups, so it
+    /// equals Fagin's `enc.work`); zero for Base, which only scans.
+    /// Bookkeeping only; the priced cost of the fetches is already in
+    /// `enc`/`bytes`.
     pub random_accesses: u64,
 }
 

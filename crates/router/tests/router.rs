@@ -151,15 +151,16 @@ fn routed_replies_are_bit_identical_to_direct_daemon_replies() {
     tier.shutdown();
 }
 
-/// A retired byte (mode 3 was NRA, maximizer 3 was sieve) put on the wire
-/// raw reaches a daemon through the tier and comes back as that daemon's
-/// typed refusal, with the request id; a refusal is a reply, not a relay
-/// error, and the tier keeps serving.
+/// A retired byte (mode 2 was Threshold, mode 3 NRA, maximizer 3 sieve)
+/// put on the wire raw reaches a daemon through the tier and comes back
+/// as that daemon's typed refusal, with the request id; a refusal is a
+/// reply, not a relay error, and the tier keeps serving.
 #[test]
 fn a_retired_byte_is_refused_through_the_tier() {
     let tier = spawn_tier("retired");
     let mut client = Client::connect(tier.router_addr).unwrap();
     for (bad, reason) in [
+        (SelectRequest { mode: 2, ..request(69, "", 42) }, "unknown KNN mode 2"),
         (SelectRequest { mode: 3, ..request(70, "", 42) }, "unknown KNN mode 3"),
         (SelectRequest { maximizer: 3, ..request(71, "Rice", 42) }, "unknown maximizer 3"),
     ] {

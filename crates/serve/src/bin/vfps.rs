@@ -536,12 +536,7 @@ fn run_submit(args: &[String]) -> Result<(), String> {
                 let mode = match flags.value()?.to_lowercase().as_str() {
                     "base" => KnnMode::Base,
                     "fagin" => KnnMode::Fagin,
-                    "threshold" | "ta" => KnnMode::Threshold,
-                    other => {
-                        return Err(format!(
-                            "unknown mode {other} (accepted: base, fagin, threshold)"
-                        ))
-                    }
+                    other => return Err(format!("unknown mode {other} (accepted: base, fagin)")),
                 };
                 sub.req.mode = mode.byte();
             }
@@ -750,7 +745,7 @@ fn print_submit_help() {
          \x20 --select <S>           participants to keep (default 2)\n\
          \x20 --k <k>                proxy-KNN neighbor count (default 10)\n\
          \x20 --queries <q>          similarity query sample (default 32)\n\
-         \x20 --mode base|fagin|threshold   federated KNN variant (default fagin)\n\
+         \x20 --mode base|fagin      federated KNN variant (default fagin)\n\
          \x20 --maximizer lazy|stochastic   submodular maximizer (default lazy, exact\n\
          \x20                        greedy's set; stochastic is sublinear)\n\
          \x20 --seed <s>             run seed (default 42)\n\

@@ -92,7 +92,7 @@ impl Client {
     pub fn select(&mut self, req: &SelectRequest) -> Result<Response, ClientError> {
         if knn_mode(req.mode).is_none() {
             return Err(ClientError::InvalidRequest(format!(
-                "unknown KNN mode {} (known: 0=Base, 1=Fagin, 2=Threshold)",
+                "unknown KNN mode {} (known: 0=Base, 1=Fagin)",
                 req.mode
             )));
         }

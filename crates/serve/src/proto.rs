@@ -37,9 +37,9 @@ use vfps_net::{wire_enum, wire_struct};
 ///
 /// [`SelectReply::random_accesses`] is trailing-optional too (an old frame
 /// without it decodes as `0`). Retired values of existing fields — `mode`
-/// byte `3` (NRA) and `maximizer` byte `3` (sieve) — still decode; the
-/// server refuses them at admission with a typed [`Response::Rejected`],
-/// exactly like any unknown byte.
+/// bytes `2` (Threshold) and `3` (NRA), `maximizer` byte `3` (sieve) —
+/// still decode; the server refuses them at admission with a typed
+/// [`Response::Rejected`], exactly like any unknown byte.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The federated-KNN variant a [`SelectRequest::mode`] byte names
@@ -89,8 +89,8 @@ pub struct SelectRequest {
     pub k: usize,
     /// Similarity query sample size.
     pub query_count: usize,
-    /// Federated KNN variant: 0 = Base, 1 = Fagin, 2 = Threshold (see
-    /// [`knn_mode`]). Any other byte is rejected at admission with a typed
+    /// Federated KNN variant: 0 = Base, 1 = Fagin (see [`knn_mode`]). Any
+    /// other byte is rejected at admission with a typed
     /// [`Response::Rejected`] — it never reaches the pipeline.
     pub mode: u8,
     /// Run seed — the determinism handle: a served selection with this
@@ -278,9 +278,9 @@ pub struct SelectReply {
     /// Microseconds the selection itself ran.
     pub run_us: u64,
     /// Random (by-id) accesses the fed-KNN runs charged while serving this
-    /// request: 0 for Base, which only scans; Fagin's phase-2 fetches and
-    /// Threshold's per-candidate probes otherwise. Trailing-optional on the
-    /// wire: a frame from a build without it decodes as 0.
+    /// request: 0 for Base, which only scans; Fagin's phase-2 fetches
+    /// otherwise. Trailing-optional on the wire: a frame from a build
+    /// without it decodes as 0.
     pub random_accesses: u64,
 }
 
@@ -420,12 +420,11 @@ mod tests {
     }
 
     #[test]
-    fn knn_mode_maps_exactly_three_bytes() {
+    fn knn_mode_maps_exactly_two_bytes() {
         use vfps_vfl::fed_knn::KnnMode;
         assert_eq!(knn_mode(0), Some(KnnMode::Base));
         assert_eq!(knn_mode(1), Some(KnnMode::Fagin));
-        assert_eq!(knn_mode(2), Some(KnnMode::Threshold));
-        for bad in [3u8, 4, 100, 250, 255] {
+        for bad in [2u8, 3, 4, 100, 250, 255] {
             assert_eq!(knn_mode(bad), None, "mode {bad} must not map");
         }
     }

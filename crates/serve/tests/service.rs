@@ -459,22 +459,22 @@ fn greedy_and_lazy_bytes_are_served_from_one_cache_entry() {
     handle.join().unwrap();
 }
 
-/// A retired byte (mode 3 was NRA, maximizer 3 was sieve) is refused by
-/// the client pre-flight and, put on the wire raw, gets a typed
-/// `Rejected` naming it; the connection keeps serving.
-fn assert_retired_byte_is_refused(bad: SelectRequest, field: &str) {
+/// A retired `byte` (mode 2 was Threshold, mode 3 NRA, maximizer 3
+/// sieve) is refused by the client pre-flight and, put on the wire raw,
+/// gets a typed `Rejected` naming it; the connection keeps serving.
+fn assert_retired_byte_is_refused(bad: SelectRequest, field: &str, byte: u8) {
     let (addr, handle) = spawn(test_config());
     let mut client = Client::connect(addr).unwrap();
     match client.select(&bad) {
         Err(ClientError::InvalidRequest(msg)) => {
-            assert!(msg.contains(&format!("unknown {field} 3")), "{msg}");
+            assert!(msg.contains(&format!("unknown {field} {byte}")), "{msg}");
         }
         other => panic!("expected InvalidRequest pre-flight, got {other:?}"),
     }
     match client.roundtrip(&Request::Select(bad.clone())).unwrap() {
         Response::Rejected { request_id, reason } => {
             assert_eq!(request_id, bad.request_id);
-            assert_eq!(reason, format!("unknown {field} 3"));
+            assert_eq!(reason, format!("unknown {field} {byte}"));
         }
         other => panic!("expected Rejected, got {other:?}"),
     }
@@ -486,12 +486,19 @@ fn assert_retired_byte_is_refused(bad: SelectRequest, field: &str) {
 
 #[test]
 fn the_retired_nra_mode_byte_is_refused() {
-    assert_retired_byte_is_refused(SelectRequest { mode: 3, ..request(60, 1) }, "KNN mode");
+    // 2 named the retired Threshold mode, 3 the retired NRA.
+    for mode in [2, 3] {
+        assert_retired_byte_is_refused(SelectRequest { mode, ..request(60, 1) }, "KNN mode", mode);
+    }
 }
 
 #[test]
 fn the_retired_sieve_maximizer_byte_is_refused() {
-    assert_retired_byte_is_refused(SelectRequest { maximizer: 3, ..request(61, 1) }, "maximizer");
+    assert_retired_byte_is_refused(
+        SelectRequest { maximizer: 3, ..request(61, 1) },
+        "maximizer",
+        3,
+    );
 }
 
 /// Satellite: `deadline_ms == 0` is the documented "use the server
@@ -591,22 +598,22 @@ fn draining_server_rejects_new_submits_but_answers_admitted_ones() {
     );
 }
 
-/// Mode byte 2 (Threshold) serves end-to-end, bit-identical to a direct
-/// run, and the reply's `random_accesses` is the ledger's charge: positive
-/// for Threshold's per-candidate probes, zero for Base's scan through the
-/// very same server.
+/// Mode byte 1 (Fagin) serves end-to-end, bit-identical to a direct run,
+/// and the reply's `random_accesses` is the ledger's charge: positive for
+/// Fagin's phase-2 fetches, zero for Base's scan through the very same
+/// server.
 #[test]
-fn threshold_mode_serves_with_random_access_accounting_in_the_reply() {
+fn fagin_mode_serves_with_random_access_accounting_in_the_reply() {
     let (addr, handle) = spawn(test_config());
     let mut client = Client::connect(addr).unwrap();
 
-    let ta = match client.select(&SelectRequest { mode: 2, ..request(40, 9) }).unwrap() {
+    let fagin = match client.select(&SelectRequest { mode: 1, ..request(40, 9) }).unwrap() {
         Response::Selected(r) => r,
         other => panic!("expected Selected, got {other:?}"),
     };
-    assert!(ta.random_accesses > 0, "Threshold must bill its random accesses in the reply");
+    assert!(fagin.random_accesses > 0, "Fagin must bill its random accesses in the reply");
 
-    // Bit-identity against the pipeline run directly with the TA variant.
+    // Bit-identity against the pipeline run directly with the Fagin variant.
     let spec = DatasetSpec::by_name("Bank").unwrap();
     let (ds, split) = prepared_sized(&spec, 240, 42);
     let partition = VerticalPartition::random(ds.n_features(), 4, 42);
@@ -617,17 +624,13 @@ fn threshold_mode_serves_with_random_access_accounting_in_the_reply() {
         cost_scale: 1.0,
         seed: 9,
     };
-    let sel = VfpsSmSelector {
-        k: 10,
-        query_count: 8,
-        mode: KnnMode::Threshold,
-        ..VfpsSmSelector::default()
-    };
+    let sel =
+        VfpsSmSelector { k: 10, query_count: 8, mode: KnnMode::Fagin, ..VfpsSmSelector::default() };
     let art = sel.run_over(&ctx, &[0, 1, 2, 3], 2);
-    assert_eq!(ta.chosen, art.selection.chosen, "served TA run must match a direct run");
-    assert_eq!(ta.scores, art.selection.scores, "served TA scores must be bit-identical");
+    assert_eq!(fagin.chosen, art.selection.chosen, "served Fagin run must match a direct run");
+    assert_eq!(fagin.scores, art.selection.scores, "served Fagin scores must be bit-identical");
     assert_eq!(
-        ta.random_accesses, art.selection.ledger.random_accesses,
+        fagin.random_accesses, art.selection.ledger.random_accesses,
         "the reply's charge must be the ledger's, not an approximation"
     );
 

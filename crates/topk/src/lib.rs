@@ -12,9 +12,6 @@
 //! * [`stream::StreamingFagin`] — the server side: Fagin's algorithm (FA),
 //!   the paper's choice, fed with pseudo-ID mini-batches exactly as the
 //!   federated workflow runs it (§IV-B, Figs. 2–3).
-//! * [`threshold::threshold_topk`] — the Threshold Algorithm (TA) over the
-//!   same rankings; the paper notes VFPS-SM "also supports other top-k
-//!   query algorithms".
 //!
 //! `experiments ablation-topk` compares the federated modes' candidate
 //! counts on the paper's datasets.
@@ -45,7 +42,6 @@
 
 pub mod rank;
 pub mod stream;
-pub mod threshold;
 
 pub use rank::Ranking;
 
@@ -103,7 +99,6 @@ mod proptests {
     use super::reference::{fagin_stop, oracle, orders, pairs};
     use super::*;
     use crate::stream::StreamingFagin;
-    use crate::threshold::threshold_topk;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -114,34 +109,13 @@ mod proptests {
         })
     }
 
-    /// Score matrices drawn from a tiny integer alphabet (0..6) so ties —
+    /// Scores mapped onto a tiny integer alphabet (0..6) so ties —
     /// within a list and across lists — are the common case.
-    fn tied_score_matrix() -> impl Strategy<Value = Vec<Vec<f64>>> {
-        score_matrix().prop_map(tied)
-    }
-
     fn tied(scores: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
         scores.into_iter().map(|s| s.into_iter().map(|v| (v * 0.06).floor()).collect()).collect()
     }
 
     proptest! {
-        /// TA returns the exhaustive oracle's ids and totals for every k:
-        /// both sum in party order, so the totals are bit-identical.
-        #[test]
-        fn threshold_matches_the_oracle(scores in score_matrix(), k in 1usize..8) {
-            prop_assert_eq!(pairs(&threshold_topk(&scores, k).topk), oracle(&scores, k));
-        }
-
-        /// The same on heavily tied scores, where sort and scan order bugs
-        /// hide: the strict threshold test must not cut off an unseen id
-        /// the id tiebreak ranks first.
-        #[test]
-        fn threshold_matches_the_oracle_on_ties(scores in tied_score_matrix(), k in 1usize..8) {
-            let out = threshold_topk(&scores, k);
-            prop_assert_eq!(pairs(&out.topk), oracle(&scores, k));
-            prop_assert!(out.candidates <= scores[0].len());
-        }
-
         /// Fagin's candidate set always contains the true top-k, whatever
         /// the feeding batch size — the correctness property the encrypted
         /// phase relies on — so the leader's top-k over the candidates'

@@ -1,8 +1,6 @@
 //! Vertical federated KNN — the oracle at the heart of VFPS-SM.
 //!
-//! Three implementations — the paper's two (§IV) plus the Threshold
-//! Algorithm, one of the top-k algorithms it names as supported
-//! alternatives:
+//! The paper's two implementations (§IV):
 //!
 //! * [`KnnMode::Base`] (`VFPS-SM-BASE`): every participant encrypts the
 //!   partial distances of *all* `N` database instances per query; the
@@ -11,9 +9,6 @@
 //! * [`KnnMode::Fagin`] (`VFPS-SM`): participants stream locally sorted
 //!   pseudo-ID mini-batches; the server runs Fagin's algorithm to find a
 //!   candidate set; only candidates' partial distances are encrypted.
-//! * [`KnnMode::Threshold`] (`VFPS-SM-TA`): the Threshold Algorithm —
-//!   earlier stopping, but every surfaced instance costs an encrypted
-//!   point query (recorded in [`OpLedger::random_accesses`]).
 //!
 //! This module is the *logical* engine: it executes the exact protocol data
 //! flow and bills every operation and byte to an [`OpLedger`], optionally
@@ -30,7 +25,8 @@ use vfps_net::cost::OpLedger;
 use vfps_topk::stream::StreamingFagin;
 use vfps_topk::Ranking;
 
-/// Which federated KNN protocol to run.
+/// Which federated KNN protocol to run. Every mode runs on both engines:
+/// this logical one and the message-passing [`crate::protocol`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KnnMode {
     /// Encrypt all `N` partial distances per query (the baseline).
@@ -38,12 +34,6 @@ pub enum KnnMode {
     /// Fagin's algorithm over streamed sub-rankings, then encrypt only the
     /// candidates.
     Fagin,
-    /// The Threshold Algorithm: each surfaced instance is random-accessed
-    /// (one encrypted point query per party) immediately; stops earlier
-    /// than Fagin but pays `P` encryptions per surfaced candidate. The
-    /// paper notes VFPS-SM "also supports other top-k query algorithms" —
-    /// this is that support.
-    Threshold,
 }
 
 impl KnnMode {
@@ -54,7 +44,6 @@ impl KnnMode {
         match self {
             KnnMode::Base => 0,
             KnnMode::Fagin => 1,
-            KnnMode::Threshold => 2,
         }
     }
 
@@ -64,7 +53,6 @@ impl KnnMode {
         match b {
             0 => Some(KnnMode::Base),
             1 => Some(KnnMode::Fagin),
-            2 => Some(KnnMode::Threshold),
             _ => None,
         }
     }
@@ -243,48 +231,6 @@ impl<'a> FedKnn<'a> {
                 // Leader decrypts all N complete distances.
                 ledger.record_dec(bill(n));
                 ((0..n).collect::<Vec<_>>(), n)
-            }
-            KnnMode::Threshold => {
-                vfps_obs::span!("fed_knn.ta.scan");
-                // TA interleaves sorted and random access; in the federated
-                // setting every random access is an encrypted point query
-                // answered by all P parties. Run the plaintext TA to learn
-                // the true depth/candidate counts, then bill the encrypted
-                // equivalents (sublinear extrapolation as for Fagin).
-                let fscale = fagin_cost_scale(scale, self.parties());
-                let fbill = |count: usize| -> u64 { (count as f64 * fscale).round() as u64 };
-                let scaled_n = bill(n).max(2);
-                let sort_ops = (scaled_n as f64 * (scaled_n as f64).log2()).round() as u64;
-                ledger.record_plain(sort_ops, p);
-
-                let out = vfps_topk::threshold::threshold_topk(&partials, self.cfg.k.min(n));
-                let c = out.candidates;
-                let depth = out.depth;
-
-                // Sequential id streaming up to the stop depth.
-                let scaled_depth = fbill(depth).max(1);
-                let rounds = scaled_depth.div_ceil(self.cfg.batch as u64).max(1);
-                let model = vfps_net::cost::CostModel::default();
-                for _ in 0..rounds {
-                    ledger.record_round();
-                }
-                ledger.record_traffic(fbill(depth) * p * model.id_bytes as u64, rounds * p);
-
-                // Random-access phase: every surfaced candidate is an
-                // encrypted point query across all P parties.
-                vfps_obs::counter_add("fed_knn.ta.enc_instances", fbill(c) * p);
-                vfps_obs::counter_add("fed_knn.ta.candidates", c as u64);
-                ledger.record_random_access(fbill(c) * p);
-                ledger.record_enc(fbill(c), p);
-                ledger.record_traffic(p * fbill(c) * model.cipher_bytes as u64, fbill(c).max(1));
-                ledger.record_he_add((p - 1) * fbill(c));
-                ledger.record_traffic(fbill(c) * model.cipher_bytes as u64, 1);
-                ledger.record_round();
-                ledger.record_dec(fbill(c));
-                // TA already identified the exact top-k among the scored
-                // candidates, so the shared tail only needs those.
-                let cands: Vec<usize> = out.topk.iter().map(|e| e.id()).collect();
-                (cands, c)
             }
             KnnMode::Fagin => {
                 // Fagin-phase quantities scale sublinearly with N; see
@@ -480,52 +426,14 @@ mod tests {
     #[test]
     fn mode_bytes_are_pinned_and_round_trip() {
         // Cache keys, setup frames and select requests all carry these bytes.
-        for (mode, b) in [(KnnMode::Base, 0u8), (KnnMode::Fagin, 1), (KnnMode::Threshold, 2)] {
+        for (mode, b) in [(KnnMode::Base, 0u8), (KnnMode::Fagin, 1)] {
             assert_eq!(mode.byte(), b);
             assert_eq!(KnnMode::from_byte(b), Some(mode));
         }
-        // 3 named the retired NRA; no byte past it names a mode.
-        for b in 3..=u8::MAX {
+        // 2 named the retired Threshold mode and 3 the retired NRA; no
+        // byte from 2 on names a mode.
+        for b in 2..=u8::MAX {
             assert_eq!(KnnMode::from_byte(b), None, "byte {b}");
-        }
-    }
-
-    #[test]
-    fn threshold_mode_matches_base() {
-        let (x, part) = toy();
-        let db: Vec<usize> = (0..8).collect();
-        for q in 0..8usize {
-            let mut lb = OpLedger::default();
-            let mut lt = OpLedger::default();
-            let base = FedKnn::new(
-                &x,
-                &part,
-                &[0, 1],
-                &db,
-                FedKnnConfig { k: 3, mode: KnnMode::Base, batch: 2, cost_scale: 1.0 },
-            );
-            let ta = FedKnn::new(
-                &x,
-                &part,
-                &[0, 1],
-                &db,
-                FedKnnConfig { k: 3, mode: KnnMode::Threshold, batch: 2, cost_scale: 1.0 },
-            );
-            let ob = base.query(q, &mut lb);
-            let ot = ta.query(q, &mut lt);
-            assert!(lt.random_accesses > 0, "TA must record its random accesses");
-            assert_eq!(lb.random_accesses, 0, "Base is a scan, not random access");
-            let mut a = ob.topk_rows.clone();
-            let mut b = ot.topk_rows.clone();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "query {q}");
-            assert!(
-                lt.enc.work <= lb.enc.work,
-                "TA must not encrypt more than base: {} vs {}",
-                lt.enc.work,
-                lb.enc.work
-            );
         }
     }
 
@@ -577,6 +485,9 @@ mod tests {
         assert_eq!(ob.topk_rows, of.topk_rows);
         assert!(of.candidates < ob.candidates, "{} vs {}", of.candidates, ob.candidates);
         assert!(fagin_ledger.enc.work < base_ledger.enc.work);
+        // Base only scans; Fagin's phase 2 fetches each candidate by id.
+        assert_eq!(base_ledger.random_accesses, 0);
+        assert_eq!(fagin_ledger.random_accesses, fagin_ledger.enc.work);
     }
 
     #[test]
@@ -707,7 +618,7 @@ mod tests {
         let (x, part) = toy();
         let db: Vec<usize> = (0..8).collect();
         let queries: Vec<usize> = (0..8).collect();
-        for mode in [KnnMode::Base, KnnMode::Fagin, KnnMode::Threshold] {
+        for mode in [KnnMode::Base, KnnMode::Fagin] {
             let cfg = FedKnnConfig { k: 3, mode, batch: 2, cost_scale: 1.0 };
             let engine = FedKnn::new(&x, &part, &[0, 1], &db, cfg);
 

@@ -290,10 +290,8 @@ impl KnnSession {
     /// `wave × n` within the per-frame value budget (at least one).
     ///
     /// # Panics
-    /// Panics on an empty consortium or database, a database whose
-    /// positions do not fit the wire's `u32` ids, or a mode the threaded
-    /// protocol does not implement (only Base and Fagin have message
-    /// flows; Threshold is a logical-engine oracle).
+    /// Panics on an empty consortium or database, or a database whose
+    /// positions do not fit the wire's `u32` ids.
     #[must_use]
     pub fn new(
         parties: &[usize],
@@ -304,11 +302,6 @@ impl KnnSession {
     ) -> KnnSession {
         assert!(!parties.is_empty(), "empty consortium");
         assert!(!db_rows.is_empty(), "empty database");
-        assert!(
-            matches!(cfg.mode, KnnMode::Base | KnnMode::Fagin),
-            "the threaded protocol implements Base and Fagin; the Threshold \
-             oracle is available in the logical engine (fed_knn)"
-        );
         let n = db_rows.len();
         assert!(u32::try_from(n).is_ok(), "pseudo ids travel as u32: {n} rows do not fit");
         let mut perm: Vec<usize> = (0..n).collect();
@@ -673,9 +666,7 @@ pub fn knn_server_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
             KnnMode::Fagin => {
                 ProtoMsg::Candidates(stream_wave(ctx, shared, wave.len(), &mut dead)?)
             }
-            // Threshold is rejected at session construction; grouped with
-            // Base to keep the match exhaustive.
-            KnnMode::Base | KnnMode::Threshold => ProtoMsg::AllCandidates,
+            KnnMode::Base => ProtoMsg::AllCandidates,
         };
         for slot in 0..p {
             if !dead[slot] && !send_or_gone(ctx, 1 + slot, announce.clone())? {
@@ -810,7 +801,7 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
 
         // Which pseudo IDs to encrypt, per query.
         let candidates: Vec<Vec<usize>> = match shared.cfg.mode {
-            KnnMode::Base | KnnMode::Threshold => match ctx.recv_from_timeout(0, PHASE_TIMEOUT)? {
+            KnnMode::Base => match ctx.recv_from_timeout(0, PHASE_TIMEOUT)? {
                 ProtoMsg::AllCandidates => vec![shared.perm.clone(); wave_len],
                 other => {
                     return Err(Error::violation(format!("expected AllCandidates, got {other:?}")))
@@ -1022,15 +1013,6 @@ mod tests {
             vec![9.0, 9.0, 9.0, 9.0],
         ]);
         (x, VerticalPartition::even(4, 2))
-    }
-
-    /// Threshold has no message flow: a session refuses it up front rather
-    /// than run it as Base.
-    #[test]
-    #[should_panic(expected = "implements Base and Fagin")]
-    fn sessions_refuse_the_threshold_mode() {
-        let cfg = FedKnnConfig { k: 1, mode: KnnMode::Threshold, batch: 1, cost_scale: 1.0 };
-        let _ = KnnSession::new(&[0], &[0, 1], &[0], cfg, 1);
     }
 
     /// The protocol ranks every batch it streams; the logical engine takes

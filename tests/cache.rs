@@ -104,9 +104,7 @@ fn warm_request_is_bit_identical_and_encrypts_nothing() {
     assert_eq!(warm.selection.ledger.enc.work, 0, "warm run must encrypt nothing");
     assert_eq!(warm.selection.ledger.messages, 0);
     assert_eq!(warm.selection.ledger.cache_hits, 1);
-    for counter in
-        ["fed_knn.base.enc_instances", "fed_knn.fagin.enc_instances", "fed_knn.ta.enc_instances"]
-    {
+    for counter in ["fed_knn.base.enc_instances", "fed_knn.fagin.enc_instances"] {
         assert_eq!(trace.metrics.counter(counter), 0, "{counter} must stay zero on a warm run");
     }
     assert_eq!(trace.span_count("fed_knn.query"), 0, "no query reaches the fed-KNN engine");

@@ -363,16 +363,14 @@ fn submit_serves_every_accepted_maximizer_name() {
     shutdown_serve(&addr, child, reader);
 }
 
-/// Every accepted mode name serves the same selection; `ta` is
-/// `threshold`'s alias, so it is served warm from that entry.
+/// Both accepted mode names serve the same selection; names are read
+/// case-blind, so `FAGIN` is served warm from `fagin`'s entry.
 #[test]
 fn submit_serves_every_accepted_mode_name() {
     let (child, reader, addr) = spawn_serve(&[]);
     let (_, fagin) = submit_select(&addr, &["--mode", "fagin"]);
-    for mode in ["base", "threshold"] {
-        assert_eq!(submit_select(&addr, &["--mode", mode]), ("cold".into(), fagin.clone()));
-    }
-    assert_eq!(submit_select(&addr, &["--mode", "ta"]), ("warm".into(), fagin));
+    assert_eq!(submit_select(&addr, &["--mode", "base"]), ("cold".into(), fagin.clone()));
+    assert_eq!(submit_select(&addr, &["--mode", "FAGIN"]), ("warm".into(), fagin));
     shutdown_serve(&addr, child, reader);
 }
 
@@ -441,9 +439,14 @@ fn submit_refuses_the_retired_maximizer_names_and_names_the_accepted_ones() {
 
 #[test]
 fn submit_refuses_the_retired_nra_mode_and_names_the_accepted_ones() {
-    let (code, stderr) = submit(&["--mode", "nra"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("unknown mode nra (accepted: base, fagin, threshold)"), "{stderr}");
+    for name in ["nra", "threshold", "ta"] {
+        let (code, stderr) = submit(&["--mode", name]);
+        assert_eq!(code, Some(2), "{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown mode {name} (accepted: base, fagin)")),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]
