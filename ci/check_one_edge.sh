@@ -22,6 +22,8 @@
 # And one for top-k: one ranking (Ranking), no access-counted list model beside it.
 # And one for HE randomness: vfps-he holds no lock; one atomic cursor seeds Paillier.
 # And one for HE families: Paillier is the one real scheme; CKKS-lite stays deleted.
+# And one for DP: an experiment in vfps-bench, not a served-selector knob.
+# And one for the leader's pick: written once, in crates/vfl/src/outcome.rs.
 # Run from the repo root; the lint job and `just one-edge` both call this.
 set -euo pipefail
 
@@ -340,6 +342,30 @@ fi
 if hits=$(grep -rnE '\b(CkksHe|CkksParams|CkksContext)\b|vfps_he::ckks' \
         crates tests examples --include='*.rs'); then
     echo "CKKS-lite is back without a protocol path (wire a SchemeKind and a run in the same change):"
+    echo "$hits"
+    fail=1
+fi
+
+# DP is an experiment (DESIGN.md §9): vfps-bench's Laplace mechanism
+# noises a finished run's d_T^p for `ablation-dp` alone. As a field of the
+# served selector it forced a fourth, cache-bypassing path into
+# select_with_digest, and vfps-he carried a Gaussian mechanism nothing
+# called.
+if hits=$(grep -rnE 'dp_epsilon|CacheStatus::Bypass|GaussianMechanism|vfps_he::dp' \
+        crates tests examples --include='*.rs'); then
+    echo "DP is back in the served selector or vfps-he (noise a finished run in vfps-bench's ablation-dp):"
+    echo "$hits"
+    fail=1
+fi
+
+# One leader pick (DESIGN.md §7): the k nearest *other* instances are
+# picked in crates/vfl/src/outcome.rs, for both engines. A ranking of
+# complete distances in either engine, or an is_finite() filter standing
+# in for dropping the query's own position, is the second copy that once
+# let the protocol return the query itself at k >= N.
+if hits=$(grep -nE 'Ranking::new|filter\(.*is_finite|score\(\)\.is_finite' \
+        crates/vfl/src/fed_knn.rs crates/vfl/src/protocol.rs); then
+    echo "a second leader pick in a fed-KNN engine (call outcome::leader_pick):"
     echo "$hits"
     fail=1
 fi

@@ -418,8 +418,18 @@ pub fn breakdown(cfg: &ExpConfig) -> String {
 /// Extra ablation: differential privacy instead of HE — Laplace noise on
 /// the transmitted `d_T^p` sums at various budgets ε, showing the accuracy
 /// cost of noise the paper cites when motivating HE (§II).
+///
+/// One HE run's outcomes are noised per ε: each party's `d_T^p` gets
+/// `Lap(Δ/ε)` before it would leave the participant, with Δ one
+/// neighbor's partial distance, approximated by the query's mean
+/// per-neighbor contribution. Each query draws from its own seeded stream,
+/// so the noise is independent of execution order.
 pub fn ablation_dp(cfg: &ExpConfig) -> String {
-    use vfps_core::selectors::{SelectionContext, Selector, VfpsSmSelector};
+    use crate::dp::LaplaceMechanism;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use vfps_core::selectors::{select_from_matrix, SelectionContext, VfpsSmSelector};
+    use vfps_core::SimilarityAccumulator;
     use vfps_data::{prepared_sized, VerticalPartition};
     use vfps_ml::knn::KnnClassifier;
 
@@ -449,25 +459,34 @@ pub fn ablation_dp(cfg: &ExpConfig) -> String {
         )
     };
 
-    let mut rows = Vec::new();
-    let clean = VfpsSmSelector { query_count: pc.query_count, ..Default::default() }
-        .select(&ctx, pc.select);
-    rows.push(vec![
+    let sel = VfpsSmSelector { query_count: pc.query_count, ..Default::default() };
+    let parties: Vec<usize> = (0..ctx.parties()).collect();
+    let clean = sel.run_over(&ctx, &parties, pc.select);
+    let mut rows = vec![vec![
         "HE (no noise)".to_owned(),
-        format!("{:?}", clean.chosen),
-        format!("{:.4}", eval(&clean.chosen)),
-    ]);
+        format!("{:?}", clean.selection.chosen),
+        format!("{:.4}", eval(&clean.selection.chosen)),
+    ]];
+    let counts: Vec<usize> = parties.iter().map(|&p| partition.columns(p).len()).collect();
     for eps in [10.0, 1.0, 0.1, 0.01] {
-        let sel = VfpsSmSelector {
-            query_count: pc.query_count,
-            dp_epsilon: Some(eps),
-            ..Default::default()
+        let mut acc = SimilarityAccumulator::new(parties.len()).with_feature_counts(counts.clone());
+        for (qi, outcome) in clean.outcomes.iter().enumerate() {
+            let mut noised = outcome.clone();
+            let mut rng = StdRng::seed_from_u64(vfps_par::split_seed(ctx.seed ^ 0xd9, qi as u64));
+            let sens = (outcome.d_t_total / (sel.k.max(1) * parties.len()) as f64).max(1e-9);
+            let mech = LaplaceMechanism::new(sens, eps).expect("positive sensitivity and epsilon");
+            for d in &mut noised.d_t {
+                *d = mech.privatize(*d, &mut rng).max(0.0);
+            }
+            noised.d_t_total = noised.d_t.iter().sum();
+            acc.add_query(&noised).expect("one d_t entry per party");
         }
-        .select(&ctx, pc.select);
+        let chosen =
+            select_from_matrix(acc.finish(), &ctx, &parties, pc.select, sel.maximizer).chosen;
         rows.push(vec![
             format!("DP ε = {eps}"),
-            format!("{:?}", sel.chosen),
-            format!("{:.4}", eval(&sel.chosen)),
+            format!("{chosen:?}"),
+            format!("{:.4}", eval(&chosen)),
         ]);
     }
     let out = format!(

@@ -4,6 +4,7 @@
 
 #![warn(missing_docs)]
 
+pub mod dp;
 pub mod experiments;
 
 use std::path::PathBuf;

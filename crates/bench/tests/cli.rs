@@ -135,3 +135,26 @@ fn ablation_topk_orders_the_oracles_by_candidates() {
         assert!(candidates.windows(2).all(|w| w[0] >= w[1]), "{per_dataset:?}");
     }
 }
+
+/// The DP ablation noises one HE run's `d_T^p` per budget: the HE row
+/// comes first, then one row per ε, and every row chooses `select`
+/// distinct parties.
+#[test]
+fn ablation_dp_selects_in_every_row_after_the_he_row() {
+    let rows = quick_table("ablation-dp", "ablation_dp");
+    let names: Vec<&str> = rows.iter().map(|r| r[0].as_str()).collect();
+    assert_eq!(names, ["HE (no noise)", "DP ε = 10", "DP ε = 1", "DP ε = 0.1", "DP ε = 0.01"]);
+    let select = vfps_core::PipelineConfig::default().select;
+    for row in &rows {
+        let mut chosen: Vec<usize> = row[1]
+            .trim_matches(['[', ']'])
+            .split(", ")
+            .map(|id| id.parse().expect("party id"))
+            .collect();
+        chosen.sort_unstable();
+        chosen.dedup();
+        assert_eq!(chosen.len(), select, "{row:?}");
+        let accuracy: f64 = row[2].parse().expect("accuracy");
+        assert!((0.0..=1.0).contains(&accuracy), "{row:?}");
+    }
+}

@@ -14,7 +14,7 @@ use vfps_he::scheme::{seeded_uniform, AdditiveHe, PaillierHe, PlainHe};
 use vfps_ml::linalg::Matrix;
 use vfps_net::wire::Wire;
 use vfps_net::{Conn, FaultPlan};
-use vfps_vfl::fed_knn::{FedKnnConfig, KnnMode};
+use vfps_vfl::fed_knn::{FedKnn, FedKnnConfig, KnnMode};
 use vfps_vfl::{run_threaded_knn_faulted, FaultedRun, KnnSession, ProtoMsg};
 
 fn toy() -> (Matrix, VerticalPartition) {
@@ -175,6 +175,48 @@ fn plain_two_party_transcript_is_byte_identical_to_the_ledger() {
         for h in handles {
             h.join().unwrap();
         }
+    }
+}
+
+/// Where `k` reaches the database, three daemons over TCP return what the
+/// logical engine does: the `k` nearest *other* rows, bit-equal `d_t`
+/// (every entry finite) and the same candidate count.
+#[test]
+fn tcp_agrees_with_the_logical_engine_when_k_reaches_the_database() {
+    let (x, part) = toy();
+    let db: Vec<usize> = (0..8).collect();
+    let queries = vec![0usize, 6];
+    let parties = vec![0usize, 1, 2];
+    let he = Arc::new(PaillierHe::generate(128, 8, 5).unwrap());
+    let cfg = FedKnnConfig { k: db.len(), mode: KnnMode::Fagin, batch: 2, cost_scale: 1.0 };
+
+    let mut addrs = Vec::new();
+    let mut handles = Vec::new();
+    for &p in &parties {
+        let (addr, h) = spawn_party(&x, &part, PartyConfig::new(p), 1);
+        addrs.push(addr);
+        handles.push(h);
+    }
+    let session = KnnSession::new(&parties, &db, &queries, cfg, 21);
+    let scheme = SchemeSpec::paillier(128, 8, 5);
+    let report =
+        run_cluster_knn(&he, &session, 21, scheme, &addrs, &fast_opts()).expect("tcp setup");
+    let FaultedRun::Complete(tcp) = report.run else {
+        panic!("tcp run not complete: {:?}", report.run)
+    };
+    let engine = FedKnn::new(&x, &part, &parties, &db, cfg);
+    let mut ledger = vfps_net::cost::OpLedger::default();
+    let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+    for (&q, got) in queries.iter().zip(&tcp.outcomes) {
+        let want = engine.query(q, &mut ledger);
+        assert_eq!(got.topk_rows, want.topk_rows, "q{q}");
+        assert!(!got.topk_rows.contains(&q), "q{q} lists itself: {:?}", got.topk_rows);
+        assert_eq!(bits(&got.d_t), bits(&want.d_t), "q{q}");
+        assert!(got.d_t.iter().all(|d| d.is_finite()), "q{q}: {:?}", got.d_t);
+        assert_eq!(got.candidates, want.candidates, "q{q}");
+    }
+    for h in handles {
+        h.join().unwrap();
     }
 }
 

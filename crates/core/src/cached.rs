@@ -5,7 +5,7 @@
 //! by a [`TenantDigest`] of the tenant's data, which a resident world
 //! takes once (DESIGN.md §10), and [`select_with_cache`] is the same call
 //! with the digest taken for this one request. Per request it resolves to
-//! one of four paths:
+//! one of three paths:
 //!
 //! * **warm** — an exact-fingerprint entry exists: its stored similarity
 //!   matrix goes straight to the selection tail
@@ -22,10 +22,6 @@
 //!   entry on its first cold run.
 //! * **cold** — no reusable entry: the full pipeline runs and its
 //!   artifacts are stored.
-//! * **bypass** — the request uses differential privacy: `dp_epsilon` is
-//!   not part of the [`CacheKey`], so a noised run must neither be served
-//!   a noise-free entry nor overwrite one. The full pipeline runs and the
-//!   cache is left untouched.
 //!
 //! Every cache failure (unreadable file, bad checksum, undecodable
 //! payload, fingerprint collision) degrades to a cold run and is surfaced
@@ -52,8 +48,6 @@ pub enum CacheStatus {
     ChurnJoin(usize),
     /// Served from a cached neighbor entry by dropping this party.
     ChurnLeave(usize),
-    /// Request not cacheable (DP active): cache untouched.
-    Bypass,
 }
 
 impl std::fmt::Display for CacheStatus {
@@ -63,7 +57,6 @@ impl std::fmt::Display for CacheStatus {
             CacheStatus::Warm => f.write_str("warm"),
             CacheStatus::ChurnJoin(p) => write!(f, "churn-join({p})"),
             CacheStatus::ChurnLeave(p) => write!(f, "churn-leave({p})"),
-            CacheStatus::Bypass => f.write_str("bypass"),
         }
     }
 }
@@ -77,8 +70,8 @@ pub struct CachedSelection {
     pub selection: Selection,
     /// Which serving path ran.
     pub status: CacheStatus,
-    /// Hex of the request's full fingerprint (`None` for bypass).
-    pub fingerprint: Option<String>,
+    /// Hex of the request's full fingerprint.
+    pub fingerprint: String,
     /// A cache failure that forced degradation to a cold run (the run
     /// itself still succeeded; the damaged entry was overwritten).
     pub degraded: Option<CacheError>,
@@ -237,8 +230,8 @@ pub fn cache_key(
 
 /// Runs a VFPS-SM selection through the artifact cache, hashing the
 /// tenant's data for this one request: [`select_with_digest`] over
-/// [`TenantDigest::of`]. See the module docs for the warm / churn / cold /
-/// bypass semantics.
+/// [`TenantDigest::of`]. See the module docs for the warm / churn / cold
+/// semantics.
 ///
 /// # Panics
 /// Panics if `party_set` contains an id outside the partition.
@@ -258,8 +251,7 @@ pub fn select_with_cache(
 /// Runs a VFPS-SM selection through the artifact cache, keyed by a digest
 /// of the tenant's data taken earlier ([`TenantDigest::of`] over the same
 /// `ctx` data and `tc`): the per-request work no longer grows with the
-/// dataset. See the module docs for the warm / churn / cold / bypass
-/// semantics.
+/// dataset. See the module docs for the warm / churn / cold semantics.
 ///
 /// # Panics
 /// Panics if `party_set` contains an id outside the partition.
@@ -274,17 +266,8 @@ pub fn select_with_digest(
     cost_model: &CostModel,
     tc: &TenantContext<'_>,
 ) -> CachedSelection {
-    if sel.dp_epsilon.is_some() {
-        return CachedSelection {
-            selection: sel.run_over(ctx, party_set, count).selection,
-            status: CacheStatus::Bypass,
-            fingerprint: None,
-            degraded: None,
-        };
-    }
-
     let key = digest.key(sel, ctx, party_set, cost_model, tc);
-    let fingerprint = Some(key.fingerprint().hex());
+    let fingerprint = key.fingerprint().hex();
     let mut degraded: Option<CacheError> = None;
 
     // Warm path: exact entry.

@@ -100,11 +100,6 @@ pub struct VfpsSmSelector {
     pub mode: KnnMode,
     /// Fagin mini-batch size `b`.
     pub batch: usize,
-    /// Optional differential-privacy budget: when set, the per-party
-    /// `d_T^p` sums are Laplace-perturbed before leaving the participant
-    /// (the DP alternative to HE the paper surveys in §II; used by the
-    /// `ablation-dp` experiment to show the accuracy cost of noise).
-    pub dp_epsilon: Option<f64>,
     /// Which submodular maximizer runs the selection tail. `Lazy` (the
     /// default) picks exact greedy's set; `Stochastic` is the sublinear
     /// variant for large consortia (DESIGN.md §12). The stochastic sampler
@@ -120,7 +115,6 @@ impl Default for VfpsSmSelector {
             query_count: 32,
             mode: KnnMode::Fagin,
             batch: 100,
-            dp_epsilon: None,
             maximizer: Maximizer::Lazy,
         }
     }
@@ -138,8 +132,7 @@ pub struct VfpsRunArtifacts {
     pub selection: Selection,
     /// Query rows, in execution order.
     pub queries: Vec<usize>,
-    /// Per-query outcomes aligned with `queries` (Laplace-perturbed when
-    /// `dp_epsilon` is set; raw otherwise).
+    /// Per-query outcomes aligned with `queries`.
     pub outcomes: Vec<QueryOutcome>,
     /// The accumulated similarity matrix, rows and columns in `party_set`
     /// order.
@@ -212,26 +205,8 @@ impl VfpsSmSelector {
         let mut acc = SimilarityAccumulator::new(party_set.len()).with_feature_counts(counts);
         let mut outcomes = Vec::with_capacity(queries.len());
         let mut candidates = 0usize;
-        for (qi, mut outcome) in batch.into_iter().enumerate() {
+        for outcome in batch {
             candidates += outcome.candidates;
-            if let Some(eps) = self.dp_epsilon {
-                // DP alternative: Laplace noise on each party's d_T^p
-                // before it leaves the participant. Sensitivity heuristic:
-                // one neighbor's partial distance, approximated by the
-                // mean per-neighbor contribution of this query. The noise
-                // stream is derived per query (not from one sequential
-                // RNG), so it is independent of execution order.
-                let mut dp_rng =
-                    StdRng::seed_from_u64(vfps_par::split_seed(ctx.seed ^ 0xd9, qi as u64));
-                let sens =
-                    (outcome.d_t_total / (self.k.max(1) * party_set.len().max(1)) as f64).max(1e-9);
-                let mech = vfps_he::dp::LaplaceMechanism::new(sens, eps)
-                    .expect("positive sensitivity and epsilon");
-                for d in &mut outcome.d_t {
-                    *d = mech.privatize(*d, &mut dp_rng).max(0.0);
-                }
-                outcome.d_t_total = outcome.d_t.iter().sum();
-            }
             acc.add_query(&outcome).expect("the engine answers one d_t entry per party");
             outcomes.push(outcome);
         }
@@ -662,21 +637,6 @@ mod tests {
         assert!((sel.scores[1] - 1.2).abs() < 1e-12, "{:?}", sel.scores);
         assert!((sel.scores[3] - 0.8).abs() < 1e-12, "{:?}", sel.scores);
         assert_eq!(sel.ledger, OpLedger::default(), "the tail bills nothing");
-    }
-
-    #[test]
-    fn vfps_sm_with_dp_still_selects() {
-        let f = fixture(4);
-        let clean = VfpsSmSelector { query_count: 12, ..Default::default() }.select(&ctx(&f, 4), 2);
-        let noisy = VfpsSmSelector {
-            query_count: 12,
-            dp_epsilon: Some(10.0), // loose budget: should rarely flip
-            ..Default::default()
-        }
-        .select(&ctx(&f, 4), 2);
-        assert_eq!(noisy.chosen.len(), 2);
-        // With a loose budget the selection usually agrees with clean.
-        let _ = clean;
     }
 
     #[test]

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod bigint;
-pub mod dp;
 pub mod error;
 pub mod fixed;
 pub mod keys;

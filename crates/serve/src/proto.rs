@@ -263,8 +263,8 @@ pub struct SelectReply {
     pub chosen: Vec<usize>,
     /// Full-width per-party marginal-gain scores.
     pub scores: Vec<f64>,
-    /// Which cache path served it (`cold`, `warm`, `churn-join(p)`,
-    /// `churn-leave(p)`, `bypass`), as rendered by
+    /// Which cache path served it (`cold`, `warm`, `churn-join(p)` or
+    /// `churn-leave(p)`), as rendered by
     /// [`vfps_core::CacheStatus`]'s `Display`.
     pub cache_status: String,
     /// Instances encrypted while serving this request (0 on a warm hit).

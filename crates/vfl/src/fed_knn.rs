@@ -19,8 +19,9 @@
 //! HE lives in [`crate::protocol`]; tests assert the two produce identical
 //! neighbor sets.
 
+use crate::outcome;
 use vfps_data::VerticalPartition;
-use vfps_ml::linalg::{squared_distances_feature_major, Matrix};
+use vfps_ml::linalg::Matrix;
 use vfps_net::cost::OpLedger;
 use vfps_topk::stream::StreamingFagin;
 use vfps_topk::Ranking;
@@ -117,8 +118,6 @@ pub struct FedKnn<'a> {
     /// one feature per row (the partial-distance kernel's layout).
     db_views: Vec<Matrix>,
     db_rows: Vec<usize>,
-    /// By row of `x`: that row's database position, if it has one.
-    row_pos: Vec<Option<usize>>,
     cfg: FedKnnConfig,
 }
 
@@ -151,19 +150,7 @@ impl<'a> FedKnn<'a> {
                 view
             })
             .collect();
-        let mut row_pos = vec![None; x.rows()];
-        for (i, &r) in db_rows.iter().enumerate() {
-            row_pos[r] = Some(i);
-        }
-        FedKnn {
-            x,
-            partition,
-            parties: parties.to_vec(),
-            db_views,
-            db_rows: db_rows.to_vec(),
-            row_pos,
-            cfg,
-        }
+        FedKnn { x, partition, parties: parties.to_vec(), db_views, db_rows: db_rows.to_vec(), cfg }
     }
 
     /// Database size.
@@ -179,21 +166,15 @@ impl<'a> FedKnn<'a> {
     }
 
     /// Per-party partial distances from row `query_row` of the full matrix
-    /// to every database instance. The query's own database entry (if
-    /// present) is excluded by giving it an infinite distance.
-    fn partial_distances(&self, query_row: usize) -> Vec<Vec<f64>> {
-        let self_pos = self.row_pos.get(query_row).copied().flatten();
+    /// to every database instance, its own position `self_pos` excluded.
+    fn partial_distances(&self, query_row: usize, self_pos: Option<usize>) -> Vec<Vec<f64>> {
         self.parties
             .iter()
             .zip(&self.db_views)
             .map(|(&party, view)| {
                 let cols = self.partition.columns(party);
                 let q: Vec<f64> = cols.iter().map(|&c| self.x.get(query_row, c)).collect();
-                let mut partials = squared_distances_feature_major(view, &q);
-                if let Some(i) = self_pos {
-                    partials[i] = f64::INFINITY;
-                }
-                partials
+                outcome::partial_distances(view, &q, self_pos)
             })
             .collect()
     }
@@ -209,8 +190,10 @@ impl<'a> FedKnn<'a> {
         let scale = self.cfg.cost_scale;
         let bill = |count: usize| -> u64 { (count as f64 * scale).round() as u64 };
 
-        let partials =
-            vfps_obs::time_us("fed_knn.local_distances_us", || self.partial_distances(query_row));
+        let self_pos = outcome::self_position(&self.db_rows, query_row);
+        let partials = vfps_obs::time_us("fed_knn.local_distances_us", || {
+            self.partial_distances(query_row, self_pos)
+        });
         // Every party computes N partial distances locally, in parallel.
         ledger.record_dist(bill(n), p);
 
@@ -314,21 +297,13 @@ impl<'a> FedKnn<'a> {
             }
         };
 
-        // Leader: complete distances of candidates, take k smallest. The
-        // ranking is by (distance, position), so the candidates' order (a
-        // set-read batch's included) never reaches the outcome.
+        // Leader: complete distances of candidates, take k smallest; a
+        // set-read batch's order never reaches the pick.
         vfps_obs::span!("fed_knn.leader_tail");
         let complete =
             candidate_positions.iter().map(|&i| (partials.iter().map(|d| d[i]).sum::<f64>(), i));
         ledger.record_plain(bill(candidate_positions.len()), 1);
-        // The query's own database entry carries an infinite distance; for
-        // k >= N it would otherwise slip into the top-k.
-        let topk_pos: Vec<usize> = Ranking::new(complete)
-            .into_iter()
-            .filter(|e| e.score().is_finite())
-            .take(self.cfg.k)
-            .map(|e| e.id())
-            .collect();
+        let topk_pos = outcome::leader_pick(complete, self.cfg.k, self_pos);
         let k = topk_pos.len();
 
         // Leader → participants: the top-k ids; participants return d_T^p.
@@ -339,7 +314,7 @@ impl<'a> FedKnn<'a> {
         ledger.record_traffic(p * model.scalar_bytes as u64, p);
         ledger.record_round();
 
-        let d_t: Vec<f64> = partials.iter().map(|d| topk_pos.iter().map(|&i| d[i]).sum()).collect();
+        let d_t: Vec<f64> = partials.iter().map(|d| outcome::d_t(d, &topk_pos)).collect();
         let d_t_total = d_t.iter().sum();
 
         QueryOutcome {

@@ -9,6 +9,8 @@
 //! * [`protocol`] — the same protocol run thread-per-node over the
 //!   simulated cluster with *real* homomorphic encryption and pseudo-ID
 //!   shuffling (tests assert it matches the logical engine);
+//! * `outcome` — what both engines compute per query, written once: the
+//!   self-excluded partial distances, the leader's pick and `d_T^p`;
 //! * [`split_train`] — downstream KNN/LR/MLP training over a selected
 //!   sub-consortium with split-learning cost billing.
 //!
@@ -31,6 +33,7 @@
 
 pub mod fed_knn;
 mod he_wire;
+mod outcome;
 pub mod protocol;
 pub mod split_train;
 

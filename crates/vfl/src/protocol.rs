@@ -40,22 +40,23 @@
 
 use crate::fed_knn::{FedKnnConfig, KnnMode, QueryOutcome};
 use crate::he_wire;
+use crate::outcome;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::sync::Arc;
 use vfps_data::VerticalPartition;
 use vfps_he::scheme::AdditiveHe;
-use vfps_ml::linalg::{squared_distances_feature_major, Matrix};
+use vfps_ml::linalg::Matrix;
 use vfps_net::channel::Channel;
 use vfps_net::cluster::{run_cluster_fallible, ClusterOptions, NodeCtx};
 use vfps_net::{Error, FaultPlan, NodeId, TrafficLedger};
 use vfps_topk::Ranking;
 
-/// Stand-in distance for a query's own database entry: large enough never
-/// to win a top-k, small enough to stay representable in every scheme's
-/// fixed-point plaintext space.
+/// What a party encrypts in place of its `+inf` partial distance at the
+/// query's own database position. The leader drops that position by
+/// position ([`outcome::leader_pick`]), so the value only has to encode:
+/// it stays representable in every scheme's fixed-point plaintext space.
 const SELF_EXCLUDE_SENTINEL: f64 = 1e9;
 
 /// Deadline for every blocking receive in the protocol. A dropped frame
@@ -272,8 +273,8 @@ pub struct KnnSession {
     pub perm: Vec<usize>,
     /// Inverse of `perm`.
     pub inv: Vec<usize>,
-    /// Per query: its own database position, if it has one (its partial
-    /// distance there is excluded).
+    /// Per query: its own database position, if it has one
+    /// ([`outcome::self_position`]).
     self_pos: Vec<Option<usize>>,
     /// Queries per wave, derived from the database size so that both ends
     /// of a setup frame agree on the split. Private: only this module's
@@ -310,10 +311,6 @@ impl KnnSession {
         for (pos, &pseudo) in perm.iter().enumerate() {
             inv[pseudo] = pos;
         }
-        let mut first_pos = HashMap::with_capacity(n);
-        for (pos, &row) in db_rows.iter().enumerate() {
-            first_pos.entry(row).or_insert(pos);
-        }
         KnnSession {
             parties: parties.to_vec(),
             db_rows: db_rows.to_vec(),
@@ -321,7 +318,7 @@ impl KnnSession {
             cfg,
             perm,
             inv,
-            self_pos: queries.iter().map(|q| first_pos.get(q).copied()).collect(),
+            self_pos: queries.iter().map(|&q| outcome::self_position(db_rows, q)).collect(),
             wave_len: (WAVE_VALUE_BUDGET / n).max(1),
         }
     }
@@ -745,24 +742,6 @@ pub fn knn_server_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
     Ok((0..p).filter(|&s| dead[s]).collect())
 }
 
-/// Query `qi`'s partial squared distances by database position, over the
-/// party's feature-major view; the query's own database entry is
-/// excluded via +inf.
-fn partial_distances(shared: &KnnSession, view_t: &Matrix, qfeat: &[f64], qi: usize) -> Vec<f64> {
-    let mut partials = squared_distances_feature_major(view_t, qfeat);
-    if let Some(self_pos) = shared.self_pos[qi] {
-        partials[self_pos] = f64::INFINITY;
-    }
-    partials
-}
-
-/// The leader's pick for one query: the `k` candidates of smallest
-/// complete distance, ties broken by database position.
-fn top_k(shared: &KnnSession, candidates: &[usize], complete: &[f64]) -> Vec<usize> {
-    let by_position = candidates.iter().zip(complete).map(|(&pseudo, &d)| (d, shared.inv[pseudo]));
-    Ranking::new(by_position).prefix(shared.cfg.k).iter().map(|e| shared.perm[e.id()]).collect()
-}
-
 /// A participant: per wave, computes partial distances, streams rankings
 /// (Fagin), encrypts what the server asks for, and reports `d_T^p` to the
 /// leader. Slot 0 (node 1) additionally acts as the leader: it tolerates
@@ -796,8 +775,11 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
 
     for wave in shared.waves() {
         let wave_len = wave.len();
-        let partials: Vec<Vec<f64>> =
-            wave.map(|qi| partial_distances(shared, &view_t, &query_feats[qi], qi)).collect();
+        let self_pos = &shared.self_pos[wave.clone()];
+        let partials: Vec<Vec<f64>> = wave
+            .zip(self_pos)
+            .map(|(qi, &own)| outcome::partial_distances(&view_t, &query_feats[qi], own))
+            .collect();
 
         // Which pseudo IDs to encrypt, per query.
         let candidates: Vec<Vec<usize>> = match shared.cfg.mode {
@@ -843,9 +825,8 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
         };
 
         // Encrypt the wave's candidate partial distances — query by query,
-        // each in candidate order — chunked as one run. Infinite
-        // self-distance is clamped to a large sentinel the codec can
-        // represent; it can never win the top-k.
+        // each in candidate order — chunked as one run. The infinite
+        // self-distance travels as a sentinel the codec can represent.
         let values: Vec<f64> = candidates
             .iter()
             .zip(&partials)
@@ -873,8 +854,8 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
         };
         ctx.send(0, ProtoMsg::EncPartials(blobs))?;
 
-        // Leader: decrypt the wave's aggregate, pick each query's top-k,
-        // broadcast.
+        // Leader: decrypt the wave's aggregate, pick each query's top-k
+        // database positions, broadcast them as pseudo IDs.
         let topk: Vec<Vec<usize>> = if is_leader {
             let (blobs, contributors): (Vec<Vec<u8>>, Vec<usize>) =
                 match ctx.recv_from_timeout(0, PHASE_TIMEOUT)? {
@@ -896,13 +877,19 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
             let mut rest = complete.as_slice();
             let topk: Vec<Vec<usize>> = candidates
                 .iter()
-                .map(|ids| {
+                .zip(self_pos)
+                .map(|(ids, &own)| {
                     let (mine, tail) = rest.split_at(ids.len());
                     rest = tail;
-                    top_k(shared, ids, mine)
+                    let by_position = ids.iter().zip(mine).map(|(&p, &d)| (d, shared.inv[p]));
+                    outcome::leader_pick(by_position, shared.cfg.k, own)
                 })
                 .collect();
-            let msg = ProtoMsg::TopkIds(topk.iter().map(|ids| wire_ids(ids)).collect());
+            let msg = ProtoMsg::TopkIds(
+                topk.iter()
+                    .map(|pick| pick.iter().map(|&pos| shared.perm[pos] as u32).collect())
+                    .collect(),
+            );
             for peer in 0..p {
                 if peer != slot
                     && !dead[peer]
@@ -917,17 +904,17 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
             match ctx.recv_from_timeout(1, PHASE_TIMEOUT)? {
                 ProtoMsg::TopkIds(lists) => {
                     checked_id_lists("TopkIds", lists, wave_len, shared.cfg.k, n)?
+                        .into_iter()
+                        .map(|ids| ids.into_iter().map(|pseudo| shared.inv[pseudo]).collect())
+                        .collect()
                 }
                 other => return Err(Error::violation(format!("expected TopkIds, got {other:?}"))),
             }
         };
 
         // Everyone computes d_T^p per query and reports to the leader.
-        let d_t_own: Vec<f64> = topk
-            .iter()
-            .zip(&partials)
-            .map(|(ids, d)| ids.iter().map(|&pseudo| d[shared.inv[pseudo]]).sum())
-            .collect();
+        let d_t_own: Vec<f64> =
+            topk.iter().zip(&partials).map(|(pick, d)| outcome::d_t(d, pick)).collect();
         if !is_leader {
             ctx.send(1, ProtoMsg::DtSum(d_t_own))?;
             continue;
@@ -984,7 +971,7 @@ pub fn knn_participant_node<H: AdditiveHe, C: Channel<ProtoMsg>>(
         for (q, (top, ids)) in topk.iter().zip(&candidates).enumerate() {
             let d_t: Vec<f64> = sums.iter().map(|of_slot| of_slot[q]).collect();
             outcomes.push(QueryOutcome {
-                topk_rows: top.iter().map(|&pseudo| shared.db_rows[shared.inv[pseudo]]).collect(),
+                topk_rows: top.iter().map(|&pos| shared.db_rows[pos]).collect(),
                 d_t_total: d_t.iter().sum(),
                 d_t,
                 candidates: ids.len(),

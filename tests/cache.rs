@@ -263,22 +263,6 @@ fn corrupted_entry_degrades_to_cold_and_is_repaired() {
 }
 
 #[test]
-fn dp_requests_bypass_the_cache() {
-    let _g = lock();
-    let f = fixture(26);
-    let c = ctx(&f, 26);
-    let cache = ArtifactCache::open(cache_dir("bypass")).unwrap();
-    let parties: Vec<usize> = (0..c.parties()).collect();
-    let model = CostModel::default();
-
-    let dp = VfpsSmSelector { dp_epsilon: Some(1.0), ..selector() };
-    let served = select_with_cache(&cache, &dp, &c, &parties, 2, &model, &tc(b"it-bypass"));
-    assert_eq!(served.status, CacheStatus::Bypass);
-    assert!(served.fingerprint.is_none());
-    assert!(cache.is_empty().unwrap(), "bypassed runs never touch the store");
-}
-
-#[test]
 fn tenants_get_disjoint_entries_warm_paths_and_identical_results() {
     let _g = lock();
     let f = fixture(27);
